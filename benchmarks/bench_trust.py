@@ -3,12 +3,12 @@
 Two claims carried by :mod:`repro.trust` are measured here and written
 to ``BENCH_trust.json`` (override with ``BENCH_TRUST_JSON``):
 
-1. **Batched updates amortize** — the vectorized
-   :meth:`~repro.trust.ProfileTable.observe_batch` kernel sustains a
-   multiple of the scalar :meth:`~repro.trust.ProfileTable.observe`
-   path's per-request throughput, because the scalar path *is* the
-   batch kernel on a one-row view and pays the full numpy dispatch
-   cost per request.
+1. **Both update paths keep up** — the per-request
+   :meth:`~repro.trust.ProfileTable.observe` (plain float arithmetic
+   on one row) sustains ≥ 100k updates/s, far above any rate the live
+   service serves, and the vectorized
+   :meth:`~repro.trust.ProfileTable.observe_batch` kernel is at least
+   as fast per update, so batching a sweep never loses.
 2. **Backends are interchangeable at service rates** — memory, sqlite
    and the atomic JSON file all sustain the coordinator's persistence
    pattern (batched ``put_many`` once a sweep, full ``items`` scan on
@@ -105,9 +105,11 @@ def _profile_sweep():
 def test_profile_update_throughput(benchmark, show):
     row = benchmark.pedantic(_profile_sweep, rounds=1, iterations=1)
 
-    # The batch kernel must actually amortize the numpy dispatch: a
-    # conservative 3x floor holds on any host (typically 20-100x).
-    assert row["batch_speedup"] >= 3.0
+    # Absolute floors, not a ratio: the gate must not punish a faster
+    # scalar path.  Both hold with a wide margin (measured on a 2-vCPU
+    # VM: scalar ~350k/s, batched ~1.3M/s).
+    assert row["scalar_updates_per_s"] >= 100_000
+    assert row["batch_updates_per_s"] >= row["scalar_updates_per_s"]
 
     _write_payload("profiles", {
         "full_fidelity": full_fidelity(),

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "PAPER_FIG3_SAVED_FRACTION",
@@ -97,6 +96,10 @@ def shape_correlation(
         raise ValueError("need at least 3 points for a shape comparison")
     if len(set(paper)) == 1 or len(set(measured)) == 1:
         raise ValueError("constant series have no shape to compare")
+    # Reporting-only dependency: importing it here keeps scipy.stats
+    # (~46 MB, ~0.9 s) out of the live service, which imports analysis.
+    from scipy import stats as scipy_stats
+
     rho, _ = scipy_stats.spearmanr(np.asarray(paper), np.asarray(measured))
     return float(rho)
 

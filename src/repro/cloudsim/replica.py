@@ -33,7 +33,12 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..detect import HeavyHitterReport, SketchParams, SketchWindow
+from ..detect import (
+    HeavyHitterReport,
+    SketchParams,
+    SketchWindow,
+    key_digest,
+)
 from .network import Endpoint, LoadMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,6 +92,9 @@ class ReplicaServer:
         self.cpu_capacity = cpu_capacity
         self.state = ReplicaState.BOOTING
         self.whitelist: set[str] = set()
+        # Sketch digest of each whitelisted client, hashed once at
+        # admission; bounded by (and dropped with) the whitelist.
+        self._digests: dict[str, int] = {}
         self.assigned_clients: dict[str, object] = {}
         self.net_meter = LoadMeter(half_life=ctx.config.load_half_life)
         self.cpu_meter = LoadMeter(half_life=ctx.config.load_half_life)
@@ -119,6 +127,7 @@ class ReplicaServer:
         """
         self.state = ReplicaState.RETIRED
         self.whitelist.clear()
+        self._digests.clear()
         self.assigned_clients.clear()
         self.net_meter.reset()
         self.cpu_meter.reset()
@@ -134,6 +143,7 @@ class ReplicaServer:
         """
         self.state = ReplicaState.FAILED
         self.whitelist.clear()
+        self._digests.clear()
         self.assigned_clients.clear()
         self.net_meter.reset()
         self.cpu_meter.reset()
@@ -150,11 +160,13 @@ class ReplicaServer:
         """Whitelist a client (called on load-balancer/coordinator
         assignment, step 4 of the paper's Figure 1)."""
         self.whitelist.add(client_id)
+        self._digests[client_id] = key_digest(client_id)
         self.assigned_clients[client_id] = client
 
     def evict(self, client_id: str) -> None:
         """Remove a departed client's whitelist entry and binding."""
         self.whitelist.discard(client_id)
+        self._digests.pop(client_id, None)
         self.assigned_clients.pop(client_id, None)
 
     @property
@@ -239,6 +251,7 @@ class ReplicaServer:
             self.traffic.record(self.ctx.now, admitted=False, key=client_id)
             on_done(False, 0.0)
             return
+        digest = self._digests.get(client_id)
         trust = self.ctx.trust
         if trust is not None and trust.admit_decision(client_id) != "ok":
             # Tier gate (mirrors the live service's backends): a policy
@@ -248,20 +261,26 @@ class ReplicaServer:
             # is a non-violation observation (the gate itself must not
             # spiral trust downward).
             self.stats.requests_gated += 1
-            self.traffic.record(self.ctx.now, admitted=False, key=client_id)
+            self.traffic.record(
+                self.ctx.now, admitted=False, key=client_id, digest=digest
+            )
             trust.observe(client_id, self.ctx.now, violation=False)
             on_done(False, 0.0)
             return
         if self.ctx.rng.random() < self.drop_probability():
             self.stats.requests_dropped += 1
-            self.traffic.record(self.ctx.now, admitted=False, key=client_id)
+            self.traffic.record(
+                self.ctx.now, admitted=False, key=client_id, digest=digest
+            )
             if trust is not None:
                 # An overload drop is the violation signal: the client
                 # (or its cohort) outran the replica's capacity.
                 trust.observe(client_id, self.ctx.now, violation=True)
             on_done(False, 0.0)
             return
-        self.traffic.record(self.ctx.now, admitted=True, key=client_id)
+        self.traffic.record(
+            self.ctx.now, admitted=True, key=client_id, digest=digest
+        )
         if trust is not None:
             trust.observe(client_id, self.ctx.now, violation=False)
         self.cpu_meter.add(self.ctx.now, work)

@@ -21,10 +21,12 @@ over its row counters.  Properties the tests pin:
 
 Ingestion has two shapes sharing one counter matrix: the scalar
 :meth:`~CountMinSketch.add` for request-at-a-time callers (the live
-service, the DES), and the vectorized :meth:`~CountMinSketch.add_batch`
-for the saturating hot path, where a numpy batch of pre-computed key
-digests is folded in one ``np.maximum.at`` pass — the difference the
-detection benchmark measures.
+service, the DES) — plain integer arithmetic on python-int hash
+coefficients and a flat view of the counters, no per-call numpy
+scalars — and the vectorized :meth:`~CountMinSketch.add_batch` for the
+saturating hot path, where a numpy batch of pre-computed key digests
+is folded in one ``np.maximum.at`` pass — the difference the detection
+benchmark measures.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def key_digest(key: str | bytes) -> int:
     """Stable 64-bit digest of a key (``PYTHONHASHSEED``-independent).
 
-    Computed once per client at admission time in the hot-path design:
-    the per-request cost is then pure arithmetic on the digest.
+    Computed once per client at admission time (the replicas keep it
+    beside the whitelist entry): the per-request cost is then pure
+    arithmetic on the digest.
     """
     if isinstance(key, str):
         key = key.encode("utf-8")
@@ -73,7 +76,7 @@ class CountMinSketch:
     """
 
     __slots__ = ("width", "depth", "seed", "conservative", "counts",
-                 "total", "_a", "_b")
+                 "total", "_a", "_b", "_rows", "_flat")
 
     def __init__(
         self,
@@ -98,12 +101,24 @@ class CountMinSketch:
         )
         self._a = state[:depth] | np.uint64(1)  # odd multipliers
         self._b = state[depth:]
+        # Scalar-path forms of the same state: per-row ``(a, b, offset)``
+        # as python ints, and a flat view sharing ``counts``' memory
+        # (``counts`` is only ever updated in place), so one request
+        # costs integer arithmetic plus 1-D element reads and writes.
+        self._rows = tuple(
+            (a, b, row * width)
+            for row, (a, b) in enumerate(
+                zip(self._a.tolist(), self._b.tolist())
+            )
+        )
+        self._flat = self.counts.reshape(-1)
 
     # ------------------------------------------------------------------
     # hashing
     # ------------------------------------------------------------------
     def _indices(self, digest: int) -> list[int]:
-        """Row-wise counter index of one key digest (scalar path).
+        """Row-wise counter index of one key digest, as positions in
+        the flat view (scalar path).
 
         Multiply-shift: the *high* 32 bits of ``a*x + b`` feed the
         modulo.  Reducing the product directly would keep only its low
@@ -111,9 +126,10 @@ class CountMinSketch:
         digests equal mod ``width`` would then collide in every row at
         once, destroying the rows' independence.
         """
+        width = self.width
         return [
-            (((int(a) * digest + int(b)) & _MASK64) >> 32) % self.width
-            for a, b in zip(self._a, self._b)
+            offset + (((a * digest + b) & _MASK64) >> 32) % width
+            for a, b, offset in self._rows
         ]
 
     def _index_matrix(self, digests: np.ndarray) -> np.ndarray:
@@ -134,22 +150,23 @@ class CountMinSketch:
         return self.add_digest(key_digest(key), count)
 
     def add_digest(self, digest: int, count: int = 1) -> int:
-        """Scalar update by pre-computed digest (hot-path form)."""
+        """Scalar update by pre-computed digest (hot-path form);
+        returns the new estimate, as :meth:`estimate_digest` would."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        rows = range(self.depth)
+        flat = self._flat
         idx = self._indices(digest)
+        values = [flat.item(i) for i in idx]
         self.total += count
         if self.conservative:
-            estimate = min(int(self.counts[i, idx[i]]) for i in rows)
-            target = np.uint64(estimate + count)
-            for i in rows:
-                if self.counts[i, idx[i]] < target:
-                    self.counts[i, idx[i]] = target
-            return int(target)
-        for i in rows:
-            self.counts[i, idx[i]] += np.uint64(count)
-        return min(int(self.counts[i, idx[i]]) for i in rows)
+            target = min(values) + count
+            for i, value in zip(idx, values):
+                if value < target:
+                    flat[i] = target
+            return target
+        for i, value in zip(idx, values):
+            flat[i] = value + count
+        return min(values) + count
 
     def add_batch(
         self, digests: np.ndarray, counts: np.ndarray | None = None
@@ -206,10 +223,8 @@ class CountMinSketch:
         return self.estimate_digest(key_digest(key))
 
     def estimate_digest(self, digest: int) -> int:
-        idx = self._indices(digest)
-        return min(
-            int(self.counts[i, idx[i]]) for i in range(self.depth)
-        )
+        flat = self._flat
+        return min(flat.item(i) for i in self._indices(digest))
 
     def estimate_batch(self, digests: np.ndarray) -> np.ndarray:
         """Vectorized point queries (uint64 estimates)."""
@@ -244,7 +259,7 @@ class CountMinSketch:
             self.width, self.depth, self.seed,
             conservative=self.conservative,
         )
-        merged.counts = self.counts + other.counts
+        np.add(self.counts, other.counts, out=merged.counts)
         merged.total = self.total + other.total
         return merged
 

@@ -123,26 +123,25 @@ class SketchWindow:
         """Record one request outcome (and optionally its source key).
 
         Either ``key`` or a pre-computed ``digest`` may be given; with
-        both, the digest is trusted (hot paths compute it once at
-        admission).  With neither, only the saturation tallies move.
+        both, the digest is trusted (the replicas compute it once, when
+        the client is admitted to their whitelist).  With neither,
+        only the saturation tallies move.
         """
         cell = self._live_cell(now)
         cell.total += count
         if not admitted:
             cell.throttled += count
-        if key is None and digest is None:
-            return
         if digest is None:
-            assert key is not None
+            if key is None:
+                return
             digest = key_digest(key)
-        cell.sketch.add_digest(digest, count)
+        sketch = cell.sketch
+        estimate = sketch.add_digest(digest, count)
         if key is not None:
             # Promote only when the sketch already ranks the key at
             # heavy-hitter mass — the summary then tracks talkers, not
             # the benign long tail.
-            estimate = cell.sketch.estimate_digest(digest)
-            threshold = cell.sketch.total / self.params.top_k
-            if estimate >= threshold:
+            if estimate >= sketch.total / self.params.top_k:
                 cell.hitters.add(key, count)
             else:
                 cell.hitters.total += count

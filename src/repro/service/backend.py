@@ -26,7 +26,7 @@ import asyncio
 import time
 from typing import Callable
 
-from ..detect import HeavyHitterReport, SketchParams
+from ..detect import HeavyHitterReport, SketchParams, key_digest
 from ..obs.instruments import Instruments
 from ..obs.metrics import Counter
 from ..trust import TrustManager
@@ -128,6 +128,10 @@ class ReplicaBackend:
             )
         self._clock = clock
         self.whitelist: set[str] = set()
+        # Each whitelisted client's sketch digest, hashed once at
+        # admission instead of on every request; lives and dies with
+        # the whitelist entry, so it is bounded by it.
+        self._digests: dict[str, int] = {}
         self.stats = BackendStats()
         self.quiescing = False
         self._server: asyncio.base_events.Server | None = None
@@ -193,13 +197,17 @@ class ReplicaBackend:
     def admit(self, client_id: str) -> None:
         """Whitelist a client the coordinator assigned here."""
         # Reached from both the control handler (assign) and the
-        # shuffle path, but each caller performs one atomic set.add
-        # with no await in between — the loop cannot interleave them.
+        # shuffle path, but each caller performs these two container
+        # writes back to back with no await in between — the loop
+        # cannot interleave them.
         # reprolint: disable=P9
         self.whitelist.add(client_id)
+        # reprolint: disable=P9
+        self._digests[client_id] = key_digest(client_id)
 
     def evict(self, client_id: str) -> None:
         self.whitelist.discard(client_id)
+        self._digests.pop(client_id, None)
 
     def quiesce(self) -> None:
         """Stop serving ahead of retirement: every request gets MOVED,
@@ -252,6 +260,7 @@ class ReplicaBackend:
             self.stats.denied += 1
             self._count("denied")
             return f"DENY {seq}"
+        digest = self._digests.get(client_id)
         trust = self.trust
         if trust is not None:
             decision = trust.admit_decision(client_id)
@@ -260,7 +269,9 @@ class ReplicaBackend:
                 # exhaustion — no bucket token is spent, but the
                 # request still counts into the saturation window so
                 # a gated flood keeps raising the attacked signal.
-                self.monitor.record(admitted=False, client_id=client_id)
+                self.monitor.record(
+                    admitted=False, client_id=client_id, digest=digest
+                )
                 trust.observe(client_id, self._clock(), violation=False)
                 if decision == "deny":
                     self.stats.denied += 1
@@ -270,13 +281,17 @@ class ReplicaBackend:
                 self._count("trust_throttled")
                 return f"THROTTLED {seq}"
         if self.bucket.try_acquire():
-            self.monitor.record(admitted=True, client_id=client_id)
+            self.monitor.record(
+                admitted=True, client_id=client_id, digest=digest
+            )
             self.stats.served += 1
             self._count("served")
             if trust is not None:
                 trust.observe(client_id, self._clock(), violation=False)
             return f"OK {seq} {self.replica_id}"
-        self.monitor.record(admitted=False, client_id=client_id)
+        self.monitor.record(
+            admitted=False, client_id=client_id, digest=digest
+        )
         self.stats.throttled += 1
         self._count("throttled")
         if trust is not None:

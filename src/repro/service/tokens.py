@@ -123,14 +123,19 @@ class SaturationMonitor:
             if throttled:
                 self._throttled_in_window -= 1
 
-    def record(self, admitted: bool, client_id: str | None = None) -> None:
+    def record(
+        self,
+        admitted: bool,
+        client_id: str | None = None,
+        digest: int | None = None,
+    ) -> None:
         """Record one request outcome (admitted or throttled).
 
-        ``client_id`` is accepted for interface parity with
-        :class:`SketchSaturationMonitor` and ignored: the exact monitor
-        measures saturation only, not who caused it.
+        ``client_id`` and ``digest`` are accepted for interface parity
+        with :class:`SketchSaturationMonitor` and ignored: the exact
+        monitor measures saturation only, not who caused it.
         """
-        del client_id
+        del client_id, digest
         now = self._clock()
         # Appended by request handlers, pruned by the detection sweep;
         # record()/counts() are fully synchronous (no await), so each
@@ -202,15 +207,26 @@ class SketchSaturationMonitor:
         self._clock = clock
         self._window = SketchWindow(window, params=params, epochs=epochs)
 
-    def record(self, admitted: bool, client_id: str | None = None) -> None:
+    def record(
+        self,
+        admitted: bool,
+        client_id: str | None = None,
+        digest: int | None = None,
+    ) -> None:
         """Record one request outcome, attributed to ``client_id``.
+
+        ``digest`` is the client's :func:`repro.detect.key_digest` when
+        the caller already holds it (backends compute it at admission);
+        without it the window hashes ``client_id`` itself.
 
         Same single-event-loop discipline as the exact monitor: the
         update is synchronous (no await), so handlers cannot interleave
         mid-update.
         """
         # reprolint: disable=P9
-        self._window.record(self._clock(), admitted, key=client_id)
+        self._window.record(
+            self._clock(), admitted, key=client_id, digest=digest
+        )
 
     def counts(self) -> tuple[int, int]:
         """(total, throttled) events currently inside the window."""

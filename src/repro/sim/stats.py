@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["SampleSummary", "summarize", "confidence_interval"]
 
@@ -86,5 +85,9 @@ def confidence_interval(std: float, n: int, confidence: float) -> float:
     """Student-t half width for a sample of ``n`` with deviation ``std``."""
     if n < 2:
         return 0.0
+    # Reporting-only dependency: importing it here keeps scipy.stats
+    # (~46 MB, ~0.9 s) out of the live service, which imports sim.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return t_crit * std / math.sqrt(n)

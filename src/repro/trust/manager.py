@@ -6,9 +6,11 @@ explicit ``now`` (wall-clock in the service, sim-time in cloudsim) —
 and enforcement-agnostic: backends ask :meth:`admit_decision` and map
 the answer onto their own wire verdicts.
 
-Hot-path discipline: the admission decision is a dict lookup plus two
-array reads; the transition counter is bound once at construction, so
-instrumented request handling never touches the metric registry.
+Hot-path discipline: the admission decision and the per-request
+observation are one index lookup each plus plain-float work on the
+client's row (no one-row arrays, no enum construction); the transition
+counter is bound once at construction, so instrumented request
+handling never touches the metric registry.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from ..obs.metrics import Counter
 from .config import TrustConfig
 from .profile import ClientProfile, ProfileTable
 from .storage import StorageBackend
-from .tiers import TIER_NAMES, TrustTier, tier_for_score
+from .tiers import (
+    TIER_NAMES,
+    TIERS_BY_VALUE,
+    TrustTier,
+    tier_for_score,
+)
 
 __all__ = ["TrustManager", "PROFILE_NAMESPACE"]
 
@@ -72,16 +79,15 @@ class TrustManager:
         :attr:`TrustConfig.throttle_every` — deterministic in the
         client's own request count, no randomness.
         """
-        tier = self.table.tier_of(client_id)
-        if tier is None or tier >= TrustTier.WATCH:
+        state = self.table.gate_state(client_id)
+        if state is None:
             return "ok"
-        if tier is TrustTier.DENIED:
+        tier, requests = state
+        if tier >= TrustTier.WATCH:
+            return "ok"
+        if tier == TrustTier.DENIED:
             return "deny"
-        if (
-            self.table.requests_of(client_id)
-            % self.config.throttle_every
-            == 0
-        ):
+        if requests % self.config.throttle_every == 0:
             return "ok"
         return "throttle"
 
@@ -89,10 +95,10 @@ class TrustManager:
         self, client_id: str, now: float, violation: bool = False
     ) -> TrustTier:
         """Fold one request outcome into the client's profile."""
-        before = self.table.tier_of(client_id)
-        tier = self.table.observe(client_id, now, violation=violation)
+        value, moved = self.table.observe_raw(client_id, now, violation)
         self._dirty.add(client_id)
-        if tier is not before and self._transitions is not None:
+        tier = TIERS_BY_VALUE[value]
+        if moved and self._transitions is not None:
             self._transitions.inc(tier=tier.name)
         return tier
 
@@ -103,8 +109,11 @@ class TrustManager:
         violations: list[bool] | np.ndarray,
     ) -> None:
         """Fold a batch of simultaneous request outcomes."""
-        self.table.observe_batch(now, client_ids, violations)
+        moved = self.table.observe_batch(now, client_ids, violations)
         self._dirty.update(client_ids)
+        if self._transitions is not None:
+            for value in moved.tolist():
+                self._transitions.inc(tier=TIERS_BY_VALUE[value].name)
 
     # ------------------------------------------------------------------
     # reads

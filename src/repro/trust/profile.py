@@ -1,10 +1,15 @@
 """Per-client profiles: rate EMA/variance, violations, trust score.
 
 Struct-of-arrays storage (one numpy column per field, clients as rows)
-so the batch update is one vectorized kernel — and the scalar update
-is the *same* kernel on a one-row view, so the two paths cannot drift
-apart numerically (the equivalence is pinned by tests and measured by
-``benchmarks/bench_trust.py``).
+so the batch update is one vectorized kernel.  The per-request update
+is the *same arithmetic* — the same IEEE operations in the same order
+— written as plain float code on one row, because one request through
+the ~40-ufunc kernel costs ~70 µs of numpy dispatch and the guard runs
+on every request.  The two paths are pinned bit-for-bit by a seeded
+randomized schedule in ``tests/trust/test_profile.py``.  The one numpy
+call left in the scalar path is ``np.expm1``: ``math.expm1`` differs
+from it in the last bit on ~1.7 % of inputs, which would let the
+``rate_ema`` column drift between the paths.
 
 Update math, applied per observation batch at injected time ``now``
 (``dt`` = time since the client's previous observation):
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrustConfig
-from .tiers import TrustTier, tier_for_score
+from .tiers import TIERS_BY_VALUE, TrustTier, tier_for_score
 
 __all__ = ["ClientProfile", "ProfileTable"]
 
@@ -166,19 +171,78 @@ class ProfileTable:
         return row
 
     # ------------------------------------------------------------------
-    # updates (one kernel; scalar path = batch of one)
+    # updates (batch kernel + the same arithmetic on one row)
     # ------------------------------------------------------------------
     def observe(
         self, client_id: str, now: float, violation: bool = False
     ) -> TrustTier:
         """Fold one request into a client's profile; returns the
         (possibly changed) tier."""
-        row = self.ensure(client_id, now)
-        rows = np.array([row], dtype=np.intp)
-        k = np.ones(1, dtype=np.float64)
-        v = np.array([1.0 if violation else 0.0])
-        self._update(rows, k, v, now)
-        return TrustTier(int(self._cols["tier"][row]))
+        value, _ = self.observe_raw(client_id, now, violation)
+        return TIERS_BY_VALUE[value]
+
+    def observe_raw(
+        self, client_id: str, now: float, violation: bool = False
+    ) -> tuple[int, bool]:
+        """:meth:`observe` for the per-request path: returns ``(tier
+        value, moved)`` as plain values, where ``moved`` is true on a
+        client's first sight and on every ladder move.
+
+        Mirrors :meth:`_update` with ``k = 1`` operation for operation
+        (the comments there apply); any edit must land in both and keep
+        the bitwise equivalence test green.
+        """
+        row = self._index.get(client_id)
+        fresh = row is None
+        if fresh:
+            row = self.ensure(client_id, now)
+        cfg = self.config
+        cols = self._cols
+        dt = max(now - cols["last_seen"].item(row), 0.0)
+
+        inst = 1.0 / max(dt, cfg.rate_floor)
+        alpha = -float(np.expm1(-dt / cfg.rate_tau))
+        rate_ema = cols["rate_ema"].item(row)
+        delta = inst - rate_ema
+        rate_ema = rate_ema + alpha * delta
+        cols["rate_ema"][row] = rate_ema
+        cols["rate_var"][row] = (1.0 - alpha) * (
+            cols["rate_var"].item(row) + alpha * delta * delta
+        )
+
+        trust = cols["trust"].item(row)
+        heal = -float(np.expm1(-dt / cols["heal_tau"].item(row)))
+        trust = trust + heal * (1.0 - trust)
+        if (
+            violation
+            and rate_ema > cfg.violation_rate
+            and now - cols["last_penalty"].item(row)
+            >= cfg.penalty_cooldown
+        ):
+            trust = trust * (1.0 - cfg.violation_penalty)
+            cols["last_penalty"][row] = now
+        score = min(max(trust, 0.0), 1.0)
+        cols["trust"][row] = score
+        if violation:
+            cols["violations"][row] += 1
+        cols["requests"][row] += 1
+        cols["last_seen"][row] = now
+
+        current = cols["tier"].item(row)
+        base = int(tier_for_score(score, cfg))
+        new = current
+        if base < current:
+            new = base
+        elif now - cols["tier_since"].item(row) >= cfg.promotion_dwell:
+            promotable = int(
+                tier_for_score(score - cfg.hysteresis, cfg)
+            )
+            if promotable > current:
+                new = min(promotable, current + 1)
+        if new != current:
+            cols["tier"][row] = new
+            cols["tier_since"][row] = now
+        return new, fresh or new != current
 
     def observe_batch(
         self,
@@ -187,7 +251,10 @@ class ProfileTable:
         violations: list[bool] | np.ndarray,
     ) -> np.ndarray:
         """Fold a batch of requests (one entry per request; repeated
-        clients are aggregated).  Returns the updated row indices."""
+        clients are aggregated).  Returns the destination tier value
+        of every client that moved — first sight or a ladder move, the
+        same events :meth:`observe_raw` flags — in row order."""
+        known = len(self._ids)
         counts: dict[int, list[float]] = {}
         for client_id, violated in zip(client_ids, violations):
             row = self.ensure(client_id, now)
@@ -196,11 +263,12 @@ class ProfileTable:
             if violated:
                 entry[1] += 1.0
         rows = np.array(sorted(counts), dtype=np.intp)
+        if not rows.size:
+            return np.zeros(0, dtype=np.int64)
         k = np.array([counts[r][0] for r in rows], dtype=np.float64)
         v = np.array([counts[r][1] for r in rows], dtype=np.float64)
-        if rows.size:
-            self._update(rows, k, v, now)
-        return rows
+        moved = self._update(rows, k, v, now) | (rows >= known)
+        return self._cols["tier"][rows[moved]]
 
     def _update(
         self,
@@ -208,7 +276,8 @@ class ProfileTable:
         k: np.ndarray,
         v: np.ndarray,
         now: float,
-    ) -> None:
+    ) -> np.ndarray:
+        """The vectorized update; returns which ``rows`` changed tier."""
         cfg = self.config
         cols = self._cols
         dt = np.maximum(now - cols["last_seen"][rows], 0.0)
@@ -287,6 +356,7 @@ class ProfileTable:
         cols["tier_since"][rows] = np.where(
             changed, now, cols["tier_since"][rows]
         )
+        return changed
 
     # ------------------------------------------------------------------
     # reads
@@ -304,6 +374,15 @@ class ProfileTable:
     def requests_of(self, client_id: str) -> int:
         row = self._index.get(client_id)
         return 0 if row is None else int(self._cols["requests"][row])
+
+    def gate_state(self, client_id: str) -> tuple[int, int] | None:
+        """``(tier value, requests)`` from one index lookup — all the
+        admission gate reads per request; None for an unknown client."""
+        row = self._index.get(client_id)
+        if row is None:
+            return None
+        cols = self._cols
+        return cols["tier"].item(row), cols["requests"].item(row)
 
     def profile(self, client_id: str) -> ClientProfile | None:
         row = self._index.get(client_id)

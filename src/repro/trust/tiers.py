@@ -15,7 +15,12 @@ import enum
 
 from .config import TrustConfig
 
-__all__ = ["TrustTier", "tier_for_score", "TIER_NAMES"]
+__all__ = [
+    "TrustTier",
+    "tier_for_score",
+    "TIER_NAMES",
+    "TIERS_BY_VALUE",
+]
 
 
 class TrustTier(enum.IntEnum):
@@ -38,6 +43,10 @@ class TrustTier(enum.IntEnum):
 TIER_NAMES: tuple[str, ...] = tuple(
     tier.name for tier in sorted(TrustTier, reverse=True)
 )
+
+#: members indexed by their integer value: the per-request paths work
+#: on plain ints and index this instead of calling the enum constructor.
+TIERS_BY_VALUE: tuple[TrustTier, ...] = tuple(sorted(TrustTier))
 
 
 def tier_for_score(score: float, config: TrustConfig) -> TrustTier:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -228,6 +229,29 @@ class TestStateAndValidation:
         b = CountMinSketch(width=64, depth=4, seed=1)
         digest = key_digest("probe")
         assert a._indices(digest) != b._indices(digest)
+
+    @pytest.mark.parametrize("conservative", [True, False])
+    def test_add_digest_returns_the_new_estimate(self, conservative):
+        """Callers use the return value instead of querying again, so
+        it must be exactly what ``estimate_digest`` would say next —
+        through collisions, weighted adds and a merge (which must keep
+        the scalar path's view of the counters attached)."""
+        rng = random.Random(7)
+        sketch = CountMinSketch(
+            width=16, depth=3, conservative=conservative
+        )
+        digests = [key_digest(f"k-{i}") for i in range(60)]
+        for step in range(5_000):
+            if step == 2_500:
+                sketch = sketch.merge(sketch)
+            digest = rng.choice(digests)
+            count = rng.randrange(0, 9)
+            assert sketch.add_digest(digest, count) == (
+                sketch.estimate_digest(digest)
+            )
+        assert sketch.estimate_batch(
+            np.array(digests, dtype=np.uint64)
+        ).tolist() == [sketch.estimate_digest(d) for d in digests]
 
     @pytest.mark.parametrize("width,depth", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_degenerate_shapes(self, width, depth):

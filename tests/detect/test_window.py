@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
-from repro.detect import SketchParams, SketchWindow, key_digests
+from repro.detect import (
+    SketchParams,
+    SketchWindow,
+    key_digest,
+    key_digests,
+)
 
 
 def _window(window: float = 1.0, epochs: int = 4) -> SketchWindow:
@@ -49,6 +57,57 @@ class TestTallies:
         window = _window()
         window.record_batch(0.1, np.zeros(0, dtype=np.uint64))
         assert window.counts(0.1) == (0, 0)
+
+
+class TestScalarStreamGolden:
+    #: sha256 of the state checkpoints below, captured at commit
+    #: 8e7b5e6 — before ``record`` moved off numpy scalar indexing.
+    GOLDEN = (
+        "5f7f9f0cd2cc9faaf3fca450b35e9c2188b8cc4a7c3995bcfe1692e451f6bea3"
+    )
+
+    def test_seeded_stream_leaves_the_golden_state(self):
+        """50k mixed requests through ``record`` — key, key+digest,
+        digest-only and tally-only forms, weighted adds, ~40 epoch
+        rotations, promotions and evictions — must leave every cell's
+        sketch bytes, summary and tallies exactly as the pre-rewrite
+        implementation did."""
+        rng = random.Random(20140623)
+        window = _window(window=1.0, epochs=4)
+        running = hashlib.sha256()
+        now = 0.0
+        for step in range(50_000):
+            now += rng.random() * 0.0004
+            key = (
+                f"bot-{rng.randrange(3)}"
+                if rng.random() < 0.5
+                else f"c-{rng.randrange(400)}"
+            )
+            admitted = rng.random() < 0.7
+            count = rng.randrange(2, 40) if rng.random() < 0.01 else 1
+            form = rng.random()
+            if form < 0.6:
+                window.record(now, admitted, key=key, count=count)
+            elif form < 0.75:
+                window.record(
+                    now, admitted, key=key, digest=key_digest(key),
+                    count=count,
+                )
+            elif form < 0.9:
+                window.record(
+                    now, admitted, digest=key_digest(key), count=count
+                )
+            else:
+                window.record(now, admitted, count=count)
+            if step % 2_500 == 2_499:
+                for cell in window._cells:
+                    running.update(
+                        f"{cell.epoch}:{cell.total}:{cell.throttled}|"
+                        .encode()
+                    )
+                    running.update(cell.hitters.to_bytes())
+                    running.update(cell.sketch.to_bytes())
+        assert running.hexdigest() == self.GOLDEN
 
 
 class TestExpiry:

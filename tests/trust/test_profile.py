@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
 
-import numpy as np
 import pytest
 
 from repro.trust import ClientProfile, ProfileTable, TrustConfig, TrustTier
@@ -15,29 +15,95 @@ def config() -> TrustConfig:
     return TrustConfig(seed=11)
 
 
+def _column_bytes(table: ProfileTable) -> dict[str, bytes]:
+    n = len(table)
+    return {
+        name: column[:n].tobytes() for name, column in table._cols.items()
+    }
+
+
+def _reloaded(table: ProfileTable, config: TrustConfig) -> ProfileTable:
+    """A fresh table rebuilt from ``table``'s persistence rows."""
+    fresh = ProfileTable(config)
+    for cid in table.client_ids:
+        fresh.load_row(cid, table.to_row(cid))
+    return fresh
+
+
 class TestScalarBatchEquivalence:
-    def test_scalar_equals_batch_bitwise(self, config):
-        """The scalar path is the batch kernel on a one-row view, so
-        the two must agree to the last bit, not just approximately."""
-        clients = [f"c{i}" for i in range(7)]
+    def test_scalar_equals_batch_bitwise(self):
+        """The scalar path is the batch kernel's arithmetic rewritten
+        as plain float code, so the two must agree to the last bit on
+        every column — over a schedule that visits every branch: dt of
+        zero, under ``rate_floor`` and of many seconds; violations in
+        and out of ``penalty_cooldown``; demotion to DENIED and the
+        dwell-gated climb back; a persistence round trip mid-stream."""
+        config = TrustConfig(
+            heal_tau=20.0, violation_rate=0.2, violation_penalty=0.5,
+            seed=11,
+        )
+        rng = random.Random(20140623)
+        clients = [f"c{i}" for i in range(40)]
+        bots = set(clients[:12])
         scalar = ProfileTable(config)
         batch = ProfileTable(config)
-        for table in (scalar, batch):
-            for cid in clients:
-                table.ensure(cid, now=0.0)
-        schedule = [
-            (0.4, [True, False, False, True, False, True, False]),
-            (1.1, [False, False, True, False, False, False, False]),
-            (2.0, [True] * 7),
-        ]
-        for now, flags in schedule:
-            for cid, violated in zip(clients, flags):
-                scalar.observe(cid, now, violation=violated)
-            batch.observe_batch(now, clients, flags)
-        for cid in clients:
-            left = scalar.profile(cid)
-            right = batch.profile(cid)
-            assert left == right  # dataclass equality: exact floats
+        now = 0.0
+        steps = 25_000
+        seen = {
+            "dt_zero": 0, "dt_tiny": 0, "dt_long": 0, "denied": 0,
+            "recovered": 0, "in_cooldown": 0, "penalised": 0,
+        }
+        last_tier: dict[str, TrustTier] = {}
+        for step in range(steps):
+            if step == steps // 2:
+                scalar = _reloaded(scalar, config)
+                batch = _reloaded(batch, config)
+                assert _column_bytes(scalar) == _column_bytes(batch)
+            gap = rng.random()
+            if gap < 0.15:
+                seen["dt_zero"] += 1
+            elif gap < 0.30:
+                now += rng.uniform(1e-6, 0.9 * config.rate_floor)
+                seen["dt_tiny"] += 1
+            elif gap < 0.996:
+                now += rng.uniform(0.001, 0.05)
+            else:
+                now += rng.uniform(2.0, 15.0)
+                seen["dt_long"] += 1
+            cid = rng.choice(clients)
+            # Bots misbehave in bursts and then go quiet, so they sink
+            # to DENIED and later heal back up the ladder.
+            misbehaving = cid in bots and int(now / 40.0) % 2 == 0
+            violated = rng.random() < (0.8 if misbehaving else 0.02)
+
+            before = scalar.to_row(cid) if cid in scalar else None
+            tier = scalar.observe(cid, now, violation=violated)
+            moved = batch.observe_batch(now, [cid], [violated])
+            after = scalar.to_row(cid)
+
+            assert after == batch.to_row(cid), (step, cid)
+            assert batch.tier_of(cid) is tier
+            previous = last_tier.get(cid)
+            assert moved.tolist() == (
+                [] if tier is previous else [int(tier)]
+            )
+            last_tier[cid] = tier
+            if tier is TrustTier.DENIED:
+                seen["denied"] += 1
+            if previous is TrustTier.DENIED and tier > previous:
+                seen["recovered"] += 1
+            if before is not None and violated:
+                if after["last_penalty"] != before["last_penalty"]:
+                    seen["penalised"] += 1
+                elif (
+                    before["last_penalty"] is not None
+                    and now - before["last_penalty"]
+                    < config.penalty_cooldown
+                ):
+                    seen["in_cooldown"] += 1
+        assert _column_bytes(scalar) == _column_bytes(batch)
+        assert len(scalar) == len(clients) >= 30
+        assert all(seen.values()), seen
 
     def test_batch_aggregates_duplicate_clients(self, config):
         table = ProfileTable(config)
@@ -52,8 +118,8 @@ class TestScalarBatchEquivalence:
 
     def test_empty_batch_is_noop(self, config):
         table = ProfileTable(config)
-        rows = table.observe_batch(1.0, [], [])
-        assert rows.size == 0
+        moved = table.observe_batch(1.0, [], [])
+        assert moved.size == 0
         assert len(table) == 0
 
 
