@@ -7,11 +7,12 @@ to ``BENCH_detection.json`` (override with ``BENCH_DETECTION_JSON``):
    10^6 distinct clients, while exact accounting (the per-event deque of
    :class:`repro.service.tokens.SaturationMonitor` plus a per-client
    counter dict) grows with both request rate and population.
-2. **Throughput** — the vectorized sketch ingestion sustains at least
-   5x the exact path's requests/second at 10^6 clients.  Key digests
-   are computed once per request at admission (outside the timed
-   region, reported separately): per-request detection cost is then
-   pure counter arithmetic, batched over whatever the socket drained.
+2. **Per-request cost, side by side** — requests/second through
+   :meth:`repro.detect.SketchWindow.record` and through the exact path,
+   reported and not gated: the sketch buys fixed memory and named
+   talkers, not speed.  Key digests are computed once per client at
+   admission (outside the timed region, reported separately), as the
+   replicas do.
 
 A third test pins behaviour rather than speed: the acceptance-scale
 live scenario (200 benign + 20 bots) reaches the same quarantine with
@@ -19,8 +20,8 @@ the sketch-backed saturation monitor as with the exact one — same
 shuffle count, benign clean fraction >= 0.95 — so the fixed-memory
 detector is a verdict-preserving drop-in, not a different defense.
 
-Wall-clock rates are host-dependent; the asserted bounds (flat bytes,
-5x ratio) are deliberately coarse so they hold on any CI host.
+Wall-clock rates are host-dependent; the asserted bound (flat bytes)
+holds on any CI host.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from repro.service.tokens import SaturationMonitor
 
 CLIENT_COUNTS = (1_000, 100_000, 1_000_000)
 WINDOW = 0.5
-BATCH = 32_768
 
 
 def out_path() -> str:
@@ -107,17 +107,11 @@ def _exact_pass(keys, throttled) -> tuple[float, int]:
 
 
 def _sketch_pass(digests, keys, throttled) -> tuple[float, int]:
-    """The new path: batched folds into the fixed-memory window."""
+    """The fixed-memory window, one ``record`` per request."""
     window = SketchWindow(WINDOW, SketchParams(), epochs=4)
     start = time.perf_counter()
-    for lo in range(0, len(digests), BATCH):
-        hi = min(lo + BATCH, len(digests))
-        window.record_batch(
-            time.monotonic(),
-            digests[lo:hi],
-            throttled=int(throttled[lo:hi].sum()),
-            keys=keys[lo:hi],
-        )
+    for digest, key, thr in zip(digests, keys, throttled):
+        window.record(time.monotonic(), not thr, key=key, digest=digest)
     elapsed = time.perf_counter() - start
     return elapsed, window.state_bytes()
 
@@ -127,10 +121,9 @@ def _sweep(n_events: int) -> list[dict]:
     for n_clients in CLIENT_COUNTS:
         rng = np.random.default_rng(42 + n_clients)
         keys, throttled = _make_stream(n_clients, n_events, rng)
+        throttled = throttled.tolist()
         digest_start = time.perf_counter()
-        digests = np.array(
-            [key_digest(k) for k in keys], dtype=np.uint64
-        )
+        digests = [key_digest(k) for k in keys]
         digest_s = time.perf_counter() - digest_start
         exact_s, exact_bytes = _exact_pass(keys, throttled)
         sketch_s, sketch_bytes = _sketch_pass(digests, keys, throttled)
@@ -139,7 +132,6 @@ def _sweep(n_events: int) -> list[dict]:
             "events": n_events,
             "exact_rps": round(n_events / exact_s),
             "sketch_rps": round(n_events / sketch_s),
-            "speedup": round(exact_s / sketch_s, 2),
             "exact_state_bytes": exact_bytes,
             "sketch_state_bytes": sketch_bytes,
             "digest_precompute_s": round(digest_s, 3),
@@ -159,14 +151,11 @@ def test_detection_throughput(benchmark, show):
     assert max(sketch_sizes) <= min(sketch_sizes) * 1.1
     # ...while exact accounting grows with the population.
     assert rows[-1]["exact_state_bytes"] > rows[0]["exact_state_bytes"]
-    # >= 5x requests/s over exact at N = 10^6.
-    assert rows[-1]["speedup"] >= 5.0
 
     _write_payload("detector", {
         "full_fidelity": full_fidelity(),
         "host_cpu_count": os.cpu_count(),
         "window_s": WINDOW,
-        "batch": BATCH,
         "params": {
             "epsilon": SketchParams().epsilon,
             "delta": SketchParams().delta,
@@ -179,16 +168,15 @@ def test_detection_throughput(benchmark, show):
         "Detection path — sketch vs exact ({n} events/stream)".format(
             n=n_events
         ),
-        "  {:>9} {:>12} {:>12} {:>8} {:>12} {:>12}".format(
-            "clients", "exact req/s", "sketch req/s", "speedup",
+        "  {:>9} {:>12} {:>12} {:>12} {:>12}".format(
+            "clients", "exact req/s", "sketch req/s",
             "exact bytes", "sketch bytes",
         ),
     ]
     for r in rows:
         lines.append(
             "  {clients:>9,} {exact_rps:>12,} {sketch_rps:>12,} "
-            "{speedup:>7.1f}x {exact_state_bytes:>12,} "
-            "{sketch_state_bytes:>12,}".format(**r)
+            "{exact_state_bytes:>12,} {sketch_state_bytes:>12,}".format(**r)
         )
     lines.append("  written: " + out_path())
     show("\n".join(lines))

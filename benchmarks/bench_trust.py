@@ -1,14 +1,12 @@
-"""Trust-layer benchmark — profile update kernel and storage backends.
+"""Trust-layer benchmark — profile update and storage backends.
 
 Two claims carried by :mod:`repro.trust` are measured here and written
 to ``BENCH_trust.json`` (override with ``BENCH_TRUST_JSON``):
 
-1. **Both update paths keep up** — the per-request
+1. **The update keeps up** — the per-request
    :meth:`~repro.trust.ProfileTable.observe` (plain float arithmetic
    on one row) sustains ≥ 100k updates/s, far above any rate the live
-   service serves, and the vectorized
-   :meth:`~repro.trust.ProfileTable.observe_batch` kernel is at least
-   as fast per update, so batching a sweep never loses.
+   service serves.
 2. **Backends are interchangeable at service rates** — memory, sqlite
    and the atomic JSON file all sustain the coordinator's persistence
    pattern (batched ``put_many`` once a sweep, full ``items`` scan on
@@ -58,10 +56,12 @@ def _write_payload(section: str, data) -> None:
 
 
 # ----------------------------------------------------------------------
-# profile update kernel: scalar vs batched
+# profile update: one request at a time
 # ----------------------------------------------------------------------
 
-def _scalar_pass(n_clients: int, n_rounds: int) -> float:
+def _profile_sweep():
+    n_clients = 2_000 if full_fidelity() else 500
+    n_rounds = 50 if full_fidelity() else 20
     table = ProfileTable(TrustConfig(seed=1))
     ids = [f"c-{i}" for i in range(n_clients)]
     for cid in ids:
@@ -71,57 +71,29 @@ def _scalar_pass(n_clients: int, n_rounds: int) -> float:
         now = rnd * 0.05
         for cid in ids:
             table.observe(cid, now, violation=False)
-    return time.perf_counter() - start
-
-
-def _batch_pass(n_clients: int, n_rounds: int) -> float:
-    table = ProfileTable(TrustConfig(seed=1))
-    ids = [f"c-{i}" for i in range(n_clients)]
-    for cid in ids:
-        table.ensure(cid, now=0.0)
-    flags = [False] * n_clients
-    start = time.perf_counter()
-    for rnd in range(1, n_rounds + 1):
-        table.observe_batch(rnd * 0.05, ids, flags)
-    return time.perf_counter() - start
-
-
-def _profile_sweep():
-    n_clients = 2_000 if full_fidelity() else 500
-    n_rounds = 50 if full_fidelity() else 20
+    elapsed = time.perf_counter() - start
     updates = n_clients * n_rounds
-    scalar_s = _scalar_pass(n_clients, n_rounds)
-    batch_s = _batch_pass(n_clients, n_rounds)
     return {
         "n_clients": n_clients,
         "n_rounds": n_rounds,
         "updates": updates,
-        "scalar_updates_per_s": updates / scalar_s,
-        "batch_updates_per_s": updates / batch_s,
-        "batch_speedup": scalar_s / batch_s,
+        "updates_per_s": updates / elapsed,
     }
 
 
 def test_profile_update_throughput(benchmark, show):
     row = benchmark.pedantic(_profile_sweep, rounds=1, iterations=1)
 
-    # Absolute floors, not a ratio: the gate must not punish a faster
-    # scalar path.  Both hold with a wide margin (measured on a 2-vCPU
-    # VM: scalar ~350k/s, batched ~1.3M/s).
-    assert row["scalar_updates_per_s"] >= 100_000
-    assert row["batch_updates_per_s"] >= row["scalar_updates_per_s"]
+    # An absolute floor with a wide margin (a 2-vCPU VM measures
+    # several hundred thousand per second).
+    assert row["updates_per_s"] >= 100_000
 
     _write_payload("profiles", {
         "full_fidelity": full_fidelity(),
         "host_cpu_count": os.cpu_count(),
         **row,
     })
-    show(
-        "trust profile updates/s: "
-        f"scalar {row['scalar_updates_per_s']:,.0f}, "
-        f"batched {row['batch_updates_per_s']:,.0f} "
-        f"({row['batch_speedup']:.1f}x)"
-    )
+    show(f"trust profile updates/s: {row['updates_per_s']:,.0f}")
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +105,12 @@ def _backend_pass(backend, n_profiles: int, n_sweeps: int):
     restart-path full scan."""
     manager = TrustManager(TrustConfig(seed=1), storage=backend)
     ids = [f"c-{i}" for i in range(n_profiles)]
-    flags = [False] * n_profiles
 
     start = time.perf_counter()
     for sweep in range(1, n_sweeps + 1):
-        manager.observe_batch(sweep * 0.05, ids, flags)
+        now = sweep * 0.05
+        for cid in ids:
+            manager.observe(cid, now)
         manager.persist()
         backend.put("state", "belief", {"sweep": sweep})
         backend.flush()

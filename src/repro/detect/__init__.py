@@ -16,7 +16,7 @@ from __future__ import annotations
 from .heavyhitters import HeavyHitter, SpaceSaving
 from .params import SketchParams
 from .report import HeavyHitterReport
-from .sketch import CountMinSketch, key_digest, key_digests
+from .sketch import CountMinSketch, key_digest
 from .window import SketchWindow
 
 __all__ = [
@@ -27,5 +27,4 @@ __all__ = [
     "SketchWindow",
     "SpaceSaving",
     "key_digest",
-    "key_digests",
 ]

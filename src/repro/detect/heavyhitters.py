@@ -17,12 +17,11 @@ Guarantees the tests pin:
   merged summary is independent of shard order (the property sharded
   coordinators need).
 
-The scalar :meth:`add` costs ``O(1)`` on a tracked key and ``O(k)`` on
-an eviction — with the small ``k`` of a top-talker table this is the
-per-request cost the replicas pay.  The saturating batch path does not
-pay it per item: the sketch window feeds the summary only with keys the
-count-min sketch already flags heavy (the classic sketch + summary
-two-stage heavy-hitter design).
+:meth:`add` costs ``O(1)`` on a tracked key and ``O(k)`` on an
+eviction — small with the ``k`` of a top-talker table, and the replicas
+do not pay it on every request: the sketch window feeds the summary
+only with keys the count-min sketch already flags heavy (the classic
+sketch + summary two-stage heavy-hitter design).
 """
 
 from __future__ import annotations

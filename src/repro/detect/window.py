@@ -17,17 +17,13 @@ identically on the service's monotonic clock and cloudsim's sim-time,
 and the sim layers' wall-clock ban (reprolint P4) is satisfied by
 construction.
 
-Two ingestion shapes mirror the sketch's: scalar :meth:`record` for
-request-at-a-time callers, and :meth:`record_batch` for the saturating
-hot path — a numpy digest batch folded into the live cell's sketch in
-one vectorized pass, with only CMS-flagged heavy *candidates* promoted
-into the space-saving summary (the two-stage design that keeps the
-batch path free of per-item Python work for the benign majority).
+Ingestion is request-at-a-time (:meth:`record`), two-stage: every
+request lands in the live cell's sketch, and only keys the sketch
+already ranks at heavy-hitter mass are promoted into the space-saving
+summary, which then tracks talkers rather than the benign long tail.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .heavyhitters import HeavyHitter, SpaceSaving
 from .params import SketchParams
@@ -145,55 +141,6 @@ class SketchWindow:
                 cell.hitters.add(key, count)
             else:
                 cell.hitters.total += count
-
-    def record_batch(
-        self,
-        now: float,
-        digests: np.ndarray,
-        throttled: int = 0,
-        keys: list[str] | None = None,
-    ) -> None:
-        """Fold a digest batch into the live cell in one pass.
-
-        Args:
-            now: batch timestamp (one epoch for the whole batch — the
-                hot path drains queues far faster than epochs rotate).
-            digests: uint64 key digests, one per request.
-            throttled: how many of the batch were throttled.
-            keys: optional key strings aligned with ``digests``; when
-                given, CMS-flagged heavy candidates are promoted into
-                the space-saving summary.
-        """
-        digests = np.ascontiguousarray(digests, dtype=np.uint64)
-        n = int(digests.size)
-        if n == 0:
-            return
-        cell = self._live_cell(now)
-        cell.total += n
-        cell.throttled += min(throttled, n)
-        estimates = cell.sketch.add_batch(digests)
-        if keys is None:
-            cell.hitters.total += n
-            return
-        # Two-stage promotion: the vectorized comparison selects the
-        # candidate indices, then candidates collapse to one summary
-        # update per *distinct* heavy key — a flood of 4k packets from
-        # one bot costs one add, not 4k.
-        threshold = cell.sketch.total / self.params.top_k
-        heavy = np.flatnonzero(
-            estimates >= np.uint64(max(1, int(threshold)))
-        )
-        light = n - int(heavy.size)
-        if light:
-            cell.hitters.total += light
-        if heavy.size:
-            _, first, weights = np.unique(
-                digests[heavy], return_index=True, return_counts=True
-            )
-            for j in range(first.size):
-                cell.hitters.add(
-                    keys[int(heavy[first[j]])], int(weights[j])
-                )
 
     # ------------------------------------------------------------------
     # queries

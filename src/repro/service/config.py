@@ -48,7 +48,6 @@ class ServiceConfig:
             monitors cross their thresholds at slightly different
             moments; shuffling on the first sighting would spend a
             round on a partial (and estimator-skewing) observation.
-        shuffle_timeout: hard bound (seconds) on one shuffle operation.
         plan_client_grid: client counts precomputed by the
             :class:`repro.core.plan_cache.PlanCache` lookup table.
         plan_bot_grid: bot counts precomputed by the plan cache.
@@ -94,7 +93,6 @@ class ServiceConfig:
     min_window_events: int = 20
     detection_interval: float = 0.1
     detection_confirmations: int = 3
-    shuffle_timeout: float = 10.0
     plan_client_grid: tuple[int, ...] = (25, 50, 100, 200, 400, 800)
     plan_bot_grid: tuple[int, ...] = (2, 5, 10, 20, 40, 80, 160)
     detector: str = "exact"

@@ -7,8 +7,8 @@ al.) and the durability the restart/failover path needs:
 
 - :mod:`~repro.trust.config` — :class:`TrustConfig` tunables.
 - :mod:`~repro.trust.profile` — per-client rate EMA/variance,
-  violation history, and a trust score in [0, 1]; one vectorized
-  update kernel shared by the scalar and batch paths.
+  violation history, and a trust score in [0, 1]; one plain row per
+  client, updated one request at a time.
 - :mod:`~repro.trust.tiers` — the TRUSTED→WATCH→THROTTLED→DENIED
   ladder with hysteresis and graduated promotion.
 - :mod:`~repro.trust.manager` — :class:`TrustManager`, the

@@ -7,15 +7,13 @@ and enforcement-agnostic: backends ask :meth:`admit_decision` and map
 the answer onto their own wire verdicts.
 
 Hot-path discipline: the admission decision and the per-request
-observation are one index lookup each plus plain-float work on the
-client's row (no one-row arrays, no enum construction); the transition
-counter is bound once at construction, so instrumented request
-handling never touches the metric registry.
+observation are one dict lookup each plus plain-float work on the
+client's row (no enum construction); the transition counter is bound
+once at construction, so instrumented request handling never touches
+the metric registry.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..obs.instruments import Instruments
 from ..obs.metrics import Counter
@@ -101,19 +99,6 @@ class TrustManager:
         if moved and self._transitions is not None:
             self._transitions.inc(tier=tier.name)
         return tier
-
-    def observe_batch(
-        self,
-        now: float,
-        client_ids: list[str],
-        violations: list[bool] | np.ndarray,
-    ) -> None:
-        """Fold a batch of simultaneous request outcomes."""
-        moved = self.table.observe_batch(now, client_ids, violations)
-        self._dirty.update(client_ids)
-        if self._transitions is not None:
-            for value in moved.tolist():
-                self._transitions.inc(tier=TIERS_BY_VALUE[value].name)
 
     # ------------------------------------------------------------------
     # reads

@@ -26,10 +26,8 @@ DETECT_DIGEST_SCRIPT = """
 import hashlib
 import random
 
-import numpy as np
-
 from repro.detect import (
-    CountMinSketch, SketchParams, SketchWindow, SpaceSaving, key_digests,
+    CountMinSketch, SketchParams, SketchWindow, SpaceSaving, key_digest,
 )
 
 rng = random.Random(1234)
@@ -37,18 +35,17 @@ keys = [f"bot-{i % 7}" if i % 3 == 0 else f"c-{i % 400}"
         for i in range(5000)]
 rng.shuffle(keys)
 
-# Scalar + batch sketch ingestion, then shard merges in a shuffled
-# order — every one of these must be hash-seed blind.
-scalar = CountMinSketch(width=136, depth=5)
-for key in keys[:1000]:
-    scalar.add(key)
-batch = CountMinSketch(width=136, depth=5)
-batch.add_batch(key_digests(keys))
+# Sketch ingestion by key and by digest, then shard merges in a
+# shuffled order — every one of these must be hash-seed blind.
+by_key = CountMinSketch(width=136, depth=5)
+for key in keys:
+    by_key.add(key)
 
 shards = []
 for lo in range(0, 5000, 1000):
     shard = CountMinSketch(width=136, depth=5)
-    shard.add_batch(key_digests(keys[lo:lo + 1000]))
+    for key in keys[lo:lo + 1000]:
+        shard.add_digest(key_digest(key))
     shards.append(shard)
 rng.shuffle(shards)
 merged = CountMinSketch.merge_all(shards)
@@ -64,18 +61,15 @@ summary = SpaceSaving.merge_all(summary_shards)
 
 window = SketchWindow(1.0, SketchParams(), epochs=4)
 for step, lo in enumerate(range(0, 5000, 1000)):
-    chunk = keys[lo:lo + 1000]
-    window.record_batch(
-        step * 0.2, key_digests(chunk), throttled=100, keys=chunk
-    )
+    for i, key in enumerate(keys[lo:lo + 1000]):
+        window.record(step * 0.2, i >= 100, key=key)
 now = 4 * 0.2
 report_rows = ";".join(
     f"{h.key}={h.count}~{h.error}" for h in window.heavy_hitters(now)
 )
 
 payload = b"|".join([
-    scalar.to_bytes(),
-    batch.to_bytes(),
+    by_key.to_bytes(),
     merged.to_bytes(),
     summary.to_bytes(),
     window.hitter_summary(now).to_bytes(),

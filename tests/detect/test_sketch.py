@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.detect import CountMinSketch, key_digest, key_digests
+from repro.detect import CountMinSketch, key_digest
 
 # A stream is a list of (key-index, count) pairs; small key spaces force
 # collisions, large counts exercise the weighted paths.
@@ -34,12 +34,6 @@ class TestDigests:
         assert value == key_digest("client-1")
         assert value == key_digest(b"client-1")
         assert 0 <= value < 2**64
-
-    def test_digest_batch_matches_scalar(self):
-        keys = [f"c-{i}" for i in range(10)]
-        batch = key_digests(keys)
-        assert batch.dtype == np.uint64
-        assert [int(d) for d in batch] == [key_digest(k) for k in keys]
 
 
 class TestGuarantees:
@@ -80,80 +74,6 @@ class TestGuarantees:
         sketch.add("present", 100)
         # With one key in a wide sketch a disjoint key reads zero.
         assert sketch.estimate("absent") == 0
-
-
-class TestBatchPath:
-    @given(streams)
-    def test_batch_estimates_never_undercount(self, stream):
-        sketch = CountMinSketch(width=32, depth=4)
-        keys = [f"k-{idx}" for idx, _ in stream]
-        counts = np.array([c for _, c in stream], dtype=np.int64)
-        estimates = sketch.add_batch(key_digests(keys), counts)
-        assert estimates.shape == (len(stream),)
-        true = _true_counts(stream)
-        for key, t in true.items():
-            assert sketch.estimate(key) >= t
-
-    @given(streams)
-    def test_batch_is_order_independent(self, stream):
-        """Duplicates aggregate before the counter update, so any
-        permutation of one batch produces byte-identical state."""
-        keys = [f"k-{idx}" for idx, _ in stream]
-        counts = np.array([c for _, c in stream], dtype=np.int64)
-        order = np.arange(len(stream))
-        reversed_order = order[::-1]
-        forward = CountMinSketch(width=32, depth=4)
-        forward.add_batch(key_digests(keys), counts)
-        backward = CountMinSketch(width=32, depth=4)
-        backward.add_batch(
-            key_digests([keys[i] for i in reversed_order]),
-            counts[reversed_order],
-        )
-        assert forward.to_bytes() == backward.to_bytes()
-
-    @given(streams)
-    def test_plain_batch_matches_scalar_exactly(self, stream):
-        """Without conservative update the counters are pure sums, so
-        the scalar and batch paths agree byte for byte."""
-        scalar = CountMinSketch(width=32, depth=4, conservative=False)
-        for idx, count in stream:
-            scalar.add(f"k-{idx}", count)
-        batch = CountMinSketch(width=32, depth=4, conservative=False)
-        keys = [f"k-{idx}" for idx, _ in stream]
-        counts = np.array([c for _, c in stream], dtype=np.int64)
-        batch.add_batch(key_digests(keys), counts)
-        assert scalar.to_bytes() == batch.to_bytes()
-
-    @given(streams)
-    def test_conservative_batch_dominated_by_plain(self, stream):
-        """Conservative update never reads higher than the plain sketch
-        (that is its point: strictly less overestimate)."""
-        plain = CountMinSketch(width=16, depth=3, conservative=False)
-        cons = CountMinSketch(width=16, depth=3, conservative=True)
-        keys = [f"k-{idx}" for idx, _ in stream]
-        counts = np.array([c for _, c in stream], dtype=np.int64)
-        digests = key_digests(keys)
-        plain.add_batch(digests, counts)
-        cons.add_batch(digests, counts)
-        for key in {k for k, _ in _true_counts(stream).items()}:
-            assert cons.estimate(key) <= plain.estimate(key)
-
-    def test_estimate_batch_matches_scalar_queries(self):
-        sketch = CountMinSketch(width=64, depth=4)
-        keys = [f"k-{i % 7}" for i in range(50)]
-        sketch.add_batch(key_digests(keys))
-        digests = key_digests([f"k-{i}" for i in range(10)])
-        batch = sketch.estimate_batch(digests)
-        assert [int(v) for v in batch] == [
-            sketch.estimate_digest(int(d)) for d in digests
-        ]
-
-    def test_empty_batch_is_a_no_op(self):
-        sketch = CountMinSketch(width=8, depth=2)
-        out = sketch.add_batch(np.zeros(0, dtype=np.uint64))
-        assert out.size == 0
-        assert sketch.total == 0
-        assert sketch.estimate_batch(np.zeros(0, dtype=np.uint64)).size == 0
 
 
 class TestMerge:
@@ -221,7 +141,8 @@ class TestStateAndValidation:
     def test_state_bytes_is_fixed_under_load(self):
         sketch = CountMinSketch(width=136, depth=5)
         before = sketch.state_bytes()
-        sketch.add_batch(key_digests([f"c-{i}" for i in range(5000)]))
+        for i in range(5000):
+            sketch.add(f"c-{i}")
         assert sketch.state_bytes() == before
 
     def test_seed_changes_the_hash_family(self):
@@ -230,16 +151,13 @@ class TestStateAndValidation:
         digest = key_digest("probe")
         assert a._indices(digest) != b._indices(digest)
 
-    @pytest.mark.parametrize("conservative", [True, False])
-    def test_add_digest_returns_the_new_estimate(self, conservative):
+    def test_add_digest_returns_the_new_estimate(self):
         """Callers use the return value instead of querying again, so
         it must be exactly what ``estimate_digest`` would say next —
         through collisions, weighted adds and a merge (which must keep
         the scalar path's view of the counters attached)."""
         rng = random.Random(7)
-        sketch = CountMinSketch(
-            width=16, depth=3, conservative=conservative
-        )
+        sketch = CountMinSketch(width=16, depth=3)
         digests = [key_digest(f"k-{i}") for i in range(60)]
         for step in range(5_000):
             if step == 2_500:
@@ -249,9 +167,7 @@ class TestStateAndValidation:
             assert sketch.add_digest(digest, count) == (
                 sketch.estimate_digest(digest)
             )
-        assert sketch.estimate_batch(
-            np.array(digests, dtype=np.uint64)
-        ).tolist() == [sketch.estimate_digest(d) for d in digests]
+        assert np.shares_memory(sketch.counts, sketch._flat)
 
     @pytest.mark.parametrize("width,depth", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_degenerate_shapes(self, width, depth):

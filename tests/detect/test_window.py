@@ -5,15 +5,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-import numpy as np
 import pytest
 
-from repro.detect import (
-    SketchParams,
-    SketchWindow,
-    key_digest,
-    key_digests,
-)
+from repro.detect import SketchParams, SketchWindow, key_digest
 
 
 def _window(window: float = 1.0, epochs: int = 4) -> SketchWindow:
@@ -35,28 +29,11 @@ class TestTallies:
         assert window.counts(0.1) == (2, 1)
         assert window.heavy_hitters(0.1) == []
 
-    def test_batch_and_scalar_tallies_agree(self):
-        keys = [f"c-{i % 5}" for i in range(40)]
-        throttled = 12
-        scalar = _window()
-        for i, key in enumerate(keys):
-            scalar.record(0.2, i >= throttled, key=key)
-        batch = _window()
-        batch.record_batch(
-            0.2, key_digests(keys), throttled=throttled, keys=keys
-        )
-        assert batch.counts(0.2) == scalar.counts(0.2) == (40, 12)
-
     def test_weighted_record_counts_every_packet(self):
         window = _window()
         window.record(0.1, False, key="naive-fleet", count=500)
         assert window.counts(0.1) == (500, 500)
         assert window.estimate(0.1, "naive-fleet") >= 500
-
-    def test_empty_batch_is_a_no_op(self):
-        window = _window()
-        window.record_batch(0.1, np.zeros(0, dtype=np.uint64))
-        assert window.counts(0.1) == (0, 0)
 
 
 class TestScalarStreamGolden:
@@ -141,8 +118,8 @@ class TestExpiry:
 class TestHeavyHitters:
     def test_flooder_dominates_the_report(self):
         window = _window()
-        keys = ["bot-1"] * 60 + [f"c-{i}" for i in range(40)]
-        window.record_batch(0.1, key_digests(keys), keys=keys)
+        for key in ["bot-1"] * 60 + [f"c-{i}" for i in range(40)]:
+            window.record(0.1, True, key=key)
         top = window.heavy_hitters(0.1, 1)
         assert top[0].key == "bot-1"
         assert top[0].count >= 60
@@ -163,19 +140,21 @@ class TestHeavyHitters:
         assert summary.estimate("bot") >= 90
         assert summary.total == 90
 
-    def test_batch_without_keys_skips_attribution(self):
+    def test_digest_without_key_skips_attribution(self):
         window = _window()
-        digests = key_digests(["a"] * 50)
-        window.record_batch(0.1, digests, throttled=10)
+        digest = key_digest("a")
+        for i in range(50):
+            window.record(0.1, i >= 10, digest=digest)
         assert window.counts(0.1) == (50, 10)
+        assert window.estimate(0.1, "a") == 50
         assert window.heavy_hitters(0.1) == []
 
 
 class TestStateAndValidation:
     def test_state_bytes_flat_under_load(self):
         window = _window()
-        keys = [f"c-{i}" for i in range(2000)]
-        window.record_batch(0.1, key_digests(keys), keys=keys)
+        for i in range(2000):
+            window.record(0.1, True, key=f"c-{i}")
         loaded = window.state_bytes()
         # Fixed sketch matrices + bounded top-k tables: within a couple
         # hundred bytes of the empty detector, regardless of stream.

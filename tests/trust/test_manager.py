@@ -113,7 +113,8 @@ class TestPersistence:
         manager = TrustManager(config, storage=storage)
         assert manager.dirty is False
         manager.observe("a", now=0.0)
-        manager.observe_batch(1.0, ["a", "b"], [True, False])
+        manager.observe("a", now=1.0, violation=True)
+        manager.observe("b", now=1.0)
         assert manager.dirty is True
         assert manager.persist() == 2
         assert manager.dirty is False
@@ -168,41 +169,3 @@ def test_transition_counter_lands_in_registry(config):
     harsh.observe("bot", now=0.0)
     assert harsh.observe("bot", now=0.5, violation=True) is TrustTier.DENIED
     assert counter.value(tier="DENIED") == baseline + 1
-
-
-def test_batched_ingestion_counts_the_same_transitions():
-    """One schedule through ``observe`` and through ``observe_batch``
-    must leave ``trust_tier_transitions_total`` equal, first sights
-    and ladder moves (down and back up) included."""
-    config = TrustConfig(
-        violation_rate=0.0, penalty_cooldown=0.0, violation_penalty=0.6,
-        heal_tau=2.0, promotion_dwell=0.5, seed=11,
-    )
-    clients = [f"c{i}" for i in range(6)]
-    schedule = [(0.0, [False] * 6)]
-    schedule += [
-        (0.2 * step, [i < 3 for i in range(6)]) for step in range(1, 8)
-    ]
-    schedule += [(2.0 + step, [False] * 6) for step in range(8)]
-
-    def series(ingest) -> list[tuple[tuple[str, ...], float]]:
-        instruments = Instruments.create(source="test")
-        manager = TrustManager(config, instruments=instruments)
-        for now, flags in schedule:
-            ingest(manager, now, flags)
-        counter = instruments.registry.get("trust_tier_transitions_total")
-        return list(counter.series())
-
-    def scalar(manager, now, flags):
-        for cid, violated in zip(clients, flags):
-            manager.observe(cid, now, violation=violated)
-
-    def batched(manager, now, flags):
-        manager.observe_batch(now, clients, flags)
-
-    counted = series(scalar)
-    assert counted == series(batched)
-    by_tier = {labels[0]: value for labels, value in counted}
-    assert by_tier["WATCH"] >= len(clients)  # first sights
-    assert by_tier["DENIED"] >= 3            # the violators sank...
-    assert by_tier["THROTTLED"] >= 3         # ...and climbed back

@@ -1,8 +1,9 @@
-"""Profile table: one vectorized kernel, seeded jitter, persistence."""
+"""Profile table: update arithmetic, seeded jitter, persistence."""
 
 from __future__ import annotations
 
-import math
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,16 +11,19 @@ import pytest
 from repro.trust import ClientProfile, ProfileTable, TrustConfig, TrustTier
 
 
+#: one profile row as ``json.dumps(to_row(...), sort_keys=True)`` wrote
+#: it at commit cf01979 (the text the sqlite and file backends store).
+PARENT_ROW = (
+    '{"heal_tau": 31.327662433551534, "last_penalty": 0.1, '
+    '"last_seen": 0.1, "rate_ema": 0.39602653386489395, '
+    '"rate_var": 7.763693661772837, "requests": 3, "tier": 1, '
+    '"tier_since": 0.1, "trust": 0.33851608762107943, "violations": 2}'
+)
+
+
 @pytest.fixture
 def config() -> TrustConfig:
     return TrustConfig(seed=11)
-
-
-def _column_bytes(table: ProfileTable) -> dict[str, bytes]:
-    n = len(table)
-    return {
-        name: column[:n].tobytes() for name, column in table._cols.items()
-    }
 
 
 def _reloaded(table: ProfileTable, config: TrustConfig) -> ProfileTable:
@@ -30,14 +34,36 @@ def _reloaded(table: ProfileTable, config: TrustConfig) -> ProfileTable:
     return fresh
 
 
-class TestScalarBatchEquivalence:
-    def test_scalar_equals_batch_bitwise(self):
-        """The scalar path is the batch kernel's arithmetic rewritten
-        as plain float code, so the two must agree to the last bit on
-        every column — over a schedule that visits every branch: dt of
-        zero, under ``rate_floor`` and of many seconds; violations in
-        and out of ``penalty_cooldown``; demotion to DENIED and the
-        dwell-gated climb back; a persistence round trip mid-stream."""
+def _render_row(row: dict) -> str:
+    """A persistence row with nothing rounded away: floats as
+    ``float.hex()``, every value tagged with its Python type."""
+    return ";".join(
+        "{}={}:{}".format(
+            name,
+            type(value).__name__,
+            value.hex() if isinstance(value, float) else value,
+        )
+        for name, value in row.items()
+    )
+
+
+class TestSeededScheduleGolden:
+    #: sha256 of the per-step ``(tier value, moved)`` stream plus every
+    #: client's ``to_row()`` at the mid-stream reload and at the end,
+    #: captured at commit cf01979 — when the table still kept numpy
+    #: columns and a vectorized kernel served as the reference.
+    GOLDEN = (
+        "960c1e63c4a29990b81cb7d63df6a553ee1855d8ce9c67bfd83c7abc821338c3"
+    )
+
+    def test_seeded_schedule_leaves_the_golden_state(self):
+        """25k observations over 40 clients must leave every stored
+        value, tier decision and persisted row exactly as the parent
+        implementation did — over a schedule that visits every branch:
+        dt of zero, under ``rate_floor`` and of many seconds;
+        violations in and out of ``penalty_cooldown``; demotion to
+        DENIED and the dwell-gated climb back; a persistence round trip
+        mid-stream."""
         config = TrustConfig(
             heal_tau=20.0, violation_rate=0.2, violation_penalty=0.5,
             seed=11,
@@ -45,20 +71,26 @@ class TestScalarBatchEquivalence:
         rng = random.Random(20140623)
         clients = [f"c{i}" for i in range(40)]
         bots = set(clients[:12])
-        scalar = ProfileTable(config)
-        batch = ProfileTable(config)
+        table = ProfileTable(config)
+        running = hashlib.sha256()
+
+        def checkpoint() -> None:
+            for cid in table.client_ids:
+                running.update(
+                    f"{cid}|{_render_row(table.to_row(cid))}\n".encode()
+                )
+
         now = 0.0
         steps = 25_000
         seen = {
             "dt_zero": 0, "dt_tiny": 0, "dt_long": 0, "denied": 0,
             "recovered": 0, "in_cooldown": 0, "penalised": 0,
         }
-        last_tier: dict[str, TrustTier] = {}
+        last_tier: dict[str, int] = {}
         for step in range(steps):
             if step == steps // 2:
-                scalar = _reloaded(scalar, config)
-                batch = _reloaded(batch, config)
-                assert _column_bytes(scalar) == _column_bytes(batch)
+                checkpoint()
+                table = _reloaded(table, config)
             gap = rng.random()
             if gap < 0.15:
                 seen["dt_zero"] += 1
@@ -76,21 +108,18 @@ class TestScalarBatchEquivalence:
             misbehaving = cid in bots and int(now / 40.0) % 2 == 0
             violated = rng.random() < (0.8 if misbehaving else 0.02)
 
-            before = scalar.to_row(cid) if cid in scalar else None
-            tier = scalar.observe(cid, now, violation=violated)
-            moved = batch.observe_batch(now, [cid], [violated])
-            after = scalar.to_row(cid)
+            before = table.to_row(cid) if cid in table else None
+            tier, moved = table.observe_raw(cid, now, violation=violated)
+            after = table.to_row(cid)
 
-            assert after == batch.to_row(cid), (step, cid)
-            assert batch.tier_of(cid) is tier
+            running.update(f"{tier}:{int(moved)}|".encode())
+            assert table.tier_of(cid) is TrustTier(tier)
             previous = last_tier.get(cid)
-            assert moved.tolist() == (
-                [] if tier is previous else [int(tier)]
-            )
+            assert moved is (tier != previous), (step, cid)
             last_tier[cid] = tier
-            if tier is TrustTier.DENIED:
+            if tier == TrustTier.DENIED:
                 seen["denied"] += 1
-            if previous is TrustTier.DENIED and tier > previous:
+            if previous == TrustTier.DENIED and tier > previous:
                 seen["recovered"] += 1
             if before is not None and violated:
                 if after["last_penalty"] != before["last_penalty"]:
@@ -101,26 +130,10 @@ class TestScalarBatchEquivalence:
                     < config.penalty_cooldown
                 ):
                     seen["in_cooldown"] += 1
-        assert _column_bytes(scalar) == _column_bytes(batch)
-        assert len(scalar) == len(clients) >= 30
+        checkpoint()
+        assert len(table) == len(clients) >= 30
         assert all(seen.values()), seen
-
-    def test_batch_aggregates_duplicate_clients(self, config):
-        table = ProfileTable(config)
-        table.ensure("c", now=0.0)
-        table.observe_batch(1.0, ["c", "c", "c"], [False, True, False])
-        profile = table.profile("c")
-        assert profile.requests == 3
-        assert profile.violations == 1
-        # dt=1, k=3: instantaneous rate 3 req/s folded once.
-        alpha = -math.expm1(-1.0 / config.rate_tau)
-        assert profile.rate_ema == pytest.approx(alpha * 3.0)
-
-    def test_empty_batch_is_noop(self, config):
-        table = ProfileTable(config)
-        moved = table.observe_batch(1.0, [], [])
-        assert moved.size == 0
-        assert len(table) == 0
+        assert running.hexdigest() == self.GOLDEN
 
 
 class TestDynamics:
@@ -234,6 +247,25 @@ class TestPersistenceRows:
         assert target.profile("bot") == source.profile("bot")
         assert target.to_row("bot") == row
 
+        # The same three observations under a config that counts both
+        # violations, as the sqlite/file backends stored the row at
+        # commit cf01979: it must restore to the row this tree computes
+        # and serialize back to the same text.
+        strict = TrustConfig(
+            violation_rate=0.0, penalty_cooldown=0.0, seed=11
+        )
+        penalised = ProfileTable(strict)
+        penalised.observe("bot", now=0.0)
+        penalised.observe("bot", now=0.05, violation=True)
+        penalised.observe("bot", now=0.10, violation=True)
+        restored = ProfileTable(strict)
+        restored.load_row("bot", json.loads(PARENT_ROW))
+        assert restored.to_row("bot") == penalised.to_row("bot")
+        assert (
+            json.dumps(restored.to_row("bot"), sort_keys=True)
+            == PARENT_ROW
+        )
+
     def test_never_penalised_sentinel_survives_json(self, config):
         source = ProfileTable(config)
         source.observe("benign", now=3.0)
@@ -260,7 +292,7 @@ class TestPersistenceRows:
 
 def test_table_grows_past_initial_capacity(config):
     table = ProfileTable(config)
-    for i in range(200):  # initial capacity is 64
+    for i in range(200):
         table.observe(f"c{i}", now=float(i))
     assert len(table) == 200
     assert table.client_ids[0] == "c0"
