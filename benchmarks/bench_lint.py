@@ -27,12 +27,11 @@ REPEATS = 3
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
-P14_BASELINE = REPO_ROOT / ".reprolint-p14-baseline.json"
 
 
 def test_whole_tree_project_lint_is_interactive(benchmark, show):
     # warm-up: imports, bytecode caches
-    report = lint_project([SRC], baseline_path=P14_BASELINE)
+    report = lint_project([SRC])
     assert report.ok, "benchmark expects a clean tree"
 
     samples = []
@@ -40,7 +39,7 @@ def test_whole_tree_project_lint_is_interactive(benchmark, show):
     best = float("inf")
     for _ in range(REPEATS):
         begun = time.perf_counter()
-        report = lint_project([SRC], baseline_path=P14_BASELINE)
+        report = lint_project([SRC])
         elapsed = time.perf_counter() - begun
         samples.append(elapsed)
         if elapsed < best:
@@ -51,7 +50,6 @@ def test_whole_tree_project_lint_is_interactive(benchmark, show):
     benchmark.pedantic(
         lint_project,
         args=([SRC],),
-        kwargs={"baseline_path": P14_BASELINE},
         rounds=1,
         iterations=1,
     )

@@ -19,11 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    EstimateRequest,
+    PlanRequest,
     ShuffleEngine,
-    dp_fast_plan,
-    estimate_bots_mle,
-    even_plan,
-    greedy_plan,
+    estimate,
+    plan,
     shuffle_trajectory,
 )
 from repro.analysis.theory import max_estimable_bots, min_replicas_for_bots
@@ -34,12 +34,14 @@ def plan_one_shuffle() -> None:
     n_clients, n_bots, n_replicas = 1000, 200, 100
     print(f"== one shuffle: N={n_clients} clients, M={n_bots} bots, "
           f"P={n_replicas} replicas ==")
-    for planner in (greedy_plan, dp_fast_plan, even_plan):
-        plan = planner(n_clients, n_bots, n_replicas)
+    for method in ("greedy", "dp_fast", "even"):
+        shuffle = plan(
+            PlanRequest(n_clients, n_bots, n_replicas, method=method)
+        )
         benign = n_clients - n_bots
-        print(f"  {plan.algorithm:8s} expects to save "
-              f"{plan.expected_saved:6.1f} of {benign} benign clients "
-              f"({plan.expected_saved / benign:.1%})")
+        print(f"  {shuffle.algorithm:8s} expects to save "
+              f"{shuffle.expected_saved:6.1f} of {benign} benign clients "
+              f"({shuffle.expected_saved / benign:.1%})")
     print()
 
 
@@ -51,11 +53,11 @@ def estimate_attack_scale() -> None:
     # Simulate one uniform shuffle: which replicas got a bot?
     hit = rng.integers(0, n_replicas, size=true_bots)
     attacked = len(set(hit.tolist()))
-    estimate = estimate_bots_mle(
-        attacked, n_replicas, upper_bound=10_000
+    bots = estimate(
+        EstimateRequest(attacked, n_replicas, upper_bound=10_000)
     )
     print(f"  {attacked}/{n_replicas} replicas attacked "
-          f"-> MLE estimate {estimate.m_hat} bots (truth: {true_bots})")
+          f"-> MLE estimate {bots.m_hat} bots (truth: {true_bots})")
     threshold = max_estimable_bots(n_replicas)
     print(f"  Theorem 1: estimation stays informative up to "
           f"~{threshold:.0f} bots at P={n_replicas};")

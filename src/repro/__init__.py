@@ -62,15 +62,9 @@ from .core import (
     ShuffleEngine,
     ShufflePlan,
     ShuffleState,
-    dp_fast_plan,
     dp_fast_value,
-    dp_plan,
     dp_value,
-    estimate_bots_mle,
-    estimate_bots_moment,
-    even_plan,
     expected_saved,
-    greedy_plan,
     shuffle_trajectory,
     single_replica_optimum,
     survival_probability,
@@ -91,16 +85,10 @@ __all__ = [
     "ShuffleState",
     "__version__",
     "detect",
-    "dp_fast_plan",
     "dp_fast_value",
-    "dp_plan",
     "dp_value",
     "estimate",
-    "estimate_bots_mle",
-    "estimate_bots_moment",
-    "even_plan",
     "expected_saved",
-    "greedy_plan",
     "obs",
     "plan",
     "runtime",

@@ -41,7 +41,6 @@ from .network import Endpoint, LatencyModel, LoadMeter
 from .recon import ReconnaissanceScanner, SpoofingFlooder
 from .replica import ReplicaServer, ReplicaState, ReplicaStats
 from .system import CloudConfig, CloudContext, CloudDefenseSystem, RunReport
-from .trace import TraceEvent, Tracer
 
 __all__ = [
     "BenignClient",
@@ -75,8 +74,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SpoofingFlooder",
-    "TraceEvent",
-    "Tracer",
     "WindowSample",
     "simulate_migration",
 ]

@@ -124,8 +124,8 @@ class CloudContext:
         self.instruments: Instruments | None = None
 
     def attach_tracer(self, tracer) -> None:
-        """Enable structured event tracing (a :class:`repro.obs.
-        EventLog`, or the deprecated ``cloudsim.trace.Tracer``)."""
+        """Enable structured event tracing into a :class:`repro.obs.
+        EventLog`."""
         self.tracer = tracer
 
     def attach_instruments(

@@ -16,9 +16,8 @@ This package implements the paper's primary contribution (Sections IV & V):
   (Section V).
 - :mod:`~repro.core.shuffler` — the multi-round shuffling control loop.
 - :mod:`~repro.core.api` — the unified batch-first ``estimate()`` /
-  ``plan()`` dispatchers every consumer goes through.  The historical
-  per-algorithm entry points (``estimate_bots_*``, ``*_plan``) are
-  deprecated shims over this seam; see ``docs/core-api.md``.
+  ``plan()`` dispatchers every consumer goes through; ``method=``
+  selects the kernel (see ``docs/core-api.md``).
 """
 
 from __future__ import annotations
@@ -34,23 +33,16 @@ from .combinatorics import (
     log_binomial,
     survival_probability,
 )
-from .dp import dp_plan, dp_value, optimal_assign
-from .dp_fast import dp_fast_plan, dp_fast_sizes, dp_fast_value
-from .estimator import (
-    BotEstimate,
-    attacked_count_pmf,
-    estimate_bots_mle,
-    estimate_bots_moment,
-    estimate_bots_weighted,
-    occupancy_pmf,
-)
-from .even import even_plan, even_sizes
+from .dp import dp_value, optimal_assign
+from .dp_fast import dp_fast_sizes, dp_fast_value
+from .estimator import BotEstimate, attacked_count_pmf, occupancy_pmf
+from .even import even_sizes
 from .expansion import (
     ExpansionPlan,
     expansion_replicas_needed,
     expansion_saved_fraction,
 )
-from .greedy import greedy_plan, greedy_sizes
+from .greedy import greedy_sizes
 from .objective import (
     expected_saved,
     expected_saved_sizes,
@@ -72,7 +64,6 @@ __all__ = [
     "PlanRequest",
     "api",
     "attacked_count_pmf",
-    "estimate_bots_weighted",
     "PLANNERS",
     "PlanCache",
     "PlanError",
@@ -80,22 +71,16 @@ __all__ = [
     "ShuffleEngine",
     "ShufflePlan",
     "ShuffleState",
-    "dp_fast_plan",
     "dp_fast_sizes",
     "dp_fast_value",
-    "dp_plan",
     "dp_value",
     "ExpansionPlan",
-    "estimate_bots_mle",
-    "estimate_bots_moment",
-    "even_plan",
     "even_sizes",
     "expansion_replicas_needed",
     "expansion_saved_fraction",
     "expected_saved",
     "expected_saved_sizes",
     "expected_saved_single",
-    "greedy_plan",
     "greedy_sizes",
     "hypergeometric_pmf",
     "log_binomial",

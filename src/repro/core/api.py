@@ -2,18 +2,13 @@
 
 Every consumer of the core — the asyncio service, the discrete-event
 cloudsim, the figure experiments, and the counts-level shuffle engine —
-historically called seven separate entry points with seven argument
-conventions.  This module collapses them to two dispatchers over frozen
-request dataclasses:
+goes through two dispatchers over frozen request dataclasses:
 
     estimate(EstimateRequest(...)) -> BotEstimate
     plan(PlanRequest(...))         -> ShufflePlan
 
 with uniform keywords across methods (``method=``, ``log_prior=``,
-``instruments=``).  The old entry points survive as thin
-``DeprecationWarning`` shims that forward through this seam (the
-``cloudsim/trace.py`` precedent); first-party code must not use them —
-the test suite promotes repro-originated deprecation warnings to errors.
+``instruments=``).
 
 Dispatch is deliberately thin: each method maps onto exactly one
 vectorized kernel (``repro.core.estimator`` / the planner modules), so
@@ -22,7 +17,7 @@ behaviour is bit-identical to calling the kernel directly.  ``method=
 weighted, otherwise uniform MLE) and the planner from the presence of a
 :class:`~repro.core.plan_cache.PlanCache` handle.
 
-See ``docs/core-api.md`` for the migration table and deprecation policy.
+See ``docs/core-api.md``.
 """
 
 from __future__ import annotations

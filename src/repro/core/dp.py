@@ -24,7 +24,6 @@ two formulations as one problem.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .combinatorics import _lgamma, hypergeometric_pmf_vector
 from .objective import expected_saved_sizes
 from .plan import ShufflePlan
 
-__all__ = ["DPTables", "optimal_assign", "dp_value", "dp_plan"]
+__all__ = ["DPTables", "optimal_assign", "dp_value"]
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def optimal_assign(n_clients: int, n_bots: int, n_replicas: int) -> DPTables:
     This is intentionally the paper's formulation — layer by layer in
     ``k``, row by row in ``i`` — with each row's ``(j, a, b)`` candidate
     enumeration vectorized by :func:`_dp_row`; use
-    :func:`repro.core.dp_fast.dp_fast_plan` beyond ``N`` of a few hundred.
+    ``method="dp_fast"`` beyond ``N`` of a few hundred.
     """
     if n_replicas < 1:
         raise ValueError(f"n_replicas={n_replicas} must be >= 1")
@@ -198,24 +197,4 @@ def _dp_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
     value = expected_saved_sizes(sizes, n_clients, n_bots)
     return ShufflePlan.from_sizes(
         sizes, n_bots, expected_saved=value, algorithm="dp"
-    )
-
-
-def dp_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
-    """Deprecated: use :func:`repro.core.api.plan` with ``method="dp"``."""
-    warnings.warn(
-        "repro.core.dp_plan() is deprecated; use "
-        "repro.core.api.plan(PlanRequest(..., method='dp'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import PlanRequest, plan
-
-    return plan(
-        PlanRequest(
-            n_clients=n_clients,
-            n_bots=n_bots,
-            n_replicas=n_replicas,
-            method="dp",
-        )
     )

@@ -25,7 +25,6 @@ every small instance.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ from .combinatorics import expected_saved_single_many
 from .objective import expected_saved_sizes
 from .plan import ShufflePlan
 
-__all__ = ["dp_fast_value", "dp_fast_plan", "dp_fast_sizes"]
+__all__ = ["dp_fast_value", "dp_fast_sizes"]
 
 #: Elements materialized per (max,+) block — sized so the candidate
 #: buffer (~0.5 MiB of float64) stays cache-resident: the argmax
@@ -180,26 +179,6 @@ def _dp_fast_plan(
     value = expected_saved_sizes(sizes, n_clients, n_bots)
     return ShufflePlan.from_sizes(
         sizes, n_bots, expected_saved=value, algorithm="dp_fast"
-    )
-
-
-def dp_fast_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
-    """Deprecated: use :func:`repro.core.api.plan`, ``method="dp_fast"``."""
-    warnings.warn(
-        "repro.core.dp_fast_plan() is deprecated; use "
-        "repro.core.api.plan(PlanRequest(..., method='dp_fast'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import PlanRequest, plan
-
-    return plan(
-        PlanRequest(
-            n_clients=n_clients,
-            n_bots=n_bots,
-            n_replicas=n_replicas,
-            method="dp_fast",
-        )
     )
 
 

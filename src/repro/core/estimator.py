@@ -40,15 +40,13 @@ A closed-form moment-matching estimator is also provided for the
 large-scale multi-round simulations: solving ``E[X] = P (1 − (1 − 1/P)^m)``
 for ``m`` gives ``m̂ = ln(1 − X/P) / ln(1 − 1/P)``.
 
-The historical entry points (``estimate_bots_mle`` / ``estimate_bots_
-weighted`` / ``estimate_bots_moment``) are deprecated shims over
+Callers reach the three estimators through
 :func:`repro.core.api.estimate`; see ``docs/core-api.md``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,9 +66,6 @@ __all__ = [
     "occupancy_pmf",
     "occupancy_likelihoods",
     "occupancy_log_likelihoods",
-    "estimate_bots_mle",
-    "estimate_bots_moment",
-    "estimate_bots_weighted",
     "attacked_count_pmf",
     "attacked_count_log_pmf",
 ]
@@ -313,7 +308,22 @@ def _estimate_mle(
     """Exact occupancy MLE of the persistent-bot count (Section V).
 
     Implementation behind ``method="mle"`` of :func:`repro.core.api.
-    estimate`; see :func:`estimate_bots_mle` for the argument contract.
+    estimate`.
+
+    Args:
+        n_attacked: observed attacked-replica count ``X``.
+        n_replicas: shuffling replica count ``P``.
+        upper_bound: the largest admissible ``m`` — the paper uses the total
+            number of clients assigned to attacked replicas.
+        log_prior: optional log-space prior over ``m`` (length at least
+            ``upper_bound + 1``, e.g. from :func:`repro.trust.prior.
+            bot_count_log_prior`); when given, the argmax runs over
+            ``log L(m) + log_prior[m]`` (a MAP estimate).  ``None``
+            leaves the pure-MLE path untouched.  The degenerate
+            all-attacked regime ignores the prior — the likelihood
+            carries no information there, and inventing an estimate from
+            the prior alone would hide the Theorem 1 fallback the callers
+            rely on.
     """
     if not 0 <= n_attacked <= n_replicas:
         raise ValueError(
@@ -517,7 +527,20 @@ def _estimate_weighted(
     """MLE of the bot count for *non-uniform* group sizes.
 
     Implementation behind ``method="weighted"`` of :func:`repro.core.api.
-    estimate`; see :func:`estimate_bots_weighted` for the contract.
+    estimate`: maximizes the Poisson-binomial likelihood of
+    :func:`attacked_count_pmf` over ``m`` via a geometric candidate grid
+    with local refinement.
+
+    Args:
+        n_attacked: observed attacked-replica count ``X``.
+        sizes: planned group sizes ``x_1..x_P`` of the observed shuffle.
+        n_clients: total clients ``N`` in the shuffle.
+        candidates: grid density for the coarse search.
+        log_prior: optional log-space prior over ``m`` (length at least
+            ``n_clients + 1``); when given the grid search maximizes
+            ``log L(m) + log_prior[m]`` (MAP).  ``None`` keeps the
+            pure-MLE path bit-identical; the degenerate
+            all-nonempty-attacked regime ignores the prior.
     """
     xs = np.asarray(sizes, dtype=np.int64)
     n_replicas = int(xs.size)
@@ -608,123 +631,4 @@ def _estimate_weighted(
         n_replicas=n_replicas,
         upper_bound=n_clients,
         log_likelihood=log_likelihood(int(m_hat)),
-    )
-
-
-# ----------------------------------------------------------------------
-# deprecated entry points (thin shims over repro.core.api.estimate)
-# ----------------------------------------------------------------------
-def estimate_bots_mle(
-    n_attacked: int,
-    n_replicas: int,
-    upper_bound: int,
-    log_prior: np.ndarray | None = None,
-) -> BotEstimate:
-    """Deprecated: use :func:`repro.core.api.estimate`.
-
-    Exact occupancy MLE of the persistent-bot count (Section V).
-
-    Args:
-        n_attacked: observed attacked-replica count ``X``.
-        n_replicas: shuffling replica count ``P``.
-        upper_bound: the largest admissible ``m`` — the paper uses the total
-            number of clients assigned to attacked replicas.
-        log_prior: optional log-space prior over ``m`` (length at least
-            ``upper_bound + 1``, e.g. from :func:`repro.trust.prior.
-            bot_count_log_prior`); when given, the argmax runs over
-            ``log L(m) + log_prior[m]`` (a MAP estimate).  ``None``
-            leaves the historical pure-MLE path untouched.  The
-            degenerate all-attacked regime ignores the prior — the
-            likelihood carries no information there, and inventing an
-            estimate from the prior alone would hide the Theorem 1
-            fallback the callers rely on.
-    """
-    warnings.warn(
-        "repro.core.estimate_bots_mle() is deprecated; use "
-        "repro.core.api.estimate(EstimateRequest(..., method='mle'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import EstimateRequest, estimate
-
-    return estimate(
-        EstimateRequest(
-            n_attacked=n_attacked,
-            n_replicas=n_replicas,
-            upper_bound=upper_bound,
-            log_prior=log_prior,
-            method="mle",
-        )
-    )
-
-
-def estimate_bots_moment(
-    n_attacked: int, n_replicas: int, upper_bound: int
-) -> BotEstimate:
-    """Deprecated: use :func:`repro.core.api.estimate`.
-
-    Closed-form moment-matching estimator of the bot count.  Solves
-    ``E[X] = P (1 − (1 − 1/P)^m)`` for ``m``; used inside the multi-round
-    simulators where the exact MLE would dominate runtime.
-    """
-    warnings.warn(
-        "repro.core.estimate_bots_moment() is deprecated; use "
-        "repro.core.api.estimate(EstimateRequest(..., method='moment'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import EstimateRequest, estimate
-
-    return estimate(
-        EstimateRequest(
-            n_attacked=n_attacked,
-            n_replicas=n_replicas,
-            upper_bound=upper_bound,
-            method="moment",
-        )
-    )
-
-
-def estimate_bots_weighted(
-    n_attacked: int,
-    sizes: Sequence[int] | np.ndarray,
-    n_clients: int,
-    candidates: int = 64,
-    log_prior: np.ndarray | None = None,
-) -> BotEstimate:
-    """Deprecated: use :func:`repro.core.api.estimate`.
-
-    MLE of the bot count for *non-uniform* group sizes — maximizes the
-    Poisson-binomial likelihood of :func:`attacked_count_pmf` over ``m``
-    via a geometric candidate grid with local refinement.
-
-    Args:
-        n_attacked: observed attacked-replica count ``X``.
-        sizes: planned group sizes ``x_1..x_P`` of the observed shuffle.
-        n_clients: total clients ``N`` in the shuffle.
-        candidates: grid density for the coarse search.
-        log_prior: optional log-space prior over ``m`` (length at least
-            ``n_clients + 1``); when given the grid search maximizes
-            ``log L(m) + log_prior[m]`` (MAP).  ``None`` keeps the
-            historical pure-MLE path bit-identical; the degenerate
-            all-nonempty-attacked regime ignores the prior.
-    """
-    warnings.warn(
-        "repro.core.estimate_bots_weighted() is deprecated; use "
-        "repro.core.api.estimate(EstimateRequest(..., method='weighted'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import EstimateRequest, estimate
-
-    xs = np.asarray(sizes, dtype=np.int64)
-    return estimate(
-        EstimateRequest(
-            n_attacked=n_attacked,
-            sizes=tuple(int(x) for x in xs),
-            n_clients=n_clients,
-            candidates=candidates,
-            log_prior=log_prior,
-            method="weighted",
-        )
     )

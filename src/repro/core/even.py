@@ -9,12 +9,11 @@ no benign clients are saved.
 
 from __future__ import annotations
 
-import warnings
 
 from .objective import expected_saved_sizes
 from .plan import ShufflePlan
 
-__all__ = ["even_plan", "even_sizes"]
+__all__ = ["even_sizes"]
 
 
 def even_sizes(n_clients: int, n_replicas: int) -> list[int]:
@@ -45,24 +44,4 @@ def _even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
     value = expected_saved_sizes(sizes, n_clients, n_bots)
     return ShufflePlan.from_sizes(
         sizes, n_bots, expected_saved=value, algorithm="even"
-    )
-
-
-def even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
-    """Deprecated: use :func:`repro.core.api.plan` with ``method="even"``."""
-    warnings.warn(
-        "repro.core.even_plan() is deprecated; use "
-        "repro.core.api.plan(PlanRequest(..., method='even'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import PlanRequest, plan
-
-    return plan(
-        PlanRequest(
-            n_clients=n_clients,
-            n_bots=n_bots,
-            n_replicas=n_replicas,
-            method="even",
-        )
     )

@@ -31,12 +31,11 @@ milliseconds even at ``N = 150,000``.
 
 from __future__ import annotations
 
-import warnings
 
 from .objective import expected_saved_sizes, single_replica_optimum
 from .plan import ShufflePlan
 
-__all__ = ["greedy_plan", "greedy_sizes"]
+__all__ = ["greedy_sizes"]
 
 
 def greedy_sizes(n_clients: int, n_bots: int, n_replicas: int) -> list[int]:
@@ -113,24 +112,4 @@ def _greedy_plan(
         sizes, value = even, even_value
     return ShufflePlan.from_sizes(
         sizes, n_bots, expected_saved=value, algorithm="greedy"
-    )
-
-
-def greedy_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
-    """Deprecated: use :func:`repro.core.api.plan` with ``method="greedy"``."""
-    warnings.warn(
-        "repro.core.greedy_plan() is deprecated; use "
-        "repro.core.api.plan(PlanRequest(..., method='greedy'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import PlanRequest, plan
-
-    return plan(
-        PlanRequest(
-            n_clients=n_clients,
-            n_bots=n_bots,
-            n_replicas=n_replicas,
-            method="greedy",
-        )
     )

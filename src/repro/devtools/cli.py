@@ -4,8 +4,6 @@ Usage::
 
     repro-lint src/repro                  # file rules, text report
     repro-lint --project src/repro        # + whole-program rules P1-P14
-    repro-lint --project --baseline .reprolint-baseline.json src/repro
-    repro-lint --project --write-baseline src/repro   # reset the ratchet
     repro-lint --project --changed src/repro   # only files changed vs HEAD
     repro-lint --changed=main src/repro   # ... or vs any git ref
     repro-lint --graph docs/import-graph.dot src/repro  # export graph
@@ -14,8 +12,7 @@ Usage::
     repro-lint --select R1,P3 src/repro   # subset across both scopes
     repro-lint --list-rules               # rule catalogue with rationales
 
-Exit codes: 0 clean, 1 violations found (or stale baseline entries),
-2 usage error.
+Exit codes: 0 clean, 1 violations found, 2 usage error.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ from .runner import (
     lint_paths,
     lint_project,
 )
-
-DEFAULT_BASELINE = Path(".reprolint-baseline.json")
-
 
 def _split_ids(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
@@ -87,20 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint only files changed vs. the given git ref (default "
         "HEAD) plus untracked files; in project scope the whole tree is "
         "still indexed, but only changed files are reported on",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        nargs="?",
-        const=str(DEFAULT_BASELINE),
-        help="ratchet file of pre-existing violations (implies "
-        f"--project; default file: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current violations "
-        "and exit 0 (implies --project)",
     )
     parser.add_argument(
         "--graph",
@@ -189,15 +169,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"    {rule_obj.rationale}")
         return 0
 
-    if options.baseline and Path(options.baseline).is_dir():
-        # argparse's optional-argument greediness: `--baseline src/repro`
-        # binds the path meant as a positional.  Catch it early.
-        parser.error(
-            f"--baseline got a directory ({options.baseline}); use "
-            "--baseline=FILE, or put --baseline after the paths"
-        )
     if options.changed and Path(options.changed).is_dir():
-        # Same greediness trap: `--changed src/repro` binds the path.
+        # argparse's optional-argument greediness: `--changed src/repro`
+        # binds the path meant as a positional.  Catch it early.
         parser.error(
             f"--changed got a directory ({options.changed}); use "
             "--changed=REF, or put --changed after the paths"
@@ -214,21 +188,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             + ", ".join(str(p) for p in missing)
         )
 
-    project_mode = bool(
-        options.project
-        or options.baseline
-        or options.write_baseline
-        or options.graph
-    )
+    project_mode = bool(options.project or options.graph)
     select = _split_ids(options.select) if options.select else None
     ignore = _split_ids(options.ignore) if options.ignore else None
 
     only_files: set[Path] | None = None
     if options.changed:
-        if options.write_baseline:
-            parser.error(
-                "--write-baseline needs a full-tree run; drop --changed"
-            )
         only_files = _changed_files(options.changed)
         if only_files is None:
             parser.error(
@@ -238,39 +203,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if options.graph:
         status = _export_graph(options.graph, paths)
-        if status != 0 or not (
-            options.project or options.baseline or options.write_baseline
-        ):
+        if status != 0 or not options.project:
             return status
 
     try:
         if project_mode:
-            baseline_path = (
-                Path(options.baseline)
-                if options.baseline
-                else (DEFAULT_BASELINE if not options.write_baseline else None)
-            )
-            if options.write_baseline:
-                report = lint_project(paths, select=select, ignore=ignore)
-                target = Path(options.baseline or DEFAULT_BASELINE)
-                from .program import write_baseline
-
-                write_baseline(target, report.violations)
-                print(
-                    f"repro-lint: baseline written to {target} "
-                    f"({len(report.violations)} entries)"
-                )
-                return 0
             report = lint_project(
-                paths,
-                select=select,
-                ignore=ignore,
-                baseline_path=(
-                    baseline_path
-                    if baseline_path and baseline_path.exists()
-                    else None
-                ),
-                only_files=only_files,
+                paths, select=select, ignore=ignore, only_files=only_files
             )
         else:
             report = lint_paths(

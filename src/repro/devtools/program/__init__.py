@@ -64,24 +64,16 @@ it:
   forms: ``log(1-x)`` -> ``log1p``, ``log(sum(exp))`` -> ``logsumexp``,
   lgamma differences outside the combinatorics module, unguarded
   division by possibly-zero counts.
-- **P14** ``vectorization-readiness`` — the ratcheted inventory of
-  scalar accumulation loops in ``core/`` the ROADMAP vectorization
-  item must burn down (committed ``.reprolint-p14-baseline.json``).
+- **P14** ``vectorization-readiness`` — scalar accumulation loops over
+  float/probability arrays in ``core/`` (none remain; a new one is a
+  finding).
 
-See ``docs/static-analysis.md`` for the full catalogue and the
-baseline/ratchet workflow, and ``docs/import-graph.md`` for the rendered
-layering graph.
+See ``docs/static-analysis.md`` for the full catalogue and
+``docs/import-graph.md`` for the rendered layering graph.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    Baseline,
-    BaselineComparison,
-    compare,
-    load_baseline,
-    write_baseline,
-)
 from .context import ModuleInfo, ProgramContext
 from .graph import LAYER_CONTRACT, ImportEdge, render_dot, render_graph_json
 
@@ -98,15 +90,10 @@ from . import rng as _rng  # noqa: F401
 from . import vectorize as _vectorize  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "BaselineComparison",
     "ImportEdge",
     "LAYER_CONTRACT",
     "ModuleInfo",
     "ProgramContext",
-    "compare",
-    "load_baseline",
     "render_dot",
     "render_graph_json",
-    "write_baseline",
 ]

@@ -38,22 +38,13 @@ __all__ = ["blocking_summaries"]
 #: loop lives in the service layer; sim/runtime are synchronous).
 _ASYNC_LAYERS = frozenset({"service"})
 
-#: known CPU-heavy ``repro.core`` entry points: whole-grid
-#: precomputation, the DP/greedy planners, and the estimators.  Calling
-#: one on the event loop is legitimate only with a written
-#: ``# event-loop-safe:`` justification (e.g. bounded inputs).
+#: known CPU-heavy ``repro.core`` entry points: the ``core.api``
+#: estimate/plan dispatchers, whole-grid precomputation, and the
+#: multi-round trajectory.  Calling one on the event loop is legitimate
+#: only with a written ``# event-loop-safe:`` justification (e.g.
+#: bounded inputs).
 _CPU_HEAVY_CORE = frozenset(
-    {
-        "precompute",
-        "estimate_bots_mle",
-        "estimate_bots_moment",
-        "estimate_bots_weighted",
-        "dp_plan",
-        "dp_fast_plan",
-        "greedy_plan",
-        "even_plan",
-        "shuffle_trajectory",
-    }
+    {"estimate", "plan", "precompute", "shuffle_trajectory"}
 )
 
 #: ``socket`` module calls that perform blocking network I/O.

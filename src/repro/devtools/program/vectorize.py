@@ -1,20 +1,13 @@
-"""Rule P14: vectorization-readiness inventory of the numeric core.
+"""Rule P14: vectorization readiness of the numeric core.
 
-The ROADMAP's scale item — plan + estimate for ``N = 10^6`` clients in
-sub-second time — requires the scalar Python accumulation loops in the
-estimator/planner core (the Algorithm 1 DP in ``dp.py``, the (max,+)
-convolution in ``dp_fast.py``, the occupancy/Poisson-binomial sweeps in
-``estimator.py``) to become numpy array ops.  This pass does not demand
-the rewrite; it *inventories* it: every scalar for-loop in ``core/``
-that accumulates into a float/probability array is reported with its
-enclosing function, iteration expression (the loop-trip-count
-provenance), and nest depth.  The findings live in the committed
-``.reprolint-p14-baseline.json`` ratchet, which CI allows only to
-shrink — so the vectorization PR burns the inventory down to zero and
-new scalar hot loops cannot sneak into ``core/`` meanwhile.
-
-Messages avoid line numbers (baseline fingerprints must survive
-unrelated edits); the iteration expression + function name identify the
+Plan + estimate for ``N = 10^6`` clients in sub-second time requires
+the accumulation loops in the estimator/planner core (the Algorithm 1
+DP in ``dp.py``, the (max,+) convolution in ``dp_fast.py``, the
+occupancy/Poisson-binomial sweeps in ``estimator.py``) to be numpy
+array ops.  This pass reports every scalar for-loop in ``core/`` that
+accumulates into a float/probability array, with its enclosing
+function, iteration expression (the loop-trip-count provenance), and
+nest depth.  ``core/`` holds none, so a finding is a new scalar hot
 loop.
 """
 
@@ -95,10 +88,8 @@ def _subtree_depth(node: ast.AST) -> int:
     "Scalar Python accumulation loops over per-client/per-replica "
     "probability arrays cap the numeric core at thousands of clients; "
     "the ROADMAP scale item needs numpy array ops for N in the "
-    "millions.  Findings are a ratcheted inventory "
-    "(.reprolint-p14-baseline.json, may only shrink): vectorize the "
-    "loop to remove an entry, and keep new scalar hot loops out of "
-    "core/.",
+    "millions.  core/ holds none: vectorize a flagged loop rather "
+    "than excusing it.",
 )
 def check_vectorization_readiness(
     program: ProgramContext,

@@ -34,17 +34,9 @@ def render_text(report: LintReport) -> str:
     """Human-readable report: one ``path:line:col: ID message`` per hit.
 
     The summary line always appears so CI logs show what ran even when
-    the tree is clean; baseline (ratchet) state is summarized when a
-    baseline was in play.
+    the tree is clean.
     """
     lines = [v.format() for v in report.violations]
-    for entry in report.stale_baseline:
-        lines.append(
-            f"{entry['path']}: {entry['rule']} STALE baseline entry "
-            f"(x{entry['count']}) no longer fires — run "
-            "--write-baseline to shrink the debt record: "
-            f"{entry['message']}"
-        )
     noun = "violation" if len(report.violations) == 1 else "violations"
     rule_count = len(report.rules) + len(report.project_rules)
     summary = (
@@ -52,11 +44,6 @@ def render_text(report: LintReport) -> str:
         f"{report.files_checked} files "
         f"({rule_count} rules active)"
     )
-    if report.baselined or report.stale_baseline:
-        summary += (
-            f" [baseline: {len(report.baselined)} excused, "
-            f"{len(report.stale_baseline)} stale]"
-        )
     lines.append(summary)
     return "\n".join(lines)
 
@@ -65,8 +52,6 @@ def render_json(report: LintReport) -> str:
     """Machine-readable report for editor/CI integration."""
     payload = {
         "violations": [v.to_dict() for v in report.violations],
-        "baselined": [v.to_dict() for v in report.baselined],
-        "stale_baseline": list(report.stale_baseline),
         "files_checked": report.files_checked,
         "rules": [
             {

@@ -7,8 +7,7 @@ Two execution scopes share one report shape:
 - **project scope** — the tree is additionally indexed into one
   :class:`~repro.devtools.program.context.ProgramContext` and the
   P-series whole-program rules run over it, with per-file suppression
-  comments honoured at the violation's location and an optional
-  committed baseline splitting pre-existing debt from new violations.
+  comments honoured at the violation's location.
 """
 
 from __future__ import annotations
@@ -43,17 +42,13 @@ class LintReport:
     files_checked: int = 0
     rules: tuple[Rule, ...] = ()
     project_rules: tuple[ProjectRule, ...] = ()
-    #: violations excused by the committed baseline (project scope)
-    baselined: list[Violation] = field(default_factory=list)
-    #: baseline entries that no longer fire and must be removed
-    stale_baseline: list[dict] = field(default_factory=list)
     #: wall-clock seconds per stage (``file_rules``, ``program_index``,
     #: ``numeric_index``, ``pass_<ID>``) — populated in project scope
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.stale_baseline
+        return not self.violations
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -174,7 +169,6 @@ def lint_project(
     paths: Iterable[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    baseline_path: Path | str | None = None,
     only_files: Iterable[Path | str] | None = None,
 ) -> LintReport:
     """File rules plus the P-series whole-program rules over one tree.
@@ -183,11 +177,8 @@ def lint_project(
     rules run over just those files and project-rule violations outside
     them are dropped, but the *index* still covers the whole tree —
     whole-program facts (layering, call graphs, numeric domains) are
-    only correct when built from everything.  Stale-baseline entries
-    are not reported in that mode: a violation outside the changed set
-    is filtered away, not fixed.
+    only correct when built from everything.
     """
-    from .program import compare, load_baseline
     from .program.context import ProgramContext
 
     path_list = [Path(p) for p in paths]
@@ -252,13 +243,5 @@ def lint_project(
             time.perf_counter() - started
         )
 
-    if baseline_path is not None:
-        baseline = load_baseline(baseline_path)
-        comparison = compare(baseline, report.violations)
-        report.violations = comparison.new
-        report.baselined = comparison.baselined
-        # A violation outside the changed set was filtered, not fixed —
-        # staleness is only meaningful over a full-tree run.
-        report.stale_baseline = [] if wanted is not None else comparison.stale
     report.violations.sort()
     return report

@@ -1,17 +1,14 @@
 """repro.obs — the unified observability layer.
 
 One metrics/span/event substrate shared by every runtime layer (core,
-sim, cloudsim, runtime, service), replacing the three ad-hoc schemas
-that grew before it (``cloudsim.trace`` JSONL, service snapshot JSON,
-runtime ``RunReport`` writers):
+sim, cloudsim, runtime, service):
 
 - :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket histograms with label support.
 - :mod:`~repro.obs.spans` — :class:`Span`/:class:`SpanRecorder` timed
   nesting with explicit clock injection (sim-time or monotonic).
 - :mod:`~repro.obs.events` — the canonical :class:`Event` record and
-  the :class:`EventLog` collector (byte-compatible successor of
-  ``cloudsim.trace``).
+  the :class:`EventLog` collector.
 - :mod:`~repro.obs.export` — JSONL / JSON / Prometheus-text exporters.
 - :mod:`~repro.obs.instruments` — the uniform ``instruments=`` handle
   components accept (``None`` = disabled, one attribute check).

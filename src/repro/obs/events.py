@@ -1,17 +1,13 @@
 """The canonical event record shared by every layer's audit trail.
 
-Historically the repo observed itself through three unrelated schemas:
-``cloudsim.trace`` JSONL events, the service's snapshot-over-HTTP, and
-the runtime's per-task ``RunReport``.  :class:`Event` is the one record
-type they now converge on; :class:`EventLog` is the shared collector
-(the re-homed ``cloudsim.trace.Tracer``).
+cloudsim, the live service, and the runtime all emit :class:`Event`
+records into the shared :class:`EventLog` collector.
 
-**Byte compatibility contract:** for events without the new optional
-``source`` field, :meth:`Event.to_json` produces *exactly* the bytes
-the legacy ``TraceEvent.to_json`` produced — ``{"time", "kind", **data}``
-with sorted keys and time rounded to 6 decimals.  New fields are only
-ever appended after the legacy payload, so existing JSONL consumers
-(and the hashseed double-run diff in CI) keep working unmodified.
+**Byte format contract:** for events without the optional ``source``
+field, :meth:`Event.to_json` produces exactly ``{"time", "kind",
+**data}`` with sorted keys and time rounded to 6 decimals.  New fields
+are only ever appended after that payload, so stored JSONL traces (and
+the hashseed double-run diff in CI) keep reading unmodified.
 """
 
 from __future__ import annotations
@@ -77,9 +73,7 @@ class Event:
 class EventLog:
     """Collects :class:`Event` records in arrival order.
 
-    The direct descendant of ``cloudsim.trace.Tracer`` — same filter,
-    capacity, and query semantics — now layer-neutral so the service
-    and runtime can share it.
+    Layer-neutral, so cloudsim, the service and the runtime share it.
 
     Args:
         kinds: optional allow-list; events of other kinds are dropped at

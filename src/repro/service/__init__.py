@@ -34,7 +34,7 @@ from .coordinator import (
 from .harness import ScenarioReport, run_scenario, run_scenario_sync
 from .loadgen import LoadConfig, LoadGenerator
 from .pool import ReplicaPool
-from .telemetry import TelemetryServer, export_snapshot, export_windows
+from .telemetry import TelemetryServer, export_windows
 from .tokens import SaturationMonitor, TokenBucket
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "ServiceCoordinator",
     "TelemetryServer",
     "TokenBucket",
-    "export_snapshot",
     "export_windows",
     "run_scenario",
     "run_scenario_sync",

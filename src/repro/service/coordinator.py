@@ -793,6 +793,7 @@ class ServiceCoordinator:
         with (
             spans.span("plan") if spans is not None else nullcontext()
         ) as span:
+            # event-loop-safe: PlanCache lookup + repair; O(P) greedy fallback
             plan = core_plan(
                 PlanRequest(
                     n_clients=n_clients,

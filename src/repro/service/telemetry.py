@@ -13,15 +13,14 @@ converge without attaching a debugger:
   populations + mean trust), ``null`` when trust is disabled — a
   cheap poll target for watching the ladder settle.
 
-The file-export helpers that used to live here are deprecated shims
-over :func:`repro.obs.export_json` — one writer for the whole repo.
+Files are written through :func:`repro.obs.export_json` — one writer
+for the whole repo.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import warnings
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -33,7 +32,7 @@ from ..obs.export import (
 from ..obs.metrics import MetricsRegistry
 from ..sim.qos import QoSWindow, windows_to_dicts
 
-__all__ = ["TelemetryServer", "export_snapshot", "export_windows"]
+__all__ = ["TelemetryServer", "export_windows"]
 
 
 class TelemetryServer:
@@ -115,17 +114,6 @@ class TelemetryServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
-
-
-def export_snapshot(snapshot: dict, path: str | Path) -> Path:
-    """Deprecated: use :func:`repro.obs.export_json` (same output)."""
-    warnings.warn(
-        "repro.service.telemetry.export_snapshot is deprecated; use "
-        "repro.obs.export_json",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return export_json(snapshot, path)
 
 
 def export_windows(windows: Iterable[QoSWindow], path: str | Path) -> Path:

@@ -102,10 +102,10 @@ class TestEvenSavedFraction:
         assert expected_saved_fraction_even(10, 10, 5) == 0.0
 
     def test_matches_even_plan(self):
-        from repro.core.even import even_plan
+        from repro.core.api import planner
 
         fraction = expected_saved_fraction_even(1000, 100, 200)
-        plan = even_plan(1000, 100, 200)
+        plan = planner("even")(1000, 100, 200)
         assert fraction == pytest.approx(plan.expected_saved / 900)
 
     def test_collapse_regime(self):

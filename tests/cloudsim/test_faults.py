@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.cloudsim.faults import ChaosMonkey
 from repro.cloudsim.replica import ReplicaState
 from repro.cloudsim.system import CloudConfig, CloudDefenseSystem
-from repro.cloudsim.trace import Tracer
+from repro.obs import EventLog
 
 
 class TestReplicaFail:
@@ -71,7 +71,7 @@ class TestHealing:
 class TestChaosMonkey:
     def test_crashes_happen_and_service_survives(self):
         system = CloudDefenseSystem(CloudConfig(boot_delay=1.0), seed=65)
-        tracer = Tracer()
+        tracer = EventLog()
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(40)
         monkey = ChaosMonkey(system.ctx, crash_rate=0.2)

@@ -1,9 +1,7 @@
-"""Tests for the structured tracing facility.
+"""Tests for structured tracing of a cloudsim run into ``repro.obs``.
 
-``cloudsim.trace`` is now a deprecated shim over ``repro.obs``; these
-tests keep the legacy surface working verbatim, so the shim's
-DeprecationWarning is expected and silenced module-wide (the warning
-itself is asserted in ``tests/obs/test_obs_events.py``).
+The collector's own filter/capacity/JSONL behaviour is covered in
+``tests/obs/test_obs_events.py``.
 """
 
 from __future__ import annotations
@@ -13,46 +11,18 @@ import json
 import pytest
 
 from repro.cloudsim.system import CloudConfig, CloudDefenseSystem
-from repro.cloudsim.trace import TraceEvent, Tracer
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.obs import EventLog
 
 
 class TestTracer:
     def test_emit_and_query(self):
-        tracer = Tracer()
+        tracer = EventLog()
         tracer.emit(1.0, "a", x=1)
         tracer.emit(2.0, "b", y=2)
         tracer.emit(3.0, "a", x=3)
         assert len(tracer) == 3
         assert [e.data["x"] for e in tracer.of_kind("a")] == [1, 3]
         assert [e.kind for e in tracer.between(1.5, 3.0)] == ["b", "a"]
-
-    def test_kind_filter(self):
-        tracer = Tracer(kinds=frozenset({"keep"}))
-        tracer.emit(0.0, "keep", n=1)
-        tracer.emit(0.0, "drop", n=2)
-        assert len(tracer) == 1
-        assert tracer.events[0].kind == "keep"
-
-    def test_capacity_drops_oldest(self):
-        tracer = Tracer(capacity=2)
-        for index in range(5):
-            tracer.emit(float(index), "tick", n=index)
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        assert [e.data["n"] for e in tracer.events] == [3, 4]
-
-    def test_jsonl_export(self):
-        tracer = Tracer()
-        tracer.emit(1.25, "thing", value="x")
-        lines = tracer.to_jsonl().splitlines()
-        record = json.loads(lines[0])
-        assert record == {"time": 1.25, "kind": "thing", "value": "x"}
-
-    def test_event_json_rounds_time(self):
-        event = TraceEvent(time=1.23456789, kind="k", data={})
-        assert json.loads(event.to_json())["time"] == 1.234568
 
 
 class TestSystemIntegration:
@@ -64,7 +34,7 @@ class TestSystemIntegration:
 
     def test_attack_produces_trace_timeline(self):
         system = CloudDefenseSystem(CloudConfig(), seed=3)
-        tracer = Tracer()
+        tracer = EventLog()
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(60)
         system.add_persistent_bots(6)
@@ -92,7 +62,7 @@ class TestSystemIntegration:
 
     def test_trace_filtering_in_system(self):
         system = CloudDefenseSystem(seed=4)
-        tracer = Tracer(kinds=frozenset({"shuffle_completed"}))
+        tracer = EventLog(kinds=frozenset({"shuffle_completed"}))
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(40)
         system.add_persistent_bots(5)
@@ -102,7 +72,7 @@ class TestSystemIntegration:
 
     def test_jsonl_of_real_run_parses(self):
         system = CloudDefenseSystem(seed=5)
-        tracer = Tracer()
+        tracer = EventLog()
         system.ctx.attach_tracer(tracer)
         system.add_benign_clients(30)
         system.add_persistent_bots(4)

@@ -1,14 +1,10 @@
 """Contract tests for the unified ``repro.core.api`` seam.
 
 Covers the request dataclasses, method dispatch (including ``"auto"``),
-observability hooks, the planner-factory adapter, and — the facade
-contract — that every deprecated legacy entry point raises exactly one
-``DeprecationWarning`` and forwards bit-identically through the seam.
+observability hooks, and the planner-factory adapter.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,15 +17,6 @@ from repro import (
     plan,
 )
 from repro.core import api
-from repro.core.dp import dp_plan
-from repro.core.dp_fast import dp_fast_plan
-from repro.core.estimator import (
-    estimate_bots_mle,
-    estimate_bots_moment,
-    estimate_bots_weighted,
-)
-from repro.core.even import even_plan
-from repro.core.greedy import greedy_plan
 from repro.core.plan_cache import PlanCache
 from repro.obs import Instruments
 
@@ -225,88 +212,3 @@ class TestDispatch:
             "core_plan_total", "", ("method",)
         )
         assert counter.value(method="greedy") == 1.0
-
-
-class TestDeprecatedFacades:
-    """Every legacy entry point warns once and forwards exactly."""
-
-    def _single_deprecation(self, caught):
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and str(w.message).startswith("repro.core.")
-        ]
-        assert len(relevant) == 1, (
-            f"expected exactly one repro.core deprecation, got "
-            f"{[str(w.message) for w in relevant]}"
-        )
-        return str(relevant[0].message)
-
-    def test_estimate_bots_mle_warns_and_forwards(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = estimate_bots_mle(4, 10, 60)
-        message = self._single_deprecation(caught)
-        assert "estimate_bots_mle" in message
-        assert legacy == estimate(
-            EstimateRequest(
-                n_attacked=4, n_replicas=10, upper_bound=60, method="mle"
-            )
-        )
-
-    def test_estimate_bots_moment_warns_and_forwards(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = estimate_bots_moment(4, 10, 60)
-        message = self._single_deprecation(caught)
-        assert "estimate_bots_moment" in message
-        assert legacy == estimate(
-            EstimateRequest(
-                n_attacked=4, n_replicas=10, upper_bound=60,
-                method="moment",
-            )
-        )
-
-    def test_estimate_bots_weighted_warns_and_forwards(self):
-        sizes = (6, 6, 6, 6, 6)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = estimate_bots_weighted(2, sizes, 30)
-        message = self._single_deprecation(caught)
-        assert "estimate_bots_weighted" in message
-        assert legacy == estimate(
-            EstimateRequest(
-                n_attacked=2, sizes=sizes, n_clients=30, method="weighted"
-            )
-        )
-
-    @pytest.mark.parametrize(
-        "legacy, method",
-        [
-            (greedy_plan, "greedy"),
-            (even_plan, "even"),
-            (dp_plan, "dp"),
-            (dp_fast_plan, "dp_fast"),
-        ],
-    )
-    def test_planners_warn_and_forward(self, legacy, method):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shuffle = legacy(30, 6, 4)
-        message = self._single_deprecation(caught)
-        assert method in message
-        direct = plan(
-            PlanRequest(
-                n_clients=30, n_bots=6, n_replicas=4, method=method
-            )
-        )
-        assert shuffle.group_sizes == direct.group_sizes
-        assert shuffle.expected_saved == direct.expected_saved
-
-    def test_warning_names_the_replacement(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            greedy_plan(10, 2, 3)
-        message = self._single_deprecation(caught)
-        assert "repro.core.api.plan" in message
-        assert "PlanRequest" in message

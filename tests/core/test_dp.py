@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp import dp_plan, dp_value, optimal_assign
+from repro.core.api import planner
+from repro.core.dp import dp_value, optimal_assign
 from repro.core.dp_fast import dp_fast_value
-from repro.core.greedy import greedy_plan
 from repro.core.objective import expected_saved
+
+plan_dp = planner("dp")
+plan_greedy = planner("greedy")
 
 
 class TestBaseCases:
@@ -59,7 +62,7 @@ class TestOrderings:
         m = min(m, n)
         adaptive = dp_value(n, m, p)
         static = dp_fast_value(n, m, p)
-        greedy_value = greedy_plan(n, m, p).expected_saved
+        greedy_value = plan_greedy(n, m, p).expected_saved
         assert adaptive >= static - 1e-9
         assert static >= greedy_value - 1e-9
 
@@ -96,17 +99,17 @@ class TestTables:
 
 class TestPlanExtraction:
     def test_plan_is_valid_partition(self):
-        plan = dp_plan(12, 3, 4)
+        plan = plan_dp(12, 3, 4)
         assert sum(plan.group_sizes) == 12
         assert plan.n_replicas == 4
         assert plan.algorithm == "dp"
 
     def test_plan_value_rescored_with_equation1(self):
-        plan = dp_plan(12, 3, 3)
+        plan = plan_dp(12, 3, 3)
         assert plan.expected_saved == pytest.approx(expected_saved(plan))
         # The honest static score can never exceed the static optimum.
         assert plan.expected_saved <= dp_fast_value(12, 3, 3) + 1e-9
 
     def test_plan_no_bots(self):
-        plan = dp_plan(8, 0, 2)
+        plan = plan_dp(8, 0, 2)
         assert plan.expected_saved == pytest.approx(8.0)

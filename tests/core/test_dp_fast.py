@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dp_fast import dp_fast_plan, dp_fast_sizes, dp_fast_value
-from repro.core.even import even_plan
-from repro.core.greedy import greedy_plan
+from repro.core.api import planner
+from repro.core.dp_fast import dp_fast_sizes, dp_fast_value
 from repro.core.objective import expected_saved_sizes
+
+plan_dp_fast = planner("dp_fast")
+plan_even = planner("even")
+plan_greedy = planner("greedy")
 
 
 def brute_force_optimum(n: int, m: int, p: int) -> float:
@@ -71,7 +74,7 @@ class TestPlanConsistency:
     @settings(max_examples=40)
     def test_plan_value_equals_dp_value(self, n, m, p):
         m = min(m, n)
-        plan = dp_fast_plan(n, m, p)
+        plan = plan_dp_fast(n, m, p)
         assert plan.expected_saved == pytest.approx(
             dp_fast_value(n, m, p), abs=1e-9
         )
@@ -88,8 +91,8 @@ class TestDominance:
     def test_dominates_greedy_and_even(self, n, m, p):
         m = min(m, n)
         optimum = dp_fast_value(n, m, p)
-        assert optimum >= greedy_plan(n, m, p).expected_saved - 1e-9
-        assert optimum >= even_plan(n, m, p).expected_saved - 1e-9
+        assert optimum >= plan_greedy(n, m, p).expected_saved - 1e-9
+        assert optimum >= plan_even(n, m, p).expected_saved - 1e-9
 
     def test_p_exceeding_clients_isolates_everyone(self):
         # P >= N: every client can get an exclusive replica, so the only

@@ -9,12 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimator import (
-    estimate_bots_mle,
-    estimate_bots_moment,
-    occupancy_likelihoods,
-    occupancy_pmf,
-)
+from repro.core.api import EstimateRequest, estimate
+from repro.core.estimator import occupancy_likelihoods, occupancy_pmf
+
+
+def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
+    return estimate(
+        EstimateRequest(n_attacked, n_replicas, upper_bound, method="mle")
+    )
+
+
+def estimate_moment(n_attacked: int, n_replicas: int, upper_bound: int):
+    return estimate(
+        EstimateRequest(n_attacked, n_replicas, upper_bound, method="moment")
+    )
 
 
 def brute_force_occupancy(n_balls: int, n_bins: int) -> np.ndarray:
@@ -72,17 +80,17 @@ class TestOccupancyLikelihoods:
 
 class TestMle:
     def test_zero_attacked_means_zero_bots(self):
-        estimate = estimate_bots_mle(0, 50, 1000)
+        estimate = estimate_mle(0, 50, 1000)
         assert estimate.m_hat == 0
         assert not estimate.degenerate
 
     def test_degenerate_when_all_attacked(self):
-        estimate = estimate_bots_mle(50, 50, 5000)
+        estimate = estimate_mle(50, 50, 5000)
         assert estimate.degenerate
         assert estimate.m_hat == 5000  # collapses to the upper bound
 
     def test_estimate_at_least_observed(self):
-        estimate = estimate_bots_mle(7, 30, 500)
+        estimate = estimate_mle(7, 30, 500)
         assert estimate.m_hat >= 7
 
     def test_accurate_in_informative_regime(self, rng):
@@ -92,16 +100,16 @@ class TestMle:
         for _ in range(trials):
             bins = rng.integers(0, n_bins, size=real_bots)
             attacked = len(set(bins.tolist()))
-            estimate = estimate_bots_mle(attacked, n_bins, 10_000)
+            estimate = estimate_mle(attacked, n_bins, 10_000)
             errors.append(estimate.m_hat - real_bots)
         mean_error = np.mean(errors)
         assert abs(mean_error) < 0.25 * real_bots
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_bots_mle(5, 4, 100)
+            estimate_mle(5, 4, 100)
         with pytest.raises(ValueError):
-            estimate_bots_mle(5, 10, 3)
+            estimate_mle(5, 10, 3)
 
     @given(st.integers(1, 15), st.integers(2, 16))
     @settings(max_examples=25)
@@ -109,7 +117,7 @@ class TestMle:
         if x >= p:
             return
         upper = 60
-        estimate = estimate_bots_mle(x, p, upper)
+        estimate = estimate_mle(x, p, upper)
         likelihoods = occupancy_likelihoods(x, p, upper)
         best = max(
             range(x, upper + 1), key=lambda m: likelihoods[m]
@@ -127,22 +135,22 @@ class TestMomentEstimator:
             attacked = len(set(bins.tolist()))
             if attacked == n_bins:
                 continue
-            mle = estimate_bots_mle(attacked, n_bins, 100_000)
-            moment = estimate_bots_moment(attacked, n_bins, 100_000)
+            mle = estimate_mle(attacked, n_bins, 100_000)
+            moment = estimate_moment(attacked, n_bins, 100_000)
             assert moment.m_hat == pytest.approx(mle.m_hat, rel=0.1, abs=3)
 
     def test_degenerate_when_all_attacked(self):
-        estimate = estimate_bots_moment(20, 20, 777)
+        estimate = estimate_moment(20, 20, 777)
         assert estimate.degenerate
         assert estimate.m_hat == 777
 
     def test_zero(self):
-        assert estimate_bots_moment(0, 10, 100).m_hat == 0
+        assert estimate_moment(0, 10, 100).m_hat == 0
 
     def test_clamped_to_bounds(self):
-        estimate = estimate_bots_moment(5, 1000, 5)
+        estimate = estimate_moment(5, 1000, 5)
         assert estimate.m_hat == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            estimate_bots_moment(11, 10, 100)
+            estimate_moment(11, 10, 100)

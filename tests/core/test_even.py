@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.even import even_plan, even_sizes
+from repro.core.api import planner
+from repro.core.even import even_sizes
+
+plan_even = planner("even")
 
 
 class TestEvenSizes:
@@ -36,18 +39,18 @@ class TestEvenSizes:
 
 class TestEvenPlan:
     def test_metadata(self):
-        plan = even_plan(100, 10, 4)
+        plan = plan_even(100, 10, 4)
         assert plan.algorithm == "even"
         assert plan.n_replicas == 4
 
     def test_collapse_when_bots_exceed_replicas(self):
         """Figure 4's phenomenon, at the closed-form level."""
-        plan = even_plan(1000, 500, 100)
+        plan = plan_even(1000, 500, 100)
         # With 5x more bots than replicas, essentially every group of 10
         # contains a bot: expected saved is a sliver of the 500 benign.
         assert plan.expected_saved < 5.0
 
     def test_competitive_when_replicas_exceed_bots(self):
-        plan = even_plan(1000, 50, 200)
+        plan = plan_even(1000, 50, 200)
         # The paper's regime where even ~ greedy: most groups stay clean.
         assert plan.expected_saved > 0.7 * 950

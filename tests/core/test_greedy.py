@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import planner
 from repro.core.dp_fast import dp_fast_value
-from repro.core.even import even_plan
-from repro.core.greedy import greedy_plan, greedy_sizes
+from repro.core.greedy import greedy_sizes
 from repro.core.objective import single_replica_optimum
+
+plan_greedy = planner("greedy")
+plan_even = planner("even")
 
 
 class TestPartitionValidity:
@@ -71,7 +74,7 @@ class TestNearOptimality:
     def test_figure3_grid_within_one_percent(self, n_bots, n_replicas):
         """The paper's Figure 3 claim: greedy ~= optimal everywhere."""
         n = 1000
-        greedy_value = greedy_plan(n, n_bots, n_replicas).expected_saved
+        greedy_value = plan_greedy(n, n_bots, n_replicas).expected_saved
         optimal_value = dp_fast_value(n, n_bots, n_replicas)
         benign = n - n_bots
         gap = (optimal_value - greedy_value) / benign
@@ -86,7 +89,7 @@ class TestNearOptimality:
     def test_never_beats_optimal(self, n, m, p):
         m = min(m, n)
         assert (
-            greedy_plan(n, m, p).expected_saved
+            plan_greedy(n, m, p).expected_saved
             <= dp_fast_value(n, m, p) + 1e-9
         )
 
@@ -95,22 +98,22 @@ class TestAgainstEven:
     def test_beats_even_when_bots_outnumber_replicas(self):
         # Figure 4's message: with M >> P the even split saves nobody.
         n, m, p = 1000, 400, 100
-        greedy_value = greedy_plan(n, m, p).expected_saved
-        even_value = even_plan(n, m, p).expected_saved
+        greedy_value = plan_greedy(n, m, p).expected_saved
+        even_value = plan_even(n, m, p).expected_saved
         assert even_value < 0.05 * (n - m)
         assert greedy_value > 2 * even_value
 
     def test_close_to_even_when_replicas_outnumber_bots(self):
         n, m, p = 1000, 50, 200
-        greedy_value = greedy_plan(n, m, p).expected_saved
-        even_value = even_plan(n, m, p).expected_saved
+        greedy_value = plan_greedy(n, m, p).expected_saved
+        even_value = plan_even(n, m, p).expected_saved
         assert greedy_value >= even_value - 1e-9
         assert greedy_value <= even_value * 1.05
 
 
 class TestPlanMetadata:
     def test_plan_fields(self):
-        plan = greedy_plan(100, 10, 5)
+        plan = plan_greedy(100, 10, 5)
         assert plan.algorithm == "greedy"
         assert plan.n_clients == 100
         assert plan.n_bots == 10

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import planner
 from repro.core.dp_fast import dp_fast_value
-from repro.core.even import even_plan
-from repro.core.greedy import greedy_plan
 from repro.core.objective import expected_saved_sizes
+
+plan_greedy = planner("greedy")
+plan_even = planner("even")
 
 
 small_instances = st.tuples(
@@ -32,8 +34,8 @@ class TestDominanceChain:
         n, m, p = instance
         m = min(m, n)
         optimal = dp_fast_value(n, m, p)
-        greedy = greedy_plan(n, m, p).expected_saved
-        even = even_plan(n, m, p).expected_saved
+        greedy = plan_greedy(n, m, p).expected_saved
+        even = plan_even(n, m, p).expected_saved
         assert optimal + 1e-9 >= greedy >= even - 1e-9
 
     @given(small_instances)
@@ -66,7 +68,7 @@ class TestMonotonicity:
     def test_greedy_scale_consistency(self, n, m, p):
         """A plan's value never exceeds what P full isolation achieves."""
         m = min(m, n)
-        value = greedy_plan(n, m, p).expected_saved
+        value = plan_greedy(n, m, p).expected_saved
         isolation = dp_fast_value(n, m, n) if n >= 1 else 0.0
         assert value <= isolation + 1e-9
 

@@ -5,12 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimator import (
-    attacked_count_pmf,
-    estimate_bots_mle,
-    estimate_bots_weighted,
-)
+from repro.core.api import EstimateRequest, estimate
+from repro.core.estimator import attacked_count_pmf
 from repro.core.greedy import greedy_sizes
+
+
+def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
+    return estimate(
+        EstimateRequest(n_attacked, n_replicas, upper_bound, method="mle")
+    )
+
+
+def estimate_weighted(n_attacked: int, sizes, n_clients: int):
+    return estimate(
+        EstimateRequest(
+            n_attacked, sizes=sizes, n_clients=n_clients, method="weighted"
+        )
+    )
 
 
 class TestAttackedCountPmf:
@@ -73,21 +84,21 @@ class TestAttackedCountPmf:
 
 class TestWeightedEstimator:
     def test_zero_attacked(self):
-        estimate = estimate_bots_weighted(0, [5, 5, 5], 15)
+        estimate = estimate_weighted(0, [5, 5, 5], 15)
         assert estimate.m_hat == 0
 
     def test_all_nonempty_attacked_is_degenerate(self):
-        estimate = estimate_bots_weighted(2, [5, 10, 0], 15)
+        estimate = estimate_weighted(2, [5, 10, 0], 15)
         assert estimate.degenerate
         assert estimate.m_hat == 15
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
-            estimate_bots_weighted(1, [5, 5], 11)
+            estimate_weighted(1, [5, 5], 11)
         with pytest.raises(ValueError, match="within"):
-            estimate_bots_weighted(3, [5, 5], 10)
+            estimate_weighted(3, [5, 5], 10)
         with pytest.raises(ValueError, match="non-empty"):
-            estimate_bots_weighted(2, [10, 0], 10)
+            estimate_weighted(2, [10, 0], 10)
 
     def test_matches_uniform_mle_on_uniform_sizes(self, rng):
         n_replicas, n_clients = 25, 500
@@ -99,8 +110,8 @@ class TestWeightedEstimator:
             attacked = int((bots > 0).sum())
             if attacked in (0, n_replicas):
                 continue
-            uniform = estimate_bots_mle(attacked, n_replicas, n_clients)
-            weighted = estimate_bots_weighted(attacked, sizes, n_clients)
+            uniform = estimate_mle(attacked, n_replicas, n_clients)
+            weighted = estimate_weighted(attacked, sizes, n_clients)
             assert weighted.m_hat == pytest.approx(
                 uniform.m_hat, rel=0.25, abs=4
             )
@@ -119,7 +130,7 @@ class TestWeightedEstimator:
             nonempty = sum(1 for size in sizes if size > 0)
             if attacked in (0, nonempty):
                 continue
-            estimate = estimate_bots_weighted(attacked, sizes, n_clients)
+            estimate = estimate_weighted(attacked, sizes, n_clients)
             errors.append(estimate.m_hat - true_bots)
         assert errors, "expected informative observations"
         assert abs(float(np.mean(errors))) < 0.35 * true_bots
@@ -138,8 +149,8 @@ class TestWeightedEstimator:
             attacked = int((bots > 0).sum())
             if attacked in (0, nonempty):
                 continue
-            uniform = estimate_bots_mle(attacked, len(sizes), n_clients)
-            weighted = estimate_bots_weighted(attacked, sizes, n_clients)
+            uniform = estimate_mle(attacked, len(sizes), n_clients)
+            weighted = estimate_weighted(attacked, sizes, n_clients)
             uniform_errors.append(abs(uniform.m_hat - true_bots))
             weighted_errors.append(abs(weighted.m_hat - true_bots))
         assert np.mean(weighted_errors) <= np.mean(uniform_errors)

@@ -9,7 +9,6 @@ broken rule would otherwise let the clean-tree assertion rot).
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import subprocess
@@ -51,52 +50,21 @@ def test_src_repro_is_reprolint_clean():
 
 
 def test_src_repro_is_project_clean():
-    """The whole-program passes (P1-P14) must hold on the tree.
-
-    P14 graduated from ratchet to clean gate when the vectorized core
-    landed: the committed ``.reprolint-p14-baseline.json`` is empty, so
-    all fourteen passes must hold with nothing excused.
-    """
-    report = lint_project(
-        [SRC], baseline_path=REPO_ROOT / ".reprolint-p14-baseline.json"
-    )
+    """The whole-program passes (P1-P14) must hold on the tree, with
+    nothing excused out of line."""
+    report = lint_project([SRC])
     assert report.files_checked > 50
     assert len(report.project_rules) == 14
     assert report.ok, "\n" + render_text(report)
-    assert not report.baselined
 
 
 def test_numeric_passes_clean_without_baseline():
-    """P11-P14 hold over the whole tree with *no* baseline: every real
-    numeric-domain finding was fixed or carries a reasoned
-    ``# domain:``/``disable=`` annotation at the site, and every hot
-    numeric loop in src/repro is vectorized."""
+    """P11-P14 hold over the whole tree: every real numeric-domain
+    finding was fixed or carries a reasoned ``# domain:``/``disable=``
+    annotation at the site, and every hot numeric loop in src/repro is
+    vectorized."""
     report = lint_project([SRC], select=["P11", "P12", "P13", "P14"])
     assert report.ok, "\n" + render_text(report)
-
-
-def test_committed_baseline_holds_no_debt():
-    """The ratchet file is committed and empty: new violations cannot
-    hide behind it, and fixed ones cannot silently linger."""
-    baseline = REPO_ROOT / ".reprolint-baseline.json"
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert payload["entries"] == []
-
-
-def test_p14_baseline_is_exactly_the_current_inventory():
-    """The committed P14 baseline is empty and the tree really is
-    loop-free: the vectorization debt was burned to zero, and a
-    regression can neither hide behind the file nor linger in it."""
-    baseline = REPO_ROOT / ".reprolint-p14-baseline.json"
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert payload["entries"] == []
-    report = lint_project(
-        [SRC], select=["P14"], baseline_path=baseline
-    )
-    assert not report.violations, "\n" + render_text(report)
-    assert not report.stale_baseline, "\n" + render_text(report)
 
 
 @pytest.mark.parametrize("rule_id", sorted(CANARIES))

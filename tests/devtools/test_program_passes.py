@@ -698,6 +698,9 @@ SERVICE_PKG = PKG | {
     "repro/obs/__init__.py": "",
 }
 
+#: the one planning seam, shaped like ``repro.core.api``
+CORE_API = {"repro/core/api.py": "def plan(request):\n    return request\n"}
+
 
 class TestP6AsyncBlocking:
     def test_time_sleep_in_async_service_fn(self, tmp_path):
@@ -741,13 +744,13 @@ class TestP6AsyncBlocking:
         tree = build_tree(
             tmp_path,
             SERVICE_PKG
+            | CORE_API
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import plan as core_plan
 
                 async def tick():
-                    dp_plan(3)
+                    core_plan(3)
                 """,
             },
         )
@@ -758,13 +761,13 @@ class TestP6AsyncBlocking:
         tree = build_tree(
             tmp_path,
             SERVICE_PKG
+            | CORE_API
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import plan as core_plan
 
                 async def tick():
-                    dp_plan(3)  # event-loop-safe: tiny grid, sub-ms
+                    core_plan(3)  # event-loop-safe: tiny grid, sub-ms
                 """,
             },
         )
@@ -774,13 +777,13 @@ class TestP6AsyncBlocking:
         tree = build_tree(
             tmp_path,
             SERVICE_PKG
+            | CORE_API
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import plan as core_plan
 
                 async def tick():
-                    dp_plan(3)  # event-loop-safe:
+                    core_plan(3)  # event-loop-safe:
                 """,
             },
         )
@@ -791,14 +794,14 @@ class TestP6AsyncBlocking:
         tree = build_tree(
             tmp_path,
             SERVICE_PKG
+            | CORE_API
             | {
-                "repro/core/planner.py": "def dp_plan(n):\n    return n\n",
                 "repro/service/worker.py": """\
-                from repro.core.planner import dp_plan
+                from repro.core.api import plan as core_plan
 
                 async def tick():
                     # event-loop-safe: tiny grid, sub-ms
-                    dp_plan(3)
+                    core_plan(3)
                 """,
             },
         )

@@ -1,5 +1,5 @@
-"""CLI behaviour of ``repro-lint --project``: baselines, ratchet,
-graph, and the SARIF code-scanning reporter."""
+"""CLI behaviour of ``repro-lint --project``: rule selection, graph
+export, ``--changed``, and the SARIF code-scanning reporter."""
 
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ def test_json_output_marks_project_scope(tree, capsys):
     scopes = {r["id"]: r["scope"] for r in payload["rules"]}
     assert scopes["P3"] == "project"
     assert [v["rule"] for v in payload["violations"]] == ["P3"]
-    assert payload["baselined"] == []
-    assert payload["stale_baseline"] == []
 
 
 def test_sarif_output_is_valid_code_scanning_payload(tree, capsys):
@@ -93,68 +91,6 @@ def test_render_sarif_anchors_uris_at_the_given_base(tree, tmp_path):
     (result,) = payload["runs"][0]["results"]
     uri = result["locations"][0]["physicalLocation"]["artifactLocation"]
     assert uri["uri"] == "repro/cloudsim/comp.py"  # repo-relative POSIX
-
-
-def test_baseline_ratchet_workflow(tree, tmp_path, capsys):
-    baseline = tmp_path / "ratchet.json"
-
-    # 1. Burn the pre-existing violation into the baseline.
-    assert main(
-        ["--project", "--select", "P3", "--write-baseline",
-         f"--baseline={baseline}", str(tree)]
-    ) == 0
-    assert "1 entries" in capsys.readouterr().out
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["version"] == 1
-    assert len(payload["entries"]) == 1
-
-    # 2. Baselined violations no longer fail the run.
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         str(tree)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "baseline: 1 excused" in out
-
-    # 3. A *new* violation still fails.
-    extra = tree / "cloudsim" / "fresh.py"
-    extra.write_text(
-        DIRTY_COMP.replace("class Comp", "class Fresh"), encoding="utf-8"
-    )
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         str(tree)]
-    ) == 1
-    assert "fresh.py" in capsys.readouterr().out
-    extra.unlink()
-
-    # 4. Fixing the baselined violation makes its entry stale — the
-    #    ratchet forces a rewrite rather than silently shrinking.
-    (tree / "cloudsim" / "comp.py").write_text(
-        CLEAN_COMP, encoding="utf-8"
-    )
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         str(tree)]
-    ) == 1
-    assert "stale" in capsys.readouterr().out.lower()
-
-    # 5. Rewriting the baseline empties it; the tree is clean.
-    assert main(
-        ["--project", "--select", "P3", "--write-baseline",
-         f"--baseline={baseline}", str(tree)]
-    ) == 0
-    capsys.readouterr()
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         str(tree)]
-    ) == 0
-
-
-def test_baseline_directory_is_usage_error(tree):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--project", "--baseline", str(tree)])
-    assert excinfo.value.code == 2
 
 
 def test_graph_dot_export(tree, tmp_path, capsys):
@@ -316,32 +252,6 @@ def test_changed_project_scope_reports_only_changed_files(
     assert "comp.py" not in out
 
 
-def test_changed_skips_stale_baseline_enforcement(
-    git_tree, tmp_path, capsys
-):
-    baseline = tmp_path / "ratchet.json"
-    assert main(
-        ["--project", "--select", "P3", "--write-baseline",
-         f"--baseline={baseline}", str(git_tree)]
-    ) == 0
-    capsys.readouterr()
-    # Fixing the baselined violation makes its entry stale on a full
-    # run, but a --changed run only filtered the view — it must not
-    # demand a baseline rewrite.
-    (git_tree / "cloudsim" / "comp.py").write_text(
-        CLEAN_COMP, encoding="utf-8"
-    )
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         str(git_tree)]
-    ) == 1
-    assert "stale" in capsys.readouterr().out.lower()
-    assert main(
-        ["--project", "--select", "P3", f"--baseline={baseline}",
-         "--changed=HEAD", str(git_tree)]
-    ) == 0
-
-
 def test_changed_with_no_changes_exits_zero(git_tree, capsys):
     assert main(["--changed=HEAD", "--select", "R8", str(git_tree)]) == 0
     assert "0 violations in 0 files" in capsys.readouterr().out
@@ -350,13 +260,4 @@ def test_changed_with_no_changes_exits_zero(git_tree, capsys):
 def test_changed_with_unknown_ref_is_usage_error(git_tree):
     with pytest.raises(SystemExit) as excinfo:
         main(["--changed=not-a-ref", str(git_tree)])
-    assert excinfo.value.code == 2
-
-
-def test_changed_conflicts_with_write_baseline(git_tree):
-    with pytest.raises(SystemExit) as excinfo:
-        main(
-            ["--project", "--changed=HEAD", "--write-baseline",
-             str(git_tree)]
-        )
     assert excinfo.value.code == 2

@@ -29,10 +29,11 @@ CLOUDSIM_DIGEST_SCRIPT = """
 import hashlib
 import json
 
-from repro.cloudsim import CloudDefenseSystem, Tracer
+from repro.cloudsim import CloudDefenseSystem
+from repro.obs import EventLog
 
 system = CloudDefenseSystem(seed=7)
-tracer = Tracer()
+tracer = EventLog()
 system.ctx.attach_tracer(tracer)
 system.add_benign_clients(30)
 system.add_persistent_bots(4)

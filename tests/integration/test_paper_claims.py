@@ -8,9 +8,12 @@ Matlab/EC2 testbed); orderings and rough factors are asserted strictly.
 from __future__ import annotations
 
 import numpy as np
+from repro.core.api import planner
 from repro.core.dp_fast import dp_fast_value
-from repro.core.greedy import greedy_plan
 from repro.sim.shuffle_sim import ShuffleScenario, run_scenario
+
+plan_greedy = planner("greedy")
+plan_even = planner("even")
 
 
 class TestAbstractClaims:
@@ -89,15 +92,13 @@ class TestSectionIVClaims:
         """Fig. 3: greedy and optimal DP curves overlap."""
         for bots in (100, 300, 500):
             for replicas in (50, 200):
-                greedy_value = greedy_plan(1000, bots, replicas).expected_saved
+                greedy_value = plan_greedy(1000, bots, replicas).expected_saved
                 optimal = dp_fast_value(1000, bots, replicas)
                 assert greedy_value >= 0.99 * optimal
 
     def test_even_distribution_fails_when_bots_exceed_replicas(self):
         """Fig. 4: 'saving almost no benign clients when bots >> replicas'."""
-        from repro.core.even import even_plan
-
-        plan = even_plan(1000, 500, 100)
+        plan = plan_even(1000, 500, 100)
         assert plan.expected_saved / 500 < 0.01
 
 

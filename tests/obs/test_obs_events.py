@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs import Event, EventLog
 
 
 class TestByteCompatibility:
-    """Events without ``source`` must serialize exactly like the legacy
-    ``cloudsim.trace.TraceEvent`` did."""
+    """Events without ``source`` must keep the stored-trace layout:
+    ``{"time", "kind", **data}``, sorted keys, time rounded to 6 dp."""
 
     def test_legacy_layout_sorted_keys_rounded_time(self):
         event = Event(time=1.23456789, kind="shuffle_completed",
@@ -60,6 +58,7 @@ class TestEventLog:
             log.emit(float(index), "tick")
         assert len(log) == 3
         assert log.dropped == 7
+        assert [event.time for event in log.events] == [7.0, 8.0, 9.0]
 
     def test_queries(self):
         log = EventLog()
@@ -77,26 +76,3 @@ class TestEventLog:
         assert len(lines) == 2
         for line in lines:
             assert json.loads(line)["source"] == "test"
-
-
-class TestDeprecatedTracerShim:
-    def test_old_import_path_still_works(self):
-        from repro.cloudsim.trace import TraceEvent, Tracer
-
-        assert TraceEvent is Event
-        with pytest.warns(DeprecationWarning, match="repro.obs.EventLog"):
-            tracer = Tracer(kinds=frozenset({"x"}), capacity=5)
-        assert isinstance(tracer, EventLog)
-        tracer.emit(1.0, "x", n=1)
-        tracer.emit(1.0, "y", n=2)
-        assert [event.kind for event in tracer.events] == ["x"]
-
-    def test_shim_jsonl_is_byte_identical_to_eventlog(self):
-        from repro.cloudsim.trace import Tracer
-
-        with pytest.warns(DeprecationWarning):
-            tracer = Tracer()
-        log = EventLog()
-        for sink in (tracer, log):
-            sink.emit(1.5, "shuffle_started", n_attacked=2)
-        assert tracer.to_jsonl() == log.to_jsonl()

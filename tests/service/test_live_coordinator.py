@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.core.greedy import greedy_plan
+from repro.core.api import planner
 from repro.service import ServiceConfig, ServiceCoordinator, theorem1_fallback
 from repro.service.coordinator import _LastPlan
 
@@ -141,7 +141,7 @@ class TestEstimation:
             coordinator = ServiceCoordinator(config)
             await coordinator.pool.start()
             try:
-                plan = greedy_plan(20, 4, 3)
+                plan = planner("greedy")(20, 4, 3)
                 coordinator._last_plan = _LastPlan(
                     plan=plan, replica_ids=("r-1", "r-2", "r-3")
                 )

@@ -12,7 +12,7 @@ from repro.obs import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
-from repro.service import TelemetryServer, export_snapshot, export_windows
+from repro.service import TelemetryServer, export_windows
 from repro.sim.qos import QoSWindow
 
 
@@ -121,12 +121,6 @@ def test_non_metrics_path_still_serves_json_snapshot():
     head, _, body = asyncio.run(scenario())
     assert b"Content-Type: application/json" in head
     assert json.loads(body) == {"ok": True}
-
-
-def test_export_snapshot_round_trips_with_deprecation(tmp_path):
-    with pytest.warns(DeprecationWarning, match="repro.obs.export_json"):
-        target = export_snapshot({"b": 2, "a": [1]}, tmp_path / "snap.json")
-    assert json.loads(target.read_text()) == {"a": [1], "b": 2}
 
 
 def test_export_windows_uses_shared_schema(tmp_path):

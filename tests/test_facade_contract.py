@@ -45,13 +45,10 @@ from repro.devtools import (
 from repro.devtools import context as devtools_context
 from repro.devtools import registry, reporters, runner, violations
 from repro.devtools.program import (
-    Baseline,
-    BaselineComparison,
     ImportEdge,
     LAYER_CONTRACT,
     ModuleInfo,
 )
-from repro.devtools.program import baseline as program_baseline
 from repro.devtools.program import context as program_context
 from repro.devtools.program import graph as program_graph
 from repro.experiments import ablations
@@ -186,8 +183,6 @@ def test_devtools_facade_aliases():
 
 
 def test_program_facade_aliases():
-    assert Baseline is program_baseline.Baseline
-    assert BaselineComparison is program_baseline.BaselineComparison
     assert ImportEdge is program_graph.ImportEdge
     assert LAYER_CONTRACT is program_graph.LAYER_CONTRACT
     assert ModuleInfo is program_context.ModuleInfo

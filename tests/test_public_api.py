@@ -60,11 +60,12 @@ def test_version_present():
 
 def test_quickstart_snippet_from_readme():
     """The README's quickstart code must actually run."""
-    from repro import ShuffleEngine, dp_fast_plan, greedy_plan
+    from repro import PlanRequest, ShuffleEngine, plan
 
-    plan = greedy_plan(n_clients=1000, n_bots=200, n_replicas=100)
-    assert "greedy" in plan.describe()
-    assert dp_fast_plan(1000, 200, 100).expected_saved > 0
+    shuffle = plan(PlanRequest(n_clients=1000, n_bots=200, n_replicas=100))
+    assert "greedy" in shuffle.describe()
+    optimal = plan(PlanRequest(1000, 200, 100, method="dp_fast"))
+    assert optimal.expected_saved > 0
 
     engine = ShuffleEngine(
         n_replicas=100, planner="greedy", estimator="moment"

@@ -5,8 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.estimator import estimate_bots_mle, estimate_bots_weighted
+from repro.core.api import EstimateRequest, estimate
 from repro.trust import TrustConfig, TrustManager, bot_count_log_prior
+
+
+def estimate_mle(**fields):
+    return estimate(EstimateRequest(method="mle", **fields))
+
+
+def estimate_weighted(**fields):
+    return estimate(EstimateRequest(method="weighted", **fields))
 
 
 class TestShape:
@@ -46,10 +54,10 @@ class TestEstimatorIntegration:
         """log_prior=None must leave the historical pure-MLE path
         untouched — the trust-disabled service depends on it."""
         for n_attacked in (1, 3, 6):
-            base = estimate_bots_mle(
+            base = estimate_mle(
                 n_attacked=n_attacked, n_replicas=10, upper_bound=120
             )
-            with_none = estimate_bots_mle(
+            with_none = estimate_mle(
                 n_attacked=n_attacked, n_replicas=10, upper_bound=120,
                 log_prior=None,
             )
@@ -57,43 +65,43 @@ class TestEstimatorIntegration:
 
     def test_flat_prior_does_not_move_the_mle(self):
         flat = np.zeros(121)
-        base = estimate_bots_mle(
+        base = estimate_mle(
             n_attacked=4, n_replicas=10, upper_bound=120
         )
-        shaped = estimate_bots_mle(
+        shaped = estimate_mle(
             n_attacked=4, n_replicas=10, upper_bound=120, log_prior=flat
         )
         assert shaped.m_hat == base.m_hat
 
     def test_strong_prior_pulls_map_toward_expectation(self):
-        base = estimate_bots_mle(
+        base = estimate_mle(
             n_attacked=4, n_replicas=10, upper_bound=120
         )
         expected = float(base.m_hat + 30)
         prior = bot_count_log_prior(
             upper=120, expected=expected, strength=40.0
         )
-        pulled = estimate_bots_mle(
+        pulled = estimate_mle(
             n_attacked=4, n_replicas=10, upper_bound=120, log_prior=prior
         )
         assert base.m_hat < pulled.m_hat <= expected + 1
 
     def test_weighted_estimator_accepts_prior(self):
         sizes = [22, 20, 19, 21, 20, 18, 20, 20, 20, 20]
-        base = estimate_bots_weighted(
+        base = estimate_weighted(
             n_attacked=3, sizes=sizes, n_clients=200
         )
         prior = bot_count_log_prior(
             upper=200, expected=float(base.m_hat + 40), strength=30.0
         )
-        pulled = estimate_bots_weighted(
+        pulled = estimate_weighted(
             n_attacked=3, sizes=sizes, n_clients=200, log_prior=prior
         )
         assert pulled.m_hat >= base.m_hat
 
     def test_degenerate_all_attacked_ignores_prior(self):
         prior = bot_count_log_prior(upper=40, expected=2.0, strength=50.0)
-        estimate = estimate_bots_mle(
+        estimate = estimate_mle(
             n_attacked=8, n_replicas=8, upper_bound=40, log_prior=prior
         )
         assert estimate.degenerate
