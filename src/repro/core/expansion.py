@@ -5,7 +5,7 @@ strategies using pure server expansion": instead of moving targets and
 re-assigning clients, simply add replicas and spread everyone thinner,
 hoping enough replicas end up bot-free.  This module makes that baseline
 precise so the resource claim — *shuffling contains attacks with far fewer
-resources* — can be measured (see ``benchmarks/bench_ablation_expansion``).
+resources* — can be measured (``python -m repro.experiments ablations``).
 
 Under expansion with an even spread of ``N`` clients over ``P`` replicas,
 a replica is clean iff none of the ``M`` persistent bots landed on it, so

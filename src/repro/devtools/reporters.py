@@ -74,6 +74,7 @@ def render_json(report: LintReport) -> str:
             for rule in report.project_rules
         ],
         "ok": report.ok,
+        "timings": report.timings,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

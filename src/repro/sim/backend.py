@@ -7,9 +7,7 @@ never the reverse — yet :func:`repro.sim.sweep.sweep` and
 that only the runtime can provide.  This module is the seam: the runtime
 registers callables here when it is imported (``import repro`` wires it
 automatically), and the sim entry points look them up by name at call
-time.  When no backend is registered the sim entry points fall back to
-their own serial loops, so ``repro.sim`` remains importable and fully
-functional standalone.
+time.
 """
 
 from __future__ import annotations
@@ -26,9 +24,15 @@ def register_backend(name: str, fn: Callable[..., Any]) -> None:
     _BACKENDS[name] = fn
 
 
-def get_backend(name: str) -> Callable[..., Any] | None:
-    """The registered backend for ``name``, or None (serial fallback)."""
-    return _BACKENDS.get(name)
+def get_backend(name: str) -> Callable[..., Any]:
+    """The registered backend for ``name``."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise RuntimeError(
+            f"no {name!r} backend registered; `import repro` registers "
+            "the repro.runtime ones"
+        ) from None
 
 
 def available_backends() -> tuple[str, ...]:

@@ -196,31 +196,18 @@ def run_campaign_batch(
     Campaign ``i`` always draws from the stream of
     ``SeedSequence(seed).spawn(len(configs))[i]``, so results depend
     only on ``(seed, index, config)`` — never on worker count or
-    completion order.  ``workers`` and ``cache_dir`` route through the
-    :mod:`repro.runtime` backend (wired by ``import repro``), which
-    checkpoints completed campaigns and resumes interrupted batches.
+    completion order.  The batch runs on the :mod:`repro.runtime`
+    backend (wired by ``import repro``), which checkpoints completed
+    campaigns and resumes interrupted batches.
     """
-    backend = get_backend("campaign_batch")
-    if backend is not None:
-        return list(
-            backend(
-                configs,
-                seed=seed,
-                planner=planner,
-                estimator=estimator,
-                workers=workers,
-                cache_dir=cache_dir,
-                progress=progress,
-            )
+    return list(
+        get_backend("campaign_batch")(
+            configs,
+            seed=seed,
+            planner=planner,
+            estimator=estimator,
+            workers=workers,
+            cache_dir=cache_dir,
+            progress=progress,
         )
-    if workers != 1 or cache_dir is not None or progress is not None:
-        raise RuntimeError(
-            "parallel/cached campaign batches need the repro.runtime "
-            "backend; `import repro` registers it"
-        )
-    children = np.random.SeedSequence(seed).spawn(len(configs))
-    return [
-        run_campaign(config, seed=child, planner=planner,
-                     estimator=estimator)
-        for config, child in zip(configs, children)
-    ]
+    )

@@ -24,11 +24,8 @@ import io
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ..obs.instruments import Instruments, resolve_instruments
 from .backend import get_backend
-from .shuffle_sim import ScenarioResult, ShuffleScenario, run_scenario
+from .shuffle_sim import ScenarioResult, ShuffleScenario
 
 __all__ = ["sweep", "record_from_result", "to_csv"]
 
@@ -64,9 +61,11 @@ def sweep(
     workers: int = 1,
     cache_dir: Path | str | None = None,
     progress: Callable[..., Any] | None = None,
-    instruments: Instruments | None = None,
 ) -> list[dict[str, object]]:
     """Run every scenario and return one flat record per scenario.
+
+    The grid runs on the :mod:`repro.runtime` backend, which ``import
+    repro`` registers.
 
     Record-level reproducibility contract: cell ``i`` always draws from
     the stream of ``SeedSequence(seed).spawn(len(scenarios))[i]``
@@ -86,65 +85,23 @@ def sweep(
         repetitions: runs per cell.
         seed: base seed for the per-cell spawn derivation above.
         confidence: confidence level for the summary intervals.
-        workers: parallel worker processes (needs :mod:`repro.runtime`,
-            wired automatically by ``import repro``).
+        workers: parallel worker processes.
         cache_dir: content-addressed result cache directory; completed
             cells checkpoint there and interrupted sweeps resume from it.
         progress: per-cell completion callback, forwarded to
             :func:`repro.runtime.executor.run_tasks`.
-        instruments: optional :class:`repro.obs.Instruments`; when
-            enabled (or a process default is installed) each completed
-            cell increments ``sim_sweep_cells_total`` and runs inside a
-            ``sweep_cell`` span.  ``None`` with no default = zero cost.
     """
-    backend = get_backend("sweep")
-    if backend is not None:
-        return list(
-            backend(
-                scenarios,
-                repetitions=repetitions,
-                seed=seed,
-                confidence=confidence,
-                workers=workers,
-                cache_dir=cache_dir,
-                progress=progress,
-            )
+    return list(
+        get_backend("sweep")(
+            scenarios,
+            repetitions=repetitions,
+            seed=seed,
+            confidence=confidence,
+            workers=workers,
+            cache_dir=cache_dir,
+            progress=progress,
         )
-    if workers != 1 or cache_dir is not None or progress is not None:
-        raise RuntimeError(
-            "parallel/cached sweeps need the repro.runtime backend; "
-            "`import repro` registers it"
-        )
-    obs = resolve_instruments(instruments)
-    children = np.random.SeedSequence(seed).spawn(len(scenarios))
-    records = []
-    for index, (scenario, child) in enumerate(zip(scenarios, children)):
-        if obs is None:
-            result = run_scenario(
-                scenario,
-                repetitions=repetitions,
-                seed=child,
-                confidence=confidence,
-            )
-        else:
-            with obs.spans.span(
-                "sweep_cell", index=index, planner=scenario.planner
-            ):
-                result = run_scenario(
-                    scenario,
-                    repetitions=repetitions,
-                    seed=child,
-                    confidence=confidence,
-                )
-            obs.registry.counter(
-                "sim_sweep_cells_total",
-                "Completed sweep grid cells.",
-                ("planner", "estimator"),
-            ).inc(
-                planner=scenario.planner, estimator=scenario.estimator
-            )
-        records.append(record_from_result(result))
-    return records
+    )
 
 
 def to_csv(records: Sequence[dict[str, object]]) -> str:

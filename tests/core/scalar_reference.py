@@ -2,13 +2,9 @@
 
 These are verbatim copies of the *pre-vectorization* bodies of
 ``repro.core.estimator``, ``repro.core.dp`` and ``repro.core.dp_fast``
-(the per-element Python loops the vectorized rewrite replaced).  They
-exist for two callers:
-
-- ``tests/core/test_vectorized_equivalence.py`` pins the vectorized
-  kernels bit-identical (or, for the dp tables, allclose) against them;
-- ``benchmarks/bench_core.py`` measures the speedup of the vectorized
-  paths over them.
+(the per-element Python loops the vectorized rewrite replaced).
+``tests/core/test_vectorized_equivalence.py`` pins the vectorized
+kernels bit-identical (or, for the dp tables, allclose) against them.
 
 Do not "improve" these: their value is that they never change.  They are
 deliberately outside ``src/repro`` so the P14 scalar-loop pass does not

@@ -5,24 +5,20 @@ Toeplitz (max,+) convolution, broadcast DP rows) must reproduce the
 historical scalar loops *exactly* where the arithmetic is
 order-preserving, and within float tolerance where only the summation
 order changed (the Algorithm 1 row broadcast).  The scalar references
-live in ``benchmarks/scalar_core.py`` and are frozen — see its module
+live in ``tests/core/scalar_reference.py`` and are frozen — see its module
 docstring.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
-
-from benchmarks.scalar_core import (  # noqa: E402
+from scalar_reference import (
     scalar_attacked_count_pmf,
     scalar_combine,
     scalar_mle_m_hat,
@@ -31,9 +27,9 @@ from benchmarks.scalar_core import (  # noqa: E402
     scalar_optimal_assign,
     scalar_weighted_m_hat,
 )
-from repro.core.dp import optimal_assign  # noqa: E402
-from repro.core.dp_fast import _Node, _combine  # noqa: E402
-from repro.core.estimator import (  # noqa: E402
+from repro.core.dp import optimal_assign
+from repro.core.dp_fast import _Node, _combine
+from repro.core.estimator import (
     _closed_form_threshold,
     _estimate_mle,
     _estimate_weighted,

@@ -152,13 +152,16 @@ class TestHeavyHitters:
 
 class TestStateAndValidation:
     def test_state_bytes_flat_under_load(self):
-        window = _window()
-        for i in range(2000):
-            window.record(0.1, True, key=f"c-{i}")
-        loaded = window.state_bytes()
         # Fixed sketch matrices + bounded top-k tables: within a couple
-        # hundred bytes of the empty detector, regardless of stream.
-        assert loaded - _window().state_bytes() < 4 * 8 * (16 + 16)
+        # hundred bytes of the empty detector, whether the stream draws
+        # its keys from a population of 10^3 or of 10^6 (7919 is
+        # coprime to both, so the larger stream never repeats a key).
+        for population, events in ((10**3, 2_000), (10**6, 200_000)):
+            window = _window()
+            for i in range(events):
+                window.record(0.1, True, key=f"c-{i * 7919 % population}")
+            loaded = window.state_bytes()
+            assert loaded - _window().state_bytes() < 4 * 8 * (16 + 16)
 
     def test_reset_restores_empty_state(self):
         window = _window()

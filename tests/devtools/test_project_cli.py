@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import lint_project, render_sarif
+from repro.devtools import lint_project, render_json, render_sarif
 from repro.devtools.cli import main
 
 CLEAN_COMP = """\
@@ -152,6 +152,7 @@ def test_project_report_carries_stage_timings(tree):
                 "pass_P3", "pass_P11"):
         assert key in report.timings
         assert report.timings[key] >= 0.0
+    assert json.loads(render_json(report))["timings"] == report.timings
 
 
 def test_numeric_index_timing_only_for_numeric_passes(tree):

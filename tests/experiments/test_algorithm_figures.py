@@ -67,7 +67,10 @@ class TestFig5:
         times = [row.seconds for row in rows]
         assert times == sorted(times)
         exponent = fit_growth_exponent(rows)
-        assert exponent > 2.0  # Algorithm 1 is at least cubic-ish in N
+        # Algorithm 1 is at least cubic-ish in N.  Not "> 2.5" nor "> 1 h
+        # extrapolated at N=1000": the vectorized DP fits 2.25-2.99 and
+        # extrapolates to 117-533 s run to run (EXPERIMENTS.md, Fig. 5).
+        assert exponent > 2.0
 
     def test_more_replicas_cost_more(self):
         rows = run_fig5(client_counts=(30,), replica_counts=(2, 6))

@@ -32,13 +32,25 @@ pytestmark = [
 ]
 
 
-def test_live_botnet_is_quarantined_within_budget():
-    service_config = ServiceConfig(n_replicas=10, seed=7, telemetry_port=None)
-    load_config = LoadConfig(n_benign=200, n_bots=20, seed=11)
+LOAD = LoadConfig(n_benign=200, n_bots=20, seed=11)
 
-    report = run_scenario_sync(
-        service_config, load_config, duration=60.0, target_fraction=0.95
+
+def _run(detector: str):
+    service_config = ServiceConfig(
+        n_replicas=10, seed=7, telemetry_port=None, detector=detector
     )
+    return run_scenario_sync(
+        service_config, LOAD, duration=60.0, target_fraction=0.95
+    )
+
+
+@pytest.fixture(scope="module")
+def exact_report():
+    return _run("exact")
+
+
+def test_live_botnet_is_quarantined_within_budget(exact_report):
+    report = exact_report
 
     # The budget handed to the coordinator is the oracle prediction
     # (14 rounds for 180/20/10 at 95%) with 3x slack.
@@ -50,7 +62,7 @@ def test_live_botnet_is_quarantined_within_budget():
     assert report.benign_clean_fraction >= 0.95
 
     # Bots ended up concentrated: far fewer dirty replicas than bots.
-    assert 0 < len(report.bot_replicas) <= load_config.n_bots
+    assert 0 < len(report.bot_replicas) <= LOAD.n_bots
 
     # The flood was real: bots got throttled, which is what made them
     # detectable in the first place.
@@ -65,10 +77,28 @@ def test_live_botnet_is_quarantined_within_budget():
 
     snapshot = report.snapshot
     assert snapshot["quarantined"] is True
-    assert snapshot["believed_bots"] >= load_config.n_bots
+    assert snapshot["believed_bots"] >= LOAD.n_bots
     assert snapshot["quarantine_replicas"]
     # The plan cache actually served the loop (cache hits at full
     # width, greedy fallbacks on dispersion rounds).
     assert snapshot["plan_cache"]["hits"] + (
         snapshot["plan_cache"]["fallbacks"]
     ) >= report.shuffles_completed
+
+
+def test_sketch_detector_quarantines_the_same_botnet(exact_report):
+    """The fixed-memory monitor is a drop-in, not a different defense:
+    same quarantine, same round count, same clean bar as the exact run.
+
+    Round counts of two wall-clock runs agree within the spread either
+    detector shows alone (10-14 shuffles over 21 pairs on one host;
+    equal in 12 of them), so "same" carries that width as tolerance.
+    """
+    exact = exact_report
+    sketch = _run("sketch")
+    assert exact.quarantined and sketch.quarantined, sketch.snapshot
+    assert not sketch.budget_exhausted
+    assert abs(sketch.shuffles_completed - exact.shuffles_completed) <= 4
+    assert exact.benign_clean_fraction >= 0.95
+    assert sketch.benign_clean_fraction >= 0.95
+    assert sketch.snapshot["suspected_bots"]
