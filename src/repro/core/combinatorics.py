@@ -39,7 +39,6 @@ __all__ = [
     "hypergeometric_pmf",
     "hypergeometric_pmf_vector",
     "logsumexp",
-    "logsumexp_signed",
     "log1mexp",
     "log1mexp_many",
 ]
@@ -76,39 +75,6 @@ def logsumexp(log_values: np.ndarray) -> float:
     # points callers at — the one place the naive shape is the algorithm.
     # reprolint: disable=P13
     return peak + math.log(float(np.sum(np.exp(arr - peak))))
-
-
-def logsumexp_signed(
-    log_magnitudes: np.ndarray,
-    signs: np.ndarray,
-    axis: int = -1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``log |Σ_i s_i · exp(a_i)|`` plus the sign of each sum.
-
-    The signed (alternating-series) counterpart of :func:`logsumexp`,
-    reduced along ``axis``: the peak magnitude is factored out before
-    exponentiation, the signed terms are summed in linear space, and the
-    result is returned as ``(log_abs, sign)`` with ``sign ∈ {-1, 0, 1}``.
-    A slice whose terms are all ``-inf`` (every addend is zero) returns
-    ``(-inf, 0)``.
-
-    Accuracy depends on the cancellation ratio ``|Σ| / max exp(a_i)``:
-    callers must only rely on the result where that ratio is not tiny
-    (see the closed-form occupancy tail in :mod:`repro.core.estimator`,
-    which switches to this form only above its stability threshold).
-    """
-    magnitudes = np.asarray(log_magnitudes, dtype=np.float64)
-    sign_arr = np.asarray(signs, dtype=np.float64)
-    peak = np.max(magnitudes, axis=axis, keepdims=True)
-    # All--inf slices would turn (a - peak) into nan; shift those by 0.
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.sum(
-        sign_arr * np.exp(magnitudes - safe_peak), axis=axis
-    )
-    # domain: log — |total| re-enters log space with the peak restored.
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(total)) + np.squeeze(safe_peak, axis=axis)
-    return log_abs, np.sign(total)
 
 
 def log1mexp(x: float) -> float:

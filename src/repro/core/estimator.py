@@ -12,23 +12,25 @@ we compute exactly with the standard recurrence
     f(m, x) = f(m−1, x) · x/P  +  f(m−1, x−1) · (P − x + 1)/P ,
 
 executed as whole-array steps (no per-element stores — reprolint P14 keeps
-this module loop-free at the element level).  One bottom-up pass yields the
-likelihood of the observed ``X`` for *every* candidate ``m`` simultaneously,
-so the exact estimator costs ``O(upper · P)``.
+this module loop-free at the element level).  Column ``x`` of a step reads
+columns ``x`` and ``x − 1`` only, so a sweep for the observed ``X = x``
+carries columns ``0..x`` and nothing to their right, and one bottom-up
+pass yields the likelihood of ``x`` for every candidate ``m`` it visits.
 
-At paper scale (``upper ≈ 10^6`` clients, ``P ≈ 10^3`` replicas) even that
-sweep is ``10^9`` element-ops, so the estimator goes hybrid: the recurrence
-covers ``m`` below a stability threshold ``m* ≈ x (ln x + 8)``, and above
-it the closed-form inclusion-exclusion occupancy likelihood
-
-    P[X = x | m] = C(P, x) Σ_j (−1)^j C(x, j) ((x − j)/P)^m
-
-is evaluated in log space with a signed ``logsumexp`` — stable exactly
-where the recurrence is unaffordable, because the alternating sum's
-cancellation ratio ``≈ 1 − x e^{−m/x}`` approaches 1 beyond ``m*``.  A
-geometric grid plus bracket refinement then finds the MLE argmax; for all
-instances below :data:`_EXACT_SWEEP_LIMIT` the historical full sweep runs
-unchanged, bit-identical to the scalar implementation.
+The MLE does not visit them all.  At paper scale (``upper ≈ 10^6``
+clients, ``P ≈ 10^3`` replicas) the argmax sits near ``−P ln(1 − x/P)``,
+a few thousand balls in, and the sweep stops as soon as it can prove the
+peak is behind it: at the first ``m`` where the mass still at or left of
+the observation, ``S_m = Σ_{k ≤ x} f(m, k) = P[X_m ≤ x]``, is below half
+the best ``f(·, x)`` seen so far.  The occupied count never decreases
+with more balls, so ``f(m′, x) ≤ P[X_m′ ≤ x] ≤ S_m`` for every
+``m′ ≥ m`` — no later candidate reaches the peak.  (In floats a row's
+mass can drift up by at most ``1 + 3ε`` per step, under ``1 + 10^-9``
+over ``10^6`` steps, against the factor-two margin; a mass of exactly
+0.0 stays 0.0.)  ``argmax`` keeps the first maximum, so the bounded
+sweep returns the same ``m̂`` and likelihood, bit for bit, as a sweep to
+``upper`` would.  A MAP estimate sweeps the whole range: an arbitrary
+prior need not be unimodal.
 
 Degenerate regime (paper Figure 7, right edge): when **all** replicas are
 attacked (``X = P``) the likelihood increases monotonically in ``m`` and
@@ -48,15 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .combinatorics import (
-    log_binomial,
     log1mexp_many,
     logsumexp,
-    logsumexp_signed,
     survival_log_probabilities,
     survival_probabilities,
 )
@@ -65,25 +66,14 @@ __all__ = [
     "BotEstimate",
     "occupancy_pmf",
     "occupancy_likelihoods",
-    "occupancy_log_likelihoods",
     "attacked_count_pmf",
     "attacked_count_log_pmf",
 ]
-
-#: Largest ``(upper + 1) · (P + 1)`` for which the exact full-range
-#: recurrence sweep runs (bit-identical to the historical scalar path);
-#: larger instances switch to the hybrid recurrence-head + closed-form
-#: grid search.  25M element-ops keeps every test-scale and service-scale
-#: instance on the exact path while bounding the sweep around ~0.2 s.
-_EXACT_SWEEP_LIMIT = 25_000_000
 
 #: Bracket width below which the weighted estimator's refinement does the
 #: historical exhaustive scan; wider brackets (only reachable at
 #: ``N >> 10^5``) are narrowed geometrically first.
 _REFINE_SCAN_LIMIT = 4096
-
-#: Candidate-batch size for the closed-form tail grid search.
-_GRID_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -111,26 +101,35 @@ class BotEstimate:
     log_likelihood: float = float("nan")
 
 
-def _occupancy_step(
-    row: np.ndarray, stay: np.ndarray, grow: np.ndarray
-) -> np.ndarray:
-    """One ball of the occupancy recurrence as a whole-array update.
+def _occupancy_rows(n_bins: int, n_columns: int) -> Iterator[np.ndarray]:
+    """Rows ``m = 0, 1, 2, …`` of the occupancy table, one ball per step.
 
-    The slice-store shift is the cheapest whole-array spelling (one
-    uninitialized allocation, no concatenate); the arithmetic is the
-    seed recurrence verbatim, so outputs stay bit-identical.
+    Yields ``f(m, 0..n_columns − 1)`` forever as whole-array updates.
+    Column ``k`` of a step reads columns ``k`` and ``k − 1`` only, so a
+    row cut to its first ``n_columns`` columns carries the same bits a
+    full ``n_bins + 1``-wide row would — callers that read column ``x``
+    pass ``n_columns = x + 1``.  Each step is the seed expression
+    ``(row[k] · stay[k]) + (row[k−1] · grow[k])`` as three separate
+    ufunc calls into preallocated buffers, so outputs stay bit-identical
+    to the scalar reference.
+
+    The yielded array is a live buffer, overwritten two steps later:
+    read (or copy) what you need before advancing.
     """
-    shifted = np.empty_like(row)
-    shifted[0] = 0.0
-    shifted[1:] = row[:-1]
-    return row * stay + shifted * grow
-
-
-def _occupancy_weights(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    arange = np.arange(n_bins + 1, dtype=np.float64)
+    arange = np.arange(n_columns, dtype=np.float64)
     stay = arange / n_bins
-    grow = (n_bins - arange + 1) / n_bins
-    return stay, grow
+    grow = ((n_bins - arange + 1) / n_bins)[1:]
+    row = np.zeros(n_columns, dtype=np.float64)
+    row[0] = 1.0
+    ahead = np.empty_like(row)
+    carry = np.empty_like(grow)
+    while True:
+        yield row
+        np.multiply(row, stay, out=ahead)
+        np.multiply(row[:-1], grow, out=carry)
+        tail = ahead[1:]
+        np.add(tail, carry, out=tail)
+        row, ahead = ahead, row
 
 
 def occupancy_pmf(n_balls: int, n_bins: int) -> np.ndarray:
@@ -149,12 +148,8 @@ def occupancy_pmf(n_balls: int, n_bins: int) -> np.ndarray:
         raise ValueError(f"n_bins={n_bins} must be >= 1")
     if n_balls < 0:
         raise ValueError(f"n_balls={n_balls} must be >= 0")
-    row = np.zeros(n_bins + 1, dtype=np.float64)
-    row[0] = 1.0
-    stay, grow = _occupancy_weights(n_bins)
-    for _ in range(n_balls):
-        row = _occupancy_step(row, stay, grow)
-    return row
+    rows = _occupancy_rows(n_bins, n_bins + 1)
+    return next(islice(rows, n_balls, None)).copy()
 
 
 def occupancy_likelihoods(
@@ -162,141 +157,44 @@ def occupancy_likelihoods(
 ) -> np.ndarray:
     """``L[m] = P[X = n_attacked | m bots, n_bins replicas]`` for all ``m``.
 
-    Single recurrence sweep over ``m ∈ [0, upper]``; column ``n_attacked``
-    of each intermediate occupancy row is collected.  Linear-space values
-    (exact where they do not underflow); the batched log-space form is
-    :func:`occupancy_log_likelihoods`.
+    Single recurrence sweep over ``m ∈ [0, upper]`` carrying columns
+    ``0..n_attacked``; column ``n_attacked`` of each row is collected.
+    Linear-space values, exact where they do not underflow.
     """
     if not 0 <= n_attacked <= n_bins:
         raise ValueError(
             f"n_attacked={n_attacked} must be within [0, {n_bins}]"
         )
-    row = np.zeros(n_bins + 1, dtype=np.float64)
-    row[0] = 1.0
-    stay, grow = _occupancy_weights(n_bins)
-    collected = [float(row[n_attacked])]
-    for _ in range(upper):
-        row = _occupancy_step(row, stay, grow)
-        collected.append(float(row[n_attacked]))
-    return np.array(collected, dtype=np.float64)
-
-
-def _closed_form_threshold(n_attacked: int) -> int:
-    """Smallest ``m`` where the inclusion-exclusion tail is stable.
-
-    The alternating sum's cancellation ratio is ``≈ 1 − x e^{−m/x}``;
-    ``m ≥ x (ln x + 8)`` pins the cancelled mass at ``e^{−8} ≈ 3·10^-4``,
-    leaving ~12 significant digits.
-    """
-    x = max(n_attacked, 1)
-    return int(x * (math.log(x) + 8.0)) + 1
-
-
-def _occupancy_log_closed(
-    m_values: np.ndarray, n_attacked: int, n_bins: int
-) -> np.ndarray:
-    """Closed-form ``log P[X = x | m]`` batched over ``m`` (log space).
-
-    ``P[X = x | m] = C(P, x) Σ_{j<x} (−1)^j C(x, j) ((x − j)/P)^m`` — an
-    alternating series reduced with the signed ``logsumexp``.  Only valid
-    for ``m >= _closed_form_threshold(x)`` (callers enforce this); the
-    ``j = x`` term is ``0^m = 0`` for ``m >= 1`` and is simply omitted.
-    """
-    x = n_attacked
-    ms = np.asarray(m_values, dtype=np.float64)
-    j = np.arange(x, dtype=np.float64)
-    log_choose = np.array(
-        [log_binomial(x, int(jj)) for jj in range(x)], dtype=np.float64
+    rows = _occupancy_rows(n_bins, n_attacked + 1)
+    return np.array(
+        [row.item(n_attacked) for row in islice(rows, upper + 1)],
+        dtype=np.float64,
     )
-    # domain: log — ((x - j)/P)^m as m * log((x - j)/P).
-    log_ratio = np.log((x - j) / n_bins)
-    terms = log_choose[None, :] + ms[:, None] * log_ratio[None, :]
-    signs = np.where(j.astype(np.int64) % 2 == 0, 1.0, -1.0)
-    log_abs, sign = logsumexp_signed(terms, signs, axis=1)
-    # The series sums to a probability; in the stable region the sign is
-    # strictly positive.  A non-positive sum can only arise from float
-    # cancellation below the threshold — treat it as log 0.
-    front = log_binomial(n_bins, x)
-    return np.where(sign > 0, front + log_abs, -np.inf)
 
 
-def occupancy_log_likelihoods(
-    n_attacked: int, n_bins: int, m_values: Sequence[int] | np.ndarray
+def _occupancy_likelihoods_bounded(
+    n_attacked: int, n_bins: int, upper: int
 ) -> np.ndarray:
-    """Batched ``log P[X = n_attacked | m]`` over arbitrary ``m`` values.
+    """:func:`occupancy_likelihoods`, cut where the peak is already in.
 
-    The hybrid log-space kernel behind the scalable MLE: candidates below
-    the stability threshold ``m*`` come from the exact recurrence sweep
-    (logged), candidates above it from the closed-form inclusion-exclusion
-    series — each evaluated where it is both fast and stable.
+    Same sweep, same bits, but it stops at the first ``m`` whose row mass
+    ``S_m = Σ_{k ≤ x} f(m, k) = P[X_m ≤ x]`` is below half the best
+    ``f(·, x)`` seen (module docstring: no later ``m`` can reach the
+    peak), so the returned prefix holds the full sweep's first maximum.
+    A step that raises or ties the peak cannot be the stop — there
+    ``S_m ≥ f(m, x) = peak`` — and skips the sum.
     """
-    if not 0 <= n_attacked <= n_bins:
-        raise ValueError(
-            f"n_attacked={n_attacked} must be within [0, {n_bins}]"
-        )
-    ms = np.asarray(m_values, dtype=np.int64)
-    if ms.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if int(ms.min()) < 0:
-        raise ValueError("m values must be >= 0")
-    out = np.full(ms.shape, -np.inf, dtype=np.float64)
-    threshold = _closed_form_threshold(n_attacked)
-    head = ms < threshold
-    if bool(head.any()):
-        table = occupancy_likelihoods(
-            n_attacked, n_bins, int(ms[head].max())
-        )
-        # domain: log — exact linear-space likelihoods entering log space;
-        # underflowed entries become exactly -inf.
-        with np.errstate(divide="ignore"):
-            out[head] = np.log(table[ms[head]])
-    tail = ~head
-    if bool(tail.any()):
-        out[tail] = _occupancy_log_closed(ms[tail], n_attacked, n_bins)
-    return out
-
-
-def _mle_grid_search(
-    n_attacked: int, n_replicas: int, upper_bound: int
-) -> tuple[int, float]:
-    """Argmax of the occupancy log-likelihood for huge ``upper_bound``.
-
-    Exact recurrence over ``[x, m*]``, then a geometric grid with
-    iterated bracket refinement over the closed-form tail ``[m*, upper]``
-    (the likelihood is unimodal in ``m`` for ``x < P``).  Returns
-    ``(m_hat, log_likelihood)``.
-    """
-    x = n_attacked
-    threshold = min(_closed_form_threshold(x), upper_bound)
-    head = occupancy_likelihoods(x, n_replicas, threshold)
-    head_m = x + int(np.argmax(head[x:]))
-    head_peak = float(head[head_m])
-    head_log = math.log(head_peak) if head_peak > 0 else float("-inf")
-    if threshold >= upper_bound:
-        return head_m, head_log
-    lo, hi = threshold, upper_bound
-    while hi - lo + 1 > _REFINE_SCAN_LIMIT:
-        grid = np.unique(
-            np.geomspace(max(lo, 1), hi, num=_GRID_POINTS)
-            .round()
-            .astype(np.int64)
-        )
-        grid = grid[(grid >= lo) & (grid <= hi)]
-        logs = _occupancy_log_closed(grid, x, n_replicas)
-        best = int(np.argmax(logs))
-        new_lo = int(grid[best - 1]) if best > 0 else lo
-        new_hi = int(grid[best + 1]) if best + 1 < grid.size else hi
-        if (new_lo, new_hi) == (lo, hi):
+    rows = _occupancy_rows(n_bins, n_attacked + 1)
+    column: list[float] = []
+    peak = 0.0
+    for row in islice(rows, upper + 1):
+        value = row.item(n_attacked)
+        column.append(value)
+        if value >= peak:
+            peak = value
+        elif np.add.reduce(row) < 0.5 * peak:
             break
-        lo, hi = new_lo, new_hi
-    window = np.arange(lo, hi + 1, dtype=np.int64)
-    logs = _occupancy_log_closed(window, x, n_replicas)
-    tail_idx = int(np.argmax(logs))
-    tail_m = int(window[tail_idx])
-    tail_log = float(logs[tail_idx])
-    if tail_log > head_log:
-        return tail_m, tail_log
-    return head_m, head_log
+    return np.array(column, dtype=np.float64)
 
 
 def _estimate_mle(
@@ -352,23 +250,11 @@ def _estimate_mle(
             upper_bound=upper_bound,
             degenerate=True,
         )
-    sweep_cost = (upper_bound + 1) * (n_replicas + 1)
-    if log_prior is None and sweep_cost > _EXACT_SWEEP_LIMIT:
-        # Huge instance, pure MLE: hybrid grid search (the MAP path stays
-        # on the exact sweep — an arbitrary prior need not be unimodal).
-        m_hat, log_like = _mle_grid_search(
-            n_attacked, n_replicas, upper_bound
-        )
-        return BotEstimate(
-            m_hat=m_hat,
-            n_attacked=n_attacked,
-            n_replicas=n_replicas,
-            upper_bound=upper_bound,
-            log_likelihood=log_like,
-        )
-    likelihoods = occupancy_likelihoods(n_attacked, n_replicas, upper_bound)
     # Only m >= X can produce X attacked replicas.
     if log_prior is None:
+        likelihoods = _occupancy_likelihoods_bounded(
+            n_attacked, n_replicas, upper_bound
+        )
         m_hat = n_attacked + int(np.argmax(likelihoods[n_attacked:]))
     else:
         if log_prior.shape[0] < upper_bound + 1:
@@ -376,6 +262,11 @@ def _estimate_mle(
                 f"log_prior covers {log_prior.shape[0]} counts, "
                 f"need upper_bound + 1 = {upper_bound + 1}"
             )
+        # MAP keeps the full sweep: an arbitrary prior need not be
+        # unimodal, so no likelihood bound can end the search early.
+        likelihoods = occupancy_likelihoods(
+            n_attacked, n_replicas, upper_bound
+        )
         # log L + log prior; a zero likelihood becomes exactly -inf
         # (never the argmax unless everything is impossible).
         with np.errstate(divide="ignore"):

@@ -287,7 +287,7 @@ class ShuffleEngine:
             true_bots=true_bots,
             believed_bots=believed,
             plan=plan,
-            bots_per_replica=tuple(int(b) for b in bots_per_replica),
+            bots_per_replica=tuple(bots_per_replica.tolist()),
             n_attacked=n_attacked,
             benign_saved=benign_saved,
             benign_remaining=state.benign_active,
@@ -392,7 +392,7 @@ class ShuffleEngine:
             # group sizes — see estimator._estimate_weighted.
             request = EstimateRequest(
                 n_attacked=n_attacked,
-                sizes=tuple(int(x) for x in sizes),
+                sizes=tuple(sizes.tolist()),
                 n_clients=int(sizes.sum()),
                 method="weighted",
             )

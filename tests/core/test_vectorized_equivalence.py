@@ -30,14 +30,12 @@ from scalar_reference import (
 from repro.core.dp import optimal_assign
 from repro.core.dp_fast import _Node, _combine
 from repro.core.estimator import (
-    _closed_form_threshold,
     _estimate_mle,
     _estimate_weighted,
-    _occupancy_log_closed,
+    _occupancy_likelihoods_bounded,
     attacked_count_log_pmf,
     attacked_count_pmf,
     occupancy_likelihoods,
-    occupancy_log_likelihoods,
     occupancy_pmf,
 )
 
@@ -58,17 +56,99 @@ class TestOccupancyBitIdentity:
         want = scalar_occupancy_likelihoods(n_attacked, n_bins, upper)
         assert got.tolist() == want.tolist()
 
-    @given(st.integers(2, 30), st.integers(1, 400))
-    @settings(max_examples=40)
-    def test_mle_matches_scalar_sweep(self, n_replicas, upper_extra):
-        n_attacked = 1 + (upper_extra % (n_replicas - 1))
-        upper_bound = n_attacked + upper_extra
+    @given(st.integers(2, 120), st.integers(0, 10_000), st.integers(0, 40))
+    @settings(max_examples=60)
+    def test_mle_matches_scalar_sweep(self, n_replicas, pick, upper_factor):
+        # upper_bound from X itself up to 40·P: caps that bind before the
+        # bounded sweep's stop, and caps far past it.
+        n_attacked = 1 + (pick % (n_replicas - 1))
+        upper_bound = max(n_attacked, upper_factor * n_replicas)
         got = _estimate_mle(n_attacked, n_replicas, upper_bound)
         want_m, want_log = scalar_mle_m_hat(
             n_attacked, n_replicas, upper_bound
         )
         assert got.m_hat == want_m
         assert got.log_likelihood == want_log
+
+
+class TestBoundedSweep:
+    """The MLE's early stop is a proof: nothing past it beats the peak."""
+
+    @given(st.integers(3, 80), st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_nothing_past_the_stop_beats_the_peak(self, n_replicas, pick):
+        n_attacked = 1 + (pick % (n_replicas - 1))
+        upper = 40 * n_replicas
+        full = occupancy_likelihoods(n_attacked, n_replicas, upper)
+        bounded = _occupancy_likelihoods_bounded(
+            n_attacked, n_replicas, upper
+        )
+        stop = bounded.size
+        assert stop < full.size  # the bound fired long before 40·P
+        assert bounded.tolist() == full[:stop].tolist()
+        assert full[stop:].max() <= bounded.max()
+
+    # (x, P, upper) -> (m_hat, log_likelihood), captured from
+    # `_estimate_mle` at 5e8849b, before the sweep was bounded; the first
+    # three rows are sim_mle_scale observations.  At (999, 1000) f(x, x)
+    # underflows to exactly 0.0 and the peak only appears thousands of
+    # steps later.
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ((669, 1000, 149_706), (1105, -3.2232058313734893)),
+            ((647, 1000, 149_433), (1041, -3.214906638292776)),
+            ((840, 1000, 120_970), (1832, -3.155176488989022)),
+            ((100, 1000, 150_000), (105, -1.6828939972013521)),
+            ((300, 1000, 150_000), (356, -2.699346276179041)),
+            ((1, 1000, 150_000), (1, 0.0)),
+            ((500, 1000, 1_000_000), (693, -3.0893073608674775)),
+            ((600, 1000, 1_000_000), (916, -3.1875563705999266)),
+            ((950, 1000, 1_000_000), (2994, -2.765171023449319)),
+            ((990, 1000, 1_000_000), (4603, -2.049716097728437)),
+            ((999, 1000, 150_000), (6905, -0.9960298288699696)),
+        ],
+    )
+    def test_paper_scale_golden_table(self, case, want):
+        got = _estimate_mle(*case)
+        assert (got.m_hat, got.log_likelihood) == want
+
+    @pytest.mark.parametrize(
+        "n_attacked, n_replicas, upper_bound",
+        [
+            (30, 100, 30),  # upper_bound == X: one candidate
+            (30, 100, 33),  # cap binds on the rising side of the peak
+            (60, 100, 75),
+            (7, 8, 12),
+        ],
+    )
+    def test_cap_that_binds_before_the_stop(
+        self, n_attacked, n_replicas, upper_bound
+    ):
+        free = _estimate_mle(n_attacked, n_replicas, 40 * n_replicas)
+        assert upper_bound < free.m_hat
+        got = _estimate_mle(n_attacked, n_replicas, upper_bound)
+        want_m, want_log = scalar_mle_m_hat(
+            n_attacked, n_replicas, upper_bound
+        )
+        assert got.m_hat == want_m == upper_bound
+        assert got.log_likelihood == want_log
+
+    @pytest.mark.parametrize(
+        "n_attacked, n_replicas", [(4, 10), (30, 100), (90, 100)]
+    )
+    def test_flat_prior_full_sweep_agrees(self, n_attacked, n_replicas):
+        # The MAP path still sweeps all of [0, upper_bound]; under a flat
+        # prior it must land where the bounded pure-MLE sweep does.
+        upper_bound = 40 * n_replicas
+        pure = _estimate_mle(n_attacked, n_replicas, upper_bound)
+        flat = _estimate_mle(
+            n_attacked,
+            n_replicas,
+            upper_bound,
+            log_prior=np.zeros(upper_bound + 1),
+        )
+        assert flat == pure
 
 
 class TestAttackedCountBitIdentity:
@@ -117,49 +197,6 @@ class TestAttackedCountBitIdentity:
         got = _estimate_weighted(n_attacked, np.array(sizes), n_clients)
         want = scalar_weighted_m_hat(n_attacked, sizes, n_clients)
         assert got.m_hat == want
-
-
-class TestClosedFormTail:
-    @pytest.mark.parametrize("n_bins", [10, 25])
-    @pytest.mark.parametrize("n_attacked", [1, 4, 9])
-    def test_closed_form_matches_recurrence_past_threshold(
-        self, n_bins, n_attacked
-    ):
-        if n_attacked > n_bins:
-            pytest.skip("x > P")
-        threshold = _closed_form_threshold(n_attacked)
-        ms = np.arange(threshold, threshold + 40, dtype=np.int64)
-        exact = scalar_occupancy_likelihoods(
-            n_attacked, n_bins, int(ms.max())
-        )[ms]
-        closed = np.exp(_occupancy_log_closed(ms, n_attacked, n_bins))
-        assert np.allclose(closed, exact, rtol=1e-9, atol=1e-300)
-
-    def test_hybrid_switches_consistently(self):
-        # Values straddling the threshold must agree with the exact table
-        # on both sides of the switch.
-        x, p = 5, 40
-        threshold = _closed_form_threshold(x)
-        ms = np.arange(threshold - 10, threshold + 10, dtype=np.int64)
-        table = scalar_occupancy_likelihoods(x, p, int(ms.max()))
-        got = np.exp(occupancy_log_likelihoods(x, p, ms))
-        assert np.allclose(got, table[ms], rtol=1e-9)
-
-    def test_grid_search_agrees_with_sweep_at_moderate_scale(self):
-        # Force the hybrid path by shrinking the sweep limit.
-        import repro.core.estimator as est
-
-        old = est._EXACT_SWEEP_LIMIT
-        est._EXACT_SWEEP_LIMIT = 1
-        try:
-            hybrid = _estimate_mle(30, 100, 50_000)
-        finally:
-            est._EXACT_SWEEP_LIMIT = old
-        sweep = _estimate_mle(30, 100, 50_000)
-        assert hybrid.m_hat == sweep.m_hat
-        assert hybrid.log_likelihood == pytest.approx(
-            sweep.log_likelihood, rel=1e-9
-        )
 
 
 class TestMaxPlusCombine:
@@ -237,19 +274,12 @@ class TestAlgorithmOneTables:
 
 class TestLargeNInvariants:
     def test_mle_at_paper_scale_runs_and_is_sane(self):
-        # N = 10^6, P = 10^3: far beyond the exact-sweep budget; the
-        # hybrid path must return an informative, in-range estimate.
+        # N = 10^6, P = 10^3: a sweep to the cap would be 10^9
+        # element-ops; the bounded sweep must return an informative,
+        # in-range estimate.
         result = _estimate_mle(600, 1_000, 1_000_000)
         assert 600 <= result.m_hat <= 1_000_000
         assert math.isfinite(result.log_likelihood)
         # Moment estimate is a consistency anchor (tracks MLE closely).
         raw = math.log1p(-600 / 1000) / math.log1p(-1 / 1000)
         assert abs(result.m_hat - raw) / raw < 0.05
-
-    def test_log_likelihoods_monotone_tail(self):
-        # For m far past the mode the likelihood must decay monotonically
-        # (unimodality the grid refinement relies on).
-        logs = occupancy_log_likelihoods(
-            10, 50, np.arange(2_000, 2_200, dtype=np.int64)
-        )
-        assert np.all(np.diff(logs) < 0)
