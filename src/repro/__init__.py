@@ -47,11 +47,7 @@ Quickstart::
 
 from __future__ import annotations
 
-# Importing the runtime registers the sim-layer execution backends
-# (repro.sim.backend), giving sweep()/run_campaign_batch() their
-# workers=/cache_dir= paths.  This is the one place the package wires
-# the runtime layer onto sim — sim itself never imports runtime.
-from . import detect, obs, runtime, trust
+from . import detect, obs, trust
 from .core import (
     BotEstimate,
     EstimateRequest,
@@ -91,7 +87,6 @@ __all__ = [
     "expected_saved",
     "obs",
     "plan",
-    "runtime",
     "shuffle_trajectory",
     "single_replica_optimum",
     "survival_probability",

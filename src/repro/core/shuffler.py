@@ -130,9 +130,10 @@ class ShuffleEngine:
         estimator: how the engine obtains the bot count fed to the planner:
             ``"oracle"`` uses the true count (the paper's simulation
             setting), ``"mle"`` the exact occupancy MLE, ``"moment"`` the
-            closed-form moment estimator.  Both estimators observe only the
-            previous round's attacked-replica count, exactly like the real
-            coordination server.
+            closed-form moment estimator, ``"weighted"`` the likelihood
+            over the plan's actual (non-uniform) group sizes.  The three
+            estimators observe only the previous round's attacked
+            replicas, exactly like the real coordination server.
         rng: numpy random generator (seeded by caller for independent
             streams; defaults to ``default_rng(DEFAULT_SEED)`` so even
             bare engines are reproducible).

@@ -18,12 +18,11 @@ The per-file R-series is complemented by whole-program project rules
 layering contracts, interprocedural RNG provenance, determinism
 dataflow into the DES event queue, wall-clock bans, dead-export
 detection, the concurrency-era passes (event-loop blocking, orphan
-coroutines, executor pickling safety, shared-state races, hot-path
-discipline), and the numeric-era passes (log/linear domain confusion,
-probability-range escapes, stability anti-patterns, and
-vectorization readiness, over the :mod:`.program.numflow`
-value-domain index with its ``# domain: <log|linear> <reason>``
-annotation) — with an incremental mode (``--changed [REF]``), an
+coroutines, shared-state races, hot-path discipline), and the
+numeric-era passes (log/linear domain confusion, probability-range
+escapes, stability anti-patterns, and vectorization readiness, over
+the :mod:`.program.numflow` value-domain index with its
+``# domain: <log|linear> <reason>`` annotation) — with an incremental mode (``--changed [REF]``), an
 import-graph export (``--graph``), and a SARIF 2.1.0 reporter
 (``--format sarif``) for code scanning.  A finding is excused only
 inline, by a justified suppression comment at its site.

@@ -8,7 +8,8 @@ the DES must never depend on ``set``/``dict`` hash order, and package
 layering must keep the algorithmic ``core`` free of simulator
 dependencies.  This subpackage builds one :class:`ProgramContext` over
 the whole tree — module index, import graph, approximate call graph —
-and runs the project rules (P1-P14) on it:
+and runs the thirteen project rules (P1-P14; P8 is retired and its
+number is not reused) on it:
 
 - **P1** ``import-layering`` — declared package layering contract over
   the import graph (``core`` -> stdlib/numpy only; ``sim``/``analysis``
@@ -28,10 +29,10 @@ and runs the project rules (P1-P14) on it:
   other module (including tests/examples) actually uses, plus exports
   that do not resolve at all.
 
-The concurrency era (PRs 3-5) added an asyncio service, a process-pool
-runtime, and metric hot paths; the second wave of passes polices those
-surfaces via the shared :mod:`asyncflow` indices (task roots, forward
-reachability, attribute writes):
+The concurrency era (PRs 3-5) added an asyncio service and metric hot
+paths; the second wave of passes polices those surfaces via the shared
+:mod:`asyncflow` indices (task roots, forward reachability, attribute
+writes):
 
 - **P6** ``async-blocking`` — blocking calls (``time.sleep``, sync
   I/O, ``subprocess``, CPU-heavy ``repro.core`` entry points) reachable
@@ -39,9 +40,6 @@ reachability, attribute writes):
   ``# event-loop-safe: <reason>`` justification marker.
 - **P7** ``orphan-coroutine`` — coroutine calls never awaited and
   ``create_task()`` handles neither retained nor given a done-callback.
-- **P8** ``executor-submission`` — ``Task(...)``/``pool.submit(...)``
-  arguments must be module-level functions with JSON-canonical params
-  (no lambdas, closures, bound methods, partials, sets, bytes).
 - **P9** ``shared-state-race`` — container attributes written from
   more than one distinct async task root without a lock or documented
   single-writer ownership.
@@ -77,11 +75,10 @@ from __future__ import annotations
 from .context import ModuleInfo, ProgramContext
 from .graph import LAYER_CONTRACT, ImportEdge, render_dot, render_graph_json
 
-# Importing the pass modules registers every project rule (P1-P14).
+# Importing the pass modules registers every project rule.
 from . import api as _api  # noqa: F401
 from . import concurrency as _concurrency  # noqa: F401
 from . import determinism as _determinism  # noqa: F401
-from . import executor_safety as _executor_safety  # noqa: F401
 from . import graph as _graph  # noqa: F401
 from . import hotpath as _hotpath  # noqa: F401
 from . import numeric as _numeric  # noqa: F401

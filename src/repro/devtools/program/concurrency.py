@@ -35,7 +35,7 @@ from .context import ModuleInfo, ProgramContext
 __all__ = ["blocking_summaries"]
 
 #: layers whose async functions the blocking pass polices (the event
-#: loop lives in the service layer; sim/runtime are synchronous).
+#: loop lives in the service layer; sim is synchronous).
 _ASYNC_LAYERS = frozenset({"service"})
 
 #: known CPU-heavy ``repro.core`` entry points: the ``core.api``
@@ -59,7 +59,7 @@ _FILE_IO_ATTRS = frozenset(
 
 #: generic container/protocol method names whose bare-name call-graph
 #: fallback is overwhelmingly wrong (``window.get(...)`` is a dict, not
-#: ``ResultCache.get``).  Blocking propagation ignores non-``self``
+#: ``StorageBackend.get``).  Blocking propagation ignores non-``self``
 #: attribute calls with these names; direct offenses (distinctly named,
 #: e.g. ``read_text``) are still checked on every call.
 _GENERIC_ATTRS = frozenset(

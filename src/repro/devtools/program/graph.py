@@ -7,10 +7,7 @@ even numpy, so any layer may instrument itself without new coupling;
 stack (plus ``obs`` and the ``trust`` leaf, whose log-prior feeds the
 estimators); ``detect`` and ``trust`` are embeddable leaves on a
 stdlib+numpy+obs budget; ``sim`` and ``analysis`` build on ``core``;
-``cloudsim`` (the DES) may use ``core`` and ``sim``; ``runtime``
-(parallel grid execution) orchestrates ``core``, ``sim``, and
-``cloudsim`` but is never imported by them — the sim layer reaches it
-only through the :mod:`repro.sim.backend` registry; ``service`` (the
+``cloudsim`` (the DES) may use ``core`` and ``sim``; ``service`` (the
 live socket-level defense) builds on ``core`` for planning/estimation,
 ``sim`` for the shared QoS schema, and ``analysis`` for convergence
 oracles, but never on the simulators — live and simulated runs must
@@ -50,12 +47,11 @@ LAYER_CONTRACT: dict[str, frozenset[str]] = {
     "sim": frozenset({"core", "obs"}),
     "analysis": frozenset({"core", "obs"}),
     "cloudsim": frozenset({"core", "sim", "detect", "trust", "obs"}),
-    "runtime": frozenset({"core", "sim", "cloudsim", "obs"}),
     "service": frozenset(
         {"core", "sim", "analysis", "detect", "trust", "obs"}
     ),
     "experiments": frozenset(
-        {"core", "sim", "analysis", "cloudsim", "runtime", "service",
+        {"core", "sim", "analysis", "cloudsim", "service",
          "devtools", "detect", "trust", "obs"}
     ),
     "devtools": frozenset(),
@@ -151,8 +147,8 @@ def import_edges(program: ProgramContext) -> list[ImportEdge]:
     "import-layering",
     "The package layering contract (obs -> stdlib only; detect/trust "
     "-> stdlib/numpy/obs; core -> stdlib/numpy/obs/trust; sim/analysis "
-    "-> core; cloudsim -> core+sim+detect+trust; runtime -> "
-    "core+sim+cloudsim; service -> core+sim+analysis+detect+trust; "
+    "-> core; cloudsim -> core+sim+detect+trust; "
+    "service -> core+sim+analysis+detect+trust; "
     "experiments -> anything; "
     "devtools isolated; every non-devtools layer may use obs) "
     "keeps the paper's math independently testable and the linter "

@@ -6,4 +6,7 @@ import sys
 
 from .runner import main
 
-sys.exit(main())
+# Guarded: ``--jobs N`` workers are spawned, and a spawned worker
+# re-imports the parent's main module.
+if __name__ == "__main__":
+    sys.exit(main())

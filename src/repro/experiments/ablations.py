@@ -25,8 +25,8 @@ import numpy as np
 from ..analysis.cost import DefenseCost, compare_costs
 from ..analysis.theory import max_estimable_bots
 from ..core.shuffler import ShuffleEngine
-from ..runtime.grids import run_scenario_grid
 from ..sim.shuffle_sim import ScenarioResult, ShuffleScenario
+from ..sim.sweep import run_scenario_grid
 from .tables import render_table
 
 __all__ = ["AblationResults", "run_ablations", "render_ablations"]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.grids import run_scenario_grid
 from ..sim.scenarios import fig10_scenarios
 from ..sim.shuffle_sim import ScenarioResult, cumulative_saved_curve
 from ..sim.stats import SampleSummary
+from ..sim.sweep import run_scenario_grid
 from .tables import render_table
 
 __all__ = ["Fig10Curve", "run_fig10", "render_fig10", "FIG10_FRACTIONS"]

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.grids import run_scenario_grid
 from ..sim.scenarios import FIG8_BENIGN_COUNTS, FIG8_BOT_COUNTS
 from ..sim.shuffle_sim import ScenarioResult, ShuffleScenario
 from ..sim.stats import SampleSummary
+from ..sim.sweep import run_scenario_grid
 from .tables import render_table
 
 __all__ = ["Fig8Row", "run_fig8", "render_fig8"]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.grids import run_scenario_grid
 from ..sim.scenarios import FIG8_BENIGN_COUNTS, FIG9_REPLICA_COUNTS
 from ..sim.shuffle_sim import ScenarioResult, ShuffleScenario
 from ..sim.stats import SampleSummary
+from ..sim.sweep import run_scenario_grid
 from .tables import render_table
 
 __all__ = ["Fig9Row", "run_fig9", "render_fig9"]

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..runtime.grids import run_scenario_grid
 from ..sim.scenarios import headline_scenario
-from ..sim.shuffle_sim import ScenarioResult
+from ..sim.shuffle_sim import ScenarioResult, run_scenario
 
 __all__ = ["HeadlineResult", "run_headline", "render_headline"]
 
@@ -42,22 +41,13 @@ class HeadlineResult:
         )
 
 
-def run_headline(
-    repetitions: int = 10, seed: int = 0, jobs: int = 1
-) -> HeadlineResult:
-    """Run the 50K-benign / 100K-bot / 1000-replica scenario.
-
-    A single-cell grid, so ``jobs`` cannot speed it up — it exists so
-    the runner can pass one flag to every experiment uniformly.
-    """
-    results = run_scenario_grid(
-        [headline_scenario()],
-        repetitions=repetitions,
-        seed=seed,
-        spawn_seeds=False,
-        workers=min(jobs, 1),
+def run_headline(repetitions: int = 10, seed: int = 0) -> HeadlineResult:
+    """Run the 50K-benign / 100K-bot / 1000-replica scenario."""
+    return HeadlineResult(
+        result=run_scenario(
+            headline_scenario(), repetitions=repetitions, seed=seed
+        )
     )
-    return HeadlineResult(result=results[0])
 
 
 def render_headline(headline: HeadlineResult) -> str:

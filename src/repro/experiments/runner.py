@@ -5,9 +5,10 @@ full paper-fidelity grids can take minutes; ``--quick`` trims repetitions
 and grid density to something interactive while keeping every qualitative
 claim checkable.  ``--chart`` appends an ASCII rendition of the figure's
 curves where the experiment has any.  ``--jobs N`` fans the simulation
-grids (fig8/fig9/fig10/headline/ablations) out over N worker processes
-through :mod:`repro.runtime` — the numbers are identical for any N; the
-remaining experiments are closed-form or already fast and run serially.
+grids (fig8/fig9/fig10/ablations) out over N worker processes through
+:func:`repro.sim.sweep.run_scenario_grid` — the numbers are identical
+for any N; the remaining experiments are closed-form, a single cell
+(headline) or already fast, and run serially.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _run_fig12(quick: bool, chart: bool, jobs: int) -> tuple[str, object]:
 
 def _run_headline(quick: bool, chart: bool, jobs: int) -> tuple[str, object]:
     reps = 3 if quick else 10
-    result = headline.run_headline(repetitions=reps, jobs=jobs)
+    result = headline.run_headline(repetitions=reps)
     return headline.render_headline(result), result
 
 
@@ -163,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help=(
             "worker processes for the simulation grids (fig8/fig9/fig10/"
-            "headline/ablations); results are identical for any N"
+            "ablations); results are identical for any N"
         ),
     )
     args = parser.parse_args(argv)

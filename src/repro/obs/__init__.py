@@ -1,7 +1,7 @@
 """repro.obs — the unified observability layer.
 
-One metrics/span/event substrate shared by every runtime layer (core,
-sim, cloudsim, runtime, service):
+One metrics/span/event substrate shared by core, sim, cloudsim and
+the service:
 
 - :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges, and fixed-bucket histograms with label support.

@@ -1,6 +1,6 @@
 """The canonical event record shared by every layer's audit trail.
 
-cloudsim, the live service, and the runtime all emit :class:`Event`
+cloudsim and the live service both emit :class:`Event`
 records into the shared :class:`EventLog` collector.
 
 **Byte format contract:** for events without the optional ``source``
@@ -25,7 +25,7 @@ class Event:
 
     Attributes:
         time: when it happened, on the emitting layer's clock (sim-time
-            in the simulators, monotonic wall-clock in service/runtime).
+            in the simulators, monotonic wall-clock in the service).
         kind: event type tag (``shuffle_completed``, ``span``, ...).
         data: JSON-ready payload.
         source: optional emitting layer/component (``cloudsim``,
@@ -73,7 +73,7 @@ class Event:
 class EventLog:
     """Collects :class:`Event` records in arrival order.
 
-    Layer-neutral, so cloudsim, the service and the runtime share it.
+    Layer-neutral, so cloudsim and the service share it.
 
     Args:
         kinds: optional allow-list; events of other kinds are dropped at

@@ -1,8 +1,7 @@
 """Exporters: one JSON/JSONL writer for every layer, Prometheus text.
 
-``export_json``/``export_jsonl`` replace the per-module writers that
-had grown in ``service.telemetry`` and ``runtime.executor`` — one
-place now pins the on-disk conventions (UTF-8, trailing newline,
+``export_json``/``export_jsonl`` are the only writers — one
+place pins the on-disk conventions (UTF-8, trailing newline,
 ``indent=2`` + sorted keys for JSON documents) so reports from any
 layer diff cleanly across runs.
 

@@ -21,7 +21,7 @@ contract instrumented code must follow (documented in CONTRIBUTING):
 
 The handle is stdlib-only and layer-neutral; which clock the spans use
 is the caller's choice (sim-time in the simulators, ``time.monotonic``
-in service/runtime — the default of :meth:`Instruments.create`).
+in the service — the default of :meth:`Instruments.create`).
 """
 
 from __future__ import annotations

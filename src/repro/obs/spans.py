@@ -17,10 +17,9 @@ shuffle round becomes a span tree::
 Clocks are **explicit**: the recorder never reads wall-clock time on
 its own.  The cloud simulation passes sim-time (``lambda: ctx.now``) so
 traces line up with the DES timeline and reprolint's P4 wall-clock ban
-stays satisfied; the live service and the runtime pass
-``time.monotonic``.  The default is a zero clock — a recorder built
-without a clock still nests and orders correctly, it just measures no
-durations.
+stays satisfied; the live service passes ``time.monotonic``.  The
+default is a zero clock — a recorder built without a clock still nests
+and orders correctly, it just measures no durations.
 
 Span ids are small integers assigned in *start* order, so recorded
 output is deterministic for a deterministic workload (no uuids, no

@@ -141,12 +141,6 @@ def _trust_args(parser: argparse.ArgumentParser) -> None:
         "'sqlite:PATH', or 'file:PATH' — persistent backends survive "
         "a coordinator kill-and-restart (default: %(default)s)",
     )
-    parser.add_argument(
-        "--plan-cache-dir", default=None,
-        help="directory for the durable plan store: precomputed DP "
-        "plans persist there and warm-start the next boot "
-        "(default: in-memory only)",
-    )
 
 
 def _population_args(parser: argparse.ArgumentParser) -> None:
@@ -172,7 +166,6 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
         trust_enabled=options.trust,
         trust_prior_strength=options.trust_prior_strength,
         state_backend=options.state_backend,
-        plan_cache_dir=options.plan_cache_dir,
     )
     load_config = LoadConfig(
         n_benign=options.clients, n_bots=options.bots,
@@ -249,7 +242,6 @@ async def _serve_forever(options: argparse.Namespace) -> int:
         trust_enabled=options.trust,
         trust_prior_strength=options.trust_prior_strength,
         state_backend=options.state_backend,
-        plan_cache_dir=options.plan_cache_dir,
     )
     instruments = Instruments.create(source="service")
     # event-loop-safe: one-time construction before any load exists

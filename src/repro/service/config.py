@@ -72,11 +72,6 @@ class ServiceConfig:
             belief — ``"memory"`` (default, process-local),
             ``"sqlite:PATH"`` or ``"file:PATH"`` (survive a
             coordinator kill-and-restart; see ``docs/trust.md``).
-        plan_cache_dir: optional directory for the durable plan store —
-            precomputed DP plan cells persist there (content-addressed
-            by ``(N, M, P)`` + planner code version) and warm-start the
-            next coordinator boot; ``None`` keeps precompute in-memory
-            only.
         seed: RNG seed for the coordinator's shuffle permutations
             (also the base seed of the trust layer's per-client heal
             jitter).
@@ -103,7 +98,6 @@ class ServiceConfig:
     trust_enabled: bool = False
     trust_prior_strength: float = 1.0
     state_backend: str = "memory"
-    plan_cache_dir: str | None = None
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:

@@ -53,7 +53,7 @@ from ..core.api import estimate as core_estimate
 from ..core.api import plan as core_plan
 from ..core.estimator import BotEstimate
 from ..core.plan import ShufflePlan
-from ..core.plan_cache import PlanCache, make_plan_store
+from ..core.plan_cache import PlanCache
 from ..obs.events import Event
 from ..obs.instruments import Instruments, resolve_instruments
 from ..trust import TrustConfig, TrustManager, bot_count_log_prior, make_backend
@@ -167,14 +167,6 @@ class ServiceCoordinator:
             n_replicas=config.n_replicas,
             client_grid=config.plan_client_grid,
             bot_grid=config.plan_bot_grid,
-            # The concrete store is the runtime layer's ResultCache,
-            # registered via the plan-store factory at `import repro`;
-            # the service stays below the runtime in the layer graph.
-            store=(
-                make_plan_store(config.plan_cache_dir)
-                if config.plan_cache_dir
-                else None
-            ),
         )
         self._rng = np.random.default_rng(config.seed)
         #: exception that killed the detection loop, if any (see
@@ -909,7 +901,6 @@ class ServiceCoordinator:
                 "cells": self.plan_cache.cells,
                 "hits": self.plan_cache.hits,
                 "fallbacks": self.plan_cache.fallbacks,
-                "store_hits": self.plan_cache.store_hits,
             },
             "replicas": self.pool.snapshot(),
             "shuffles": [record.to_dict() for record in self.shuffles],

@@ -21,7 +21,6 @@ from .campaign import (
     CampaignResult,
     WaveOutcome,
     run_campaign,
-    run_campaign_batch,
 )
 from .scenarios import (
     FIG8_BENIGN_COUNTS,
@@ -65,7 +64,6 @@ __all__ = [
     "fig9_scenarios",
     "headline_scenario",
     "run_campaign",
-    "run_campaign_batch",
     "run_scenario",
     "run_scenario_once",
     "summarize",

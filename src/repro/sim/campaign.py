@@ -17,18 +17,16 @@ between waves the defense holds only its baseline replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.shuffler import ShuffleEngine
 from ..obs.instruments import Instruments, resolve_instruments
-from .backend import get_backend
 from .stats import SampleSummary, summarize
 
 __all__ = ["AttackWave", "CampaignConfig", "WaveOutcome", "CampaignResult",
-           "run_campaign", "run_campaign_batch"]
+           "run_campaign"]
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ def run_campaign(
     plus ``2 * shuffle_replicas`` (pool + in-flight replacements) during
     each mitigation window; the always-on comparison keeps the full
     mitigation fleet up around the clock.  ``seed`` may be a ready-made
-    :class:`~numpy.random.SeedSequence` (e.g. a spawned batch child).
+    :class:`~numpy.random.SeedSequence` (e.g. a spawned child).
     """
     rng_seq = (
         seed
@@ -178,36 +176,4 @@ def run_campaign(
         outcomes=tuple(outcomes),
         replica_hours_reactive=reactive,
         replica_hours_always_on=always_on,
-    )
-
-
-def run_campaign_batch(
-    configs: Sequence[CampaignConfig],
-    seed: int = 0,
-    planner: str = "greedy",
-    estimator: str = "oracle",
-    *,
-    workers: int = 1,
-    cache_dir: Path | str | None = None,
-    progress: Callable[..., Any] | None = None,
-) -> list[CampaignResult]:
-    """Run several campaign configs; one result per config, in order.
-
-    Campaign ``i`` always draws from the stream of
-    ``SeedSequence(seed).spawn(len(configs))[i]``, so results depend
-    only on ``(seed, index, config)`` — never on worker count or
-    completion order.  The batch runs on the :mod:`repro.runtime`
-    backend (wired by ``import repro``), which checkpoints completed
-    campaigns and resumes interrupted batches.
-    """
-    return list(
-        get_backend("campaign_batch")(
-            configs,
-            seed=seed,
-            planner=planner,
-            estimator=estimator,
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-        )
     )

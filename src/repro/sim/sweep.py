@@ -1,18 +1,20 @@
-"""Generic scenario sweeps with CSV export.
+"""Scenario grids over a process pool, with CSV export.
 
-The figure drivers hand-roll their grids; this utility generalizes the
-pattern for users exploring their own parameter spaces:
+:func:`run_scenario_grid` is what the figure drivers run;
+:func:`sweep` flattens its results into records for users exploring
+their own parameter spaces:
 
     from repro.sim import ShuffleScenario
     from repro.sim.sweep import sweep, to_csv
 
-    grid = [
-        ShuffleScenario(benign=10_000, bots=bots, n_replicas=p)
-        for bots in (20_000, 50_000)
-        for p in (500, 1_000)
-    ]
-    records = sweep(grid, repetitions=5, workers=4)
-    print(to_csv(records))
+    if __name__ == "__main__":  # workers are spawned processes
+        grid = [
+            ShuffleScenario(benign=10_000, bots=bots, n_replicas=p)
+            for bots in (20_000, 50_000)
+            for p in (500, 1_000)
+        ]
+        records = sweep(grid, repetitions=5, workers=4)
+        print(to_csv(records))
 
 Each record is a flat dict (scenario parameters + outcome statistics), so
 the output drops straight into a spreadsheet or pandas.
@@ -21,13 +23,16 @@ the output drops straight into a spreadsheet or pandas.
 from __future__ import annotations
 
 import io
-from pathlib import Path
-from typing import Any, Callable, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
+from multiprocessing import get_context
+from typing import Sequence
 
-from .backend import get_backend
-from .shuffle_sim import ScenarioResult, ShuffleScenario
+import numpy as np
 
-__all__ = ["sweep", "record_from_result", "to_csv"]
+from .shuffle_sim import ScenarioResult, ShuffleScenario, run_scenario
+
+__all__ = ["run_scenario_grid", "sweep", "record_from_result", "to_csv"]
 
 
 def record_from_result(result: ScenarioResult) -> dict[str, object]:
@@ -52,6 +57,48 @@ def record_from_result(result: ScenarioResult) -> dict[str, object]:
     }
 
 
+def run_scenario_grid(
+    scenarios: Sequence[ShuffleScenario],
+    *,
+    repetitions: int = 5,
+    seed: int = 0,
+    confidence: float = 0.99,
+    spawn_seeds: bool = True,
+    workers: int = 1,
+) -> list[ScenarioResult]:
+    """Run every scenario; one :class:`ScenarioResult` each, grid order.
+
+    Cell ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))`` — the
+    child ``SeedSequence(seed).spawn(n)[i]`` — when ``spawn_seeds`` is
+    true (independent cells, the :func:`sweep` contract), and from the
+    base ``SeedSequence(seed)`` when it is false (the figure drivers'
+    convention, which their published numbers depend on).  Either way a
+    result depends only on ``(seed, index, scenario, repetitions,
+    confidence)``, so it is identical for any ``workers``.
+
+    ``workers=1`` runs in this process; more runs the cells on a pool
+    of that many spawned worker processes, so a script that asks for
+    them must keep its entry point under ``if __name__ == "__main__":``.
+    A cell that raises re-raises here.
+    """
+    if workers < 1:
+        raise ValueError(f"workers={workers} must be >= 1")
+    seeds = [
+        np.random.SeedSequence(
+            seed, spawn_key=(index,) if spawn_seeds else ()
+        )
+        for index in range(len(scenarios))
+    ]
+    # run_scenario's positional parameters, one column each.
+    columns = (scenarios, repeat(repetitions), seeds, repeat(confidence))
+    if workers == 1:
+        return list(map(run_scenario, *columns))
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=get_context("spawn")
+    ) as pool:
+        return list(pool.map(run_scenario, *columns))
+
+
 def sweep(
     scenarios: Sequence[ShuffleScenario],
     repetitions: int = 5,
@@ -59,21 +106,15 @@ def sweep(
     confidence: float = 0.99,
     *,
     workers: int = 1,
-    cache_dir: Path | str | None = None,
-    progress: Callable[..., Any] | None = None,
 ) -> list[dict[str, object]]:
     """Run every scenario and return one flat record per scenario.
-
-    The grid runs on the :mod:`repro.runtime` backend, which ``import
-    repro`` registers.
 
     Record-level reproducibility contract: cell ``i`` always draws from
     the stream of ``SeedSequence(seed).spawn(len(scenarios))[i]``
     (equivalently ``SeedSequence(seed, spawn_key=(i,))``), so
 
     - records depend only on ``(seed, index, scenario, repetitions,
-      confidence)`` — never on worker count, completion order, or which
-      cells were served from cache;
+      confidence)`` — never on worker count or completion order;
     - a cell can be recomputed in isolation by rebuilding that child
       sequence;
     - distinct base seeds yield statistically independent grids (the
@@ -85,23 +126,20 @@ def sweep(
         repetitions: runs per cell.
         seed: base seed for the per-cell spawn derivation above.
         confidence: confidence level for the summary intervals.
-        workers: parallel worker processes.
-        cache_dir: content-addressed result cache directory; completed
-            cells checkpoint there and interrupted sweeps resume from it.
-        progress: per-cell completion callback, forwarded to
-            :func:`repro.runtime.executor.run_tasks`.
+        workers: parallel worker processes (see
+            :func:`run_scenario_grid`).
     """
-    return list(
-        get_backend("sweep")(
+    return [
+        record_from_result(result)
+        for result in run_scenario_grid(
             scenarios,
             repetitions=repetitions,
             seed=seed,
             confidence=confidence,
+            spawn_seeds=True,
             workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
         )
-    )
+    ]
 
 
 def to_csv(records: Sequence[dict[str, object]]) -> str:

@@ -17,9 +17,8 @@ Three implementations, selected by a ``--state-backend`` spec string:
   put_many` batch commits, so a SIGKILL loses at most the batch in
   flight.
 - ``file:PATH`` — a single JSON document rewritten atomically
-  (``tmp`` + :func:`os.replace`), the same crash-safe idiom as
-  :mod:`repro.runtime.cache`.  A SIGKILL leaves either the old or the
-  new document, never a torn one.
+  (``tmp`` + :func:`os.replace`).  A SIGKILL leaves either the old or
+  the new document, never a torn one.
 
 Values are JSON documents (``dict``).  All three backends round-trip
 values through JSON so in-memory behaviour cannot silently diverge

@@ -694,7 +694,6 @@ class TestProjectSuppressions:
 
 SERVICE_PKG = PKG | {
     "repro/service/__init__.py": "",
-    "repro/runtime/__init__.py": "",
     "repro/obs/__init__.py": "",
 }
 
@@ -812,7 +811,7 @@ class TestP6AsyncBlocking:
             tmp_path,
             SERVICE_PKG
             | {
-                "repro/runtime/worker.py": """\
+                "repro/sim/worker.py": """\
                 import time
 
                 async def tick():
@@ -902,120 +901,6 @@ class TestP7OrphanCoroutines:
         )
         found = hits(tree, ["P7"])
         assert found == ["P7 worker.py:5"], found
-
-
-class TestP8ExecutorSubmission:
-    def test_lambda_fn_is_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/task.py": "class Task:\n    pass\n",
-                "repro/runtime/grids.py": """\
-                from .task import Task
-
-                def build():
-                    return [Task(fn=lambda: 1, params={})]
-                """,
-            },
-        )
-        found = hits(tree, ["P8"])
-        assert found == ["P8 grids.py:4"], found
-
-    def test_nested_closure_fn_is_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/task.py": "class Task:\n    pass\n",
-                "repro/runtime/grids.py": """\
-                from .task import Task
-
-                def build(k):
-                    def cell():
-                        return k
-                    return Task(fn=cell, params={})
-                """,
-            },
-        )
-        found = hits(tree, ["P8"])
-        assert found == ["P8 grids.py:6"], found
-
-    def test_partial_fn_is_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/task.py": "class Task:\n    pass\n",
-                "repro/runtime/grids.py": """\
-                from functools import partial
-
-                from .task import Task
-
-                def cell(k):
-                    return k
-
-                def build():
-                    return Task(fn=partial(cell, 3), params={})
-                """,
-            },
-        )
-        found = hits(tree, ["P8"])
-        assert found == ["P8 grids.py:9"], found
-
-    def test_non_json_params_are_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/task.py": "class Task:\n    pass\n",
-                "repro/runtime/grids.py": """\
-                from .task import Task
-
-                def cell(k):
-                    return k
-
-                def build():
-                    return Task(fn=cell, params={"ids": {1, 2}})
-                """,
-            },
-        )
-        found = hits(tree, ["P8"])
-        assert found == ["P8 grids.py:7"], found
-
-    def test_pool_submit_lambda_is_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/executor.py": """\
-                def run(pool):
-                    return pool.submit(lambda: 1)
-                """,
-            },
-        )
-        found = hits(tree, ["P8"])
-        assert found == ["P8 executor.py:2"], found
-
-    def test_module_level_fn_with_json_params_is_clean(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/runtime/task.py": "class Task:\n    pass\n",
-                "repro/runtime/grids.py": """\
-                from .task import Task
-
-                def cell(k):
-                    return k
-
-                def build(pool):
-                    pool.submit(cell, 3)
-                    return Task(fn=cell, params={"k": [1, 2]})
-                """,
-            },
-        )
-        assert hits(tree, ["P8"]) == []
 
 
 RACE_HEADER = """\

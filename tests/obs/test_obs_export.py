@@ -125,17 +125,3 @@ class TestExportJson:
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"a": 2, "b": 1}
-
-    def test_runreport_writer_delegates_here(self, tmp_path):
-        """The runtime's RunReport.write_json and obs.export_json must
-        produce identical bytes for identical payloads (satellite:
-        one writer for every layer)."""
-        from repro.runtime.executor import RunReport
-
-        report = RunReport(outcomes=(), workers=1, wall_time_s=0.25)
-        report_path = tmp_path / "report.json"
-        report.write_json(report_path)
-        direct_path = export_json(
-            report.to_json_dict(), tmp_path / "direct.json"
-        )
-        assert report_path.read_bytes() == direct_path.read_bytes()

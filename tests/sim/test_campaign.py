@@ -10,7 +10,6 @@ from repro.sim.campaign import (
     AttackWave,
     CampaignConfig,
     run_campaign,
-    run_campaign_batch,
 )
 
 
@@ -95,40 +94,3 @@ class TestRunCampaign:
         from_seq = run_campaign(small_campaign(), seed=seq)
         from_int = run_campaign(small_campaign(), seed=4)
         assert from_seq == from_int
-
-
-class TestRunCampaignBatch:
-    def configs(self) -> list[CampaignConfig]:
-        return [
-            small_campaign(),
-            small_campaign(shuffle_replicas=120),
-        ]
-
-    def test_one_result_per_config_in_order(self):
-        results = run_campaign_batch(self.configs(), seed=7)
-        assert len(results) == 2
-        # More shuffling replicas mitigate in the same or fewer rounds.
-        assert results[1].total_shuffles <= results[0].total_shuffles
-
-    def test_batch_seeds_are_spawned_children(self):
-        """Batch i must reproduce run_campaign under spawn child i."""
-        results = run_campaign_batch(self.configs(), seed=7)
-        children = np.random.SeedSequence(7).spawn(2)
-        for config, child, result in zip(
-            self.configs(), children, results
-        ):
-            assert run_campaign(config, seed=child) == result
-
-    def test_parallel_batch_identical(self):
-        serial = run_campaign_batch(self.configs(), seed=7)
-        parallel = run_campaign_batch(self.configs(), seed=7, workers=2)
-        assert serial == parallel
-
-    def test_cache_dir_round_trip(self, tmp_path):
-        fresh = run_campaign_batch(
-            self.configs(), seed=7, cache_dir=tmp_path
-        )
-        cached = run_campaign_batch(
-            self.configs(), seed=7, cache_dir=tmp_path
-        )
-        assert fresh == cached

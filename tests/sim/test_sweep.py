@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import io
 
-from repro.sim.shuffle_sim import ShuffleScenario
-from repro.sim.sweep import sweep, to_csv
+import numpy as np
+import pytest
+
+from repro.sim.shuffle_sim import ShuffleScenario, run_scenario
+from repro.sim.sweep import run_scenario_grid, sweep, to_csv
 
 
 def tiny_grid():
@@ -57,22 +60,52 @@ class TestSweep:
         assert serial == parallel
         assert to_csv(serial) == to_csv(parallel)
 
-    def test_cache_dir_resumes(self, tmp_path):
-        first = sweep(tiny_grid(), repetitions=2, seed=7,
-                      cache_dir=tmp_path)
-        second = sweep(tiny_grid(), repetitions=2, seed=7,
-                       cache_dir=tmp_path)
-        assert first == second
 
-    def test_progress_callback_sees_every_cell(self):
-        seen = []
-        sweep(
-            tiny_grid(), repetitions=2, seed=8,
-            progress=lambda outcome, done, total: seen.append(
-                (done, total)
-            ),
+class TestRunScenarioGrid:
+    @pytest.mark.parametrize("spawn_seeds", [True, False])
+    def test_each_cell_is_a_direct_run_scenario(self, spawn_seeds):
+        """Cell i is run_scenario under SeedSequence(seed).spawn(n)[i]
+        (spawn_seeds=True, the sweep contract) or under the base
+        SeedSequence(seed) (False, the figure drivers' convention)."""
+        results = run_scenario_grid(
+            tiny_grid(), repetitions=3, seed=5, spawn_seeds=spawn_seeds
         )
-        assert seen == [(1, 2), (2, 2)]
+        for index, (scenario, result) in enumerate(
+            zip(tiny_grid(), results)
+        ):
+            spawn_key = (index,) if spawn_seeds else ()
+            assert result == run_scenario(
+                scenario,
+                repetitions=3,
+                seed=np.random.SeedSequence(5, spawn_key=spawn_key),
+            )
+
+    @pytest.mark.parametrize("spawn_seeds", [True, False])
+    def test_workers_do_not_change_results(self, spawn_seeds):
+        serial = run_scenario_grid(
+            tiny_grid(), repetitions=3, seed=6, spawn_seeds=spawn_seeds
+        )
+        parallel = run_scenario_grid(
+            tiny_grid(), repetitions=3, seed=6, spawn_seeds=spawn_seeds,
+            workers=2,
+        )
+        assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_scenario_raises_its_own_error(self, workers):
+        bad = ShuffleScenario(
+            benign=300, bots=30, n_replicas=40, planner="no-such",
+            preload_bots=True,
+        )
+        with pytest.raises(ValueError, match="no-such"):
+            run_scenario_grid(
+                [tiny_grid()[0], bad], repetitions=2, seed=1,
+                workers=workers,
+            )
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers=0"):
+            run_scenario_grid(tiny_grid(), workers=0)
 
 
 class TestCsv:

@@ -53,33 +53,7 @@ from repro.devtools.program import context as program_context
 from repro.devtools.program import graph as program_graph
 from repro.experiments import ablations
 from repro.experiments import ablations as ablations_module
-from repro.runtime import (
-    CacheEntry,
-    GridError,
-    ResultCache,
-    RetryPolicy,
-    Task,
-    TaskError,
-    TaskOutcome,
-    canonical_json,
-    module_code_version,
-    run_campaign_grid,
-    run_scenario_grid,
-    run_scenario_grid_report,
-    run_tasks,
-    scenario_tasks,
-    seed_sequence_for,
-    sweep_records,
-    task_fingerprint,
-    task_seed_sequence,
-)
-from repro.runtime import RunReport as RuntimeRunReport
-from repro.runtime import cache as runtime_cache
-from repro.runtime import executor as runtime_executor
-from repro.runtime import grids as runtime_grids
-from repro.runtime import task as runtime_task
 from repro.sim import CampaignResult, RunRecord, WaveOutcome
-from repro.sim import backend as sim_backend
 from repro.sim import campaign, shuffle_sim
 from repro import BotEstimate, RoundResult
 from repro.analysis import PAPER_HEADLINE_SHUFFLES, TrajectoryPoint
@@ -101,40 +75,6 @@ def test_sim_facade_aliases():
     assert sim_pkg.CampaignResult is CampaignResult is campaign.CampaignResult
     assert WaveOutcome is campaign.WaveOutcome
     assert RunRecord is shuffle_sim.RunRecord
-    assert sim_pkg.run_campaign_batch is campaign.run_campaign_batch
-
-
-def test_runtime_facade_aliases():
-    assert CacheEntry is runtime_cache.CacheEntry
-    assert ResultCache is runtime_cache.ResultCache
-    assert GridError is runtime_executor.GridError
-    assert RetryPolicy is runtime_executor.RetryPolicy
-    assert RuntimeRunReport is runtime_executor.RunReport
-    assert TaskError is runtime_executor.TaskError
-    assert TaskOutcome is runtime_executor.TaskOutcome
-    assert run_tasks is runtime_executor.run_tasks
-    assert Task is runtime_task.Task
-    assert canonical_json is runtime_task.canonical_json
-    assert module_code_version is runtime_task.module_code_version
-    assert seed_sequence_for is runtime_task.seed_sequence_for
-    assert task_fingerprint is runtime_task.task_fingerprint
-    assert task_seed_sequence is runtime_task.task_seed_sequence
-    assert run_campaign_grid is runtime_grids.run_campaign_grid
-    assert run_scenario_grid is runtime_grids.run_scenario_grid
-    assert (
-        run_scenario_grid_report is runtime_grids.run_scenario_grid_report
-    )
-    assert scenario_tasks is runtime_grids.scenario_tasks
-    assert sweep_records is runtime_grids.sweep_records
-
-
-def test_runtime_backends_registered():
-    """`import repro` wires the runtime onto the sim backend registry."""
-    assert sim_backend.get_backend("sweep") is sweep_records
-    assert set(sim_backend.available_backends()) >= {
-        "sweep",
-        "campaign_batch",
-    }
 
 
 def test_top_level_facade_aliases():
@@ -206,6 +146,6 @@ def test_layer_contract_shape():
     # Defense in depth: every contract key is an actual subpackage.
     for layer in LAYER_CONTRACT:
         assert layer in top_level or layer in {
-            "core", "sim", "analysis", "cloudsim", "runtime",
+            "core", "sim", "analysis", "cloudsim",
             "service", "experiments", "devtools", "obs",
         }

@@ -21,7 +21,7 @@ PACKAGES = [
     "repro.analysis",
     "repro.detect",
     "repro.obs",
-    "repro.runtime",
+    "repro.trust",
     "repro.service",
     "repro.experiments",
 ]
