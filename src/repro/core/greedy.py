@@ -23,15 +23,21 @@ With the cap, greedy matches the static optimum to high precision across
 the paper's whole Figure 3 grid, which is evidently what the authors'
 implementation did.
 
-Complexity ``O(N · M)`` time (the single-replica scan dominates), ``O(P)``
-space, matching the paper's statement; with the vectorized scan in
-:func:`repro.core.objective.single_replica_optimum` the practical runtime is
-milliseconds even at ``N = 150,000``.
+Neither step walks its whole range.  ``f(x+1)/f(x) = (1 + 1/x) ·
+(1 − M/(N − x))`` strictly decreases, so ``f`` is unimodal with its peak at
+``⌈(N − M)/(M + 1)⌉`` and :func:`repro.core.objective.
+single_replica_optimum` certifies ``ω`` from a window around that point —
+``O(N/M)`` kernel evaluations instead of the paper's scan of every ``x``
+(its docstring has the factor-two stop that makes the result the full
+scan's, bit for bit).  The ω-groups are a prefix whose length has a closed
+form, and the capped tail is the even split, so the sizes are an ``O(P)``
+list build, ``O(P)`` space.  Measured at ``N ≈ 150,000``, ``P = 1000``
+(``sim_mle_scale``): ~0.35 ms per plan, under a third of it finding ``ω``.
 """
 
 from __future__ import annotations
 
-
+from .even import even_sizes
 from .objective import expected_saved_sizes, single_replica_optimum
 from .plan import ShufflePlan
 
@@ -61,29 +67,18 @@ def greedy_sizes(n_clients: int, n_bots: int, n_replicas: int) -> list[int]:
     # Step 1: the single-replica optimum ω on the full problem (N, M).
     omega, _ = single_replica_optimum(n_clients, n_bots)
     omega = max(omega, 1)
-
-    sizes: list[int] = []
-    remaining = n_clients
-    replicas_left = n_replicas
-    while replicas_left > 1:
-        if remaining == 0:
-            sizes.append(0)
-            replicas_left -= 1
-            continue
-        # Step 2 with the even-share cap (module docstring): groups of ω
-        # while clients are plentiful; once the remainder drops below
-        # ω·(replicas left), the tail is spread evenly — which both
-        # realizes the paper's "restate and recurse" step 3 and is optimal
-        # in the concave region below ω.
-        share = -(-remaining // replicas_left)  # ceil division
-        group = min(omega, share)
-        sizes.append(group)
-        remaining -= group
-        replicas_left -= 1
-    # Step 4: the last replica takes everything left — the de-facto
+    # Step 2 with the even-share cap (module docstring): replica j takes
+    # ω while ω <= ⌈remaining/left⌉ = ⌈(N − jω)/(P − j)⌉, which rearranges
+    # to j < N − (ω − 1)·P — monotone in j, so the ω-groups are a prefix.
+    # Steps 3-4: past it every share is the capped one, and taking
+    # ⌈remaining/left⌉ replica by replica is the even, larger-first split
+    # — the paper's "restate and recurse", optimal in the concave region
+    # below ω.  The last replica always takes what is left: the de-facto
     # quarantine bucket whenever bots force small clean groups.
-    sizes.append(remaining)
-    return sizes
+    full = min(max(n_clients - (omega - 1) * n_replicas, 0), n_replicas - 1)
+    return [omega] * full + even_sizes(
+        n_clients - full * omega, n_replicas - full
+    )
 
 
 def _greedy_plan(
@@ -102,8 +97,6 @@ def _greedy_plan(
     planner dominating the Figure 4 baseline everywhere, as the paper's
     curves show, at negligible extra cost.
     """
-    from .even import even_sizes
-
     sizes = greedy_sizes(n_clients, n_bots, n_replicas)
     value = expected_saved_sizes(sizes, n_clients, n_bots)
     even = even_sizes(n_clients, n_replicas)

@@ -52,13 +52,7 @@ class ShufflePlan:
             raise PlanError(
                 f"n_bots={self.n_bots} must be within [0, {self.n_clients}]"
             )
-        sizes = self.group_sizes
-        if any(size < 0 for size in sizes):
-            raise PlanError(f"negative group size in {sizes!r}")
-        if sum(sizes) != self.n_clients:
-            raise PlanError(
-                f"group sizes sum to {sum(sizes)}, expected {self.n_clients}"
-            )
+        validate_partition(self.group_sizes, self.n_clients)
 
     @classmethod
     def from_sizes(
@@ -70,7 +64,7 @@ class ShufflePlan:
         algorithm: str = "unspecified",
     ) -> "ShufflePlan":
         """Build a plan from group sizes, inferring ``n_clients``."""
-        tup = tuple(int(size) for size in sizes)
+        tup = tuple(map(int, sizes))
         return cls(
             group_sizes=tup,
             n_clients=sum(tup),
@@ -111,9 +105,8 @@ class ShufflePlan:
 
 def validate_partition(sizes: Sequence[int], n_clients: int) -> None:
     """Raise :class:`PlanError` unless ``sizes`` is a partition of clients."""
-    if any(size < 0 for size in sizes):
+    if min(sizes, default=0) < 0:
         raise PlanError(f"negative group size in {tuple(sizes)!r}")
-    if sum(sizes) != n_clients:
-        raise PlanError(
-            f"group sizes sum to {sum(sizes)}, expected {n_clients}"
-        )
+    total = sum(sizes)
+    if total != n_clients:
+        raise PlanError(f"group sizes sum to {total}, expected {n_clients}")

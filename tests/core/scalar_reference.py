@@ -2,7 +2,9 @@
 
 These are verbatim copies of the *pre-vectorization* bodies of
 ``repro.core.estimator``, ``repro.core.dp`` and ``repro.core.dp_fast``
-(the per-element Python loops the vectorized rewrite replaced).
+(the per-element Python loops the vectorized rewrite replaced), plus the
+pre-window bodies of ``objective.single_replica_optimum`` (the scan of
+every ``x ∈ [1, N]``) and ``greedy.greedy_sizes`` (the P-step loop).
 ``tests/core/test_vectorized_equivalence.py`` pins the vectorized
 kernels bit-identical (or, for the dp tables, allclose) against them.
 
@@ -32,6 +34,8 @@ __all__ = [
     "scalar_weighted_m_hat",
     "scalar_combine",
     "scalar_optimal_assign",
+    "scalar_single_replica_optimum",
+    "scalar_greedy_sizes",
 ]
 
 
@@ -206,3 +210,56 @@ def scalar_optimal_assign(
                     save_no[i, j, k] = best_value
                     assign_no[i, j, k] = best_a
     return save_no, assign_no
+
+
+def scalar_single_replica_optimum(
+    n_clients: int, n_bots: int
+) -> tuple[int, float]:
+    """``single_replica_optimum`` at 9e099f0: ``f`` over all of [1, N]."""
+    if n_clients <= 0:
+        return 0, 0.0
+    if n_bots == 0:
+        return n_clients, float(n_clients)
+    xs = np.arange(1, n_clients + 1, dtype=np.int64)
+    values = expected_saved_single_many(n_clients, n_bots, xs)
+    best = int(np.argmax(values))
+    return int(xs[best]), float(values[best])
+
+
+def scalar_greedy_sizes(
+    n_clients: int, n_bots: int, n_replicas: int
+) -> list[int]:
+    """``greedy_sizes`` at 9e099f0: one loop step per replica."""
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
+    if not 0 <= n_bots <= n_clients:
+        raise ValueError(
+            f"n_bots={n_bots} must be within [0, {n_clients}]"
+        )
+
+    # Step 1: the single-replica optimum ω on the full problem (N, M).
+    omega, _ = scalar_single_replica_optimum(n_clients, n_bots)
+    omega = max(omega, 1)
+
+    sizes: list[int] = []
+    remaining = n_clients
+    replicas_left = n_replicas
+    while replicas_left > 1:
+        if remaining == 0:
+            sizes.append(0)
+            replicas_left -= 1
+            continue
+        # Step 2 with the even-share cap (module docstring): groups of ω
+        # while clients are plentiful; once the remainder drops below
+        # ω·(replicas left), the tail is spread evenly — which both
+        # realizes the paper's "restate and recurse" step 3 and is optimal
+        # in the concave region below ω.
+        share = -(-remaining // replicas_left)  # ceil division
+        group = min(omega, share)
+        sizes.append(group)
+        remaining -= group
+        replicas_left -= 1
+    # Step 4: the last replica takes everything left — the de-facto
+    # quarantine bucket whenever bots force small clean groups.
+    sizes.append(remaining)
+    return sizes

@@ -1,17 +1,20 @@
-"""Bit-identity pins: vectorized kernels vs the frozen scalar seeds.
+"""Bit-identity pins: today's kernels vs the frozen reference bodies.
 
 The vectorized estimator/planner core (whole-array occupancy recurrence,
 Toeplitz (max,+) convolution, broadcast DP rows) must reproduce the
 historical scalar loops *exactly* where the arithmetic is
 order-preserving, and within float tolerance where only the summation
-order changed (the Algorithm 1 row broadcast).  The scalar references
-live in ``tests/core/scalar_reference.py`` and are frozen — see its module
-docstring.
+order changed (the Algorithm 1 row broadcast).  The greedy planner's
+windowed ``ω`` search and closed-form group sizes are pinned the same way
+against the full scan and the replica-by-replica loop they replaced.  The
+references live in ``tests/core/scalar_reference.py`` and are frozen — see
+its module docstring.
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,12 +24,16 @@ from hypothesis import strategies as st
 from scalar_reference import (
     scalar_attacked_count_pmf,
     scalar_combine,
+    scalar_greedy_sizes,
     scalar_mle_m_hat,
     scalar_occupancy_likelihoods,
     scalar_occupancy_pmf,
     scalar_optimal_assign,
+    scalar_single_replica_optimum,
     scalar_weighted_m_hat,
 )
+from repro.core import objective
+from repro.core.combinatorics import expected_saved_single_many
 from repro.core.dp import optimal_assign
 from repro.core.dp_fast import _Node, _combine
 from repro.core.estimator import (
@@ -38,6 +45,8 @@ from repro.core.estimator import (
     occupancy_likelihoods,
     occupancy_pmf,
 )
+from repro.core.greedy import greedy_sizes
+from repro.core.objective import single_replica_optimum
 
 
 class TestOccupancyBitIdentity:
@@ -149,6 +158,129 @@ class TestBoundedSweep:
             log_prior=np.zeros(upper_bound + 1),
         )
         assert flat == pure
+
+
+def _assert_same_plan(n_clients: int, n_bots: int, n_replicas: int) -> None:
+    """``==`` on ω, on f(ω) (exact float equality) and on every size."""
+    got = single_replica_optimum(n_clients, n_bots)
+    assert got == scalar_single_replica_optimum(n_clients, n_bots)
+    assert type(got[0]) is int and type(got[1]) is float
+    sizes = greedy_sizes(n_clients, n_bots, n_replicas)
+    assert sizes == scalar_greedy_sizes(n_clients, n_bots, n_replicas)
+    assert all(type(size) is int for size in sizes)
+
+
+class TestGreedyPlanBitIdentity:
+    """Windowed ω and closed-form sizes vs the full scan and the loop."""
+
+    @given(st.integers(0, 400), st.integers(0, 400), st.integers(1, 60))
+    @settings(max_examples=300)
+    def test_matches_full_scan_and_loop(self, n_clients, pick, n_replicas):
+        _assert_same_plan(n_clients, pick % (n_clients + 1), n_replicas)
+
+    @pytest.mark.parametrize(
+        "n_clients, n_bots",
+        [
+            (0, 0),
+            (1, 0),
+            (1, 1),
+            # M = 1: f(x) = x(N − x)/N, a flat top.  N odd puts an exact
+            # tie at (N ± 1)/2 (first-maximum rule); N even a lone peak
+            # whose neighbours differ from it by 1/x² relative.
+            (2, 1),
+            (9, 1),
+            (10, 1),
+            (401, 1),
+            (4_000, 1),
+            (4_001, 1),
+            # M = 2, odd and even N.
+            (9, 2),
+            (10, 2),
+            (4_001, 2),
+            # M = N (f ≡ 0, first maximum x = 1) and M = N − 1 (support
+            # is the single point x = 1).
+            (10, 10),
+            (10, 9),
+            (4_000, 3_999),
+            (4_000, 3_998),
+            # (N − M)/(M + 1) an exact integer: f(r) = f(r + 1) in real
+            # arithmetic.  r = 9, 3, 1, 100.
+            (109, 10),
+            (19, 4),
+            (5, 2),
+            (1_110, 10),
+        ],
+    )
+    @pytest.mark.parametrize("n_replicas", [1, 2, 7, 60, 5_000])
+    def test_edges(self, n_clients, n_bots, n_replicas):
+        # n_replicas spans P = 1, P < N/ω, P > N/ω and P > N.
+        _assert_same_plan(n_clients, n_bots, n_replicas)
+
+    @pytest.mark.parametrize(
+        "n_bots", [1, 7, 1_041, 6_905, 100_000, 149_747, 149_999, 150_000]
+    )
+    @pytest.mark.parametrize("n_replicas", [1, 1_000])
+    def test_paper_scale(self, n_bots, n_replicas):
+        _assert_same_plan(150_000, n_bots, n_replicas)
+
+    @given(st.integers(1, 400), st.integers(0, 400))
+    @settings(max_examples=200)
+    def test_omega_is_the_exact_arithmetic_argmax(self, n_clients, pick):
+        # f(x+1)/f(x) crosses 1 at r = (N − M)/(M + 1), so the first
+        # maximum is ⌈r⌉ (at least 1); an integer r is an exact tie with
+        # r + 1 that float rounding may break either way.  N ≤ 400 keeps
+        # neighbouring values ≥ 1e-5 apart, far above the kernel's error.
+        n_bots = 1 + pick % n_clients
+        omega, _ = single_replica_optimum(n_clients, n_bots)
+        floor_r, rest = divmod(n_clients - n_bots, n_bots + 1)
+        if rest == 0:
+            assert omega in (max(1, floor_r), floor_r + 1)
+        else:
+            assert omega == floor_r + 1
+
+    @pytest.mark.parametrize("n_bots", [11, -1])
+    def test_bot_count_outside_the_population_raises(self, n_bots):
+        # -1 makes M + 1 = 0: a ZeroDivisionError in a careless closed
+        # form, where the scan's kernel raised ValueError.
+        with pytest.raises(ValueError):
+            single_replica_optimum(10, n_bots)
+        with pytest.raises(ValueError):
+            scalar_single_replica_optimum(10, n_bots)
+
+
+class TestCertifiedWindow:
+    """The factor-two stop is a proof: the window holds the peak."""
+
+    @given(st.integers(2, 3_000), st.integers(0, 10_000))
+    @settings(max_examples=100)
+    def test_nothing_outside_the_window_reaches_the_peak(
+        self, n_clients, pick
+    ):
+        n_bots = 1 + pick % (n_clients - 1)
+        windows = []
+
+        def spy(n, m, xs):
+            windows.append((int(xs[0]), int(xs[-1])))
+            return expected_saved_single_many(n, m, xs)
+
+        with mock.patch.object(objective, "expected_saved_single_many", spy):
+            omega, peak = single_replica_optimum(n_clients, n_bots)
+        low, high = windows[-1]
+        assert 1 <= low <= omega <= high <= n_clients - n_bots
+        xs = np.arange(1, n_clients + 1, dtype=np.int64)
+        full = expected_saved_single_many(n_clients, n_bots, xs)
+        assert full[omega - 1] == peak
+        # Left of the window and right of it: not just below the peak
+        # but below half of it, give or take float noise.
+        outside = np.concatenate([full[: low - 1], full[high:]])
+        assert (outside <= 0.5 * peak * (1 + 1e-9)).all()
+        # What licensed the stop: the curve rises to ω and falls after
+        # it (unimodal up to float noise), and is exactly zero past the
+        # support N − M.
+        noise = 1e-9 * peak
+        assert (np.diff(full[:omega]) >= -noise).all()
+        assert (np.diff(full[omega - 1 :]) <= noise).all()
+        assert not full[n_clients - n_bots :].any()
 
 
 class TestAttackedCountBitIdentity:
