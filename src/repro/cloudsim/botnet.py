@@ -105,7 +105,7 @@ class Botnet:
         if self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.flood_tick, self._flood, label="flood")
+        self.ctx.sim.schedule(self.flood_tick, self._flood)
 
     def stop(self) -> None:
         self._running = False
@@ -131,7 +131,7 @@ class Botnet:
                     self.packets_wasted += per_target
                     self._dead_since.setdefault(address, self.ctx.now)
         self._prune()
-        self.ctx.sim.schedule(self.flood_tick, self._flood, label="flood")
+        self.ctx.sim.schedule(self.flood_tick, self._flood)
 
     def _prune(self) -> None:
         """Botmaster re-coordination: drop long-dead targets.

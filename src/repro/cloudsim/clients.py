@@ -78,10 +78,7 @@ class BenignClient:
         balancer = self.ctx.dns.balancer_for(lb_endpoint)
         rtt = self.ctx.latency.round_trip(self.endpoint, lb_endpoint,
                                           self.ctx.rng)
-        self.ctx.sim.schedule(
-            rtt, lambda: self._complete_join(balancer),
-            label=f"join:{self.client_id}",
-        )
+        self.ctx.sim.schedule(rtt, lambda: self._complete_join(balancer))
 
     def _complete_join(self, balancer) -> None:
         if not self.active:
@@ -90,8 +87,7 @@ class BenignClient:
         if target is None:
             # No active replica right now (mid-substitution): back off.
             self.ctx.sim.schedule(
-                self.ctx.config.join_retry_delay, self.join,
-                label=f"join-retry:{self.client_id}",
+                self.ctx.config.join_retry_delay, self.join
             )
             return
         self.replica_endpoint = target
@@ -110,10 +106,7 @@ class BenignClient:
         think = self.ctx.rng.exponential(self._think_time)
         if initial:
             think *= self.ctx.rng.random()  # desynchronize start-up
-        self.ctx.sim.schedule(
-            max(1e-6, think), self.send_request,
-            label=f"req:{self.client_id}",
-        )
+        self.ctx.sim.schedule(max(1e-6, think), self.send_request)
 
     def send_request(self) -> None:
         """Issue one application request to the assigned replica."""
@@ -144,8 +137,7 @@ class BenignClient:
                 ),
             )
 
-        self.ctx.sim.schedule(one_way, arrive,
-                              label=f"req-net:{self.client_id}")
+        self.ctx.sim.schedule(one_way, arrive)
         self._schedule_next_request()
 
     def _on_processed(
@@ -171,8 +163,7 @@ class BenignClient:
             self.stats.total_latency += latency
             self.ctx.metrics.record_request(self, ok=True, latency=latency)
 
-        self.ctx.sim.schedule(service_time + back, delivered,
-                              label=f"resp:{self.client_id}")
+        self.ctx.sim.schedule(service_time + back, delivered)
 
     # ------------------------------------------------------------------
     # shuffling
@@ -224,10 +215,7 @@ class PersistentBot(BenignClient):
     def on_assigned(self, endpoint: Endpoint) -> None:
         delay = self.ctx.rng.exponential(self.ctx.config.reveal_delay)
         address = endpoint.address
-        self.ctx.sim.schedule(
-            delay, lambda: self._reveal(address),
-            label=f"reveal:{self.client_id}",
-        )
+        self.ctx.sim.schedule(delay, lambda: self._reveal(address))
 
     def _reveal(self, address: str) -> None:
         if not self.active:
@@ -277,7 +265,6 @@ class OnOffBot(PersistentBot):
             self.ctx.sim.schedule(
                 self._quiet_until - self.ctx.now + 1e-6,
                 lambda: self._reveal_if_current(address),
-                label=f"deferred-reveal:{self.client_id}",
             )
             return
         super().on_assigned(endpoint)

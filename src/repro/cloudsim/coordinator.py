@@ -83,11 +83,7 @@ class Coordinator:
         # Spares boot in the background but stay *hidden*: they are only
         # registered with a load balancer when a shuffle claims them, so
         # their addresses remain unadvertised.
-        self.ctx.sim.schedule(
-            cfg.boot_delay,
-            replica.activate,
-            label=f"boot-spare:{endpoint.address}",
-        )
+        self.ctx.sim.schedule(cfg.boot_delay, replica.activate)
         self.ctx.register_hidden_replica(replica)
         return replica
 
@@ -130,8 +126,7 @@ class Coordinator:
             replica.activate()
         else:
             delay = boot_delay if boot_delay is not None else cfg.boot_delay
-            self.ctx.sim.schedule(delay, replica.activate,
-                                  label=f"boot:{endpoint.address}")
+            self.ctx.sim.schedule(delay, replica.activate)
         return replica
 
     # ------------------------------------------------------------------
@@ -143,7 +138,7 @@ class Coordinator:
             return
         self._monitoring = True
         self.ctx.sim.schedule(
-            self.ctx.config.detection_interval, self._sweep, label="detect"
+            self.ctx.config.detection_interval, self._sweep
         )
 
     def stop_monitoring(self) -> None:
@@ -170,7 +165,7 @@ class Coordinator:
             if attacked:
                 self._start_shuffle(attacked)
         self.ctx.sim.schedule(
-            self.ctx.config.detection_interval, self._sweep, label="detect"
+            self.ctx.config.detection_interval, self._sweep
         )
 
     def _heal(self) -> None:
@@ -323,7 +318,6 @@ class Coordinator:
             wait,
             lambda: self._migrate(clients, sizes, new_replicas,
                                   attacked, record),
-            label="migrate",
         )
 
     def _migrate(
@@ -362,7 +356,6 @@ class Coordinator:
         self.ctx.sim.schedule(
             grace,
             lambda: self._finish_shuffle(attacked, new_replicas, record),
-            label="retire",
         )
 
     def _deliver_redirect_factory(self, client):
@@ -375,7 +368,6 @@ class Coordinator:
             self.ctx.sim.schedule(
                 one_way,
                 lambda: client.receive_redirect(new_endpoint),
-                label=f"redirect-net:{client_id}",
             )
 
         return deliver

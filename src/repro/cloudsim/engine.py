@@ -6,13 +6,19 @@ sequence)``-ordered callbacks on a binary heap.  Everything in
 requests, WebSocket pushes, replica boot-ups, bot floods — is scheduled
 through one :class:`Simulator` instance, which makes causality trivially
 auditable (tests assert the clock never runs backwards).
+
+A heap entry is the list ``[time, seq, action]``.  It is a list, not an
+ordered dataclass, so that every sift of :mod:`heapq` orders entries with
+the built-in lexicographic list comparison in C instead of calling a
+Python-level ``__lt__`` some 17 times per event.  ``seq`` is unique, so
+a comparison is always settled by ``(time, seq)`` and ``action`` — a
+callable, un-orderable — is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -22,23 +28,35 @@ class SimulationError(RuntimeError):
     """Raised on scheduling misuse (negative delays, running twice, ...)."""
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, laid out as ``[time, seq, action]``.
 
     Ordering is by ``(time, seq)``; the monotonically increasing sequence
-    number makes simultaneous events FIFO and the heap ordering total.
+    number makes simultaneous events FIFO and the heap ordering total,
+    and being unique it keeps list comparison from ever reaching
+    ``action``.  The entry stays a plain list (``__slots__ = ()``, no
+    ``__lt__``) so the heap orders it in C; ``action`` is ``None`` once
+    cancelled.  Callers hold an ``Event`` only to :meth:`cancel` it or to
+    read the properties below.
     """
 
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ()
+
+    @property
+    def time(self) -> float:
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        return self[1]
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap, inert)."""
-        self.cancelled = True
+        self[2] = None
 
 
 class Simulator:
@@ -47,7 +65,7 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(0.5, lambda: print("hello"), label="greeting")
+        sim.schedule(0.5, lambda: print("hello"))
         sim.run_until(10.0)
     """
 
@@ -68,32 +86,17 @@ class Simulator:
         """Events still in the heap (including cancelled tombstones)."""
         return len(self._queue)
 
-    def schedule(
-        self,
-        delay: float,
-        action: Callable[[], None],
-        label: str = "",
-    ) -> Event:
+    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        event = Event(
-            time=self.now + delay,
-            seq=next(self._seq),
-            action=action,
-            label=label,
-        )
+        event = Event((self.now + delay, next(self._seq), action))
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], None],
-        label: str = "",
-    ) -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at an absolute simulation time."""
-        return self.schedule(time - self.now, action, label=label)
+        return self.schedule(time - self.now, action)
 
     def run_until(self, end_time: float, max_events: int | None = None) -> None:
         """Process events in order until the clock passes ``end_time``.
@@ -102,33 +105,40 @@ class Simulator:
             end_time: absolute simulation time to stop at; the clock is
                 advanced to exactly ``end_time`` when the queue drains or
                 the next event lies beyond it.
-            max_events: optional hard cap, a guard against accidental
-                event storms in tests.
+            max_events: optional hard cap on the events *this call* may
+                execute, a guard against accidental event storms in
+                tests.  Raises only if a further event is still due at
+                or before ``end_time`` once the cap is spent.
         """
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
         try:
-            budget = max_events if max_events is not None else float("inf")
-            while self._queue and self._events_processed < budget:
-                event = self._queue[0]
-                if event.time > end_time:
+            queue = self._queue
+            limit = (
+                None if max_events is None
+                else self._events_processed + max_events
+            )
+            while queue:
+                time, _, action = queue[0]
+                if time > end_time:
                     break
-                heapq.heappop(self._queue)
-                if event.cancelled:
+                if action is None:  # cancelled tombstone
+                    heapq.heappop(queue)
                     continue
-                if event.time < self.now:
+                if self._events_processed == limit:
                     raise SimulationError(
-                        f"time went backwards: {event.time} < {self.now}"
+                        f"exceeded max_events={max_events} "
+                        f"(simulation runaway at t={self.now:.3f})"
                     )
-                self.now = event.time
+                heapq.heappop(queue)
+                if time < self.now:
+                    raise SimulationError(
+                        f"time went backwards: {time} < {self.now}"
+                    )
+                self.now = time
                 self._events_processed += 1
-                event.action()
-            if max_events is not None and self._events_processed >= budget:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} "
-                    f"(simulation runaway at t={self.now:.3f})"
-                )
+                action()
             self.now = max(self.now, end_time)
         finally:
             self._running = False
@@ -142,7 +152,6 @@ def every(
     sim: Simulator,
     interval: float,
     action: Callable[[], None],
-    label: str = "",
     jitter: Callable[[], float] | None = None,
 ) -> Callable[[], None]:
     """Schedule ``action`` periodically; returns a stop function.
@@ -157,12 +166,11 @@ def every(
             return
         action()
         delay = interval + (jitter() if jitter is not None else 0.0)
-        sim.schedule(max(1e-9, delay), tick, label=label)
+        sim.schedule(max(1e-9, delay), tick)
 
     def stop() -> None:
         nonlocal stopped
         stopped = True
 
-    sim.schedule(interval + (jitter() if jitter is not None else 0.0),
-                 tick, label=label)
+    sim.schedule(interval + (jitter() if jitter is not None else 0.0), tick)
     return stop

@@ -40,7 +40,7 @@ class ChaosMonkey:
         if self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.tick, self._maybe_crash, label="chaos")
+        self.ctx.sim.schedule(self.tick, self._maybe_crash)
 
     def stop(self) -> None:
         self._running = False
@@ -58,4 +58,4 @@ class ChaosMonkey:
                     "replica_crashed", address=victim.endpoint.address
                 )
                 self.ctx.fail_replica(victim)
-        self.ctx.sim.schedule(self.tick, self._maybe_crash, label="chaos")
+        self.ctx.sim.schedule(self.tick, self._maybe_crash)

@@ -47,7 +47,7 @@ class MetricsCollector:
         if self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.interval, self._snapshot, label="metrics")
+        self.ctx.sim.schedule(self.interval, self._snapshot)
 
     def stop(self) -> None:
         self._running = False
@@ -62,9 +62,11 @@ class MetricsCollector:
         success ratio but not to the latency mean.
         """
         kind = getattr(client, "kind", "benign")
-        totals = self.totals.setdefault(
-            kind, {"sent": 0.0, "ok": 0.0, "latency": 0.0}
-        )
+        totals = self.totals.get(kind)
+        if totals is None:
+            totals = self.totals[kind] = {
+                "sent": 0.0, "ok": 0.0, "latency": 0.0
+            }
         totals["sent"] += 1
         if ok:
             totals["ok"] += 1
@@ -100,7 +102,7 @@ class MetricsCollector:
         self._window_ok = 0
         self._window_latency = 0.0
         self._window_latency_count = 0
-        self.ctx.sim.schedule(self.interval, self._snapshot, label="metrics")
+        self.ctx.sim.schedule(self.interval, self._snapshot)
 
     # ------------------------------------------------------------------
     # derived summaries

@@ -96,22 +96,24 @@ class LoadMeter:
     half_life: float = 2.0
     _value: float = field(default=0.0, init=False)
     _last: float = field(default=0.0, init=False)
+    _horizon: float = field(init=False, repr=False)
 
-    def _decay(self, now: float) -> None:
-        if now < self._last - 1e-9:
-            raise ValueError(
-                f"LoadMeter time went backwards: {now} < {self._last}"
-            )
-        now = max(now, self._last)
-        if now > self._last:
-            factor = 0.5 ** ((now - self._last) / self.half_life)
-            self._value *= factor
-            self._last = now
+    def __post_init__(self) -> None:
+        self._horizon = self.half_life / math.log(2)
 
     def add(self, now: float, amount: float) -> None:
         """Record ``amount`` units of instantaneous work at ``now``."""
-        self._decay(now)
-        self._value += amount
+        last = self._last
+        if now > last:
+            decayed = self._value * 0.5 ** ((now - last) / self.half_life)
+            self._value = decayed + amount
+            self._last = now
+        elif now < last - 1e-9:
+            raise ValueError(
+                f"LoadMeter time went backwards: {now} < {last}"
+            )
+        else:
+            self._value += amount
 
     def rate(self, now: float) -> float:
         """Decayed average rate in units/second.
@@ -119,9 +121,15 @@ class LoadMeter:
         The accumulator integrates to ``amount * half_life / ln 2`` for a
         single burst, so dividing by that horizon yields a rate estimate.
         """
-        self._decay(now)
-        horizon = self.half_life / math.log(2)
-        return self._value / horizon
+        last = self._last
+        if now > last:
+            self._value *= 0.5 ** ((now - last) / self.half_life)
+            self._last = now
+        elif now < last - 1e-9:
+            raise ValueError(
+                f"LoadMeter time went backwards: {now} < {last}"
+            )
+        return self._value / self._horizon
 
     def reset(self) -> None:
         self._value = 0.0

@@ -55,7 +55,7 @@ class SpoofingFlooder:
         if self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.tick, self._flood, label="spoof-flood")
+        self.ctx.sim.schedule(self.tick, self._flood)
 
     def stop(self) -> None:
         self._running = False
@@ -73,7 +73,7 @@ class SpoofingFlooder:
             balancer.spoofed_packets += batch / max(
                 1, len(self.ctx.balancers)
             )
-        self.ctx.sim.schedule(self.tick, self._flood, label="spoof-flood")
+        self.ctx.sim.schedule(self.tick, self._flood)
 
 
 @dataclass
@@ -118,7 +118,7 @@ class ReconnaissanceScanner:
         if self._running:
             return
         self._running = True
-        self.ctx.sim.schedule(self.tick, self._scan, label="recon")
+        self.ctx.sim.schedule(self.tick, self._scan)
 
     def stop(self) -> None:
         self._running = False
@@ -147,7 +147,7 @@ class ReconnaissanceScanner:
                 1.0,
                 self._count_admitted,
             )
-        self.ctx.sim.schedule(self.tick, self._scan, label="recon")
+        self.ctx.sim.schedule(self.tick, self._scan)
 
     def _count_admitted(self, served: bool, _service_time: float) -> None:
         if served:

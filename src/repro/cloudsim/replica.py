@@ -340,5 +340,4 @@ class ReplicaServer:
         self.ctx.sim.schedule(
             send_delay,
             lambda: deliver(client_id, new_endpoint),
-            label=f"redirect:{client_id}",
         )

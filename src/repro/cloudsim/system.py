@@ -336,8 +336,7 @@ class CloudDefenseSystem:
 
     def _schedule_join(self, client: BenignClient) -> None:
         delay = float(self.ctx.rng.uniform(0.0, 2.0))
-        self.ctx.sim.schedule(delay, client.join,
-                              label=f"enter:{client.client_id}")
+        self.ctx.sim.schedule(delay, client.join)
 
     def enable_churn(
         self,
@@ -371,13 +370,10 @@ class CloudDefenseSystem:
                 self.benign.append(client)
                 client.join()
                 session = float(self.ctx.rng.exponential(mean_session))
-                self.ctx.sim.schedule(
-                    session, client.leave,
-                    label=f"depart:{client.client_id}",
-                )
-            self.ctx.sim.schedule(tick, arrivals, label="churn")
+                self.ctx.sim.schedule(session, client.leave)
+            self.ctx.sim.schedule(tick, arrivals)
 
-        self.ctx.sim.schedule(tick, arrivals, label="churn")
+        self.ctx.sim.schedule(tick, arrivals)
 
     # ------------------------------------------------------------------
     # running
