@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.api import EstimateRequest, estimate as estimate_bots
-from ..core.greedy import greedy_sizes
+from ..core.policy import Observation, ShufflePolicy
 from .network import Endpoint
 from .replica import ReplicaServer
 
@@ -50,6 +49,9 @@ class Coordinator:
     def __init__(self, ctx: "CloudContext") -> None:
         self.ctx = ctx
         self.shuffles: list[ShuffleRecord] = []
+        # The moment estimator keeps the control loop cheap; see
+        # repro.core.estimator for the exact MLE.
+        self.policy = ShufflePolicy(planner="greedy", estimator="moment")
         self._shuffle_in_progress = False
         self._monitoring = False
         self._replica_counter = 0
@@ -248,18 +250,15 @@ class Coordinator:
 
         # Attack-scale estimation from the observable signal: how many of
         # the currently active replicas are attacked, given the current
-        # client spread (Section V).  The moment estimator keeps the
-        # control loop cheap; see repro.core.estimator for the exact MLE.
-        active = self.ctx.active_replicas()
-        estimate = estimate_bots(
-            EstimateRequest(
+        # client spread (Section V).
+        self.policy.believe(
+            Observation(
                 n_attacked=len(attacked),
-                n_replicas=max(len(active), 1),
-                upper_bound=max(n_clients, len(attacked)),
-                method="moment",
+                n_replicas=max(len(self.ctx.active_replicas()), 1),
+                n_clients=n_clients,
             )
         )
-        believed_bots = min(max(estimate.m_hat, 1), max(n_clients, 1))
+        believed_bots = self.policy.believed(n_clients)
 
         record = ShuffleRecord(
             started_at=self.ctx.now,
@@ -280,8 +279,8 @@ class Coordinator:
             return
 
         n_new = min(cfg.shuffle_replicas, n_clients)
-        sizes = greedy_sizes(n_clients, believed_bots, n_new)
-        record.group_sizes = tuple(sizes)
+        sizes = self.policy.decide(n_clients, n_new).plan.group_sizes
+        record.group_sizes = sizes
 
         # Claim pre-booted hot spares first (Section III-C), then boot
         # whatever is still missing, spread across domains so no single
@@ -323,7 +322,7 @@ class Coordinator:
     def _migrate(
         self,
         clients: list[tuple[str, object, ReplicaServer]],
-        sizes: list[int],
+        sizes: tuple[int, ...],
         new_replicas: list[ReplicaServer],
         attacked: list[ReplicaServer],
         record: ShuffleRecord,

@@ -16,19 +16,19 @@ full-fidelity, per-client discrete-event version of the same loop lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..obs.instruments import Instruments, resolve_instruments
-from .api import EstimateRequest, estimate
+from .api import PlanSource
 from .api import planner as _api_planner
 from .estimator import BotEstimate
 from .plan import ShufflePlan
+from .policy import Observation, ShufflePolicy
 
 __all__ = [
     "DEFAULT_SEED",
-    "Planner",
     "PLANNERS",
     "RoundResult",
     "ShuffleState",
@@ -43,15 +43,7 @@ __all__ = [
 DEFAULT_SEED = 20140623  # DSN 2014 — the paper's venue, June 23 2014
 
 
-class Planner(Protocol):
-    """Anything that can produce a shuffle plan from ``(N, M, P)``."""
-
-    def __call__(
-        self, n_clients: int, n_bots: int, n_replicas: int
-    ) -> ShufflePlan: ...
-
-
-PLANNERS: dict[str, Planner] = {
+PLANNERS: dict[str, PlanSource] = {
     "greedy": _api_planner("greedy"),
     "even": _api_planner("even"),
     "dp_fast": _api_planner("dp_fast"),
@@ -157,7 +149,7 @@ class ShuffleEngine:
     def __init__(
         self,
         n_replicas: int,
-        planner: Planner | str = "greedy",
+        planner: PlanSource | str = "greedy",
         estimator: str = "oracle",
         rng: np.random.Generator | None = None,
         adaptive_growth: bool = False,
@@ -189,7 +181,6 @@ class ShuffleEngine:
         if max_replicas is not None and max_replicas < n_replicas:
             raise ValueError("max_replicas must be >= n_replicas")
         self.n_replicas = n_replicas
-        self.planner = planner
         self.estimator = estimator
         self.rng = (
             rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
@@ -199,7 +190,9 @@ class ShuffleEngine:
         self.max_replicas = max_replicas
         self.instruments = resolve_instruments(instruments)
         self.planner_name = planner_name
-        self._belief: int | None = None
+        #: the decision itself (estimate -> believe -> plan); it reports
+        #: to the process-default instruments, as :data:`PLANNERS` does
+        self.policy = ShufflePolicy(planner=planner, estimator=estimator)
 
     def run_round(self, state: ShuffleState) -> RoundResult:
         """Execute one shuffle round, mutating ``state``."""
@@ -239,12 +232,19 @@ class ShuffleEngine:
         obs = self.instruments
         n_clients = state.n_active
         true_bots = state.bots_active
-        believed = self._current_belief(state)
+        policy = self.policy
+        if self.estimator == "oracle" or policy.belief is None:
+            # First round has no observation yet; the engine starts from
+            # the truth (equivalently: operators seed the system with their
+            # attack-detection estimate).
+            policy.belief = true_bots
         if obs is None:
-            plan = self.planner(n_clients, believed, self.n_replicas)
+            decision = policy.decide(n_clients, self.n_replicas)
         else:
-            with obs.spans.span("plan", believed_bots=believed):
-                plan = self.planner(n_clients, believed, self.n_replicas)
+            with obs.spans.span("plan") as span:
+                decision = policy.decide(n_clients, self.n_replicas)
+                span.set(believed_bots=decision.believed_bots)
+        plan = decision.plan
 
         sizes = plan.sizes_array
         if obs is None:
@@ -264,11 +264,17 @@ class ShuffleEngine:
         state.benign_active -= benign_saved
         state.benign_saved += benign_saved
 
+        seen = Observation(
+            n_attacked=n_attacked,
+            n_replicas=plan.n_replicas,
+            n_clients=int(sizes[attacked].sum()),
+            plan_sizes=plan.group_sizes,
+        )
         if obs is None:
-            estimate = self._observe(sizes, attacked, n_attacked)
+            estimate = policy.believe(seen)
         else:
             with obs.spans.span("estimate") as span:
-                estimate = self._observe(sizes, attacked, n_attacked)
+                estimate = policy.believe(seen)
                 if estimate is not None:
                     span.set(m_hat=estimate.m_hat)
         if (
@@ -286,7 +292,7 @@ class ShuffleEngine:
             round_index=len(state.rounds),
             n_clients=n_clients,
             true_bots=true_bots,
-            believed_bots=believed,
+            believed_bots=decision.believed_bots,
             plan=plan,
             bots_per_replica=tuple(bots_per_replica.tolist()),
             n_attacked=n_attacked,
@@ -351,7 +357,7 @@ class ShuffleEngine:
             benign_initial=benign,
             benign_total_seen=benign,
         )
-        self._belief = None
+        self.policy.belief = None
         for round_index in range(max_rounds):
             if arrivals is not None:
                 new_benign, new_bots = arrivals(round_index, self.rng)
@@ -369,44 +375,6 @@ class ShuffleEngine:
                 break
             self.run_round(state)
         return state
-
-    def _current_belief(self, state: ShuffleState) -> int:
-        """Bot count handed to the planner this round."""
-        n_clients = state.n_active
-        if self.estimator == "oracle" or self._belief is None:
-            # First round has no observation yet; the engine starts from
-            # the truth (equivalently: operators seed the system with their
-            # attack-detection estimate).
-            return min(state.bots_active, n_clients)
-        return max(0, min(self._belief, n_clients))
-
-    def _observe(
-        self, sizes: np.ndarray, attacked: np.ndarray, n_attacked: int
-    ) -> BotEstimate | None:
-        """Update the estimator belief from this round's outcome."""
-        if self.estimator == "oracle":
-            return None
-        upper = int(sizes[attacked].sum())
-        upper = max(upper, n_attacked)
-        if self.estimator == "weighted":
-            # Likelihood computed against the *actual* (non-uniform)
-            # group sizes — see estimator._estimate_weighted.
-            request = EstimateRequest(
-                n_attacked=n_attacked,
-                sizes=tuple(sizes.tolist()),
-                n_clients=int(sizes.sum()),
-                method="weighted",
-            )
-        else:
-            request = EstimateRequest(
-                n_attacked=n_attacked,
-                n_replicas=int(sizes.size),
-                upper_bound=upper,
-                method=self.estimator,
-            )
-        result = estimate(request)
-        self._belief = result.m_hat
-        return result
 
 
 def shuffle_trajectory(

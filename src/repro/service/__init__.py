@@ -26,11 +26,7 @@ from __future__ import annotations
 from .backend import BackendStats, ReplicaBackend
 from .budget import MIN_BUDGET, SLACK_FACTOR, shuffle_budget
 from .config import DEFAULT_SEED, ServiceConfig
-from .coordinator import (
-    LiveShuffleRecord,
-    ServiceCoordinator,
-    theorem1_fallback,
-)
+from .coordinator import LiveShuffleRecord, ServiceCoordinator
 from .harness import ScenarioReport, run_scenario, run_scenario_sync
 from .loadgen import LoadConfig, LoadGenerator
 from .pool import ReplicaPool
@@ -57,5 +53,4 @@ __all__ = [
     "run_scenario",
     "run_scenario_sync",
     "shuffle_budget",
-    "theorem1_fallback",
 ]

@@ -13,69 +13,37 @@ command-and-control channel, assumed unattackable)::
              SNAPSHOT              one-line JSON telemetry dump
     S -> C:  ASSIGN <client_id> <host>:<port> <replica_id>
 
-Per sweep the coordinator polls the pool for saturated replicas; the
-count ``X`` feeds the attack-scale estimators through the unified
-:func:`repro.core.api.estimate` seam:
-
-- round 1 (near-uniform assignment): exact occupancy MLE;
-- later rounds: the Poisson-binomial ``method="weighted"`` likelihood on
-  the previous plan's group sizes — after a shuffle every persistent bot
-  lives inside the reshuffled subset, so the subset's plan is the right
-  occupancy model;
-- degenerate observations (every replica attacked — Theorem 1 regime)
-  fall back to the previous believed count, or on round 1 to the
-  Theorem 1 saturation threshold ``P·ln(P)`` — the smallest bot count
-  that *expects* to saturate all replicas, hence the least-biased guess
-  consistent with the observation.
-
-Shuffle plans come from the precomputed :class:`repro.core.plan_cache.
-PlanCache` (greedy fallback when the replacement count differs from the
-cache's ``P``).  The loop stops shuffling when the planner's own
-``E[S]`` drops below one client — no further shuffle is expected to save
-anyone, i.e. the remaining reshuffled population is believed to be all
-bots: quarantine.
+Per sweep the coordinator polls the pool for saturated replicas.  What
+it then believes and does — the estimator chain, the sticky belief,
+endgame dispersion, when to quarantine — is
+:class:`repro.core.policy.LivePolicy`, planning through the precomputed
+:class:`repro.core.plan_cache.PlanCache`; this module builds the
+policy's :class:`~repro.core.policy.Observation` from the pool, opens
+the round's spans and carries the decision out over sockets
+(``docs/live-vs-sim.md`` tabulates the rules per driver).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..core.api import EstimateRequest, PlanRequest
-from ..core.api import estimate as core_estimate
-from ..core.api import plan as core_plan
-from ..core.estimator import BotEstimate
-from ..core.plan import ShufflePlan
 from ..core.plan_cache import PlanCache
+from ..core.policy import LivePolicy, Observation
 from ..obs.events import Event
 from ..obs.instruments import Instruments, resolve_instruments
-from ..trust import TrustConfig, TrustManager, bot_count_log_prior, make_backend
+from ..trust import TrustConfig, TrustManager, make_backend
 from .backend import ReplicaBackend
 from .config import ServiceConfig
 from .pool import ReplicaPool
 
-__all__ = ["LiveShuffleRecord", "ServiceCoordinator", "theorem1_fallback"]
-
-
-def theorem1_fallback(n_replicas: int) -> int:
-    """Bot-count guess when MLE degenerates with no prior belief.
-
-    ``X = P`` only says ``M`` exceeds the Theorem 1 saturation threshold
-    ``log_{1-1/P}(1/P) ~ P ln P``; the threshold itself is the smallest
-    count consistent with what was seen.
-    """
-    if n_replicas < 2:
-        return 1
-    return math.ceil(
-        math.log(1.0 / n_replicas) / math.log1p(-1.0 / n_replicas)
-    )
+__all__ = ["LiveShuffleRecord", "ServiceCoordinator"]
 
 
 @dataclass
@@ -106,12 +74,6 @@ class LiveShuffleRecord:
             "new_replicas": list(self.new_replicas),
             "algorithm": self.algorithm,
         }
-
-
-@dataclass
-class _LastPlan:
-    plan: ShufflePlan
-    replica_ids: tuple[str, ...] = field(default_factory=tuple)
 
 
 class ServiceCoordinator:
@@ -174,7 +136,13 @@ class ServiceCoordinator:
         self.detect_error: BaseException | None = None
         self.assignments: dict[str, str] = {}
         self.shuffles: list[LiveShuffleRecord] = []
-        self.believed_bots: int | None = None
+        #: the decision (estimate -> believe -> plan -> quarantine); this
+        #: class builds its observations and carries its decisions out.
+        self.policy = LivePolicy(
+            planner=self.plan_cache,
+            estimator="auto",
+            instruments=self.instruments,
+        )
         #: clients named by per-replica heavy-hitter reports as holding
         #: a dominant share of a saturated window (sketch detector
         #: only).  Its size lower-bounds the bot population and
@@ -185,7 +153,9 @@ class ServiceCoordinator:
         self._calm_sweeps = 0
         self._pending_attacked: set[str] = set()
         self._pending_sweeps = 0
-        self._last_plan: _LastPlan | None = None
+        #: the latest round that moved clients: its plan is the
+        #: occupancy model while attacks stay inside its replicas.
+        self._last_shuffle: LiveShuffleRecord | None = None
         #: shuffle rounds credited from a previous incarnation (state
         #: restored from a persistent backend); counted into
         #: :attr:`shuffles_completed` so the budget spans the restart.
@@ -278,17 +248,6 @@ class ServiceCoordinator:
     #: a non-empty quarantine counts as converged.
     CALM_SWEEPS = 10
 
-    #: Quarantine once the planner's Equation 1 expects fewer than this
-    #: many clients saved by another round.  Below 1.0 because an
-    #: expectation of, say, 0.7 is still worth a (cheap) round when the
-    #: sticky bot belief may overcount by one or two stragglers.
-    QUARANTINE_EXPECTED_SAVED = 0.5
-
-    #: Endgame dispersion kicks in only when the subset fits within
-    #: this many times the configured pool size (bounds the transient
-    #: replica fan-out of the singleton round).
-    DISPERSE_MAX_FACTOR = 4
-
     #: A reported heavy hitter becomes a *suspect* when its guaranteed
     #: (error-discounted) count holds at least this share of the
     #: saturated replica's window.  Bots flooding a replica each hold a
@@ -296,6 +255,11 @@ class ServiceCoordinator:
     #: holds a sliver — 10% separates them with a wide margin at the
     #: configured bucket rates.
     SUSPECT_MIN_SHARE = 0.1
+
+    @property
+    def believed_bots(self) -> int | None:
+        """The policy's sticky bot-count belief."""
+        return self.policy.belief
 
     @property
     def quarantined(self) -> bool:
@@ -388,7 +352,7 @@ class ServiceCoordinator:
         belief = self.state.get("state", "belief")
         if belief is not None:
             raw = belief.get("believed_bots")
-            self.believed_bots = None if raw is None else int(raw)
+            self.policy.belief = None if raw is None else int(raw)
             self._restored_shuffles = int(
                 belief.get("shuffles_completed", 0)
             )
@@ -588,91 +552,6 @@ class ServiceCoordinator:
             ).set(float(len(self.suspected_bots)))
 
     # ------------------------------------------------------------------
-    # estimation
-    # ------------------------------------------------------------------
-    def _trust_prior(
-        self, clients: Sequence[str], upper: int
-    ) -> np.ndarray | None:
-        """Trust-derived log-prior over bot counts, or ``None``.
-
-        The expected bot count under the trust model is the subset's
-        low-trust mass ``sum(1 - trust)``; the prior pulls the MAP
-        estimate toward it without overriding the occupancy evidence.
-        With trust disabled (or strength 0) this returns ``None`` and
-        the estimators run their historical pure-likelihood path —
-        bit-identical to the pre-trust service.
-        """
-        if self.trust is None:
-            return None
-        strength = self.config.trust_prior_strength
-        if strength <= 0:
-            return None
-        return bot_count_log_prior(
-            upper=upper,
-            expected=self.trust.low_trust_mass(clients),
-            strength=strength,
-        )
-
-    def _estimate(
-        self,
-        attacked_ids: tuple[str, ...],
-        n_clients: int,
-        clients: Sequence[str] = (),
-    ) -> tuple[int, str]:
-        """Believed bot count from the observed attack pattern."""
-        n_attacked = len(attacked_ids)
-        last = self._last_plan
-        if last is not None and set(attacked_ids) <= set(last.replica_ids):
-            # Every bot rode the previous shuffle, so the previous plan's
-            # sizes are the occupancy model for this observation.
-            estimate = core_estimate(
-                EstimateRequest(
-                    n_attacked=n_attacked,
-                    sizes=last.plan.group_sizes,
-                    n_clients=last.plan.n_clients,
-                    log_prior=self._trust_prior(
-                        clients, last.plan.n_clients
-                    ),
-                    method="weighted",
-                ),
-                instruments=self.instruments,
-            )
-            name = "weighted"
-        else:
-            upper = max(n_clients, n_attacked)
-            estimate = core_estimate(
-                EstimateRequest(
-                    n_attacked=n_attacked,
-                    n_replicas=max(self.pool.n_active, 1),
-                    upper_bound=upper,
-                    log_prior=self._trust_prior(clients, upper),
-                    method="mle",
-                ),
-                instruments=self.instruments,
-            )
-            name = "mle"
-        m_hat = self._resolve(estimate)
-        # Belief persistence: persistent bots never leave the
-        # reshuffled subset, so the true M is constant while per-round
-        # observations only ever *miss* bots (a bot mid-reconnect is
-        # invisible to this sweep).  Keeping the running maximum makes
-        # the endgame terminate: once the subset shrinks to the
-        # believed count, Equation 1 yields E[S] ~ 0 and the
-        # coordinator quarantines instead of shuffling bots forever.
-        if self.believed_bots is not None:
-            m_hat = max(m_hat, self.believed_bots)
-        self.believed_bots = m_hat
-        believed = max(1, min(m_hat, n_clients)) if n_clients else 0
-        return believed, name
-
-    def _resolve(self, estimate: BotEstimate) -> int:
-        if not estimate.degenerate:
-            return estimate.m_hat
-        if self.believed_bots is not None:
-            return self.believed_bots
-        return theorem1_fallback(max(self.pool.n_active, 1))
-
-    # ------------------------------------------------------------------
     # shuffle operation
     # ------------------------------------------------------------------
     async def _shuffle(self, attacked: list[ReplicaBackend]) -> None:
@@ -731,13 +610,32 @@ class ServiceCoordinator:
             cid for b in attacked for cid in b.whitelist
         )
         n_clients = len(clients)
+        policy = self.policy
+        last = self._last_shuffle
         with (
             spans.span("estimate") if spans is not None else nullcontext()
         ) as span:
-            # event-loop-safe: closed-form estimators, sub-ms at pool scale
-            believed, estimator = self._estimate(
-                attacked_ids, n_clients, clients
+            seen = Observation(
+                n_attacked=len(attacked_ids),
+                n_replicas=max(self.pool.n_active, 1),
+                n_clients=n_clients,
+                plan_sizes=(
+                    last.group_sizes
+                    if last is not None
+                    and set(attacked_ids) <= set(last.new_replicas)
+                    else None
+                ),
+                expected_bots=(
+                    None
+                    if self.trust is None
+                    else self.trust.low_trust_mass(clients)
+                ),
+                prior_strength=self.config.trust_prior_strength,
+                demonstrated_bots=len(self.suspected_bots),
             )
+            # event-loop-safe: closed-form estimators, sub-ms at pool scale
+            policy.believe(seen)
+            believed, estimator = policy.believed(n_clients), policy.method
             if span is not None:
                 span.set(believed=believed, estimator=estimator)
 
@@ -763,74 +661,33 @@ class ServiceCoordinator:
             self._belief_dirty = True
             return
 
-        # Plan across the full shuffle width, not just the attacked
-        # count: with one attacked replica and one replacement there
-        # is nowhere to separate bots from benign.  Replicas whose
-        # planned group is empty are never booted, and only the
-        # attacked instances retire, so the pool grows elastically
-        # during an attack (clean replicas accumulate saved clients)
-        # — the paper's scale-out-under-attack behaviour.
-        width = min(self.config.n_replicas, n_clients)
-        if (
-            2 * believed >= n_clients
-            and 2 <= n_clients
-            <= self.DISPERSE_MAX_FACTOR * self.config.n_replicas
-        ):
-            # Endgame dispersion: the subset is small and believed
-            # mostly bots — give every remaining client a replica
-            # of their own.  One singleton round separates every
-            # benign straggler from every bot exactly, instead of
-            # grinding out fractional E[S] with mixed groups.
-            width = n_clients
         with (
             spans.span("plan") if spans is not None else nullcontext()
         ) as span:
             # event-loop-safe: PlanCache lookup + repair; O(P) greedy fallback
-            plan = core_plan(
-                PlanRequest(
-                    n_clients=n_clients,
-                    n_bots=believed,
-                    n_replicas=width,
-                    method="cached",
-                    cache=self.plan_cache,
-                ),
-                instruments=self.instruments,
-            )
+            decision = policy.decide(n_clients, self.config.n_replicas)
+            plan = decision.plan
             if span is not None:
                 span.set(
                     algorithm=plan.algorithm,
                     expected_saved=plan.expected_saved,
                 )
-        if plan.expected_saved < self.QUARANTINE_EXPECTED_SAVED:
-            # Equation 1 says no further shuffle of *these* clients
-            # saves anyone: the population is believed all-bot (the
-            # common case is a single bot isolated on its own
-            # replica).  Before giving up on them, check the
-            # heavy-hitter evidence: every suspect demonstrably sent
-            # a dominant share of some saturated window (guaranteed
-            # counts, not estimates), so the bot population is at
-            # least that large.  If more bots are demonstrated than
-            # the structural estimate has converged to, quarantining
-            # now would write off clients a wider shuffle could still
-            # save — adopt the demonstrated floor and let the next
-            # sweep re-plan with it instead.
-            demonstrated = len(self.suspected_bots)
-            if (
-                self.believed_bots is not None
-                and demonstrated > self.believed_bots
-            ):
-                self.believed_bots = demonstrated
-                self._belief_dirty = True
-                return
-            # Quarantine the replicas — leave the bots flooding
-            # them — and keep watching the rest.
+        self._belief_dirty = True
+        if decision.action == "quarantine":
+            # Leave the bots flooding these replicas and keep watching
+            # the rest.
             self.quarantine_replicas.update(attacked_ids)
-            self._belief_dirty = True
+        if decision.action != "shuffle":
             return
 
         with (
             spans.span("shuffle") if spans is not None else nullcontext()
         ):
+            # Replicas whose planned group is empty are never booted,
+            # and only the attacked instances retire, so the pool grows
+            # elastically during an attack (clean replicas accumulate
+            # saved clients) — the paper's scale-out-under-attack
+            # behaviour.
             sizes = plan.nonempty_sizes()
             replacements = [await self.pool.spawn() for _ in sizes]
             order = [
@@ -864,10 +721,7 @@ class ServiceCoordinator:
             algorithm=plan.algorithm,
         )
         self.shuffles.append(record)
-        self._belief_dirty = True
-        self._last_plan = _LastPlan(
-            plan=plan, replica_ids=record.new_replicas
-        )
+        self._last_shuffle = record
 
     # ------------------------------------------------------------------
     # telemetry

@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.plan_cache import PlanCache
+from repro.core.policy import theorem1_guess
 from repro.service import ServiceConfig
-from repro.service.coordinator import theorem1_fallback
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +32,8 @@ def cache() -> PlanCache:
 
 def test_round_one_theorem1_query_is_a_cache_hit(cache):
     # Round 1 of the acceptance scenario: 220 clients on the attacked
-    # replicas, X = P degenerate, believed = theorem1_fallback(10) = 22.
-    believed = theorem1_fallback(10)
+    # replicas, X = P degenerate, believed = theorem1_guess(10) = 22.
+    believed = theorem1_guess(10)
     assert believed == 22
     plan = cache(220, believed, 10)
     assert plan.algorithm == "cached"

@@ -1,4 +1,8 @@
-"""The live coordinator: assignment, estimation chain, shuffle paths."""
+"""The live coordinator: assignment, control channel, shuffle paths.
+
+The decision itself (estimator chain, Theorem 1 guess, sticky belief)
+is tested without a pool in ``tests/core/test_policy.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +11,7 @@ import json
 
 import pytest
 
-from repro.core.api import planner
-from repro.service import ServiceConfig, ServiceCoordinator, theorem1_fallback
-from repro.service.coordinator import _LastPlan
+from repro.service import ServiceConfig, ServiceCoordinator
 
 
 def _saturate(backend, client_id: str = "bot-0", requests: int = 20) -> None:
@@ -18,16 +20,6 @@ def _saturate(backend, client_id: str = "bot-0", requests: int = 20) -> None:
     for seq in range(requests):
         backend._respond(["REQ", client_id, str(seq)])
     assert backend.attacked()
-
-
-class TestTheorem1Fallback:
-    def test_matches_saturation_threshold_at_paper_scale(self):
-        # ceil(log(1/10) / log(9/10)) — the Theorem 1 bound for P=10.
-        assert theorem1_fallback(10) == 22
-
-    def test_degenerate_pool_sizes(self):
-        assert theorem1_fallback(1) == 1
-        assert theorem1_fallback(2) == 1
 
 
 class TestAssignment:
@@ -89,82 +81,6 @@ class TestControlChannel:
         assert state["n_active"] == 3
         assert state["shuffles_completed"] == 0
         assert bad == b"ERR malformed\n"
-
-
-class TestEstimation:
-    def test_round_one_uses_occupancy_mle(self, config):
-        async def scenario():
-            coordinator = ServiceCoordinator(config)
-            await coordinator.pool.start()
-            try:
-                return coordinator._estimate(("r-1",), n_clients=30)
-            finally:
-                await coordinator.pool.stop()
-
-        believed, estimator = asyncio.run(scenario())
-        assert estimator == "mle"
-        assert 1 <= believed <= 30
-
-    def test_degenerate_first_observation_uses_theorem1(self, config):
-        async def scenario():
-            coordinator = ServiceCoordinator(config)
-            await coordinator.pool.start()
-            try:
-                return coordinator._estimate(
-                    ("r-1", "r-2", "r-3"), n_clients=30
-                )
-            finally:
-                await coordinator.pool.stop()
-
-        believed, estimator = asyncio.run(scenario())
-        # X = P says nothing beyond "M exceeds the saturation threshold".
-        assert believed == theorem1_fallback(3)
-        assert estimator == "mle"
-
-    def test_belief_is_sticky_across_undercounts(self, config):
-        async def scenario():
-            coordinator = ServiceCoordinator(config)
-            await coordinator.pool.start()
-            try:
-                coordinator.believed_bots = 5
-                return coordinator._estimate(("r-1",), n_clients=30)
-            finally:
-                await coordinator.pool.stop()
-
-        believed, _ = asyncio.run(scenario())
-        # A sweep that undercounts (bots mid-reconnect are invisible)
-        # must not lower the believed count: M is constant in the model.
-        assert believed == 5
-
-    def test_attacked_subset_of_last_plan_uses_weighted(self, config):
-        async def scenario():
-            coordinator = ServiceCoordinator(config)
-            await coordinator.pool.start()
-            try:
-                plan = planner("greedy")(20, 4, 3)
-                coordinator._last_plan = _LastPlan(
-                    plan=plan, replica_ids=("r-1", "r-2", "r-3")
-                )
-                return coordinator._estimate(("r-1", "r-2"), n_clients=20)
-            finally:
-                await coordinator.pool.stop()
-
-        believed, estimator = asyncio.run(scenario())
-        assert estimator == "weighted"
-        assert believed >= 1
-
-    def test_belief_clamped_to_population(self, config):
-        async def scenario():
-            coordinator = ServiceCoordinator(config)
-            await coordinator.pool.start()
-            try:
-                coordinator.believed_bots = 50
-                return coordinator._estimate(("r-1",), n_clients=4)
-            finally:
-                await coordinator.pool.stop()
-
-        believed, _ = asyncio.run(scenario())
-        assert believed == 4  # cannot believe more bots than clients
 
 
 class TestShuffle:
@@ -234,7 +150,7 @@ class TestShuffle:
                     victim.admit(f"u-{i}")
                     coordinator.assignments[f"u-{i}"] = "r-1"
                 _saturate(victim, client_id="u-0")
-                coordinator.believed_bots = 2
+                coordinator.policy.belief = 2
                 await coordinator._shuffle([victim])
                 return coordinator.shuffles[0]
             finally:
@@ -256,7 +172,7 @@ class TestShuffle:
                     victim.admit(f"u-{i}")
                     coordinator.assignments[f"u-{i}"] = "r-1"
                 _saturate(victim, client_id="u-0")
-                coordinator.believed_bots = 4  # everyone believed a bot
+                coordinator.policy.belief = 4  # everyone believed a bot
                 await coordinator._shuffle([victim])
                 return (
                     coordinator.quarantine_replicas,

@@ -154,22 +154,3 @@ class TestCoordinatorWiring:
                 await coordinator.stop()
 
         asyncio.run(scenario())
-
-    def test_trust_prior_disabled_paths_return_none(self, config):
-        coordinator = ServiceCoordinator(config)
-        assert coordinator._trust_prior(["a", "b"], upper=10) is None
-
-        zero = dataclasses.replace(
-            config, trust_enabled=True, trust_prior_strength=0.0
-        )
-        coordinator2 = ServiceCoordinator(zero)
-        assert coordinator2._trust_prior(["a", "b"], upper=10) is None
-
-    def test_trust_prior_peaks_at_low_trust_mass(self, config):
-        enabled = dataclasses.replace(config, trust_enabled=True)
-        coordinator = ServiceCoordinator(enabled)
-        _pin_tier(coordinator.trust, "bot", TrustTier.DENIED, 0.0)
-        prior = coordinator._trust_prior(["bot"], upper=10)
-        assert prior is not None
-        assert prior.shape == (11,)
-        assert prior[1] == 0.0  # expected bot count = 1 - trust = 1
