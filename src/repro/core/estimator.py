@@ -13,24 +13,40 @@ we compute exactly with the standard recurrence
 
 executed as whole-array steps (no per-element stores — reprolint P14 keeps
 this module loop-free at the element level).  Column ``x`` of a step reads
-columns ``x`` and ``x − 1`` only, so a sweep for the observed ``X = x``
-carries columns ``0..x`` and nothing to their right, and one bottom-up
-pass yields the likelihood of ``x`` for every candidate ``m`` it visits.
+columns ``x`` and ``x − 1`` only, so a sweep cut to columns ``0..x``
+holds the same bits as a full-width one, and one bottom-up pass yields
+the likelihood of ``x`` for every candidate ``m`` it visits.
 
-The MLE does not visit them all.  At paper scale (``upper ≈ 10^6``
-clients, ``P ≈ 10^3`` replicas) the argmax sits near ``−P ln(1 − x/P)``,
-a few thousand balls in, and the sweep stops as soon as it can prove the
-peak is behind it: at the first ``m`` where the mass still at or left of
-the observation, ``S_m = Σ_{k ≤ x} f(m, k) = P[X_m ≤ x]``, is below half
-the best ``f(·, x)`` seen so far.  The occupied count never decreases
-with more balls, so ``f(m′, x) ≤ P[X_m′ ≤ x] ≤ S_m`` for every
-``m′ ≥ m`` — no later candidate reaches the peak.  (In floats a row's
-mass can drift up by at most ``1 + 3ε`` per step, under ``1 + 10^-9``
-over ``10^6`` steps, against the factor-two margin; a mass of exactly
-0.0 stays 0.0.)  ``argmax`` keeps the first maximum, so the bounded
-sweep returns the same ``m̂`` and likelihood, bit for bit, as a sweep to
-``upper`` would.  A MAP estimate sweeps the whole range: an arbitrary
-prior need not be unimodal.
+The MLE does not visit them all, and does not visit any of them twice.
+The table ``f(m, k)`` depends on ``P`` alone, so the process keeps one
+full-width sweep per replica count (``_occupancy_sweep``, the
+``_SWEEP_CACHE_SIZE`` most recently used) and every pure-MLE call at
+that ``P`` resumes it.  Per column ``k`` the sweep keeps two numbers: the
+best ``f(·, k)`` any row so far has held, and the ball count of the first
+row that held it — a row replaces them only where it is strictly
+``>`` the best, which is ``argmax``'s first-maximum rule, so
+``(first[x], peak[x])`` is what ``argmax`` over column ``x`` of the rows
+walked would return.  At paper scale (``upper ≈ 10^6`` clients,
+``P ≈ 10^3`` replicas) the argmax sits near ``−P ln(1 − x/P)``, a few
+thousand balls in, and the sweep advances only until it can prove the
+peak of the column asked for is behind it: the first ``m`` where
+``f(m, x)`` is below the peak and the mass still at or left of the
+observation, ``S_m = Σ_{k ≤ x} f(m, k) = P[X_m ≤ x]``, is below half of
+it.  The occupied count never decreases with more balls, so
+``f(m′, x) ≤ P[X_m′ ≤ x] ≤ S_m`` for every ``m′ ≥ m`` — no later
+candidate reaches the peak.  (In floats a row's mass can drift up by at
+most ``1 + 3ε`` per step, under ``1 + 10^-9`` over ``10^6`` steps,
+against the factor-two margin; a mass of exactly 0.0 stays 0.0.)  The
+answer is therefore the ``m̂`` and likelihood of a sweep to ``upper``,
+bit for bit, wherever earlier calls left the sweep — short of ``x``'s
+peak (it walks on), past it (nothing to do), or past ``upper`` itself.
+Only then can the tracked peak lie beyond the cap; that one case
+(``first[x] > upper``) re-sweeps column ``x`` alone over ``[0, upper]``,
+fewer rows than the shared sweep has already paid for.  The sweep
+object is single-threaded by contract: the engine, the DES coordinator
+and the live coordinator each call ``estimate`` from one thread, and
+grid workers are processes with a sweep each.  A MAP estimate sweeps the
+whole range: an arbitrary prior need not be unimodal.
 
 Degenerate regime (paper Figure 7, right edge): when **all** replicas are
 attacked (``X = P``) the likelihood increases monotonically in ``m`` and
@@ -50,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -161,6 +178,10 @@ def occupancy_likelihoods(
     ``0..n_attacked``; column ``n_attacked`` of each row is collected.
     Linear-space values, exact where they do not underflow.
     """
+    if n_bins < 1:
+        raise ValueError(f"n_bins={n_bins} must be >= 1")
+    if upper < 0:
+        raise ValueError(f"upper={upper} must be >= 0")
     if not 0 <= n_attacked <= n_bins:
         raise ValueError(
             f"n_attacked={n_attacked} must be within [0, {n_bins}]"
@@ -172,29 +193,73 @@ def occupancy_likelihoods(
     )
 
 
-def _occupancy_likelihoods_bounded(
-    n_attacked: int, n_bins: int, upper: int
-) -> np.ndarray:
-    """:func:`occupancy_likelihoods`, cut where the peak is already in.
+#: Replica counts whose shared sweep is kept between estimates.
+_SWEEP_CACHE_SIZE = 8
 
-    Same sweep, same bits, but it stops at the first ``m`` whose row mass
-    ``S_m = Σ_{k ≤ x} f(m, k) = P[X_m ≤ x]`` is below half the best
-    ``f(·, x)`` seen (module docstring: no later ``m`` can reach the
-    peak), so the returned prefix holds the full sweep's first maximum.
-    A step that raises or ties the peak cannot be the stop — there
-    ``S_m ≥ f(m, x) = peak`` — and skips the sum.
+
+class _OccupancySweep:
+    """The occupancy table of one replica count, walked once and resumed.
+
+    Holds the full-width row generator, the ball count it has reached
+    and, for every column ``k``, the best ``f(·, k)`` seen so far with
+    the *first* ball count that reached it (module docstring).  Not
+    thread-safe: every driver estimates from one thread.
     """
-    rows = _occupancy_rows(n_bins, n_attacked + 1)
-    column: list[float] = []
-    peak = 0.0
-    for row in islice(rows, upper + 1):
-        value = row.item(n_attacked)
-        column.append(value)
-        if value >= peak:
-            peak = value
-        elif np.add.reduce(row) < 0.5 * peak:
-            break
-    return np.array(column, dtype=np.float64)
+
+    def __init__(self, n_bins: int) -> None:
+        self._rows = _occupancy_rows(n_bins, n_bins + 1)
+        self._row = next(self._rows)
+        self.balls = 0
+        self.peak = self._row.copy()
+        self.first = np.zeros(n_bins + 1, dtype=np.int64)
+        self._better = np.empty(n_bins + 1, dtype=np.bool_)
+
+    def first_maximum(self, n_attacked: int, upper: int) -> tuple[int, float]:
+        """``(first[x], peak[x])`` with column ``x`` settled up to ``upper``.
+
+        Advances only while ``balls < upper`` and the row reached does
+        not certify the column.  When the sweep already stands past
+        ``upper`` the returned ``first[x]`` may exceed it; the caller
+        checks.  A walk that raises evicts the cached sweeps: the next
+        estimate starts a fresh one.
+        """
+        try:
+            while self.balls < upper and not self._certifies(n_attacked):
+                self._advance()
+        except BaseException:
+            # An interrupt between the row step and the tracking would
+            # leave a cached sweep one row out of step with itself.
+            _occupancy_sweep.cache_clear()
+            raise
+        return self.first.item(n_attacked), self.peak.item(n_attacked)
+
+    def _certifies(self, column: int) -> bool:
+        """Whether the row reached proves ``peak[column]`` is final.
+
+        True when ``f(balls, x)`` is below the peak and the mass at or
+        left of ``x`` is below half of it.  A row that raises or ties the
+        peak cannot certify — there ``S_m ≥ f(m, x) = peak`` — and skips
+        the sum.
+        """
+        best = self.peak.item(column)
+        return bool(
+            self._row.item(column) < best
+            and np.add.reduce(self._row[: column + 1]) < 0.5 * best
+        )
+
+    def _advance(self) -> None:
+        """One more ball; every column the new row strictly raises moves."""
+        self._row = next(self._rows)
+        self.balls += 1
+        np.greater(self._row, self.peak, out=self._better)
+        np.copyto(self.peak, self._row, where=self._better)
+        np.copyto(self.first, self.balls, where=self._better)
+
+
+@lru_cache(maxsize=_SWEEP_CACHE_SIZE)
+def _occupancy_sweep(n_bins: int) -> _OccupancySweep:
+    """The process's shared sweep for ``n_bins`` replicas."""
+    return _OccupancySweep(n_bins)
 
 
 def _estimate_mle(
@@ -252,10 +317,21 @@ def _estimate_mle(
         )
     # Only m >= X can produce X attacked replicas.
     if log_prior is None:
-        likelihoods = _occupancy_likelihoods_bounded(
-            n_attacked, n_replicas, upper_bound
+        first, peak = _occupancy_sweep(n_replicas).first_maximum(
+            n_attacked, upper_bound
         )
-        m_hat = n_attacked + int(np.argmax(likelihoods[n_attacked:]))
+        if first <= upper_bound:
+            # A column that never rose above 0.0 keeps first = 0.
+            m_hat = max(n_attacked, first)
+        else:
+            # An earlier, looser cap took the shared sweep past this one
+            # and the peak it found lies beyond it: sweep this column
+            # alone, over fewer rows than are already paid for.
+            likelihoods = occupancy_likelihoods(
+                n_attacked, n_replicas, upper_bound
+            )
+            m_hat = n_attacked + int(np.argmax(likelihoods[n_attacked:]))
+            peak = float(likelihoods[m_hat])
     else:
         if log_prior.shape[0] < upper_bound + 1:
             raise ValueError(
@@ -274,7 +350,7 @@ def _estimate_mle(
                 np.log(likelihoods) + log_prior[: upper_bound + 1]
             )
         m_hat = n_attacked + int(np.argmax(log_posterior[n_attacked:]))
-    peak = float(likelihoods[m_hat])
+        peak = float(likelihoods[m_hat])
     return BotEstimate(
         m_hat=m_hat,
         n_attacked=n_attacked,

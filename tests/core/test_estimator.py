@@ -77,6 +77,21 @@ class TestOccupancyLikelihoods:
         with pytest.raises(ValueError):
             occupancy_likelihoods(7, 6, 10)
 
+    @pytest.mark.parametrize("n_bins", [0, -2])
+    def test_rejects_an_empty_pool_in_occupancy_pmfs_words(self, n_bins):
+        # Was [1., nan, nan, nan] under two RuntimeWarnings at n_bins = 0.
+        with pytest.raises(ValueError) as pmf_error:
+            occupancy_pmf(3, n_bins)
+        with pytest.raises(ValueError) as error:
+            occupancy_likelihoods(0, n_bins, 3)
+        assert str(error.value) == str(pmf_error.value)
+
+    @pytest.mark.parametrize("upper", [-1, -3])
+    def test_rejects_a_negative_upper(self, upper):
+        # Was an empty array at -1 and islice's own complaint at -3.
+        with pytest.raises(ValueError, match=f"upper={upper} must be >= 0"):
+            occupancy_likelihoods(2, 6, upper)
+
 
 class TestMle:
     def test_zero_attacked_means_zero_bots(self):

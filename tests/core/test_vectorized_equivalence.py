@@ -37,9 +37,10 @@ from repro.core.combinatorics import expected_saved_single_many
 from repro.core.dp import optimal_assign
 from repro.core.dp_fast import _Node, _combine
 from repro.core.estimator import (
+    _OccupancySweep,
     _estimate_mle,
     _estimate_weighted,
-    _occupancy_likelihoods_bounded,
+    _occupancy_sweep,
     attacked_count_log_pmf,
     attacked_count_pmf,
     occupancy_likelihoods,
@@ -80,6 +81,114 @@ class TestOccupancyBitIdentity:
         assert got.log_likelihood == want_log
 
 
+#: (x, P, upper) -> (m_hat, log_likelihood), captured from `_estimate_mle`
+#: at 5e8849b, before the sweep was bounded; the first three rows are
+#: sim_mle_scale observations.  At (999, 1000) f(x, x) underflows to
+#: exactly 0.0 and the peak only appears thousands of steps later.
+PAPER_SCALE_GOLDEN = [
+    ((669, 1000, 149_706), (1105, -3.2232058313734893)),
+    ((647, 1000, 149_433), (1041, -3.214906638292776)),
+    ((840, 1000, 120_970), (1832, -3.155176488989022)),
+    ((100, 1000, 150_000), (105, -1.6828939972013521)),
+    ((300, 1000, 150_000), (356, -2.699346276179041)),
+    ((1, 1000, 150_000), (1, 0.0)),
+    ((500, 1000, 1_000_000), (693, -3.0893073608674775)),
+    ((600, 1000, 1_000_000), (916, -3.1875563705999266)),
+    ((950, 1000, 1_000_000), (2994, -2.765171023449319)),
+    ((990, 1000, 1_000_000), (4603, -2.049716097728437)),
+    ((999, 1000, 150_000), (6905, -0.9960298288699696)),
+]
+
+
+def _assert_matches_scalar(n_attacked, n_replicas, upper_bound):
+    got = _estimate_mle(n_attacked, n_replicas, upper_bound)
+    want = scalar_mle_m_hat(n_attacked, n_replicas, upper_bound)
+    assert (got.m_hat, got.log_likelihood) == want
+
+
+class TestSharedSweepPurity:
+    """An estimate is a function of (x, P, upper), not of what the
+    process's shared sweep for P has already been asked."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([7, 12, 40]),
+                st.integers(0, 10_000),
+                st.integers(0, 30),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=60)
+    def test_any_sequence_matches_the_scalar_sweep(self, calls):
+        # Three replica counts, so most calls resume a sweep an earlier
+        # one left somewhere else; caps from X itself (below where the
+        # sweep stands: the single-column fallback) to 30·P (above it).
+        # The second pass starts every call on the sweeps the first left
+        # standing, so the warm positions are drawn too.
+        _occupancy_sweep.cache_clear()  # so a failing example replays
+        for _ in ("cold", "warm"):
+            for n_replicas, pick, upper_factor in calls:
+                n_attacked = 1 + pick % (n_replicas - 1)
+                _assert_matches_scalar(
+                    n_attacked,
+                    n_replicas,
+                    max(n_attacked, upper_factor * n_replicas),
+                )
+
+    def test_cap_below_a_peak_the_sweep_already_passed(self):
+        free = _estimate_mle(30, 100, 4_000)
+        sweep = _occupancy_sweep(100)
+        assert sweep.balls > free.m_hat > 33
+        _assert_matches_scalar(30, 100, 33)  # first[x] > upper: fallback
+        _assert_matches_scalar(30, 100, free.m_hat)  # first[x] == upper
+        assert _estimate_mle(30, 100, 4_000) == free
+
+    def test_an_interrupted_walk_is_not_resumed(self, monkeypatch):
+        # Interrupt between the row step and the tracking: the sweep is
+        # a row ahead of its own ball count and must not be served again.
+        _occupancy_sweep.cache_clear()  # the walk below must have rows to go
+        _estimate_mle(5, 40, 6)
+        torn = _occupancy_sweep(40)
+
+        def step_then_interrupt(self):
+            self._row = next(self._rows)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_OccupancySweep, "_advance", step_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _estimate_mle(30, 40, 1_200)
+        monkeypatch.undo()
+        assert _occupancy_sweep(40) is not torn
+        _assert_matches_scalar(30, 40, 1_200)
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            PAPER_SCALE_GOLDEN,
+            PAPER_SCALE_GOLDEN[::-1],
+            PAPER_SCALE_GOLDEN[-1:] + PAPER_SCALE_GOLDEN[:-1],
+        ],
+        ids=["forward", "reversed", "999-first"],
+    )
+    def test_paper_scale_golden_table_in_any_order(self, order):
+        for cleared in (False, True):
+            if cleared:
+                _occupancy_sweep.cache_clear()
+            for case, want in order:
+                got = _estimate_mle(*case)
+                assert (got.m_hat, got.log_likelihood) == want
+
+    def test_more_replica_counts_than_the_cache_holds(self):
+        held = _occupancy_sweep.cache_info().maxsize
+        counts = range(20, 20 + 2 * held)
+        for n_replicas in (*counts, counts[0]):  # the first was evicted
+            _assert_matches_scalar(n_replicas // 2, n_replicas, 10**4)
+        assert _occupancy_sweep.cache_info().currsize == held
+
+
 class TestBoundedSweep:
     """The MLE's early stop is a proof: nothing past it beats the peak."""
 
@@ -89,35 +198,23 @@ class TestBoundedSweep:
         n_attacked = 1 + (pick % (n_replicas - 1))
         upper = 40 * n_replicas
         full = occupancy_likelihoods(n_attacked, n_replicas, upper)
-        bounded = _occupancy_likelihoods_bounded(
-            n_attacked, n_replicas, upper
-        )
-        stop = bounded.size
-        assert stop < full.size  # the bound fired long before 40·P
-        assert bounded.tolist() == full[:stop].tolist()
-        assert full[stop:].max() <= bounded.max()
+        sweep = _OccupancySweep(n_replicas)
+        first, peak = sweep.first_maximum(n_attacked, upper)
+        stop = sweep.balls
+        assert stop < upper  # the bound fired long before 40·P
+        assert (first, peak) == (int(np.argmax(full)), full.max())
+        assert full[stop:].max() <= peak
+        # Every column the sweep carried on the way is as settled, over
+        # the rows walked, as the one that was asked for.
+        for column in range(n_attacked + 1):
+            walked = occupancy_likelihoods(column, n_replicas, stop)
+            assert sweep.first[column] == np.argmax(walked)
+            assert sweep.peak[column] == walked.max()
+        # Asking again walks no further.
+        assert sweep.first_maximum(n_attacked, upper) == (first, peak)
+        assert sweep.balls == stop
 
-    # (x, P, upper) -> (m_hat, log_likelihood), captured from
-    # `_estimate_mle` at 5e8849b, before the sweep was bounded; the first
-    # three rows are sim_mle_scale observations.  At (999, 1000) f(x, x)
-    # underflows to exactly 0.0 and the peak only appears thousands of
-    # steps later.
-    @pytest.mark.parametrize(
-        "case, want",
-        [
-            ((669, 1000, 149_706), (1105, -3.2232058313734893)),
-            ((647, 1000, 149_433), (1041, -3.214906638292776)),
-            ((840, 1000, 120_970), (1832, -3.155176488989022)),
-            ((100, 1000, 150_000), (105, -1.6828939972013521)),
-            ((300, 1000, 150_000), (356, -2.699346276179041)),
-            ((1, 1000, 150_000), (1, 0.0)),
-            ((500, 1000, 1_000_000), (693, -3.0893073608674775)),
-            ((600, 1000, 1_000_000), (916, -3.1875563705999266)),
-            ((950, 1000, 1_000_000), (2994, -2.765171023449319)),
-            ((990, 1000, 1_000_000), (4603, -2.049716097728437)),
-            ((999, 1000, 150_000), (6905, -0.9960298288699696)),
-        ],
-    )
+    @pytest.mark.parametrize("case, want", PAPER_SCALE_GOLDEN)
     def test_paper_scale_golden_table(self, case, want):
         got = _estimate_mle(*case)
         assert (got.m_hat, got.log_likelihood) == want

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.core.estimator import _occupancy_sweep
 from repro.sim import shuffle_sim
 from repro.sim.shuffle_sim import ShuffleScenario, run_scenario
 
@@ -61,3 +62,14 @@ class TestPaperScaleTrajectory:
             running.update(repr(row).encode())
         assert len(state.rounds) == self.ROUNDS
         assert running.hexdigest() == self.GOLDEN
+
+    def test_one_occupancy_sweep_answers_every_estimate(self):
+        # A program count, not a timing: the 162 non-degenerate estimates
+        # share one walk of the P = 1000 table, which ends where the
+        # latest-peaking observation of the run is certified (the same
+        # estimates took 244,604 row steps as 162 separate sweeps).
+        _occupancy_sweep.cache_clear()
+        run_scenario(SCENARIO, repetitions=1, seed=1)
+        info = _occupancy_sweep.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert _occupancy_sweep(SCENARIO.n_replicas).balls == 1_972
