@@ -30,15 +30,11 @@ cannot afford.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from ..detect import (
-    HeavyHitterReport,
-    SketchParams,
-    SketchWindow,
-    key_digest,
-)
+from ..detect import HeavyHitterReport, SketchParams, SketchWindow
 from .network import Endpoint, LoadMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,10 +87,9 @@ class ReplicaServer:
         self.net_capacity = net_capacity
         self.cpu_capacity = cpu_capacity
         self.state = ReplicaState.BOOTING
-        self.whitelist: set[str] = set()
-        # Sketch digest of each whitelisted client, hashed once at
-        # admission; bounded by (and dropped with) the whitelist.
-        self._digests: dict[str, int] = {}
+        # client id -> its sketch key (``traffic.positions``), hashed
+        # once at admission instead of on every request.
+        self.whitelist: dict[str, array] = {}
         self.assigned_clients: dict[str, object] = {}
         self.net_meter = LoadMeter(half_life=ctx.config.load_half_life)
         self.cpu_meter = LoadMeter(half_life=ctx.config.load_half_life)
@@ -127,7 +122,6 @@ class ReplicaServer:
         """
         self.state = ReplicaState.RETIRED
         self.whitelist.clear()
-        self._digests.clear()
         self.assigned_clients.clear()
         self.net_meter.reset()
         self.cpu_meter.reset()
@@ -143,7 +137,6 @@ class ReplicaServer:
         """
         self.state = ReplicaState.FAILED
         self.whitelist.clear()
-        self._digests.clear()
         self.assigned_clients.clear()
         self.net_meter.reset()
         self.cpu_meter.reset()
@@ -159,14 +152,12 @@ class ReplicaServer:
     def admit(self, client_id: str, client: object) -> None:
         """Whitelist a client (called on load-balancer/coordinator
         assignment, step 4 of the paper's Figure 1)."""
-        self.whitelist.add(client_id)
-        self._digests[client_id] = key_digest(client_id)
+        self.whitelist[client_id] = self.traffic.positions(client_id)
         self.assigned_clients[client_id] = client
 
     def evict(self, client_id: str) -> None:
         """Remove a departed client's whitelist entry and binding."""
-        self.whitelist.discard(client_id)
-        self._digests.pop(client_id, None)
+        self.whitelist.pop(client_id, None)
         self.assigned_clients.pop(client_id, None)
 
     @property
@@ -246,12 +237,12 @@ class ReplicaServer:
             on_done(False, 0.0)
             return
         self.net_meter.add(self.ctx.now, 1.0)
-        if client_id not in self.whitelist:
+        positions = self.whitelist.get(client_id)
+        if positions is None:
             self.stats.requests_rejected += 1
             self.traffic.record(self.ctx.now, admitted=False, key=client_id)
             on_done(False, 0.0)
             return
-        digest = self._digests.get(client_id)
         trust = self.ctx.trust
         if trust is not None and trust.admit_decision(client_id) != "ok":
             # Tier gate (mirrors the live service's backends): a policy
@@ -262,7 +253,8 @@ class ReplicaServer:
             # spiral trust downward).
             self.stats.requests_gated += 1
             self.traffic.record(
-                self.ctx.now, admitted=False, key=client_id, digest=digest
+                self.ctx.now, admitted=False, key=client_id,
+                positions=positions,
             )
             trust.observe(client_id, self.ctx.now, violation=False)
             on_done(False, 0.0)
@@ -270,7 +262,8 @@ class ReplicaServer:
         if self.ctx.rng.random() < self.drop_probability():
             self.stats.requests_dropped += 1
             self.traffic.record(
-                self.ctx.now, admitted=False, key=client_id, digest=digest
+                self.ctx.now, admitted=False, key=client_id,
+                positions=positions,
             )
             if trust is not None:
                 # An overload drop is the violation signal: the client
@@ -279,7 +272,7 @@ class ReplicaServer:
             on_done(False, 0.0)
             return
         self.traffic.record(
-            self.ctx.now, admitted=True, key=client_id, digest=digest
+            self.ctx.now, admitted=True, key=client_id, positions=positions
         )
         if trust is not None:
             trust.observe(client_id, self.ctx.now, violation=False)

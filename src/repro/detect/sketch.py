@@ -20,16 +20,21 @@ over its row counters.  Properties the tests pin:
   and ``PYTHONHASHSEED`` values.
 
 Ingestion is request-at-a-time (:meth:`~CountMinSketch.add`, the shape
-the live service and the DES produce): plain integer arithmetic on
-python-int hash coefficients and a flat view of the counters, no
-per-call numpy scalars.  The counters stay one numpy matrix because
-fixed :meth:`~CountMinSketch.state_bytes` is the detector's claim.
+the live service and the DES produce) and splits in two: hashing a key
+to its counter :meth:`~CountMinSketch.positions` — python-int
+arithmetic, a pure function of ``(digest, width, depth, seed)`` that
+the replicas run once per client, at admission — and the conservative
+update at those positions (:meth:`~CountMinSketch.add_at`), element
+reads and writes on one ``array('Q')``.  ``counts`` is a numpy view of
+the same memory, because merging is vector work and fixed
+:meth:`~CountMinSketch.state_bytes` is the detector's claim.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 
 import numpy as np
 
@@ -42,9 +47,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def key_digest(key: str | bytes) -> int:
     """Stable 64-bit digest of a key (``PYTHONHASHSEED``-independent).
 
-    Computed once per client at admission time (the replicas keep it
-    beside the whitelist entry): the per-request cost is then pure
-    arithmetic on the digest.
+    The input of :meth:`CountMinSketch.positions`, which the replicas
+    run once per client, at admission time.
     """
     if isinstance(key, str):
         key = key.encode("utf-8")
@@ -76,7 +80,13 @@ class CountMinSketch:
         self.width = width
         self.depth = depth
         self.seed = seed
-        self.counts = np.zeros((depth, width), dtype=np.uint64)
+        # One block of counters, two views sharing its memory: the
+        # array for scalar reads and writes (plain ints, no numpy
+        # scalars), ``counts`` for merges, resets and serialization.
+        self._flat = array("Q", bytes(8 * depth * width))
+        self.counts = np.frombuffer(self._flat, dtype=np.uint64).reshape(
+            depth, width
+        )
         self.total = 0
         # Deterministic row-hash coefficients: SeedSequence spreads the
         # user seed into well-mixed 64-bit words regardless of its
@@ -84,24 +94,24 @@ class CountMinSketch:
         state = np.random.SeedSequence(seed).generate_state(
             2 * depth, dtype=np.uint64
         )
-        # Per-row ``(a, b, offset)`` as python ints (odd multipliers),
-        # and a flat view sharing ``counts``' memory (``counts`` is only
-        # ever updated in place), so one request costs integer
-        # arithmetic plus 1-D element reads and writes.
+        # Per-row ``(a, b, offset)`` as python ints (odd multipliers).
         self._rows = tuple(
             (a | 1, b, row * width)
             for row, (a, b) in enumerate(
                 zip(state[:depth].tolist(), state[depth:].tolist())
             )
         )
-        self._flat = self.counts.reshape(-1)
 
     # ------------------------------------------------------------------
     # hashing
     # ------------------------------------------------------------------
-    def _indices(self, digest: int) -> list[int]:
-        """Row-wise counter index of one key digest, as positions in
-        the flat view.
+    def positions(self, digest: int) -> array:
+        """Counter positions of one key digest in the flat counter
+        array (``row * width + column``, one per row), packed in the
+        narrowest unsigned typecode that holds ``width * depth``.
+
+        Valid for any sketch with this one's ``(width, depth, seed)``
+        and for no other: hold them per sketch family, never across.
 
         Multiply-shift: the *high* 32 bits of ``a*x + b`` feed the
         modulo.  Reducing the product directly would keep only its low
@@ -110,10 +120,14 @@ class CountMinSketch:
         once, destroying the rows' independence.
         """
         width = self.width
-        return [
-            offset + (((a * digest + b) & _MASK64) >> 32) % width
-            for a, b, offset in self._rows
-        ]
+        last = width * self.depth - 1
+        return array(
+            "H" if last < 1 << 16 else "I" if last < 1 << 32 else "Q",
+            [
+                offset + (((a * digest + b) & _MASK64) >> 32) % width
+                for a, b, offset in self._rows
+            ],
+        )
 
     # ------------------------------------------------------------------
     # updates
@@ -124,17 +138,20 @@ class CountMinSketch:
         return self.add_digest(key_digest(key), count)
 
     def add_digest(self, digest: int, count: int = 1) -> int:
-        """Update by pre-computed digest (hot-path form); returns the
-        new estimate, as :meth:`estimate_digest` would."""
+        """:meth:`add` for a caller that already holds the digest."""
+        return self.add_at(self.positions(digest), count)
+
+    def add_at(self, positions: array, count: int = 1) -> int:
+        """The update itself, at pre-computed :meth:`positions` (the
+        hot-path form); returns the new estimate, as
+        :meth:`estimate_at` would."""
         if count < 0:
             raise ValueError("count must be >= 0")
         flat = self._flat
-        idx = self._indices(digest)
-        values = [flat.item(i) for i in idx]
         self.total += count
-        target = min(values) + count
-        for i, value in zip(idx, values):
-            if value < target:
+        target = min(map(flat.__getitem__, positions)) + count
+        for i in positions:
+            if flat[i] < target:
                 flat[i] = target
         return target
 
@@ -143,11 +160,10 @@ class CountMinSketch:
     # ------------------------------------------------------------------
     def estimate(self, key: str | bytes) -> int:
         """Frequency upper bound for ``key`` (``>=`` its true count)."""
-        return self.estimate_digest(key_digest(key))
+        return self.estimate_at(self.positions(key_digest(key)))
 
-    def estimate_digest(self, digest: int) -> int:
-        flat = self._flat
-        return min(flat.item(i) for i in self._indices(digest))
+    def estimate_at(self, positions: array) -> int:
+        return min(map(self._flat.__getitem__, positions))
 
     def error_bound(self) -> int:
         """Additive error ceiling ``ε·N`` implied by width and mass."""

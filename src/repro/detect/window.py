@@ -21,9 +21,13 @@ Ingestion is request-at-a-time (:meth:`record`), two-stage: every
 request lands in the live cell's sketch, and only keys the sketch
 already ranks at heavy-hitter mass are promoted into the space-saving
 summary, which then tracks talkers rather than the benign long tail.
+All cells share one hash family, so a replica hashes a client once
+(:meth:`positions`, kept as its whitelist entry) for every :meth:`record`.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .heavyhitters import HeavyHitter, SpaceSaving
 from .params import SketchParams
@@ -66,7 +70,8 @@ class SketchWindow:
             (a query may include up to one extra epoch of history).
     """
 
-    __slots__ = ("window", "params", "epochs", "_epoch_len", "_cells")
+    __slots__ = ("window", "params", "epochs", "_epoch_len", "_cells",
+                 "_top_k")
 
     def __init__(
         self,
@@ -83,18 +88,11 @@ class SketchWindow:
         self.epochs = epochs
         self._epoch_len = window / epochs
         self._cells = [_Cell(self.params) for _ in range(epochs)]
+        self._top_k = self.params.top_k
 
     # ------------------------------------------------------------------
     # rotation
     # ------------------------------------------------------------------
-    def _live_cell(self, now: float) -> _Cell:
-        """The cell for ``now``'s epoch, cleared if it held stale data."""
-        epoch = int(now / self._epoch_len)
-        cell = self._cells[epoch % self.epochs]
-        if cell.epoch != epoch:
-            cell.clear(epoch)
-        return cell
-
     def _active_cells(self, now: float) -> list[_Cell]:
         """Cells whose epoch still overlaps ``[now - window, now]``."""
         epoch = int(now / self._epoch_len)
@@ -108,36 +106,50 @@ class SketchWindow:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
+    def positions(self, key: str | bytes) -> array:
+        """``key``'s sketch positions, the same in every cell: see
+        :meth:`CountMinSketch.positions`.  Valid only for windows with
+        equal ``(width, depth, seed)`` — a client that moves to another
+        replica is hashed again by that replica's window."""
+        return self._cells[0].sketch.positions(key_digest(key))
+
     def record(
         self,
         now: float,
         admitted: bool,
         key: str | None = None,
-        digest: int | None = None,
+        positions: array | None = None,
         count: int = 1,
     ) -> None:
         """Record one request outcome (and optionally its source key).
 
-        Either ``key`` or a pre-computed ``digest`` may be given; with
-        both, the digest is trusted (the replicas compute it once, when
-        the client is admitted to their whitelist).  With neither,
-        only the saturation tallies move.
+        ``positions`` is :meth:`positions` of ``key`` where the caller
+        holds it (the replicas do, from admission) and is trusted;
+        without it the key is hashed here.  Positions without a key
+        feed the sketch but not the summary; with neither, only the
+        saturation tallies move.
         """
-        cell = self._live_cell(now)
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        # The live cell: ``now``'s epoch, cleared if it held stale data.
+        epoch = int(now / self._epoch_len)
+        cell = self._cells[epoch % self.epochs]
+        if cell.epoch != epoch:
+            cell.clear(epoch)
         cell.total += count
         if not admitted:
             cell.throttled += count
-        if digest is None:
+        sketch = cell.sketch
+        if positions is None:
             if key is None:
                 return
-            digest = key_digest(key)
-        sketch = cell.sketch
-        estimate = sketch.add_digest(digest, count)
+            positions = self.positions(key)
+        estimate = sketch.add_at(positions, count)
         if key is not None:
             # Promote only when the sketch already ranks the key at
             # heavy-hitter mass — the summary then tracks talkers, not
             # the benign long tail.
-            if estimate >= sketch.total / self.params.top_k:
+            if estimate >= sketch.total / self._top_k:
                 cell.hitters.add(key, count)
             else:
                 cell.hitters.total += count
@@ -160,9 +172,9 @@ class SketchWindow:
 
     def estimate(self, now: float, key: str | bytes) -> int:
         """Windowed frequency upper bound for ``key``."""
-        digest = key_digest(key)
+        positions = self.positions(key)
         return sum(
-            cell.sketch.estimate_digest(digest)
+            cell.sketch.estimate_at(positions)
             for cell in self._active_cells(now)
         )
 

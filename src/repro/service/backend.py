@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import asyncio
 import time
+from array import array
 from typing import Callable
 
-from ..detect import HeavyHitterReport, SketchParams, key_digest
+from ..detect import HeavyHitterReport, SketchParams
 from ..obs.instruments import Instruments
 from ..obs.metrics import Counter
 from ..trust import TrustManager
@@ -34,6 +35,9 @@ from .config import ServiceConfig
 from .tokens import SaturationMonitor, SketchSaturationMonitor, TokenBucket
 
 __all__ = ["BackendStats", "ReplicaBackend"]
+
+#: ``whitelist.get`` default: ``None`` is the exact monitor's entry.
+_NOT_ADMITTED = object()
 
 
 class BackendStats:
@@ -127,11 +131,9 @@ class ReplicaBackend:
                 clock=clock,
             )
         self._clock = clock
-        self.whitelist: set[str] = set()
-        # Each whitelisted client's sketch digest, hashed once at
-        # admission instead of on every request; lives and dies with
-        # the whitelist entry, so it is bounded by it.
-        self._digests: dict[str, int] = {}
+        # client id -> its sketch key (``monitor.positions``), hashed
+        # once at admission instead of on every request.
+        self.whitelist: dict[str, array | None] = {}
         self.stats = BackendStats()
         self.quiescing = False
         self._server: asyncio.base_events.Server | None = None
@@ -197,17 +199,14 @@ class ReplicaBackend:
     def admit(self, client_id: str) -> None:
         """Whitelist a client the coordinator assigned here."""
         # Reached from both the control handler (assign) and the
-        # shuffle path, but each caller performs these two container
-        # writes back to back with no await in between — the loop
-        # cannot interleave them.
+        # shuffle path, but the entry and its sketch key land in one
+        # container write with no await before it — the loop cannot
+        # interleave anything.
         # reprolint: disable=P9
-        self.whitelist.add(client_id)
-        # reprolint: disable=P9
-        self._digests[client_id] = key_digest(client_id)
+        self.whitelist[client_id] = self.monitor.positions(client_id)
 
     def evict(self, client_id: str) -> None:
-        self.whitelist.discard(client_id)
-        self._digests.pop(client_id, None)
+        self.whitelist.pop(client_id, None)
 
     def quiesce(self) -> None:
         """Stop serving ahead of retirement: every request gets MOVED,
@@ -256,11 +255,11 @@ class ReplicaBackend:
             self.stats.moved += 1
             self._count("moved")
             return f"MOVED {seq}"
-        if client_id not in self.whitelist:
+        positions = self.whitelist.get(client_id, _NOT_ADMITTED)
+        if positions is _NOT_ADMITTED:
             self.stats.denied += 1
             self._count("denied")
             return f"DENY {seq}"
-        digest = self._digests.get(client_id)
         trust = self.trust
         if trust is not None:
             decision = trust.admit_decision(client_id)
@@ -270,7 +269,7 @@ class ReplicaBackend:
                 # request still counts into the saturation window so
                 # a gated flood keeps raising the attacked signal.
                 self.monitor.record(
-                    admitted=False, client_id=client_id, digest=digest
+                    admitted=False, client_id=client_id, positions=positions
                 )
                 trust.observe(client_id, self._clock(), violation=False)
                 if decision == "deny":
@@ -282,7 +281,7 @@ class ReplicaBackend:
                 return f"THROTTLED {seq}"
         if self.bucket.try_acquire():
             self.monitor.record(
-                admitted=True, client_id=client_id, digest=digest
+                admitted=True, client_id=client_id, positions=positions
             )
             self.stats.served += 1
             self._count("served")
@@ -290,7 +289,7 @@ class ReplicaBackend:
                 trust.observe(client_id, self._clock(), violation=False)
             return f"OK {seq} {self.replica_id}"
         self.monitor.record(
-            admitted=False, client_id=client_id, digest=digest
+            admitted=False, client_id=client_id, positions=positions
         )
         self.stats.throttled += 1
         self._count("throttled")

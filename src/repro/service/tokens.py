@@ -32,6 +32,7 @@ wall-clock ban — see the P4 rule scope in reprolint).
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from typing import Callable
 
@@ -123,19 +124,22 @@ class SaturationMonitor:
             if throttled:
                 self._throttled_in_window -= 1
 
+    def positions(self, client_id: str) -> None:
+        """The exact monitor keys nothing by client: ``None``."""
+
     def record(
         self,
         admitted: bool,
         client_id: str | None = None,
-        digest: int | None = None,
+        positions: None = None,
     ) -> None:
         """Record one request outcome (admitted or throttled).
 
-        ``client_id`` and ``digest`` are accepted for interface parity
-        with :class:`SketchSaturationMonitor` and ignored: the exact
-        monitor measures saturation only, not who caused it.
+        ``client_id`` and ``positions`` are accepted for interface
+        parity with :class:`SketchSaturationMonitor` and ignored: the
+        exact monitor measures saturation only, not who caused it.
         """
-        del client_id, digest
+        del client_id, positions
         now = self._clock()
         # Appended by request handlers, pruned by the detection sweep;
         # record()/counts() are fully synchronous (no await), so each
@@ -207,16 +211,21 @@ class SketchSaturationMonitor:
         self._clock = clock
         self._window = SketchWindow(window, params=params, epochs=epochs)
 
+    def positions(self, client_id: str) -> array:
+        """``client_id``'s sketch key in this monitor's window (see
+        :meth:`repro.detect.SketchWindow.positions`)."""
+        return self._window.positions(client_id)
+
     def record(
         self,
         admitted: bool,
         client_id: str | None = None,
-        digest: int | None = None,
+        positions: array | None = None,
     ) -> None:
         """Record one request outcome, attributed to ``client_id``.
 
-        ``digest`` is the client's :func:`repro.detect.key_digest` when
-        the caller already holds it (backends compute it at admission);
+        ``positions`` is :meth:`positions` of the client when the
+        caller already holds it (backends compute it at admission);
         without it the window hashes ``client_id`` itself.
 
         Same single-event-loop discipline as the exact monitor: the
@@ -225,7 +234,7 @@ class SketchSaturationMonitor:
         """
         # reprolint: disable=P9
         self._window.record(
-            self._clock(), admitted, key=client_id, digest=digest
+            self._clock(), admitted, key=client_id, positions=positions
         )
 
     def counts(self) -> tuple[int, int]:

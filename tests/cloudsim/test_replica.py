@@ -7,6 +7,7 @@ import pytest
 from repro.cloudsim.network import Endpoint
 from repro.cloudsim.replica import ReplicaServer, ReplicaState
 from repro.cloudsim.system import CloudConfig, CloudContext
+from repro.detect import SketchWindow
 
 
 @pytest.fixture
@@ -79,6 +80,82 @@ class TestWhitelist:
         outcomes = []
         server.handle_request("c1", 1.0, lambda ok, t: outcomes.append(ok))
         assert outcomes == [False]
+
+
+class TestSketchKey:
+    """The whitelist entry *is* the client's sketch key: made by the
+    replica's own window at admission, gone with the entry."""
+
+    def test_admit_stores_the_windows_positions(self, replica):
+        replica.admit("c1", object())
+        assert replica.whitelist["c1"] == replica.traffic.positions("c1")
+        assert list(replica.whitelist) == ["c1"]
+        assert replica.n_clients == 1
+
+    @pytest.mark.parametrize("leave", ["evict", "retire", "fail"])
+    def test_every_exit_drops_the_entry(self, replica, leave):
+        replica.admit("c1", object())
+        replica.admit("c2", object())
+        if leave == "evict":
+            replica.evict("c1")
+            assert list(replica.whitelist) == ["c2"]
+            assert replica.n_clients == 1
+        else:
+            getattr(replica, leave)()
+            assert replica.whitelist == {}
+            assert replica.n_clients == 0
+
+    def test_moved_client_is_keyed_by_its_new_replica(self, replica):
+        # Positions index one (width, depth, seed) family only; a
+        # differently sized destination must hash the client again.
+        wide = ReplicaServer(
+            CloudContext(CloudConfig(detect_epsilon=0.001), seed=0),
+            Endpoint("cloud-0", "replica-wide"), 1000.0, 100.0,
+        )
+        wide.activate()
+        replica.admit("c1", object())
+        replica.evict("c1")
+        wide.admit("c1", object())
+        assert "c1" not in replica.whitelist
+        assert wide.whitelist["c1"] == wide.traffic.positions("c1")
+        assert wide.whitelist["c1"] != replica.traffic.positions("c1")
+        outcomes = []
+        wide.handle_request("c1", 1.0, lambda ok, t: outcomes.append(ok))
+        assert outcomes == [True]
+        assert wide.traffic.estimate(wide.ctx.now, "c1") == 1
+
+    def test_stranger_is_rejected_and_still_recorded_by_key(self, replica):
+        for _ in range(3):
+            replica.handle_request("stranger", 1.0, lambda ok, t: None)
+        now = replica.ctx.now
+        assert replica.stats.requests_rejected == 3
+        assert replica.traffic.counts(now) == (3, 3)
+        assert replica.traffic.estimate(now, "stranger") == 3
+        assert [h.key for h in replica.traffic.heavy_hitters(now)] == [
+            "stranger"
+        ]
+        assert replica.whitelist == {}
+
+    def test_admitted_traffic_lands_where_hashing_would_put_it(self, ctx):
+        # Same requests through a replica (held positions) and through
+        # a bare window (hashing each key): equal sketch bytes.
+        server = ReplicaServer(ctx, Endpoint("cloud-0", "r"), 1e6, 1e6)
+        server.activate()
+        bare = SketchWindow(
+            server.traffic.window, server.traffic.params,
+            server.traffic.epochs,
+        )
+        for i in range(200):
+            cid = f"c-{i % 17}"
+            server.admit(cid, object())
+            server.handle_request(cid, 1.0, lambda ok, t: None)
+            bare.record(ctx.now, True, key=cid)
+        assert [c.sketch.to_bytes() for c in server.traffic._cells] == [
+            c.sketch.to_bytes() for c in bare._cells
+        ]
+        assert server.traffic.heavy_hitters(ctx.now) == (
+            bare.heavy_hitters(ctx.now)
+        )
 
 
 class TestOverload:

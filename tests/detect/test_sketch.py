@@ -129,6 +129,47 @@ class TestMerge:
             CountMinSketch.merge_all([])
 
 
+class TestArrayBackedCounters:
+    """``_flat`` (scalar reads and writes) and ``counts`` (vector
+    merges, bytes) are one block of memory, whatever built it."""
+
+    @pytest.mark.parametrize(
+        "width,depth,typecode",
+        [(136, 5, "H"), (8192, 8, "H"), (8193, 8, "I"), (20_000, 5, "I")],
+    )
+    def test_positions_fit_their_typecode(self, width, depth, typecode):
+        sketch = CountMinSketch(width=width, depth=depth)
+        for i in range(200):
+            held = sketch.positions(key_digest(f"c-{i}"))
+            assert held.typecode == typecode
+            # One position per row, inside that row: nothing wrapped.
+            assert [p // width for p in held] == list(range(depth))
+        sketch.add_at(held, 3)
+        rows, columns = np.nonzero(sketch.counts)
+        assert (rows * width + columns).tolist() == list(held)
+        assert sketch.estimate_at(held) == 3 == sketch.estimate("c-199")
+
+    def test_merge_and_reset_keep_both_views_attached(self):
+        left = CountMinSketch(width=16, depth=3)
+        right = CountMinSketch(width=16, depth=3)
+        for i in range(300):
+            (left if i % 2 else right).add(f"k-{i % 40}", 1 + i % 5)
+        for merged in (
+            left.merge(right),
+            CountMinSketch.merge_all([left, right]),
+        ):
+            assert np.shares_memory(merged.counts, merged._flat)
+            assert merged._flat.tolist() == (
+                (left.counts + right.counts).reshape(-1).tolist()
+            )
+            assert merged.add("k-1", 4) == merged.estimate("k-1")
+            assert merged.counts.reshape(-1).tolist() == merged._flat.tolist()
+            merged.reset()
+            assert not any(merged._flat) and not merged.counts.any()
+            assert merged.add("k-1", 4) == 4
+            assert int(merged.counts.sum()) == 4 * merged.depth
+
+
 class TestStateAndValidation:
     def test_reset_restores_empty_state(self):
         sketch = CountMinSketch(width=16, depth=3)
@@ -149,11 +190,11 @@ class TestStateAndValidation:
         a = CountMinSketch(width=64, depth=4, seed=0)
         b = CountMinSketch(width=64, depth=4, seed=1)
         digest = key_digest("probe")
-        assert a._indices(digest) != b._indices(digest)
+        assert a.positions(digest) != b.positions(digest)
 
     def test_add_digest_returns_the_new_estimate(self):
         """Callers use the return value instead of querying again, so
-        it must be exactly what ``estimate_digest`` would say next —
+        it must be exactly what ``estimate_at`` would say next —
         through collisions, weighted adds and a merge (which must keep
         the scalar path's view of the counters attached)."""
         rng = random.Random(7)
@@ -165,7 +206,7 @@ class TestStateAndValidation:
             digest = rng.choice(digests)
             count = rng.randrange(0, 9)
             assert sketch.add_digest(digest, count) == (
-                sketch.estimate_digest(digest)
+                sketch.estimate_at(sketch.positions(digest))
             )
         assert np.shares_memory(sketch.counts, sketch._flat)
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.detect import SketchParams, SketchWindow, key_digest
 
@@ -44,8 +47,8 @@ class TestScalarStreamGolden:
     )
 
     def test_seeded_stream_leaves_the_golden_state(self):
-        """50k mixed requests through ``record`` — key, key+digest,
-        digest-only and tally-only forms, weighted adds, ~40 epoch
+        """50k mixed requests through ``record`` — key, key+positions,
+        positions-only and tally-only forms, weighted adds, ~40 epoch
         rotations, promotions and evictions — must leave every cell's
         sketch bytes, summary and tallies exactly as the pre-rewrite
         implementation did."""
@@ -67,12 +70,13 @@ class TestScalarStreamGolden:
                 window.record(now, admitted, key=key, count=count)
             elif form < 0.75:
                 window.record(
-                    now, admitted, key=key, digest=key_digest(key),
-                    count=count,
+                    now, admitted, key=key,
+                    positions=window.positions(key), count=count,
                 )
             elif form < 0.9:
                 window.record(
-                    now, admitted, digest=key_digest(key), count=count
+                    now, admitted, positions=window.positions(key),
+                    count=count,
                 )
             else:
                 window.record(now, admitted, count=count)
@@ -85,6 +89,63 @@ class TestScalarStreamGolden:
                     running.update(cell.hitters.to_bytes())
                     running.update(cell.sketch.to_bytes())
         assert running.hexdigest() == self.GOLDEN
+
+
+# One request: (seconds since the last one, key index or None, count,
+# admitted).  Steps up to 0.9 s on a 1 s / 4-epoch window cross epoch
+# boundaries, skip cells and wrap the ring within a few events.
+requests = st.lists(
+    st.tuples(
+        st.floats(0.0, 0.9),
+        st.one_of(st.none(), st.integers(0, 30)),
+        st.integers(0, 40),
+        st.booleans(),
+    ),
+    min_size=1, max_size=150,
+)
+
+
+def _state(window: SketchWindow, now: float) -> tuple:
+    return (
+        [
+            (cell.epoch, cell.total, cell.throttled,
+             cell.sketch.to_bytes(), cell.hitters.to_bytes())
+            for cell in window._cells
+        ],
+        window.counts(now),
+        window.heavy_hitters(now),
+    )
+
+
+class TestPositionsEquivalence:
+    @given(stream=requests)
+    def test_held_positions_leave_the_state_hashing_would(self, stream):
+        """``positions=`` is a cache of ``key=``, never a second
+        behaviour: one stream through both forms leaves equal bytes in
+        every cell, equal tallies, equal heavy hitters."""
+        by_key = _window(window=1.0, epochs=4)
+        by_positions = _window(window=1.0, epochs=4)
+        held = {
+            f"k-{i}": by_positions.positions(f"k-{i}") for i in range(31)
+        }
+        now = 0.0
+        for step, idx, count, admitted in stream:
+            now += step
+            key = None if idx is None else f"k-{idx}"
+            by_key.record(now, admitted, key=key, count=count)
+            by_positions.record(
+                now, admitted, key=key, positions=held.get(key),
+                count=count,
+            )
+            assert _state(by_positions, now) == _state(by_key, now)
+
+    def test_positions_are_the_same_in_every_cell(self):
+        window = _window()
+        held = window.positions("c-1")
+        assert all(
+            cell.sketch.positions(key_digest("c-1")) == held
+            for cell in window._cells
+        )
 
 
 class TestExpiry:
@@ -142,9 +203,9 @@ class TestHeavyHitters:
 
     def test_digest_without_key_skips_attribution(self):
         window = _window()
-        digest = key_digest("a")
+        positions = window.positions("a")
         for i in range(50):
-            window.record(0.1, i >= 10, digest=digest)
+            window.record(0.1, i >= 10, positions=positions)
         assert window.counts(0.1) == (50, 10)
         assert window.estimate(0.1, "a") == 50
         assert window.heavy_hitters(0.1) == []
@@ -169,6 +230,21 @@ class TestStateAndValidation:
         window.reset()
         assert window.counts(0.1) == (0, 0)
         assert window.heavy_hitters(0.1) == []
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"key": "a"}, {"positions": array("H", [0, 200])}]
+    )
+    def test_negative_count_leaves_the_window_untouched(self, kwargs):
+        """A rejected call is rejected whole: the tallies used to move
+        before the sketch raised, and with neither key nor positions
+        the negative count was accepted."""
+        window = _window()
+        for i in range(20):
+            window.record(0.1 * i, i % 3 == 0, key=f"c-{i % 4}")
+        before = _state(window, 2.1)
+        with pytest.raises(ValueError):  # 2.1 s: a cell due for reuse
+            window.record(2.1, False, count=-1, **kwargs)
+        assert _state(window, 2.1) == before
 
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -67,6 +68,77 @@ class TestRespond:
         backend.evict("u-1")
         assert backend._respond(["REQ", "u-1", "1"]) == "DENY 1"
         assert backend.n_clients == 0
+
+
+class TestSketchKey:
+    """The whitelist entry *is* the client's sketch key: made by the
+    backend's own monitor at admission, gone with the entry."""
+
+    @pytest.fixture
+    def sketch_config(self, config):
+        return dataclasses.replace(config, detector="sketch")
+
+    def test_admit_stores_the_monitors_positions(self, sketch_config, clock):
+        backend = _backend(sketch_config, clock)
+        backend.admit("u-1")
+        assert backend.whitelist["u-1"] == backend.monitor.positions("u-1")
+        assert backend.n_clients == 1
+        backend.evict("u-1")
+        assert backend.whitelist == {}
+        assert backend.n_clients == 0
+
+    def test_moved_client_is_keyed_by_its_new_backend(
+        self, sketch_config, clock
+    ):
+        # Positions index one (width, depth, seed) family only; a
+        # differently sized destination must hash the client again.
+        source = _backend(sketch_config, clock)
+        wide = ReplicaBackend(
+            dataclasses.replace(sketch_config, sketch_epsilon=0.001),
+            "r-2", clock=clock,
+        )
+        source.admit("u-1")
+        source.evict("u-1")
+        wide.admit("u-1")
+        assert wide.whitelist["u-1"] == wide.monitor.positions("u-1")
+        assert wide.whitelist["u-1"] != source.monitor.positions("u-1")
+        assert wide._respond(["REQ", "u-1", "1"]) == "OK 1 r-2"
+        assert wide.monitor.counts() == (1, 0)
+        assert source._respond(["REQ", "u-1", "2"]) == "DENY 2"
+
+    def test_held_positions_attribute_like_hashing(
+        self, sketch_config, clock
+    ):
+        backend = _backend(sketch_config, clock)
+        backend.admit("bot-0")
+        backend.admit("u-1")
+        backend._respond(["REQ", "u-1", "0"])
+        for seq in range(1, 40):
+            backend._respond(["REQ", "bot-0", str(seq)])
+        top = backend.monitor.heavy_hitters()
+        assert (top[0].key, top[0].count) == ("bot-0", 39)
+        assert backend.monitor.counts() == (40, 35)
+
+    def test_exact_detector_stores_none_and_serves_identically(
+        self, config, sketch_config, clock
+    ):
+        exact = _backend(config, clock)
+        sketch = _backend(sketch_config, clock)
+        requests = [("u-1", i) for i in range(8)] + [("stranger", 8)]
+        replies = []
+        for backend in (exact, sketch):
+            backend.admit("u-1")
+            replies.append([
+                backend._respond(["REQ", cid, str(seq)])
+                for cid, seq in requests
+            ])
+            assert backend.stats.to_dict() == {
+                "served": 5, "throttled": 3, "denied": 1, "moved": 0,
+            }
+            assert backend.monitor.counts() == (8, 3)
+        assert replies[0] == replies[1]
+        assert exact.whitelist == {"u-1": None}
+        assert exact.monitor.positions("u-1") is None
 
 
 class TestLiveSocket:
