@@ -7,10 +7,13 @@ concurrency-era project rules:
 - **task roots** — where coroutines enter the event loop.  A root is a
   coroutine handed to ``asyncio.create_task``/``ensure_future``/
   ``gather``, the main coroutine of ``asyncio.run``/
-  ``run_until_complete``, or a connection handler registered with
-  ``asyncio.start_server`` (which the loop spawns as a fresh task per
-  connection).  Roots are the unit of concurrency: two functions
-  reachable from *different* roots can interleave at every ``await``.
+  ``run_until_complete``, or a connection handler: the callback
+  registered with ``asyncio.start_server`` (which the loop spawns as a
+  fresh task per connection), or the transport callbacks
+  (``data_received`` and friends) of the protocol class whose factory
+  is handed to ``loop.create_server``.  Roots are the unit of
+  concurrency: two functions reachable from *different* roots can
+  interleave at every ``await``.
 - **forward reachability** — the call-graph closure from a set of
   roots, following the same over-approximate edges the other P-passes
   use (missing an edge hides a bug; a spurious one at worst asks for a
@@ -46,6 +49,15 @@ _SPAWNERS = frozenset({"create_task", "ensure_future"})
 _MAIN_RUNNERS = frozenset({"run", "run_until_complete"})
 #: calls taking a *reference* to a per-connection handler coroutine.
 _SERVER_CALLS = frozenset({"start_server", "start_unix_server"})
+#: calls taking a protocol *factory*: a class, or ``lambda: Cls(...)``.
+_PROTOCOL_SERVER_CALLS = frozenset({"create_server", "create_unix_server"})
+#: the methods of a protocol class the loop calls per connection event.
+_PROTOCOL_CALLBACKS = (
+    "connection_made",
+    "data_received",
+    "eof_received",
+    "connection_lost",
+)
 #: gather-style calls: every coroutine argument runs concurrently.
 _GATHERERS = frozenset({"gather"})
 
@@ -139,10 +151,15 @@ def find_task_roots(graph: CallGraph) -> list[TaskRoot]:
                                 spawned_in=caller,
                                 line=site.node_line,
                             ))
-            elif name in _SERVER_CALLS and site.call.args:
-                for target in _reference_targets(
-                    graph, caller_fn, site.call.args[0]
-                ):
+            elif (
+                name in _SERVER_CALLS or name in _PROTOCOL_SERVER_CALLS
+            ) and site.call.args:
+                resolve = (
+                    _reference_targets
+                    if name in _SERVER_CALLS
+                    else _protocol_targets
+                )
+                for target in resolve(graph, caller_fn, site.call.args[0]):
                     roots.append(TaskRoot(
                         qualname=target,
                         kind="server-handler",
@@ -200,6 +217,36 @@ def _reference_targets(
                 return (defs[node.id],)
         return tuple(sorted(graph.by_name.get(node.id, [])))
     return ()
+
+
+def _protocol_targets(
+    graph: CallGraph, caller_fn: FunctionInfo | None, node: ast.AST
+) -> tuple[str, ...]:
+    """Transport callbacks of a protocol *factory*: ``Cls`` or
+    ``lambda: Cls(...)``.
+
+    The class resolves in the caller's module first, then — like every
+    other edge of the graph — to any project class of that name.
+    """
+    if isinstance(node, ast.Lambda):
+        node = node.body
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return ()
+    owners = [key for key in graph.class_methods if key[1] == name]
+    if caller_fn is not None and (caller_fn.module, name) in owners:
+        owners = [(caller_fn.module, name)]
+    return tuple(
+        graph.class_methods[owner][callback]
+        for owner in sorted(owners)
+        for callback in _PROTOCOL_CALLBACKS
+        if callback in graph.class_methods[owner]
+    )
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,14 @@ to fleet size — precisely the cost curve that breaks the ROADMAP's
 100×–1000× scaling item.
 
 Scope is the forward closure of the **server-handler task roots** (the
-per-connection callbacks registered with ``asyncio.start_server``),
-minus reporting surfaces (``snapshot``/``to_dict``, which run on the
-operator's cadence, not per request).  Inside that closure the pass
-flags registry get-or-create calls and O(N) iteration/aggregation over
-container attributes.  Taking an O(N) *copy* (``list(self.x)``) to
-return is fine — it is the per-request *scan* that compounds.
+per-connection callbacks registered with ``asyncio.start_server``, and
+the ``data_received`` family of a protocol class served through
+``loop.create_server``), minus reporting surfaces
+(``snapshot``/``to_dict``, which run on the operator's cadence, not per
+request).  Inside that closure the pass flags registry get-or-create
+calls and O(N) iteration/aggregation over container attributes.  Taking
+an O(N) *copy* (``list(self.x)``) to return is fine — it is the
+per-request *scan* that compounds.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Rule P9: shared mutable state needs a lock or a single writer.
 
 The live service runs many concurrent tasks on one event loop: the
-detection sweep, a handler task per control-channel connection, a task
-per replica connection, the load generator's per-client coroutines.
-asyncio interleaves them at every ``await`` — so a container attribute
-(assignment map, whitelist, connection set) written from **two or more
-distinct task roots** can interleave read-modify-write sequences and
-corrupt the defense state the shuffle loop plans from.  The failure is
-probabilistic and load-dependent: invisible in tests, live at scale —
-exactly what the 100× scaling item must not re-introduce.
+detection sweep, a handler task per control-channel connection, the
+protocol callbacks of every replica connection, the load generator's
+per-client coroutines.  asyncio interleaves them at every ``await`` —
+so a container attribute (assignment map, whitelist, connection set)
+written from **two or more distinct task roots** can interleave
+read-modify-write sequences and corrupt the defense state the shuffle
+loop plans from.  The failure is probabilistic and load-dependent:
+invisible in tests, live at scale — exactly what the 100× scaling item
+must not re-introduce.
 
 The pass combines the asyncflow indices: task roots × forward
 reachability × attribute-write sites, restricted to *container-typed*

@@ -18,6 +18,12 @@ Wire protocol (UTF-8 lines)::
              THROTTLED <seq>           bucket drained (overload)
              DENY <seq>                client not whitelisted
              MOVED <seq>               replica quiescing/retired
+
+Each connection is one :class:`_Connection` protocol object: every
+complete line of a received chunk is answered in the read callback and
+the replies leave in one write.  A peer that does not read its replies
+stops being read (``pause_reading``), an unfinished line over 64 KiB
+closes the connection, and :meth:`ReplicaBackend.stop` waits on no peer.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ __all__ = ["BackendStats", "ReplicaBackend"]
 
 #: ``whitelist.get`` default: ``None`` is the exact monitor's entry.
 _NOT_ADMITTED = object()
+#: longest unfinished line a connection may hold (asyncio's stream limit).
+_MAX_LINE = 2 ** 16
 
 
 class BackendStats:
@@ -137,8 +145,7 @@ class ReplicaBackend:
         self.stats = BackendStats()
         self.quiescing = False
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._handlers: set[asyncio.Task] = set()
+        self._connections: set[asyncio.Transport] = set()
         self.host = config.host
         self.port: int | None = None
 
@@ -149,8 +156,8 @@ class ReplicaBackend:
         """Bind and serve at a fresh port (0 = OS-assigned)."""
         if self._server is not None:
             raise RuntimeError(f"{self.replica_id} already started")
-        self._server = await asyncio.start_server(
-            self._handle, self.host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -158,30 +165,28 @@ class ReplicaBackend:
         """Retire the backend: the port stops accepting connections.
 
         The live analogue of null-routing a retired replica's address —
-        a bot still flooding it is wasting its effort on a dead socket.
+        a bot still flooding it is wasting its effort on a dead socket,
+        and one that is not reading its replies is owed nothing: this
+        returns without waiting on any peer.
         """
         self.quiescing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         # Established connections outlive Server.close(); drop them so
-        # clients see EOF now instead of a half-dead socket, and wait
-        # for the handlers to unwind before declaring the port dark.
-        for writer in list(self._connections):
-            writer.close()
-        # Handler tasks discard their own entries, but a concurrent
-        # discard during this clear() is harmless: both sides only
+        # clients see EOF now instead of a half-dead socket.  close()
+        # flushes first, and a peer that is not reading never lets it.
+        for transport in self._connections:
+            if transport.get_write_buffer_size():
+                transport.abort()
+            else:
+                transport.close()
+        # Connections discard their own entries, but a concurrent
+        # discard around this clear() is harmless: both sides only
         # remove, and each mutation is a single atomic set op on the
         # one event loop (no await splits a read-modify-write).
         # reprolint: disable=P9
         self._connections.clear()
-        if self._handlers:
-            await asyncio.gather(
-                *list(self._handlers), return_exceptions=True
-            )
-            # reprolint: disable=P9
-            self._handlers.clear()
 
     @property
     def is_active(self) -> bool:
@@ -305,39 +310,6 @@ class ReplicaBackend:
                 replica=self.replica_id, outcome=outcome
             )
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                reply = self._respond(line.decode("utf-8", "replace").split())
-                writer.write((reply + "\n").encode("utf-8"))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished mid-exchange; nothing to clean up
-        except asyncio.CancelledError:
-            pass  # event loop tearing down: exit quietly
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                pass
-
     def snapshot(self) -> dict[str, object]:
         """Telemetry row for this backend."""
         if self.instruments is not None:
@@ -366,3 +338,49 @@ class ReplicaBackend:
                 sorted(self.whitelist)
             )
         return snap
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: each received chunk is answered whole."""
+
+    __slots__ = ("_backend", "_transport", "_tail")
+
+    def __init__(self, backend: ReplicaBackend) -> None:
+        self._backend = backend
+        self._tail = b""
+
+    def connection_made(  # type: ignore[override]
+        self, transport: asyncio.Transport
+    ) -> None:
+        self._transport = transport
+        if self._backend._server is None:
+            transport.abort()  # accepted just before stop(): already dark
+        else:
+            self._backend._connections.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._backend._connections.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()
+        if lines:
+            backend = self._backend
+            self._transport.write(("\n".join([
+                backend._respond(line.decode("utf-8", "replace").split())
+                for line in lines
+            ]) + "\n").encode("utf-8"))
+        if len(self._tail) > _MAX_LINE:
+            self._transport.close()
+
+    def eof_received(self) -> None:
+        if self._tail:  # an unterminated last line is still a request
+            self.data_received(b"\n")
+
+    # Backpressure: a peer that does not read its replies stops being
+    # read, until the transport's write buffer drains.
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()

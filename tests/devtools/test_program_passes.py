@@ -13,6 +13,8 @@ from pathlib import Path
 
 from repro.devtools import lint_project
 from repro.devtools.program import ProgramContext, render_dot, render_graph_json
+from repro.devtools.program.asyncflow import find_task_roots, reachable_from
+from repro.devtools.program.callgraph import build_call_graph
 from repro.devtools.runner import default_consumer_roots
 
 
@@ -1003,6 +1005,34 @@ class TestP9SharedStateRaces:
         )
         assert hits(tree, ["P9"]) == []
 
+    def test_two_protocol_callbacks_writing_one_container(self, tmp_path):
+        """The callbacks of a `create_server` protocol are roots too."""
+        tree = build_tree(
+            tmp_path,
+            SERVICE_PKG
+            | {
+                "repro/service/svc.py": """\
+                import asyncio
+
+                class Conn(asyncio.Protocol):
+                    def __init__(self):
+                        self.seen: dict[str, int] = {}
+
+                    def connection_made(self, transport):
+                        self.seen["open"] = 1
+
+                    def data_received(self, data):
+                        self.seen["data"] = len(data)
+
+                async def serve():
+                    loop = asyncio.get_running_loop()
+                    return await loop.create_server(Conn, "", 0)
+                """,
+            },
+        )
+        found = hits(tree, ["P9"])
+        assert found == ["P9 svc.py:8"], found
+
 
 HANDLER_HEADER = """\
 import asyncio
@@ -1082,6 +1112,92 @@ class TestP10HotPathDiscipline:
             },
         )
         assert hits(tree, ["P10"]) == []
+
+
+PROTOCOL_HEADER = """\
+import asyncio
+
+class Server:
+    def __init__(self, registry):
+        self.registry = registry
+        self._count = registry.counter("requests_total", "req")
+        self.whitelist: set[str] = set()
+
+    async def start(self):
+        loop = asyncio.get_running_loop()
+        self._srv = await loop.create_server(lambda: Conn(self), "", 0)
+
+"""
+
+PROTOCOL_FOOTER = """\
+
+class Conn(asyncio.Protocol):
+    def __init__(self, server):
+        self.server = server
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.transport.write(self.server.respond(data))
+"""
+
+
+class TestP10ProtocolHandlers:
+    """`create_server(lambda: Conn(...))`: the hot path starts at the
+    protocol's `data_received`, as it does at a `start_server` handler."""
+
+    def _tree(self, tmp_path, respond: str):
+        return build_tree(
+            tmp_path,
+            SERVICE_PKG
+            | {
+                "repro/service/svc.py": PROTOCOL_HEADER
+                + respond
+                + PROTOCOL_FOOTER,
+            },
+        )
+
+    def test_get_or_create_metric_behind_data_received(self, tmp_path):
+        tree = self._tree(tmp_path, """\
+    def respond(self, data):
+        self.registry.counter("requests_total", "req").inc()
+""")
+        found = hits(tree, ["P10"])
+        assert found == ["P10 svc.py:14"], found
+
+    def test_container_scan_behind_data_received(self, tmp_path):
+        tree = self._tree(tmp_path, """\
+    def respond(self, data):
+        return [c for c in self.whitelist if c]
+""")
+        found = hits(tree, ["P10"])
+        assert found == ["P10 svc.py:14"], found
+
+    def test_prebound_handle_and_membership_test_are_clean(self, tmp_path):
+        tree = self._tree(tmp_path, """\
+    def respond(self, data):
+        self._count.inc()
+        return data in self.whitelist
+""")
+        assert hits(tree, ["P10"]) == []
+
+    def test_real_backend_is_reached_through_its_protocol(self):
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        graph = build_call_graph(ProgramContext.build(
+            src, consumer_roots=default_consumer_roots(src)
+        ))
+        handlers = {
+            root.qualname
+            for root in find_task_roots(graph)
+            if root.kind == "server-handler"
+        }
+        entry = "repro.service.backend._Connection.data_received"
+        assert entry in handlers
+        assert (
+            "repro.service.backend.ReplicaBackend._respond"
+            in reachable_from(graph, {entry})
+        )
 
 
 class TestGraphExports:
