@@ -23,6 +23,10 @@ already ranks at heavy-hitter mass are promoted into the space-saving
 summary, which then tracks talkers rather than the benign long tail.
 All cells share one hash family, so a replica hashes a client once
 (:meth:`positions`, kept as its whitelist entry) for every :meth:`record`.
+A live replica lands a run of one client's requests at one instant in
+at most two records, split where the client's promotion would start
+(:meth:`unpromoted`); ``record(count=c)`` tests promotion once, on the
+whole count, which is what cloudsim's per-tick aggregates mean.
 """
 
 from __future__ import annotations
@@ -153,6 +157,39 @@ class SketchWindow:
                 cell.hitters.add(key, count)
             else:
                 cell.hitters.total += count
+
+    def unpromoted(self, now: float, positions: array, count: int) -> int:
+        """How many of ``count`` unit :meth:`record` calls of one key
+        (at ``positions``) at ``now`` would fail the promotion test
+        before the first one passes; ``count`` when none would.
+
+        The ``i``-th unit record tests ``e + i >= (n + i) / top_k``
+        (``e`` the key's estimate and ``n`` the sketch total before the
+        run): the estimate gains 1 a record and the threshold
+        ``1/top_k <= 1``, so once passed the test passes for the rest of
+        the run.  So ``count`` unit records equal one ``record(count=j)``
+        of the ``j`` this returns (one failed test, as all ``j`` fail)
+        and one ``record(count=count - j)`` of the rest (one passed test:
+        the first of them promotes the key, the others only add to it).
+        """
+        epoch = int(now / self._epoch_len)
+        cell = self._cells[epoch % self.epochs]
+        if cell.epoch == epoch:
+            estimate = cell.sketch.estimate_at(positions)
+            total = cell.sketch.total
+        else:  # record() will clear the stale cell first
+            estimate = total = 0
+        top_k = self._top_k
+        # Smallest passing i in [1, count], or count + 1: the search
+        # runs on the float test record() itself evaluates.
+        low, high = 1, count + 1
+        while low < high:
+            mid = (low + high) // 2
+            if estimate + mid >= (total + mid) / top_k:
+                high = mid
+            else:
+                low = mid + 1
+        return low - 1
 
     # ------------------------------------------------------------------
     # queries

@@ -24,6 +24,13 @@ complete line of a received chunk is answered in the read callback and
 the replies leave in one write.  A peer that does not read its replies
 stops being read (``pause_reading``), an unfinished line over 64 KiB
 closes the connection, and :meth:`ReplicaBackend.stop` waits on no peer.
+
+A received chunk is one arrival: the clock is read once per chunk, and
+each run of consecutive requests from one client is settled together —
+one bucket grant of ``min(k, ⌊tokens⌋)`` and one monitor record per
+outcome — with the verdicts, bucket level and detector bytes that
+answering the ``k`` requests one at a time at that instant would give.
+With trust on, the tier gate and the profile update stay per request.
 """
 
 from __future__ import annotations
@@ -252,62 +259,113 @@ class ReplicaBackend:
     # ------------------------------------------------------------------
     # request handling
     # ------------------------------------------------------------------
-    def _respond(self, parts: list[str]) -> str:
-        if len(parts) != 3 or parts[0] != "REQ":
-            return "ERR malformed"
-        _, client_id, seq = parts
+    def _answer(self, lines: list[str]) -> list[str]:
+        """The replies to one received chunk's complete lines, in order.
+
+        The chunk is one arrival: the clock is read once, and each run
+        of consecutive requests from one client is settled together
+        (:meth:`_settle`).  A malformed line ends the run before it.
+        """
+        now = self._clock()
+        replies: list[str] = []
+        client_id = ""
+        seqs: list[str] = []
+        for line in lines:
+            parts = line.split()
+            if len(parts) != 3 or parts[0] != "REQ":
+                if seqs:
+                    self._settle(client_id, seqs, now, replies)
+                    seqs = []
+                replies.append("ERR malformed")
+            elif parts[1] == client_id:
+                seqs.append(parts[2])
+            else:
+                if seqs:
+                    self._settle(client_id, seqs, now, replies)
+                client_id = parts[1]
+                seqs = [parts[2]]
+        if seqs:
+            self._settle(client_id, seqs, now, replies)
+        return replies
+
+    def _settle(
+        self, client_id: str, seqs: list[str], now: float, replies: list[str]
+    ) -> None:
+        """Answer a run of requests from ``client_id`` arriving at
+        ``now`` (``seqs`` in order), exactly as one at a time."""
+        n = len(seqs)
+        stats = self.stats
         if self.quiescing:
-            self.stats.moved += 1
-            self._count("moved")
-            return f"MOVED {seq}"
+            stats.moved += n
+            self._count("moved", n)
+            for seq in seqs:
+                replies.append(f"MOVED {seq}")
+            return
         positions = self.whitelist.get(client_id, _NOT_ADMITTED)
         if positions is _NOT_ADMITTED:
-            self.stats.denied += 1
-            self._count("denied")
-            return f"DENY {seq}"
+            stats.denied += n
+            self._count("denied", n)
+            for seq in seqs:
+                replies.append(f"DENY {seq}")
+            return
+        monitor = self.monitor
         trust = self.trust
         if trust is not None:
-            decision = trust.admit_decision(client_id)
-            if decision != "ok":
-                # Tier gate: a policy rejection, not capacity
-                # exhaustion — no bucket token is spent, but the
-                # request still counts into the saturation window so
-                # a gated flood keeps raising the attacked signal.
-                self.monitor.record(
-                    admitted=False, client_id=client_id, positions=positions
-                )
-                trust.observe(client_id, self._clock(), violation=False)
+            # The tier gate and the profile move per request: each
+            # verdict feeds the next request's gate.
+            for seq in seqs:
+                decision = trust.admit_decision(client_id)
+                if decision == "ok" and self.bucket.try_acquire(1, now):
+                    monitor.record(True, client_id, positions, 1, now)
+                    stats.served += 1
+                    self._count("served")
+                    trust.observe(client_id, now, violation=False)
+                    replies.append(f"OK {seq} {self.replica_id}")
+                    continue
+                # Gated or throttled, the request counts into the
+                # saturation window: a policy-starved flood must keep
+                # raising the attacked signal.
+                monitor.record(False, client_id, positions, 1, now)
+                if decision == "ok":
+                    # A drained bucket is a violation signal: the client
+                    # (or its cohort) outran the replica's capacity.
+                    trust.observe(client_id, now, violation=True)
+                    stats.throttled += 1
+                    self._count("throttled")
+                    replies.append(f"THROTTLED {seq}")
+                    continue
+                # Tier gate: a policy rejection, no bucket token spent.
+                trust.observe(client_id, now, violation=False)
                 if decision == "deny":
-                    self.stats.denied += 1
+                    stats.denied += 1
                     self._count("trust_denied")
-                    return f"DENY {seq}"
-                self.stats.throttled += 1
-                self._count("trust_throttled")
-                return f"THROTTLED {seq}"
-        if self.bucket.try_acquire():
-            self.monitor.record(
-                admitted=True, client_id=client_id, positions=positions
-            )
-            self.stats.served += 1
-            self._count("served")
-            if trust is not None:
-                trust.observe(client_id, self._clock(), violation=False)
-            return f"OK {seq} {self.replica_id}"
-        self.monitor.record(
-            admitted=False, client_id=client_id, positions=positions
-        )
-        self.stats.throttled += 1
-        self._count("throttled")
-        if trust is not None:
-            # A drained bucket is a violation signal: the client (or
-            # its cohort) outran the replica's capacity.
-            trust.observe(client_id, self._clock(), violation=True)
-        return f"THROTTLED {seq}"
+                    replies.append(f"DENY {seq}")
+                else:
+                    stats.throttled += 1
+                    self._count("trust_throttled")
+                    replies.append(f"THROTTLED {seq}")
+            return
+        # One grant for the run: the first min(n, ⌊tokens⌋) requests are
+        # served, the rest throttled, and each part is one record.
+        served = self.bucket.try_acquire(n, now)
+        if served:
+            monitor.record(True, client_id, positions, served, now)
+            stats.served += served
+            self._count("served", served)
+            replica_id = self.replica_id
+            for seq in seqs if served == n else seqs[:served]:
+                replies.append(f"OK {seq} {replica_id}")
+        if served < n:
+            monitor.record(False, client_id, positions, n - served, now)
+            stats.throttled += n - served
+            self._count("throttled", n - served)
+            for seq in seqs[served:]:
+                replies.append(f"THROTTLED {seq}")
 
-    def _count(self, outcome: str) -> None:
+    def _count(self, outcome: str, n: int = 1) -> None:
         if self._requests_total is not None:
             self._requests_total.inc(
-                replica=self.replica_id, outcome=outcome
+                n, replica=self.replica_id, outcome=outcome
             )
 
     def snapshot(self) -> dict[str, object]:
@@ -362,14 +420,14 @@ class _Connection(asyncio.Protocol):
         self._backend._connections.discard(self._transport)
 
     def data_received(self, data: bytes) -> None:
-        lines = (self._tail + data).split(b"\n")
-        self._tail = lines.pop()
-        if lines:
-            backend = self._backend
-            self._transport.write(("\n".join([
-                backend._respond(line.decode("utf-8", "replace").split())
-                for line in lines
-            ]) + "\n").encode("utf-8"))
+        # "\n" never occurs inside a UTF-8 sequence, so decoding the
+        # complete lines at once equals decoding them one by one.
+        lines, newline, self._tail = (self._tail + data).rpartition(b"\n")
+        if newline:
+            replies = self._backend._answer(
+                lines.decode("utf-8", "replace").split("\n")
+            )
+            self._transport.write(("\n".join(replies) + "\n").encode("utf-8"))
         if len(self._tail) > _MAX_LINE:
             self._transport.close()
 

@@ -65,18 +65,30 @@ class TokenBucket:
         self._updated = clock()
 
     def _refill(self, now: float) -> None:
-        elapsed = max(0.0, now - self._updated)
-        self._tokens = min(self.burst, self._tokens + elapsed * self.rate)
-        self._updated = now
+        # ``_updated`` only moves forward: a ``now`` older than the last
+        # refill credits nothing, where rewinding the mark would credit
+        # the interval since that ``now`` a second time.
+        if now > self._updated:
+            self._tokens = min(
+                self.burst, self._tokens + (now - self._updated) * self.rate
+            )
+            self._updated = now
 
-    def try_acquire(self, cost: float = 1.0) -> bool:
-        """Consume ``cost`` tokens if available; False when drained."""
-        now = self._clock()
-        self._refill(now)
-        if self._tokens >= cost:
-            self._tokens -= cost
-            return True
-        return False
+    def try_acquire(self, n: int = 1, now: float | None = None) -> int:
+        """Admit up to ``n`` requests arriving together at ``now``
+        (default: read the clock); returns how many got a token, 0 when
+        the bucket is drained.
+
+        One call for ``n`` equals ``n`` single calls at the same instant:
+        with no time elapsed a refill adds nothing, so both grant
+        ``min(n, ⌊tokens⌋)``, and the level drops by the same float
+        (``x - 1.0`` is exact for ``1 <= x < 2**53``).
+        """
+        self._refill(self._clock() if now is None else now)
+        tokens = self._tokens
+        granted = n if tokens >= n else int(tokens)
+        self._tokens = tokens - granted
+        return granted
 
     @property
     def tokens(self) -> float:
@@ -132,22 +144,30 @@ class SaturationMonitor:
         admitted: bool,
         client_id: str | None = None,
         positions: None = None,
+        count: int = 1,
+        now: float | None = None,
     ) -> None:
-        """Record one request outcome (admitted or throttled).
+        """Record ``count`` request outcomes (all admitted or all
+        throttled) at ``now`` (default: read the clock).
 
         ``client_id`` and ``positions`` are accepted for interface
         parity with :class:`SketchSaturationMonitor` and ignored: the
         exact monitor measures saturation only, not who caused it.
         """
         del client_id, positions
-        now = self._clock()
+        if now is None:
+            now = self._clock()
         # Appended by request handlers, pruned by the detection sweep;
         # record()/counts() are fully synchronous (no await), so each
         # runs to completion before the loop switches tasks.
-        # reprolint: disable=P9
-        self._events.append((now, not admitted))
+        event = (now, not admitted)
+        if count == 1:
+            # reprolint: disable=P9
+            self._events.append(event)
+        else:
+            self._events.extend((event,) * count)
         if not admitted:
-            self._throttled_in_window += 1
+            self._throttled_in_window += count
         self._prune(now)
 
     def counts(self) -> tuple[int, int]:
@@ -221,21 +241,38 @@ class SketchSaturationMonitor:
         admitted: bool,
         client_id: str | None = None,
         positions: array | None = None,
+        count: int = 1,
+        now: float | None = None,
     ) -> None:
-        """Record one request outcome, attributed to ``client_id``.
+        """Record ``count`` request outcomes (all admitted or all
+        throttled) at ``now`` (default: read the clock), attributed to
+        ``client_id``.
 
         ``positions`` is :meth:`positions` of the client when the
         caller already holds it (backends compute it at admission);
         without it the window hashes ``client_id`` itself.
 
+        ``count`` outcomes land as ``count`` unit records would, in at
+        most two window records: the requests the window would not yet
+        promote ``client_id`` into the summary for, then the rest
+        (:meth:`repro.detect.SketchWindow.unpromoted`).
+
         Same single-event-loop discipline as the exact monitor: the
         update is synchronous (no await), so handlers cannot interleave
         mid-update.
         """
-        # reprolint: disable=P9
-        self._window.record(
-            self._clock(), admitted, key=client_id, positions=positions
-        )
+        if now is None:
+            now = self._clock()
+        window = self._window
+        if count > 1 and client_id is not None:
+            if positions is None:
+                positions = window.positions(client_id)
+            unpromoted = window.unpromoted(now, positions, count)
+            if unpromoted:
+                window.record(now, admitted, client_id, positions, unpromoted)
+                count -= unpromoted
+        if count:
+            window.record(now, admitted, client_id, positions, count)
 
     def counts(self) -> tuple[int, int]:
         """(total, throttled) events currently inside the window."""

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from line_reference import LineByLine
+from repro.obs import Instruments
 from repro.service import ReplicaBackend, ReplicaPool
 from repro.service.backend import _Connection
+from repro.service.tokens import SketchSaturationMonitor
 from repro.trust import TrustConfig, TrustManager, TrustTier
 
 
@@ -22,16 +25,16 @@ def _backend(config, clock) -> ReplicaBackend:
 
 
 class TestRespond:
-    """The pure request->reply logic, no sockets involved."""
+    """The pure request->reply logic, no sockets involved: the lines of
+    one received chunk in, their replies out."""
 
     def test_malformed_request(self, config, clock):
         backend = _backend(config, clock)
-        assert backend._respond(["GARBAGE"]) == "ERR malformed"
-        assert backend._respond([]) == "ERR malformed"
+        assert backend._answer(["GARBAGE", ""]) == ["ERR malformed"] * 2
 
     def test_unknown_client_denied(self, config, clock):
         backend = _backend(config, clock)
-        assert backend._respond(["REQ", "u-1", "7"]) == "DENY 7"
+        assert backend._answer(["REQ u-1 7"]) == ["DENY 7"]
         assert backend.stats.denied == 1
 
     def test_deny_does_not_feed_the_attack_signal(self, config, clock):
@@ -39,16 +42,14 @@ class TestRespond:
         # detection counts only whitelisted traffic against the bucket.
         backend = _backend(config, clock)
         for seq in range(100):
-            backend._respond(["REQ", "bot-X", str(seq)])
+            backend._answer([f"REQ bot-X {seq}"])
         assert backend.monitor.counts() == (0, 0)
         assert not backend.attacked()
 
     def test_whitelisted_client_served_then_throttled(self, config, clock):
         backend = _backend(config, clock)
         backend.admit("u-1")
-        replies = [
-            backend._respond(["REQ", "u-1", str(seq)]) for seq in range(6)
-        ]
+        replies = backend._answer([f"REQ u-1 {seq}" for seq in range(6)])
         # bucket_burst=5 in the test config: five OKs, then throttled.
         assert replies[:5] == [f"OK {i} r-1" for i in range(5)]
         assert replies[5] == "THROTTLED 5"
@@ -58,22 +59,21 @@ class TestRespond:
     def test_sustained_throttling_raises_attacked(self, config, clock):
         backend = _backend(config, clock)
         backend.admit("bot-0")
-        for seq in range(20):
-            backend._respond(["REQ", "bot-0", str(seq)])
+        backend._answer([f"REQ bot-0 {seq}" for seq in range(20)])
         assert backend.attacked()
 
     def test_quiescing_moves_everyone(self, config, clock):
         backend = _backend(config, clock)
         backend.admit("u-1")
         backend.quiesce()
-        assert backend._respond(["REQ", "u-1", "1"]) == "MOVED 1"
+        assert backend._answer(["REQ u-1 1"]) == ["MOVED 1"]
         assert backend.stats.moved == 1
 
     def test_evict_revokes_admission(self, config, clock):
         backend = _backend(config, clock)
         backend.admit("u-1")
         backend.evict("u-1")
-        assert backend._respond(["REQ", "u-1", "1"]) == "DENY 1"
+        assert backend._answer(["REQ u-1 1"]) == ["DENY 1"]
         assert backend.n_clients == 0
 
 
@@ -109,9 +109,9 @@ class TestSketchKey:
         wide.admit("u-1")
         assert wide.whitelist["u-1"] == wide.monitor.positions("u-1")
         assert wide.whitelist["u-1"] != source.monitor.positions("u-1")
-        assert wide._respond(["REQ", "u-1", "1"]) == "OK 1 r-2"
+        assert wide._answer(["REQ u-1 1"]) == ["OK 1 r-2"]
         assert wide.monitor.counts() == (1, 0)
-        assert source._respond(["REQ", "u-1", "2"]) == "DENY 2"
+        assert source._answer(["REQ u-1 2"]) == ["DENY 2"]
 
     def test_held_positions_attribute_like_hashing(
         self, sketch_config, clock
@@ -119,9 +119,9 @@ class TestSketchKey:
         backend = _backend(sketch_config, clock)
         backend.admit("bot-0")
         backend.admit("u-1")
-        backend._respond(["REQ", "u-1", "0"])
+        backend._answer(["REQ u-1 0"])
         for seq in range(1, 40):
-            backend._respond(["REQ", "bot-0", str(seq)])
+            backend._answer([f"REQ bot-0 {seq}"])
         top = backend.monitor.heavy_hitters()
         assert (top[0].key, top[0].count) == ("bot-0", 39)
         assert backend.monitor.counts() == (40, 35)
@@ -136,7 +136,7 @@ class TestSketchKey:
         for backend in (exact, sketch):
             backend.admit("u-1")
             replies.append([
-                backend._respond(["REQ", cid, str(seq)])
+                backend._answer([f"REQ {cid} {seq}"])
                 for cid, seq in requests
             ])
             assert backend.stats.to_dict() == {
@@ -334,25 +334,52 @@ class _Wire(asyncio.Transport):
         self.aborted = True
 
 
-_QUIESCE_AFTER = 70
-_STREAM = [
-    b"REQ %s %d\n" % (client, seq)
-    for seq, client in enumerate(
-        [b"good", b"bot", b"stranger", b"shady", b"good", b"denied"] * 20
-    )
+_CLIENTS = ["good", "bot", "stranger", "shady", "denied"]
+#: lines a run of "junk" cycles through: a blank line, two malformed
+#: ones, an unknown id with an undecodable seq, and a well-formed
+#: request ended by CRLF.
+_JUNK = [
+    b"\n", b"GARBAGE\r\n", b"REQ good\n", b"REQ caf\xc3\xa9 \xff\xfe\n",
+    b"REQ bot 0\r\n",
 ]
-_STREAM[13] = b"\n"
-_STREAM[29] = b"GARBAGE\r\n"
-_STREAM[31] = b"REQ good\n"
-_STREAM[47] = b"REQ caf\xc3\xa9 \xff\xfe\n"  # unknown id, undecodable seq
+#: (detector, trust on, sketch_top_k): top_k 1, 2 and 8 put a pipelining
+#: client's promotion into the summary early in, late in and beyond a run.
+_SETUPS = [
+    ("exact", False, 8), ("exact", True, 8),
+    *[("sketch", trusted, top_k)
+      for trusted in (False, True) for top_k in (1, 2, 8)],
+]
+#: (rate, burst): the test default, and a bucket whose level is
+#: fractional after every refill.
+_BUCKETS = [(50.0, 5.0), (7.3, 2.5)]
 
 
-def _guarded_backend(config) -> ReplicaBackend:
-    """Sketch detector + trust gate: every verdict `_respond` can give."""
-    trust = TrustManager(TrustConfig(seed=7))
+def _stream(runs: list[tuple[str, int]]) -> bytes:
+    """Runs of ``k`` pipelined requests from one client (or of junk)."""
+    lines = []
+    for client, k in runs:
+        for _ in range(k):
+            if client == "junk":
+                lines.append(_JUNK[len(lines) % len(_JUNK)])
+            else:
+                lines.append(b"REQ %s %d\n" % (client.encode(), len(lines)))
+    return b"".join(lines)
+
+
+def _setup_backend(config, clock, setup, bucket) -> ReplicaBackend:
+    """Every verdict the backend can give: a flooder, two admitted
+    clients, a stranger and, with trust on, a THROTTLED and a DENIED
+    tier."""
+    detector, trusted, top_k = setup
+    rate, burst = bucket
+    trust = TrustManager(TrustConfig(seed=7)) if trusted else None
     backend = ReplicaBackend(
-        dataclasses.replace(config, detector="sketch"),
-        "r-0", clock=lambda: 0.0, trust=trust,
+        dataclasses.replace(
+            config, detector=detector, sketch_top_k=top_k,
+            bucket_rate=rate, bucket_burst=burst,
+        ),
+        "r-0", clock=clock, trust=trust,
+        instruments=Instruments.create(clock=clock),
     )
     for client, tier, score in [
         ("good", None, 0.0),
@@ -361,7 +388,7 @@ def _guarded_backend(config) -> ReplicaBackend:
         ("denied", TrustTier.DENIED, 0.05),
     ]:
         backend.admit(client)
-        if tier is not None:
+        if tier is not None and trust is not None:
             trust.table.ensure(client, now=0.0)
             trust.table.load_row(client, {
                 "trust": score, "tier": int(tier), "tier_since": 0.0,
@@ -371,58 +398,131 @@ def _guarded_backend(config) -> ReplicaBackend:
 
 
 def _observable_state(backend: ReplicaBackend) -> tuple:
-    return (
-        backend.stats.to_dict(),
-        backend.monitor.counts(),
-        [
+    monitor = backend.monitor
+    if isinstance(monitor, SketchSaturationMonitor):
+        window: object = [
             (cell.epoch, cell.total, cell.throttled,
              cell.sketch.to_bytes(), cell.hitters.to_bytes())
-            for cell in backend.monitor._window._cells
+            for cell in monitor._window._cells
+        ]
+    else:
+        window = (list(monitor._events), monitor._throttled_in_window)
+    trust = backend.trust
+    return (
+        backend.stats.to_dict(),
+        window,
+        backend.bucket._tokens,
+        backend.bucket._updated,
+        None if trust is None else [
+            trust.table.to_row(client) for client in trust.table.client_ids
         ],
+        list(backend._requests_total.series()),
     )
 
 
+class _ChunkClock:
+    """Frozen within a chunk, stepped between chunks."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _replay(config, setup, bucket, stream, edges, steps, quiesce_at):
+    """Feed ``stream`` cut at ``edges`` to the backend's protocol and to
+    the line-by-line reference, each on a clock that steps by the next
+    of ``steps`` before every chunk and is frozen within it."""
+    backend_clock, reference_clock = _ChunkClock(), _ChunkClock()
+    backend = _setup_backend(config, backend_clock, setup, bucket)
+    reference = _setup_backend(config, reference_clock, setup, bucket)
+    wire = _Wire()
+    connection = _Connection(backend)
+    backend._server = object()  # "started": connections are kept
+    connection.connection_made(wire)
+    line_by_line = LineByLine(reference)
+    for number, (start, end) in enumerate(zip(edges, edges[1:])):
+        step = steps[number % len(steps)] if steps else 0.0
+        backend_clock.now += step
+        reference_clock.now += step
+        if start == quiesce_at:
+            backend.quiesce()
+            reference.quiesce()
+        connection.data_received(stream[start:end])
+        line_by_line.data_received(stream[start:end])
+    return wire.sent, line_by_line.sent, backend, reference
+
+
 class TestSameVerdicts:
-    """One recorded byte stream, any segmentation: the protocol answers
-    exactly what `_respond` answers line by line."""
+    """One recorded byte stream, any segmentation, a clock frozen within
+    each chunk: the protocol, which settles each client's run at once,
+    answers and records exactly what the frozen line-by-line reference
+    (``line_reference.py``) does."""
 
     @settings(
-        max_examples=60,
+        max_examples=150,
         deadline=None,
         # `config` is a frozen dataclass: sharing it across examples is safe.
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        cuts=st.lists(
-            st.integers(0, sum(map(len, _STREAM))), max_size=40
-        )
+        setup=st.sampled_from(_SETUPS),
+        bucket=st.sampled_from(_BUCKETS),
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from([*_CLIENTS, "junk"]), st.integers(1, 30)
+            ),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
     )
-    def test_any_segmentation_matches_line_by_line(self, config, cuts):
-        reference = _guarded_backend(config)
-        expected = bytearray()
-        for number, line in enumerate(_STREAM):
-            if number == _QUIESCE_AFTER:
-                reference.quiesce()
-            expected += reference._respond(
-                line.decode("utf-8", "replace").split()
-            ).encode("utf-8") + b"\n"
-        assert {bytes(r).split()[0] for r in expected.splitlines()} == {
-            b"OK", b"THROTTLED", b"DENY", b"MOVED", b"ERR",
-        }
+    def test_any_segmentation_matches_line_by_line(
+        self, config, setup, bucket, runs, data
+    ):
+        stream = _stream(runs)
+        cuts = data.draw(
+            st.lists(st.integers(0, len(stream)), max_size=40), label="cuts"
+        )
+        steps = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.01, 0.07, 0.26, 1.5]), max_size=8
+            ),
+            label="steps",
+        )
+        quiesce_at = data.draw(
+            st.none() | st.sampled_from(sorted(set(cuts)) or [0]),
+            label="quiesce_at",
+        )
+        edges = sorted({0, len(stream), *cuts})
+        sent, expected, backend, reference = _replay(
+            config, setup, bucket, stream, edges, steps, quiesce_at
+        )
+        assert bytes(sent) == bytes(expected)
+        assert _observable_state(backend) == _observable_state(reference)
 
-        backend = _guarded_backend(config)
-        wire = _Wire()
-        connection = _Connection(backend)
-        backend._server = object()  # "started": connections are kept
-        connection.connection_made(wire)
-        stream = b"".join(_STREAM)
-        quiesce_at = sum(map(len, _STREAM[:_QUIESCE_AFTER]))
-        edges = sorted({0, quiesce_at, len(stream), *cuts})
-        for start, end in zip(edges, edges[1:]):
-            if start == quiesce_at:
-                backend.quiesce()
-            connection.data_received(stream[start:end])
-        assert bytes(wire.sent) == bytes(expected)
+    @pytest.mark.parametrize("bucket", _BUCKETS, ids=["whole", "fractional"])
+    @pytest.mark.parametrize(
+        "setup", _SETUPS, ids=[
+            f"{detector}-{'trust' if trusted else 'plain'}-k{top_k}"
+            for detector, trusted, top_k in _SETUPS
+        ],
+    )
+    def test_pipelined_flood_matches_line_by_line(self, config, setup, bucket):
+        # A flooder's long runs between benign requests, cut every
+        # 97 bytes, the clock stepping in uneven strides.
+        runs = [("good", 1), ("bot", 40), ("shady", 6), ("good", 2),
+                ("bot", 120), ("junk", 7), ("denied", 5), ("bot", 60),
+                ("stranger", 9), ("bot", 200), ("good", 1)]
+        stream = _stream(runs)
+        edges = sorted({0, len(stream), *range(0, len(stream), 97)})
+        sent, expected, backend, reference = _replay(
+            config, setup, bucket, stream, edges, [0.0, 0.03, 0.0, 0.11],
+            quiesce_at=edges[-5],
+        )
+        verdicts = {line.split()[0] for line in bytes(expected).splitlines()}
+        assert {b"OK", b"THROTTLED", b"DENY", b"MOVED", b"ERR"} <= verdicts
+        assert bytes(sent) == bytes(expected)
         assert _observable_state(backend) == _observable_state(reference)
 
 

@@ -18,7 +18,7 @@ def _saturate(backend, client_id: str = "bot-0", requests: int = 20) -> None:
     """Drive a backend's throttle ratio over the detection threshold."""
     backend.admit(client_id)
     for seq in range(requests):
-        backend._respond(["REQ", client_id, str(seq)])
+        backend._answer([f"REQ {client_id} {seq}"])
     assert backend.attacked()
 
 

@@ -128,7 +128,7 @@ def test_attacked_reports_saturated_backends_only(config):
             victim = pool.get("r-2")
             victim.admit("bot-0")
             for seq in range(20):
-                victim._respond(["REQ", "bot-0", str(seq)])
+                victim._answer([f"REQ bot-0 {seq}"])
             return [b.replica_id for b in pool.attacked()]
         finally:
             await pool.stop()

@@ -131,7 +131,7 @@ class TestBackendWiring:
         assert isinstance(backend.monitor, SketchSaturationMonitor)
         backend.admit("bot-0")
         for seq in range(40):
-            backend._respond(["REQ", "bot-0", str(seq)])
+            backend._answer([f"REQ bot-0 {seq}"])
         assert backend.attacked()
 
         report = backend.heavy_hitter_report()
@@ -157,8 +157,8 @@ class TestBackendWiring:
             # One well-behaved client inside its bucket, one flooder.
             if seq % 10 == 0:
                 clock.advance(0.05)
-                exact._respond(["REQ", "u-1", str(seq)])
-                sketch._respond(["REQ", "u-1", str(seq)])
-            exact._respond(["REQ", "bot-0", str(seq)])
-            sketch._respond(["REQ", "bot-0", str(seq)])
+                exact._answer([f"REQ u-1 {seq}"])
+                sketch._answer([f"REQ u-1 {seq}"])
+            exact._answer([f"REQ bot-0 {seq}"])
+            sketch._answer([f"REQ bot-0 {seq}"])
         assert exact.attacked() == sketch.attacked() is True

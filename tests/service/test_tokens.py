@@ -37,6 +37,57 @@ class TestTokenBucket:
         with pytest.raises(ValueError):
             TokenBucket(rate=rate, burst=burst)
 
+    def test_a_stale_now_credits_nothing(self, clock):
+        # Once the bucket has refilled to t=10, a t=9 must neither add
+        # tokens nor rewind the mark: rewinding it credited [9, 10] a
+        # second time (51.0 at t=10).
+        bucket = TokenBucket(rate=1.0, burst=100.0, clock=clock)
+        clock.advance(10.0)
+        assert bucket.try_acquire(50) == 50
+        clock.now = 9.0  # the clock steps back
+        assert bucket.try_acquire(0) == 0
+        assert bucket.try_acquire(0, now=8.5) == 0
+        assert (bucket.tokens, bucket._updated) == (50.0, 10.0)
+        clock.now = 10.0
+        assert bucket.tokens == 50.0
+        clock.now = 10.5
+        assert bucket.tokens == 50.5
+
+    @pytest.mark.parametrize(
+        "level, burst",
+        [
+            (0.9999999999999999, 5.0),
+            (1.0, 5.0),
+            (2.5, 5.0),
+            (1e9, 1e9),  # the steady workloads' bucket
+            (1e9 - 0.5, 1e9),
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 1000])
+    def test_n_at_one_instant_equals_n_single_calls(
+        self, clock, level, burst, n
+    ):
+        grant = TokenBucket(rate=7.3, burst=burst, clock=clock)
+        singles = TokenBucket(rate=7.3, burst=burst, clock=clock)
+        grant._tokens = singles._tokens = level
+        served = grant.try_acquire(n)
+        assert served == sum(singles.try_acquire() for _ in range(n))
+        assert served == min(n, int(level))
+        assert grant._tokens.hex() == singles._tokens.hex()
+
+    def test_chunk_grants_track_single_calls_through_refills(self, clock):
+        # Uneven strides refill fractional tokens between chunks; within
+        # a chunk the clock stands still.
+        grant = TokenBucket(rate=7.3, burst=2.5, clock=clock)
+        singles = TokenBucket(rate=7.3, burst=2.5, clock=clock)
+        for step, n in [(0.0, 4), (0.05, 1), (0.13, 3), (0.0, 2),
+                        (0.41, 9), (0.02, 1), (0.3, 2), (0.07, 5)]:
+            clock.advance(step)
+            assert grant.try_acquire(n, now=clock.now) == sum(
+                singles.try_acquire() for _ in range(n)
+            )
+            assert grant._tokens.hex() == singles._tokens.hex()
+
 
 class TestSaturationMonitor:
     def _monitor(self, clock, min_events: int = 4) -> SaturationMonitor:

@@ -53,8 +53,7 @@ class TestTierGate:
     ):
         _pin_tier(trust, "bot", TrustTier.DENIED, 0.05)
         tokens_before = backend.bucket.tokens
-        reply = backend._respond(["REQ", "bot", "1"])
-        assert reply == "DENY 1"
+        assert backend._answer(["REQ bot 1"]) == ["DENY 1"]
         assert backend.bucket.tokens == tokens_before
         assert backend.stats.denied == 1
 
@@ -65,7 +64,7 @@ class TestTierGate:
         the shuffle loop can corner it."""
         _pin_tier(trust, "bot", TrustTier.DENIED, 0.05)
         for seq in range(8):
-            backend._respond(["REQ", "bot", str(seq)])
+            backend._answer([f"REQ bot {seq}"])
             clock.advance(0.05)
         total, throttled = backend.monitor.counts()
         assert total == 8
@@ -83,7 +82,7 @@ class TestTierGate:
                 trust, "shady", TrustTier.THROTTLED, 0.2, requests=seq
             )
             verdicts.append(
-                backend._respond(["REQ", "shady", str(seq)]).split()[0]
+                backend._answer([f"REQ shady {seq}"])[0].split()[0]
             )
             clock.advance(0.1)
         assert verdicts == [
@@ -94,11 +93,10 @@ class TestTierGate:
         # Not-whitelisted wins over tier: the coordinator never
         # assigned this client here, trust does not resurrect it.
         _pin_tier(trust, "outsider", TrustTier.TRUSTED, 0.95)
-        assert backend._respond(["REQ", "outsider", "1"]) == "DENY 1"
+        assert backend._answer(["REQ outsider 1"]) == ["DENY 1"]
 
     def test_watch_tier_reaches_the_bucket(self, backend, trust):
-        reply = backend._respond(["REQ", "good", "1"])
-        assert reply == "OK 1 r-0"
+        assert backend._answer(["REQ good 1"]) == ["OK 1 r-0"]
         assert trust.table.requests_of("good") == 1
 
     def test_bucket_throttle_is_a_violation_signal(
@@ -107,7 +105,7 @@ class TestTierGate:
         """Capacity exhaustion (not the tier gate) is what marks a
         violation in the profile."""
         backend.bucket._tokens = 0.0  # drain the bucket directly
-        backend._respond(["REQ", "good", "1"])
+        backend._answer(["REQ good 1"])
         assert trust.profile("good").violations == 1
 
     def test_snapshot_includes_tier_table(self, backend, trust):
@@ -120,7 +118,7 @@ class TestTierGate:
     def test_no_trust_manager_means_no_gate(self, config, clock):
         replica = ReplicaBackend(config, "r-0", clock=clock)
         replica.admit("anyone")
-        assert replica._respond(["REQ", "anyone", "1"]) == "OK 1 r-0"
+        assert replica._answer(["REQ anyone 1"]) == ["OK 1 r-0"]
         assert "trust_tiers" not in replica.snapshot()
 
 
