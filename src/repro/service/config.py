@@ -48,9 +48,10 @@ class ServiceConfig:
             monitors cross their thresholds at slightly different
             moments; shuffling on the first sighting would spend a
             round on a partial (and estimator-skewing) observation.
-        plan_client_grid: client counts precomputed by the
-            :class:`repro.core.plan_cache.PlanCache` lookup table.
-        plan_bot_grid: bot counts precomputed by the plan cache.
+        plan_client_grid: client counts of the
+            :class:`repro.core.plan_cache.PlanCache` lookup table's
+            cells (each computed the first time a round asks for it).
+        plan_bot_grid: bot counts of the plan cache's cells.
         detector: saturation-monitor backend — ``"exact"`` keeps the
             per-event sliding deque; ``"sketch"`` swaps in the
             fixed-memory :class:`repro.detect.SketchWindow`, which also

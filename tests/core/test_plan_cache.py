@@ -1,13 +1,18 @@
-"""Tests for the pre-computed plan cache."""
+"""Tests for the plan cache (cells computed on first use or ahead)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dp_fast import dp_fast_value
 from repro.core.plan_cache import PlanCache, _nearest, _repair
 from repro.core.shuffler import ShuffleEngine
+from repro.service import ServiceConfig
+
+LIVE = ServiceConfig()
 
 
 def make_cache() -> PlanCache:
@@ -18,6 +23,31 @@ def make_cache() -> PlanCache:
     )
     cache.precompute()
     return cache
+
+
+def live_cache() -> PlanCache:
+    """An empty cache on the live service's default grids."""
+    return PlanCache(
+        n_replicas=LIVE.n_replicas,
+        client_grid=LIVE.plan_client_grid,
+        bot_grid=LIVE.plan_bot_grid,
+    )
+
+
+@pytest.fixture(scope="module")
+def eager() -> PlanCache:
+    cache = live_cache()
+    cache.precompute()
+    return cache
+
+
+_QUERY = st.integers(0, 1300).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, n),
+        st.sampled_from((LIVE.n_replicas, 1, 3, LIVE.n_replicas + 1, 40)),
+    )
+)
 
 
 class TestConstruction:
@@ -37,10 +67,53 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PlanCache(n_replicas=5, client_grid=(20, 10), bot_grid=(1,))
 
-    def test_lookup_before_precompute(self):
-        cache = PlanCache(n_replicas=5, client_grid=(50,), bot_grid=(5,))
-        with pytest.raises(RuntimeError):
-            cache.lookup(50, 5)
+
+class TestLazyFill:
+    """A cell computed on first use serves what a precomputed one does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(queries=st.lists(_QUERY, min_size=1, max_size=12))
+    def test_lazy_lookups_equal_eager_lookups(self, eager, queries):
+        lazy = live_cache()
+        hits, fallbacks = eager.hits, eager.fallbacks
+        for n_clients, n_bots, width in queries:
+            got = lazy(n_clients, n_bots, width)
+            want = eager(n_clients, n_bots, width)
+            assert got.group_sizes == want.group_sizes
+            assert got.expected_saved == want.expected_saved
+            assert got.algorithm == want.algorithm
+        assert lazy.hits == eager.hits - hits
+        assert lazy.fallbacks == eager.fallbacks - fallbacks
+        # Only cells a query snapped to were computed.
+        assert lazy.cells <= lazy.hits
+
+    def test_bound_zero_computes_nothing(self):
+        cache = live_cache()
+        assert cache.precompute(0) == 0
+        assert cache.cells == 0
+
+    def test_unbounded_computes_every_cell_once(self):
+        cache = live_cache()
+        assert cache.precompute() == 39
+        assert cache.cells == 39
+        assert cache.precompute() == 0
+        assert cache.precompute(10_000) == 0
+
+    @pytest.mark.parametrize("bound", [1, 17, 80, 151, 220])
+    def test_bound_computes_exactly_the_reachable_cells(self, bound):
+        cache = live_cache()
+        reachable = {
+            cache._cell(n, m)
+            for n in range(1, bound + 1)
+            for m in range(n + 1)
+        } - {None}
+        assert cache.precompute(bound) == len(reachable)
+        assert set(cache._plans) == reachable
+
+    def test_bound_220_fills_the_rows_up_to_200(self):
+        cache = live_cache()
+        assert cache.precompute(220) == 25
+        assert {clients for clients, _ in cache._plans} == {25, 50, 100, 200}
 
 
 class TestLookup:

@@ -7,11 +7,14 @@ is tested without a pool in ``tests/core/test_policy.py``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
+import threading
 
 import pytest
 
 from repro.service import ServiceConfig, ServiceCoordinator
+from repro.trust import make_backend
 
 
 def _saturate(backend, client_id: str = "bot-0", requests: int = 20) -> None:
@@ -81,6 +84,65 @@ class TestControlChannel:
         assert state["n_active"] == 3
         assert state["shuffles_completed"] == 0
         assert bad == b"ERR malformed\n"
+
+
+class TestPlanCells:
+    """The plan cache computes cells when rounds ask, not at boot."""
+
+    def test_fresh_boot_computes_no_cell_and_starts_no_thread(self, config):
+        async def scenario():
+            before = set(threading.enumerate())
+            coordinator = ServiceCoordinator(config)
+            await coordinator.start()
+            try:
+                started = set(threading.enumerate()) - before
+                return coordinator.snapshot()["plan_cache"], started
+            finally:
+                await coordinator.stop()
+
+        plan_cache, started = asyncio.run(scenario())
+        assert plan_cache == {"cells": 0, "hits": 0, "fallbacks": 0}
+        assert not started  # no default-executor worker
+
+    def test_restored_population_cells_precede_the_first_round(
+        self, config, tmp_path
+    ):
+        spec = f"sqlite:{tmp_path / 'state.db'}"
+        population = 60
+        previous = make_backend(spec)
+        previous.put_many(
+            "bindings",
+            [
+                (f"u-{i}", {"replica": f"r-{i % 3 + 1}"})
+                for i in range(population)
+            ],
+        )
+        previous.close()
+        restarted = dataclasses.replace(config, state_backend=spec)
+
+        async def scenario():
+            coordinator = ServiceCoordinator(restarted)
+            await coordinator.start()
+            try:
+                return (
+                    coordinator.restored,
+                    len(coordinator.assignments),
+                    coordinator.shuffles_completed,
+                    coordinator.plan_cache,
+                )
+            finally:
+                await coordinator.stop()
+
+        restored, bound, shuffles, cache = asyncio.run(scenario())
+        assert restored and bound == population and shuffles == 0
+        cells = set(cache._plans)
+        assert cells
+        # Every lookup the restored population can issue is served
+        # from a cell computed before serving began.
+        for n_clients in range(1, population + 1):
+            for n_bots in range(n_clients + 1):
+                cache.lookup(n_clients, n_bots)
+        assert set(cache._plans) == cells
 
 
 class TestShuffle:

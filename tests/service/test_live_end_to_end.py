@@ -84,6 +84,9 @@ def test_live_botnet_is_quarantined_within_budget(exact_report):
     assert snapshot["plan_cache"]["hits"] + (
         snapshot["plan_cache"]["fallbacks"]
     ) >= report.shuffles_completed
+    # Cells are computed on first use: an episode computes only cells
+    # it serves.
+    assert snapshot["plan_cache"]["cells"] <= snapshot["plan_cache"]["hits"]
 
 
 def test_sketch_detector_quarantines_the_same_botnet(exact_report):
