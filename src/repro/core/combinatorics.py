@@ -198,18 +198,14 @@ def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size == 0:
         return np.zeros(0, dtype=np.float64)
-    if m == 0:
-        if xs.min() < 0 or xs.max() > n:
-            raise ValueError("group sizes must be within [0, n]")
-        if not 0 <= m <= n:
-            raise ValueError(f"m={m} must be within [0, {n}]")
-        return np.ones(xs.shape, dtype=np.float64)
-    out = survival_log_probabilities(n, m, xs)
+    out = np.exp(_log_survival(n, m, xs))
     # The numerator uses scipy's gammaln while the denominator uses
     # math.lgamma; their last-ulp disagreement can push exp() a few 1e-16
-    # above 1.0 (e.g. at x = 0, where the true ratio is exactly 1).  Clip
-    # to the probability range rather than leak >1 values downstream.
-    return np.clip(np.exp(out), 0.0, 1.0)
+    # above 1.0 (e.g. at x = 0, where the true ratio is exactly 1).  Clamp
+    # to the probability range rather than leak >1 values downstream
+    # (np.clip's two elementwise operations, without its wrapper's cost).
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def survival_log_probabilities(
@@ -225,30 +221,48 @@ def survival_log_probabilities(
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size == 0:
         return np.zeros(0, dtype=np.float64)
-    if xs.min() < 0 or xs.max() > n:
+    return _log_survival(n, m, xs)
+
+
+def _log_survival(n: int, m: int, xs: np.ndarray) -> np.ndarray:
+    """The kernel behind both survival helpers, for a non-empty int64 ``xs``.
+
+    Validates once, then evaluates ``log C(n − x, m) − log C(n, m)``
+    elementwise.  The ``-inf`` mask is built only when some size leaves
+    the support ``x <= n − m``; inside it the same operations run on the
+    whole array, so every element is the masked path's, bit for bit.
+    """
+    largest = int(xs.max())
+    if xs.min() < 0 or largest > n:
         raise ValueError("group sizes must be within [0, n]")
     if not 0 <= m <= n:
         raise ValueError(f"m={m} must be within [0, {n}]")
     if m == 0:
         # domain: log — log 1 for every replica.
         return np.zeros(xs.shape, dtype=np.float64)
+    log_den = (
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    )
     rest = n - xs
     # log C(rest, m) - log C(n, m); C(rest, m) = 0 whenever rest < m.
-    out = np.full(xs.shape, -np.inf, dtype=np.float64)
-    ok = rest >= m
-    restf = rest[ok].astype(np.float64)
-    log_num = (
+    if largest <= n - m:
+        out = _log_ratio(rest.astype(np.float64), m) - log_den
+    else:
+        out = np.full(xs.shape, -np.inf, dtype=np.float64)
+        ok = rest >= m
+        out[ok] = _log_ratio(rest[ok].astype(np.float64), m) - log_den
+    # A log-probability can land a few ulp above 0 for the same
+    # numerator/denominator lgamma mismatch the linear path clamps.
+    return np.minimum(out, 0.0, out=out)
+
+
+def _log_ratio(restf: np.ndarray, m: int) -> np.ndarray:
+    """``log C(rest, m)`` elementwise over float ``rest >= m``."""
+    return (
         _lgamma(restf + 1.0)
         - _lgamma(float(m) + 1.0)
         - _lgamma(restf - float(m) + 1.0)
     )
-    log_den = (
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-    )
-    out[ok] = log_num - log_den
-    # A log-probability can land a few ulp above 0 for the same
-    # numerator/denominator lgamma mismatch the linear path clips.
-    return np.minimum(out, 0.0)
 
 
 def _lgamma(values: np.ndarray | float) -> np.ndarray:

@@ -9,9 +9,10 @@ no benign clients are saved.
 
 from __future__ import annotations
 
+from operator import index
 
-from .objective import expected_saved_sizes
-from .plan import ShufflePlan
+from .objective import _expected_saved_runs
+from .plan import Runs, ShufflePlan, _expand_runs, _plan_from_runs
 
 __all__ = ["even_sizes"]
 
@@ -27,12 +28,17 @@ def even_sizes(n_clients: int, n_replicas: int) -> list[int]:
         >>> even_sizes(10, 3)
         [4, 3, 3]
     """
+    return list(_expand_runs(_even_runs(n_clients, n_replicas)))
+
+
+def _even_runs(n_clients: int, n_replicas: int) -> Runs:
+    """:func:`even_sizes` as its two runs: ``base + 1``, then ``base``."""
     if n_replicas < 1:
         raise ValueError(f"n_replicas={n_replicas} must be >= 1")
     if n_clients < 0:
         raise ValueError(f"n_clients={n_clients} must be >= 0")
     base, extra = divmod(n_clients, n_replicas)
-    return [base + 1] * extra + [base] * (n_replicas - extra)
+    return ((base + 1, extra), (base, n_replicas - extra))
 
 
 def _even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
@@ -40,8 +46,7 @@ def _even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
 
     Implementation behind ``method="even"`` of :func:`repro.core.api.plan`.
     """
-    sizes = even_sizes(n_clients, n_replicas)
-    value = expected_saved_sizes(sizes, n_clients, n_bots)
-    return ShufflePlan.from_sizes(
-        sizes, n_bots, expected_saved=value, algorithm="even"
-    )
+    n_clients, n_replicas = index(n_clients), index(n_replicas)
+    runs = _even_runs(n_clients, n_replicas)
+    (value,) = _expected_saved_runs(n_clients, n_bots, runs)
+    return _plan_from_runs(runs, n_clients, n_bots, value, "even")

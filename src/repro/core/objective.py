@@ -11,7 +11,7 @@ own size and the global ``(N, M)``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +50,41 @@ def expected_saved_sizes(
     xs = np.asarray(sizes, dtype=np.int64)
     if xs.size == 0:
         return 0.0
-    return float(expected_saved_single_many(n_clients, n_bots, xs).sum())
+    # Maximal runs of equal consecutive sizes: where each starts, and
+    # how long it is.
+    starts = np.flatnonzero(np.diff(xs, prepend=xs[0] - 1))
+    counts = np.diff(starts, append=xs.size)
+    (value,) = _expected_saved_runs(
+        n_clients, n_bots, zip(xs[starts].tolist(), counts.tolist())
+    )
+    return value
+
+
+def _expected_saved_runs(
+    n_clients: int, n_bots: int, *plans: Iterable[tuple[int, int]]
+) -> list[float]:
+    """``E(S)`` of each plan given as runs ``((size, count), …)``.
+
+    The greedy and even plans have a handful of distinct sizes — at most
+    three and two — so the kernel runs once per run of every plan in one
+    call, empty runs dropped.  Each plan's terms are then repeated
+    back out to its ``P`` replicas before the sum: the array summed is
+    the one a size-by-size evaluation builds, and so is the sum, bit for
+    bit (``Σ count·term`` would round differently).
+    """
+    kept = [[(size, count) for size, count in runs if count] for runs in plans]
+    sizes = np.array(
+        [size for runs in kept for size, _ in runs], dtype=np.int64
+    )
+    terms = expected_saved_single_many(n_clients, n_bots, sizes)
+    values: list[float] = []
+    start = 0
+    for runs in kept:
+        stop = start + len(runs)
+        counts = [count for _, count in runs]
+        values.append(float(np.repeat(terms[start:stop], counts).sum()))
+        start = stop
+    return values
 
 
 def per_replica_terms(
@@ -91,12 +125,12 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     e^(1 − x/ω)`` halves at ``0.23ω`` and ``2.68ω``: the window is a few
     ``N/M`` wide, growing into the whole support as ``M → 1``.
     """
+    if not 0 <= n_bots <= n_clients:
+        raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
     if n_clients <= 0:
         return 0, 0.0
     if n_bots == 0:
         return n_clients, float(n_clients)
-    if not 0 <= n_bots <= n_clients:
-        raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
     support = n_clients - n_bots
     if support == 0:
         return 1, 0.0

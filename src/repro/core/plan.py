@@ -10,11 +10,16 @@ hypergeometric analysis of Section IV-A exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = ["ShufflePlan", "PlanError"]
+
+#: A plan as runs of equal group sizes, ``((size, count), …)`` in replica
+#: order: how the greedy and even planners build and score their plans.
+Runs = tuple[tuple[int, int], ...]
 
 
 class PlanError(ValueError):
@@ -63,8 +68,13 @@ class ShufflePlan:
         expected_saved: float = float("nan"),
         algorithm: str = "unspecified",
     ) -> "ShufflePlan":
-        """Build a plan from group sizes, inferring ``n_clients``."""
-        tup = tuple(map(int, sizes))
+        """Build a plan from group sizes, inferring ``n_clients``.
+
+        Sizes are coerced with :func:`operator.index`: numpy integers
+        pass, and a non-integral size raises :class:`TypeError` instead
+        of being truncated.
+        """
+        tup = tuple(map(index, sizes))
         return cls(
             group_sizes=tup,
             n_clients=sum(tup),
@@ -101,6 +111,32 @@ class ShufflePlan:
             f"M={self.n_bots} P={self.n_replicas} sizes=({parts}) "
             f"E[S]={self.expected_saved:.2f}"
         )
+
+
+def _expand_runs(runs: Runs) -> tuple[int, ...]:
+    """The group sizes ``x_1 .. x_P`` that ``runs`` stands for."""
+    sizes: tuple[int, ...] = ()
+    for size, count in runs:
+        sizes += (size,) * count
+    return sizes
+
+
+def _plan_from_runs(
+    runs: Runs, n_clients: int, n_bots: int, value: float, algorithm: str
+) -> ShufflePlan:
+    """The :class:`ShufflePlan` of ``runs``, its sizes built by repetition.
+
+    ``n_clients`` and the runs are Python ints already (the planners
+    coerce their inputs with :func:`operator.index`), so no size is
+    coerced again; ``__post_init__`` still checks the partition.
+    """
+    return ShufflePlan(
+        group_sizes=_expand_runs(runs),
+        n_clients=n_clients,
+        n_bots=int(n_bots),
+        expected_saved=value,
+        algorithm=algorithm,
+    )
 
 
 def validate_partition(sizes: Sequence[int], n_clients: int) -> None:

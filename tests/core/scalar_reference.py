@@ -4,7 +4,10 @@ These are verbatim copies of the *pre-vectorization* bodies of
 ``repro.core.estimator``, ``repro.core.dp`` and ``repro.core.dp_fast``
 (the per-element Python loops the vectorized rewrite replaced), plus the
 pre-window bodies of ``objective.single_replica_optimum`` (the scan of
-every ``x ∈ [1, N]``) and ``greedy.greedy_sizes`` (the P-step loop).
+every ``x ∈ [1, N]``) and ``greedy.greedy_sizes`` (the P-step loop), and
+the pre-runs planners: the survival kernel that always masked and
+clipped, Equation 1 as one kernel element per replica, and
+``_greedy_plan`` / ``_even_plan`` built from a P-element size list.
 ``tests/core/test_vectorized_equivalence.py`` pins the vectorized
 kernels bit-identical (or, for the dp tables, allclose) against them.
 
@@ -21,10 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.combinatorics import (
+    _lgamma,
     expected_saved_single_many,
     hypergeometric_pmf_vector,
     survival_probabilities,
 )
+from repro.core.plan import ShufflePlan
 
 __all__ = [
     "scalar_occupancy_pmf",
@@ -36,6 +41,12 @@ __all__ = [
     "scalar_optimal_assign",
     "scalar_single_replica_optimum",
     "scalar_greedy_sizes",
+    "scalar_survival_log_probabilities",
+    "scalar_survival_probabilities",
+    "scalar_expected_saved_sizes",
+    "scalar_even_sizes",
+    "scalar_even_plan",
+    "scalar_greedy_plan",
 ]
 
 
@@ -263,3 +274,98 @@ def scalar_greedy_sizes(
     # quarantine bucket whenever bots force small clean groups.
     sizes.append(remaining)
     return sizes
+
+
+def scalar_survival_log_probabilities(
+    n: int, m: int, xs: np.ndarray
+) -> np.ndarray:
+    """``survival_log_probabilities`` at af32010: the ``-inf`` mask always."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    if xs.min() < 0 or xs.max() > n:
+        raise ValueError("group sizes must be within [0, n]")
+    if not 0 <= m <= n:
+        raise ValueError(f"m={m} must be within [0, {n}]")
+    if m == 0:
+        return np.zeros(xs.shape, dtype=np.float64)
+    rest = n - xs
+    out = np.full(xs.shape, -np.inf, dtype=np.float64)
+    ok = rest >= m
+    restf = rest[ok].astype(np.float64)
+    log_num = (
+        _lgamma(restf + 1.0)
+        - _lgamma(float(m) + 1.0)
+        - _lgamma(restf - float(m) + 1.0)
+    )
+    log_den = (
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    )
+    out[ok] = log_num - log_den
+    return np.minimum(out, 0.0)
+
+
+def scalar_survival_probabilities(
+    n: int, m: int, xs: np.ndarray
+) -> np.ndarray:
+    """``survival_probabilities`` at af32010: validated twice, ``np.clip``."""
+    xs = np.asarray(xs, dtype=np.int64)
+    if xs.size == 0:
+        return np.zeros(0, dtype=np.float64)
+    if m == 0:
+        if xs.min() < 0 or xs.max() > n:
+            raise ValueError("group sizes must be within [0, n]")
+        if not 0 <= m <= n:
+            raise ValueError(f"m={m} must be within [0, {n}]")
+        return np.ones(xs.shape, dtype=np.float64)
+    out = scalar_survival_log_probabilities(n, m, xs)
+    return np.clip(np.exp(out), 0.0, 1.0)
+
+
+def scalar_expected_saved_sizes(
+    sizes: Sequence[int] | np.ndarray, n_clients: int, n_bots: int
+) -> float:
+    """``expected_saved_sizes`` at af32010: one kernel term per replica."""
+    xs = np.asarray(sizes, dtype=np.int64)
+    if xs.size == 0:
+        return 0.0
+    terms = xs.astype(np.float64) * scalar_survival_probabilities(
+        n_clients, n_bots, xs
+    )
+    return float(terms.sum())
+
+
+def scalar_even_sizes(n_clients: int, n_replicas: int) -> list[int]:
+    """``even_sizes`` at af32010: the list built directly."""
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
+    if n_clients < 0:
+        raise ValueError(f"n_clients={n_clients} must be >= 0")
+    base, extra = divmod(n_clients, n_replicas)
+    return [base + 1] * extra + [base] * (n_replicas - extra)
+
+
+def scalar_even_plan(
+    n_clients: int, n_bots: int, n_replicas: int
+) -> ShufflePlan:
+    """``_even_plan`` at af32010: size list, Equation 1, ``from_sizes``."""
+    sizes = scalar_even_sizes(n_clients, n_replicas)
+    value = scalar_expected_saved_sizes(sizes, n_clients, n_bots)
+    return ShufflePlan.from_sizes(
+        sizes, n_bots, expected_saved=value, algorithm="even"
+    )
+
+
+def scalar_greedy_plan(
+    n_clients: int, n_bots: int, n_replicas: int
+) -> ShufflePlan:
+    """``_greedy_plan`` at af32010: both candidates as P-element lists."""
+    sizes = scalar_greedy_sizes(n_clients, n_bots, n_replicas)
+    value = scalar_expected_saved_sizes(sizes, n_clients, n_bots)
+    even = scalar_even_sizes(n_clients, n_replicas)
+    even_value = scalar_expected_saved_sizes(even, n_clients, n_bots)
+    if even_value > value:
+        sizes, value = even, even_value
+    return ShufflePlan.from_sizes(
+        sizes, n_bots, expected_saved=value, algorithm="greedy"
+    )

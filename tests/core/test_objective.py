@@ -83,6 +83,15 @@ class TestSingleReplicaOptimum:
     def test_no_clients(self):
         assert single_replica_optimum(0, 0) == (0, 0.0)
 
+    @pytest.mark.parametrize(
+        "n_clients, n_bots", [(0, 5), (0, -1), (3, 5), (-1, 0)]
+    )
+    def test_bot_count_outside_the_population_raises(self, n_clients, n_bots):
+        # Validated before the n_clients <= 0 early return, which used to
+        # answer (0, 0.0) for five bots among no clients.
+        with pytest.raises(ValueError, match="n_bots"):
+            single_replica_optimum(n_clients, n_bots)
+
     def test_omega_near_n_over_m(self):
         # For the x*exp(-Mx/N) approximation the peak is near N/M.
         omega, _ = single_replica_optimum(1000, 100)

@@ -50,6 +50,15 @@ class TestFromSizes:
         plan = ShufflePlan.from_sizes(np.array([2, 3], dtype=np.int64), 1)
         assert all(isinstance(s, int) for s in plan.group_sizes)
 
+    @pytest.mark.parametrize(
+        "sizes", [[2.5, 2.5], np.array([2.5, 2.5]), np.array([2.0, 3.0])]
+    )
+    def test_non_integral_sizes_raise(self, sizes):
+        # Truncating would build (2, 2) with n_clients 4 out of 5 clients;
+        # a float array raises even when every value is whole.
+        with pytest.raises(TypeError):
+            ShufflePlan.from_sizes(sizes, 0)
+
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=20))
     def test_roundtrip(self, sizes):
         plan = ShufflePlan.from_sizes(sizes, n_bots=0)

@@ -6,9 +6,11 @@ historical scalar loops *exactly* where the arithmetic is
 order-preserving, and within float tolerance where only the summation
 order changed (the Algorithm 1 row broadcast).  The greedy planner's
 windowed ``ω`` search and closed-form group sizes are pinned the same way
-against the full scan and the replica-by-replica loop they replaced.  The
-references live in ``tests/core/scalar_reference.py`` and are frozen — see
-its module docstring.
+against the full scan and the replica-by-replica loop they replaced, and
+the greedy and even plans built and scored as runs ``((size, count), …)``
+against the P-element lists they replaced.  The references live in
+``tests/core/scalar_reference.py`` and are frozen — see its module
+docstring.
 """
 
 from __future__ import annotations
@@ -18,22 +20,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
     scalar_attacked_count_pmf,
     scalar_combine,
+    scalar_even_plan,
+    scalar_expected_saved_sizes,
+    scalar_greedy_plan,
     scalar_greedy_sizes,
     scalar_mle_m_hat,
     scalar_occupancy_likelihoods,
     scalar_occupancy_pmf,
     scalar_optimal_assign,
     scalar_single_replica_optimum,
+    scalar_survival_log_probabilities,
+    scalar_survival_probabilities,
     scalar_weighted_m_hat,
 )
 from repro.core import objective
-from repro.core.combinatorics import expected_saved_single_many
+from repro.core.combinatorics import (
+    expected_saved_single_many,
+    survival_log_probabilities,
+    survival_probabilities,
+)
 from repro.core.dp import optimal_assign
 from repro.core.dp_fast import _Node, _combine
 from repro.core.estimator import (
@@ -46,8 +57,14 @@ from repro.core.estimator import (
     occupancy_likelihoods,
     occupancy_pmf,
 )
-from repro.core.greedy import greedy_sizes
-from repro.core.objective import single_replica_optimum
+from repro.core.even import _even_plan, _even_runs
+from repro.core.greedy import _greedy_plan, _greedy_runs, greedy_sizes
+from repro.core.objective import (
+    _expected_saved_runs,
+    expected_saved_sizes,
+    single_replica_optimum,
+)
+from repro.core.plan import ShufflePlan, _expand_runs
 
 
 class TestOccupancyBitIdentity:
@@ -378,6 +395,188 @@ class TestCertifiedWindow:
         assert (np.diff(full[:omega]) >= -noise).all()
         assert (np.diff(full[omega - 1 :]) <= noise).all()
         assert not full[n_clients - n_bots :].any()
+
+
+@st.composite
+def _population(draw, max_clients=200_000):
+    """``(N, M)`` with ``M`` in ``[0, N]``, its two ends drawn often."""
+    n_clients = draw(
+        st.one_of(st.integers(0, 60), st.integers(0, max_clients))
+    )
+    n_bots = draw(
+        st.one_of(
+            st.just(0), st.just(n_clients), st.integers(0, n_clients)
+        )
+    )
+    return n_clients, n_bots
+
+
+def _assert_same_plan_object(got: ShufflePlan, want: ShufflePlan) -> None:
+    """Sizes, their Python types, ``E(S)`` under ``==`` and the label."""
+    assert got.group_sizes == want.group_sizes
+    assert all(type(size) is int for size in got.group_sizes)
+    assert type(got.n_clients) is int and type(got.n_bots) is int
+    assert (got.n_clients, got.n_bots) == (want.n_clients, want.n_bots)
+    assert got.expected_saved == want.expected_saved
+    assert got.algorithm == want.algorithm
+
+
+class TestPlansAsRuns:
+    """Greedy and even plans built and scored as runs, not size lists."""
+
+    @given(_population(), st.integers(1, 2_000))
+    @settings(max_examples=150, deadline=None)
+    @example((5, 2), 20)  # P > N: a run of empty replicas
+    @example((150_000, 1_041), 1_000)  # sim_mle_scale
+    def test_greedy_plan_matches_the_size_lists(self, population, n_replicas):
+        n_clients, n_bots = population
+        _assert_same_plan_object(
+            _greedy_plan(n_clients, n_bots, n_replicas),
+            scalar_greedy_plan(n_clients, n_bots, n_replicas),
+        )
+
+    @given(_population(), st.integers(1, 2_000))
+    @settings(max_examples=150, deadline=None)
+    @example((5, 2), 20)
+    @example((140_000, 100_000), 1_000)
+    def test_even_plan_matches_the_size_lists(self, population, n_replicas):
+        n_clients, n_bots = population
+        _assert_same_plan_object(
+            _even_plan(n_clients, n_bots, n_replicas),
+            scalar_even_plan(n_clients, n_bots, n_replicas),
+        )
+
+    @pytest.mark.parametrize(
+        "n_clients, n_bots, n_replicas, greedy, even",
+        [
+            # M = 0: ω = N, so no ω-group (full = 0); N/P exact (extra = 0).
+            (1_000, 0, 10, ((1_000, 0), (101, 0), (100, 10)),
+             ((101, 0), (100, 10))),
+            # M = N − 1: ω = 1 on every replica but the last (full = P − 1).
+            (1_000, 999, 10, ((1, 9), (992, 0), (991, 1)),
+             ((101, 0), (100, 10))),
+            # P = 1: the empty runs hold N + 1, outside the kernel's range.
+            (25, 4, 1, ((5, 0), (26, 0), (25, 1)), ((26, 0), (25, 1))),
+            # P > N: one client per replica, then a run of empty ones.
+            (5, 2, 20, ((1, 5), (1, 0), (0, 15)), ((1, 5), (0, 15))),
+            # M = N: f ≡ 0, ω = 1.
+            (50, 50, 7, ((1, 6), (45, 0), (44, 1)), ((8, 1), (7, 6))),
+            # The even split scores higher and is the plan returned.
+            (6, 2, 2, ((2, 1), (5, 0), (4, 1)), ((4, 0), (3, 2))),
+        ],
+    )
+    def test_run_shapes(self, n_clients, n_bots, n_replicas, greedy, even):
+        assert _greedy_runs(n_clients, n_bots, n_replicas) == greedy
+        assert _even_runs(n_clients, n_replicas) == even
+        for build, reference in (
+            (_greedy_plan, scalar_greedy_plan),
+            (_even_plan, scalar_even_plan),
+        ):
+            _assert_same_plan_object(
+                build(n_clients, n_bots, n_replicas),
+                reference(n_clients, n_bots, n_replicas),
+            )
+
+    def test_numpy_integer_queries(self):
+        # The planners coerce with operator.index: numpy ints in, Python
+        # ints out, exactly as from_sizes coerced the old size lists.
+        query = (np.int64(150_000), np.int64(1_041), np.int64(1_000))
+        for build, reference in (
+            (_greedy_plan, scalar_greedy_plan),
+            (_even_plan, scalar_even_plan),
+        ):
+            _assert_same_plan_object(build(*query), reference(*query))
+
+
+class TestSurvivalKernelBitIdentity:
+    """The kernel's single validation and unmasked path change no bit."""
+
+    @given(
+        _population(),
+        st.integers(0, 80),
+        st.integers(0, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_straddling_the_support_edge(
+        self, population, below, above
+    ):
+        # Windows [N − M − below, N − M + above]: above = 0 keeps every
+        # size in the support (the path without the -inf mask).
+        n_clients, n_bots = population
+        edge = n_clients - n_bots
+        xs = np.arange(
+            max(0, edge - below),
+            min(n_clients, edge + above) + 1,
+            dtype=np.int64,
+        )
+        got = survival_probabilities(n_clients, n_bots, xs)
+        want = scalar_survival_probabilities(n_clients, n_bots, xs)
+        assert got.tobytes() == want.tobytes()
+        got_log = survival_log_probabilities(n_clients, n_bots, xs)
+        want_log = scalar_survival_log_probabilities(n_clients, n_bots, xs)
+        assert got_log.tobytes() == want_log.tobytes()
+
+    @pytest.mark.parametrize(
+        "xs, bots", [([-1, 3], 2), ([3, 11], 2), ([3], 11), ([3], -1)]
+    )
+    def test_out_of_range_raises(self, xs, bots):
+        for kernel in (
+            survival_probabilities,
+            survival_log_probabilities,
+            scalar_survival_probabilities,
+        ):
+            with pytest.raises(ValueError):
+                kernel(10, bots, np.array(xs))
+
+
+class TestEquationOneOverRuns:
+    """Eq. 1 once per distinct size equals one term per replica, bit for
+    bit: the terms are repeated back out before the pairwise sum."""
+
+    @given(
+        _population(max_clients=20_000),
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 300)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_runs_match_the_elementwise_sum(self, population, raw):
+        n_clients, n_bots = population
+        # Occupied runs hold sizes in [0, N]; an empty run may hold
+        # N + 1, which the kernel would reject (P = 1 even plans do).
+        runs = tuple(
+            (size % (n_clients + 1) if count else size % (n_clients + 2),
+             count)
+            for size, count in raw
+        )
+        sizes = list(_expand_runs(runs))
+        want = scalar_expected_saved_sizes(sizes, n_clients, n_bots)
+        assert _expected_saved_runs(n_clients, n_bots, runs) == [want]
+        assert expected_saved_sizes(sizes, n_clients, n_bots) == want
+        # Two plans scored in one kernel call, as _greedy_plan does.
+        other = runs[::-1]
+        both = _expected_saved_runs(n_clients, n_bots, runs, other)
+        assert both == [
+            want,
+            scalar_expected_saved_sizes(
+                list(_expand_runs(other)), n_clients, n_bots
+            ),
+        ]
+
+    @given(
+        _population(max_clients=2_000),
+        st.lists(st.integers(0, 10**6), max_size=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_size_list_matches_the_elementwise_sum(self, population, raw):
+        # Consecutive-run detection on sizes in no particular order.
+        n_clients, n_bots = population
+        sizes = [size % (n_clients + 1) for size in raw]
+        assert expected_saved_sizes(
+            sizes, n_clients, n_bots
+        ) == scalar_expected_saved_sizes(sizes, n_clients, n_bots)
 
 
 class TestAttackedCountBitIdentity:
