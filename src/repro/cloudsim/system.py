@@ -136,7 +136,7 @@ class CloudContext:
         With no argument, builds an :class:`repro.obs.Instruments`
         bundle whose span recorder runs on **sim-time** (``ctx.now``),
         so spans and events line up with the DES timeline and no
-        wall-clock enters the simulation (reprolint P4).  Every
+        wall-clock enters the simulation.  Every
         :meth:`trace` call then also increments the
         ``cloudsim_events_total`` counter, and the coordinator records
         shuffle metrics.

@@ -140,7 +140,7 @@ def log_binomial(n: int, k: int) -> float:
     if k < 0 or k > n or n < 0:
         return float("-inf")
     if k == 0 or k == n:
-        # domain: log log C(n, 0) = log C(n, n) = log 1 = 0
+        # log C(n, 0) = log C(n, n) = log 1 = 0
         return 0.0
     return (
         math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -161,7 +161,6 @@ def binomial_ratio(n1: int, k1: int, n2: int, k2: int) -> float:
     # A *generic* coefficient ratio may legitimately exceed 1 (callers
     # like survival_probability clamp at their own boundary where the
     # [0, 1] contract actually holds).
-    # reprolint: disable=P12
     return math.exp(log_num - log_den)
 
 
@@ -238,7 +237,7 @@ def _log_survival(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     if not 0 <= m <= n:
         raise ValueError(f"m={m} must be within [0, {n}]")
     if m == 0:
-        # domain: log — log 1 for every replica.
+        # log 1 for every replica.
         return np.zeros(xs.shape, dtype=np.float64)
     log_den = (
         math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
@@ -267,7 +266,7 @@ def _log_ratio(restf: np.ndarray, m: int) -> np.ndarray:
 
 def _lgamma(values: np.ndarray | float) -> np.ndarray:
     """``lgamma`` broadcast over numpy arrays."""
-    # domain: log vectorized lgamma (scipy gammaln or np.vectorize)
+    # vectorized lgamma (scipy gammaln or np.vectorize)
     return _VECTOR_LGAMMA(values)
 
 

@@ -462,9 +462,9 @@ def attacked_count_log_pmf(
     linear-domain division.
     """
     xs = np.asarray(sizes, dtype=np.int64)
-    # domain: log — log p_i exact from the lgamma difference (no exp).
+    # log p_i exact from the lgamma difference (no exp).
     log_p = survival_log_probabilities(n_clients, n_bots, xs)
-    # domain: log — log q_i = log(1 - p_i) via the stable complement.
+    # log q_i = log(1 - p_i) via the stable complement.
     log_q = log1mexp_many(log_p)
     # Replicas with log q_i == -inf (p_i == 1 exactly: empty replica or
     # m == 0) can never be attacked and drop out of the convolution,
@@ -478,7 +478,7 @@ def attacked_count_log_pmf(
             (np.full(1, -np.inf), log_pmf[:-1])
         )
         log_pmf = np.logaddexp(log_pmf + log_pi, shifted + log_qi)
-    # domain: log — normalize with logsumexp, not linear division: the
+    # Normalize with logsumexp, not linear division: the
     # logaddexp chain drifts a few ulp off sum == 1 and the subtraction
     # re-anchors it without leaving log space.
     return log_pmf - logsumexp(log_pmf)

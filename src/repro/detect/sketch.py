@@ -135,11 +135,7 @@ class CountMinSketch:
     def add(self, key: str | bytes, count: int = 1) -> int:
         """Fold ``count`` occurrences of ``key`` in; returns the new
         estimate for ``key``."""
-        return self.add_digest(key_digest(key), count)
-
-    def add_digest(self, digest: int, count: int = 1) -> int:
-        """:meth:`add` for a caller that already holds the digest."""
-        return self.add_at(self.positions(digest), count)
+        return self.add_at(self.positions(key_digest(key)), count)
 
     def add_at(self, positions: array, count: int = 1) -> int:
         """The update itself, at pre-computed :meth:`positions` (the

@@ -14,8 +14,7 @@ and client count.
 
 Clocks are explicit everywhere (``now`` arguments): the window works
 identically on the service's monotonic clock and cloudsim's sim-time,
-and the sim layers' wall-clock ban (reprolint P4) is satisfied by
-construction.
+and no wall-clock read can enter the sim layers through it.
 
 Ingestion is request-at-a-time (:meth:`record`), two-stage: every
 request lands in the live cell's sketch, and only keys the sketch

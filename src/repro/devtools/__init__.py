@@ -6,26 +6,20 @@ invariants the paper's math demands but Python itself cannot enforce:
 
 - every stochastic path threads an explicitly seeded
   ``numpy.random.Generator`` (rule R1) so Figures 3-12 stay reproducible;
-- hypergeometric probabilities stay in log-space (rule R2) because the
-  binomial coefficients at paper scale (``N`` up to 150,000) overflow any
-  fixed-width float — see :mod:`repro.core.combinatorics`;
 - probability code never does unguarded float equality (rule R3);
-- public APIs keep the paper's symbol vocabulary (rule R7) and the type
-  annotations ``mypy --strict`` needs (rules R5/R6).
+- every module keeps annotations lazy (rule R5), and ``core``'s public
+  surface carries the annotations ``mypy --strict`` needs (rule R6).
 
 The per-file R-series is complemented by whole-program project rules
-(P1-P14, ``repro-lint --project``) living in :mod:`.program`: import
-layering contracts, interprocedural RNG provenance, determinism
-dataflow into the DES event queue, wall-clock bans, dead-export
-detection, the concurrency-era passes (event-loop blocking, orphan
-coroutines, shared-state races, hot-path discipline), and the
-numeric-era passes (log/linear domain confusion, probability-range
-escapes, stability anti-patterns, and vectorization readiness, over
-the :mod:`.program.numflow` value-domain index with its
-``# domain: <log|linear> <reason>`` annotation) — with an incremental mode (``--changed [REF]``), an
-import-graph export (``--graph``), and a SARIF 2.1.0 reporter
-(``--format sarif``) for code scanning.  A finding is excused only
-inline, by a justified suppression comment at its site.
+(the P-series, ``repro-lint --project``) living in :mod:`.program`:
+import layering contracts, interprocedural RNG provenance, determinism
+dataflow into the DES event queue, dead-export detection, the
+concurrency passes (event-loop blocking, shared-state races, hot-path
+discipline), and the numeric passes (stability anti-patterns, and
+vectorization readiness over the :mod:`.program.numflow` value-domain
+index) — with an import-graph export (``--graph``) and a SARIF 2.1.0
+reporter (``--format sarif``) for code scanning.  A finding is excused
+only inline, by a justified suppression comment at its site.
 
 See ``docs/static-analysis.md`` for the full rule catalogue and
 suppression syntax, and ``docs/import-graph.md`` for the layering

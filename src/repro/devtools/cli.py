@@ -3,9 +3,7 @@
 Usage::
 
     repro-lint src/repro                  # file rules, text report
-    repro-lint --project src/repro        # + whole-program rules P1-P14
-    repro-lint --project --changed src/repro   # only files changed vs HEAD
-    repro-lint --changed=main src/repro   # ... or vs any git ref
+    repro-lint --project src/repro        # + whole-program P-series rules
     repro-lint --graph docs/import-graph.dot src/repro  # export graph
     repro-lint --format json src/repro    # machine-readable output
     repro-lint --format sarif src/repro   # GitHub code-scanning upload
@@ -71,16 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project",
         action="store_true",
-        help="also run the whole-program rules (P1-P14) over the tree",
-    )
-    parser.add_argument(
-        "--changed",
-        metavar="REF",
-        nargs="?",
-        const="HEAD",
-        help="lint only files changed vs. the given git ref (default "
-        "HEAD) plus untracked files; in project scope the whole tree is "
-        "still indexed, but only changed files are reported on",
+        help="also run the whole-program P-series rules over the tree",
     )
     parser.add_argument(
         "--graph",
@@ -94,34 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     return parser
-
-
-def _changed_files(ref: str) -> set[Path] | None:
-    """Python files changed vs. ``ref`` plus untracked ones, resolved.
-
-    Returns ``None`` when git is unavailable or the ref does not
-    resolve — the caller turns that into a usage error rather than
-    silently linting nothing.
-    """
-    import subprocess
-
-    commands = (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    changed: set[Path] = set()
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        for line in proc.stdout.splitlines():
-            name = line.strip()
-            if name.endswith(".py"):
-                changed.add(Path(name).resolve())
-    return changed
 
 
 def _export_graph(destination: str, paths: list[Path]) -> int:
@@ -169,14 +130,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"    {rule_obj.rationale}")
         return 0
 
-    if options.changed and Path(options.changed).is_dir():
-        # argparse's optional-argument greediness: `--changed src/repro`
-        # binds the path meant as a positional.  Catch it early.
-        parser.error(
-            f"--changed got a directory ({options.changed}); use "
-            "--changed=REF, or put --changed after the paths"
-        )
-
     paths = [Path(p) for p in options.paths]
     if not paths:
         default = Path("src/repro")
@@ -192,15 +145,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     select = _split_ids(options.select) if options.select else None
     ignore = _split_ids(options.ignore) if options.ignore else None
 
-    only_files: set[Path] | None = None
-    if options.changed:
-        only_files = _changed_files(options.changed)
-        if only_files is None:
-            parser.error(
-                f"--changed could not diff against {options.changed!r} "
-                "(not a git repository, or unknown ref)"
-            )
-
     if options.graph:
         status = _export_graph(options.graph, paths)
         if status != 0 or not options.project:
@@ -208,13 +152,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if project_mode:
-            report = lint_project(
-                paths, select=select, ignore=ignore, only_files=only_files
-            )
+            report = lint_project(paths, select=select, ignore=ignore)
         else:
-            report = lint_paths(
-                paths, select=select, ignore=ignore, only_files=only_files
-            )
+            report = lint_paths(paths, select=select, ignore=ignore)
     except KeyError as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
 

@@ -1,4 +1,4 @@
-"""Async dataflow plumbing shared by the concurrency passes (P6-P10).
+"""Async dataflow plumbing shared by the concurrency passes (P9, P10).
 
 Three cross-module indices over the :class:`~repro.devtools.program.
 callgraph.CallGraph`, built once per run and consumed by the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .callgraph import CallGraph, FunctionInfo
+from .callgraph import CallGraph, FunctionInfo, call_name
 
 __all__ = [
     "AttrWrite",
@@ -127,7 +127,7 @@ def find_task_roots(graph: CallGraph) -> list[TaskRoot]:
             (site.node_line, site.node_col): site for site in sites
         }
         for site in sites:
-            name = _call_name(site.call)
+            name = call_name(site.call)
             if name is None:
                 continue
             if name in _SPAWNERS or name in _MAIN_RUNNERS:
@@ -169,15 +169,6 @@ def find_task_roots(graph: CallGraph) -> list[TaskRoot]:
     return sorted(
         set(roots), key=lambda r: (r.qualname, r.spawned_in, r.line)
     )
-
-
-def _call_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
 
 
 def _inner_targets(

@@ -21,12 +21,21 @@ comment.
 from __future__ import annotations
 
 import ast
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from .context import ModuleInfo, ProgramContext
 
-__all__ = ["CallGraph", "CallSite", "FunctionInfo", "build_call_graph"]
+__all__ = [
+    "CallGraph",
+    "CallSite",
+    "FunctionInfo",
+    "build_call_graph",
+    "call_name",
+    "get_call_graph",
+    "short_name",
+]
 
 _MAX_REEXPORT_HOPS = 5
 
@@ -112,6 +121,38 @@ class CallGraph:
                     reached.add(caller)
                     frontier.append(caller)
         return reached
+
+
+_CACHE: "weakref.WeakKeyDictionary[ProgramContext, CallGraph]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def get_call_graph(program: ProgramContext) -> CallGraph:
+    """The (cached) call graph for ``program``.
+
+    Every pass shares one graph per lint run; none of them mutates it.
+    """
+    graph = _CACHE.get(program)
+    if graph is None:
+        graph = build_call_graph(program)
+        _CACHE[program] = graph
+    return graph
+
+
+def short_name(qualname: str) -> str:
+    """``Class.method`` (or ``module.function``) for report messages."""
+    parts = qualname.split(".")
+    return ".".join(parts[-2:]) if len(parts) > 2 else qualname
+
+
+def call_name(call: ast.Call) -> str | None:
+    """The called name: ``f`` for ``f(...)`` and ``x.f(...)``."""
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    return None
 
 
 def build_call_graph(program: ProgramContext) -> CallGraph:

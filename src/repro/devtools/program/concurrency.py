@@ -1,25 +1,17 @@
-"""Rules P6/P7: event-loop discipline for the live service.
+"""Rule P6: event-loop discipline for the live service.
 
-**P6** — the live defense loop (PR 4) shares one asyncio event loop
-between the coordinator's detection sweeps, every replica's request
-handlers, and the control channel.  Anything that blocks that loop —
-``time.sleep``, synchronous socket/file I/O, ``subprocess``, or a
-CPU-heavy ``repro.core`` planner/estimator — freezes *all* of them at
-once: saturation windows go stale, detection lags, and the shuffle loop
-the paper's convergence argument depends on stops keeping up with the
+The live defense loop (PR 4) shares one asyncio event loop between the
+coordinator's detection sweeps, every replica's request handlers, and
+the control channel.  Anything that blocks that loop — ``time.sleep``,
+synchronous socket/file I/O, ``subprocess``, or a CPU-heavy
+``repro.core`` planner/estimator — freezes *all* of them at once:
+saturation windows go stale, detection lags, and the shuffle loop the
+paper's convergence argument depends on stops keeping up with the
 attack.  The pass computes a "can block" summary for every synchronous
 function (direct offense, or a call chain reaching one) and flags
 non-awaited calls inside ``async def`` bodies in the service layer that
 reach a blocking summary.  Genuinely cheap calls are accepted with an
 ``# event-loop-safe: <reason>`` marker — the reason is mandatory.
-
-**P7** — a coroutine call whose result is discarded never runs
-(``RuntimeWarning: coroutine was never awaited`` at garbage-collection
-time, long after the bug site), and a task spawned with
-``asyncio.create_task`` whose handle is neither retained nor given a
-done-callback swallows its exceptions silently — the detection loop
-can die mid-scenario with no trace.  The pass flags both shapes at the
-statement that discards the result.
 """
 
 from __future__ import annotations
@@ -29,7 +21,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .callgraph import CallGraph, CallSite, build_call_graph
+from .callgraph import CallGraph, CallSite, get_call_graph, short_name
 from .context import ModuleInfo, ProgramContext
 
 __all__ = ["blocking_summaries"]
@@ -204,7 +196,7 @@ def blocking_summaries(
             if desc is None:
                 heavy = _heavy_core_target(site)
                 if heavy is not None:
-                    desc = f"CPU-heavy core call `{_short(heavy)}`"
+                    desc = f"CPU-heavy core call `{short_name(heavy)}`"
             if desc is not None:
                 blocking.setdefault(qualname, desc)
                 break
@@ -218,7 +210,7 @@ def blocking_summaries(
             if caller in blocking:
                 continue
             blocking[caller] = (
-                f"{blocking[current]} via `{_short(current)}`"
+                f"{blocking[current]} via `{short_name(current)}`"
             )
             worklist.append(caller)
     return blocking
@@ -238,16 +230,18 @@ def blocking_summaries(
 def check_async_blocking(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
-    graph = build_call_graph(program)
+    graph = get_call_graph(program)
     blocking = blocking_summaries(graph, program)
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
         if not isinstance(fn.node, ast.AsyncFunctionDef):
             continue
-        if _layer(fn.module) not in _ASYNC_LAYERS:
-            continue
         info = program.modules.get(fn.module)
-        if info is None or info.ctx.is_test_file:
+        if (
+            info is None
+            or info.layer not in _ASYNC_LAYERS
+            or info.ctx.is_test_file
+        ):
             continue
         bare, aliases = _module_maps(info)
         awaited = {
@@ -267,7 +261,7 @@ def check_async_blocking(
             if desc is None:
                 heavy = _heavy_core_target(site)
                 if heavy is not None:
-                    desc = f"CPU-heavy core call `{_short(heavy)}`"
+                    desc = f"CPU-heavy core call `{short_name(heavy)}`"
             if desc is None and id(site) in confident:
                 desc = _blocking_callee(graph, site, blocking)
             if desc is not None:
@@ -276,7 +270,7 @@ def check_async_blocking(
                     call.lineno,
                     call.col_offset,
                     f"{desc} on the event loop in async "
-                    f"`{_short(qualname)}`: stalls every task sharing "
+                    f"`{short_name(qualname)}`: stalls every task sharing "
                     "the loop; await an async equivalent, offload via "
                     "run_in_executor, or add "
                     "`# event-loop-safe: <reason>`",
@@ -292,100 +286,7 @@ def _blocking_callee(
             continue
         if target in blocking:
             return (
-                f"call into `{_short(target)}`, which reaches "
+                f"call into `{short_name(target)}`, which reaches "
                 f"{blocking[target]},"
             )
     return None
-
-
-# ----------------------------------------------------------------------
-# P7: orphan coroutines and fire-and-forget tasks
-# ----------------------------------------------------------------------
-_SPAWN_NAMES = frozenset({"create_task", "ensure_future"})
-
-
-def _is_spawn_call(call: ast.Call) -> bool:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr in _SPAWN_NAMES
-    if isinstance(func, ast.Name):
-        return func.id in _SPAWN_NAMES
-    return False
-
-
-@project_rule(
-    "P7",
-    "orphan-coroutine",
-    "A coroutine call whose result is discarded never executes (the "
-    "'never awaited' warning fires at GC time, far from the bug), and "
-    "a create_task() handle that is neither retained nor given a "
-    "done-callback swallows the task's exceptions silently — a crashed "
-    "detection loop looks like a healthy quiet one.  Await the call, "
-    "keep the handle, or attach an exception-reporting done-callback.",
-)
-def check_orphan_coroutines(
-    program: ProgramContext,
-) -> Iterator[tuple[Path, int, int, str]]:
-    graph = build_call_graph(program)
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        info = program.modules.get(fn.module)
-        if info is None or info.ctx.is_test_file:
-            continue
-        sites = {
-            (site.node_line, site.node_col): site
-            for site in graph.calls_in(qualname)
-        }
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Expr):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            if _is_spawn_call(value):
-                yield (
-                    info.ctx.path,
-                    value.lineno,
-                    value.col_offset,
-                    f"fire-and-forget task in `{_short(qualname)}`: the "
-                    "create_task() handle is discarded, so the task's "
-                    "exceptions vanish silently; retain the handle or "
-                    "chain .add_done_callback(...) that reports them",
-                )
-                continue
-            # create_task(...).add_done_callback(cb) keeps a reporter.
-            if (
-                isinstance(value.func, ast.Attribute)
-                and value.func.attr == "add_done_callback"
-            ):
-                continue
-            site = sites.get((value.lineno, value.col_offset))
-            if site is None or not site.targets:
-                continue
-            callees = [
-                graph.functions.get(target) for target in site.targets
-            ]
-            if all(
-                callee is not None
-                and isinstance(callee.node, ast.AsyncFunctionDef)
-                for callee in callees
-            ):
-                yield (
-                    info.ctx.path,
-                    value.lineno,
-                    value.col_offset,
-                    f"coroutine `{_short(site.targets[0])}` called in "
-                    f"`{_short(qualname)}` but never awaited: the "
-                    "coroutine object is discarded and its body never "
-                    "runs — await it or schedule it with create_task()",
-                )
-
-
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from ..context import FileContext
 
-__all__ = ["ImportRecord", "ModuleInfo", "ProgramContext"]
+__all__ = ["ImportRecord", "ModuleInfo", "ProgramContext", "layer_of"]
 
 #: directory names never worth indexing (mirrors the file runner).
 _SKIP_DIRS = frozenset(
@@ -57,6 +57,16 @@ class ImportRecord:
         )
 
 
+def layer_of(module: str) -> str | None:
+    """First subpackage under the root ("core", "cloudsim", ...).
+
+    Top-level modules (``repro/__init__.py``) have no layer and are
+    exempt from the layering contract.
+    """
+    parts = module.split(".")
+    return parts[1] if len(parts) >= 2 else None
+
+
 @dataclass
 class ModuleInfo:
     """One analyzed module inside the program."""
@@ -68,13 +78,7 @@ class ModuleInfo:
 
     @property
     def layer(self) -> str | None:
-        """First subpackage under the root ("core", "cloudsim", ...).
-
-        Top-level modules (``repro/__init__.py``) have no layer and are
-        exempt from the layering contract.
-        """
-        parts = self.name.split(".")
-        return parts[1] if len(parts) >= 2 else None
+        return layer_of(self.name)
 
     @property
     def is_package(self) -> bool:

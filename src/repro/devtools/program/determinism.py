@@ -1,26 +1,20 @@
-"""Rules P3/P4: determinism dataflow across the simulator.
+"""Rule P3: determinism dataflow across the simulator.
 
-**P3** — shuffle outcomes (paper Eq. 1 / Algorithm 1) are reproducible
-only if DES event order never depends on hash order.  ``set`` iteration
-order varies with ``PYTHONHASHSEED``; ``dict`` views are
-insertion-ordered, which is deterministic per run but *history*-coupled
-— two refactors that build the same mapping in different orders produce
-different event interleavings and different RNG consumption.  The pass
-therefore builds the program call graph, marks every function from
-which a DES ``schedule()``/``schedule_at()`` call or heap push is
-reachable ("event-affecting"), and flags iteration over sets and
-unsorted dict views inside event-affecting functions (or functions
-event-affecting code calls) in the simulator layers.  Iterations whose
-loop body draws from an RNG are flagged regardless, since draw order is
-part of the reproducibility contract.
-
-**P4** — the simulator's only clock is ``Simulator.now``.  A wall-clock
-read (``time.time``, ``datetime.now``, ...) inside ``sim``/``cloudsim``
-couples results to the host machine; ``time.sleep`` stalls the DES.
-Both passes scope to ``_SIM_LAYERS`` and deliberately exclude the
-``service`` layer: there wall-clock time *is* the clock (real sockets,
-real token-refill intervals), so ``time.monotonic`` is its legitimate
-time source — only its RNG discipline is checked, by P2.
+Shuffle outcomes (paper Eq. 1 / Algorithm 1) are reproducible only if
+DES event order never depends on hash order.  ``set`` iteration order
+varies with ``PYTHONHASHSEED``; ``dict`` views are insertion-ordered,
+which is deterministic per run but *history*-coupled — two refactors
+that build the same mapping in different orders produce different event
+interleavings and different RNG consumption.  The pass therefore builds
+the program call graph, marks every function from which a DES
+``schedule()``/``schedule_at()`` call or heap push is reachable
+("event-affecting"), and flags iteration over sets and unsorted dict
+views inside event-affecting functions (or functions event-affecting
+code calls) in the simulator layers.  Iterations whose loop body draws
+from an RNG are flagged regardless, since draw order is part of the
+reproducibility contract.  The ``service`` layer is out of scope: its
+event order follows real sockets and the wall clock, and only its RNG
+discipline is checked, by P2.
 """
 
 from __future__ import annotations
@@ -30,14 +24,12 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .callgraph import CallGraph, build_call_graph
+from .callgraph import CallGraph, get_call_graph, short_name
 from .context import ModuleInfo, ProgramContext
 
 __all__ = ["event_affecting_functions"]
 
-#: layers the determinism passes govern.  ``service`` is intentionally
-#: absent: it is the live socket layer where wall-clock time is the
-#: real clock, so P4's wall-clock ban does not apply to it.
+#: layers the determinism pass governs.
 _SIM_LAYERS = frozenset({"sim", "cloudsim"})
 
 #: attribute names that put a callback on the DES event queue or a heap.
@@ -274,7 +266,7 @@ def _draws_rng(body: ast.AST | None) -> bool:
 def check_unordered_iteration(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
-    graph = build_call_graph(program)
+    graph = get_call_graph(program)
     affecting = event_affecting_functions(graph)
     called_by_affecting = {
         target
@@ -284,10 +276,12 @@ def check_unordered_iteration(
     }
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
-        if _layer(fn.module) not in _SIM_LAYERS:
-            continue
         info = program.modules.get(fn.module)
-        if info is None or info.ctx.is_test_file:
+        if (
+            info is None
+            or info.layer not in _SIM_LAYERS
+            or info.ctx.is_test_file
+        ):
             continue
         relevant = (
             qualname in affecting or qualname in called_by_affecting
@@ -310,98 +304,6 @@ def check_unordered_iteration(
                 iterable.lineno,
                 iterable.col_offset,
                 f"iteration over a {kind} in event-affecting "
-                f"`{_short(qualname)}`: {reason}; iterate "
+                f"`{short_name(qualname)}`: {reason}; iterate "
                 "sorted(...) for a canonical order",
             )
-
-
-@project_rule(
-    "P4",
-    "no-wall-clock",
-    "Simulation time is Simulator.now and nothing else; a wall-clock "
-    "read in sim/cloudsim couples campaign results to host speed and "
-    "breaks trace reproducibility, and time.sleep() stalls the event "
-    "loop.",
-)
-def check_no_wall_clock(
-    program: ProgramContext,
-) -> Iterator[tuple[Path, int, int, str]]:
-    for info in program.project_modules():
-        if _layer(info.name) not in _SIM_LAYERS or info.ctx.is_test_file:
-            continue
-        banned_bare = _wall_clock_bare_names(info)
-        for node in ast.walk(info.ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            offense = _wall_clock_offense(node.func, banned_bare)
-            if offense is not None:
-                yield (
-                    info.ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"wall-clock read `{offense}` in the simulator; use "
-                    "the DES clock (ctx.now / Simulator.now)",
-                )
-
-
-_WALL_CLOCK_TIME_ATTRS = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-        "sleep",
-    }
-)
-_WALL_CLOCK_DT_ATTRS = frozenset({"now", "utcnow", "today"})
-
-
-def _wall_clock_bare_names(info: ModuleInfo) -> dict[str, str]:
-    """Locally bound names that are wall-clock reads (from-imports)."""
-    banned: dict[str, str] = {}
-    for record in info.imports:
-        if record.target == "time":
-            for local, original in record.bindings():
-                if original in _WALL_CLOCK_TIME_ATTRS:
-                    banned[local] = f"time.{original}"
-    return banned
-
-
-def _wall_clock_offense(
-    func: ast.AST, banned_bare: dict[str, str]
-) -> str | None:
-    if isinstance(func, ast.Name):
-        return banned_bare.get(func.id)
-    if isinstance(func, ast.Attribute):
-        base = func.value
-        if isinstance(base, ast.Name):
-            if base.id == "time" and func.attr in _WALL_CLOCK_TIME_ATTRS:
-                return f"time.{func.attr}"
-            if (
-                base.id in ("datetime", "date")
-                and func.attr in _WALL_CLOCK_DT_ATTRS
-            ):
-                return f"{base.id}.{func.attr}"
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "datetime"
-            and base.attr in ("datetime", "date")
-            and func.attr in _WALL_CLOCK_DT_ATTRS
-        ):
-            return f"datetime.{base.attr}.{func.attr}"
-    return None
-
-
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .context import ProgramContext
+from .context import ProgramContext, layer_of
 
 __all__ = [
     "LAYER_CONTRACT",
@@ -87,16 +87,11 @@ class ImportEdge:
 
     @property
     def src_layer(self) -> str | None:
-        return _layer_of(self.src)
+        return layer_of(self.src)
 
     @property
     def dst_layer(self) -> str | None:
-        return _layer_of(self.dst)
-
-
-def _layer_of(name: str) -> str | None:
-    parts = name.split(".")
-    return parts[1] if len(parts) >= 2 else None
+        return layer_of(self.dst)
 
 
 def import_edges(program: ProgramContext) -> list[ImportEdge]:

@@ -30,7 +30,7 @@ from typing import Iterator
 
 from ..registry import project_rule
 from .asyncflow import container_attr_kinds, find_task_roots, reachable_from
-from .callgraph import build_call_graph
+from .callgraph import get_call_graph, short_name
 from .context import ProgramContext
 
 __all__ = []
@@ -138,7 +138,7 @@ def _scan_sites(
 def check_hot_path(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
-    graph = build_call_graph(program)
+    graph = get_call_graph(program)
     handler_roots = {
         root.qualname
         for root in find_task_roots(graph)
@@ -154,12 +154,17 @@ def check_hot_path(
     kinds_by_module: dict[str, dict[str, str]] = {}
     for qualname in sorted(closure):
         fn = graph.functions.get(qualname)
-        if fn is None or _layer(fn.module) not in _HOT_LAYERS:
+        if fn is None:
             continue
         if fn.name in _REPORTING_NAMES or fn.name in _CONSTRUCTORS:
             continue
         info = program.modules.get(fn.module)
-        if info is None or info.ctx.is_test_file or info.is_consumer:
+        if (
+            info is None
+            or info.layer not in _HOT_LAYERS
+            or info.ctx.is_test_file
+            or info.is_consumer
+        ):
             continue
         if fn.module not in kinds_by_module:
             kinds_by_module[fn.module] = container_attr_kinds(
@@ -176,7 +181,7 @@ def check_hot_path(
                     node.lineno,
                     node.col_offset,
                     f"get-or-create `registry.{factory}(...)` in "
-                    f"`{_short(qualname)}`, which is on the per-request "
+                    f"`{short_name(qualname)}`, which is on the per-request "
                     "handler path: bind the handle once in the "
                     "constructor and use the pre-bound attribute here",
                 )
@@ -186,18 +191,9 @@ def check_hot_path(
                 site.lineno,
                 site.col_offset,
                 f"{how} container `self.{attr}` in "
-                f"`{_short(qualname)}`, which is on the per-request "
+                f"`{short_name(qualname)}`, which is on the per-request "
                 "handler path: request cost grows with fleet size — "
                 "maintain an O(1) index updated at mutation time "
                 "instead of scanning per request",
             )
 
-
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname

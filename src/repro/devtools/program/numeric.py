@@ -1,24 +1,12 @@
-"""Rules P11-P13: numeric-domain discipline over the numflow index.
+"""Rule P13: numeric-stability anti-patterns.
 
 The estimator/planner core computes every probability in log-space and
-exponentiates last (:mod:`repro.core.combinatorics`); these passes make
-the three failure classes of that convention machine-checked:
-
-- **P11 log-domain confusion** — a log-probability used as if it were
-  linear (mixed arithmetic, ``sum()`` over logs, log-vs-linear
-  comparisons, unclamped ``exp()`` of a full-magnitude log);
-- **P12 probability-range escapes** — exp-derived linear probabilities
-  returned to callers without a clip/validation, the exact bug class of
-  the PR 1 ``survival_probabilities`` ulp-leak fix;
-- **P13 numeric-stability anti-patterns** — expression shapes with a
-  strictly better stable form (``log(1-x)`` -> ``log1p``,
-  ``log(sum(exp))`` -> ``logsumexp``, raw lgamma differences outside
-  the combinatorics module, unguarded division by a possibly-zero
-  count).
-
-Escape hatches: ``# reprolint: disable=P11/P12/P13`` with a reviewer
--worthy reason, or — for P11/P12 — a ``# domain: <log|linear> <reason>``
-annotation that corrects the *inference* instead of silencing the rule.
+exponentiates last (:mod:`repro.core.combinatorics`).  This pass flags
+the expression shapes that have a strictly more stable form:
+``log(1-x)`` -> ``log1p``, ``log(sum(exp))`` -> ``logsumexp``, raw
+lgamma differences outside the combinatorics module, and unguarded
+division by a possibly-zero count.  Escape hatch:
+``# reprolint: disable=P13`` with a reviewer-worthy reason.
 """
 
 from __future__ import annotations
@@ -28,20 +16,10 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .callgraph import FunctionInfo
-from .context import ModuleInfo, ProgramContext
-from .numflow import (
-    Domain,
-    NumericIndex,
-    get_numeric_index,
-)
+from .callgraph import FunctionInfo, call_name, get_call_graph, short_name
+from .context import ProgramContext
 
 __all__ = []
-
-#: layers whose return values P12 polices: the pure numeric stack.  The
-#: service/experiments layers consume these APIs; the contract is that
-#: probabilities are validated before they leave the producers.
-_P12_LAYERS = frozenset({"core", "sim", "analysis"})
 
 #: modules exempt from the lgamma-difference check: the one place the
 #: raw ``lgamma`` algebra is supposed to live (and be tested).
@@ -52,15 +30,6 @@ _LOG_RECEIVERS = frozenset({"math", "np", "numpy"})
 _EXP_NAMES = frozenset({"exp", "expm1"})
 _LGAMMA_NAMES = frozenset({"lgamma", "gammaln"})
 _SUM_NAMES = frozenset({"sum"})
-_CLAMP_MIN_BOUND = (1, 1.0)
-
-
-def _call_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
 
 
 def _receiver_name(call: ast.Call) -> str | None:
@@ -74,7 +43,7 @@ def _is_log_call(node: ast.AST) -> bool:
     """A trusted ``log(...)`` call (math/numpy receiver or bare name)."""
     if not isinstance(node, ast.Call):
         return False
-    name = _call_name(node)
+    name = call_name(node)
     if name not in _LOG_NAMES:
         return False
     if isinstance(node.func, ast.Name):
@@ -83,15 +52,15 @@ def _is_log_call(node: ast.AST) -> bool:
 
 
 def _is_exp_call(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _call_name(node) in _EXP_NAMES
+    return isinstance(node, ast.Call) and call_name(node) in _EXP_NAMES
 
 
 def _is_lgamma_call(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _call_name(node) in _LGAMMA_NAMES
+    return isinstance(node, ast.Call) and call_name(node) in _LGAMMA_NAMES
 
 
 def _is_sum_call(node: ast.AST) -> bool:
-    return isinstance(node, ast.Call) and _call_name(node) in _SUM_NAMES
+    return isinstance(node, ast.Call) and call_name(node) in _SUM_NAMES
 
 
 def _sum_operand(call: ast.Call) -> ast.AST | None:
@@ -101,196 +70,6 @@ def _sum_operand(call: ast.Call) -> ast.AST | None:
     if isinstance(call.func, ast.Attribute):
         return call.func.value
     return None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname
-
-
-def _numeric_functions(
-    program: ProgramContext,
-) -> Iterator[tuple[FunctionInfo, ModuleInfo, NumericIndex]]:
-    """Every analyzable project function, with its module and the index."""
-    index = get_numeric_index(program)
-    for qualname in sorted(index.graph.functions):
-        fn = index.graph.functions[qualname]
-        info = program.modules.get(fn.module)
-        if info is None or info.is_consumer or info.ctx.is_test_file:
-            continue
-        yield fn, info, index
-
-
-def _parent_map(fn_node: ast.AST) -> dict[ast.AST, ast.AST]:
-    return {
-        child: parent
-        for parent in ast.walk(fn_node)
-        for child in ast.iter_child_nodes(parent)
-    }
-
-
-def _is_clamped(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> bool:
-    """True when ``node`` sits inside a clip/min-to-1 clamping call."""
-    current: ast.AST | None = node
-    while current is not None:
-        current = parents.get(current)
-        if isinstance(current, ast.stmt):
-            return False
-        if not isinstance(current, ast.Call):
-            continue
-        name = _call_name(current)
-        if name == "clip" and len(current.args) >= 3:
-            return True
-        if name == "min" and any(
-            isinstance(a, ast.Constant) and a.value in _CLAMP_MIN_BOUND
-            for a in current.args
-        ):
-            return True
-    return False
-
-
-def _is_log_ratio(node: ast.AST, domain_of) -> bool:
-    """``log_a - log_b``: the established exponentiate-a-ratio idiom."""
-    return (
-        isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Sub)
-        and domain_of(node.left) is Domain.LOG
-        and domain_of(node.right) is Domain.LOG
-    )
-
-
-# ----------------------------------------------------------------------
-# P11 — log-domain confusion
-# ----------------------------------------------------------------------
-@project_rule(
-    "P11",
-    "log-domain-confusion",
-    "Log-probabilities and linear probabilities are both floats, so "
-    "mixing the scales computes garbage silently: adding a log to a "
-    "linear value, summing log-probs with sum() (that is a product's "
-    "log, not a sum of probabilities — use logsumexp), comparing "
-    "across scales, or exponentiating a full-magnitude log without "
-    "clamping (exp overflows past ~709; exponentiate a difference of "
-    "logs, or clip into [0, 1]).  Correct a wrong inference with "
-    "`# domain: <log|linear> <reason>` instead of suppressing.",
-)
-def check_log_domain_confusion(
-    program: ProgramContext,
-) -> Iterator[tuple[Path, int, int, str]]:
-    for fn, info, index in _numeric_functions(program):
-        evaluator = index.evaluator(fn)
-        domain_of = evaluator.domain_of
-        parents: dict[ast.AST, ast.AST] | None = None
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.BinOp) and isinstance(
-                node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
-            ):
-                left = domain_of(node.left)
-                right = domain_of(node.right)
-                mixed = (
-                    left is Domain.LOG and right.is_linear_prob
-                ) or (right is Domain.LOG and left.is_linear_prob)
-                if mixed:
-                    yield (
-                        info.ctx.path,
-                        node.lineno,
-                        node.col_offset,
-                        "log-domain value combined with a linear-domain "
-                        f"value in `{_short(fn.qualname)}` — bring both "
-                        "sides to one scale (exp/log) before the "
-                        "arithmetic",
-                    )
-            elif isinstance(node, ast.Compare):
-                sides = [node.left, *node.comparators]
-                domains = [domain_of(side) for side in sides]
-                if any(d is Domain.LOG for d in domains) and any(
-                    d.is_linear_prob for d in domains
-                ):
-                    yield (
-                        info.ctx.path,
-                        node.lineno,
-                        node.col_offset,
-                        "log-domain value compared against a linear-"
-                        f"domain value in `{_short(fn.qualname)}` — "
-                        "the comparison is between different scales",
-                    )
-            elif isinstance(node, ast.Call):
-                if _is_sum_call(node):
-                    operand = _sum_operand(node)
-                    if operand is not None and (
-                        domain_of(operand) is Domain.LOG
-                    ):
-                        yield (
-                            info.ctx.path,
-                            node.lineno,
-                            node.col_offset,
-                            "sum() over log-probabilities in "
-                            f"`{_short(fn.qualname)}` — a sum of logs "
-                            "is the log of a product; to sum the "
-                            "probabilities themselves use logsumexp",
-                        )
-                elif _is_exp_call(node) and node.args:
-                    arg = node.args[0]
-                    if domain_of(arg) is not Domain.LOG:
-                        continue
-                    if _is_log_ratio(arg, domain_of):
-                        continue
-                    if parents is None:
-                        parents = _parent_map(fn.node)
-                    if _is_clamped(node, parents):
-                        continue
-                    yield (
-                        info.ctx.path,
-                        node.lineno,
-                        node.col_offset,
-                        "exp() of an unclamped log-domain value in "
-                        f"`{_short(fn.qualname)}` — a full-magnitude "
-                        "log overflows exp(); exponentiate a "
-                        "difference of logs or clamp the result "
-                        "(np.clip(..., 0.0, 1.0) / min(1.0, ...))",
-                    )
-
-
-# ----------------------------------------------------------------------
-# P12 — probability-range escapes
-# ----------------------------------------------------------------------
-@project_rule(
-    "P12",
-    "probability-range-escape",
-    "An exp-derived probability can leave [0, 1] by a few ulp when "
-    "numerator and denominator come from different lgamma "
-    "implementations (the PR 1 survival_probabilities bug): returning "
-    "it unvalidated leaks >1.0 'probabilities' into downstream "
-    "expectations and comparisons.  Clamp at the producer "
-    "(np.clip(..., 0.0, 1.0) / min(1.0, ...)) or mark a validated "
-    "boundary with `# domain: linear <reason>`.",
-)
-def check_probability_range_escape(
-    program: ProgramContext,
-) -> Iterator[tuple[Path, int, int, str]]:
-    for fn, info, index in _numeric_functions(program):
-        if info.layer not in _P12_LAYERS:
-            continue
-        evaluator = index.evaluator(fn)
-        suppressions = info.ctx.suppressions
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            if suppressions.domain_at(node.lineno) is not None:
-                continue
-            if evaluator.domain_of(node.value) is Domain.LINEAR_RAW:
-                yield (
-                    info.ctx.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"`{_short(fn.qualname)}` returns an exp-derived "
-                    "probability that was never clamped to [0, 1] — "
-                    "ulp leaks push it outside the range; clip at "
-                    "this boundary (np.clip/min(1.0, ...)) or declare "
-                    "it validated with `# domain: linear <reason>`",
-                )
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +89,12 @@ def check_probability_range_escape(
 def check_numeric_stability(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
-    for fn, info, _ in _numeric_functions(program):
+    graph = get_call_graph(program)
+    for qualname in sorted(graph.functions):
+        fn = graph.functions[qualname]
+        info = program.modules.get(fn.module)
+        if info is None or info.is_consumer or info.ctx.is_test_file:
+            continue
         lgamma_exempt = _LGAMMA_HOME_MARKER in fn.module
         guards: list[str] | None = None
         for node in ast.walk(fn.node):
@@ -330,7 +114,7 @@ def check_numeric_stability(
                         node.lineno,
                         node.col_offset,
                         "difference of lgamma terms in "
-                        f"`{_short(fn.qualname)}` — near-equal "
+                        f"`{short_name(fn.qualname)}` — near-equal "
                         "arguments cancel catastrophically; use "
                         "repro.core.combinatorics.log_binomial (the "
                         "tested home of the lgamma algebra)",
@@ -349,14 +133,14 @@ def check_numeric_stability(
                         node.col_offset,
                         f"division by `{ast.unparse(node.right)}` with "
                         "no emptiness guard in "
-                        f"`{_short(fn.qualname)}` — a zero count "
+                        f"`{short_name(fn.qualname)}` — a zero count "
                         "raises ZeroDivisionError (or yields NaN "
                         "under numpy); guard the empty case first",
                     )
 
 
 def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
-    name = _call_name(node)
+    name = call_name(node)
     if _is_log_call(node) and len(node.args) == 1:
         arg = node.args[0]
         if (
@@ -367,12 +151,12 @@ def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
         ):
             if any(_is_exp_call(sub) for sub in ast.walk(arg.right)):
                 return (
-                    f"log(1 - exp(...)) in `{_short(fn.qualname)}` — "
+                    f"log(1 - exp(...)) in `{short_name(fn.qualname)}` — "
                     "cancels for exp(...) near 1 and near 0; use "
                     "repro.core.combinatorics.log1mexp"
                 )
             return (
-                f"log(1 - x) in `{_short(fn.qualname)}` cancels for "
+                f"log(1 - x) in `{short_name(fn.qualname)}` cancels for "
                 "small x — use log1p(-x)"
             )
         if _is_sum_call(arg):
@@ -381,7 +165,7 @@ def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
                 _is_exp_call(sub) for sub in ast.walk(operand)
             ):
                 return (
-                    f"log(sum(exp(...))) in `{_short(fn.qualname)}` "
+                    f"log(sum(exp(...))) in `{short_name(fn.qualname)}` "
                     "overflows for large logs — use "
                     "repro.core.combinatorics.logsumexp"
                 )
@@ -393,7 +177,7 @@ def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
             and _is_exp_call(arg.operand)
         ):
             return (
-                f"log1p(-exp(x)) in `{_short(fn.qualname)}` loses "
+                f"log1p(-exp(x)) in `{short_name(fn.qualname)}` loses "
                 "precision for x near 0 — use "
                 "repro.core.combinatorics.log1mexp(x)"
             )

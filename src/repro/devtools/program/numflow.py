@@ -1,41 +1,26 @@
-"""Numeric value-domain dataflow shared by the numeric passes (P11-P14).
+"""Numeric value-domain dataflow behind the vectorization pass (P14).
 
-The paper's estimator chain works almost entirely in log-space: every
-probability is a ratio of binomial coefficients computed via
-``math.lgamma`` and exponentiated last (see
-:mod:`repro.core.combinatorics`).  That convention is invisible to the
-type system — a log-probability, a linear probability, and a replica
-count are all ``float`` — so confusing the domains produces silently
-wrong numbers, not exceptions.  This module makes the convention a
-checked property: a small value-domain lattice inferred from
-*provenance*, per-function flow-insensitive environments, and
-interprocedural return summaries iterated to a fixpoint over the
+P14 asks one question of every array a ``core`` loop stores into: does
+it hold floats?  The type system cannot say — a log-probability, a
+probability and a replica count may all sit in one ``np.ndarray`` — so
+this module infers it from *provenance*: a four-point lattice, per-
+function flow-insensitive environments, and interprocedural return
+summaries iterated to a fixpoint over the
 :class:`~repro.devtools.program.callgraph.CallGraph`.
 
 The lattice (:class:`Domain`):
 
-- ``LOG`` — born from ``lgamma``/``log``/``log1p``/``logsumexp``/...;
-- ``LINEAR_RAW`` — crossed ``exp``/``expm1`` back to linear scale but
-  was never clamped: cancellation and ulp leaks can push it outside
-  ``[0, 1]`` (the PR 1 ``survival_probabilities`` clip bug class);
-- ``LINEAR`` — a validated probability: a ``[0, 1]`` float constant, a
-  ``np.clip(x, 0, 1)``/``min(1.0, raw)`` result, or annotated
-  ``# domain: linear <reason>``;
+- ``FLOAT`` — float payload: born from ``lgamma``/``log``/``exp``/
+  ``logsumexp``/..., float literals, true division, ``np.clip`` and
+  float array constructors (``zeros``, ``ones``, ``empty``, ...);
 - ``COUNT`` — integer cardinalities (``len``, ``int``, ``np.arange``);
-- ``FLOAT`` — an unconstrained float (ratios of logs, products of a
-  count and a probability, ...);
-- ``NEUTRAL`` — ``±inf``/``nan`` sentinels, which belong to *every*
-  domain (``-inf`` is both ``log 0`` and a valid linear lower bound)
-  and therefore join as the identity;
+- ``NEUTRAL`` — ``±inf``/``nan`` sentinels, which belong to every
+  domain and therefore join as the identity;
 - ``UNKNOWN`` — no provenance (parameters, attributes, foreign calls).
 
 Inference deliberately over-approximates in the direction that asks for
 a justification comment rather than the direction that hides a bug,
-matching the other shared indices (:mod:`asyncflow`).  The
-``# domain: <log|linear> <reason>`` annotation (parsed in
-:mod:`repro.devtools.suppressions`) pins a statement's domain where
-provenance cannot see it — e.g. ``log_binomial``'s ``return 0.0`` arm,
-which *is* ``log 1``.
+matching the other shared indices (:mod:`asyncflow`).
 """
 
 from __future__ import annotations
@@ -45,14 +30,13 @@ import enum
 import weakref
 from dataclasses import dataclass, field
 
-from .callgraph import CallGraph, FunctionInfo, build_call_graph
+from .callgraph import CallGraph, FunctionInfo, call_name, get_call_graph
 from .context import ProgramContext
 
 __all__ = [
     "Domain",
     "NumericIndex",
     "get_numeric_index",
-    "join",
 ]
 
 #: fixpoint cap for the interprocedural summary iteration.  Summaries
@@ -60,11 +44,11 @@ __all__ = [
 #: cap bounds pathological call cycles.
 _MAX_SUMMARY_PASSES = 5
 
-#: log-bearing call names: calling one of these *produces* a log-domain
-#: value.  ``log``/``exp`` are only trusted under a math/numpy receiver
-#: (a bare ``logger.log`` must not poison the analysis); the rest are
-#: distinctive enough to accept from any receiver.
-_LOG_BEARERS = frozenset(
+#: float-producing call names.  ``log`` is only trusted under a
+#: math/numpy receiver or bare (a ``logger.log`` must not poison the
+#: analysis); the rest are distinctive enough to accept from any
+#: receiver.
+_FLOAT_CALLS = frozenset(
     {
         "lgamma",
         "gammaln",
@@ -75,19 +59,22 @@ _LOG_BEARERS = frozenset(
         "logsumexp",
         "log1mexp",
         "xlogy",
+        "exp",
+        "expm1",
+        "zeros",
+        "ones",
+        "zeros_like",
+        "ones_like",
+        "empty",
+        "empty_like",
+        "full_like",
     }
 )
 _GUARDED_LOG = frozenset({"log"})
-_EXP_NAMES = frozenset({"exp", "expm1"})
 _NUMERIC_RECEIVERS = frozenset({"math", "np", "numpy"})
 
 #: names whose value is an integer cardinality.
 _COUNT_CALLS = frozenset({"len", "int", "round", "arange", "ord", "range"})
-
-#: array constructors whose elements are probabilities by construction.
-_PROB_CONSTRUCTORS = frozenset({"zeros", "ones", "zeros_like", "ones_like"})
-#: array constructors of unconstrained floats.
-_FLOAT_CONSTRUCTORS = frozenset({"empty", "empty_like", "full_like"})
 
 #: calls transparent to the element domain of their first argument.
 _TRANSPARENT_CALLS = frozenset(
@@ -99,25 +86,16 @@ class Domain(enum.Enum):
     """One point of the numeric value-domain lattice."""
 
     NEUTRAL = "neutral"
-    LOG = "log"
-    LINEAR_RAW = "linear-raw"
-    LINEAR = "linear"
     COUNT = "count"
     FLOAT = "float"
     UNKNOWN = "unknown"
-
-    @property
-    def is_linear_prob(self) -> bool:
-        return self in (Domain.LINEAR, Domain.LINEAR_RAW)
 
 
 def join(a: Domain, b: Domain) -> Domain:
     """Least upper bound of two domains.
 
-    ``NEUTRAL`` (±inf/nan sentinels) is the identity; mixing ``LOG``
-    with any informative non-log domain yields ``UNKNOWN`` (the mix is
-    exactly what P11 flags at the *operation* level — the joined value
-    itself no longer has a trustworthy domain).
+    ``NEUTRAL`` (±inf/nan sentinels) is the identity, ``UNKNOWN``
+    absorbs, and a count that is sometimes a float is just a float.
     """
     if a is b:
         return a
@@ -127,15 +105,6 @@ def join(a: Domain, b: Domain) -> Domain:
         return a
     if Domain.UNKNOWN in (a, b):
         return Domain.UNKNOWN
-    if Domain.LOG in (a, b):
-        return Domain.UNKNOWN
-    if a.is_linear_prob and b.is_linear_prob:
-        # raw taints: the joined value may still escape [0, 1].
-        return Domain.LINEAR_RAW
-    if Domain.FLOAT in (a, b):
-        return Domain.FLOAT
-    # COUNT with LINEAR/LINEAR_RAW: an int that is sometimes a
-    # probability is just a float.
     return Domain.FLOAT
 
 
@@ -186,7 +155,7 @@ def get_numeric_index(program: ProgramContext) -> NumericIndex:
 # construction
 # ----------------------------------------------------------------------
 def _build_index(program: ProgramContext) -> NumericIndex:
-    graph = build_call_graph(program)
+    graph = get_call_graph(program)
     index = NumericIndex(graph=graph)
     functions = [
         fn
@@ -207,24 +176,6 @@ def _build_index(program: ProgramContext) -> NumericIndex:
     return index
 
 
-def _domain_marker(index: NumericIndex, fn: FunctionInfo) -> object:
-    info = index.graph.program.modules.get(fn.module)
-    if info is None:
-        return None
-    return info.ctx.suppressions
-
-
-def _pinned(index: NumericIndex, fn: FunctionInfo, line: int) -> Domain | None:
-    """The ``# domain:`` annotation covering ``line``, if any."""
-    sup = _domain_marker(index, fn)
-    pinned = sup.domain_at(line) if sup is not None else None
-    if pinned == "log":
-        return Domain.LOG
-    if pinned == "linear":
-        return Domain.LINEAR
-    return None
-
-
 def _build_env(index: NumericIndex, fn: FunctionInfo) -> dict[str, Domain]:
     """Flow-insensitive name -> domain map for one function body.
 
@@ -237,7 +188,7 @@ def _build_env(index: NumericIndex, fn: FunctionInfo) -> dict[str, Domain]:
     evaluator = Evaluator(index, fn, env)
     for _ in range(2):
         for node in _source_order_walk(fn.node):
-            _absorb_statement(index, fn, node, env, evaluator)
+            _absorb_statement(node, env, evaluator)
     return env
 
 
@@ -253,21 +204,14 @@ def _source_order_walk(node: ast.AST) -> "ast.AST":
 
 
 def _absorb_statement(
-    index: NumericIndex,
-    fn: FunctionInfo,
-    node: ast.AST,
-    env: dict[str, Domain],
-    evaluator: "Evaluator",
+    node: ast.AST, env: dict[str, Domain], evaluator: "Evaluator"
 ) -> None:
     if isinstance(node, ast.Assign):
-        pinned = _pinned(index, fn, node.lineno)
-        value = pinned or evaluator.domain_of(node.value)
+        value = evaluator.domain_of(node.value)
         for target in node.targets:
             _bind_target(target, value, env)
     elif isinstance(node, ast.AnnAssign) and node.value is not None:
-        pinned = _pinned(index, fn, node.lineno)
-        value = pinned or evaluator.domain_of(node.value)
-        _bind_target(node.target, value, env)
+        _bind_target(node.target, evaluator.domain_of(node.value), env)
     elif isinstance(node, ast.AugAssign):
         if isinstance(node.target, ast.Name):
             current = env.get(node.target.id, Domain.NEUTRAL)
@@ -310,8 +254,7 @@ def _return_summary(
     returned: list[Domain] = []
     for node in ast.walk(fn.node):
         if isinstance(node, ast.Return) and node.value is not None:
-            pinned = _pinned(index, fn, node.lineno)
-            returned.append(pinned or evaluator.domain_of(node.value))
+            returned.append(evaluator.domain_of(node.value))
     if not returned:
         return Domain.UNKNOWN
     return join_all(returned)
@@ -323,57 +266,15 @@ def _return_summary(
 def _binop_domain(op: type, left: Domain, right: Domain) -> Domain:
     """Result domain of ``left <op> right``."""
     if Domain.NEUTRAL in (left, right):
-        other = right if left is Domain.NEUTRAL else left
-        return other
-    if op in (ast.Add, ast.Sub):
-        if Domain.LOG in (left, right):
-            other = right if left is Domain.LOG else left
-            if other is Domain.LOG:
-                return Domain.LOG
-            if other in (Domain.COUNT, Domain.FLOAT):
-                # shifting/scaling a log by a constant keeps it a log
-                return Domain.LOG
-            return Domain.UNKNOWN
-        if left.is_linear_prob and right.is_linear_prob:
-            if op is ast.Sub:
-                # 1 - p (complement) stays a probability; raw taints.
-                if Domain.LINEAR_RAW in (left, right):
-                    return Domain.LINEAR_RAW
-                return Domain.LINEAR
-            return Domain.FLOAT  # p + q may exceed 1
-        if left is Domain.COUNT and right is Domain.COUNT:
-            return Domain.COUNT
-        if Domain.UNKNOWN in (left, right):
-            return Domain.UNKNOWN
-        return Domain.FLOAT
-    if op is ast.Mult:
-        if Domain.LOG in (left, right):
-            other = right if left is Domain.LOG else left
-            if other in (Domain.COUNT, Domain.FLOAT):
-                return Domain.LOG  # n * log p is a log of a power
-            return Domain.UNKNOWN
-        if left.is_linear_prob and right.is_linear_prob:
-            if Domain.LINEAR_RAW in (left, right):
-                return Domain.LINEAR_RAW
-            return Domain.LINEAR  # p * q stays within [0, 1]
-        if left is Domain.COUNT and right is Domain.COUNT:
-            return Domain.COUNT
-        if Domain.UNKNOWN in (left, right):
-            return Domain.UNKNOWN
-        return Domain.FLOAT
+        return right if left is Domain.NEUTRAL else left
     if op is ast.Div:
-        # True division always yields an unconstrained float, whatever
-        # the operand domains (a ratio of logs is not a log).
+        # True division always yields a float, whatever the operands.
         return Domain.FLOAT
-    if op in (ast.FloorDiv, ast.Mod):
-        if left is Domain.COUNT and right is Domain.COUNT:
-            return Domain.COUNT
-        if Domain.UNKNOWN in (left, right):
-            return Domain.UNKNOWN
-        return Domain.FLOAT
+    if Domain.UNKNOWN in (left, right):
+        return Domain.UNKNOWN
+    if op in (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod):
+        return join(left, right)  # a count only when both sides are
     if op in (ast.Pow, ast.MatMult):
-        if Domain.UNKNOWN in (left, right):
-            return Domain.UNKNOWN
         return Domain.FLOAT
     return Domain.UNKNOWN
 
@@ -384,25 +285,9 @@ def _receiver_name(func: ast.AST) -> str | None:
     return None
 
 
-def _call_name(call: ast.Call) -> str | None:
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    return None
-
-
-def _is_one(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and node.value in (1, 1.0)
-
-
-def _is_zero(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and node.value in (0, 0.0)
-
-
 def _is_inf_literal(node: ast.AST) -> bool:
     """``float("inf")``/``float("-inf")``/``float("nan")`` sentinels."""
-    if not (isinstance(node, ast.Call) and _call_name(node) == "float"):
+    if not (isinstance(node, ast.Call) and call_name(node) == "float"):
         return False
     if len(node.args) != 1:
         return False
@@ -422,7 +307,6 @@ class Evaluator:
         env: dict[str, Domain],
     ) -> None:
         self.index = index
-        self.fn = fn
         self.env = env
         self._sites = {
             (site.node_line, site.node_col): site
@@ -479,8 +363,6 @@ class Evaluator:
                 float("-inf"),
             ):
                 return Domain.NEUTRAL
-            if 0.0 <= value <= 1.0:
-                return Domain.LINEAR
             return Domain.FLOAT
         return Domain.UNKNOWN
 
@@ -497,58 +379,37 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     def _call(self, node: ast.Call) -> Domain:
-        name = _call_name(node)
+        name = call_name(node)
         receiver = _receiver_name(node.func)
         if name is None:
             return Domain.UNKNOWN
         if _is_inf_literal(node):
             return Domain.NEUTRAL
-        if name in _LOG_BEARERS:
-            return Domain.LOG
+        if name in _FLOAT_CALLS:
+            return Domain.FLOAT
         if name in _GUARDED_LOG and (
             receiver in _NUMERIC_RECEIVERS
             or isinstance(node.func, ast.Name)
         ):
-            return Domain.LOG
-        if name in _EXP_NAMES:
-            inner = self.domain_of(node.args[0]) if node.args else (
-                Domain.UNKNOWN
-            )
-            if inner in (Domain.LOG, Domain.NEUTRAL):
-                return Domain.LINEAR_RAW
             return Domain.FLOAT
         if name == "clip" and len(node.args) >= 3:
-            if _is_zero(node.args[1]) and _is_one(node.args[2]):
-                return Domain.LINEAR
             return Domain.FLOAT
-        if name == "min" and len(node.args) == 2:
-            for bound, other in (
+        if name in ("min", "max") and len(node.args) == 2:
+            # min(1.0, p) / max(0.0, p) keep a float a float.
+            bound = (1, 1.0) if name == "min" else (0, 0.0)
+            for limit, other in (
                 (node.args[0], node.args[1]),
                 (node.args[1], node.args[0]),
             ):
-                if _is_one(bound):
-                    inner = self.domain_of(other)
-                    if inner.is_linear_prob:
-                        # exp() output is >= 0, so min(1.0, raw) is a
-                        # fully validated probability.
-                        return Domain.LINEAR
-            return Domain.UNKNOWN
-        if name == "max" and len(node.args) == 2:
-            for bound, other in (
-                (node.args[0], node.args[1]),
-                (node.args[1], node.args[0]),
-            ):
-                if _is_zero(bound):
-                    inner = self.domain_of(other)
-                    if inner is Domain.LINEAR:
-                        return Domain.LINEAR
+                if (
+                    isinstance(limit, ast.Constant)
+                    and limit.value in bound
+                    and self.domain_of(other) is Domain.FLOAT
+                ):
+                    return Domain.FLOAT
             return Domain.UNKNOWN
         if name in _COUNT_CALLS:
             return Domain.COUNT
-        if name in _PROB_CONSTRUCTORS:
-            return Domain.LINEAR
-        if name in _FLOAT_CONSTRUCTORS:
-            return Domain.FLOAT
         if name == "full" and len(node.args) >= 2:
             return self.domain_of(node.args[1])
         if name == "where" and len(node.args) == 3:
@@ -561,12 +422,10 @@ class Evaluator:
                 if isinstance(node.func, ast.Attribute)
                 else None
             )
-            if target is not None:
-                inner = self.domain_of(target)
-                if inner is Domain.LOG:
-                    return Domain.LOG  # a sum of logs is a product's log
-                if inner is Domain.COUNT:
-                    return Domain.COUNT
+            if target is not None and self.domain_of(target) is (
+                Domain.COUNT
+            ):
+                return Domain.COUNT
             return Domain.FLOAT
         if name in _TRANSPARENT_CALLS:
             target: ast.AST | None
@@ -578,7 +437,7 @@ class Evaluator:
                 target = None
             if target is not None:
                 inner = self.domain_of(target)
-                if name in ("float",) and inner is Domain.COUNT:
+                if name == "float" and inner is Domain.COUNT:
                     return Domain.FLOAT
                 return inner
             return Domain.UNKNOWN

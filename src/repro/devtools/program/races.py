@@ -22,7 +22,6 @@ genuinely single-writer design is documented in place with
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 from typing import Iterator
 
@@ -33,7 +32,7 @@ from .asyncflow import (
     find_task_roots,
     reachable_from,
 )
-from .callgraph import build_call_graph
+from .callgraph import get_call_graph, short_name
 from .context import ProgramContext
 
 __all__ = []
@@ -55,7 +54,7 @@ _RACE_LAYERS = frozenset({"service"})
 def check_shared_state_races(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
-    graph = build_call_graph(program)
+    graph = get_call_graph(program)
     roots = find_task_roots(graph)
     root_names = sorted({root.qualname for root in roots})
     if len(root_names) < 2:
@@ -73,10 +72,13 @@ def check_shared_state_races(
     kinds_by_module: dict[str, dict[str, str]] = {}
     grouped: dict[tuple[str, str, str], list] = {}
     for write in collect_attr_writes(graph):
-        if _layer(write.module) not in _RACE_LAYERS:
-            continue
         info = program.modules.get(write.module)
-        if info is None or info.ctx.is_test_file or info.is_consumer:
+        if (
+            info is None
+            or info.layer not in _RACE_LAYERS
+            or info.ctx.is_test_file
+            or info.is_consumer
+        ):
             continue
         if write.module not in kinds_by_module:
             kinds_by_module[write.module] = container_attr_kinds(
@@ -104,7 +106,7 @@ def check_shared_state_races(
         )
         info = program.modules[module]
         kind = kinds_by_module[module][attr]
-        names = ", ".join(f"`{_short(name)}`" for name in hit_roots)
+        names = ", ".join(f"`{short_name(name)}`" for name in hit_roots)
         yield (
             info.ctx.path,
             site.line,
@@ -117,12 +119,3 @@ def check_shared_state_races(
             "`# reprolint: disable=P9` and why it is safe",
         )
 
-
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .callgraph import CallGraph, FunctionInfo, build_call_graph
+from .callgraph import CallGraph, FunctionInfo, get_call_graph, short_name
 from .context import ModuleInfo, ProgramContext
 
 __all__ = ["analyze_rng", "RngFinding"]
@@ -100,7 +100,7 @@ def analyze_rng(
     program: ProgramContext, graph: CallGraph | None = None
 ) -> list[RngFinding]:
     """Run the provenance analysis; see the module docstring."""
-    graph = graph if graph is not None else build_call_graph(program)
+    graph = graph if graph is not None else get_call_graph(program)
     aliases_by_module = {
         info.name: _rng_aliases(info) for info in program.project_modules()
     }
@@ -134,7 +134,7 @@ def analyze_rng(
                             summary,
                             site.node_line,
                             site.node_col,
-                            f"{_short(target)} -> {chain}",
+                            f"{short_name(target)} -> {chain}",
                         ):
                             changed = True
                     for param, chain in callee.forwards.items():
@@ -146,7 +146,7 @@ def analyze_rng(
                                 summary,
                                 site.node_line,
                                 site.node_col,
-                                f"{_short(target)}({param}=None) -> "
+                                f"{short_name(target)}({param}=None) -> "
                                 f"{chain}",
                             ):
                                 changed = True
@@ -155,7 +155,7 @@ def analyze_rng(
                         ):
                             own_param = outcome.split(":", 1)[1]
                             new_chain = (
-                                f"{_short(target)}({param}=...) -> {chain}"
+                                f"{short_name(target)}({param}=...) -> {chain}"
                             )
                             if own_param not in summary.forwards:
                                 summary.forwards[own_param] = new_chain
@@ -164,10 +164,12 @@ def analyze_rng(
     # Pass 3 — report entries in the simulator layers.
     findings: list[RngFinding] = []
     for qualname, fn in sorted(graph.functions.items()):
-        if _layer(fn.module) not in _REPORT_LAYERS:
-            continue
         info = program.modules.get(fn.module)
-        if info is None or info.ctx.is_test_file:
+        if (
+            info is None
+            or info.layer not in _REPORT_LAYERS
+            or info.ctx.is_test_file
+        ):
             continue
         for line, col, chain in summaries[qualname].unconditional:
             if chain == "default_rng()":
@@ -179,7 +181,7 @@ def analyze_rng(
                     col=col,
                     message=(
                         "unseeded numpy Generator reachable from "
-                        f"`{_short(qualname)}` (path: {chain}); thread a "
+                        f"`{short_name(qualname)}` (path: {chain}); thread a "
                         "seed or spawn from the session generator"
                     ),
                 )
@@ -289,23 +291,13 @@ def _add_unconditional(
     return True
 
 
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname
-
-
 def _field_factory_findings(
     program: ProgramContext,
     aliases_by_module: dict[str, frozenset[str]],
 ) -> Iterator[RngFinding]:
     """Bare ``default_rng`` references as dataclass default factories."""
     for info in program.project_modules():
-        if info.ctx.is_test_file or _layer(info.name) == "experiments":
+        if info.ctx.is_test_file or info.layer == "experiments":
             continue
         aliases = aliases_by_module.get(info.name, frozenset())
         for node in ast.walk(info.ctx.tree):

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
+from .callgraph import short_name
 from .context import ProgramContext
 from .numflow import Domain, get_numeric_index
 
@@ -25,23 +26,6 @@ __all__ = []
 
 #: the layer whose loops feed the ROADMAP vectorization item.
 _CORE_LAYERS = frozenset({"core"})
-
-#: element domains that mark an array as numeric payload (stores into
-#: int bookkeeping arrays — argmax indices — ride along with these).
-_NUMERIC_DOMAINS = frozenset(
-    {Domain.LOG, Domain.LINEAR, Domain.LINEAR_RAW, Domain.FLOAT}
-)
-
-
-def _layer(module: str) -> str | None:
-    parts = module.split(".")
-    return parts[1] if len(parts) >= 2 else None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 2 else qualname
-
 
 def _stored_array_names(loop: ast.For) -> Iterator[str]:
     """Names of arrays written element-wise inside ``loop``'s body."""
@@ -60,9 +44,9 @@ def _stored_array_names(loop: ast.For) -> Iterator[str]:
 
 def _qualifies(loop: ast.For, domain_of) -> bool:
     """A scalar accumulation loop: element-wise stores into an array
-    whose inferred element domain is numeric (log/probability/float)."""
+    whose inferred element domain is float."""
     return any(
-        domain_of(ast.Name(id=name, ctx=ast.Load())) in _NUMERIC_DOMAINS
+        domain_of(ast.Name(id=name, ctx=ast.Load())) is Domain.FLOAT
         for name in _stored_array_names(loop)
     )
 
@@ -97,10 +81,13 @@ def check_vectorization_readiness(
     index = get_numeric_index(program)
     for qualname in sorted(index.graph.functions):
         fn = index.graph.functions[qualname]
-        if _layer(fn.module) not in _CORE_LAYERS:
-            continue
         info = program.modules.get(fn.module)
-        if info is None or info.is_consumer or info.ctx.is_test_file:
+        if (
+            info is None
+            or info.layer not in _CORE_LAYERS
+            or info.is_consumer
+            or info.ctx.is_test_file
+        ):
             continue
         evaluator = index.evaluator(fn)
         loops = [
@@ -122,7 +109,7 @@ def check_vectorization_readiness(
                 loop.lineno,
                 loop.col_offset,
                 "scalar accumulation loop over a float/probability "
-                f"array in `{_short(fn.qualname)}` (for-loop over "
+                f"array in `{short_name(fn.qualname)}` (for-loop over "
                 f"`{ast.unparse(loop.iter)}`, nest depth "
                 f"{_nest_depth(loop)}) — vectorize with numpy array "
                 "ops per the ROADMAP estimator/planner scale item",

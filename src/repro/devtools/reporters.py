@@ -13,8 +13,6 @@ from .runner import LintReport
 _EXTRA_SUPPRESSIONS = {
     "R3": "# exact-sentinel: <reason>",
     "P6": "# event-loop-safe: <reason>",
-    "P11": "# domain: <log|linear> <reason>",
-    "P12": "# domain: <log|linear> <reason>",
 }
 
 

@@ -1,4 +1,4 @@
-"""The built-in reprolint rule set (R1-R8).
+"""The built-in reprolint file rules (R1, R3, R5, R6).
 
 Each rule enforces an invariant the paper's math or the project's
 reproducibility contract depends on; the rationale strings below (and
@@ -37,11 +37,6 @@ _NP_RANDOM_ALLOWED = frozenset(
 
 _NUMPY_ALIASES = frozenset({"np", "numpy"})
 
-#: math-module callables banned from ``core/`` by R2: they materialise
-#: full-width combinatorial integers that the log-space helpers in
-#: ``repro.core.combinatorics`` exist to avoid.
-_EXACT_COMBINATORICS = frozenset({"comb", "factorial", "perm"})
-
 #: math-module functions whose result is float-typed — used by R3 to
 #: recognise float expressions without whole-program type inference.
 _MATH_FLOAT_FUNCS = frozenset(
@@ -70,30 +65,6 @@ _MATH_FLOAT_FUNCS = frozenset(
 )
 
 _FLOAT_CONSTANT_ATTRS = frozenset({"inf", "nan", "e", "pi", "tau", "euler_gamma"})
-
-#: parameter names R7 rejects, mapped to the paper-vocabulary spelling
-#: (Table I: N clients, M bots, P replicas).
-_SYMBOL_ALIASES = {
-    "num_clients": "n_clients",
-    "nclients": "n_clients",
-    "n_client": "n_clients",
-    "client_count": "n_clients",
-    "total_clients": "n_clients",
-    "num_bots": "n_bots",
-    "nbots": "n_bots",
-    "n_bot": "n_bots",
-    "bot_count": "n_bots",
-    "num_attackers": "n_bots",
-    "n_attackers": "n_bots",
-    "num_replicas": "n_replicas",
-    "nreplicas": "n_replicas",
-    "n_replica": "n_replicas",
-    "replica_count": "n_replicas",
-    "num_servers": "n_replicas",
-    "n_servers": "n_replicas",
-    "server_count": "n_replicas",
-}
-
 
 def _dotted(node: ast.AST) -> str | None:
     """``a.b.c`` as a string for Name/Attribute chains, else ``None``."""
@@ -182,62 +153,6 @@ def check_no_unseeded_rng(ctx: FileContext) -> Hits:
 
 
 @rule(
-    "R2",
-    "log-space-combinatorics",
-    "Binomial coefficients overflow any float at paper scale (N up to "
-    "150,000), so core/ must use the lgamma-based helpers in "
-    "repro.core.combinatorics, never exact math.comb/factorial.",
-)
-def check_log_space_combinatorics(ctx: FileContext) -> Hits:
-    if not ctx.in_package("core"):
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.module in {"math", "scipy.special"}:
-                for alias in node.names:
-                    if alias.name in _EXACT_COMBINATORICS:
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"import of exact `{node.module}.{alias.name}`"
-                            " in core/; use the log-space helpers in "
-                            "repro.core.combinatorics",
-                        )
-        elif isinstance(node, ast.Call):
-            target = _dotted(node.func)
-            if target is None:
-                continue
-            parts = target.split(".")
-            if parts[-1] in _EXACT_COMBINATORICS and (
-                parts[0] in {"math", "scipy", "special"} or len(parts) == 1
-            ):
-                # Bare-name calls (len == 1) only fire when the name was
-                # imported from math/scipy.special — which R2 already
-                # flags at the import — but flagging the call too makes
-                # the report point at the actual overflow site.
-                if len(parts) == 1 and not _imports_exact_comb(ctx):
-                    continue
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"exact combinatorics call `{target}(...)` in core/; "
-                    "C(N, M) overflows at paper scale — use "
-                    "repro.core.combinatorics (log-space)",
-                )
-
-
-def _imports_exact_comb(ctx: FileContext) -> bool:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom) and node.module in {
-            "math",
-            "scipy.special",
-        }:
-            if any(a.name in _EXACT_COMBINATORICS for a in node.names):
-                return True
-    return False
-
-
-@rule(
     "R3",
     "no-float-equality",
     "Probabilities come out of exp/lgamma pipelines where == comparison "
@@ -311,51 +226,6 @@ def _is_sentinel_literal(node: ast.AST) -> bool:
         and isinstance(node.value, float)
         and node.value in (0.0, 1.0)
     )
-
-
-@rule(
-    "R4",
-    "no-mutable-defaults",
-    "A mutable default is shared across calls, so one simulation run can "
-    "leak accumulated state into the next and break run-to-run "
-    "determinism.",
-)
-def check_no_mutable_defaults(ctx: FileContext) -> Hits:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_literal(default):
-                yield (
-                    default.lineno,
-                    default.col_offset,
-                    f"mutable default `{ast.unparse(default)}` in "
-                    f"`{node.name}()`; default to None and create the "
-                    "container inside the function",
-                )
-
-
-def _is_mutable_literal(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set)):
-        return True
-    if isinstance(node, (ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        target = _dotted(node.func)
-        return target in {
-            "list",
-            "dict",
-            "set",
-            "bytearray",
-            "collections.defaultdict",
-            "defaultdict",
-            "collections.deque",
-            "deque",
-        }
-    return False
 
 
 @rule(
@@ -436,59 +306,3 @@ def _public_functions(
                         for d in item.decorator_list
                     )
                     yield item, not is_static
-
-
-@rule(
-    "R7",
-    "paper-symbol-naming",
-    "Public APIs keep the paper's Table I vocabulary (n_clients = N, "
-    "n_bots = M, n_replicas = P) so call sites read against the math; "
-    "synonyms drift and break keyword-argument compatibility.",
-)
-def check_paper_symbol_naming(ctx: FileContext) -> Hits:
-    for fn, is_method in _public_functions(ctx.tree):
-        args = (
-            list(fn.args.posonlyargs)
-            + list(fn.args.args)
-            + list(fn.args.kwonlyargs)
-        )
-        if is_method and args:
-            args = args[1:]
-        for arg in args:
-            canonical = _SYMBOL_ALIASES.get(arg.arg)
-            if canonical is not None:
-                yield (
-                    arg.lineno,
-                    arg.col_offset,
-                    f"parameter `{arg.arg}` of public `{fn.name}` "
-                    f"should use the paper symbol name `{canonical}`",
-                )
-
-
-@rule(
-    "R8",
-    "no-print-in-library",
-    "Library layers report through return values and logging; print() "
-    "in core/sim/cloudsim/analysis corrupts the CSV/JSON streams the "
-    "experiment drivers own (experiments/ and devtools/ are the CLI "
-    "surface and exempt, as are service/cli.py and obs/cli.py — the "
-    "repro-serve and repro-obs entry points).",
-)
-def check_no_print_in_library(ctx: FileContext) -> Hits:
-    if ctx.in_package("experiments") or ctx.in_package("devtools"):
-        return
-    if (
-        ctx.in_package("service") or ctx.in_package("obs")
-    ) and ctx.path.name == "cli.py":
-        return
-    for node in ast.walk(ctx.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "print"
-        ):
-            yield (
-                node.lineno,
-                node.col_offset,
-                "print() in library code; return the value or use logging",
-            )

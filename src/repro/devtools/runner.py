@@ -30,10 +30,6 @@ _SKIP_DIRS = frozenset(
 #: (rule P5); they are never linted themselves.
 _CONSUMER_DIR_NAMES = ("tests", "examples", "benchmarks")
 
-#: passes sharing the numeric dataflow index (see program/numflow.py)
-_NUMERIC_RULE_IDS = frozenset({"P11", "P12", "P13", "P14"})
-
-
 @dataclass
 class LintReport:
     """Outcome of one lint run."""
@@ -43,7 +39,8 @@ class LintReport:
     rules: tuple[Rule, ...] = ()
     project_rules: tuple[ProjectRule, ...] = ()
     #: wall-clock seconds per stage (``file_rules``, ``program_index``,
-    #: ``numeric_index``, ``pass_<ID>``) — populated in project scope
+    #: ``call_graph``, ``numeric_index``, ``pass_<ID>``) — populated in
+    #: project scope
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -96,32 +93,15 @@ def lint_file(path: Path, rules: Sequence[Rule]) -> list[Violation]:
     return found
 
 
-def _resolve_only(
-    only_files: Iterable[Path | str] | None,
-) -> set[Path] | None:
-    if only_files is None:
-        return None
-    return {Path(p).resolve() for p in only_files}
-
-
 def lint_paths(
     paths: Iterable[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    only_files: Iterable[Path | str] | None = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with the active rule set.
-
-    ``only_files`` restricts the run to the named files (the
-    ``--changed`` incremental mode); files under ``paths`` but outside
-    the set are neither parsed nor counted.
-    """
+    """Lint every Python file under ``paths`` with the active rule set."""
     rules = resolve_rules(select=select, ignore=ignore)
     report = LintReport(rules=rules)
-    wanted = _resolve_only(only_files)
     for path in iter_python_files(Path(p) for p in paths):
-        if wanted is not None and path.resolve() not in wanted:
-            continue
         report.files_checked += 1
         report.violations.extend(lint_file(path, rules))
     report.violations.sort()
@@ -169,16 +149,9 @@ def lint_project(
     paths: Iterable[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    only_files: Iterable[Path | str] | None = None,
 ) -> LintReport:
-    """File rules plus the P-series whole-program rules over one tree.
-
-    With ``only_files`` (the ``--changed`` incremental mode) the file
-    rules run over just those files and project-rule violations outside
-    them are dropped, but the *index* still covers the whole tree —
-    whole-program facts (layering, call graphs, numeric domains) are
-    only correct when built from everything.
-    """
+    """File rules plus the P-series whole-program rules over one tree."""
+    from .program.callgraph import get_call_graph
     from .program.context import ProgramContext
 
     path_list = [Path(p) for p in paths]
@@ -186,11 +159,8 @@ def lint_project(
         select=select, ignore=ignore
     )
     report = LintReport(rules=file_rules, project_rules=project_rules)
-    wanted = _resolve_only(only_files)
     started = time.perf_counter()
     for path in iter_python_files(path_list):
-        if wanted is not None and path.resolve() not in wanted:
-            continue
         report.files_checked += 1
         report.violations.extend(lint_file(path, file_rules))
     report.timings["file_rules"] = time.perf_counter() - started
@@ -217,9 +187,13 @@ def lint_project(
     )
     report.timings["program_index"] = time.perf_counter() - started
 
-    if any(r.rule_id in _NUMERIC_RULE_IDS for r in project_rules):
-        # Pre-warm the shared numeric dataflow index so each numeric
-        # pass's timing measures the pass itself, not the build.
+    # Pre-warm the shared indices so each pass's timing measures the
+    # pass itself, not the build.
+    started = time.perf_counter()
+    get_call_graph(program)
+    report.timings["call_graph"] = time.perf_counter() - started
+    if any(r.rule_id == "P14" for r in project_rules):
+        # only P14 reads the value-domain index (program/numflow.py)
         from .program.numflow import get_numeric_index
 
         started = time.perf_counter()
@@ -229,8 +203,6 @@ def lint_project(
     for rule_obj in project_rules:
         started = time.perf_counter()
         for v_path, line, col, message in rule_obj.run(program):
-            if wanted is not None and Path(v_path).resolve() not in wanted:
-                continue
             info = program.module_at(Path(v_path))
             if info is not None and info.ctx.suppressions.is_suppressed(
                 rule_obj.rule_id, line

@@ -24,14 +24,6 @@ so occurrences inside string literals are ignored):
     on the event loop, with the justification the reviewer needs (e.g.
     "closed-form estimator, sub-ms at live pool scale").  A non-empty
     reason is mandatory — the bare marker does not suppress.
-
-``# domain: <log|linear> <reason>``
-    Pins the numeric value-domain the numflow index infers for the
-    statement on (or directly below) the comment's line.  The numeric
-    passes (P11/P12) trust the annotation over inference — e.g. the
-    ``return 0.0`` arm of ``log_binomial`` *is* a log-probability
-    (``log 1 = 0``), which provenance alone cannot see.  A non-empty
-    reason is mandatory — the bare marker does not pin anything.
 """
 
 from __future__ import annotations
@@ -47,9 +39,6 @@ _DISABLE_RE = re.compile(
 )
 _SENTINEL_RE = re.compile(r"#\s*exact-sentinel:\s*(?P<reason>\S.*)")
 _LOOP_SAFE_RE = re.compile(r"#\s*event-loop-safe:\s*(?P<reason>\S.*)")
-_DOMAIN_RE = re.compile(
-    r"#\s*domain:\s*(?P<domain>log|linear)\b\s+(?P<reason>\S.*)"
-)
 
 
 @dataclass
@@ -65,9 +54,6 @@ class Suppressions:
     standalone_sentinels: set[int] = field(default_factory=set)
     loop_safe_lines: set[int] = field(default_factory=set)
     standalone_loop_safe: set[int] = field(default_factory=set)
-    #: line -> pinned value domain ("log" / "linear"); reason mandatory
-    domain_lines: dict[int, str] = field(default_factory=dict)
-    standalone_domains: set[int] = field(default_factory=set)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         if rule_id in self.file_level:
@@ -92,19 +78,6 @@ class Suppressions:
             line in self.loop_safe_lines
             or (line - 1) in self.standalone_loop_safe
         )
-
-    def domain_at(self, line: int) -> str | None:
-        """The pinned value domain covering ``line``, if any.
-
-        A ``# domain: <log|linear> <reason>`` marker covers its own line
-        and, when it stands alone, the line below it.
-        """
-        if line in self.domain_lines:
-            return self.domain_lines[line]
-        prev = line - 1
-        if prev in self.standalone_domains:
-            return self.domain_lines.get(prev)
-        return None
 
 
 def parse_suppressions(source: str) -> Suppressions:
@@ -143,9 +116,4 @@ def parse_suppressions(source: str) -> Suppressions:
             sup.loop_safe_lines.add(line_no)
             if standalone:
                 sup.standalone_loop_safe.add(line_no)
-        domain = _DOMAIN_RE.search(text)
-        if domain is not None:
-            sup.domain_lines[line_no] = domain.group("domain")
-            if standalone:
-                sup.standalone_domains.add(line_no)
     return sup

@@ -16,8 +16,8 @@ shuffle round becomes a span tree::
 
 Clocks are **explicit**: the recorder never reads wall-clock time on
 its own.  The cloud simulation passes sim-time (``lambda: ctx.now``) so
-traces line up with the DES timeline and reprolint's P4 wall-clock ban
-stays satisfied; the live service passes ``time.monotonic``.  The
+traces line up with the DES timeline and no wall-clock read enters
+the simulation; the live service passes ``time.monotonic``.  The
 default is a zero clock — a recorder built without a clock still nests
 and orders correctly, it just measures no durations.
 

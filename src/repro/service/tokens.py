@@ -25,8 +25,8 @@ signal, the observable the whole control loop feeds on:
 
 All take an injectable monotonic ``clock`` so unit tests can drive
 them deterministically; the service itself runs them on
-``time.monotonic`` (the ``service`` layer is exempt from the simulator
-wall-clock ban — see the P4 rule scope in reprolint).
+``time.monotonic`` (in the ``service`` layer wall-clock time *is* the
+clock).
 """
 
 from __future__ import annotations

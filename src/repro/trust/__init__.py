@@ -22,7 +22,7 @@ al.) and the durability the restart/failover path needs:
 Layering: stdlib + numpy + :mod:`repro.obs` only (contract P1), so
 the live service and the simulators can both embed it.  The layer
 never reads a clock — callers inject ``now`` (wall-clock in service,
-sim-time in cloudsim; reprolint P2/P4 apply).
+sim-time in cloudsim; reprolint P2 applies).
 """
 
 from __future__ import annotations

@@ -598,7 +598,7 @@ class TestAttackedCountBitIdentity:
         n_bots = min(n_bots, n_clients)
         linear = attacked_count_pmf(sizes, n_clients, n_bots)
         logged = attacked_count_log_pmf(sizes, n_clients, n_bots)
-        # domain: log — compare in linear space.  The two routes order
+        # Compare in linear space.  The two routes order
         # the arithmetic differently (logaddexp vs linear multiply-add)
         # and tiny linear cells lose relative precision to cancellation,
         # so the pin is rtol on the meaningful mass + small atol.

@@ -45,7 +45,7 @@ shards = []
 for lo in range(0, 5000, 1000):
     shard = CountMinSketch(width=136, depth=5)
     for key in keys[lo:lo + 1000]:
-        shard.add_digest(key_digest(key))
+        shard.add_at(shard.positions(key_digest(key)))
     shards.append(shard)
 rng.shuffle(shards)
 merged = CountMinSketch.merge_all(shards)

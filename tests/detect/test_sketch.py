@@ -192,7 +192,7 @@ class TestStateAndValidation:
         digest = key_digest("probe")
         assert a.positions(digest) != b.positions(digest)
 
-    def test_add_digest_returns_the_new_estimate(self):
+    def test_add_at_returns_the_new_estimate(self):
         """Callers use the return value instead of querying again, so
         it must be exactly what ``estimate_at`` would say next —
         through collisions, weighted adds and a merge (which must keep
@@ -203,10 +203,10 @@ class TestStateAndValidation:
         for step in range(5_000):
             if step == 2_500:
                 sketch = sketch.merge(sketch)
-            digest = rng.choice(digests)
+            positions = sketch.positions(rng.choice(digests))
             count = rng.randrange(0, 9)
-            assert sketch.add_digest(digest, count) == (
-                sketch.estimate_at(sketch.positions(digest))
+            assert sketch.add_at(positions, count) == (
+                sketch.estimate_at(positions)
             )
         assert np.shares_memory(sketch.counts, sketch._flat)
 

@@ -1,4 +1,4 @@
-"""Unit tests for the whole-program passes (P1-P14).
+"""Unit tests for the whole-program passes (the P-series).
 
 Each test materialises a minimal ``repro``-shaped package under
 ``tmp_path`` and runs :func:`repro.devtools.lint_project` with
@@ -553,53 +553,6 @@ class TestP3UnorderedIteration:
         assert hits(tree, ["P3"]) == []
 
 
-class TestP4WallClock:
-    def test_time_read_in_simulator_is_flagged(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            PKG
-            | {
-                "repro/cloudsim/clock.py": """\
-                import time
-
-                def stamp():
-                    return time.time()
-                """,
-            },
-        )
-        assert hits(tree, ["P4"]) == ["P4 clock.py:4"]
-
-    def test_from_import_alias_is_caught(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            PKG
-            | {
-                "repro/sim/model.py": """\
-                from time import perf_counter as tick
-
-                def stamp():
-                    return tick()
-                """,
-            },
-        )
-        assert hits(tree, ["P4"]) == ["P4 model.py:4"]
-
-    def test_wall_clock_outside_simulator_is_allowed(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            PKG
-            | {
-                "repro/experiments/bench.py": """\
-                import time
-
-                def stamp():
-                    return time.time()
-                """,
-            },
-        )
-        assert hits(tree, ["P4"]) == []
-
-
 class TestP5DeadExports:
     def test_broken_and_dead_exports(self, tmp_path):
         tree = build_tree(
@@ -822,87 +775,6 @@ class TestP6AsyncBlocking:
             },
         )
         assert hits(tree, ["P6"]) == []
-
-
-class TestP7OrphanCoroutines:
-    def test_discarded_create_task_handle(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/service/worker.py": """\
-                import asyncio
-
-                async def job():
-                    return 1
-
-                async def boot():
-                    asyncio.create_task(job())
-                """,
-            },
-        )
-        found = hits(tree, ["P7"])
-        assert found == ["P7 worker.py:7"], found
-
-    def test_retained_handle_is_clean(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/service/worker.py": """\
-                import asyncio
-
-                async def job():
-                    return 1
-
-                async def boot():
-                    task = asyncio.create_task(job())
-                    await task
-                """,
-            },
-        )
-        assert hits(tree, ["P7"]) == []
-
-    def test_done_callback_chain_is_clean(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/service/worker.py": """\
-                import asyncio
-
-                async def job():
-                    return 1
-
-                def report(task):
-                    task.exception()
-
-                async def boot():
-                    asyncio.create_task(job()).add_done_callback(report)
-                """,
-            },
-        )
-        assert hits(tree, ["P7"]) == []
-
-    def test_bare_coroutine_call_never_awaited(self, tmp_path):
-        tree = build_tree(
-            tmp_path,
-            SERVICE_PKG
-            | {
-                "repro/service/worker.py": """\
-                async def job():
-                    return 1
-
-                async def boot():
-                    job()
-
-                async def fine():
-                    await job()
-                """,
-            },
-        )
-        found = hits(tree, ["P7"])
-        assert found == ["P7 worker.py:5"], found
 
 
 RACE_HEADER = """\
@@ -1226,309 +1098,6 @@ class TestGraphExports:
         assert set(payload["contract"]) >= {"core", "sim", "cloudsim"}
         names = {m["name"] for m in payload["modules"]}
         assert "repro.sim.model" in names
-
-
-class TestP11LogDomainConfusion:
-    def _tree(self, tmp_path, body: str, layer: str = "core"):
-        return build_tree(
-            tmp_path, PKG | {f"repro/{layer}/alg.py": body}
-        )
-
-    def test_log_plus_linear_addition_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                return lp + 0.5
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_linear_minus_log_subtraction_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                return 0.5 - lp
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_log_times_linear_product_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.log(n)
-                return lp * 0.25
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_log_vs_linear_comparison_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> bool:
-                lp = math.lgamma(n + 1)
-                return lp > 0.5
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_sum_over_log_probabilities_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(xs) -> float:
-                logs = np.log(xs)
-                return sum(logs)
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_method_sum_over_log_array_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(xs) -> float:
-                logs = np.log(xs)
-                return logs.sum()
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_unclamped_exp_of_log_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                p = math.exp(lp)
-                return min(1.0, p)
-            """,
-        )
-        assert hits(tree, ["P11"]) == ["P11 alg.py:5"]
-
-    def test_exp_of_log_ratio_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int, k: int) -> float:
-                la = math.lgamma(n + 1)
-                lb = math.lgamma(k + 1)
-                return min(1.0, math.exp(la - lb))
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-    def test_exp_clamped_by_min_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                return min(1.0, math.exp(lp))
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-    def test_exp_clamped_by_clip_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(xs) -> float:
-                logs = np.log(xs)
-                return np.clip(np.exp(logs), 0.0, 1.0)
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-    def test_log_plus_log_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int, k: int) -> float:
-                la = math.lgamma(n + 1)
-                lb = math.lgamma(k + 1)
-                return la + lb
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-    def test_disable_comment_suppresses(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                return lp + 0.5  # reprolint: disable=P11
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-    def test_domain_linear_annotation_corrects_inference(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                # domain: linear calibrated weight, not a log-probability
-                w = math.lgamma(n + 1)
-                return w + 0.5
-            """,
-        )
-        assert hits(tree, ["P11"]) == []
-
-
-class TestP12ProbabilityRangeEscape:
-    def _tree(self, tmp_path, body: str, layer: str = "core"):
-        files = PKG | {f"repro/{layer}/alg.py": body}
-        if layer not in ("core", "sim", "cloudsim", "experiments"):
-            files = files | {f"repro/{layer}/__init__.py": ""}
-        return build_tree(tmp_path, files)
-
-    RAW_RETURN = """\
-    import math
-
-    def f(n: int) -> float:
-        lp = math.lgamma(n + 1)
-        return math.exp(lp)  # reprolint: disable=P11
-    """
-
-    def test_unclamped_exp_return_in_core_fires(self, tmp_path):
-        tree = self._tree(tmp_path, self.RAW_RETURN)
-        assert hits(tree, ["P12"]) == ["P12 alg.py:5"]
-
-    def test_unclamped_exp_return_in_sim_fires(self, tmp_path):
-        tree = self._tree(tmp_path, self.RAW_RETURN, layer="sim")
-        assert hits(tree, ["P12"]) == ["P12 alg.py:5"]
-
-    def test_experiments_layer_is_exempt(self, tmp_path):
-        tree = self._tree(tmp_path, self.RAW_RETURN, layer="experiments")
-        assert hits(tree, ["P12"]) == []
-
-    def test_min_clamp_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                return min(1.0, math.exp(lp))
-            """,
-        )
-        assert hits(tree, ["P12"]) == []
-
-    def test_np_clip_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(xs) -> float:
-                logs = np.log(xs)
-                return np.clip(np.exp(logs), 0.0, 1.0)
-            """,
-        )
-        assert hits(tree, ["P12"]) == []
-
-    def test_domain_linear_annotation_excuses_return(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                # domain: linear validated upstream by construction
-                return math.exp(lp)  # reprolint: disable=P11
-            """,
-        )
-        assert hits(tree, ["P12"]) == []
-
-    def test_bare_domain_marker_without_reason_still_fires(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                # domain: linear
-                return math.exp(lp)  # reprolint: disable=P11
-            """,
-        )
-        assert hits(tree, ["P12"]) == ["P12 alg.py:6"]
-
-    def test_interprocedural_raw_summary_fires_at_caller(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def _helper(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                # reprolint: disable=P11, P12
-                return math.exp(lp)
-
-            def f(n: int) -> float:
-                return _helper(n)
-            """,
-        )
-        assert hits(tree, ["P12"]) == ["P12 alg.py:9"]
-
-    def test_disable_comment_suppresses(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import math
-
-            def f(n: int) -> float:
-                lp = math.lgamma(n + 1)
-                # reprolint: disable=P11, P12
-                return math.exp(lp)
-            """,
-        )
-        assert hits(tree, ["P12"]) == []
-
-    def test_plain_probability_constant_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            def f() -> float:
-                return 0.5
-            """,
-        )
-        assert hits(tree, ["P12"]) == []
 
 
 class TestP13NumericStability:

@@ -1,5 +1,5 @@
 """CLI behaviour of ``repro-lint --project``: rule selection, graph
-export, ``--changed``, and the SARIF code-scanning reporter."""
+export, and the SARIF code-scanning reporter."""
 
 from __future__ import annotations
 
@@ -126,7 +126,6 @@ def test_list_rules_includes_project_catalogue(capsys):
         ("P1", "import-layering"),
         ("P2", "rng-provenance"),
         ("P3", "unordered-iteration"),
-        ("P4", "no-wall-clock"),
         ("P5", "dead-export"),
     ]:
         assert rule_id in out
@@ -147,12 +146,26 @@ def test_project_mode_without_package_root_reports(tmp_path, capsys):
 
 
 def test_project_report_carries_stage_timings(tree):
-    report = lint_project([tree], select=["P3", "P11"])
-    for key in ("file_rules", "program_index", "numeric_index",
-                "pass_P3", "pass_P11"):
+    report = lint_project([tree], select=["P3", "P14"])
+    for key in ("file_rules", "program_index", "call_graph",
+                "numeric_index", "pass_P3", "pass_P14"):
         assert key in report.timings
         assert report.timings[key] >= 0.0
     assert json.loads(render_json(report))["timings"] == report.timings
+
+
+def test_call_graph_is_built_once_per_run(tree, monkeypatch):
+    from repro.devtools.program import callgraph
+
+    built = []
+    build = callgraph.build_call_graph
+    monkeypatch.setattr(
+        callgraph,
+        "build_call_graph",
+        lambda program: built.append(program) or build(program),
+    )
+    lint_project([tree])
+    assert len(built) == 1
 
 
 def test_numeric_index_timing_only_for_numeric_passes(tree):
@@ -172,7 +185,7 @@ def test_json_rules_carry_suppression_help(tree, capsys):
 
 def test_sarif_help_includes_pass_specific_markers(tree, capsys):
     assert main(
-        ["--project", "--select", "P6,P11,P12", "--format", "sarif",
+        ["--project", "--select", "P6,P13", "--format", "sarif",
          str(tree)]
     ) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -181,84 +194,5 @@ def test_sarif_help_includes_pass_specific_markers(tree, capsys):
         for r in payload["runs"][0]["tool"]["driver"]["rules"]
     }
     assert "# event-loop-safe: <reason>" in helps["P6"]
-    assert "# domain: <log|linear> <reason>" in helps["P11"]
-    assert "# domain: <log|linear> <reason>" in helps["P12"]
-    assert "# reprolint: disable=P11" in helps["P11"]
-
-
-# ----------------------------------------------------------------------
-# --changed incremental mode
-# ----------------------------------------------------------------------
-R8_VIOLATION = (
-    "from __future__ import annotations\n\n\n"
-    "def f() -> None:\n    print('x')\n"
-)
-
-
-def _git(cwd: Path, *args: str) -> None:
-    import subprocess
-
-    subprocess.run(
-        [
-            "git",
-            "-c", "user.email=ci@example.invalid",
-            "-c", "user.name=ci",
-            *args,
-        ],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
-    )
-
-
-@pytest.fixture
-def git_tree(tree: Path, tmp_path: Path, monkeypatch) -> Path:
-    monkeypatch.chdir(tmp_path)
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "--no-verify", "-m", "seed")
-    return tree
-
-
-def test_changed_lints_only_modified_files(git_tree, tmp_path, capsys):
-    # Two violating files: one committed (unchanged), one fresh.
-    steady = git_tree / "core" / "steady.py"
-    steady.write_text(R8_VIOLATION, encoding="utf-8")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-q", "--no-verify", "-m", "add steady")
-    touched = git_tree / "core" / "touched.py"
-    touched.write_text(R8_VIOLATION, encoding="utf-8")
-    assert main(["--changed=HEAD", "--select", "R8", str(git_tree)]) == 1
-    out = capsys.readouterr().out
-    assert "touched.py" in out
-    assert "steady.py" not in out
-    assert "1 files" in out
-
-
-def test_changed_project_scope_reports_only_changed_files(
-    git_tree, capsys
-):
-    # comp.py's P3 violation is committed and untouched; an identical
-    # fresh violation appears in a new file.  Only the new one reports,
-    # even though the whole-tree index saw both.
-    fresh = git_tree / "cloudsim" / "fresh.py"
-    fresh.write_text(
-        DIRTY_COMP.replace("class Comp", "class Fresh"), encoding="utf-8"
-    )
-    assert main(
-        ["--project", "--select", "P3", "--changed=HEAD", str(git_tree)]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "fresh.py" in out
-    assert "comp.py" not in out
-
-
-def test_changed_with_no_changes_exits_zero(git_tree, capsys):
-    assert main(["--changed=HEAD", "--select", "R8", str(git_tree)]) == 0
-    assert "0 violations in 0 files" in capsys.readouterr().out
-
-
-def test_changed_with_unknown_ref_is_usage_error(git_tree):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--changed=not-a-ref", str(git_tree)])
-    assert excinfo.value.code == 2
+    assert "# reprolint: disable=P13" in helps["P13"]
+    assert "justify" not in helps["P13"]

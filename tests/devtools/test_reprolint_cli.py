@@ -42,9 +42,7 @@ def test_json_format_is_parseable(tree, capsys):
     assert payload["ok"] is False
     assert payload["files_checked"] == 2
     assert [v["rule"] for v in payload["violations"]] == ["R1"]
-    assert {r["id"] for r in payload["rules"]} == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-    }
+    assert {r["id"] for r in payload["rules"]} == {"R1", "R3", "R5", "R6"}
 
 
 def test_select_limits_active_rules(tree, capsys):
@@ -73,8 +71,8 @@ def test_list_rules_catalogue(capsys):
     out = capsys.readouterr().out
     for rule_id, slug in [
         ("R1", "no-unseeded-rng"),
-        ("R2", "log-space-combinatorics"),
-        ("R8", "no-print-in-library"),
+        ("R3", "no-float-equality"),
+        ("R6", "core-api-annotations"),
     ]:
         assert rule_id in out
         assert slug in out

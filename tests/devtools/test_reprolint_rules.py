@@ -1,4 +1,4 @@
-"""Unit tests for every built-in reprolint rule (R1-R8).
+"""Unit tests for every built-in reprolint file rule (R1, R3, R5, R6).
 
 Each test materialises a minimal module in a ``repro/...`` directory
 under ``tmp_path`` (the rules scope themselves by package location) and
@@ -106,62 +106,6 @@ class TestR1UnseededRNG:
         assert hits == []
 
 
-class TestR2LogSpaceCombinatorics:
-    def test_flags_math_comb_in_core(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "import math\nx = math.comb(150_000, 75_000)\n",
-            select=["R2"],
-        )
-        assert hits == ["R2 3"]
-
-    def test_flags_imported_factorial_and_its_call(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            from math import factorial
-
-            def f(n: int) -> int:
-                return factorial(n)
-            """,
-            select=["R2"],
-        )
-        assert hits == ["R2 2", "R2 5"]
-
-    def test_flags_scipy_special_comb(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + "from scipy import special\nx = special.comb(10, 3)\n",
-            select=["R2"],
-        )
-        assert hits == ["R2 3"]
-
-    def test_outside_core_is_exempt(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "import math\nx = math.comb(10, 3)\n",
-            rel="repro/experiments/mod.py",
-            select=["R2"],
-        )
-        assert hits == []
-
-    def test_local_factorial_name_is_clean(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            def factorial(n: int) -> int:
-                return 1 if n < 2 else n * factorial(n - 1)
-
-            x = factorial(3)
-            """,
-            select=["R2"],
-        )
-        assert hits == []
-
-
 class TestR3FloatEquality:
     def test_flags_equality_with_float_literal(self, tmp_path):
         hits = lint_snippet(
@@ -237,28 +181,6 @@ class TestR3FloatEquality:
         assert hits == []
 
 
-class TestR4MutableDefaults:
-    def test_flags_list_dict_set_defaults(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            def f(a=[], b={}, *, c=set()):
-                return a, b, c
-            """,
-            select=["R4"],
-        )
-        assert [h.split()[0] for h in hits] == ["R4", "R4", "R4"]
-
-    def test_none_default_is_clean(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "def f(a=None, b=(), c=0):\n    return a, b, c\n",
-            select=["R4"],
-        )
-        assert hits == []
-
-
 class TestR5FutureAnnotations:
     def test_flags_missing_future_import(self, tmp_path):
         hits = lint_snippet(tmp_path, "x = 1\n", select=["R5"])
@@ -319,73 +241,6 @@ class TestR6CoreAnnotations:
         assert hits == []
 
 
-class TestR7PaperSymbols:
-    def test_flags_alias_parameters(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            def plan(num_clients: int, nbots: int, n_replicas: int) -> int:
-                return num_clients
-            """,
-            select=["R7"],
-        )
-        assert [h.split()[0] for h in hits] == ["R7", "R7"]
-
-    def test_canonical_and_plural_names_clean(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            def sweep(
-                n_clients: int,
-                bot_counts: tuple[int, ...],
-                replica_counts: tuple[int, ...],
-            ) -> int:
-                return n_clients
-            """,
-            select=["R7"],
-        )
-        assert hits == []
-
-
-class TestR8NoPrint:
-    def test_flags_print_in_library(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "def f() -> None:\n    print('hi')\n",
-            rel="repro/cloudsim/mod.py",
-            select=["R8"],
-        )
-        assert hits == ["R8 3"]
-
-    def test_experiments_and_devtools_exempt(self, tmp_path):
-        for rel in ("repro/experiments/mod.py", "repro/devtools/mod.py"):
-            hits = lint_snippet(
-                tmp_path,
-                HEADER + "print('cli output')\n",
-                rel=rel,
-                select=["R8"],
-            )
-            assert hits == []
-
-    def test_print_in_docstring_is_clean(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + '''\
-            def f() -> None:
-                """Example::
-
-                    print("docs only")
-                """
-            ''',
-            rel="repro/sim/mod.py",
-            select=["R8"],
-        )
-        assert hits == []
-
-
 class TestSuppressions:
     def test_line_disable_comment(self, tmp_path):
         hits = lint_snippet(
@@ -428,9 +283,9 @@ class TestSuppressions:
 
 
 class TestFramework:
-    def test_eight_builtin_rules_registered(self):
+    def test_four_builtin_rules_registered(self):
         ids = [r.rule_id for r in all_rules()]
-        assert ids == ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"]
+        assert ids == ["R1", "R3", "R5", "R6"]
 
     def test_resolve_rules_rejects_unknown_ids(self):
         import pytest
