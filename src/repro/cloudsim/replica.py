@@ -96,12 +96,7 @@ class ReplicaServer:
         cfg = ctx.config
         self.traffic = SketchWindow(
             cfg.detect_window,
-            params=SketchParams(
-                epsilon=cfg.detect_epsilon,
-                delta=cfg.detect_delta,
-                top_k=cfg.detect_top_k,
-            ),
-            epochs=cfg.detect_epochs,
+            params=SketchParams(epsilon=cfg.detect_epsilon),
         )
         self.stats = ReplicaStats()
         self.shuffling = False  # currently part of a shuffle operation

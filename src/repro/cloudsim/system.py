@@ -65,9 +65,6 @@ class CloudConfig:
     # population size — the piece that keeps million-client runs flat.
     detect_window: float = 4.0  # sliding window (sim-seconds)
     detect_epsilon: float = 0.02  # count-min additive error budget
-    detect_delta: float = 0.01  # count-min failure probability
-    detect_top_k: int = 8  # heavy-hitter summary capacity
-    detect_epochs: int = 4  # window ring cells
     # per-client trust profiles (repro.trust): graduated admission
     # ladder mirrored from the live service; off by default so the
     # historical simulation dynamics are untouched.
@@ -91,8 +88,6 @@ class CloudConfig:
             raise ValueError("need at least one shuffle replica")
         if self.detect_window <= 0:
             raise ValueError("detect_window must be > 0")
-        if self.detect_top_k < 1 or self.detect_epochs < 1:
-            raise ValueError("detect_top_k and detect_epochs must be >= 1")
 
 
 class CloudContext:

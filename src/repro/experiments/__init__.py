@@ -15,7 +15,9 @@ Drivers: ``fig3`` (greedy vs DP), ``fig4`` (greedy vs even), ``fig5``
 (DP runtime), ``fig6`` (greedy runtime), ``fig7`` (MLE accuracy),
 ``fig8`` (shuffles vs bots), ``fig9`` (shuffles vs replicas), ``fig10``
 (cumulative saving), ``fig12`` (migration latency), ``headline``
-(the abstract's 60-shuffle claim).
+(the abstract's 60-shuffle claim), ``ablations`` (design questions
+beyond the paper).  ``python -m repro.experiments`` (installed as
+``repro-experiments``) is the one command-line entry point.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ def _planner_ablation(
          for planner in planners],
         repetitions=repetitions,
         seed=11,
-        spawn_seeds=False,
         workers=jobs,
     )
     return dict(zip(planners, results))
@@ -74,7 +73,6 @@ def _estimator_ablation(
          for estimator in estimators],
         repetitions=repetitions,
         seed=13,
-        spawn_seeds=False,
         workers=jobs,
     )
     return dict(zip(estimators, results))
@@ -176,11 +174,3 @@ def render_ablations(results: AblationResults) -> str:
               "scale (80% of 50K benign vs 100K bots)",
     ))
     return "\n\n".join(sections)
-
-
-def main() -> None:
-    print(render_ablations(run_ablations(repetitions=3)))
-
-
-if __name__ == "__main__":
-    main()

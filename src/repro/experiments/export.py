@@ -5,17 +5,17 @@ the tables show, as JSON, so plots can be regenerated with any external
 tool.  The converter handles the library's result types generically:
 dataclasses become objects, :class:`~repro.sim.stats.SampleSummary`
 becomes ``{mean, half_width, n, confidence}``, numpy scalars become
-numbers.
+numbers and NaN (plain or numpy) becomes ``null``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any
 
 import numpy as np
 
+from ..obs.export import export_json
 from ..sim.stats import SampleSummary
 
 __all__ = ["to_jsonable", "dump_json"]
@@ -45,17 +45,13 @@ def to_jsonable(value: Any) -> Any:
         return [to_jsonable(item) for item in value]
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return None if value != value else float(value)  # NaN is not JSON
     if isinstance(value, np.ndarray):
         return [to_jsonable(item) for item in value.tolist()]
-    if isinstance(value, float) and value != value:  # NaN
-        return None
     return value
 
 
 def dump_json(results: dict[str, Any], path: str) -> None:
     """Write ``{experiment_name: rows}`` to ``path`` as indented JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(to_jsonable(results), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    export_json(to_jsonable(results), path)

@@ -50,7 +50,6 @@ def run_fig10(
         fig10_scenarios(),
         repetitions=repetitions,
         seed=seed,
-        spawn_seeds=False,
         workers=jobs,
     )
     curves = []
@@ -106,11 +105,3 @@ def chart_fig10(curves: list[Fig10Curve]) -> str:
         x_label="saved fraction",
         y_label="shuffles",
     )
-
-
-def main() -> None:
-    print(render_fig10(run_fig10(repetitions=5)))
-
-
-if __name__ == "__main__":
-    main()

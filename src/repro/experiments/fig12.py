@@ -100,11 +100,3 @@ def chart_fig12(rows: list[Fig12Row]) -> str:
         x_label="concurrent clients",
         y_label="seconds",
     )
-
-
-def main() -> None:
-    print(render_fig12(run_fig12()))
-
-
-if __name__ == "__main__":
-    main()

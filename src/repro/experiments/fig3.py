@@ -106,11 +106,3 @@ def render_fig3(rows: list[Fig3Row]) -> str:
     )
     worst_gap = max(row.gap for row in rows)
     return table + f"\n\nworst greedy-vs-optimal gap: {100 * worst_gap:.3f} points"
-
-
-def main() -> None:
-    print(render_fig3(run_fig3()))
-
-
-if __name__ == "__main__":
-    main()

@@ -96,11 +96,3 @@ def render_fig4(rows: list[Fig4Row]) -> str:
             f"{FIG4_CLIENTS} clients (paper: even collapses once M > P)"
         ),
     )
-
-
-def main() -> None:
-    print(render_fig4(run_fig4()))
-
-
-if __name__ == "__main__":
-    main()

@@ -123,11 +123,3 @@ def render_fig5(rows: list[Fig5Row]) -> str:
         f"\nextrapolated runtime at N=1000: {projected:,.0f} s"
         f" (~{projected / 3600:.1f} h; paper reports tens of hours)"
     )
-
-
-def main() -> None:
-    print(render_fig5(run_fig5()))
-
-
-if __name__ == "__main__":
-    main()

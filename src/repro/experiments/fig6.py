@@ -75,11 +75,3 @@ def render_fig6(rows: list[Fig6Row]) -> str:
     )
     worst = max(row.milliseconds for row in rows)
     return table + f"\n\nworst-case greedy time: {worst:.2f} ms"
-
-
-def main() -> None:
-    print(render_fig6(run_fig6()))
-
-
-if __name__ == "__main__":
-    main()

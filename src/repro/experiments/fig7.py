@@ -122,11 +122,3 @@ def render_fig7(rows: list[Fig7Row]) -> str:
             "accurate unless nearly all replicas attacked)"
         ),
     )
-
-
-def main() -> None:
-    print(render_fig7(run_fig7()))
-
-
-if __name__ == "__main__":
-    main()

@@ -16,8 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.scenarios import FIG8_BENIGN_COUNTS, FIG8_BOT_COUNTS
-from ..sim.shuffle_sim import ScenarioResult, ShuffleScenario
+from ..sim.scenarios import (
+    FIG8_BENIGN_COUNTS,
+    FIG8_BOT_COUNTS,
+    fig8_scenarios,
+)
+from ..sim.shuffle_sim import ScenarioResult
 from ..sim.stats import SampleSummary
 from ..sim.sweep import run_scenario_grid
 from .tables import render_table
@@ -46,26 +50,13 @@ def run_fig8(
 ) -> list[Fig8Row]:
     """Run the Figure 8 grid (shrink the grid or reps for quick runs).
 
-    ``jobs`` fans the grid out over worker processes; every cell keeps
-    the base seed it always had (``spawn_seeds=False``), so the numbers
-    are identical to the serial run for any job count.
+    ``jobs`` fans the grid out over worker processes; the numbers are
+    identical to the serial run for any job count.
     """
-    scenarios = [
-        ShuffleScenario(
-            benign=benign,
-            bots=bots,
-            n_replicas=1000,
-            target_fraction=target,
-        )
-        for benign in benign_counts
-        for target in targets
-        for bots in bot_counts
-    ]
     results = run_scenario_grid(
-        scenarios,
+        fig8_scenarios(bot_counts, benign_counts, targets),
         repetitions=repetitions,
         seed=seed,
-        spawn_seeds=False,
         workers=jobs,
     )
     return [
@@ -126,16 +117,3 @@ def chart_fig8(rows: list[Fig8Row]) -> str:
         x_label="persistent bots",
         y_label="shuffles",
     )
-
-
-def main() -> None:
-    # A trimmed grid keeps the CLI run interactive; benchmarks and
-    # EXPERIMENTS.md use the full grid.
-    rows = run_fig8(
-        bot_counts=(10_000, 50_000, 100_000), repetitions=5
-    )
-    print(render_fig8(rows))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.scenarios import FIG8_BENIGN_COUNTS, FIG9_REPLICA_COUNTS
-from ..sim.shuffle_sim import ScenarioResult, ShuffleScenario
+from ..sim.scenarios import (
+    FIG8_BENIGN_COUNTS,
+    FIG9_REPLICA_COUNTS,
+    fig9_scenarios,
+)
+from ..sim.shuffle_sim import ScenarioResult
 from ..sim.stats import SampleSummary
 from ..sim.sweep import run_scenario_grid
 from .tables import render_table
 
 __all__ = ["Fig9Row", "run_fig9", "render_fig9"]
-
-FIG9_BOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,22 +44,10 @@ def run_fig9(
 ) -> list[Fig9Row]:
     """Run the Figure 9 grid (``jobs`` fans out; numbers are identical
     to the serial run for any job count)."""
-    scenarios = [
-        ShuffleScenario(
-            benign=benign,
-            bots=FIG9_BOTS,
-            n_replicas=n_replicas,
-            target_fraction=target,
-        )
-        for benign in benign_counts
-        for target in targets
-        for n_replicas in replica_counts
-    ]
     results = run_scenario_grid(
-        scenarios,
+        fig9_scenarios(replica_counts, benign_counts, targets),
         repetitions=repetitions,
         seed=seed,
-        spawn_seeds=False,
         workers=jobs,
     )
     return [
@@ -117,14 +107,3 @@ def chart_fig9(rows: list[Fig9Row]) -> str:
         x_label="shuffling replicas",
         y_label="shuffles",
     )
-
-
-def main() -> None:
-    rows = run_fig9(
-        replica_counts=(900, 1200, 1600, 2000), repetitions=5
-    )
-    print(render_fig9(rows))
-
-
-if __name__ == "__main__":
-    main()

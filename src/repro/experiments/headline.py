@@ -63,11 +63,3 @@ def render_headline(headline: HeadlineResult) -> str:
             f"within 2x of paper: {headline.within_2x_of_paper}",
         ]
     )
-
-
-def main() -> None:
-    print(render_headline(run_headline()))
-
-
-if __name__ == "__main__":
-    main()

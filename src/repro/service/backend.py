@@ -133,10 +133,8 @@ class ReplicaBackend:
                 clock=clock,
                 params=SketchParams(
                     epsilon=config.sketch_epsilon,
-                    delta=config.sketch_delta,
                     top_k=config.sketch_top_k,
                 ),
-                epochs=config.sketch_epochs,
             )
         else:
             self.monitor = SaturationMonitor(

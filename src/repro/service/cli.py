@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 from typing import Sequence
 
 from .budget import shuffle_budget
 from .config import ServiceConfig
+from ..obs.export import export_json
 from ..obs.instruments import Instruments
 from .coordinator import ServiceCoordinator
 from .harness import run_scenario_sync
@@ -204,9 +204,7 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
             "shuffles credited)"
         )
     if options.json:
-        with open(options.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
+        export_json(report.to_dict(), options.json, sort_keys=False)
         print(f"  report written to {options.json}")
     if options.windows:
         export_windows(report.windows, options.windows)

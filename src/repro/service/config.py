@@ -58,10 +58,7 @@ class ServiceConfig:
             tracks per-client heavy hitters for the coordinator's
             confirmation sweep.
         sketch_epsilon: sketch additive-error budget ε (sketch mode).
-        sketch_delta: sketch failure probability δ (sketch mode).
         sketch_top_k: heavy-hitter summary capacity per replica.
-        sketch_epochs: ring cells per saturation window (temporal
-            resolution of the sketch window is ``window / epochs``).
         trust_enabled: enable per-client trust profiles and the
             graduated TRUSTED→WATCH→THROTTLED→DENIED admission ladder
             (:mod:`repro.trust`).  Off by default: the disabled path
@@ -93,9 +90,7 @@ class ServiceConfig:
     plan_bot_grid: tuple[int, ...] = (2, 5, 10, 20, 40, 80, 160)
     detector: str = "exact"
     sketch_epsilon: float = 0.02
-    sketch_delta: float = 0.01
     sketch_top_k: int = 8
-    sketch_epochs: int = 4
     trust_enabled: bool = False
     trust_prior_strength: float = 1.0
     state_backend: str = "memory"
@@ -118,12 +113,8 @@ class ServiceConfig:
             raise ValueError("detector must be 'exact' or 'sketch'")
         if not 0.0 < self.sketch_epsilon < 1.0:
             raise ValueError("sketch_epsilon must be within (0, 1)")
-        if not 0.0 < self.sketch_delta < 1.0:
-            raise ValueError("sketch_delta must be within (0, 1)")
         if self.sketch_top_k < 1:
             raise ValueError("sketch_top_k must be >= 1")
-        if self.sketch_epochs < 1:
-            raise ValueError("sketch_epochs must be >= 1")
         if self.trust_prior_strength < 0:
             raise ValueError("trust_prior_strength must be >= 0")
         kind = self.state_backend.partition(":")[0]

@@ -155,23 +155,17 @@ def _record_from_state(
 def run_scenario(
     scenario: ShuffleScenario,
     repetitions: int = 30,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int = 0,
     confidence: float = 0.99,
 ) -> ScenarioResult:
     """Run a scenario ``repetitions`` times (paper default: 30, 99% CI).
 
-    ``seed`` may be a ready-made :class:`~numpy.random.SeedSequence`
-    (e.g. a spawned child from a sweep) — an int is wrapped in one.
+    Run ``k`` draws from child ``k`` of ``SeedSequence(seed)``.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions={repetitions} must be >= 1")
-    seed_seq = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(seed)
-    )
     runs = []
-    for child in seed_seq.spawn(repetitions):
+    for child in np.random.SeedSequence(seed).spawn(repetitions):
         runs.append(run_scenario_once(scenario, np.random.default_rng(child)))
     shuffles = summarize(
         [run.n_shuffles for run in runs], confidence=confidence

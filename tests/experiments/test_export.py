@@ -26,6 +26,10 @@ class TestToJsonable:
 
     def test_nan_becomes_null(self):
         assert to_jsonable(float("nan")) is None
+        # np.float64 is a float subclass: its NaN must not pass through
+        # either, or the file gets the bare token NaN, which is not JSON.
+        assert to_jsonable(np.float64("nan")) is None
+        assert to_jsonable(np.float32("nan")) is None
 
     def test_dataclass_with_skipped_fields(self):
         from dataclasses import dataclass
@@ -55,8 +59,8 @@ class TestToJsonable:
 class TestDumpJson:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "out.json"
-        dump_json({"x": [1, 2, 3]}, str(path))
-        assert json.loads(path.read_text()) == {"x": [1, 2, 3]}
+        dump_json({"x": [1, 2, 3], "y": np.float64("nan")}, str(path))
+        assert json.loads(path.read_text()) == {"x": [1, 2, 3], "y": None}
 
 
 class TestCliIntegration:
