@@ -2,13 +2,15 @@
 
 Components map one-to-one onto Section III / Figure 1:
 
-- :mod:`~repro.cloudsim.engine` — the DES kernel (clock + event heap).
+- :mod:`~repro.cloudsim.engine` — the DES kernel: a clock and a heap of
+  ``(time, seq, action)`` tuples, run in ``(time, seq)`` order.
 - :mod:`~repro.cloudsim.network` — latency model, endpoints, load meters.
 - :mod:`~repro.cloudsim.dns` — round-robin DNS front door (steps 1-2).
 - :mod:`~repro.cloudsim.loadbalancer` — redirecting, sticky-session load
   balancers with re-entry memory (steps 3-4; Section VII).
 - :mod:`~repro.cloudsim.replica` — whitelist-enforcing replica servers
-  with finite bandwidth and compute (steps 5-6).
+  with finite bandwidth and compute (steps 5-6); a request is served in
+  one call that returns its service time, or ``None`` if refused.
 - :mod:`~repro.cloudsim.coordinator` — the coordination server: detection,
   replica instantiation, shuffle planning and execution.
 - :mod:`~repro.cloudsim.clients` — benign clients, persistent bots,
@@ -27,7 +29,7 @@ from .botnet import Botnet
 from .clients import BenignClient, ClientStats, OnOffBot, PersistentBot
 from .coordinator import Coordinator, ShuffleRecord
 from .dns import DnsServer
-from .engine import Event, SimulationError, Simulator
+from .engine import SimulationError, Simulator
 from .faults import ChaosMonkey
 from .loadbalancer import DomainDirectory, LoadBalancer
 from .metrics import MetricsCollector, QoSWindow, WindowSample
@@ -54,7 +56,6 @@ __all__ = [
     "DnsServer",
     "DomainDirectory",
     "Endpoint",
-    "Event",
     "LatencyModel",
     "LoadBalancer",
     "LoadMeter",

@@ -124,26 +124,27 @@ class BenignClient:
             self.join()
             return
         self.stats.requests_sent += 1
-        send_time = self.ctx.now
-        one_way = self.ctx.latency.one_way(
-            self.endpoint, replica.endpoint, self.ctx.rng
-        )
+        ctx = self.ctx
+        sim = ctx.sim
+        send_time = sim.now
+        one_way = ctx.latency.one_way(self.endpoint, replica.endpoint, ctx.rng)
 
         def arrive() -> None:
-            replica.handle_request(
-                self.client_id, self._request_work,
-                lambda served, service: self._on_processed(
-                    replica, served, service, send_time
-                ),
+            self._on_processed(
+                replica,
+                replica.handle_request(self.client_id, self._request_work),
+                send_time,
             )
 
-        self.ctx.sim.schedule(one_way, arrive)
-        self._schedule_next_request()
+        sim.schedule(one_way, arrive)
+        # _schedule_next_request(), inline: the client is active.
+        think = ctx.rng.exponential(self._think_time)
+        sim.schedule(max(1e-6, think), self.send_request)
 
     def _on_processed(
-        self, replica, served: bool, service_time: float, send_time: float
+        self, replica, service_time: float | None, send_time: float
     ) -> None:
-        if not served:
+        if service_time is None:
             # Failed-but-completed: the request still crossed the
             # network and reached the replica before being rejected or
             # dropped, so it carries a real measured duration — which
@@ -179,6 +180,7 @@ class BenignClient:
     def leave(self) -> None:
         """End the session."""
         self.active = False
+        self.ctx.sketch_keys.pop(self.client_id, None)
         if self.replica_endpoint is not None:
             replica = self.ctx.replica_at(self.replica_endpoint)
             if replica is not None:

@@ -7,56 +7,25 @@ requests, WebSocket pushes, replica boot-ups, bot floods — is scheduled
 through one :class:`Simulator` instance, which makes causality trivially
 auditable (tests assert the clock never runs backwards).
 
-A heap entry is the list ``[time, seq, action]``.  It is a list, not an
-ordered dataclass, so that every sift of :mod:`heapq` orders entries with
-the built-in lexicographic list comparison in C instead of calling a
-Python-level ``__lt__`` some 17 times per event.  ``seq`` is unique, so
-a comparison is always settled by ``(time, seq)`` and ``action`` — a
-callable, un-orderable — is never compared.
+A heap entry is the tuple ``(time, seq, action)``, so every sift of
+:mod:`heapq` orders entries with the built-in lexicographic tuple
+comparison in C.  ``seq`` is unique, so a comparison is always settled
+by ``(time, seq)`` and ``action`` — a callable, un-orderable — is never
+compared.  An event cannot be cancelled: a component that may have to
+abandon a callback checks its own state when the callback fires.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Callable
 
-__all__ = ["Event", "Simulator", "SimulationError"]
+__all__ = ["Simulator", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
     """Raised on scheduling misuse (negative delays, running twice, ...)."""
-
-
-class Event(list):
-    """A scheduled callback, laid out as ``[time, seq, action]``.
-
-    Ordering is by ``(time, seq)``; the monotonically increasing sequence
-    number makes simultaneous events FIFO and the heap ordering total,
-    and being unique it keeps list comparison from ever reaching
-    ``action``.  The entry stays a plain list (``__slots__ = ()``, no
-    ``__lt__``) so the heap orders it in C; ``action`` is ``None`` once
-    cancelled.  Callers hold an ``Event`` only to :meth:`cancel` it or to
-    read the properties below.
-    """
-
-    __slots__ = ()
-
-    @property
-    def time(self) -> float:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the heap, inert)."""
-        self[2] = None
 
 
 class Simulator:
@@ -70,7 +39,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self.now: float = 0.0
         self._events_processed = 0
@@ -78,33 +47,33 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far (for tests and reports)."""
+        """Number of events executed so far (for tests and reports);
+        a call to :meth:`run_until` adds its own count when it returns."""
         return self._events_processed
 
     @property
     def pending_events(self) -> int:
-        """Events still in the heap (including cancelled tombstones)."""
+        """Events still in the heap."""
         return len(self._queue)
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay}")
-        event = Event((self.now + delay, next(self._seq), action))
-        heapq.heappush(self._queue, event)
-        return event
+        heappush(self._queue, (self.now + delay, next(self._seq), action))
 
-    def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` at an absolute simulation time."""
-        return self.schedule(time - self.now, action)
+        self.schedule(time - self.now, action)
 
     def run_until(self, end_time: float, max_events: int | None = None) -> None:
         """Process events in order until the clock passes ``end_time``.
 
         Args:
-            end_time: absolute simulation time to stop at; the clock is
-                advanced to exactly ``end_time`` when the queue drains or
-                the next event lies beyond it.
+            end_time: absolute simulation time to stop at; a finite
+                ``end_time`` leaves the clock at exactly ``end_time``
+                when the queue drains or the next event lies beyond it.
+                An infinite one leaves it at the last event executed.
             max_events: optional hard cap on the events *this call* may
                 execute, a guard against accidental event storms in
                 tests.  Raises only if a further event is still due at
@@ -113,64 +82,30 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        queue = self._queue
+        processed = 0
         try:
-            queue = self._queue
-            limit = (
-                None if max_events is None
-                else self._events_processed + max_events
-            )
-            while queue:
-                time, _, action = queue[0]
-                if time > end_time:
-                    break
-                if action is None:  # cancelled tombstone
-                    heapq.heappop(queue)
-                    continue
-                if self._events_processed == limit:
+            while queue and queue[0][0] <= end_time:
+                if processed == max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events} "
                         f"(simulation runaway at t={self.now:.3f})"
                     )
-                heapq.heappop(queue)
+                time, _, action = heappop(queue)
                 if time < self.now:
                     raise SimulationError(
                         f"time went backwards: {time} < {self.now}"
                     )
                 self.now = time
-                self._events_processed += 1
+                processed += 1
                 action()
-            self.now = max(self.now, end_time)
+            if end_time < float("inf"):
+                self.now = max(self.now, end_time)
         finally:
+            self._events_processed += processed
             self._running = False
 
     def run(self, max_events: int = 1_000_000) -> None:
-        """Drain the queue completely (bounded by ``max_events``)."""
+        """Drain the queue completely (bounded by ``max_events``); the
+        clock stays at the last event executed."""
         self.run_until(float("inf"), max_events=max_events)
-
-
-def every(
-    sim: Simulator,
-    interval: float,
-    action: Callable[[], None],
-    jitter: Callable[[], float] | None = None,
-) -> Callable[[], None]:
-    """Schedule ``action`` periodically; returns a stop function.
-
-    ``jitter`` (if given) returns an extra delay added to each interval —
-    used to desynchronize client request loops.
-    """
-    stopped = False
-
-    def tick() -> None:
-        if stopped:
-            return
-        action()
-        delay = interval + (jitter() if jitter is not None else 0.0)
-        sim.schedule(max(1e-9, delay), tick)
-
-    def stop() -> None:
-        nonlocal stopped
-        stopped = True
-
-    sim.schedule(interval + (jitter() if jitter is not None else 0.0), tick)
-    return stop

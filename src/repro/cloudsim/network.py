@@ -67,7 +67,7 @@ class LatencyModel:
         """Sample a one-way delay between two endpoints."""
         median = (
             self.intra_domain_median
-            if src.same_domain(dst)
+            if src.domain == dst.domain
             else self.inter_domain_median
         )
         return float(rng.lognormal(math.log(median), self.sigma))
@@ -82,7 +82,7 @@ class LatencyModel:
         return self.one_way(src, dst, rng) + self.one_way(dst, src, rng)
 
 
-@dataclass
+@dataclass(slots=True)
 class LoadMeter:
     """Exponentially-decayed load accumulator.
 

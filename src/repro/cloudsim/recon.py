@@ -142,16 +142,12 @@ class ReconnaissanceScanner:
             self.report.hits += 1
             self.discovered.append(replica.endpoint.address)
             # Try to use the discovery: an un-whitelisted request.
-            replica.handle_request(
-                f"scanner-{self.report.probes}",
-                1.0,
-                self._count_admitted,
+            served = replica.handle_request(
+                f"scanner-{self.report.probes}", 1.0
             )
+            if served is not None:
+                self.report.admitted_requests += 1
         self.ctx.sim.schedule(self.tick, self._scan)
-
-    def _count_admitted(self, served: bool, _service_time: float) -> None:
-        if served:
-            self.report.admitted_requests += 1
 
     def stale_fraction(self) -> float:
         """How many past discoveries no longer point at an active replica."""

@@ -53,6 +53,18 @@ class ReplicaState(enum.Enum):
     FAILED = "failed"  # unplanned crash (see cloudsim.faults)
 
 
+#: Read once here: an enum attribute lookup on the request path costs
+#: more than the rest of the state test.
+_ACTIVE = ReplicaState.ACTIVE
+
+
+def _drop_probability(factor: float, threshold: float) -> float:
+    """:meth:`ReplicaServer.drop_probability` at overload ``factor``."""
+    if factor < threshold:
+        return 0.0
+    return min(1.0, (factor - threshold) / max(factor, 1e-12))
+
+
 @dataclass
 class ReplicaStats:
     """Counters for one replica's lifetime."""
@@ -87,8 +99,9 @@ class ReplicaServer:
         self.net_capacity = net_capacity
         self.cpu_capacity = cpu_capacity
         self.state = ReplicaState.BOOTING
-        # client id -> its sketch key (``traffic.positions``), hashed
-        # once at admission instead of on every request.
+        # client id -> its sketch key (``traffic.positions``), taken
+        # from ``ctx.sketch_keys`` at admission instead of hashed on
+        # every request.
         self.whitelist: dict[str, array] = {}
         self.assigned_clients: dict[str, object] = {}
         self.net_meter = LoadMeter(half_life=ctx.config.load_half_life)
@@ -139,15 +152,24 @@ class ReplicaServer:
 
     @property
     def is_active(self) -> bool:
-        return self.state is ReplicaState.ACTIVE
+        return self.state is _ACTIVE
 
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
     def admit(self, client_id: str, client: object) -> None:
         """Whitelist a client (called on load-balancer/coordinator
-        assignment, step 4 of the paper's Figure 1)."""
-        self.whitelist[client_id] = self.traffic.positions(client_id)
+        assignment, step 4 of the paper's Figure 1).
+
+        The client's sketch positions are hashed by the first replica of
+        this context to admit it and reused by every later one: all the
+        context's windows share one ``(width, depth, seed)`` family.
+        """
+        keys = self.ctx.sketch_keys
+        positions = keys.get(client_id)
+        if positions is None:
+            positions = keys[client_id] = self.traffic.positions(client_id)
+        self.whitelist[client_id] = positions
         self.assigned_clients[client_id] = client
 
     def evict(self, client_id: str) -> None:
@@ -185,11 +207,10 @@ class ReplicaServer:
         threshold of 1.0, a 2x-overloaded replica drops about half its
         load — the qualitative behaviour of a saturated link/queue.
         """
-        factor = max(self.net_utilization(), self.cpu_utilization())
-        threshold = self.ctx.config.overload_threshold
-        if factor < threshold:
-            return 0.0
-        return min(1.0, (factor - threshold) / max(factor, 1e-12))
+        return _drop_probability(
+            max(self.net_utilization(), self.cpu_utilization()),
+            self.ctx.config.overload_threshold,
+        )
 
     # ------------------------------------------------------------------
     # traffic
@@ -213,31 +234,27 @@ class ReplicaServer:
                 self.ctx.now, admitted=False, key=source, count=whole
             )
 
-    def handle_request(
-        self,
-        client_id: str,
-        work: float,
-        on_done: Callable[[bool, float], None],
-    ) -> None:
+    def handle_request(self, client_id: str, work: float) -> float | None:
         """Process an application request arriving *now*.
 
         Args:
             client_id: requester identity (source IP in the paper).
             work: compute cost in work units (attack requests cost more).
-            on_done: callback ``(served, service_time)`` invoked
-                immediately; the caller schedules its own response-network
-                latency.
+
+        Returns:
+            The service time if the request is served, ``None`` if it is
+            refused or dropped; the caller schedules its own
+            response-network latency.
         """
-        if self.state is not ReplicaState.ACTIVE:
-            on_done(False, 0.0)
-            return
-        self.net_meter.add(self.ctx.now, 1.0)
+        if self.state is not _ACTIVE:
+            return None
+        now = self.ctx.sim.now
+        self.net_meter.add(now, 1.0)
         positions = self.whitelist.get(client_id)
         if positions is None:
             self.stats.requests_rejected += 1
-            self.traffic.record(self.ctx.now, admitted=False, key=client_id)
-            on_done(False, 0.0)
-            return
+            self.traffic.record(now, admitted=False, key=client_id)
+            return None
         trust = self.ctx.trust
         if trust is not None and trust.admit_decision(client_id) != "ok":
             # Tier gate (mirrors the live service's backends): a policy
@@ -248,37 +265,41 @@ class ReplicaServer:
             # spiral trust downward).
             self.stats.requests_gated += 1
             self.traffic.record(
-                self.ctx.now, admitted=False, key=client_id,
-                positions=positions,
+                now, admitted=False, key=client_id, positions=positions
             )
-            trust.observe(client_id, self.ctx.now, violation=False)
-            on_done(False, 0.0)
-            return
-        if self.ctx.rng.random() < self.drop_probability():
+            trust.observe(client_id, now, violation=False)
+            return None
+        drop = _drop_probability(
+            max(
+                self.net_meter.rate(now) / self.net_capacity,
+                self.cpu_meter.rate(now) / self.cpu_capacity,
+            ),
+            self.ctx.config.overload_threshold,
+        )
+        if self.ctx.rng.random() < drop:
             self.stats.requests_dropped += 1
             self.traffic.record(
-                self.ctx.now, admitted=False, key=client_id,
-                positions=positions,
+                now, admitted=False, key=client_id, positions=positions
             )
             if trust is not None:
                 # An overload drop is the violation signal: the client
                 # (or its cohort) outran the replica's capacity.
-                trust.observe(client_id, self.ctx.now, violation=True)
-            on_done(False, 0.0)
-            return
+                trust.observe(client_id, now, violation=True)
+            return None
         self.traffic.record(
-            self.ctx.now, admitted=True, key=client_id, positions=positions
+            now, admitted=True, key=client_id, positions=positions
         )
         if trust is not None:
-            trust.observe(client_id, self.ctx.now, violation=False)
-        self.cpu_meter.add(self.ctx.now, work)
+            trust.observe(client_id, now, violation=False)
+        self.cpu_meter.add(now, work)
         base = work / self.cpu_capacity
         # Service slows as the CPU saturates (simple M/M/1-flavoured
         # inflation, capped to keep the simulation stable).
-        utilization = min(self.cpu_utilization(), 0.95)
-        service_time = base / max(1e-6, (1.0 - utilization))
+        utilization = min(
+            self.cpu_meter.rate(now) / self.cpu_capacity, 0.95
+        )
         self.stats.requests_served += 1
-        on_done(True, service_time)
+        return base / max(1e-6, (1.0 - utilization))
 
     def heavy_hitter_report(self) -> HeavyHitterReport:
         """Who filled this replica's window (fixed-memory attribution).

@@ -9,6 +9,7 @@ timeline) outcomes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,10 @@ class CloudContext:
         self.balancers: dict[str, LoadBalancer] = {}
         self.domain_balancers: dict[str, list[LoadBalancer]] = {}
         self._replicas: dict[str, ReplicaServer] = {}
+        #: client id -> its sketch positions, hashed once per context:
+        #: one config gives every replica's window the same ``(width,
+        #: depth, seed)`` family (see :meth:`ReplicaServer.admit`).
+        self.sketch_keys: dict[str, array] = {}
         #: shared trust ladder (sim-time clocked) when enabled; the
         #: replicas gate whitelisted requests through it exactly like
         #: the live service's backends.

@@ -66,8 +66,10 @@ class TestBenignClient:
         client.join()
         ctx.sim.run_until(2.0)
         replica = ctx.replica_at(client.replica_endpoint)
+        assert "u1" in ctx.sketch_keys
         client.leave()
         assert "u1" not in replica.whitelist
+        assert "u1" not in ctx.sketch_keys
         sent_before = client.stats.requests_sent
         ctx.sim.run_until(20.0)
         assert client.stats.requests_sent == sent_before

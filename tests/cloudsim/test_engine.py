@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cloudsim.engine import Event, SimulationError, Simulator, every
+from repro.cloudsim.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -78,15 +78,6 @@ class TestRunControl:
         sim.run_until(20.0)
         assert log == ["early", "late"]
 
-    def test_cancelled_events_do_not_fire(self):
-        sim = Simulator()
-        log = []
-        event = sim.schedule(1.0, lambda: log.append("x"))
-        event.cancel()
-        sim.run()
-        assert log == []
-        assert sim.events_processed == 0
-
     def test_max_events_guard(self):
         sim = Simulator()
 
@@ -114,34 +105,34 @@ class TestRunControl:
         with pytest.raises(SimulationError, match="already running"):
             sim.run()
 
-
-class TestEvery:
-    def test_periodic_fires_until_stopped(self):
+    def test_drained_run_leaves_the_clock_at_the_last_event(self):
         sim = Simulator()
-        log = []
-        stop = every(sim, 1.0, lambda: log.append(sim.now))
-        sim.run_until(3.5)
-        assert log == [1.0, 2.0, 3.0]
-        stop()
-        sim.run_until(10.0)
-        assert log == [1.0, 2.0, 3.0]
+        sim.run()
+        assert sim.now == 0.0
+        sim.schedule(2.5, lambda: None)
+        sim.run()
+        assert sim.now == 2.5
 
-    def test_jitter_applied(self):
+    def test_event_scheduled_after_a_drained_run_still_fires(self):
+        # run() once left the clock at +inf: the event below landed at
+        # inf and a finite run_until never reached it.
         sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
         log = []
-        every(sim, 1.0, lambda: log.append(sim.now), jitter=lambda: 0.5)
-        sim.run_until(4.0)
-        assert log == [1.5, 3.0]
+        sim.schedule(1.0, lambda: log.append(sim.now))
+        sim.run_until(1e9)
+        assert log == [2.0]
+        assert sim.now == 1e9
 
 
-#: One planted event: (delay, children it schedules when it fires, index
-#: of an earlier-scheduled event it cancels).  Few distinct delays, and
-#: 0.0 among them, so ties and same-timestamp children are the norm.
+#: One planted event: (delay, children it schedules when it fires).
+#: Few distinct delays, and 0.0 among them, so ties and same-timestamp
+#: children are the norm.
 _NODES = st.lists(
     st.tuples(
         st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
         st.integers(0, 3),
-        st.none() | st.integers(0, 60),
     ),
     min_size=1,
     max_size=80,
@@ -153,44 +144,33 @@ class TestHeapOrdering:
     def test_execution_order_is_sorted_time_seq(self, nodes, roots):
         sim = Simulator()
         unplanted = iter(nodes)
-        scheduled: list[Event] = []
         due: list[float] = []
         fired: list[int] = []
-        dropped: set[int] = set()
+        clock: list[float] = []
 
         def plant(node) -> None:
-            delay, children, victim = node
-            ident = len(scheduled)
+            delay, children = node
+            ident = len(due)
 
             def fire() -> None:
                 fired.append(ident)
+                clock.append(sim.now)
                 for child in itertools.islice(unplanted, children):
                     plant(child)
-                if (
-                    victim is not None
-                    and victim < len(scheduled)
-                    and victim not in fired
-                ):
-                    scheduled[victim].cancel()
-                    dropped.add(victim)
 
             due.append(sim.now + delay)
-            scheduled.append(sim.schedule(delay, fire))
+            sim.schedule(delay, fire)
 
         for node in itertools.islice(unplanted, roots):
             plant(node)
         sim.run()
 
-        assert [event.seq for event in scheduled] == list(
-            range(len(scheduled))
-        )
-        assert [event.time for event in scheduled] == due
-        expected = sorted(
-            (i for i in range(len(scheduled)) if i not in dropped),
-            key=lambda i: (due[i], i),
-        )
+        # The reference: every event in (time, seq) order, seq being the
+        # order it was scheduled in.
+        expected = sorted(range(len(due)), key=lambda i: (due[i], i))
         assert fired == expected
-        assert sim.events_processed == len(expected)
+        assert clock == [due[i] for i in expected]
+        assert sim.events_processed == len(due)
         assert sim.pending_events == 0
 
     def test_same_time_unorderable_actions_run_fifo(self):
@@ -211,39 +191,14 @@ class TestEventHandle:
             sim.schedule(1.0, lambda: None, label="x")
         with pytest.raises(TypeError):
             sim.schedule_at(1.0, lambda: None, label="x")
-        with pytest.raises(TypeError):
-            every(sim, 1.0, lambda: None, label="x")
         assert sim.pending_events == 0
 
-    def test_time_seq_cancelled_are_read_only_properties(self):
+    def test_scheduling_returns_no_handle(self):
+        # An event cannot be cancelled, so there is nothing to hold.
         sim = Simulator()
-        sim.run_until(2.0)
-        first = sim.schedule(1.5, lambda: None)
-        second = sim.schedule_at(3.0, lambda: None)
-        assert (first.time, first.seq, first.cancelled) == (3.5, 0, False)
-        assert (second.time, second.seq, second.cancelled) == (3.0, 1, False)
-        second.cancel()
-        assert second.cancelled and not first.cancelled
-        for name in ("time", "seq", "cancelled", "label"):
-            with pytest.raises(AttributeError):
-                setattr(first, name, 0)
-
-    def test_cancel_after_firing_is_harmless(self):
-        sim = Simulator()
-        log = []
-        handles = []
-
-        def cancel_self():
-            handles[0].cancel()
-            log.append("self")
-
-        handles.append(sim.schedule(1.0, cancel_self))
-        handles.append(sim.schedule(2.0, lambda: log.append("later")))
-        sim.run_until(1.5)
-        handles[0].cancel()
-        sim.run()
-        assert log == ["self", "later"]
-        assert sim.events_processed == 2
+        assert sim.schedule(1.0, lambda: None) is None
+        assert sim.schedule_at(2.0, lambda: None) is None
+        assert sim.pending_events == 2
 
 
 class TestMaxEventsIsPerCall:
@@ -267,16 +222,19 @@ class TestMaxEventsIsPerCall:
 
     def test_only_an_event_still_due_trips_the_cap(self):
         sim = Simulator()
+        log = []
         for _ in range(3):
             sim.schedule(1.0, lambda: None)
-        sim.schedule(1.0, lambda: None).cancel()  # tombstone, not work
-        late = sim.schedule(9.0, lambda: None)
-        sim.run_until(5.0, max_events=3)  # ``late`` lies beyond end_time
+        sim.schedule(9.0, lambda: log.append(sim.now))
+        sim.run_until(5.0, max_events=3)  # the 9.0 event lies beyond end_time
         assert sim.events_processed == 3
         with pytest.raises(SimulationError, match="max_events=0"):
             sim.run_until(9.0, max_events=0)
         assert sim.events_processed == 3
         assert sim.now == 5.0
-        late.cancel()
-        sim.run_until(9.0, max_events=0)
-        assert sim.now == 9.0
+        assert log == []
+        sim.run_until(8.5, max_events=0)  # nothing due: the cap is unspent
+        assert sim.now == 8.5
+        sim.run_until(9.0, max_events=1)
+        assert log == [9.0]
+        assert sim.events_processed == 4

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.cloudsim import CloudConfig, CloudDefenseSystem
+from repro.cloudsim import (
+    CloudConfig,
+    CloudDefenseSystem,
+    ReconnaissanceScanner,
+)
 from repro.obs.events import EventLog
 
 #: A scaled-down ``cloudsim_attack``, restated here so the pin does not
@@ -55,6 +59,50 @@ class TestReplayDigest:
             running.update(f"{value}\n".encode())
         for client in system.benign:
             running.update(f"{client.stats.total_latency!r}\n".encode())
+        assert sim.events_processed == self.EVENTS
+        assert report.shuffles == self.SHUFFLES
+        assert running.hexdigest() == self.GOLDEN
+
+
+class TestTrustReconDigest:
+    """The branches the run above never reaches, pinned the same way.
+
+    Trust on (``admit_decision`` and ``observe`` on every whitelisted
+    request), overload drops from computational insiders, and a scanner
+    whose probes land on replicas as strangers: the replica's reject
+    and drop exits, plus the scanner's use of ``handle_request``'s
+    outcome.  No client is demoted far enough to be gated in 40 sim-s;
+    ``test_replica.TestTrustGate`` pins that exit.
+    """
+
+    #: sha256 captured at commit 188936b, before a heap entry became a
+    #: tuple and ``handle_request`` returned its outcome.
+    GOLDEN = (
+        "ad4cf86a6a79585419465243a9f455481ff938427928f56925b485692bcac54f"
+    )
+    EVENTS = 36_103
+    SHUFFLES = 5
+
+    def test_run_matches_the_golden_digest(self):
+        system = CloudDefenseSystem(CloudConfig(trust_enabled=True), seed=11)
+        tracer = EventLog(source="cloudsim")
+        system.ctx.attach_tracer(tracer)
+        system.add_benign_clients(400)
+        system.add_persistent_bots(20, computational=True)
+        scanner = ReconnaissanceScanner(system.ctx, pool_size=2_000)
+        scanner.start()
+        report = system.run(HORIZON)
+        sim = system.ctx.sim
+        running = hashlib.sha256()
+        running.update(tracer.to_jsonl().encode())
+        running.update(f"{sim.events_processed}\n{report.shuffles}\n".encode())
+        running.update(f"{scanner.report!r}\n".encode())
+        for replica in sorted(
+            system.ctx.all_replicas(), key=lambda r: r.endpoint.address
+        ):
+            running.update(
+                f"{replica.endpoint.address} {replica.stats!r}\n".encode()
+            )
         assert sim.events_processed == self.EVENTS
         assert report.shuffles == self.SHUFFLES
         assert running.hexdigest() == self.GOLDEN

@@ -8,6 +8,7 @@ from repro.cloudsim.network import Endpoint
 from repro.cloudsim.replica import ReplicaServer, ReplicaState
 from repro.cloudsim.system import CloudConfig, CloudContext
 from repro.detect import SketchWindow
+from repro.trust import TrustTier
 
 
 @pytest.fixture
@@ -51,35 +52,25 @@ class TestLifecycle:
 
 class TestWhitelist:
     def test_unwhitelisted_request_rejected(self, replica):
-        outcomes = []
-        replica.handle_request("stranger", 1.0,
-                               lambda ok, t: outcomes.append(ok))
-        assert outcomes == [False]
+        assert replica.handle_request("stranger", 1.0) is None
         assert replica.stats.requests_rejected == 1
 
     def test_whitelisted_request_served(self, replica):
         replica.admit("c1", object())
-        outcomes = []
-        replica.handle_request("c1", 1.0,
-                               lambda ok, t: outcomes.append((ok, t)))
-        assert outcomes[0][0] is True
-        assert outcomes[0][1] > 0
+        service_time = replica.handle_request("c1", 1.0)
+        assert service_time is not None
+        assert service_time > 0
         assert replica.stats.requests_served == 1
 
     def test_evict_removes_whitelist(self, replica):
         replica.admit("c1", object())
         replica.evict("c1")
-        outcomes = []
-        replica.handle_request("c1", 1.0,
-                               lambda ok, t: outcomes.append(ok))
-        assert outcomes == [False]
+        assert replica.handle_request("c1", 1.0) is None
 
     def test_inactive_replica_serves_nothing(self, ctx):
         server = ReplicaServer(ctx, Endpoint("cloud-0", "r"), 10, 10)
         server.admit("c1", object())
-        outcomes = []
-        server.handle_request("c1", 1.0, lambda ok, t: outcomes.append(ok))
-        assert outcomes == [False]
+        assert server.handle_request("c1", 1.0) is None
 
 
 class TestSketchKey:
@@ -105,6 +96,17 @@ class TestSketchKey:
             assert replica.whitelist == {}
             assert replica.n_clients == 0
 
+    def test_a_context_hashes_a_client_once(self, ctx, replica):
+        # One config: every replica of the context shares one family.
+        other = ReplicaServer(
+            ctx, Endpoint("cloud-1", "replica-o"), 1000.0, 100.0
+        )
+        replica.admit("c1", object())
+        other.admit("c1", object())
+        assert ctx.sketch_keys["c1"] == replica.traffic.positions("c1")
+        assert other.whitelist["c1"] is replica.whitelist["c1"]
+        assert other.whitelist["c1"] is ctx.sketch_keys["c1"]
+
     def test_moved_client_is_keyed_by_its_new_replica(self, replica):
         # Positions index one (width, depth, seed) family only; a
         # differently sized destination must hash the client again.
@@ -119,14 +121,12 @@ class TestSketchKey:
         assert "c1" not in replica.whitelist
         assert wide.whitelist["c1"] == wide.traffic.positions("c1")
         assert wide.whitelist["c1"] != replica.traffic.positions("c1")
-        outcomes = []
-        wide.handle_request("c1", 1.0, lambda ok, t: outcomes.append(ok))
-        assert outcomes == [True]
+        assert wide.handle_request("c1", 1.0) is not None
         assert wide.traffic.estimate(wide.ctx.now, "c1") == 1
 
     def test_stranger_is_rejected_and_still_recorded_by_key(self, replica):
         for _ in range(3):
-            replica.handle_request("stranger", 1.0, lambda ok, t: None)
+            replica.handle_request("stranger", 1.0)
         now = replica.ctx.now
         assert replica.stats.requests_rejected == 3
         assert replica.traffic.counts(now) == (3, 3)
@@ -148,7 +148,7 @@ class TestSketchKey:
         for i in range(200):
             cid = f"c-{i % 17}"
             server.admit(cid, object())
-            server.handle_request(cid, 1.0, lambda ok, t: None)
+            server.handle_request(cid, 1.0)
             bare.record(ctx.now, True, key=cid)
         assert [c.sketch.to_bytes() for c in server.traffic._cells] == [
             c.sketch.to_bytes() for c in bare._cells
@@ -156,6 +156,25 @@ class TestSketchKey:
         assert server.traffic.heavy_hitters(ctx.now) == (
             bare.heavy_hitters(ctx.now)
         )
+
+
+class TestTrustGate:
+    def test_gated_request_is_refused_without_compute(self):
+        ctx = CloudContext(CloudConfig(trust_enabled=True), seed=0)
+        server = ReplicaServer(ctx, Endpoint("cloud-0", "r"), 1000.0, 100.0)
+        server.activate()
+        server.admit("c1", object())
+        ctx.sim.run_until(5.0)
+        for step in range(500):  # a violation every 10 ms demotes
+            ctx.trust.observe("c1", step * 0.01, violation=True)
+            if ctx.trust.tier("c1") is TrustTier.DENIED:
+                break
+        assert ctx.trust.admit_decision("c1") == "deny"
+        assert server.handle_request("c1", 1.0) is None
+        assert server.stats.requests_gated == 1
+        assert server.stats.requests_served == 0
+        assert server.cpu_utilization() == 0.0
+        assert server.traffic.counts(ctx.now) == (1, 1)
 
 
 class TestOverload:
@@ -173,7 +192,7 @@ class TestOverload:
     def test_expensive_requests_saturate_cpu(self, ctx, replica):
         replica.admit("bot", object())
         for _ in range(40):
-            replica.handle_request("bot", 25.0, lambda ok, t: None)
+            replica.handle_request("bot", 25.0)
         assert replica.cpu_utilization() > 1.0
         assert replica.overloaded()
 
@@ -185,16 +204,12 @@ class TestOverload:
 
     def test_service_time_inflates_under_load(self, ctx, replica):
         replica.admit("c", object())
-        light_times = []
-        replica.handle_request("c", 1.0,
-                               lambda ok, t: light_times.append(t))
+        light = replica.handle_request("c", 1.0)
         for _ in range(60):
             replica.cpu_meter.add(ctx.now, 25.0)
-        heavy_times = []
-        replica.handle_request("c", 1.0,
-                               lambda ok, t: heavy_times.append(t))
-        if heavy_times and heavy_times[0] > 0:
-            assert heavy_times[0] > light_times[0]
+        heavy = replica.handle_request("c", 1.0)
+        if heavy is not None and heavy > 0:
+            assert heavy > light
 
 
 class TestRedirects:

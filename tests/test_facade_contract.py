@@ -19,13 +19,12 @@ from repro import sim as sim_pkg
 from repro.cloudsim import (
     ClientStats,
     Coordinator,
-    Event,
     MigrationSample,
     ReplicaStats,
     RunReport,
     ShuffleRecord,
 )
-from repro.cloudsim import clients, coordinator, engine, migration, replica
+from repro.cloudsim import clients, coordinator, migration, replica
 from repro.cloudsim import system as cloudsim_system
 from repro.devtools import (
     FileContext,
@@ -65,7 +64,6 @@ def test_cloudsim_facade_aliases():
     assert cloudsim_pkg.ClientStats is ClientStats is clients.ClientStats
     assert Coordinator is coordinator.Coordinator
     assert ShuffleRecord is coordinator.ShuffleRecord
-    assert Event is engine.Event
     assert MigrationSample is migration.MigrationSample
     assert ReplicaStats is replica.ReplicaStats
     assert RunReport is cloudsim_system.RunReport
