@@ -32,7 +32,7 @@ from .dns import DnsServer
 from .engine import SimulationError, Simulator
 from .faults import ChaosMonkey
 from .loadbalancer import DomainDirectory, LoadBalancer
-from .metrics import MetricsCollector, QoSWindow, WindowSample
+from .metrics import MetricsCollector, QoSWindow
 from .migration import (
     MigrationModel,
     MigrationSample,
@@ -75,6 +75,5 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SpoofingFlooder",
-    "WindowSample",
     "simulate_migration",
 ]

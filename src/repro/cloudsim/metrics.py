@@ -6,10 +6,10 @@ so experiments can show benign success rates collapsing when the attack
 lands and recovering as shuffles quarantine the bots.
 
 The per-window record is the shared :class:`~repro.sim.qos.QoSWindow`
-schema (``WindowSample`` is the historical alias), which the live
-service's telemetry emits too — one comparison format for simulated and
-live runs.  Failed-but-completed requests keep their measured latency in
-the window mean (see :mod:`repro.sim.qos` for the accounting contract).
+schema, which the live service's telemetry emits too — one comparison
+format for simulated and live runs.  Failed-but-completed requests keep
+their measured latency in the window mean (see :mod:`repro.sim.qos` for
+the accounting contract).
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from ..sim.qos import QoSWindow
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .system import CloudContext
 
-__all__ = ["QoSWindow", "WindowSample", "MetricsCollector"]
-
-#: Historical name of the window record, kept as a true alias so
-#: ``isinstance`` checks and pickling agree across both spellings.
-WindowSample = QoSWindow
+__all__ = ["QoSWindow", "MetricsCollector"]
 
 
 class MetricsCollector:

@@ -137,7 +137,7 @@ class ShufflePolicy:
 # ----------------------------------------------------------------------
 # The live extension: five rules ServiceCoordinator grew around the
 # memoryless estimator, moved here as they were.  Everything below this
-# line is what ROADMAP items 1(ii) and 2 delete.
+# line is what ROADMAP items 1(a) and 2 delete.
 def theorem1_guess(n_replicas: int) -> int:
     """Bot-count guess when MLE degenerates with no prior belief.
 

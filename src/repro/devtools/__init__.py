@@ -11,14 +11,16 @@ invariants the paper's math demands but Python itself cannot enforce:
   surface carries the annotations ``mypy --strict`` needs (rule R6).
 
 The per-file R-series is complemented by whole-program project rules
-(the P-series, ``repro-lint --project``) living in :mod:`.program`:
-import layering contracts, interprocedural RNG provenance, determinism
-dataflow into the DES event queue, dead-export detection, the
-concurrency passes (event-loop blocking, shared-state races, hot-path
-discipline), and the numeric passes (stability anti-patterns, and
-vectorization readiness over the :mod:`.program.numflow` value-domain
-index) — with an import-graph export (``--graph``) and a SARIF 2.1.0
-reporter (``--format sarif``) for code scanning.  A finding is excused
+(the P-series) living in :mod:`.program`: import layering contracts,
+interprocedural RNG provenance, determinism dataflow into the DES
+event queue, dead-export detection, the concurrency passes (event-loop
+blocking, shared-state races, hot-path discipline), and the numeric
+passes (stability anti-patterns, and vectorization readiness over the
+:mod:`.program.numflow` value-domain index).  One run applies both
+series: a package directory is parsed and indexed once and gets all
+13 rules; loose files outside any package get the file rules.  An
+import-graph export (``--graph``) and a SARIF 2.1.0 reporter
+(``--format sarif``) serve code scanning.  A finding is excused
 only inline, by a justified suppression comment at its site.
 
 See ``docs/static-analysis.md`` for the full rule catalogue and
@@ -29,20 +31,9 @@ contract.
 from __future__ import annotations
 
 from .context import FileContext
-from .registry import (
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    get_project_rule,
-    get_rule,
-    project_rule,
-    resolve_rule_sets,
-    resolve_rules,
-    rule,
-)
+from .registry import Rule, all_rules, project_rule, resolve_rules, rule
 from .reporters import render_json, render_sarif, render_text
-from .runner import LintReport, lint_paths, lint_project
+from .runner import LintReport, lint
 from .violations import Violation
 
 # Importing the rule modules registers every built-in rule: the R-series
@@ -53,20 +44,14 @@ from . import program as _program  # noqa: F401
 __all__ = [
     "FileContext",
     "LintReport",
-    "ProjectRule",
     "Rule",
     "Violation",
-    "all_project_rules",
     "all_rules",
-    "get_project_rule",
-    "get_rule",
-    "lint_paths",
-    "lint_project",
+    "lint",
     "project_rule",
     "render_json",
     "render_sarif",
     "render_text",
-    "resolve_rule_sets",
     "resolve_rules",
     "rule",
 ]

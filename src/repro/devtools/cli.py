@@ -2,15 +2,20 @@
 
 Usage::
 
-    repro-lint src/repro                  # file rules, text report
-    repro-lint --project src/repro        # + whole-program P-series rules
+    repro-lint src/repro                  # all 13 rules, text report
+    repro-lint path/to/loose_file.py      # no package: file rules only
     repro-lint --graph docs/import-graph.dot src/repro  # export graph
     repro-lint --format json src/repro    # machine-readable output
     repro-lint --format sarif src/repro   # GitHub code-scanning upload
-    repro-lint --select R1,P3 src/repro   # subset across both scopes
+    repro-lint --select R1,P3 src/repro   # a subset of the rules
     repro-lint --list-rules               # rule catalogue with rationales
 
-Exit codes: 0 clean, 1 violations found, 2 usage error.
+A package directory (or a directory holding exactly one package) gets
+the file rules and the whole-program P-series rules; files outside any
+package get the file rules.  ``--graph`` only exports the import graph.
+
+Exit codes: 0 clean, 1 violations found, 2 usage error (or a graph
+that could not be written).
 """
 
 from __future__ import annotations
@@ -20,14 +25,10 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .registry import all_project_rules, all_rules
+from .registry import all_rules
 from .reporters import render_json, render_sarif, render_text
-from .runner import (
-    find_package_root,
-    default_consumer_roots,
-    lint_paths,
-    lint_project,
-)
+from .runner import default_consumer_roots, find_package_root, lint
+
 
 def _split_ids(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
@@ -67,15 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule IDs to skip",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help="also run the whole-program P-series rules over the tree",
-    )
-    parser.add_argument(
         "--graph",
         metavar="FILE",
-        help="export the module import graph (implies --project; "
-        "Graphviz dot, or JSON when FILE ends in .json; '-' for stdout)",
+        help="only export the module import graph of the package "
+        "(Graphviz dot, or JSON when FILE ends in .json; '-' for stdout)",
     )
     parser.add_argument(
         "--list-rules",
@@ -109,10 +105,18 @@ def _export_graph(destination: str, paths: list[Path]) -> int:
     if destination == "-":
         print(rendered)
     else:
-        Path(destination).write_text(
-            rendered if rendered.endswith("\n") else rendered + "\n",
-            encoding="utf-8",
-        )
+        try:
+            Path(destination).write_text(
+                rendered if rendered.endswith("\n") else rendered + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            print(
+                f"repro-lint: cannot write {destination}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"repro-lint: import graph written to {destination}")
     return 0
 
@@ -123,10 +127,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if options.list_rules:
         for rule_obj in all_rules():
-            print(f"{rule_obj.rule_id}  {rule_obj.name}")
-            print(f"    {rule_obj.rationale}")
-        for rule_obj in all_project_rules():
-            print(f"{rule_obj.rule_id}  {rule_obj.name}  [project]")
+            scope = "  [project]" if rule_obj.scope == "project" else ""
+            print(f"{rule_obj.rule_id}  {rule_obj.name}{scope}")
             print(f"    {rule_obj.rationale}")
         return 0
 
@@ -141,20 +143,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             + ", ".join(str(p) for p in missing)
         )
 
-    project_mode = bool(options.project or options.graph)
+    if options.graph:
+        return _export_graph(options.graph, paths)
+
     select = _split_ids(options.select) if options.select else None
     ignore = _split_ids(options.ignore) if options.ignore else None
-
-    if options.graph:
-        status = _export_graph(options.graph, paths)
-        if status != 0 or not options.project:
-            return status
-
     try:
-        if project_mode:
-            report = lint_project(paths, select=select, ignore=ignore)
-        else:
-            report = lint_paths(paths, select=select, ignore=ignore)
+        report = lint(paths, select=select, ignore=ignore)
     except KeyError as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
 

@@ -10,7 +10,9 @@ dependencies.  This subpackage builds one :class:`ProgramContext` over
 the whole tree — module index, import graph, approximate call graph
 (built once per run, :func:`.callgraph.get_call_graph`) — and runs the
 nine project rules on it (the gaps in the numbering are retired rules,
-whose numbers are not reused):
+whose numbers are not reused).  The same lint run hands the file rules
+the :class:`~repro.devtools.context.FileContext` each module was parsed
+into here, so no file is parsed twice:
 
 - **P1** ``import-layering`` — declared package layering contract over
   the import graph (``core`` -> stdlib/numpy only; ``sim``/``analysis``

@@ -23,6 +23,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
+from ..context import dotted_parts
 from ..registry import project_rule
 from .context import ModuleInfo, ProgramContext
 
@@ -162,7 +163,7 @@ def collect_uses(program: ProgramContext) -> set[tuple[str, str]]:
         for node in ast.walk(info.ctx.tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            chain = _attribute_chain(node)
+            chain = dotted_parts(node)
             if chain is None:
                 continue
             head, *attrs = chain
@@ -175,18 +176,6 @@ def collect_uses(program: ProgramContext) -> set[tuple[str, str]]:
                 uses.add((f"{info.package}|{current}", attr))
                 current = f"{current}.{attr}"
     return uses
-
-
-def _attribute_chain(node: ast.Attribute) -> list[str] | None:
-    parts = [node.attr]
-    value: ast.AST = node.value
-    while isinstance(value, ast.Attribute):
-        parts.append(value.attr)
-        value = value.value
-    if isinstance(value, ast.Name):
-        parts.append(value.id)
-        return list(reversed(parts))
-    return None
 
 
 @project_rule(

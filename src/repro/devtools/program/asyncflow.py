@@ -1,5 +1,9 @@
 """Async dataflow plumbing shared by the concurrency passes (P9, P10).
 
+Its container-kind inference (:func:`container_attr_kinds`,
+:func:`annotation_container`, :func:`value_container`) also tells the
+determinism pass (P3) which iterations are over sets and dicts.
+
 Three cross-module indices over the :class:`~repro.devtools.program.
 callgraph.CallGraph`, built once per run and consumed by the
 concurrency-era project rules:
@@ -36,11 +40,14 @@ from .callgraph import CallGraph, FunctionInfo, call_name
 
 __all__ = [
     "AttrWrite",
+    "CONSTRUCTORS",
     "TaskRoot",
+    "annotation_container",
     "collect_attr_writes",
     "container_attr_kinds",
     "find_task_roots",
     "reachable_from",
+    "value_container",
 ]
 
 #: calls that schedule their coroutine argument as a concurrent task.
@@ -80,8 +87,10 @@ _MUTATORS = frozenset(
     }
 )
 
-#: object-constructing initialisers whose writes are pre-sharing.
-_CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
+#: object-constructing initialisers: their writes happen before the
+#: object is shared (P9), and they run once per object, not once per
+#: request (P10).
+CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
 
 _SET_NAMES = frozenset({"set", "frozenset", "Set", "FrozenSet"})
 _DICT_NAMES = frozenset(
@@ -282,7 +291,7 @@ def collect_attr_writes(graph: CallGraph) -> list[AttrWrite]:
     """Every post-construction ``self.<attr>`` mutation in the program."""
     writes: list[AttrWrite] = []
     for qualname, fn in graph.functions.items():
-        if fn.cls is None or fn.name in _CONSTRUCTORS:
+        if fn.cls is None or fn.name in CONSTRUCTORS:
             continue
         lock_ranges = _lock_ranges(fn.node)
         for node in ast.walk(fn.node):
@@ -373,7 +382,7 @@ def container_attr_kinds(tree: ast.Module) -> dict[str, str]:
     kinds: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.AnnAssign):
-            kind = _annotation_container(node.annotation)
+            kind = annotation_container(node.annotation)
             target = node.target
             attr = _self_attr(target)
             if attr is None and isinstance(target, ast.Name):
@@ -382,13 +391,14 @@ def container_attr_kinds(tree: ast.Module) -> dict[str, str]:
                 kinds.setdefault(attr, kind)
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             attr = _self_attr(node.targets[0])
-            kind = _value_container(node.value)
+            kind = value_container(node.value)
             if attr is not None and kind is not None:
                 kinds.setdefault(attr, kind)
     return kinds
 
 
-def _annotation_container(annotation: ast.AST | None) -> str | None:
+def annotation_container(annotation: ast.AST | None) -> str | None:
+    """"set"/"dict"/"list" for a container type annotation, else None."""
     if annotation is None:
         return None
     node = annotation
@@ -413,7 +423,8 @@ def _annotation_container(annotation: ast.AST | None) -> str | None:
     return None
 
 
-def _value_container(value: ast.AST) -> str | None:
+def value_container(value: ast.AST) -> str | None:
+    """"set"/"dict"/"list" for a container-building expression."""
     if isinstance(value, (ast.Set, ast.SetComp)):
         return "set"
     if isinstance(value, (ast.Dict, ast.DictComp)):

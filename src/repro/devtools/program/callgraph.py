@@ -25,6 +25,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from ..context import dotted_parts
 from .context import ModuleInfo, ProgramContext
 
 __all__ = [
@@ -97,6 +98,9 @@ class CallGraph:
         self.by_name: dict[str, list[str]] = {}
         self.class_methods: dict[tuple[str, str], dict[str, str]] = {}
         self.module_defs: dict[str, dict[str, str]] = {}
+        #: module -> its import map (local name -> (module target,
+        #: original name or None for a module binding))
+        self.imports: dict[str, dict[str, tuple[str, str | None]]] = {}
         self.calls: dict[str, list[CallSite]] = {}
         self.callers: dict[str, set[str]] = {}
 
@@ -260,7 +264,7 @@ def _resolve_export(
 # call resolution
 # ----------------------------------------------------------------------
 def _resolve_module_calls(graph: CallGraph, info: ModuleInfo) -> None:
-    imports = _import_map(info)
+    imports = graph.imports[info.name] = _import_map(info)
 
     def record(caller: str, call: ast.Call, targets: tuple[str, ...]) -> None:
         site = CallSite(
@@ -360,7 +364,7 @@ def _resolve_call(
             if func.attr in methods:
                 return {methods[func.attr]}
         # module-alias dotted call: mod.func() / pkg.sub.func()
-        dotted = _dotted_parts(func)
+        dotted = dotted_parts(func)
         if dotted is not None:
             head, *rest = dotted
             if head in imports and imports[head][1] is None:
@@ -375,18 +379,6 @@ def _resolve_call(
         for qualname in graph.by_name.get(func.attr, []):
             targets |= _expand_class(graph, qualname)
     return targets
-
-
-def _dotted_parts(node: ast.Attribute) -> list[str] | None:
-    parts: list[str] = [node.attr]
-    value: ast.AST = node.value
-    while isinstance(value, ast.Attribute):
-        parts.append(value.attr)
-        value = value.value
-    if isinstance(value, ast.Name):
-        parts.append(value.id)
-        return list(reversed(parts))
-    return None
 
 
 def _expand_class(graph: CallGraph, qualname: str) -> set[str]:

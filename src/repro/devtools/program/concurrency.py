@@ -22,7 +22,7 @@ from typing import Iterator
 
 from ..registry import project_rule
 from .callgraph import CallGraph, CallSite, get_call_graph, short_name
-from .context import ModuleInfo, ProgramContext
+from .context import ProgramContext
 
 __all__ = ["blocking_summaries"]
 
@@ -91,30 +91,15 @@ _GENERIC_ATTRS = frozenset(
 # ----------------------------------------------------------------------
 # direct-offense detection
 # ----------------------------------------------------------------------
-def _module_maps(
-    info: ModuleInfo,
-) -> tuple[dict[str, str], dict[str, str]]:
-    """(bare-name -> offense, local alias -> module) for one module."""
-    bare: dict[str, str] = {}
-    aliases: dict[str, str] = {}
-    for record in info.imports:
-        if record.names:
-            if record.target == "time":
-                for local, original in record.bindings():
-                    if original == "sleep":
-                        bare[local] = "time.sleep()"
-        elif record.module_alias is not None:
-            aliases[record.module_alias] = record.target
-    return bare, aliases
-
-
 def _direct_offense(
-    call: ast.Call, bare: dict[str, str], aliases: dict[str, str]
+    call: ast.Call, imports: dict[str, tuple[str, str | None]]
 ) -> str | None:
+    """What blocks in ``call`` itself, read through the module's
+    import map (:attr:`CallGraph.imports`)."""
     func = call.func
     if isinstance(func, ast.Name):
-        if func.id in bare:
-            return f"blocking `{bare[func.id]}`"
+        if imports.get(func.id) == ("time", "sleep"):
+            return "blocking `time.sleep()`"
         if func.id == "open":
             return "synchronous file I/O (`open()`)"
         return None
@@ -123,7 +108,12 @@ def _direct_offense(
     if func.attr in _FILE_IO_ATTRS:
         return f"synchronous file I/O (`.{func.attr}()`)"
     if isinstance(func.value, ast.Name):
-        module = aliases.get(func.value.id, func.value.id)
+        binding = imports.get(func.value.id)
+        module = (
+            binding[0]
+            if binding is not None and binding[1] is None
+            else func.value.id
+        )
         if module == "time" and func.attr == "sleep":
             return "blocking `time.sleep()`"
         if module == "subprocess":
@@ -135,7 +125,14 @@ def _direct_offense(
     return None
 
 
-def _heavy_core_target(site: CallSite) -> str | None:
+def _site_offense(
+    site: CallSite, imports: dict[str, tuple[str, str | None]]
+) -> str | None:
+    """A direct offense at ``site``, or a call into a CPU-heavy
+    ``repro.core`` entry point."""
+    desc = _direct_offense(site.call, imports)
+    if desc is not None:
+        return desc
     for target in site.targets:
         parts = target.split(".")
         if (
@@ -143,7 +140,7 @@ def _heavy_core_target(site: CallSite) -> str | None:
             and parts[1] == "core"
             and parts[-1] in _CPU_HEAVY_CORE
         ):
-            return target
+            return f"CPU-heavy core call `{short_name(target)}`"
     return None
 
 
@@ -170,9 +167,7 @@ def _confident_sites(
         yield site
 
 
-def blocking_summaries(
-    graph: CallGraph, program: ProgramContext
-) -> dict[str, str]:
+def blocking_summaries(graph: CallGraph) -> dict[str, str]:
     """qualname -> reason, for every *sync* function that can block.
 
     Seeded with direct offenses (sleep/subprocess/file I/O/heavy core
@@ -181,22 +176,14 @@ def blocking_summaries(
     checked at its own body.  Propagation follows only
     :func:`_confident_sites` edges.
     """
-    maps = {
-        name: _module_maps(info)
-        for name, info in program.modules.items()
-    }
     blocking: dict[str, str] = {}
     rev: dict[str, set[str]] = {}
     for qualname, fn in graph.functions.items():
         if isinstance(fn.node, ast.AsyncFunctionDef):
             continue
-        bare, aliases = maps.get(fn.module, ({}, {}))
+        imports = graph.imports[fn.module]
         for site in graph.calls_in(qualname):
-            desc = _direct_offense(site.call, bare, aliases)
-            if desc is None:
-                heavy = _heavy_core_target(site)
-                if heavy is not None:
-                    desc = f"CPU-heavy core call `{short_name(heavy)}`"
+            desc = _site_offense(site, imports)
             if desc is not None:
                 blocking.setdefault(qualname, desc)
                 break
@@ -231,7 +218,7 @@ def check_async_blocking(
     program: ProgramContext,
 ) -> Iterator[tuple[Path, int, int, str]]:
     graph = get_call_graph(program)
-    blocking = blocking_summaries(graph, program)
+    blocking = blocking_summaries(graph)
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
         if not isinstance(fn.node, ast.AsyncFunctionDef):
@@ -243,7 +230,7 @@ def check_async_blocking(
             or info.ctx.is_test_file
         ):
             continue
-        bare, aliases = _module_maps(info)
+        imports = graph.imports[fn.module]
         awaited = {
             id(node.value)
             for node in ast.walk(fn.node)
@@ -257,11 +244,7 @@ def check_async_blocking(
                 continue
             if info.ctx.suppressions.has_loop_safe(call.lineno):
                 continue
-            desc = _direct_offense(call, bare, aliases)
-            if desc is None:
-                heavy = _heavy_core_target(site)
-                if heavy is not None:
-                    desc = f"CPU-heavy core call `{short_name(heavy)}`"
+            desc = _site_offense(site, imports)
             if desc is None and id(site) in confident:
                 desc = _blocking_callee(graph, site, blocking)
             if desc is not None:

@@ -17,14 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from ..context import FileContext
+from ..context import FileContext, iter_python_files
 
 __all__ = ["ImportRecord", "ModuleInfo", "ProgramContext", "layer_of"]
-
-#: directory names never worth indexing (mirrors the file runner).
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".venv", "venv", "build", "dist"}
-)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,11 @@ class ProgramContext:
         self.root = root
         self.root_package = root_package
         self.modules: dict[str, ModuleInfo] = {}
-        self.parse_failures: list[tuple[Path, str]] = []
+        #: resolved path -> why it did not parse (the lint run reports
+        #: each as a ``PARSE`` violation)
+        self.parse_failures: dict[
+            Path, SyntaxError | UnicodeDecodeError
+        ] = {}
         self._by_path: dict[Path, ModuleInfo] = {}
 
     # ------------------------------------------------------------------
@@ -115,13 +114,13 @@ class ProgramContext:
         the package, e.g. ``src/repro``) plus any consumer roots."""
         root = Path(root)
         program = cls(root=root, root_package=root.name)
-        for path in _iter_python_files(root):
+        for path in iter_python_files([root]):
             program._add_module(path, _module_name(root, path), consumer=False)
         for consumer in consumer_roots:
             consumer = Path(consumer)
             if not consumer.is_dir():
                 continue
-            for path in _iter_python_files(consumer):
+            for path in iter_python_files([consumer]):
                 name = f"<{consumer.name}>." + _module_name(consumer, path)
                 program._add_module(path, name, consumer=True)
         return program
@@ -130,7 +129,7 @@ class ProgramContext:
         try:
             ctx = FileContext.from_path(path)
         except (SyntaxError, UnicodeDecodeError) as exc:
-            self.parse_failures.append((path, str(exc)))
+            self.parse_failures[path.resolve()] = exc
             return
         info = ModuleInfo(name=name, ctx=ctx, is_consumer=consumer)
         info.imports = list(_extract_imports(info, self.root_package))
@@ -160,16 +159,6 @@ class ProgramContext:
             self.root_package + "."
         )
 
-    def resolve_internal(self, target: str) -> ModuleInfo | None:
-        """The :class:`ModuleInfo` for an internal dotted target.
-
-        ``from repro.core import greedy_sizes`` records target
-        ``repro.core``; ``greedy_sizes`` may itself be the submodule or a
-        name inside the package — both resolutions are attempted by
-        callers via :meth:`resolve_internal` on the longer name first.
-        """
-        return self.modules.get(target)
-
     def is_stdlib(self, target: str) -> bool:
         top = target.split(".", 1)[0]
         return top in sys.stdlib_module_names or top == "__future__"
@@ -178,16 +167,6 @@ class ProgramContext:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _iter_python_files(root: Path) -> Iterator[Path]:
-    for path in sorted(root.rglob("*.py")):
-        if any(
-            part in _SKIP_DIRS or part.endswith(".egg-info")
-            for part in path.parts
-        ):
-            continue
-        yield path
-
-
 def _module_name(root: Path, path: Path) -> str:
     """Dotted module name of ``path`` relative to the package ``root``."""
     relative = path.relative_to(root).with_suffix("")

@@ -24,8 +24,13 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
+from .asyncflow import (
+    annotation_container,
+    container_attr_kinds,
+    value_container,
+)
 from .callgraph import CallGraph, get_call_graph, short_name
-from .context import ModuleInfo, ProgramContext
+from .context import ProgramContext
 
 __all__ = ["event_affecting_functions"]
 
@@ -62,10 +67,6 @@ _DICT_VIEWS = frozenset({"keys", "values", "items"})
 _ORDER_PRESERVING = frozenset(
     {"list", "tuple", "enumerate", "reversed", "iter"}
 )
-_SET_ANNOTATIONS = frozenset({"set", "frozenset", "Set", "FrozenSet"})
-_DICT_ANNOTATIONS = frozenset(
-    {"dict", "Dict", "defaultdict", "DefaultDict", "OrderedDict", "Mapping"}
-)
 
 
 def event_affecting_functions(graph: CallGraph) -> set[str]:
@@ -89,91 +90,34 @@ def _is_scheduling_call(call: ast.Call) -> bool:
 
 
 # ----------------------------------------------------------------------
-# annotation harvesting
+# local container kinds
 # ----------------------------------------------------------------------
-def _annotation_kind(annotation: ast.AST | None) -> str | None:
-    """"set" / "dict" / None for a type annotation node."""
-    if annotation is None:
-        return None
-    node = annotation
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    name = None
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    if name in _SET_ANNOTATIONS:
-        return "set"
-    if name in _DICT_ANNOTATIONS:
-        return "dict"
-    return None
-
-
-def _attribute_kinds(info: ModuleInfo) -> dict[str, str]:
-    """attr name -> "set"/"dict" from class-level and self annotations."""
-    kinds: dict[str, str] = {}
-    for node in ast.walk(info.ctx.tree):
-        if isinstance(node, ast.AnnAssign):
-            kind = _annotation_kind(node.annotation)
-            if kind is None:
-                continue
-            target = node.target
-            if isinstance(target, ast.Name):
-                kinds[target.id] = kind
-            elif (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                kinds[target.attr] = kind
-    return kinds
-
-
 def _local_kinds(fn_node: ast.AST) -> dict[str, str]:
-    """Local/param name -> "set"/"dict" inside one function."""
+    """Local/param name -> container kind inside one function."""
     kinds: dict[str, str] = {}
     if isinstance(fn_node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         args = fn_node.args
         for arg in (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         ):
-            kind = _annotation_kind(arg.annotation)
+            kind = annotation_container(arg.annotation)
             if kind is not None:
                 kinds[arg.arg] = kind
     for node in ast.walk(fn_node):
         if isinstance(node, ast.AnnAssign) and isinstance(
             node.target, ast.Name
         ):
-            kind = _annotation_kind(node.annotation)
+            kind = annotation_container(node.annotation)
             if kind is not None:
                 kinds[node.target.id] = kind
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if not isinstance(target, ast.Name):
                 continue
-            kind = _value_kind(node.value)
+            kind = value_container(node.value)
             if kind is not None:
                 kinds[target.id] = kind
     return kinds
-
-
-def _value_kind(value: ast.AST) -> str | None:
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-        if value.func.id in ("set", "frozenset"):
-            return "set"
-        if value.func.id in ("dict", "defaultdict", "OrderedDict"):
-            return "dict"
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -206,10 +150,7 @@ def _classify_iterable(
         kind = local_kinds.get(node.id)
         return {"set": "set", "dict": "dict-view"}.get(kind or "")
     if isinstance(node, ast.Attribute):
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            kind = attr_kinds.get(node.attr)
-        else:
-            kind = attr_kinds.get(node.attr)
+        kind = attr_kinds.get(node.attr)
         return {"set": "set", "dict": "dict-view"}.get(kind or "")
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
@@ -274,6 +215,7 @@ def check_unordered_iteration(
         for site in graph.calls_in(qualname)
         for target in site.targets
     }
+    kinds_by_module: dict[str, dict[str, str]] = {}
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
         info = program.modules.get(fn.module)
@@ -286,7 +228,9 @@ def check_unordered_iteration(
         relevant = (
             qualname in affecting or qualname in called_by_affecting
         )
-        attr_kinds = _attribute_kinds(info)
+        if fn.module not in kinds_by_module:
+            kinds_by_module[fn.module] = container_attr_kinds(info.ctx.tree)
+        attr_kinds = kinds_by_module[fn.module]
         local_kinds = _local_kinds(fn.node)
         for iterable, body in _iterations(fn.node):
             kind = _classify_iterable(iterable, local_kinds, attr_kinds)

@@ -109,10 +109,12 @@ def import_edges(program: ProgramContext) -> list[ImportEdge]:
                 continue
             if record.names:
                 for name in record.names:
+                    # ``from repro.core import greedy`` imports the
+                    # submodule when there is one, else a name in it.
                     submodule = f"{record.target}.{name}"
                     dst = (
                         submodule
-                        if program.resolve_internal(submodule) is not None
+                        if submodule in program.modules
                         else record.target
                     )
                     edges.add(

@@ -29,7 +29,12 @@ from pathlib import Path
 from typing import Iterator
 
 from ..registry import project_rule
-from .asyncflow import container_attr_kinds, find_task_roots, reachable_from
+from .asyncflow import (
+    CONSTRUCTORS,
+    container_attr_kinds,
+    find_task_roots,
+    reachable_from,
+)
 from .callgraph import get_call_graph, short_name
 from .context import ProgramContext
 
@@ -51,10 +56,6 @@ _AGGREGATORS = frozenset({"sorted", "min", "max", "sum", "any", "all"})
 #: functions excluded from the closure: operator-cadence reporting, not
 #: per-request work (documented exemption).
 _REPORTING_NAMES = frozenset({"snapshot", "to_dict"})
-
-#: constructors run once per object, not once per request — binding a
-#: metric handle there is exactly the discipline this rule demands.
-_CONSTRUCTORS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
 def _receiver_chain(node: ast.AST) -> list[str]:
@@ -149,21 +150,20 @@ def check_hot_path(
     closure = reachable_from(
         graph,
         handler_roots,
-        skip_names=_REPORTING_NAMES | _CONSTRUCTORS,
+        skip_names=_REPORTING_NAMES | CONSTRUCTORS,
     )
     kinds_by_module: dict[str, dict[str, str]] = {}
     for qualname in sorted(closure):
         fn = graph.functions.get(qualname)
         if fn is None:
             continue
-        if fn.name in _REPORTING_NAMES or fn.name in _CONSTRUCTORS:
+        if fn.name in _REPORTING_NAMES or fn.name in CONSTRUCTORS:
             continue
         info = program.modules.get(fn.module)
         if (
             info is None
             or info.layer not in _HOT_LAYERS
             or info.ctx.is_test_file
-            or info.is_consumer
         ):
             continue
         if fn.module not in kinds_by_module:

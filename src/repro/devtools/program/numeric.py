@@ -18,6 +18,7 @@ from typing import Iterator
 from ..registry import project_rule
 from .callgraph import FunctionInfo, call_name, get_call_graph, short_name
 from .context import ProgramContext
+from .numflow import is_trusted_log
 
 __all__ = []
 
@@ -25,30 +26,9 @@ __all__ = []
 #: raw ``lgamma`` algebra is supposed to live (and be tested).
 _LGAMMA_HOME_MARKER = "combinatorics"
 
-_LOG_NAMES = frozenset({"log"})
-_LOG_RECEIVERS = frozenset({"math", "np", "numpy"})
 _EXP_NAMES = frozenset({"exp", "expm1"})
 _LGAMMA_NAMES = frozenset({"lgamma", "gammaln"})
 _SUM_NAMES = frozenset({"sum"})
-
-
-def _receiver_name(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id
-    return None
-
-
-def _is_log_call(node: ast.AST) -> bool:
-    """A trusted ``log(...)`` call (math/numpy receiver or bare name)."""
-    if not isinstance(node, ast.Call):
-        return False
-    name = call_name(node)
-    if name not in _LOG_NAMES:
-        return False
-    if isinstance(node.func, ast.Name):
-        return True
-    return _receiver_name(node) in _LOG_RECEIVERS
 
 
 def _is_exp_call(node: ast.AST) -> bool:
@@ -93,7 +73,7 @@ def check_numeric_stability(
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
         info = program.modules.get(fn.module)
-        if info is None or info.is_consumer or info.ctx.is_test_file:
+        if info is None or info.ctx.is_test_file:
             continue
         lgamma_exempt = _LGAMMA_HOME_MARKER in fn.module
         guards: list[str] | None = None
@@ -141,7 +121,7 @@ def check_numeric_stability(
 
 def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
     name = call_name(node)
-    if _is_log_call(node) and len(node.args) == 1:
+    if is_trusted_log(node) and len(node.args) == 1:
         arg = node.args[0]
         if (
             isinstance(arg, ast.BinOp)

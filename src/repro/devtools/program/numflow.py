@@ -37,6 +37,7 @@ __all__ = [
     "Domain",
     "NumericIndex",
     "get_numeric_index",
+    "is_trusted_log",
 ]
 
 #: fixpoint cap for the interprocedural summary iteration.  Summaries
@@ -70,7 +71,6 @@ _FLOAT_CALLS = frozenset(
         "full_like",
     }
 )
-_GUARDED_LOG = frozenset({"log"})
 _NUMERIC_RECEIVERS = frozenset({"math", "np", "numpy"})
 
 #: names whose value is an integer cardinality.
@@ -157,14 +157,9 @@ def get_numeric_index(program: ProgramContext) -> NumericIndex:
 def _build_index(program: ProgramContext) -> NumericIndex:
     graph = get_call_graph(program)
     index = NumericIndex(graph=graph)
-    functions = [
-        fn
-        for fn in graph.functions.values()
-        if not fn.module.startswith("<")  # consumers never contribute
-    ]
     for _ in range(_MAX_SUMMARY_PASSES):
         changed = False
-        for fn in functions:
+        for fn in graph.functions.values():
             env = _build_env(index, fn)
             index.envs[fn.qualname] = env
             summary = _return_summary(index, fn, env)
@@ -285,6 +280,18 @@ def _receiver_name(func: ast.AST) -> str | None:
     return None
 
 
+def is_trusted_log(node: ast.AST) -> bool:
+    """A ``log(...)`` call, bare or under a math/numpy receiver."""
+    return (
+        isinstance(node, ast.Call)
+        and call_name(node) == "log"
+        and (
+            isinstance(node.func, ast.Name)
+            or _receiver_name(node.func) in _NUMERIC_RECEIVERS
+        )
+    )
+
+
 def _is_inf_literal(node: ast.AST) -> bool:
     """``float("inf")``/``float("-inf")``/``float("nan")`` sentinels."""
     if not (isinstance(node, ast.Call) and call_name(node) == "float"):
@@ -380,17 +387,13 @@ class Evaluator:
     # ------------------------------------------------------------------
     def _call(self, node: ast.Call) -> Domain:
         name = call_name(node)
-        receiver = _receiver_name(node.func)
         if name is None:
             return Domain.UNKNOWN
         if _is_inf_literal(node):
             return Domain.NEUTRAL
         if name in _FLOAT_CALLS:
             return Domain.FLOAT
-        if name in _GUARDED_LOG and (
-            receiver in _NUMERIC_RECEIVERS
-            or isinstance(node.func, ast.Name)
-        ):
+        if is_trusted_log(node):
             return Domain.FLOAT
         if name == "clip" and len(node.args) >= 3:
             return Domain.FLOAT

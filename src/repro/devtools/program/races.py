@@ -77,7 +77,6 @@ def check_shared_state_races(
             info is None
             or info.layer not in _RACE_LAYERS
             or info.ctx.is_test_file
-            or info.is_consumer
         ):
             continue
         if write.module not in kinds_by_module:

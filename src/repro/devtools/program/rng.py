@@ -32,7 +32,7 @@ from typing import Iterator
 
 from ..registry import project_rule
 from .callgraph import CallGraph, FunctionInfo, get_call_graph, short_name
-from .context import ModuleInfo, ProgramContext
+from .context import ProgramContext
 
 __all__ = ["analyze_rng", "RngFinding"]
 
@@ -85,24 +85,19 @@ def _is_default_rng(
     return False
 
 
-def _rng_aliases(info: ModuleInfo) -> frozenset[str]:
-    """Local names bound to ``default_rng`` via from-imports."""
-    aliases = set()
-    for record in info.imports:
-        if record.target == "numpy.random":
-            for local, original in record.bindings():
-                if original == "default_rng":
-                    aliases.add(local)
-    return frozenset(aliases)
-
-
 def analyze_rng(
     program: ProgramContext, graph: CallGraph | None = None
 ) -> list[RngFinding]:
     """Run the provenance analysis; see the module docstring."""
     graph = graph if graph is not None else get_call_graph(program)
+    # local names bound to ``default_rng`` by a from-import
     aliases_by_module = {
-        info.name: _rng_aliases(info) for info in program.project_modules()
+        module: frozenset(
+            local
+            for local, binding in imports.items()
+            if binding == ("numpy.random", "default_rng")
+        )
+        for module, imports in graph.imports.items()
     }
 
     # Pass 1 — direct summaries from each function body.

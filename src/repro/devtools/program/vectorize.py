@@ -85,7 +85,6 @@ def check_vectorization_readiness(
         if (
             info is None
             or info.layer not in _CORE_LAYERS
-            or info.is_consumer
             or info.ctx.is_test_file
         ):
             continue

@@ -1,6 +1,6 @@
 """Rule registry: how reprolint rules declare themselves.
 
-A rule is a generator function taking a :class:`FileContext` and
+A file rule is a generator function taking a :class:`FileContext` and
 yielding ``(line, col, message)`` tuples.  The :func:`rule` decorator
 attaches the metadata (stable ID, slug, rationale) and registers it::
 
@@ -10,6 +10,11 @@ attaches the metadata (stable ID, slug, rationale) and registers it::
             ...
             yield node.lineno, node.col_offset, "time.sleep(...) call"
 
+A project rule (:func:`project_rule`) takes the whole
+:class:`~repro.devtools.program.context.ProgramContext` instead and
+yields ``(path, line, col, message)``.  Both kinds live in one table;
+a rule's ``scope`` says which context it reads.
+
 IDs are stable contract: suppression comments, docs and CI output all
 refer to them, so they are never reused for a different invariant.
 """
@@ -17,22 +22,14 @@ refer to them, so they are never reused for a different invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .context import FileContext
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .program.context import ProgramContext
-
-CheckFn = Callable[[FileContext], Iterator[tuple[int, int, str]]]
-#: project rules see the whole program and must say *where* each hit is.
-ProjectCheckFn = Callable[
-    ["ProgramContext"], Iterator[tuple[Path | str, int, int, str]]
-]
+#: a file rule maps a ``FileContext`` to ``(line, col, message)`` hits;
+#: a project rule maps a ``ProgramContext`` to ``(path, line, col,
+#: message)`` hits, since it must say *where* each one is.
+CheckFn = Callable[[Any], Iterator[tuple[Any, ...]]]
 
 _REGISTRY: dict[str, "Rule"] = {}
-_PROJECT_REGISTRY: dict[str, "ProjectRule"] = {}
 
 
 @dataclass(frozen=True)
@@ -43,89 +40,42 @@ class Rule:
     name: str
     rationale: str
     check: CheckFn
-
-    def run(self, ctx: FileContext) -> Iterator[tuple[int, int, str]]:
-        return self.check(ctx)
+    scope: str  # "file" | "project"
 
 
-def rule(rule_id: str, name: str, rationale: str) -> Callable[[CheckFn], CheckFn]:
-    """Register ``fn`` as the implementation of ``rule_id``."""
-
+def _registrar(
+    rule_id: str, name: str, rationale: str, scope: str
+) -> Callable[[CheckFn], CheckFn]:
     def decorator(fn: CheckFn) -> CheckFn:
         if rule_id in _REGISTRY:
             raise ValueError(f"duplicate rule id {rule_id!r}")
-        _REGISTRY[rule_id] = Rule(
-            rule_id=rule_id, name=name, rationale=rationale, check=fn
-        )
+        _REGISTRY[rule_id] = Rule(rule_id, name, rationale, fn, scope)
         return fn
 
     return decorator
 
 
-@dataclass(frozen=True)
-class ProjectRule:
-    """A registered whole-program rule (P-series).
-
-    Unlike file rules, a project rule walks the :class:`ProgramContext`
-    — import graph, call graph, cross-module indices — and therefore
-    yields the *path* of each hit along with its location.
-    """
-
-    rule_id: str
-    name: str
-    rationale: str
-    check: ProjectCheckFn
-
-    def run(
-        self, program: "ProgramContext"
-    ) -> Iterator[tuple[Path | str, int, int, str]]:
-        return self.check(program)
+def rule(
+    rule_id: str, name: str, rationale: str
+) -> Callable[[CheckFn], CheckFn]:
+    """Register ``fn`` as the file rule ``rule_id``."""
+    return _registrar(rule_id, name, rationale, "file")
 
 
 def project_rule(
     rule_id: str, name: str, rationale: str
-) -> Callable[[ProjectCheckFn], ProjectCheckFn]:
-    """Register ``fn`` as the implementation of project rule ``rule_id``."""
+) -> Callable[[CheckFn], CheckFn]:
+    """Register ``fn`` as the whole-program rule ``rule_id``."""
+    return _registrar(rule_id, name, rationale, "project")
 
-    def decorator(fn: ProjectCheckFn) -> ProjectCheckFn:
-        if rule_id in _PROJECT_REGISTRY or rule_id in _REGISTRY:
-            raise ValueError(f"duplicate rule id {rule_id!r}")
-        _PROJECT_REGISTRY[rule_id] = ProjectRule(
-            rule_id=rule_id, name=name, rationale=rationale, check=fn
-        )
-        return fn
 
-    return decorator
+def _catalogue_order(r: Rule) -> tuple[bool, str]:
+    return r.scope == "project", r.rule_id
 
 
 def all_rules() -> tuple[Rule, ...]:
-    """Every registered file rule, ordered by ID."""
-    return tuple(_REGISTRY[key] for key in sorted(_REGISTRY))
-
-
-def all_project_rules() -> tuple[ProjectRule, ...]:
-    """Every registered project rule, ordered by ID."""
-    return tuple(_PROJECT_REGISTRY[key] for key in sorted(_PROJECT_REGISTRY))
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"unknown rule {rule_id!r}; registered rules: {known}"
-        ) from None
-
-
-def get_project_rule(rule_id: str) -> ProjectRule:
-    try:
-        return _PROJECT_REGISTRY[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(_PROJECT_REGISTRY)) or "<none>"
-        raise KeyError(
-            f"unknown project rule {rule_id!r}; registered rules: {known}"
-        ) from None
+    """Every registered rule: file rules, then project rules, by ID."""
+    return tuple(sorted(_REGISTRY.values(), key=_catalogue_order))
 
 
 def resolve_rules(
@@ -138,48 +88,22 @@ def resolve_rules(
     removes rules from that set.  Unknown IDs raise ``KeyError`` so
     typos fail loudly instead of silently linting nothing.
     """
-    if select is None:
-        chosen = list(all_rules())
-    else:
-        chosen = [get_rule(rule_id) for rule_id in select]
-    if ignore:
-        dropped = {get_rule(rule_id).rule_id for rule_id in ignore}
-        chosen = [r for r in chosen if r.rule_id not in dropped]
-    return tuple(sorted(chosen, key=lambda r: r.rule_id))
 
-
-def resolve_rule_sets(
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> tuple[tuple[Rule, ...], tuple[ProjectRule, ...]]:
-    """Partition ``--select`` / ``--ignore`` across both registries.
-
-    IDs are validated against the *union* of file and project rules, so
-    ``--select R1,P3`` works while a typo still fails loudly.
-    """
-
-    def lookup(rule_id: str) -> Rule | ProjectRule:
-        if rule_id in _REGISTRY:
+    def lookup(rule_id: str) -> Rule:
+        try:
             return _REGISTRY[rule_id]
-        if rule_id in _PROJECT_REGISTRY:
-            return _PROJECT_REGISTRY[rule_id]
-        known = ", ".join(sorted({**_REGISTRY, **_PROJECT_REGISTRY}))
-        raise KeyError(
-            f"unknown rule {rule_id!r}; registered rules: {known or '<none>'}"
-        )
+        except KeyError:
+            known = ", ".join(sorted(_REGISTRY)) or "<none>"
+            raise KeyError(
+                f"unknown rule {rule_id!r}; registered rules: {known}"
+            ) from None
 
-    if select is None:
-        file_rules = list(all_rules())
-        proj_rules = list(all_project_rules())
-    else:
-        chosen = [lookup(rule_id) for rule_id in select]
-        file_rules = [r for r in chosen if isinstance(r, Rule)]
-        proj_rules = [r for r in chosen if isinstance(r, ProjectRule)]
+    chosen = (
+        list(_REGISTRY.values())
+        if select is None
+        else [lookup(rule_id) for rule_id in select]
+    )
     if ignore:
         dropped = {lookup(rule_id).rule_id for rule_id in ignore}
-        file_rules = [r for r in file_rules if r.rule_id not in dropped]
-        proj_rules = [r for r in proj_rules if r.rule_id not in dropped]
-    return (
-        tuple(sorted(file_rules, key=lambda r: r.rule_id)),
-        tuple(sorted(proj_rules, key=lambda r: r.rule_id)),
-    )
+        chosen = [r for r in chosen if r.rule_id not in dropped]
+    return tuple(sorted(set(chosen), key=_catalogue_order))

@@ -36,11 +36,10 @@ def render_text(report: LintReport) -> str:
     """
     lines = [v.format() for v in report.violations]
     noun = "violation" if len(report.violations) == 1 else "violations"
-    rule_count = len(report.rules) + len(report.project_rules)
     summary = (
         f"reprolint: {len(report.violations)} {noun} in "
         f"{report.files_checked} files "
-        f"({rule_count} rules active)"
+        f"({len(report.rules)} rules active)"
     )
     lines.append(summary)
     return "\n".join(lines)
@@ -56,20 +55,10 @@ def render_json(report: LintReport) -> str:
                 "id": rule.rule_id,
                 "name": rule.name,
                 "rationale": rule.rationale,
-                "scope": "file",
+                "scope": rule.scope,
                 "suppression": _suppression_help(rule.rule_id),
             }
             for rule in report.rules
-        ]
-        + [
-            {
-                "id": rule.rule_id,
-                "name": rule.name,
-                "rationale": rule.rationale,
-                "scope": "project",
-                "suppression": _suppression_help(rule.rule_id),
-            }
-            for rule in report.project_rules
         ],
         "ok": report.ok,
         "timings": report.timings,
@@ -105,7 +94,7 @@ def render_sarif(report: LintReport, base: Path | None = None) -> str:
             "help": {"text": _suppression_help(rule.rule_id)},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule in (*report.rules, *report.project_rules)
+        for rule in report.rules
     ]
     results = [
         {

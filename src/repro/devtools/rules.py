@@ -13,7 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .context import FileContext
+from .context import FileContext, dotted_parts
 from .registry import rule
 
 Hits = Iterator[tuple[int, int, str]]
@@ -66,17 +66,6 @@ _MATH_FLOAT_FUNCS = frozenset(
 
 _FLOAT_CONSTANT_ATTRS = frozenset({"inf", "nan", "e", "pi", "tau", "euler_gamma"})
 
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` as a string for Name/Attribute chains, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
 
 @rule(
     "R1",
@@ -118,10 +107,9 @@ def check_no_unseeded_rng(ctx: FileContext) -> Hits:
                             "global-state API; use a seeded Generator",
                         )
         elif isinstance(node, ast.Call):
-            target = _dotted(node.func)
-            if target is None:
+            parts = dotted_parts(node.func)
+            if parts is None:
                 continue
-            parts = target.split(".")
             if (
                 len(parts) == 3
                 and parts[0] in _NUMPY_ALIASES
@@ -195,26 +183,19 @@ def _is_float_expr(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return _is_float_expr(node.operand)
     if isinstance(node, ast.Call):
-        target = _dotted(node.func)
-        if target == "float":
-            return True
-        if target is not None:
-            parts = target.split(".")
-            if (
-                len(parts) == 2
-                and parts[0] == "math"
-                and parts[1] in _MATH_FLOAT_FUNCS
-            ):
-                return True
+        parts = dotted_parts(node.func) or []
+        return parts == ["float"] or (
+            len(parts) == 2
+            and parts[0] == "math"
+            and parts[1] in _MATH_FLOAT_FUNCS
+        )
     if isinstance(node, ast.Attribute):
-        target = _dotted(node)
-        if target is not None:
-            parts = target.split(".")
-            return (
-                len(parts) == 2
-                and parts[0] in (_NUMPY_ALIASES | {"math"})
-                and parts[1] in _FLOAT_CONSTANT_ATTRS
-            )
+        parts = dotted_parts(node) or []
+        return (
+            len(parts) == 2
+            and parts[0] in (_NUMPY_ALIASES | {"math"})
+            and parts[1] in _FLOAT_CONSTANT_ATTRS
+        )
     return False
 
 

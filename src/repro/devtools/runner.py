@@ -1,13 +1,13 @@
-"""File discovery and rule execution for reprolint.
+"""One lint run: the input decides which rules apply.
 
-Two execution scopes share one report shape:
-
-- **file scope** — every rule runs independently over each parsed file
-  (:func:`lint_paths` with ``project=False``);
-- **project scope** — the tree is additionally indexed into one
-  :class:`~repro.devtools.program.context.ProgramContext` and the
-  P-series whole-program rules run over it, with per-file suppression
-  comments honoured at the violation's location.
+When the given paths name a package (a directory with an
+``__init__.py``, or a directory holding exactly one), the run indexes
+that tree once into a
+:class:`~repro.devtools.program.context.ProgramContext`.  The file
+rules then walk the :class:`FileContext` each module was parsed into,
+and the whole-program rules run over the same index.  Loose files with
+no package get the file rules only.  Either way every file is parsed
+once, and suppression comments are honoured at each violation's site.
 """
 
 from __future__ import annotations
@@ -15,20 +15,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .context import FileContext
-from .registry import ProjectRule, Rule, resolve_rule_sets, resolve_rules
+from .context import FileContext, iter_python_files
+from .registry import Rule, resolve_rules
 from .violations import Violation
 
-#: directory names never worth linting
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".venv", "venv", "build", "dist"}
-)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .program.context import ProgramContext
 
-#: sibling directories scanned as *evidence of use* in project scope
-#: (rule P5); they are never linted themselves.
+#: sibling directories scanned as *evidence of use* by the project
+#: rules (P5); they are never linted themselves.
 _CONSUMER_DIR_NAMES = ("tests", "examples", "benchmarks")
+
 
 @dataclass
 class LintReport:
@@ -36,11 +35,10 @@ class LintReport:
 
     violations: list[Violation] = field(default_factory=list)
     files_checked: int = 0
+    #: the rules that ran: file rules, then project rules, by ID
     rules: tuple[Rule, ...] = ()
-    project_rules: tuple[ProjectRule, ...] = ()
-    #: wall-clock seconds per stage (``file_rules``, ``program_index``,
-    #: ``call_graph``, ``numeric_index``, ``pass_<ID>``) — populated in
-    #: project scope
+    #: wall-clock seconds per stage (``program_index``, ``file_rules``,
+    #: ``call_graph``, ``numeric_index``, ``pass_<ID>``)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -48,71 +46,32 @@ class LintReport:
         return not self.violations
 
 
-def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Expand files/directories into the .py files to lint, sorted."""
-    seen: set[Path] = set()
-    for path in paths:
-        if path.is_dir():
-            candidates: Iterable[Path] = sorted(path.rglob("*.py"))
-        else:
-            candidates = [path]
-        for candidate in candidates:
-            if any(
-                part in _SKIP_DIRS or part.endswith(".egg-info")
-                for part in candidate.parts
-            ):
-                continue
-            resolved = candidate.resolve()
-            if resolved not in seen:
-                seen.add(resolved)
-                yield candidate
-
-
-def lint_file(path: Path, rules: Sequence[Rule]) -> list[Violation]:
-    """Run ``rules`` over one file, honouring suppression comments.
-
-    A file that fails to parse yields a single synthetic ``PARSE``
-    violation instead of crashing the whole run: the linter must keep
-    working mid-refactor, when some files are transiently broken.
-    """
-    try:
-        ctx = FileContext.from_path(path)
-    except (SyntaxError, UnicodeDecodeError) as exc:
-        line = getattr(exc, "lineno", 1) or 1
-        return [
-            Violation.at("PARSE", path, line, 0, f"could not parse: {exc}")
-        ]
+def lint_file(ctx: FileContext, rules: Sequence[Rule]) -> list[Violation]:
+    """Run the file ``rules`` over one parsed file, honouring
+    suppression comments."""
     found: list[Violation] = []
     for rule_obj in rules:
-        for line, col, message in rule_obj.run(ctx):
+        for line, col, message in rule_obj.check(ctx):
             if ctx.suppressions.is_suppressed(rule_obj.rule_id, line):
                 continue
             found.append(
-                Violation.at(rule_obj.rule_id, path, line, col, message)
+                Violation.at(rule_obj.rule_id, ctx.path, line, col, message)
             )
     return found
 
 
-def lint_paths(
-    paths: Iterable[Path | str],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> LintReport:
-    """Lint every Python file under ``paths`` with the active rule set."""
-    rules = resolve_rules(select=select, ignore=ignore)
-    report = LintReport(rules=rules)
-    for path in iter_python_files(Path(p) for p in paths):
-        report.files_checked += 1
-        report.violations.extend(lint_file(path, rules))
-    report.violations.sort()
-    return report
+def _parse_violation(
+    path: Path, exc: SyntaxError | UnicodeDecodeError
+) -> Violation:
+    """The synthetic ``PARSE`` violation of a file that does not parse:
+    the linter must keep working mid-refactor, when some files are
+    transiently broken."""
+    line = getattr(exc, "lineno", 1) or 1
+    return Violation.at("PARSE", path, line, 0, f"could not parse: {exc}")
 
 
-# ----------------------------------------------------------------------
-# project scope
-# ----------------------------------------------------------------------
 def find_package_root(paths: Sequence[Path]) -> Path | None:
-    """The package directory the project analysis should index.
+    """The package directory the whole-program rules should index.
 
     The first given directory that is itself a package (contains an
     ``__init__.py``) wins; a directory *containing* exactly one package
@@ -145,54 +104,78 @@ def default_consumer_roots(package_root: Path) -> tuple[Path, ...]:
     return tuple(roots)
 
 
-def lint_project(
+def lint(
     paths: Iterable[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> LintReport:
-    """File rules plus the P-series whole-program rules over one tree."""
-    from .program.callgraph import get_call_graph
+    """Lint every Python file under ``paths`` with the active rules."""
     from .program.context import ProgramContext
 
     path_list = [Path(p) for p in paths]
-    file_rules, project_rules = resolve_rule_sets(
-        select=select, ignore=ignore
-    )
-    report = LintReport(rules=file_rules, project_rules=project_rules)
+    rules = resolve_rules(select=select, ignore=ignore)
+    package_root = find_package_root(path_list)
+    program: ProgramContext | None = None
+    report = LintReport()
+    if package_root is not None and any(
+        r.scope == "project" for r in rules
+    ):
+        started = time.perf_counter()
+        program = ProgramContext.build(
+            package_root,
+            consumer_roots=default_consumer_roots(package_root),
+        )
+        report.timings["program_index"] = time.perf_counter() - started
+    else:
+        rules = tuple(r for r in rules if r.scope == "file")
+    report.rules = rules
+
+    file_rules = [r for r in rules if r.scope == "file"]
     started = time.perf_counter()
     for path in iter_python_files(path_list):
         report.files_checked += 1
-        report.violations.extend(lint_file(path, file_rules))
+        try:
+            ctx = _file_context(path, program)
+        except (SyntaxError, UnicodeDecodeError) as exc:
+            report.violations.append(_parse_violation(path, exc))
+            continue
+        report.violations.extend(lint_file(ctx, file_rules))
     report.timings["file_rules"] = time.perf_counter() - started
 
-    package_root = find_package_root(path_list)
-    if package_root is None:
-        report.violations.append(
-            Violation.at(
-                "PROJECT",
-                path_list[0] if path_list else Path("."),
-                1,
-                0,
-                "project scope needs a package directory (one containing "
-                "__init__.py); none found in the given paths",
-            )
+    if program is not None:
+        _run_project_rules(
+            program, [r for r in rules if r.scope == "project"], report
         )
-        report.violations.sort()
-        return report
+    report.violations.sort()
+    return report
 
-    started = time.perf_counter()
-    program = ProgramContext.build(
-        package_root,
-        consumer_roots=default_consumer_roots(package_root),
-    )
-    report.timings["program_index"] = time.perf_counter() - started
+
+def _file_context(
+    path: Path, program: "ProgramContext | None"
+) -> FileContext:
+    """The parsed file: the program index's copy when it holds one (or
+    its recorded parse failure, re-raised), else a fresh parse."""
+    if program is not None:
+        info = program.module_at(path)
+        if info is not None:
+            return info.ctx
+        failure = program.parse_failures.get(path.resolve())
+        if failure is not None:
+            raise failure
+    return FileContext.from_path(path)
+
+
+def _run_project_rules(
+    program: "ProgramContext", rules: Sequence[Rule], report: LintReport
+) -> None:
+    from .program.callgraph import get_call_graph
 
     # Pre-warm the shared indices so each pass's timing measures the
     # pass itself, not the build.
     started = time.perf_counter()
     get_call_graph(program)
     report.timings["call_graph"] = time.perf_counter() - started
-    if any(r.rule_id == "P14" for r in project_rules):
+    if any(r.rule_id == "P14" for r in rules):
         # only P14 reads the value-domain index (program/numflow.py)
         from .program.numflow import get_numeric_index
 
@@ -200,9 +183,9 @@ def lint_project(
         get_numeric_index(program)
         report.timings["numeric_index"] = time.perf_counter() - started
 
-    for rule_obj in project_rules:
+    for rule_obj in rules:
         started = time.perf_counter()
-        for v_path, line, col, message in rule_obj.run(program):
+        for v_path, line, col, message in rule_obj.check(program):
             info = program.module_at(Path(v_path))
             if info is not None and info.ctx.suppressions.is_suppressed(
                 rule_obj.rule_id, line
@@ -214,6 +197,3 @@ def lint_project(
         report.timings[f"pass_{rule_obj.rule_id}"] = (
             time.perf_counter() - started
         )
-
-    report.violations.sort()
-    return report

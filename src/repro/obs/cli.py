@@ -10,7 +10,8 @@ Usage::
 statistics; ``diff`` compares per-kind counts between two traces (new
 and vanished kinds flagged); ``tail`` pretty-prints the last N events.
 
-Exit codes: 0 success, 1 ``diff`` found differences, 2 usage error.
+Exit codes: 0 success, 1 ``diff`` found differences, 2 usage error
+(including a trace that is missing or does not parse).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .events import Event
-from .export import read_events
+from .export import TraceLineError, read_events
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,10 +66,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str) -> NoReturn:
+    """Report a usage error in one line and exit 2."""
+    print(f"repro-obs: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load(path: str) -> list[Event]:
     if not Path(path).exists():
-        raise SystemExit(f"repro-obs: no such trace file: {path}")
-    return read_events(path)
+        _fail(f"no such trace file: {path}")
+    try:
+        return read_events(path)
+    except TraceLineError as exc:
+        _fail(f"{path}:{exc.lineno}: {exc.reason}")
+    except (OSError, ValueError) as exc:
+        _fail(f"{path}: {exc}")
 
 
 def heavy_hitter_tables(

@@ -22,6 +22,7 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
+    "TraceLineError",
     "events_to_jsonl",
     "export_json",
     "export_jsonl",
@@ -69,13 +70,41 @@ def export_jsonl(
     return target
 
 
+class TraceLineError(ValueError):
+    """A JSONL trace line that does not hold an event."""
+
+    def __init__(self, lineno: int, reason: str) -> None:
+        super().__init__(f"line {lineno}: {reason}")
+        self.lineno = lineno
+        self.reason = reason
+
+
 def read_events_text(text: str) -> Iterator[Event]:
-    """Parse JSONL text back into events (legacy records included)."""
-    for line in text.splitlines():
+    """Parse JSONL text back into events (legacy records included).
+
+    Raises :class:`TraceLineError` (a ``ValueError``) naming the first
+    line that is not a JSON object with a numeric ``time`` and a
+    ``kind``.
+    """
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        yield Event.from_dict(json.loads(line))
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceLineError(lineno, f"not JSON ({exc.msg})") from None
+        if not isinstance(payload, dict):
+            raise TraceLineError(lineno, "not a JSON object")
+        try:
+            event = Event.from_dict(payload)
+        except KeyError as exc:
+            raise TraceLineError(
+                lineno, f"no {exc.args[0]!r} field"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise TraceLineError(lineno, f"bad field ({exc})") from None
+        yield event
 
 
 def read_events(path: str | Path) -> list[Event]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cloudsim.clients import BenignClient
-from repro.cloudsim.metrics import MetricsCollector, QoSWindow, WindowSample
+from repro.cloudsim.metrics import MetricsCollector, QoSWindow
 from repro.cloudsim.system import CloudConfig, CloudContext, CloudDefenseSystem
 from repro.sim.qos import QoSWindow as SharedQoSWindow
 
@@ -16,14 +16,15 @@ def ctx():
 
 
 class TestWindowSample:
+    """The per-window sample record, :class:`QoSWindow`."""
+
     def test_shared_schema_alias(self):
-        # One comparison format: cloudsim's WindowSample IS the shared
+        # One comparison format: cloudsim's QoSWindow IS the shared
         # record the live service telemetry emits.
-        assert WindowSample is SharedQoSWindow
         assert QoSWindow is SharedQoSWindow
 
     def test_ratios(self):
-        sample = WindowSample(
+        sample = QoSWindow(
             time=1.0, benign_sent=10, benign_ok=8,
             latency_sum=1.6, latency_count=8, attacked_replicas=0,
             active_replicas=4, shuffles_completed=0,
@@ -32,7 +33,7 @@ class TestWindowSample:
         assert sample.mean_latency == pytest.approx(0.2)
 
     def test_empty_window_defaults(self):
-        sample = WindowSample(
+        sample = QoSWindow(
             time=0.0, benign_sent=0, benign_ok=0,
             latency_sum=0.0, latency_count=0, attacked_replicas=0,
             active_replicas=0, shuffles_completed=0,
@@ -44,7 +45,7 @@ class TestWindowSample:
         """A failed request with a measured duration is part of the
         latency mean — an ok-only denominator would hide exactly the
         slow failures an attack produces."""
-        sample = WindowSample(
+        sample = QoSWindow(
             time=1.0, benign_sent=4, benign_ok=2,
             latency_sum=2.0, latency_count=4, attacked_replicas=1,
             active_replicas=4, shuffles_completed=0,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import lint_paths, lint_project, render_text
+from repro.devtools import lint, render_text
 from repro.devtools.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -36,7 +36,7 @@ CANARIES = {
 
 
 def test_src_repro_is_reprolint_clean():
-    report = lint_paths([SRC])
+    report = lint([SRC], select=["R1", "R3", "R5", "R6"])
     assert report.files_checked > 50
     assert report.ok, "\n" + render_text(report)
 
@@ -44,9 +44,9 @@ def test_src_repro_is_reprolint_clean():
 def test_src_repro_is_project_clean():
     """Every file and whole-program rule must hold on the tree, with
     nothing excused out of line."""
-    report = lint_project([SRC])
+    report = lint([SRC])
     assert report.files_checked > 50
-    assert {r.rule_id for r in (*report.rules, *report.project_rules)} == {
+    assert {r.rule_id for r in report.rules} == {
         "R1", "R3", "R5", "R6",
         "P1", "P2", "P3", "P5", "P6", "P9", "P10", "P13", "P14",
     }
@@ -57,7 +57,7 @@ def test_numeric_passes_clean_without_baseline():
     """P13 and P14 hold over the whole tree: every stability finding was
     fixed or carries a reasoned ``disable=`` at the site, and every hot
     numeric loop in src/repro is vectorized."""
-    report = lint_project([SRC], select=["P13", "P14"])
+    report = lint([SRC], select=["P13", "P14"])
     assert report.ok, "\n" + render_text(report)
 
 

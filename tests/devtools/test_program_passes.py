@@ -1,7 +1,7 @@
 """Unit tests for the whole-program passes (the P-series).
 
 Each test materialises a minimal ``repro``-shaped package under
-``tmp_path`` and runs :func:`repro.devtools.lint_project` with
+``tmp_path`` and runs :func:`repro.devtools.lint` with
 ``select`` isolating one pass, asserting the pass fires on the
 violating shape and stays quiet on the idiomatic alternative.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.devtools import lint_project
+from repro.devtools import lint
 from repro.devtools.program import ProgramContext, render_dot, render_graph_json
 from repro.devtools.program.asyncflow import find_task_roots, reachable_from
 from repro.devtools.program.callgraph import build_call_graph
@@ -28,7 +28,7 @@ def build_tree(tmp_path: Path, files: dict[str, str]) -> Path:
 
 
 def hits(tree: Path, select: list[str]) -> list[str]:
-    report = lint_project([tree], select=select)
+    report = lint([tree], select=select)
     return [
         f"{v.rule_id} {Path(v.path).name}:{v.line}"
         for v in report.violations
@@ -486,6 +486,26 @@ class TestP3UnorderedIteration:
         found = hits(tree, ["P3"])
         assert found == ["P3 comp.py:8"], found
 
+    def test_unannotated_set_attribute_feeding_schedule(self, tmp_path):
+        tree = build_tree(
+            tmp_path,
+            PKG
+            | {
+                "repro/cloudsim/comp.py": """\
+                class Comp:
+                    def __init__(self, sim):
+                        self.sim = sim
+                        self.peers = set()
+
+                    def kick(self):
+                        for peer in self.peers:
+                            self.sim.schedule(1.0, peer)
+                """,
+            },
+        )
+        found = hits(tree, ["P3"])
+        assert found == ["P3 comp.py:7"], found
+
     def test_sorted_iteration_is_clean(self, tmp_path):
         tree = build_tree(
             tmp_path,
@@ -572,7 +592,7 @@ class TestP5DeadExports:
         )
         found = hits(tree, ["P5"])
         assert "P5 __init__.py:3" in found  # ghost and unused both line 3
-        report = lint_project([tree], select=["P5"])
+        report = lint([tree], select=["P5"])
         messages = sorted(v.message for v in report.violations)
         assert any("ghost" in m and "broken export" in m for m in messages)
         assert any("unused" in m and "no cross-module use" in m
@@ -760,6 +780,31 @@ class TestP6AsyncBlocking:
             },
         )
         assert hits(tree, ["P6"]) == []
+
+    def test_os_path_import_keeps_os_system_visible(self, tmp_path):
+        # ``import os.path`` binds ``os`` to the ``os`` package, not to
+        # ``os.path``: the blocking ``os.system`` call stays in view.
+        tree = build_tree(
+            tmp_path,
+            SERVICE_PKG
+            | {
+                "repro/service/a.py": """\
+                import os
+                import os.path
+
+                async def h():
+                    os.system("x")
+                """,
+                "repro/service/b.py": """\
+                import os
+
+                async def h():
+                    os.system("x")
+                """,
+            },
+        )
+        found = hits(tree, ["P6"])
+        assert found == ["P6 a.py:5", "P6 b.py:4"], found
 
     def test_async_outside_service_layer_is_out_of_scope(self, tmp_path):
         tree = build_tree(
@@ -1285,7 +1330,7 @@ class TestP14VectorizationReadiness:
 
     def test_message_carries_iter_text_and_nest_depth(self, tmp_path):
         tree = self._tree(tmp_path, self.SCALAR_LOOP)
-        report = lint_project([tree], select=["P14"])
+        report = lint([tree], select=["P14"])
         assert len(report.violations) == 1
         message = report.violations[0].message
         assert "`range(n)`" in message

@@ -1,5 +1,5 @@
-"""CLI behaviour of ``repro-lint --project``: rule selection, graph
-export, and the SARIF code-scanning reporter."""
+"""CLI behaviour of ``repro-lint`` on a package: the whole-program
+rules, graph export, and the SARIF code-scanning reporter."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import lint_project, render_json, render_sarif
+from repro.devtools import lint, render_json, render_sarif
 from repro.devtools.cli import main
 
 CLEAN_COMP = """\
@@ -41,22 +41,40 @@ def tree(tmp_path: Path) -> Path:
     return tmp_path / "repro"
 
 
-def test_project_flag_runs_p_rules(tree, capsys):
-    # Selecting a project rule without --project is a usage error: the
-    # file-mode registry does not know the P-series.
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--select", "P3", str(tree)])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
-    assert main(["--project", "--select", "P3", str(tree)]) == 1
+def test_package_dir_runs_p_rules(tree, capsys):
+    # No flag: a package directory gets the P-series.
+    assert main(["--select", "P3", str(tree)]) == 1
     out = capsys.readouterr().out
     assert "P3" in out
     assert "comp.py:7" in out
 
 
+def test_package_dir_runs_all_thirteen_rules(tree, capsys):
+    assert main(["--format", "json", str(tree)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    scopes = {r["id"]: r["scope"] for r in payload["rules"]}
+    assert len(scopes) == 13
+    assert sorted(i for i, s in scopes.items() if s == "file") == [
+        "R1", "R3", "R5", "R6",
+    ]
+    assert "P3" in {v["rule"] for v in payload["violations"]}
+
+
+def test_loose_files_get_only_the_file_rules(tmp_path, capsys):
+    stray = tmp_path / "stray.py"
+    stray.write_text(
+        '"""Doc."""\n\nfrom __future__ import annotations\n\nx = 1\n',
+        encoding="utf-8",
+    )
+    assert main(["--format", "json", str(stray)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["id"] for r in payload["rules"]] == ["R1", "R3", "R5", "R6"]
+    assert payload["files_checked"] == 1
+
+
 def test_json_output_marks_project_scope(tree, capsys):
     assert main(
-        ["--project", "--select", "P3", "--format", "json", str(tree)]
+        ["--select", "P3", "--format", "json", str(tree)]
     ) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
@@ -67,7 +85,7 @@ def test_json_output_marks_project_scope(tree, capsys):
 
 def test_sarif_output_is_valid_code_scanning_payload(tree, capsys):
     assert main(
-        ["--project", "--select", "P3", "--format", "sarif", str(tree)]
+        ["--select", "P3", "--format", "sarif", str(tree)]
     ) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
@@ -86,7 +104,7 @@ def test_sarif_output_is_valid_code_scanning_payload(tree, capsys):
 
 
 def test_render_sarif_anchors_uris_at_the_given_base(tree, tmp_path):
-    report = lint_project([tree], select=["P3"])
+    report = lint([tree], select=["P3"])
     payload = json.loads(render_sarif(report, base=tmp_path))
     (result,) = payload["runs"][0]["results"]
     uri = result["locations"][0]["physicalLocation"]["artifactLocation"]
@@ -110,13 +128,20 @@ def test_graph_json_export(tree, tmp_path, capsys):
     )
 
 
-def test_graph_composes_with_project_lint(tree, tmp_path, capsys):
+def test_graph_export_runs_no_lint(tree, tmp_path, capsys):
     destination = tmp_path / "imports.dot"
-    assert main(
-        ["--project", "--select", "P3", "--graph", str(destination),
-         str(tree)]
-    ) == 1  # graph written AND the P3 violation still fails the run
+    argv = ["--select", "P3", "--graph", str(destination), str(tree)]
+    assert main(argv) == 0
     assert destination.exists()
+    assert "P3" not in capsys.readouterr().out
+
+
+def test_unwritable_graph_destination_is_exit_two(tree, tmp_path, capsys):
+    destination = tmp_path / "absent" / "imports.dot"
+    assert main(["--graph", str(destination), str(tree)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro-lint: cannot write")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_list_rules_includes_project_catalogue(capsys):
@@ -133,20 +158,36 @@ def test_list_rules_includes_project_catalogue(capsys):
         assert "[project]" in out
 
 
-def test_project_mode_without_package_root_reports(tmp_path, capsys):
-    stray = tmp_path / "stray.py"
-    stray.write_text(
-        '"""Doc."""\n\nfrom __future__ import annotations\n\nx = 1\n',
-        encoding="utf-8",
+def test_each_file_is_parsed_once(tree, monkeypatch):
+    from repro.devtools.context import FileContext
+
+    parsed: list[Path] = []
+    from_path = FileContext.from_path.__func__
+    monkeypatch.setattr(
+        FileContext,
+        "from_path",
+        classmethod(
+            lambda cls, path: parsed.append(path.resolve())
+            or from_path(cls, path)
+        ),
     )
-    code = main(["--project", str(stray)])
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "PROJECT" in out
+    report = lint([tree])
+    assert report.files_checked == 4
+    package_files = {p.resolve() for p in tree.rglob("*.py")}
+    assert package_files <= set(parsed)
+    assert len(parsed) == len(set(parsed))
+
+
+def test_unparsable_package_file_is_a_parse_violation(tree, capsys):
+    (tree / "core" / "broken.py").write_text("def f(:\n", encoding="utf-8")
+    assert main(["--select", "R5", str(tree)]) == 1
+    assert "broken.py:1:0: PARSE could not parse" in capsys.readouterr().out
+    report = lint([tree], select=["P3"])
+    assert [v.rule_id for v in report.violations] == ["P3", "PARSE"]
 
 
 def test_project_report_carries_stage_timings(tree):
-    report = lint_project([tree], select=["P3", "P14"])
+    report = lint([tree], select=["P3", "P14"])
     for key in ("file_rules", "program_index", "call_graph",
                 "numeric_index", "pass_P3", "pass_P14"):
         assert key in report.timings
@@ -164,19 +205,19 @@ def test_call_graph_is_built_once_per_run(tree, monkeypatch):
         "build_call_graph",
         lambda program: built.append(program) or build(program),
     )
-    lint_project([tree])
+    lint([tree])
     assert len(built) == 1
 
 
 def test_numeric_index_timing_only_for_numeric_passes(tree):
-    report = lint_project([tree], select=["P3"])
+    report = lint([tree], select=["P3"])
     assert "numeric_index" not in report.timings
     assert "pass_P3" in report.timings
 
 
 def test_json_rules_carry_suppression_help(tree, capsys):
     assert main(
-        ["--project", "--select", "P3", "--format", "json", str(tree)]
+        ["--select", "P3", "--format", "json", str(tree)]
     ) == 1
     payload = json.loads(capsys.readouterr().out)
     (rule,) = payload["rules"]
@@ -185,7 +226,7 @@ def test_json_rules_carry_suppression_help(tree, capsys):
 
 def test_sarif_help_includes_pass_specific_markers(tree, capsys):
     assert main(
-        ["--project", "--select", "P6,P13", "--format", "sarif",
+        ["--select", "P6,P13", "--format", "sarif",
          str(tree)]
     ) == 0
     payload = json.loads(capsys.readouterr().out)

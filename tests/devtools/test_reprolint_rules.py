@@ -11,8 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.devtools import lint_paths
-from repro.devtools.runner import lint_file
+from repro.devtools import lint
 from repro.devtools.registry import all_rules, resolve_rules
 
 
@@ -35,7 +34,7 @@ def lint_snippet(
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(code, encoding="utf-8")
-    report = lint_paths([path], select=select)
+    report = lint([path], select=select)
     return [f"{v.rule_id} {v.line}" for v in report.violations]
 
 
@@ -284,8 +283,9 @@ class TestSuppressions:
 
 class TestFramework:
     def test_four_builtin_rules_registered(self):
-        ids = [r.rule_id for r in all_rules()]
+        ids = [r.rule_id for r in all_rules() if r.scope == "file"]
         assert ids == ["R1", "R3", "R5", "R6"]
+        assert len(all_rules()) == 13
 
     def test_resolve_rules_rejects_unknown_ids(self):
         import pytest
@@ -296,5 +296,5 @@ class TestFramework:
     def test_unparsable_file_reports_parse_violation(self, tmp_path):
         path = tmp_path / "broken.py"
         path.write_text("def f(:\n", encoding="utf-8")
-        violations = lint_file(path, all_rules())
+        violations = lint([path]).violations
         assert [v.rule_id for v in violations] == ["PARSE"]

@@ -50,9 +50,29 @@ class TestSummarize:
         assert summary["kinds"]["shuffle_completed"] == 1
         assert summary["spans"]["round"]["count"] == 1
 
-    def test_missing_file_exits_cleanly(self, tmp_path):
-        with pytest.raises(SystemExit, match="no such trace file"):
+    def test_missing_file_exits_cleanly(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["summarize", str(tmp_path / "absent.jsonl")])
+        assert excinfo.value.code == 2
+        assert "no such trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_line", ["not json", '{"kind": "b"}', "[1, 2]"]
+    )
+    def test_malformed_line_is_exit_two_naming_the_line(
+        self, tmp_path, capsys, bad_line
+    ):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(
+            '{"time": 0.0, "kind": "a"}\n' + bad_line + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["summarize", str(trace)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-obs: {trace}:2: ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_summarize_recorded_fig8_trace(self, tmp_path, capsys):
         """End to end: record a (scaled-down) fig8-style shuffle run
@@ -92,6 +112,26 @@ class TestDiff:
         out = capsys.readouterr().out
         assert "shuffle_completed" in out
         assert "(-1)" in out
+
+    def test_missing_file_is_exit_two_not_a_difference(
+        self, tmp_path, capsys
+    ):
+        left = write_trace(tmp_path, "a.jsonl", sample_events())
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", left, str(tmp_path / "absent.jsonl")])
+        assert excinfo.value.code == 2
+        assert "no such trace file" in capsys.readouterr().err
+
+    def test_malformed_line_is_exit_two_not_a_difference(
+        self, tmp_path, capsys
+    ):
+        left = write_trace(tmp_path, "a.jsonl", sample_events())
+        right = tmp_path / "b.jsonl"
+        right.write_text("not json\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", left, str(right)])
+        assert excinfo.value.code == 2
+        assert f"{right}:1: not JSON" in capsys.readouterr().err
 
     def test_diff_counts_helper(self):
         left = [Event(time=0.0, kind="a"), Event(time=1.0, kind="b")]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs import (
     Event,
     EventLog,
@@ -111,6 +113,21 @@ class TestJsonlRoundTrip:
         )
         kinds = [e.kind for e in read_events_text(text)]
         assert kinds == ["k", "j"]
+
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [
+            ("not json", "not JSON"),
+            ('{"kind": "b"}', "no 'time' field"),
+            ('{"time": "soon", "kind": "b"}', "bad field"),
+        ],
+    )
+    def test_malformed_line_raises_value_error_naming_it(
+        self, bad_line, reason
+    ):
+        text = '{"time": 0.0, "kind": "a"}\n\n' + bad_line + "\n"
+        with pytest.raises(ValueError, match=f"^line 3: {reason}"):
+            list(read_events_text(text))
 
     def test_empty_trace_writes_empty_file(self, tmp_path):
         path = export_jsonl([], tmp_path / "empty.jsonl")

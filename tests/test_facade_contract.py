@@ -29,16 +29,13 @@ from repro.cloudsim import system as cloudsim_system
 from repro.devtools import (
     FileContext,
     LintReport,
-    ProjectRule,
     Rule,
     Violation,
-    all_project_rules,
-    get_project_rule,
-    get_rule,
-    lint_project,
+    all_rules,
+    lint,
     project_rule,
     render_json,
-    resolve_rule_sets,
+    resolve_rules,
     rule,
 )
 from repro.devtools import context as devtools_context
@@ -96,28 +93,16 @@ def test_devtools_facade_aliases():
     assert devtools_pkg.FileContext is FileContext
     assert FileContext is devtools_context.FileContext
     assert LintReport is runner.LintReport
-    assert lint_project is runner.lint_project
+    assert lint is runner.lint
     assert Violation is violations.Violation
     assert render_json is reporters.render_json
-    for name in (
-        "Rule",
-        "ProjectRule",
-        "rule",
-        "project_rule",
-        "get_rule",
-        "get_project_rule",
-        "all_project_rules",
-        "resolve_rule_sets",
-    ):
+    for name in ("Rule", "rule", "project_rule", "all_rules", "resolve_rules"):
         assert getattr(devtools_pkg, name) is getattr(registry, name)
     assert Rule is registry.Rule
-    assert ProjectRule is registry.ProjectRule
     assert rule is registry.rule
     assert project_rule is registry.project_rule
-    assert get_rule is registry.get_rule
-    assert get_project_rule is registry.get_project_rule
-    assert all_project_rules is registry.all_project_rules
-    assert resolve_rule_sets is registry.resolve_rule_sets
+    assert all_rules is registry.all_rules
+    assert resolve_rules is registry.resolve_rules
 
 
 def test_program_facade_aliases():
