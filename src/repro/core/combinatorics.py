@@ -208,7 +208,7 @@ def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
 
 
 def survival_log_probabilities(
-    n: int, m: int, xs: np.ndarray
+    n: int, m: int | np.ndarray, xs: np.ndarray
 ) -> np.ndarray:
     """``log p_i`` for every group size — the log-space survival kernel.
 
@@ -216,51 +216,60 @@ def survival_log_probabilities(
     space (``log C(n - x, m) - log C(n, m)``, ``-inf`` for impossible
     configurations), for callers that would underflow in linear space —
     the Poisson-binomial convolution at paper scale chief among them.
+    ``m`` may be a 1-D array of bot counts: the result then has one row
+    per count, each row the bits of the scalar call.
     """
     xs = np.asarray(xs, dtype=np.int64)
-    if xs.size == 0:
-        return np.zeros(0, dtype=np.float64)
+    if np.ndim(m):
+        m = np.asarray(m, dtype=np.int64).reshape(-1, 1)
+    if xs.size == 0 or np.size(m) == 0:
+        return np.zeros(np.shape(m)[:1] + xs.shape, dtype=np.float64)
     return _log_survival(n, m, xs)
 
 
-def _log_survival(n: int, m: int, xs: np.ndarray) -> np.ndarray:
+def _log_survival(n: int, m: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The kernel behind both survival helpers, for a non-empty int64 ``xs``.
 
     Validates once, then evaluates ``log C(n − x, m) − log C(n, m)``
-    elementwise.  The ``-inf`` mask is built only when some size leaves
-    the support ``x <= n − m``; inside it the same operations run on the
-    whole array, so every element is the masked path's, bit for bit.
+    elementwise, for one bot count ``m`` or a non-empty ``(R, 1)`` column
+    of them (row ``k`` then holds the scalar ``m[k]``'s bits).  The
+    ``-inf`` mask is built only when some size leaves the support
+    ``x <= n − m``; every element sees the same operations either way.
     """
     largest = int(xs.max())
     if xs.min() < 0 or largest > n:
         raise ValueError("group sizes must be within [0, n]")
-    if not 0 <= m <= n:
+    column = isinstance(m, np.ndarray)
+    fewest, most = (int(m.min()), int(m.max())) if column else (m, m)
+    if not 0 <= fewest <= most <= n:
         raise ValueError(f"m={m} must be within [0, {n}]")
-    if m == 0:
+    if most == 0:
         # log 1 for every replica.
-        return np.zeros(xs.shape, dtype=np.float64)
+        return np.zeros(np.shape(m)[:1] + xs.shape, dtype=np.float64)
     log_den = (
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+        np.array([[log_binomial(n, k)] for k in m[:, 0].tolist()])
+        if column
+        else math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     )
     rest = n - xs
     # log C(rest, m) - log C(n, m); C(rest, m) = 0 whenever rest < m.
-    if largest <= n - m:
+    if largest <= n - most:
         out = _log_ratio(rest.astype(np.float64), m) - log_den
     else:
-        out = np.full(xs.shape, -np.inf, dtype=np.float64)
-        ok = rest >= m
-        out[ok] = _log_ratio(rest[ok].astype(np.float64), m) - log_den
+        # At max(rest, m) every term is finite.
+        out = _log_ratio(np.maximum(rest, m).astype(np.float64), m) - log_den
+        out[rest < m] = -np.inf
     # A log-probability can land a few ulp above 0 for the same
     # numerator/denominator lgamma mismatch the linear path clamps.
     return np.minimum(out, 0.0, out=out)
 
 
-def _log_ratio(restf: np.ndarray, m: int) -> np.ndarray:
+def _log_ratio(restf: np.ndarray, m: int | np.ndarray) -> np.ndarray:
     """``log C(rest, m)`` elementwise over float ``rest >= m``."""
     return (
         _lgamma(restf + 1.0)
-        - _lgamma(float(m) + 1.0)
-        - _lgamma(restf - float(m) + 1.0)
+        - _lgamma(m + 1.0)
+        - _lgamma(restf - m + 1.0)
     )
 
 

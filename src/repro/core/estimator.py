@@ -450,7 +450,9 @@ def _poisson_binomial_step(window: np.ndarray, qi: float) -> np.ndarray:
 
 
 def attacked_count_log_pmf(
-    sizes: Sequence[int] | np.ndarray, n_clients: int, n_bots: int
+    sizes: Sequence[int] | np.ndarray,
+    n_clients: int,
+    n_bots: int | Sequence[int] | np.ndarray,
 ) -> np.ndarray:
     """Log-space Poisson-binomial pmf of the attacked-replica count.
 
@@ -460,28 +462,32 @@ def attacked_count_log_pmf(
     paper scale stay resolved.  The result is normalized in log space by
     subtracting the ``logsumexp`` of the convolution — never by
     linear-domain division.
+
+    ``n_bots`` may be a 1-D array of bot counts: one row per count, each
+    the bits of the scalar call (the one-row case).
     """
     xs = np.asarray(sizes, dtype=np.int64)
-    # log p_i exact from the lgamma difference (no exp).
-    log_p = survival_log_probabilities(n_clients, n_bots, xs)
+    bots = np.asarray(n_bots, dtype=np.int64)
+    # log p_i exact from the lgamma difference (no exp), one row per m.
+    log_p = survival_log_probabilities(n_clients, bots.reshape(-1), xs)
     # log q_i = log(1 - p_i) via the stable complement.
     log_q = log1mexp_many(log_p)
-    # Replicas with log q_i == -inf (p_i == 1 exactly: empty replica or
-    # m == 0) can never be attacked and drop out of the convolution,
-    # mirroring the linear path's q_i == 0.0 skip; log q is otherwise
-    # finite, so isfinite is exactly that test.
-    keep = np.isfinite(log_q)
-    log_pmf = np.full(xs.size + 1, -np.inf, dtype=np.float64)
-    log_pmf[0] = 0.0
-    for log_pi, log_qi in zip(log_p[keep], log_q[keep]):
-        shifted = np.concatenate(
-            (np.full(1, -np.inf), log_pmf[:-1])
+    # A replica that can never be attacked (p_i == 1 exactly: empty, or
+    # m == 0) steps by logaddexp(x + 0.0, -inf) == x: skipped, bit for
+    # bit, in whichever rows that holds.
+    log_pmf = np.full((bots.size, xs.size + 1), -np.inf, dtype=np.float64)
+    log_pmf[:, 0] = 0.0
+    edge = np.full((bots.size, 1), -np.inf)
+    for i in range(xs.size):
+        shifted = np.concatenate((edge, log_pmf[:, :-1]), axis=1)
+        log_pmf = np.logaddexp(
+            log_pmf + log_p[:, i : i + 1], shifted + log_q[:, i : i + 1]
         )
-        log_pmf = np.logaddexp(log_pmf + log_pi, shifted + log_qi)
     # Normalize with logsumexp, not linear division: the
     # logaddexp chain drifts a few ulp off sum == 1 and the subtraction
     # re-anchors it without leaving log space.
-    return log_pmf - logsumexp(log_pmf)
+    log_pmf -= np.array([logsumexp(row) for row in log_pmf]).reshape(-1, 1)
+    return log_pmf.reshape(bots.shape + (xs.size + 1,))
 
 
 def _estimate_weighted(

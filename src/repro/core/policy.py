@@ -6,27 +6,34 @@ shuffle them or stop.  This module is that decision and nothing else —
 no clock, no I/O, no randomness; the counts engine, the DES coordinator
 and the live coordinator only build the :class:`Observation`, open their
 spans and carry out the :class:`Decision` (see ``docs/live-vs-sim.md``).
+The counts engine and the DES coordinator drive the paper's memoryless
+:class:`ShufflePolicy`; the live coordinator drives
+:class:`PosteriorPolicy`, which carries its evidence across rounds.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.instruments import Instruments
+from ..obs.instruments import Instruments, resolve_instruments
 from ..trust.prior import bot_count_log_prior
 from . import api
-from .estimator import BotEstimate
+from .combinatorics import logsumexp, survival_log_probabilities
+from .estimator import (
+    BotEstimate,
+    attacked_count_log_pmf,
+    occupancy_likelihoods,
+)
 from .plan import ShufflePlan
 
 __all__ = [
     "Decision",
-    "LivePolicy",
     "Observation",
+    "PosteriorPolicy",
     "ShufflePolicy",
-    "theorem1_guess",
 ]
 
 
@@ -47,15 +54,15 @@ class Observation:
     #: low-trust mass ``sum(1 - trust)``), and the weight of that prior
     expected_bots: float | None = None
     prior_strength: float = 1.0
-    #: clients shown by heavy-hitter reports to send attack-scale traffic
+    #: clients among these shown by heavy-hitter reports to send
+    #: attack-scale traffic: a floor under the bot count
     demonstrated_bots: int = 0
 
 
 @dataclass(frozen=True)
 class Decision:
-    """``action`` is ``"shuffle"`` (carry out ``plan``), ``"quarantine"``
-    (write the attacked replicas off) or ``"hold"`` (nothing this sweep:
-    the belief moved and the next sweep re-plans)."""
+    """``action`` is ``"shuffle"`` (carry out ``plan``) or
+    ``"quarantine"`` (write the attacked replicas off)."""
 
     action: str
     believed_bots: int
@@ -67,8 +74,7 @@ class ShufflePolicy:
     clamped to the population, planned.  ``planner`` is an
     ``api.PLAN_METHODS`` name or any ``PlanSource``; ``estimator`` is
     ``"oracle"`` (the driver sets :attr:`belief` to the truth) or an
-    ``api.ESTIMATE_METHODS`` name, ``"auto"`` meaning ``weighted`` when
-    the observation carries plan sizes and ``mle`` otherwise."""
+    ``api.ESTIMATE_METHODS`` name."""
 
     def __init__(
         self,
@@ -91,8 +97,6 @@ class ShufflePolicy:
         if self.estimator == "oracle":
             return None
         self.method = self.estimator
-        if self.method == "auto":
-            self.method = "mle" if seen.plan_sizes is None else "weighted"
         # weighted: the likelihood over the plan's *actual* group sizes
         weighted = self.method == "weighted"
         upper = max(seen.n_clients, seen.n_attacked)
@@ -134,97 +138,97 @@ class ShufflePolicy:
         return Decision("shuffle", believed, plan)
 
 
-# ----------------------------------------------------------------------
-# The live extension: five rules ServiceCoordinator grew around the
-# memoryless estimator, moved here as they were.  Everything below this
-# line is what ROADMAP items 1(a) and 2 delete.
-def theorem1_guess(n_replicas: int) -> int:
-    """Bot-count guess when MLE degenerates with no prior belief.
+class PosteriorPolicy(ShufflePolicy):
+    """The live chain: one posterior over the bot count ``m`` among the
+    attacked clients, carried across rounds (the sequential evidence of
+    Fleck et al., 1712.01102).  Its rules, stated once:
 
-    ``X = P`` only says ``M`` exceeds the Theorem 1 saturation threshold
-    ``log_{1-1/P}(1/P) ~ P ln P``; the threshold itself is the smallest
-    count consistent with what was seen.
+    * support: ``m`` in ``[max(X, suspects), N]``, the floor capped at N;
+    * fresh start (no posterior yet, or the cut empties it): the
+      occupancy likelihood over ``seen.n_replicas`` times the trust
+      log-prior, else ``-log(m + 1)``, whose ``X = P`` mode sits near the
+      Theorem 1 bound where a flat prior's would sit at N;
+    * attack inside the last plan (``plan_sizes`` given): times the
+      Poisson-binomial likelihood over the plan's sizes;
+    * attack outside it: carried and cut (it shows only ``M >= X``);
+    * belief: the mode; plan: greedy at the mode over N replicas when
+      ``N <= DISPERSE_MAX_FACTOR * P`` (all singletons once most are
+      believed bots), over P otherwise;
+    * quarantine: when the posterior-expected Equation 1 saves of that
+      plan fall below :attr:`QUARANTINE_EXPECTED_SAVED`.
+
+    :attr:`method` names the latest update: ``occupancy``, ``weighted``
+    or ``carried``.
     """
-    if n_replicas < 2:
-        return 1
-    return math.ceil(
-        math.log(1.0 / n_replicas) / math.log1p(-1.0 / n_replicas)
-    )
 
-
-class LivePolicy(ShufflePolicy):
-    """:class:`ShufflePolicy` plus sticky belief, Theorem 1 guess,
-    endgame dispersion, quarantine threshold and heavy-hitter floor;
-    ``planner`` is the plan cache, ``n_replicas`` the configured pool."""
-
-    #: Quarantine once the planner's Equation 1 expects fewer than this
-    #: many clients saved by another round.  Below 1.0 because an
-    #: expectation of, say, 0.7 is still worth a (cheap) round when the
-    #: sticky bot belief may overcount by one or two stragglers.
     QUARANTINE_EXPECTED_SAVED = 0.5
-
-    #: Endgame dispersion kicks in only when the subset fits within
-    #: this many times the configured pool size (bounds the transient
-    #: replica fan-out of the singleton round).
+    #: bounds the replica fan-out of a one-replica-per-client round
     DISPERSE_MAX_FACTOR = 4
 
-    #: heavy-hitter lower bound on ``M`` from the latest observation
-    demonstrated = 0
+    def __init__(
+        self,
+        planner: api.PlanSource | str = "greedy",
+        instruments: Instruments | None = None,
+    ) -> None:
+        super().__init__(planner, "occupancy", instruments)
+        #: log-pmf over ``m = 0..N`` after the latest observation
+        self.log_posterior: np.ndarray | None = None
 
     def believe(self, seen: Observation) -> BotEstimate | None:
-        self.demonstrated = seen.demonstrated_bots
-        held = self.belief
-        result = super().believe(seen)
-        if result is None:
-            return None
-        m_hat = result.m_hat
-        if result.degenerate:
-            # Every replica attacked (Theorem 1 regime): keep the
-            # previous belief, or with none guess the threshold.
-            m_hat = theorem1_guess(seen.n_replicas) if held is None else held
-        # Belief persistence: persistent bots never leave the
-        # reshuffled subset, so the true M is constant while per-round
-        # observations only ever *miss* bots (a bot mid-reconnect is
-        # invisible to this sweep).  Keeping the running maximum makes
-        # the endgame terminate: once the subset shrinks to the
-        # believed count, Equation 1 yields E[S] ~ 0 and the
-        # coordinator quarantines instead of shuffling bots forever.
-        if held is not None:
-            m_hat = max(m_hat, held)
-        self.belief = m_hat
-        return result
+        obs = resolve_instruments(self.instruments)
+        with (
+            obs.spans.span("core_estimate")
+            if obs is not None
+            else nullcontext()
+        ) as span:
+            self._update(seen)
+            if span is not None:
+                span.set(method=self.method, m_hat=self.belief)
+        return None
+
+    def _update(self, seen: Observation) -> None:
+        n = seen.n_clients
+        floor = min(max(seen.n_attacked, seen.demonstrated_bots), n)
+        log_post, self.method = self.log_posterior, "carried"
+        if log_post is not None and seen.plan_sizes is not None:
+            sizes, self.method = seen.plan_sizes, "weighted"
+            ms = np.flatnonzero(np.isfinite(log_post[: sum(sizes) + 1]))
+            rows = attacked_count_log_pmf(sizes, sum(sizes), ms)
+            likelihood = np.full(log_post.size, -np.inf)
+            likelihood[ms] = rows[:, seen.n_attacked]
+            log_post = log_post + likelihood
+        cut = np.full(n + 1, -np.inf)
+        if log_post is not None:
+            top = min(log_post.size, n + 1)
+            cut[floor:top] = log_post[floor:top]
+        if np.isneginf(cut).all():
+            self.method = "occupancy"
+            with np.errstate(divide="ignore"):  # log 0 below m = X
+                fresh = np.log(
+                    occupancy_likelihoods(seen.n_attacked, seen.n_replicas, n)
+                )
+            prior = self._trust_prior(seen, n)
+            if prior is None:
+                prior = -np.log1p(np.arange(n + 1, dtype=np.float64))
+            cut[floor:] = (fresh + prior)[floor:]
+        if np.isneginf(cut).all():  # N < X, N = 0 included: the floor
+            cut[floor] = 0.0
+        self.log_posterior = cut - logsumexp(cut)
+        self.belief = int(np.argmax(cut))
 
     def decide(self, n_clients: int, n_replicas: int) -> Decision:
         believed = self.believed(n_clients)
-        # Plan across the full shuffle width, not just the attacked
-        # count: with one attacked replica and one replacement there
-        # is nowhere to separate bots from benign.
-        width = min(n_replicas, n_clients)
-        fits = 2 <= n_clients <= self.DISPERSE_MAX_FACTOR * n_replicas
-        if 2 * believed >= n_clients and fits:
-            # Endgame dispersion: the subset is small and believed
-            # mostly bots — give every remaining client a replica
-            # of their own.  One singleton round separates every
-            # benign straggler from every bot exactly, instead of
-            # grinding out fractional E[S] with mixed groups.
+        width = n_replicas
+        if n_clients <= self.DISPERSE_MAX_FACTOR * n_replicas:
             width = n_clients
-        request = api.PlanRequest(
-            n_clients, believed, width, method="cached", cache=self.planner
-        )
-        plan = api.plan(request, instruments=self.instruments)
-        if plan.expected_saved >= self.QUARANTINE_EXPECTED_SAVED:
-            return Decision("shuffle", believed, plan)
-        # Equation 1 says no further shuffle of *these* clients saves
-        # anyone: the population is believed all-bot (the common case
-        # is a single bot isolated on its own replica).  Before giving
-        # up on them, check the heavy-hitter evidence: every suspect
-        # demonstrably sent a dominant share of some saturated window
-        # (guaranteed counts, not estimates), so the bot population is
-        # at least that large.  If more bots are demonstrated than the
-        # structural estimate has converged to, quarantining now would
-        # write off clients a wider shuffle could still save — adopt
-        # the demonstrated floor and let the next sweep re-plan with it.
-        if self.belief is not None and self.demonstrated > self.belief:
-            self.belief = self.demonstrated
-            return Decision("hold", believed, plan)
-        return Decision("quarantine", believed, plan)
+        plan = self.planner(n_clients, believed, width)
+        if self.expected_saved(plan) < self.QUARANTINE_EXPECTED_SAVED:
+            return Decision("quarantine", believed, plan)
+        return Decision("shuffle", believed, plan)
+
+    def expected_saved(self, plan: ShufflePlan) -> float:
+        """Equation 1 of ``plan`` averaged over the posterior."""
+        ms = np.flatnonzero(np.isfinite(self.log_posterior))
+        sizes = plan.sizes_array
+        log_p = survival_log_probabilities(plan.n_clients, ms, sizes)
+        return float(np.exp(self.log_posterior[ms]) @ (np.exp(log_p) @ sizes))

@@ -14,15 +14,12 @@ command-and-control channel, assumed unattackable)::
     S -> C:  ASSIGN <client_id> <host>:<port> <replica_id>
 
 Per sweep the coordinator polls the pool for saturated replicas.  What
-it then believes and does — the estimator chain, the sticky belief,
-endgame dispersion, when to quarantine — is
-:class:`repro.core.policy.LivePolicy`, planning through a
-:class:`repro.core.plan_cache.PlanCache` that computes each DP cell the
-first time a round asks for it (a restarted coordinator computes its
-restored population's cells in :meth:`ServiceCoordinator.start`,
-before it serves); this module builds the
-policy's :class:`~repro.core.policy.Observation` from the pool, opens
-the round's spans and carries the decision out over sockets
+it then believes and does — one posterior over the bot count carried
+across rounds, a greedy plan at its mode, when to quarantine — is
+:class:`repro.core.policy.PosteriorPolicy`; this module builds the
+policy's :class:`~repro.core.policy.Observation` from the pool (the
+attack counted over the replicas outside the quarantine set), opens the
+round's spans and carries the decision out over sockets
 (``docs/live-vs-sim.md`` tabulates the rules per driver).
 """
 
@@ -38,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.plan_cache import PlanCache
-from ..core.policy import LivePolicy, Observation
+from ..core.policy import Observation, PosteriorPolicy
 from ..obs.events import Event
 from ..obs.instruments import Instruments, resolve_instruments
 from ..trust import TrustConfig, TrustManager, make_backend
@@ -128,6 +125,8 @@ class ServiceCoordinator:
             instruments=self.instruments,
             trust=self.trust,
         )
+        # The policy never reads the plan cache; the perf harness times
+        # its precompute, so it stays until ROADMAP items 5(b)/6(d).
         self.plan_cache = PlanCache(
             n_replicas=config.n_replicas,
             client_grid=config.plan_client_grid,
@@ -139,17 +138,15 @@ class ServiceCoordinator:
         self.detect_error: BaseException | None = None
         self.assignments: dict[str, str] = {}
         self.shuffles: list[LiveShuffleRecord] = []
-        #: the decision (estimate -> believe -> plan -> quarantine); this
+        #: the decision (believe -> plan -> shuffle or quarantine); this
         #: class builds its observations and carries its decisions out.
-        self.policy = LivePolicy(
-            planner=self.plan_cache,
-            estimator="auto",
-            instruments=self.instruments,
+        self.policy = PosteriorPolicy(
+            planner="greedy", instruments=self.instruments
         )
         #: clients named by per-replica heavy-hitter reports as holding
         #: a dominant share of a saturated window (sketch detector
-        #: only).  Its size lower-bounds the bot population and
-        #: guards the quarantine decision in :meth:`_shuffle`.
+        #: only).  Those among a round's clients floor the bot count
+        #: the policy considers (see :meth:`_shuffle_impl`).
         self.suspected_bots: set[str] = set()
         self.quarantine_replicas: set[str] = set()
         self.budget_exhausted = False
@@ -180,8 +177,7 @@ class ServiceCoordinator:
         """Boot the pool, restore state, open the control channel."""
         await self.pool.start()
         await self._restore_state()
-        # Rounds compute plan cells on first use; only a restored
-        # population's cells are computed here, before serving begins.
+        # Unread by the policy (see __init__); no cell on a fresh boot.
         # event-loop-safe: no cells fresh, restored cells pre-serve
         self.plan_cache.precompute(len(self.assignments))
         self._control = await asyncio.start_server(
@@ -260,7 +256,7 @@ class ServiceCoordinator:
 
     @property
     def believed_bots(self) -> int | None:
-        """The policy's sticky bot-count belief."""
+        """The posterior mode after the latest round."""
         return self.policy.belief
 
     @property
@@ -280,15 +276,16 @@ class ServiceCoordinator:
     # assignment (control plane)
     # ------------------------------------------------------------------
     def assign(self, client_id: str) -> ReplicaBackend:
-        """Bind a client to a replica (least-loaded; sticky thereafter)."""
+        """Bind a client to a replica (least-loaded outside the quarantine
+        set, whose replicas hold few clients and stay flooded; sticky)."""
         replica_id = self.assignments.get(client_id)
         if replica_id is not None:
             backend = self.pool.get(replica_id)
             if backend is not None and backend.is_active:
                 return backend
-        active = self.pool.active()
+        active = self._unquarantined()
         if not active:
-            raise RuntimeError("no active replicas")
+            raise RuntimeError("no active replica outside the quarantine set")
         backend = min(active, key=lambda b: b.n_clients)
         backend.admit(client_id)
         # Written from the control handler (here) and the shuffle path;
@@ -300,6 +297,12 @@ class ServiceCoordinator:
         # reprolint: disable=P9
         self._dirty_bindings.add(client_id)
         return backend
+
+    def _unquarantined(self) -> list[ReplicaBackend]:
+        return [
+            b for b in self.pool.active()
+            if b.replica_id not in self.quarantine_replicas
+        ]
 
     # ------------------------------------------------------------------
     # state persistence (bindings + belief + trust profiles)
@@ -345,16 +348,14 @@ class ServiceCoordinator:
         fresh replica that re-enters the quarantine set immediately,
         everyone else maps round-robin onto the base pool — so the
         separation the previous incarnation *paid shuffle rounds for*
-        survives the restart instead of being re-learned.  The
-        previous plan is not restored, so the first post-restart
-        estimate falls back to the uniform-occupancy MLE.
+        survives the restart instead of being re-learned.  Neither the
+        previous plan nor the posterior is restored, so the first
+        post-restart round starts a fresh posterior.
         """
         if self.trust is not None:
             self.trust.restore()
         belief = self.state.get("state", "belief")
         if belief is not None:
-            raw = belief.get("believed_bots")
-            self.policy.belief = None if raw is None else int(raw)
             self._restored_shuffles = int(
                 belief.get("shuffles_completed", 0)
             )
@@ -506,10 +507,8 @@ class ServiceCoordinator:
         (kind ``heavy_hitters``, rendered by ``repro-obs summarize``),
         and talkers holding a dominant guaranteed share become
         suspects — each demonstrably sent attack-scale traffic, so
-        the set's size is a hard lower bound on the bot population.
-        The bound guards the quarantine decision in :meth:`_shuffle`:
-        the coordinator refuses to write a subset off as all-bot
-        while more bots are demonstrated than it believes exist.
+        the suspects among a round's clients are a hard lower bound on
+        the bots among them: the floor of the policy's support.
         """
         obs = self.instruments
         for replica_id in sorted(attacked_ids):
@@ -589,7 +588,7 @@ class ServiceCoordinator:
             if self.believed_bots is not None:
                 obs.registry.gauge(
                     "service_believed_bots",
-                    "Coordinator's sticky bot-count belief.",
+                    "Posterior mode of the coordinator's bot count.",
                 ).set(float(self.believed_bots))
             obs.registry.gauge(
                 "service_quarantine_replicas",
@@ -617,9 +616,11 @@ class ServiceCoordinator:
         with (
             spans.span("estimate") if spans is not None else nullcontext()
         ) as span:
+            # X is counted over the replicas outside the quarantine set
+            # (_detect_loop), so P is too.
             seen = Observation(
                 n_attacked=len(attacked_ids),
-                n_replicas=max(self.pool.n_active, 1),
+                n_replicas=max(len(self._unquarantined()), 1),
                 n_clients=n_clients,
                 plan_sizes=(
                     last.group_sizes
@@ -633,9 +634,10 @@ class ServiceCoordinator:
                     else self.trust.low_trust_mass(clients)
                 ),
                 prior_strength=self.config.trust_prior_strength,
-                demonstrated_bots=len(self.suspected_bots),
+                demonstrated_bots=len(self.suspected_bots & set(clients)),
             )
-            # event-loop-safe: closed-form estimators, sub-ms at pool scale
+            # Measured on a 2-vCPU Xeon host.
+            # event-loop-safe: posterior update, ~3.5 ms at N=220, P=10
             policy.believe(seen)
             believed, estimator = policy.believed(n_clients), policy.method
             if span is not None:
@@ -666,10 +668,7 @@ class ServiceCoordinator:
         with (
             spans.span("plan") if spans is not None else nullcontext()
         ) as span:
-            # A PlanCache miss runs one DP cell inline: ~4 ms at the
-            # default grid's largest cell (N = 800, P = 10), <= 0.4 ms
-            # at N <= 200 (2.1 GHz Xeon).
-            # event-loop-safe: a miss runs one DP cell, <= ~4 ms at P=10
+            # event-loop-safe: greedy + expected saves, ~0.6 ms at N=220
             decision = policy.decide(n_clients, self.config.n_replicas)
             plan = decision.plan
             if span is not None:
@@ -682,7 +681,6 @@ class ServiceCoordinator:
             # Leave the bots flooding these replicas and keep watching
             # the rest.
             self.quarantine_replicas.update(attacked_ids)
-        if decision.action != "shuffle":
             return
 
         with (
@@ -756,11 +754,6 @@ class ServiceCoordinator:
             "suspected_bots": sorted(self.suspected_bots),
             "quarantined": self.quarantined,
             "quarantine_replicas": sorted(self.quarantine_replicas),
-            "plan_cache": {
-                "cells": self.plan_cache.cells,
-                "hits": self.plan_cache.hits,
-                "fallbacks": self.plan_cache.fallbacks,
-            },
             "replicas": self.pool.snapshot(),
             "shuffles": [record.to_dict() for record in self.shuffles],
         }

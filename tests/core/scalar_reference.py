@@ -27,6 +27,8 @@ from repro.core.combinatorics import (
     _lgamma,
     expected_saved_single_many,
     hypergeometric_pmf_vector,
+    log1mexp_many,
+    logsumexp,
     survival_probabilities,
 )
 from repro.core.plan import ShufflePlan
@@ -36,6 +38,7 @@ __all__ = [
     "scalar_occupancy_likelihoods",
     "scalar_mle_m_hat",
     "scalar_attacked_count_pmf",
+    "scalar_attacked_count_log_pmf",
     "scalar_weighted_m_hat",
     "scalar_combine",
     "scalar_optimal_assign",
@@ -118,6 +121,23 @@ def scalar_attacked_count_pmf(
         )
         pmf[0] *= 1.0 - qi
     return pmf
+
+
+def scalar_attacked_count_log_pmf(
+    sizes: Sequence[int] | np.ndarray, n_clients: int, n_bots: int
+) -> np.ndarray:
+    """``attacked_count_log_pmf`` at 5fba6fa: one bot count, the replicas
+    that can never be attacked skipped, one ``logaddexp`` per replica."""
+    xs = np.asarray(sizes, dtype=np.int64)
+    log_p = scalar_survival_log_probabilities(n_clients, n_bots, xs)
+    log_q = log1mexp_many(log_p)
+    keep = np.isfinite(log_q)
+    log_pmf = np.full(xs.size + 1, -np.inf, dtype=np.float64)
+    log_pmf[0] = 0.0
+    for log_pi, log_qi in zip(log_p[keep], log_q[keep]):
+        shifted = np.concatenate((np.full(1, -np.inf), log_pmf[:-1]))
+        log_pmf = np.logaddexp(log_pmf + log_pi, shifted + log_qi)
+    return log_pmf - logsumexp(log_pmf)
 
 
 def scalar_weighted_m_hat(

@@ -1,12 +1,13 @@
-"""Plan cache at the exact query shapes the live coordinator issues.
+"""Plan cache at the query shapes the live coordinator used to issue.
 
-The :class:`repro.service.coordinator.ServiceCoordinator` queries its
+The :class:`repro.service.coordinator.ServiceCoordinator` queried its
 :class:`~repro.core.plan_cache.PlanCache` through the planner protocol
 ``cache(n_clients, believed, width)`` with shapes no offline sweep
-exercises: the Theorem-1 fallback bot count on round one, believed
+exercises: the Theorem 1 bound as the bot count on round one, believed
 counts clamped to the (shrinking) population, and widths different from
-the cache's ``P`` during endgame dispersion.  These tests pin that
-surface with the live defaults of :class:`repro.service.ServiceConfig`.
+the cache's ``P`` during endgame dispersion.  The live policy now plans
+with greedy; these tests pin the cache's surface with the live defaults
+of :class:`repro.service.ServiceConfig` until the cache goes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.plan_cache import PlanCache
-from repro.core.policy import theorem1_guess
 from repro.service import ServiceConfig
 
 
@@ -32,10 +32,9 @@ def cache() -> PlanCache:
 
 def test_round_one_theorem1_query_is_a_cache_hit(cache):
     # Round 1 of the acceptance scenario: 220 clients on the attacked
-    # replicas, X = P degenerate, believed = theorem1_guess(10) = 22.
-    believed = theorem1_guess(10)
-    assert believed == 22
-    plan = cache(220, believed, 10)
+    # replicas, X = P degenerate, believed = the Theorem 1 bound at
+    # P = 10, ceil(log(1/10) / log(9/10)) = 22.
+    plan = cache(220, 22, 10)
     assert plan.algorithm == "cached"
     assert sum(plan.group_sizes) == 220
     assert plan.expected_saved > 0

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalar_reference import (
+    scalar_attacked_count_log_pmf,
     scalar_attacked_count_pmf,
     scalar_combine,
     scalar_even_plan,
@@ -516,6 +517,24 @@ class TestSurvivalKernelBitIdentity:
         want_log = scalar_survival_log_probabilities(n_clients, n_bots, xs)
         assert got_log.tobytes() == want_log.tobytes()
 
+    @given(
+        _population(),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+        st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_scalar_calls(self, population, raw, raw_bots):
+        # A column of bot counts: one row each, the scalar call's bits,
+        # whether or not the row needs the -inf mask.
+        n_clients, _ = population
+        xs = np.array([x % (n_clients + 1) for x in raw], dtype=np.int64)
+        bots = [m % (n_clients + 1) for m in raw_bots]
+        rows = survival_log_probabilities(n_clients, np.array(bots), xs)
+        assert rows.shape == (len(bots), xs.size)
+        for row, m in zip(rows, bots):
+            want = scalar_survival_log_probabilities(n_clients, m, xs)
+            assert row.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "xs, bots", [([-1, 3], 2), ([3, 11], 2), ([3], 11), ([3], -1)]
     )
@@ -603,6 +622,25 @@ class TestAttackedCountBitIdentity:
         # and tiny linear cells lose relative precision to cancellation,
         # so the pin is rtol on the meaningful mass + small atol.
         assert np.allclose(np.exp(logged), linear, rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n_clients, n_bots, width", [(220, 20, 10), (40, 20, 40), (120, 30, 10)]
+    )
+    def test_log_pmf_rows_are_the_scalar_calls(
+        self, n_clients, n_bots, width
+    ):
+        # Every bot count at once, as the live posterior asks for them
+        # (a zero-size replica included): each row is the frozen
+        # one-count kernel's bits, and so is the scalar call.
+        sizes = greedy_sizes(n_clients, n_bots, width) + [0]
+        counts = np.arange(n_clients + 1)
+        rows = attacked_count_log_pmf(sizes, n_clients, counts)
+        assert rows.shape == (counts.size, len(sizes) + 1)
+        for m in counts.tolist():
+            want = scalar_attacked_count_log_pmf(sizes, n_clients, m)
+            assert rows[m].tobytes() == want.tobytes()
+            got = attacked_count_log_pmf(sizes, n_clients, m)
+            assert got.tobytes() == want.tobytes()
 
     def test_log_pmf_is_normalized(self):
         sizes = [7] * 100 + [0] * 10 + [3] * 40

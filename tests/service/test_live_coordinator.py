@@ -1,7 +1,7 @@
 """The live coordinator: assignment, control channel, shuffle paths.
 
-The decision itself (estimator chain, Theorem 1 guess, sticky belief)
-is tested without a pool in ``tests/core/test_policy.py``.
+The decision itself (the carried posterior, the plan width, the
+quarantine rule) is tested without a pool in ``tests/core/test_policy.py``.
 """
 
 from __future__ import annotations
@@ -11,10 +11,18 @@ import dataclasses
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro.service import ServiceConfig, ServiceCoordinator
 from repro.trust import make_backend
+
+
+def _point_mass(coordinator: ServiceCoordinator, bots: int, n: int) -> None:
+    """Plant a posterior certain of ``bots`` bots among ``n`` clients."""
+    policy = coordinator.policy
+    policy.log_posterior = np.where(np.arange(n + 1) == bots, 0.0, -np.inf)
+    policy.belief = bots
 
 
 def _saturate(backend, client_id: str = "bot-0", requests: int = 20) -> None:
@@ -58,6 +66,25 @@ class TestAssignment:
         home, rehomed = asyncio.run(scenario())
         assert rehomed != home
 
+    def test_late_joiner_is_not_bound_to_a_quarantine_replica(self, config):
+        async def scenario():
+            coordinator = ServiceCoordinator(config)
+            await coordinator.pool.start()
+            try:
+                for i in range(6):
+                    coordinator.assign(f"u-{i}")
+                # One pinned bot: the least-loaded active replica.
+                pen = await coordinator.pool.spawn()
+                pen.admit("bot-0")
+                coordinator.assignments["bot-0"] = pen.replica_id
+                coordinator.quarantine_replicas.add(pen.replica_id)
+                return pen.replica_id, coordinator.assign("late").replica_id
+            finally:
+                await coordinator.pool.stop()
+
+        pen, late = asyncio.run(scenario())
+        assert late != pen
+
 
 class TestControlChannel:
     def test_join_where_snapshot_over_tcp(self, config):
@@ -96,12 +123,12 @@ class TestPlanCells:
             await coordinator.start()
             try:
                 started = set(threading.enumerate()) - before
-                return coordinator.snapshot()["plan_cache"], started
+                return coordinator.plan_cache, started
             finally:
                 await coordinator.stop()
 
-        plan_cache, started = asyncio.run(scenario())
-        assert plan_cache == {"cells": 0, "hits": 0, "fallbacks": 0}
+        cache, started = asyncio.run(scenario())
+        assert (cache.cells, cache.hits, cache.fallbacks) == (0, 0, 0)
         assert not started  # no default-executor worker
 
     def test_restored_population_cells_precede_the_first_round(
@@ -212,17 +239,20 @@ class TestShuffle:
                     victim.admit(f"u-{i}")
                     coordinator.assignments[f"u-{i}"] = "r-1"
                 _saturate(victim, client_id="u-0")
-                coordinator.policy.belief = 2
+                _point_mass(coordinator, bots=2, n=4)
                 await coordinator._shuffle([victim])
-                return coordinator.shuffles[0]
+                return coordinator.shuffles[0], coordinator.plan_cache
             finally:
                 await coordinator.stop()
 
-        record = asyncio.run(scenario())
-        # 4 clients, 2 believed bots: one singleton round separates them
-        # exactly instead of grinding out fractional E[S].
+        record, cache = asyncio.run(scenario())
+        # 4 clients, 2 believed bots: greedy at width N gives one
+        # singleton round that separates them exactly.
+        assert record.estimator == "carried"  # outside any earlier plan
+        assert record.estimated_bots == 2
         assert record.group_sizes == (1, 1, 1, 1)
-        assert record.algorithm == "greedy"  # width != P bypasses cache
+        assert record.algorithm == "greedy"
+        assert cache.hits + cache.fallbacks == 0  # not on the live path
 
     def test_hopeless_plan_quarantines_instead_of_shuffling(self, config):
         async def scenario():
@@ -234,7 +264,7 @@ class TestShuffle:
                     victim.admit(f"u-{i}")
                     coordinator.assignments[f"u-{i}"] = "r-1"
                 _saturate(victim, client_id="u-0")
-                coordinator.policy.belief = 4  # everyone believed a bot
+                _point_mass(coordinator, bots=4, n=4)  # everyone a bot
                 await coordinator._shuffle([victim])
                 return (
                     coordinator.quarantine_replicas,
@@ -249,6 +279,34 @@ class TestShuffle:
         assert quarantined == {"r-1"}
         assert shuffles == 0
         assert still_active  # the quarantine replica keeps absorbing
+
+    def test_observation_counts_outside_the_quarantine_set(self, config):
+        async def scenario():
+            coordinator = self._boot(config)
+            await coordinator.start()
+            try:
+                victim = coordinator.pool.get("r-1")
+                for i in range(4):
+                    victim.admit(f"u-{i}")
+                    coordinator.assignments[f"u-{i}"] = "r-1"
+                _saturate(victim, client_id="u-0")
+                # A suspect pinned by an earlier quarantine, not here.
+                coordinator.quarantine_replicas.add("r-3")
+                coordinator.suspected_bots.add("bot-elsewhere")
+                seen = []
+                believe = coordinator.policy.believe
+                coordinator.policy.believe = lambda o: (
+                    seen.append(o), believe(o)
+                )[1]
+                await coordinator._shuffle([victim])
+                return seen
+            finally:
+                await coordinator.stop()
+
+        (seen,) = asyncio.run(scenario())
+        assert seen.n_clients == 4
+        assert seen.demonstrated_bots == 0  # no suspect among these 4
+        assert seen.n_replicas == 2  # r-1 and r-2; r-3 is quarantined
 
     def test_empty_attacked_replica_is_substituted(self, config):
         async def scenario():
@@ -338,14 +396,16 @@ class TestQuarantineConvergence:
                     coordinator.quarantined,
                     coordinator.quarantine_replicas,
                     coordinator.snapshot(),
+                    coordinator.plan_cache,
                 )
             finally:
                 await coordinator.stop()
 
-        quarantined, replicas, snapshot = asyncio.run(scenario())
+        quarantined, replicas, snapshot, cache = asyncio.run(scenario())
         assert quarantined
         assert len(replicas) >= 1
         assert snapshot["quarantined"] is True
+        assert cache.hits + cache.fallbacks == 0  # greedy plans the rounds
 
     def test_budget_exhaustion_flag(self, config):
         async def scenario():

@@ -77,16 +77,8 @@ def test_live_botnet_is_quarantined_within_budget(exact_report):
 
     snapshot = report.snapshot
     assert snapshot["quarantined"] is True
-    assert snapshot["believed_bots"] >= LOAD.n_bots
-    assert snapshot["quarantine_replicas"]
-    # The plan cache actually served the loop (cache hits at full
-    # width, greedy fallbacks on dispersion rounds).
-    assert snapshot["plan_cache"]["hits"] + (
-        snapshot["plan_cache"]["fallbacks"]
-    ) >= report.shuffles_completed
-    # Cells are computed on first use: an episode computes only cells
-    # it serves.
-    assert snapshot["plan_cache"]["cells"] <= snapshot["plan_cache"]["hits"]
+    # Every replica a bot ended on is one the coordinator wrote off.
+    assert set(report.bot_replicas) <= set(snapshot["quarantine_replicas"])
 
 
 def test_sketch_detector_quarantines_the_same_botnet(exact_report):
