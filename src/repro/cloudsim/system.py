@@ -304,10 +304,10 @@ class CloudDefenseSystem:
     def add_benign_clients(self, count: int, prefix: str = "user") -> None:
         """Create benign clients that join at randomized times."""
         self.build()
-        for index in range(count):
+        for index, delay in enumerate(self._join_delays(count)):
             client = BenignClient(self.ctx, f"{prefix}-{index}")
             self.benign.append(client)
-            self._schedule_join(client)
+            self.ctx.sim.schedule(delay, client.join)
 
     def add_persistent_bots(
         self,
@@ -319,7 +319,7 @@ class CloudDefenseSystem:
     ) -> None:
         """Create persistent bots (optionally computational or on-off)."""
         self.build()
-        for index in range(count):
+        for index, delay in enumerate(self._join_delays(count)):
             client_id = f"{prefix}-{index}"
             if on_off:
                 bot: PersistentBot = OnOffBot(
@@ -332,11 +332,15 @@ class CloudDefenseSystem:
                     computational=computational,
                 )
             self.bots.append(bot)
-            self._schedule_join(bot)
+            self.ctx.sim.schedule(delay, bot.join)
 
-    def _schedule_join(self, client: BenignClient) -> None:
-        delay = float(self.ctx.rng.uniform(0.0, 2.0))
-        self.ctx.sim.schedule(delay, client.join)
+    def _join_delays(self, count: int) -> list[float]:
+        """Join delays for ``count`` new clients, uniform on [0, 2) s.
+
+        One block draw: the client constructors draw nothing, so it
+        yields the values ``count`` scalar draws would, in their order.
+        """
+        return self.ctx.rng.uniform(0.0, 2.0, count).tolist()
 
     def enable_churn(
         self,

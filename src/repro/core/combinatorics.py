@@ -191,19 +191,22 @@ def survival_probability(n: int, m: int, x: int) -> float:
 def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`survival_probability` over an array of group sizes.
 
-    Uses ``scipy``-free log-gamma vectorization so it stays fast for the
-    ``N = 150,000`` sweeps in the Figure 8-10 simulations.
+    The numerator's ``log t!`` terms are gathered from one module-level
+    table of ``gammaln(t + 1.0)`` (see :func:`_log_factorials`), so a
+    call costs a few numpy operations whatever ``N``, and the
+    ``N = 150,000`` sweeps of the Figure 8-10 simulations evaluate no
+    log-gamma at all once the table covers ``N``.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size == 0:
         return np.zeros(0, dtype=np.float64)
     out = np.exp(_log_survival(n, m, xs))
-    # The numerator uses scipy's gammaln while the denominator uses
-    # math.lgamma; their last-ulp disagreement can push exp() a few 1e-16
-    # above 1.0 (e.g. at x = 0, where the true ratio is exactly 1).  Clamp
-    # to the probability range rather than leak >1 values downstream
-    # (np.clip's two elementwise operations, without its wrapper's cost).
-    np.maximum(out, 0.0, out=out)
+    # The numerator reads the log-factorial table (scipy's gammaln) while
+    # the denominator uses math.lgamma; their last-ulp disagreement can
+    # push exp() a few 1e-16 above 1.0 (e.g. at x = 0, where the true
+    # ratio is exactly 1).  Clamp to the probability range rather than
+    # leak >1 values downstream; exp() is never negative, so the upper
+    # bound is the only half of np.clip that can act.
     return np.minimum(out, 1.0, out=out)
 
 
@@ -254,23 +257,22 @@ def _log_survival(n: int, m: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     rest = n - xs
     # log C(rest, m) - log C(n, m); C(rest, m) = 0 whenever rest < m.
     if largest <= n - most:
-        out = _log_ratio(rest.astype(np.float64), m) - log_den
+        out = _log_ratio(rest, m, n)
+        out -= log_den
     else:
-        # At max(rest, m) every term is finite.
-        out = _log_ratio(np.maximum(rest, m).astype(np.float64), m) - log_den
+        # At max(rest, m) every term is finite, and no index is negative.
+        out = _log_ratio(np.maximum(rest, m), m, n)
+        out -= log_den
         out[rest < m] = -np.inf
     # A log-probability can land a few ulp above 0 for the same
     # numerator/denominator lgamma mismatch the linear path clamps.
     return np.minimum(out, 0.0, out=out)
 
 
-def _log_ratio(restf: np.ndarray, m: int | np.ndarray) -> np.ndarray:
-    """``log C(rest, m)`` elementwise over float ``rest >= m``."""
-    return (
-        _lgamma(restf + 1.0)
-        - _lgamma(m + 1.0)
-        - _lgamma(restf - m + 1.0)
-    )
+def _log_ratio(rest: np.ndarray, m: int | np.ndarray, top: int) -> np.ndarray:
+    """``log C(rest, m)`` elementwise over int ``m <= rest <= top``."""
+    log_factorial = _log_factorials(top)
+    return log_factorial[rest] - log_factorial[m] - log_factorial[rest - m]
 
 
 def _lgamma(values: np.ndarray | float) -> np.ndarray:
@@ -293,6 +295,55 @@ def _make_vector_lgamma():
 
 _VECTOR_LGAMMA = _make_vector_lgamma()
 
+#: Largest ``t`` whose ``log t!`` the shared table holds (8 MiB of
+#: float64).  A kernel reaching past it evaluates ``lgamma`` directly.
+_LOG_FACTORIAL_CAP = 1 << 20
+
+#: ``log t!`` for ``t = 0 .. size − 1``, each entry ``lgamma(t + 1.0)``
+#: — the very call the kernels made per element before the table, so a
+#: gather returns the same bits.  :func:`_log_factorials` rebinds it to
+#: a longer array as larger ``t`` are asked for; an array once handed
+#: out is never written again.
+_LOG_FACTORIAL = np.zeros(1)  # log 0! = lgamma(1.0) = 0.0 exactly
+
+
+class _DirectLogFactorial:
+    """``log t!`` past the table's cap, read with the table's ``[t]``."""
+
+    def __getitem__(self, t: np.ndarray | int) -> np.ndarray:
+        return _lgamma(np.asarray(t, dtype=np.float64) + 1.0)
+
+
+def _log_factorials(top: int) -> np.ndarray | _DirectLogFactorial:
+    """``log t!`` for every int ``t`` in ``[0, top]``, indexed by ``t``.
+
+    Up to :data:`_LOG_FACTORIAL_CAP` this is the shared table, grown to
+    cover ``top`` if it does not yet: into a new array (a caller still
+    holding the old one reads it unchanged), the old entries copied and
+    only the new segment evaluated, at least an eighth of the old size so
+    a slowly rising ``N`` does not copy the table every call.  Past the
+    cap it is an object evaluating ``lgamma`` on each read, the same
+    bits.  Callers index inside ``[0, top]`` only (a negative index
+    would wrap around to the far end).
+    """
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if top < table.size:
+        return table
+    if top > _LOG_FACTORIAL_CAP:
+        return _DirectLogFactorial()
+    size = min(
+        max(top + 1, table.size + table.size // 8), _LOG_FACTORIAL_CAP + 1
+    )
+    grown = np.empty(size)
+    grown[: table.size] = table
+    # lgamma(t + 1.0) for the new t: each argument an exact integer.
+    grown[table.size :] = _lgamma(
+        np.arange(table.size + 1, size + 1, dtype=np.float64)
+    )
+    _LOG_FACTORIAL = grown
+    return grown
+
 
 def expected_saved_single(n: int, m: int, x: int) -> float:
     """Expected benign clients saved by one replica of size ``x``.
@@ -307,7 +358,8 @@ def expected_saved_single(n: int, m: int, x: int) -> float:
 def expected_saved_single_many(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized ``f(x) = x * p(x)`` over group sizes ``xs``."""
     xs = np.asarray(xs, dtype=np.int64)
-    return xs.astype(np.float64) * survival_probabilities(n, m, xs)
+    out = survival_probabilities(n, m, xs)
+    return np.multiply(out, xs, out=out)  # x · p, each x cast exactly
 
 
 def hypergeometric_pmf(total: int, marked: int, draws: int, hits: int) -> float:
@@ -337,22 +389,28 @@ def hypergeometric_pmf_vector(total: int, marked: int, draws: int) -> np.ndarray
     (up to float error).  Used by the paper-literal dynamic program, which
     must enumerate every possible bot count ``b`` on the split-off replica.
     """
+    if not 0 <= marked <= total:
+        raise ValueError("marked must be within [0, total]")
+    if not 0 <= draws <= total:
+        raise ValueError("draws must be within [0, total]")
     upper = min(draws, marked)
-    b = np.arange(upper + 1, dtype=np.float64)
-    markedf = float(marked)
-    restf = float(total - marked)
-    drawsf = float(draws)
+    b = np.arange(upper + 1, dtype=np.int64)
+    rest = total - marked
+    log_factorial = _log_factorials(total)
     log_den = log_binomial(total, draws)
-    log_cmb = _lgamma(markedf + 1) - _lgamma(b + 1) - _lgamma(markedf - b + 1)
-    rest_draws = drawsf - b
-    log_crest = (
-        _lgamma(restf + 1)
-        - _lgamma(rest_draws + 1)
-        - _lgamma(restf - rest_draws + 1)
+    log_cmb = (
+        log_factorial[marked] - log_factorial[b] - log_factorial[marked - b]
     )
-    with np.errstate(invalid="ignore"):
-        logs = log_cmb + log_crest - log_den
+    rest_draws = draws - b
     # Entries where (a - b) > (N - M) are impossible: C(rest, a-b) = 0.
-    impossible = rest_draws > restf
+    # Their last index is clipped to 0 (not left to wrap around) and the
+    # entry masked below.
+    impossible = rest_draws > rest
+    log_crest = (
+        log_factorial[rest]
+        - log_factorial[rest_draws]
+        - log_factorial[np.maximum(rest - rest_draws, 0)]
+    )
+    logs = log_cmb + log_crest - log_den
     logs = np.where(impossible, -np.inf, logs)
     return np.clip(np.exp(logs), 0.0, 1.0)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import _lgamma, hypergeometric_pmf_vector
+from .combinatorics import _log_factorials, hypergeometric_pmf_vector
 from .objective import expected_saved_sizes
 from .plan import ShufflePlan
 
@@ -66,11 +66,12 @@ def _dp_row(
 
     The paper's three inner loops (``j``, split size ``a``, bot count
     ``b``) become one broadcast over a ``(j, a, b)`` candidate tensor:
-    the hypergeometric weights (Equation 3) are rebuilt from a shared
-    ``lgamma`` table, the ``S(i−a, j−b, k−1)`` continuations gathered by
-    fancy indexing, and the maximizing ``a`` read off with a first-
-    occurrence ``argmax`` — the same smallest-``a`` tie-break as the
-    historical strict-``>`` scan.
+    the hypergeometric weights (Equation 3) are gathered from the
+    module-level ``log t!`` table of :mod:`repro.core.combinatorics`
+    (nothing is rebuilt per row), the ``S(i−a, j−b, k−1)``
+    continuations gathered by fancy indexing, and the maximizing ``a``
+    read off with a first-occurrence ``argmax`` — the same
+    smallest-``a`` tie-break as the historical strict-``>`` scan.
     """
     save_row = np.zeros(n_bots + 1, dtype=np.float64)
     assign_row = np.zeros(n_bots + 1, dtype=np.int64)
@@ -91,7 +92,7 @@ def _dp_row(
     aa = a_vals[None, :, None]
     bb = bs[None, None, :]
     valid = (bb <= jj) & (bb <= aa) & (aa - bb <= i - jj)
-    lg = _lgamma(np.arange(i + 1, dtype=np.float64) + 1.0)  # log t!
+    lg = _log_factorials(i)  # log t!; every index below is in [0, i]
     # log Pr(b) = log C(j, b) + log C(i−j, a−b) − log C(i, a); indices
     # are clipped so invalid (masked) cells stay in range.
     log_h = (

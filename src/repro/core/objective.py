@@ -11,6 +11,7 @@ own size and the global ``(N, M)``.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,7 +83,7 @@ def _expected_saved_runs(
     for runs in kept:
         stop = start + len(runs)
         counts = [count for _, count in runs]
-        values.append(float(np.repeat(terms[start:stop], counts).sum()))
+        values.append(float(terms[start:stop].repeat(counts).sum()))
         start = stop
     return values
 
@@ -110,20 +111,33 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     x))`` is a product of two strictly decreasing factors, so ``f`` is
     unimodal on its support ``[1, N − M]`` and exactly ``0.0`` beyond it;
     the ratio is 1 at ``r = (N − M)/(M + 1)``, so the exact-arithmetic
-    argmax is ``max(1, ⌈r⌉)`` (an integer ``r`` ties with ``r + 1``).
-    The window starts around ``⌊r⌋`` and is accepted once each end sits
-    on the support's boundary or reads below **half** the window's
-    maximum; otherwise that end moves out geometrically.
+    argmax is ``⌈r⌉`` (at least 1; an integer ``r`` ties with ``r +
+    1``).  The window starts at the three points ``⌈r⌉ − 1 .. ⌈r⌉ + 1``
+    clipped to the support, and is accepted once each end sits on the
+    support's boundary or reads below the window's maximum by the
+    relative margin ``μ = 64 · ulp(max(lgamma(N + 1), 1))``; otherwise
+    that end moves out by a step that doubles every pass.
 
-    That stop is a proof.  By unimodality every ``x`` outside the window
-    has a true value at most the nearer end's, and the kernel's relative
-    float error (a few ulp of ``lgamma(N + 1)``, ~1e-9 at ``N = 150,000``)
-    cannot bridge a factor of two; past an end on the boundary there are
-    only exact zeros, below the peak's ``f(1) = (N − M)/N`` or more.  The
-    kernel is elementwise and ``np.argmax`` keeps the first maximum, so
-    ``(omega, f(omega))`` are the full scan's.  ``f(x)/f(ω) ≈ (x/ω) ·
-    e^(1 − x/ω)`` halves at ``0.23ω`` and ``2.68ω``: the window is a few
-    ``N/M`` wide, growing into the whole support as ``M → 1``.
+    That stop is a proof.  Every kernel value is within a relative ``δ``
+    of the exact ``f``: a few ulp of ``lgamma(N + 1)``, the magnitude of
+    the log terms that cancel (at most 2.6 ulp on a sample of ``(N, M,
+    x)`` up to ``N = 3·10⁶``, against 40-digit arithmetic), plus the
+    rounding of ``exp`` and of the product, which the floor at
+    ``ulp(1)`` covers; so ``μ > 2δ`` with room to spare.  Say the high
+    end reads ``f̂(high) < (1 − μ) · f̂(best)``.  Then exactly ``f(high)
+    < f(best)``, so ``high`` lies past the peak (were it at or before
+    the peak, unimodality would make it the window's exact maximum),
+    and ``f`` does not rise again after it: every ``x > high`` reads
+    ``f̂(x) ≤ (1 + δ)/(1 − δ) · f̂(high) < f̂(best)``.  The low end is
+    the mirror image.  Past an end on the boundary there are only exact
+    zeros, while the window's maximum is positive: the window always
+    holds ``⌈r⌉``, where ``f >= f(1) = (N − M)/N``.  So no point outside
+    the window reaches the window's maximum, not even as a tie; the
+    kernel is elementwise and ``argmax`` keeps the first maximum, so
+    ``(omega, f(omega))`` are the full scan's.  Neighbours of ``ω`` read
+    ``≈ 1 − 1/(2ω²)`` of the peak, so one pass settles every ``ω`` below
+    ``(2μ)^(−1/2)`` (~5,800 at ``N = 150,000``) and a few passes the
+    rest, ``M = 1`` included.
     """
     if not 0 <= n_bots <= n_clients:
         raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
@@ -134,17 +148,21 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     support = n_clients - n_bots
     if support == 0:
         return 1, 0.0
-    low = high = max(support // (n_bots + 1), 1)
-    widen_low = widen_high = True
-    while widen_low or widen_high:
-        if widen_low:
-            low = max(low // 2, 1)
-        if widen_high:
-            high = min(2 * high, support)
+    ceil_r = -(-support // (n_bots + 1))
+    low, high = max(ceil_r - 1, 1), min(ceil_r + 1, support)
+    keep = 1.0 - 64.0 * math.ulp(max(math.lgamma(n_clients + 1), 1.0))
+    step = 1
+    while True:
         xs = np.arange(low, high + 1, dtype=np.int64)
         values = expected_saved_single_many(n_clients, n_bots, xs)
-        best = int(np.argmax(values))
-        half_peak = 0.5 * values[best]
-        widen_low = low > 1 and values[0] >= half_peak
-        widen_high = high < support and values[-1] >= half_peak
-    return int(xs[best]), float(values[best])
+        best = int(values.argmax())
+        floor = keep * values[best]
+        widen_low = low > 1 and values[0] >= floor
+        widen_high = high < support and values[-1] >= floor
+        if not (widen_low or widen_high):
+            return int(xs[best]), float(values[best])
+        step *= 2
+        if widen_low:
+            low = max(low - step, 1)
+        if widen_high:
+            high = min(high + step, support)

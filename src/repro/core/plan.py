@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class ShufflePlan:
     n_bots: int
     expected_saved: float = float("nan")
     algorithm: str = "unspecified"
+    #: the ``(size, count)`` runs of a plan a planner built from runs
+    #: (see :func:`_plan_from_runs`), as a ``(k, 2)`` int64 array; the
+    #: class default ``None`` marks a plan built from its sizes
+    _runs: ClassVar[np.ndarray | None] = None
 
     def __post_init__(self) -> None:
         if self.n_clients < 0:
@@ -57,7 +61,8 @@ class ShufflePlan:
             raise PlanError(
                 f"n_bots={self.n_bots} must be within [0, {self.n_clients}]"
             )
-        validate_partition(self.group_sizes, self.n_clients)
+        if self._runs is None:  # runs are checked in _plan_from_runs
+            validate_partition(self.group_sizes, self.n_clients)
 
     @classmethod
     def from_sizes(
@@ -91,7 +96,10 @@ class ShufflePlan:
     @property
     def sizes_array(self) -> np.ndarray:
         """Group sizes as an ``int64`` numpy array (copy)."""
-        return np.asarray(self.group_sizes, dtype=np.int64)
+        runs = self._runs
+        if runs is None:
+            return np.asarray(self.group_sizes, dtype=np.int64)
+        return runs[:, 0].repeat(runs[:, 1])
 
     def nonempty_sizes(self) -> tuple[int, ...]:
         """Sizes of replicas that actually receive clients."""
@@ -128,15 +136,29 @@ def _plan_from_runs(
 
     ``n_clients`` and the runs are Python ints already (the planners
     coerce their inputs with :func:`operator.index`), so no size is
-    coerced again; ``__post_init__`` still checks the partition.
+    coerced again, and the partition is checked on the runs, in
+    ``O(runs)``.  The plan keeps them for :attr:`~ShufflePlan.
+    sizes_array`: an instance attribute, not a field (equality, ``repr``
+    and exports see only the sizes), and an int64 array, not the tuple
+    of tuples — an array is not tracked by the cyclic garbage collector,
+    so the plans a run keeps add nothing for it to count.
     """
-    return ShufflePlan(
+    if any(size < 0 for size, _ in runs):
+        raise PlanError(f"negative group size in {_expand_runs(runs)!r}")
+    total = sum(size * count for size, count in runs)
+    if total != n_clients:
+        raise PlanError(f"group sizes sum to {total}, expected {n_clients}")
+    plan = object.__new__(ShufflePlan)
+    object.__setattr__(plan, "_runs", np.array(runs, dtype=np.int64))
+    ShufflePlan.__init__(
+        plan,
         group_sizes=_expand_runs(runs),
         n_clients=n_clients,
         n_bots=int(n_bots),
         expected_saved=value,
         algorithm=algorithm,
     )
+    return plan
 
 
 def validate_partition(sizes: Sequence[int], n_clients: int) -> None:

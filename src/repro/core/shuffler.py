@@ -258,16 +258,18 @@ class ShuffleEngine:
                 )
 
         attacked = bots_per_replica > 0
-        n_attacked = int(attacked.sum())
-        # Bot-free replicas hold only benign clients — all of them are saved.
-        benign_saved = int(sizes[~attacked].sum())
+        n_attacked = int(np.count_nonzero(attacked))
+        # Bot-free replicas hold only benign clients — all of them are
+        # saved.  The plan's sizes sum to its n_clients.
+        on_attacked = int(sizes @ attacked)
+        benign_saved = plan.n_clients - on_attacked
         state.benign_active -= benign_saved
         state.benign_saved += benign_saved
 
         seen = Observation(
             n_attacked=n_attacked,
             n_replicas=plan.n_replicas,
-            n_clients=int(sizes[attacked].sum()),
+            n_clients=on_attacked,
             plan_sizes=plan.group_sizes,
         )
         if obs is None:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from repro.core import combinatorics, dp
 from repro.core.combinatorics import (
     binomial_ratio,
     expected_saved_single,
@@ -16,6 +18,7 @@ from repro.core.combinatorics import (
     hypergeometric_pmf,
     hypergeometric_pmf_vector,
     log_binomial,
+    survival_log_probabilities,
     survival_probabilities,
     survival_probability,
 )
@@ -193,3 +196,107 @@ class TestHypergeometricPmf:
         pmf = hypergeometric_pmf_vector(total, marked, draws)
         assert pmf.min() >= 0
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestHypergeometricPmfVectorValidation:
+    """The vector pmf rejects what the scalar one rejects."""
+
+    @pytest.mark.parametrize(
+        "total, marked, draws",
+        [
+            (10, 3, 12),  # more draws than items: was [0, 0, 0, 0]
+            (10, 12, 4),  # more marked than items: was zeros + a warning
+            (10, -1, 4),  # negative marked: was []
+            (10, 3, -1),
+        ],
+    )
+    def test_impossible_inputs_raise_like_the_scalar(
+        self, total, marked, draws
+    ):
+        with pytest.raises(ValueError) as scalar:
+            hypergeometric_pmf(total, marked, draws, 0)
+        with pytest.raises(ValueError) as vector:
+            hypergeometric_pmf_vector(total, marked, draws)
+        assert str(vector.value) == str(scalar.value)
+
+
+class _NonNegativeIndexTable(np.ndarray):
+    """A log-factorial table that refuses negative indices."""
+
+    def __getitem__(self, index):
+        if np.min(index) < 0:
+            raise IndexError(f"negative index into log t!: {index!r}")
+        return np.asarray(self)[index]
+
+
+class TestLogFactorialTable:
+    """One table of ``gammaln(t + 1.0)``, bit for bit."""
+
+    @staticmethod
+    def _reference(top: int) -> np.ndarray:
+        return gammaln(np.arange(top + 1, dtype=np.float64) + 1.0)
+
+    def test_table_is_gammaln_bit_for_bit(self):
+        top = 150_000
+        table = combinatorics._log_factorials(top)
+        assert table[: top + 1].tobytes() == self._reference(top).tobytes()
+
+    def test_growth_extends_a_new_array_and_keeps_the_old(self, monkeypatch):
+        monkeypatch.setattr(
+            combinatorics, "_LOG_FACTORIAL", self._reference(999)
+        )
+        old = combinatorics._log_factorials(999)
+        assert old.size == 1_000
+        snapshot = old.tobytes()
+        # A small step still grows by an eighth; a large one to ``top``.
+        grown = combinatorics._log_factorials(1_005)
+        assert grown is not old and grown.size == 1_125
+        assert combinatorics._LOG_FACTORIAL is grown
+        assert old.tobytes() == snapshot
+        assert grown.tobytes() == self._reference(1_124).tobytes()
+        larger = combinatorics._log_factorials(40_000)
+        assert larger.size == 40_001
+        assert larger.tobytes() == self._reference(40_000).tobytes()
+        assert combinatorics._log_factorials(30_000) is larger
+
+    def test_past_the_cap_gammaln_is_evaluated_directly(self, monkeypatch):
+        n, m = 3_000, 40
+        xs = np.arange(0, n + 1, 7, dtype=np.int64)
+        tabled = survival_log_probabilities(n, m, xs)
+        pmf = hypergeometric_pmf_vector(n, m, 200)
+        monkeypatch.setattr(
+            combinatorics, "_LOG_FACTORIAL", self._reference(10)
+        )
+        monkeypatch.setattr(combinatorics, "_LOG_FACTORIAL_CAP", 100)
+        direct = combinatorics._log_factorials(n)
+        assert not isinstance(direct, np.ndarray)
+        assert combinatorics._LOG_FACTORIAL.size == 11  # not grown
+        t = np.arange(n + 1)
+        assert direct[t].tobytes() == self._reference(n).tobytes()
+        assert direct[m] == self._reference(n)[m]
+        got = survival_log_probabilities(n, m, xs)
+        assert got.tobytes() == tabled.tobytes()
+        got_pmf = hypergeometric_pmf_vector(n, m, 200)
+        assert got_pmf.tobytes() == pmf.tobytes()
+
+    def test_no_kernel_indexes_below_zero(self, monkeypatch):
+        # Sizes past the support (rest < m), draws past the unmarked
+        # items (a − b > N − M) and the dp's clipped cells: a negative
+        # index would silently read the far end of the table.
+        table = combinatorics._log_factorials(200)
+
+        def guarded(top):
+            assert top <= 200
+            return table.view(_NonNegativeIndexTable)
+
+        monkeypatch.setattr(combinatorics, "_log_factorials", guarded)
+        monkeypatch.setattr(dp, "_log_factorials", guarded)
+        xs = np.arange(0, 51, dtype=np.int64)
+        survival_log_probabilities(50, 30, xs)
+        survival_log_probabilities(50, np.array([1, 30, 50]), xs)
+        expected_saved_single_many(50, 49, xs)
+        for marked in range(0, 11):
+            for draws in range(0, 11):
+                hypergeometric_pmf_vector(10, marked, draws)
+        dp.optimal_assign(12, 4, 3)
+        dp._dp_plan(12, 4, 3)

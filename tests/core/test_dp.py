@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import combinatorics, dp
 from repro.core.api import planner
 from repro.core.dp import dp_value, optimal_assign
 from repro.core.dp_fast import dp_fast_value
@@ -113,3 +115,31 @@ class TestPlanExtraction:
     def test_plan_no_bots(self):
         plan = plan_dp(8, 0, 2)
         assert plan.expected_saved == pytest.approx(8.0)
+
+
+class TestSharedLogFactorialTable:
+    def test_rows_read_the_shared_table_and_build_none(self, monkeypatch):
+        # Every row gathers log t! from combinatorics' table: once it
+        # covers N, filling the tables evaluates no gammaln at all, and
+        # gives the bits a fresh per-row gammaln table gave.
+        first = optimal_assign(24, 5, 3)  # may grow the table
+        combinatorics._log_factorials(24)
+        vector_lgamma = combinatorics._VECTOR_LGAMMA
+        calls = []
+
+        def counted(values):
+            calls.append(np.size(values))
+            return vector_lgamma(values)
+
+        monkeypatch.setattr(combinatorics, "_VECTOR_LGAMMA", counted)
+        tables = optimal_assign(24, 5, 3)
+        assert calls == []
+
+        def per_row_table(top):
+            return vector_lgamma(np.arange(top + 1, dtype=np.float64) + 1.0)
+
+        monkeypatch.setattr(dp, "_log_factorials", per_row_table)
+        rebuilt = optimal_assign(24, 5, 3)
+        for got in (tables, first):
+            assert got.save_no.tobytes() == rebuilt.save_no.tobytes()
+            assert got.assign_no.tobytes() == rebuilt.assign_no.tobytes()

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.plan import PlanError, ShufflePlan, validate_partition
+from repro.core.plan import (
+    PlanError,
+    ShufflePlan,
+    _expand_runs,
+    _plan_from_runs,
+    validate_partition,
+)
 
 
 class TestShufflePlanValidation:
@@ -95,3 +104,62 @@ class TestValidatePartition:
     def test_rejects_negative(self):
         with pytest.raises(PlanError):
             validate_partition([-1, 7], 6)
+
+
+class TestPlanFromRuns:
+    """A planner's plan keeps its runs; it is still the same plan."""
+
+    RUNS = ((100, 7), (36, 0), (35, 3))
+
+    def _pair(self):
+        runs_plan = _plan_from_runs(self.RUNS, 805, 4, 1.5, "greedy")
+        sized = ShufflePlan(
+            group_sizes=(100,) * 7 + (35,) * 3,
+            n_clients=805,
+            n_bots=4,
+            expected_saved=1.5,
+            algorithm="greedy",
+        )
+        return runs_plan, sized
+
+    def test_equal_to_the_plan_built_from_its_sizes(self):
+        runs_plan, sized = self._pair()
+        assert runs_plan == sized
+        assert hash(runs_plan) == hash(sized)
+        assert repr(runs_plan) == repr(sized)
+        assert dataclasses.fields(runs_plan) == dataclasses.fields(sized)
+        assert sized._runs is None
+
+    def test_sizes_array_repeats_the_runs(self):
+        runs_plan, sized = self._pair()
+        got = runs_plan.sizes_array
+        assert got.dtype == np.int64
+        assert got.tobytes() == sized.sizes_array.tobytes()
+        got[0] = -1  # a copy, like the sized plan's
+        assert runs_plan.sizes_array[0] == 100
+
+    def test_copies_keep_working(self):
+        runs_plan, sized = self._pair()
+        back = pickle.loads(pickle.dumps(runs_plan))
+        assert back == sized
+        assert back.sizes_array.tobytes() == sized.sizes_array.tobytes()
+        moved = dataclasses.replace(runs_plan, n_bots=5)
+        assert moved.sizes_array.tobytes() == sized.sizes_array.tobytes()
+        with pytest.raises(PlanError, match="sum"):
+            dataclasses.replace(runs_plan, n_clients=806)
+
+    @pytest.mark.parametrize(
+        "runs, n_clients",
+        [
+            (((3, 2), (4, 1)), 11),  # sums to 10
+            (((-1, 1), (7, 1)), 6),  # a negative size
+        ],
+    )
+    def test_bad_runs_raise_what_the_sizes_raise(self, runs, n_clients):
+        with pytest.raises(PlanError) as from_sizes:
+            ShufflePlan(
+                group_sizes=_expand_runs(runs), n_clients=n_clients, n_bots=0
+            )
+        with pytest.raises(PlanError) as from_runs:
+            _plan_from_runs(runs, n_clients, 0, 0.0, "greedy")
+        assert str(from_runs.value) == str(from_sizes.value)

@@ -364,7 +364,8 @@ class TestGreedyPlanBitIdentity:
 
 
 class TestCertifiedWindow:
-    """The factor-two stop is a proof: the window holds the peak."""
+    """The margin stop is a proof: nothing outside the window reaches
+    the peak, not even as a tie."""
 
     @given(st.integers(2, 3_000), st.integers(0, 10_000))
     @settings(max_examples=100)
@@ -372,6 +373,7 @@ class TestCertifiedWindow:
         self, n_clients, pick
     ):
         n_bots = 1 + pick % (n_clients - 1)
+        support = n_clients - n_bots
         windows = []
 
         def spy(n, m, xs):
@@ -380,22 +382,58 @@ class TestCertifiedWindow:
 
         with mock.patch.object(objective, "expected_saved_single_many", spy):
             omega, peak = single_replica_optimum(n_clients, n_bots)
+        # The first window is the three points around ⌈r⌉, r = (N −
+        # M)/(M + 1), clipped to the support; every later one holds it.
+        ceil_r = -(-support // (n_bots + 1))
+        assert windows[0] == (max(ceil_r - 1, 1), min(ceil_r + 1, support))
         low, high = windows[-1]
-        assert 1 <= low <= omega <= high <= n_clients - n_bots
+        assert 1 <= low <= omega <= high <= support
         xs = np.arange(1, n_clients + 1, dtype=np.int64)
         full = expected_saved_single_many(n_clients, n_bots, xs)
         assert full[omega - 1] == peak
-        # Left of the window and right of it: not just below the peak
-        # but below half of it, give or take float noise.
+        # The stop: each end on the support's boundary, or below the
+        # peak by the relative margin μ = 64 ulp of lgamma(N + 1).
+        keep = 1.0 - 64.0 * math.ulp(max(math.lgamma(n_clients + 1), 1.0))
+        assert low == 1 or full[low - 1] < keep * peak
+        assert high == support or full[high - 1] < keep * peak
+        # What it certifies: every value outside the window is strictly
+        # below the peak, so the first maximum is the window's.
         outside = np.concatenate([full[: low - 1], full[high:]])
-        assert (outside <= 0.5 * peak * (1 + 1e-9)).all()
+        assert (outside < peak).all()
         # What licensed the stop: the curve rises to ω and falls after
         # it (unimodal up to float noise), and is exactly zero past the
         # support N − M.
         noise = 1e-9 * peak
         assert (np.diff(full[:omega]) >= -noise).all()
         assert (np.diff(full[omega - 1 :]) <= noise).all()
-        assert not full[n_clients - n_bots :].any()
+        assert not full[support:].any()
+
+    @pytest.mark.parametrize(
+        "n_bots",
+        sorted(
+            {0, 150_000}
+            | set(np.geomspace(1, 150_000, 40).astype(int).tolist())
+        ),
+    )
+    def test_paper_scale_grid_is_the_full_scan(self, n_bots):
+        assert single_replica_optimum(
+            150_000, n_bots
+        ) == scalar_single_replica_optimum(150_000, n_bots)
+
+    def test_integer_r_ties_break_as_the_full_scan_does(self):
+        # N + 1 = 150,001 is prime, so at N = 150,000 no 0 < M < N puts
+        # r on an integer.  N = 149,999 has 58 such M, and float
+        # rounding hands the tie f(r) = f(r + 1) to r on some of them
+        # and to r + 1 on others: both ends of the window must hold.
+        n_clients = 149_999
+        sides = set()
+        for n_bots in range(1, n_clients):
+            if (n_clients + 1) % (n_bots + 1):
+                continue
+            got = single_replica_optimum(n_clients, n_bots)
+            assert got == scalar_single_replica_optimum(n_clients, n_bots)
+            sides.add(got[0] - (n_clients - n_bots) // (n_bots + 1))
+        assert sides == {0, 1}
 
 
 @st.composite

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.core import combinatorics, objective
 from repro.core.estimator import _occupancy_sweep
 from repro.sim import shuffle_sim
 from repro.sim.shuffle_sim import ShuffleScenario, run_scenario
@@ -73,3 +74,45 @@ class TestPaperScaleTrajectory:
         info = _occupancy_sweep.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert _occupancy_sweep(SCENARIO.n_replicas).balls == 1_972
+
+    def test_a_greedy_plan_is_two_kernel_calls_and_reads_log_t_from_the_table(
+        self, monkeypatch
+    ):
+        # A program count, not a timing: each plan evaluates Equation 1
+        # once to certify ω (its three-point window suffices on every
+        # round of this run) and once to score the greedy and even runs,
+        # and no gammaln is evaluated except to grow the log t! table.
+        kernel_calls = 0
+        lgamma_outside_growth = 0
+        growing = False
+        kernel = objective.expected_saved_single_many
+        vector_lgamma = combinatorics._VECTOR_LGAMMA
+        log_factorials = combinatorics._log_factorials
+
+        def counted_kernel(n, m, xs):
+            nonlocal kernel_calls
+            kernel_calls += 1
+            return kernel(n, m, xs)
+
+        def counted_lgamma(values):
+            nonlocal lgamma_outside_growth
+            lgamma_outside_growth += not growing
+            return vector_lgamma(values)
+
+        def growth(top):
+            nonlocal growing
+            growing = True
+            try:
+                return log_factorials(top)
+            finally:
+                growing = False
+
+        monkeypatch.setattr(
+            objective, "expected_saved_single_many", counted_kernel
+        )
+        monkeypatch.setattr(combinatorics, "_VECTOR_LGAMMA", counted_lgamma)
+        monkeypatch.setattr(combinatorics, "_log_factorials", growth)
+        outcome = run_scenario(SCENARIO, repetitions=1, seed=1)
+        assert outcome.runs[0].n_shuffles == self.ROUNDS
+        assert kernel_calls == 2 * self.ROUNDS
+        assert lgamma_outside_growth == 0
