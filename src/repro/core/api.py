@@ -1,28 +1,26 @@
 """Unified batch-first estimator/planner API (the one core seam).
 
-Every consumer of the core — the asyncio service, the discrete-event
-cloudsim, the figure experiments, and the counts-level shuffle engine —
-goes through two dispatchers over frozen request dataclasses:
+Decisions — estimate this attack, plan this shuffle — go through two
+dispatchers over frozen request dataclasses:
 
     estimate(EstimateRequest(...)) -> BotEstimate
     plan(PlanRequest(...))         -> ShufflePlan
 
-with uniform keywords across methods (``method=``, ``log_prior=``,
-``instruments=``).
+with uniform keywords across methods (``method=``, ``instruments=``).
 
 Dispatch is deliberately thin: each method maps onto exactly one
 vectorized kernel (``repro.core.estimator`` / the planner modules), so
-behaviour is bit-identical to calling the kernel directly.  ``method=
-"auto"`` picks the estimator from the evidence shape (group sizes known →
-weighted, otherwise uniform MLE) and the planner from the presence of a
-:class:`~repro.core.plan_cache.PlanCache` handle.
+behaviour is bit-identical to calling the kernel directly.  The estimator
+``method="auto"`` picks from the evidence shape (group sizes known →
+weighted, otherwise uniform MLE); a plan request defaults to greedy.
 
 See ``docs/core-api.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import index
 from typing import Protocol
 
 import numpy as np
@@ -55,7 +53,7 @@ __all__ = [
 ESTIMATE_METHODS = ("auto", "mle", "moment", "weighted")
 
 #: Planner dispatch keys accepted by :class:`PlanRequest`.
-PLAN_METHODS = ("auto", "greedy", "even", "dp", "dp_fast", "cached")
+PLAN_METHODS = ("greedy", "even", "dp", "dp_fast")
 
 
 class PlanSource(Protocol):
@@ -75,27 +73,18 @@ class EstimateRequest:
         n_replicas: replica count ``P`` (uniform methods ``mle`` /
             ``moment``; inferred as ``len(sizes)`` when sizes are given).
         upper_bound: largest admissible bot count (uniform methods;
-            ``weighted`` always bounds by ``n_clients``).
+            ``weighted`` always bounds by ``N = sum(sizes)``).
         sizes: planned group sizes of the observed shuffle — supplying
             them selects the non-uniform ``weighted`` likelihood under
             ``method="auto"``.
-        n_clients: total clients ``N`` (defaults to ``sum(sizes)``).
-        candidates: grid density for the weighted coarse search.
         method: ``"auto"`` | ``"mle"`` | ``"moment"`` | ``"weighted"``.
-        log_prior: optional log-space prior over the bot count (MAP);
-            rejected by ``moment``, which has no likelihood to weight.
     """
 
     n_attacked: int
     n_replicas: int | None = None
     upper_bound: int | None = None
     sizes: tuple[int, ...] | None = None
-    n_clients: int | None = None
-    candidates: int = 64
     method: str = "auto"
-    log_prior: np.ndarray | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.method not in ESTIMATE_METHODS:
@@ -103,12 +92,10 @@ class EstimateRequest:
                 f"unknown estimate method {self.method!r}; choose from "
                 f"{ESTIMATE_METHODS}"
             )
-        if self.sizes is not None and not isinstance(self.sizes, tuple):
-            object.__setattr__(
-                self,
-                "sizes",
-                tuple(int(x) for x in self.sizes),
-            )
+        if self.sizes is not None:
+            # operator.index: numpy integers pass, a non-integral size
+            # raises TypeError instead of being truncated.
+            object.__setattr__(self, "sizes", tuple(map(index, self.sizes)))
 
     def resolved_method(self) -> str:
         """The concrete method ``"auto"`` dispatches to."""
@@ -125,20 +112,13 @@ class PlanRequest:
         n_clients: clients to assign ``N``.
         n_bots: believed persistent-bot count ``M``.
         n_replicas: shuffle pool size ``P``.
-        method: ``"auto"`` | ``"greedy"`` | ``"even"`` | ``"dp"`` |
-            ``"dp_fast"`` | ``"cached"``.
-        cache: a :class:`PlanSource` (normally a ``PlanCache``) consulted
-            by ``method="cached"``; its presence makes ``"auto"`` pick the
-            cached path.
+        method: ``"greedy"`` | ``"even"`` | ``"dp"`` | ``"dp_fast"``.
     """
 
     n_clients: int
     n_bots: int
     n_replicas: int
-    method: str = "auto"
-    cache: PlanSource | None = field(
-        default=None, compare=False, repr=False
-    )
+    method: str = "greedy"
 
     def __post_init__(self) -> None:
         if self.method not in PLAN_METHODS:
@@ -146,14 +126,6 @@ class PlanRequest:
                 f"unknown plan method {self.method!r}; choose from "
                 f"{PLAN_METHODS}"
             )
-        if self.method == "cached" and self.cache is None:
-            raise ValueError("method='cached' requires a cache")
-
-    def resolved_method(self) -> str:
-        """The concrete method ``"auto"`` dispatches to."""
-        if self.method != "auto":
-            return self.method
-        return "cached" if self.cache is not None else "greedy"
 
 
 def _request_sizes(request: EstimateRequest) -> np.ndarray:
@@ -184,32 +156,11 @@ def _estimate_dispatch(request: EstimateRequest) -> BotEstimate:
     method = request.resolved_method()
     if method == "weighted":
         xs = _request_sizes(request)
-        n_clients = (
-            request.n_clients
-            if request.n_clients is not None
-            else int(xs.sum())
-        )
-        return _estimate_weighted(
-            request.n_attacked,
-            xs,
-            n_clients,
-            candidates=request.candidates,
-            log_prior=request.log_prior,
-        )
+        return _estimate_weighted(request.n_attacked, xs, int(xs.sum()))
     n_replicas, upper_bound = _uniform_args(request)
     if method == "moment":
-        if request.log_prior is not None:
-            raise ValueError(
-                "method='moment' is a closed form with no likelihood; "
-                "it cannot apply a log_prior"
-            )
         return _estimate_moment(request.n_attacked, n_replicas, upper_bound)
-    return _estimate_mle(
-        request.n_attacked,
-        n_replicas,
-        upper_bound,
-        log_prior=request.log_prior,
-    )
+    return _estimate_mle(request.n_attacked, n_replicas, upper_bound)
 
 
 def estimate(
@@ -240,14 +191,7 @@ def estimate(
 
 
 def _plan_dispatch(request: PlanRequest) -> ShufflePlan:
-    method = request.resolved_method()
-    if method == "cached":
-        if request.cache is None:
-            raise ValueError("method='cached' requires a cache")
-        return request.cache(
-            request.n_clients, request.n_bots, request.n_replicas
-        )
-    planner = _PLANNER_IMPLS[method]
+    planner = _PLANNER_IMPLS[request.method]
     return planner(request.n_clients, request.n_bots, request.n_replicas)
 
 
@@ -263,7 +207,7 @@ def plan(
             ``core_plan_total{method=...}``.
     """
     obs = resolve_instruments(instruments)
-    method = request.resolved_method()
+    method = request.method
     if obs is None:
         return _plan_dispatch(request)
     with obs.spans.span("core_plan", method=method) as span:
@@ -280,13 +224,7 @@ def plan(
     return result
 
 
-class _PlannerImpl(Protocol):
-    def __call__(
-        self, n_clients: int, n_bots: int, n_replicas: int
-    ) -> ShufflePlan: ...
-
-
-_PLANNER_IMPLS: dict[str, _PlannerImpl] = {
+_PLANNER_IMPLS: dict[str, PlanSource] = {
     "greedy": _greedy_plan,
     "even": _even_plan,
     "dp": _dp_plan,
@@ -302,10 +240,9 @@ def planner(
     Adapts the request API back to the positional planner protocol used
     by :class:`repro.core.shuffler.ShuffleEngine` and the simulators.
     """
-    if method not in PLAN_METHODS or method == "cached":
+    if method not in PLAN_METHODS:
         raise ValueError(
-            f"unknown planner {method!r}; choose from "
-            f"{tuple(m for m in PLAN_METHODS if m != 'cached')}"
+            f"unknown planner {method!r}; choose from {PLAN_METHODS}"
         )
 
     def _call(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:

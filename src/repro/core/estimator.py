@@ -20,8 +20,8 @@ the likelihood of ``x`` for every candidate ``m`` it visits.
 The MLE does not visit them all, and does not visit any of them twice.
 The table ``f(m, k)`` depends on ``P`` alone, so the process keeps one
 full-width sweep per replica count (``_occupancy_sweep``, the
-``_SWEEP_CACHE_SIZE`` most recently used) and every pure-MLE call at
-that ``P`` resumes it.  Per column ``k`` the sweep keeps two numbers: the
+``_SWEEP_CACHE_SIZE`` most recently used) and every call at that ``P``
+resumes it.  Per column ``k`` the sweep keeps two numbers: the
 best ``f(·, k)`` any row so far has held, and the ball count of the first
 row that held it — a row replaces them only where it is strictly
 ``>`` the best, which is ``argmax``'s first-maximum rule, so
@@ -43,10 +43,11 @@ peak (it walks on), past it (nothing to do), or past ``upper`` itself.
 Only then can the tracked peak lie beyond the cap; that one case
 (``first[x] > upper``) re-sweeps column ``x`` alone over ``[0, upper]``,
 fewer rows than the shared sweep has already paid for.  The sweep
-object is single-threaded by contract: the engine, the DES coordinator
-and the live coordinator each call ``estimate`` from one thread, and
-grid workers are processes with a sweep each.  A MAP estimate sweeps the
-whole range: an arbitrary prior need not be unimodal.
+object is single-threaded by contract: the engine and the DES
+coordinator each call ``estimate`` from one thread, and grid workers are
+processes with a sweep each.  (The live coordinator does not estimate:
+its posterior reads :func:`occupancy_likelihoods` and
+:func:`attacked_count_log_pmf` directly.)
 
 Degenerate regime (paper Figure 7, right edge): when **all** replicas are
 attacked (``X = P``) the likelihood increases monotonically in ``m`` and
@@ -92,6 +93,10 @@ __all__ = [
 #: ``N >> 10^5``) are narrowed geometrically first.
 _REFINE_SCAN_LIMIT = 4096
 
+#: Points of the weighted estimator's geometric coarse grid (and of each
+#: narrowing grid inside a wide bracket).
+_GRID_CANDIDATES = 64
+
 
 @dataclass(frozen=True)
 class BotEstimate:
@@ -116,6 +121,12 @@ class BotEstimate:
     upper_bound: int
     degenerate: bool = False
     log_likelihood: float = float("nan")
+
+
+def _check_bins(n_bins: int) -> None:
+    """Reject an empty pool, in the one wording every entry point uses."""
+    if n_bins < 1:
+        raise ValueError(f"n_bins={n_bins} must be >= 1")
 
 
 def _occupancy_rows(n_bins: int, n_columns: int) -> Iterator[np.ndarray]:
@@ -161,8 +172,7 @@ def occupancy_pmf(n_balls: int, n_bins: int) -> np.ndarray:
         >>> occupancy_pmf(2, 2)
         array([0. , 0.5, 0.5])
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins={n_bins} must be >= 1")
+    _check_bins(n_bins)
     if n_balls < 0:
         raise ValueError(f"n_balls={n_balls} must be >= 0")
     rows = _occupancy_rows(n_bins, n_bins + 1)
@@ -178,8 +188,7 @@ def occupancy_likelihoods(
     ``0..n_attacked``; column ``n_attacked`` of each row is collected.
     Linear-space values, exact where they do not underflow.
     """
-    if n_bins < 1:
-        raise ValueError(f"n_bins={n_bins} must be >= 1")
+    _check_bins(n_bins)
     if upper < 0:
         raise ValueError(f"upper={upper} must be >= 0")
     if not 0 <= n_attacked <= n_bins:
@@ -262,11 +271,22 @@ def _occupancy_sweep(n_bins: int) -> _OccupancySweep:
     return _OccupancySweep(n_bins)
 
 
+def _check_uniform(n_attacked: int, n_replicas: int, upper_bound: int) -> None:
+    """The arguments both uniform estimators accept, and no others."""
+    _check_bins(n_replicas)
+    if not 0 <= n_attacked <= n_replicas:
+        raise ValueError(
+            f"n_attacked={n_attacked} must be within [0, {n_replicas}]"
+        )
+    if upper_bound < n_attacked:
+        raise ValueError(
+            "upper_bound must be at least the attacked replica count "
+            f"(got {upper_bound} < {n_attacked})"
+        )
+
+
 def _estimate_mle(
-    n_attacked: int,
-    n_replicas: int,
-    upper_bound: int,
-    log_prior: np.ndarray | None = None,
+    n_attacked: int, n_replicas: int, upper_bound: int
 ) -> BotEstimate:
     """Exact occupancy MLE of the persistent-bot count (Section V).
 
@@ -278,25 +298,8 @@ def _estimate_mle(
         n_replicas: shuffling replica count ``P``.
         upper_bound: the largest admissible ``m`` — the paper uses the total
             number of clients assigned to attacked replicas.
-        log_prior: optional log-space prior over ``m`` (length at least
-            ``upper_bound + 1``, e.g. from :func:`repro.trust.prior.
-            bot_count_log_prior`); when given, the argmax runs over
-            ``log L(m) + log_prior[m]`` (a MAP estimate).  ``None``
-            leaves the pure-MLE path untouched.  The degenerate
-            all-attacked regime ignores the prior — the likelihood
-            carries no information there, and inventing an estimate from
-            the prior alone would hide the Theorem 1 fallback the callers
-            rely on.
     """
-    if not 0 <= n_attacked <= n_replicas:
-        raise ValueError(
-            f"n_attacked={n_attacked} must be within [0, {n_replicas}]"
-        )
-    if upper_bound < n_attacked:
-        raise ValueError(
-            "upper_bound must be at least the attacked replica count "
-            f"(got {upper_bound} < {n_attacked})"
-        )
+    _check_uniform(n_attacked, n_replicas, upper_bound)
     if n_attacked == 0:
         return BotEstimate(
             m_hat=0,
@@ -316,40 +319,20 @@ def _estimate_mle(
             degenerate=True,
         )
     # Only m >= X can produce X attacked replicas.
-    if log_prior is None:
-        first, peak = _occupancy_sweep(n_replicas).first_maximum(
-            n_attacked, upper_bound
-        )
-        if first <= upper_bound:
-            # A column that never rose above 0.0 keeps first = 0.
-            m_hat = max(n_attacked, first)
-        else:
-            # An earlier, looser cap took the shared sweep past this one
-            # and the peak it found lies beyond it: sweep this column
-            # alone, over fewer rows than are already paid for.
-            likelihoods = occupancy_likelihoods(
-                n_attacked, n_replicas, upper_bound
-            )
-            m_hat = n_attacked + int(np.argmax(likelihoods[n_attacked:]))
-            peak = float(likelihoods[m_hat])
+    first, peak = _occupancy_sweep(n_replicas).first_maximum(
+        n_attacked, upper_bound
+    )
+    if first <= upper_bound:
+        # A column that never rose above 0.0 keeps first = 0.
+        m_hat = max(n_attacked, first)
     else:
-        if log_prior.shape[0] < upper_bound + 1:
-            raise ValueError(
-                f"log_prior covers {log_prior.shape[0]} counts, "
-                f"need upper_bound + 1 = {upper_bound + 1}"
-            )
-        # MAP keeps the full sweep: an arbitrary prior need not be
-        # unimodal, so no likelihood bound can end the search early.
+        # An earlier, looser cap took the shared sweep past this one and
+        # the peak it found lies beyond it: sweep this column alone, over
+        # fewer rows than are already paid for.
         likelihoods = occupancy_likelihoods(
             n_attacked, n_replicas, upper_bound
         )
-        # log L + log prior; a zero likelihood becomes exactly -inf
-        # (never the argmax unless everything is impossible).
-        with np.errstate(divide="ignore"):
-            log_posterior = (
-                np.log(likelihoods) + log_prior[: upper_bound + 1]
-            )
-        m_hat = n_attacked + int(np.argmax(log_posterior[n_attacked:]))
+        m_hat = n_attacked + int(np.argmax(likelihoods[n_attacked:]))
         peak = float(likelihoods[m_hat])
     return BotEstimate(
         m_hat=m_hat,
@@ -363,11 +346,11 @@ def _estimate_mle(
 def _estimate_moment(
     n_attacked: int, n_replicas: int, upper_bound: int
 ) -> BotEstimate:
-    """Closed-form moment-matching estimator (``method="moment"``)."""
-    if not 0 <= n_attacked <= n_replicas:
-        raise ValueError(
-            f"n_attacked={n_attacked} must be within [0, {n_replicas}]"
-        )
+    """Closed-form moment-matching estimator (``method="moment"``).
+
+    Accepts exactly the arguments :func:`_estimate_mle` accepts.
+    """
+    _check_uniform(n_attacked, n_replicas, upper_bound)
     if n_attacked == 0:
         return BotEstimate(
             m_hat=0,
@@ -494,8 +477,6 @@ def _estimate_weighted(
     n_attacked: int,
     sizes: Sequence[int] | np.ndarray,
     n_clients: int,
-    candidates: int = 64,
-    log_prior: np.ndarray | None = None,
 ) -> BotEstimate:
     """MLE of the bot count for *non-uniform* group sizes.
 
@@ -507,13 +488,8 @@ def _estimate_weighted(
     Args:
         n_attacked: observed attacked-replica count ``X``.
         sizes: planned group sizes ``x_1..x_P`` of the observed shuffle.
-        n_clients: total clients ``N`` in the shuffle.
-        candidates: grid density for the coarse search.
-        log_prior: optional log-space prior over ``m`` (length at least
-            ``n_clients + 1``); when given the grid search maximizes
-            ``log L(m) + log_prior[m]`` (MAP).  ``None`` keeps the
-            pure-MLE path bit-identical; the degenerate
-            all-nonempty-attacked regime ignores the prior.
+        n_clients: total clients ``N`` in the shuffle; must equal
+            ``sum(sizes)``.
     """
     xs = np.asarray(sizes, dtype=np.int64)
     n_replicas = int(xs.size)
@@ -541,12 +517,6 @@ def _estimate_weighted(
             upper_bound=n_clients, degenerate=True,
         )
 
-    if log_prior is not None and log_prior.shape[0] < n_clients + 1:
-        raise ValueError(
-            f"log_prior covers {log_prior.shape[0]} counts, "
-            f"need n_clients + 1 = {n_clients + 1}"
-        )
-
     def log_likelihood(m: int) -> float:
         pmf = attacked_count_pmf(xs, n_clients, m)
         value = float(pmf[n_attacked])
@@ -555,23 +525,16 @@ def _estimate_weighted(
         # Linear underflow: re-resolve the tail in log space.
         return float(attacked_count_log_pmf(xs, n_clients, m)[n_attacked])
 
-    def objective(m: int) -> float:
-        # MAP objective: log-likelihood plus the (log-space) prior.
-        value = log_likelihood(m)
-        if log_prior is not None:
-            value += float(log_prior[m])
-        return value
-
     lo, hi = n_attacked, n_clients
     grid = np.unique(
-        np.geomspace(max(lo, 1), hi, num=min(candidates, hi - lo + 1))
+        np.geomspace(max(lo, 1), hi, num=min(_GRID_CANDIDATES, hi - lo + 1))
         .round()
         .astype(np.int64)
     )
     grid = grid[(grid >= lo) & (grid <= hi)]
     if grid.size == 0:
         grid = np.array([lo], dtype=np.int64)
-    coarse_best = max(grid, key=objective)
+    coarse_best = max(grid, key=log_likelihood)
     # Local refinement between the neighbouring grid points.
     position = int(np.searchsorted(grid, coarse_best))
     left = int(grid[position - 1]) if position > 0 else lo
@@ -580,12 +543,12 @@ def _estimate_weighted(
         # Bracket too wide to scan (only reachable at N >> 10^5): narrow
         # it with another geometric grid before the exhaustive pass.
         inner = np.unique(
-            np.geomspace(max(left, 1), right, num=candidates)
+            np.geomspace(max(left, 1), right, num=_GRID_CANDIDATES)
             .round()
             .astype(np.int64)
         )
         inner = inner[(inner >= left) & (inner <= right)]
-        inner_best = max(inner, key=objective)
+        inner_best = max(inner, key=log_likelihood)
         inner_pos = int(np.searchsorted(inner, inner_best))
         new_left = int(inner[inner_pos - 1]) if inner_pos > 0 else left
         new_right = (
@@ -597,7 +560,7 @@ def _estimate_weighted(
             break
         left, right = new_left, new_right
     window = range(max(lo, left), min(hi, right) + 1)
-    m_hat = max(window, key=objective)
+    m_hat = max(window, key=log_likelihood)
     return BotEstimate(
         m_hat=int(m_hat),
         n_attacked=n_attacked,

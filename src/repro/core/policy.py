@@ -51,7 +51,8 @@ class Observation:
     #: its sizes are the occupancy model for this count
     plan_sizes: tuple[int, ...] | None = None
     #: the trust model's expected bot count among those clients (their
-    #: low-trust mass ``sum(1 - trust)``), and the weight of that prior
+    #: low-trust mass ``sum(1 - trust)``), and the weight of that prior;
+    #: only :class:`PosteriorPolicy` reads them
     expected_bots: float | None = None
     prior_strength: float = 1.0
     #: clients among these shown by heavy-hitter reports to send
@@ -107,23 +108,11 @@ class ShufflePolicy:
             seen.n_replicas,
             upper,
             sizes=seen.plan_sizes if weighted else None,
-            log_prior=self._trust_prior(seen, upper),
             method=self.method,
         )
         result = api.estimate(request, instruments=self.instruments)
         self.belief = result.m_hat
         return result
-
-    @staticmethod
-    def _trust_prior(seen: Observation, upper: int) -> np.ndarray | None:
-        """Log-prior pulling the MAP estimate toward the trust model's
-        expected count; ``None`` (the estimators' pure-likelihood path)
-        without a trust model or at strength 0."""
-        if seen.expected_bots is None or seen.prior_strength <= 0:
-            return None
-        return bot_count_log_prior(
-            upper, seen.expected_bots, seen.prior_strength
-        )
 
     def believed(self, n_clients: int) -> int:
         """The carried belief, clamped to a population of ``n_clients``."""
@@ -215,6 +204,16 @@ class PosteriorPolicy(ShufflePolicy):
             cut[floor] = 0.0
         self.log_posterior = cut - logsumexp(cut)
         self.belief = int(np.argmax(cut))
+
+    @staticmethod
+    def _trust_prior(seen: Observation, upper: int) -> np.ndarray | None:
+        """Log-prior over ``m = 0..upper`` centred on the trust model's
+        expected count; ``None`` without a trust model or at strength 0."""
+        if seen.expected_bots is None or seen.prior_strength <= 0:
+            return None
+        return bot_count_log_prior(
+            upper, seen.expected_bots, seen.prior_strength
+        )
 
     def decide(self, n_clients: int, n_replicas: int) -> Decision:
         believed = self.believed(n_clients)

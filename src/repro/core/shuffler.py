@@ -102,13 +102,6 @@ class ShuffleState:
             return 1.0
         return self.benign_saved / self.benign_initial
 
-    @property
-    def saved_fraction_total(self) -> float:
-        """Saved share of all benign clients ever seen (arrivals included)."""
-        if self.benign_total_seen == 0:
-            return 1.0
-        return self.benign_saved / self.benign_total_seen
-
 
 class ShuffleEngine:
     """Drives repeated shuffles until a saving target or round cap is hit.
@@ -135,8 +128,7 @@ class ShuffleEngine:
             the replica pool for subsequent rounds.  "The resource
             elasticity permitted by the underlying cloud infrastructure
             allows sufficient space for us to increase the number of
-            replica servers."
-        growth_multiplier: pool growth factor applied on saturation.
+            replica servers."  Each saturated round doubles the pool.
         max_replicas: optional cap on adaptive growth.
         instruments: optional :class:`repro.obs.Instruments` handle (the
             repo-wide ``instruments=`` convention — see CONTRIBUTING).
@@ -153,7 +145,6 @@ class ShuffleEngine:
         estimator: str = "oracle",
         rng: np.random.Generator | None = None,
         adaptive_growth: bool = False,
-        growth_multiplier: float = 2.0,
         max_replicas: int | None = None,
         instruments: Instruments | None = None,
     ) -> None:
@@ -174,10 +165,6 @@ class ShuffleEngine:
             raise ValueError(
                 f"unknown estimator {estimator!r}; choose from {ESTIMATORS}"
             )
-        if growth_multiplier <= 1.0:
-            raise ValueError(
-                f"growth_multiplier={growth_multiplier} must exceed 1"
-            )
         if max_replicas is not None and max_replicas < n_replicas:
             raise ValueError("max_replicas must be >= n_replicas")
         self.n_replicas = n_replicas
@@ -186,7 +173,6 @@ class ShuffleEngine:
             rng if rng is not None else np.random.default_rng(DEFAULT_SEED)
         )
         self.adaptive_growth = adaptive_growth
-        self.growth_multiplier = growth_multiplier
         self.max_replicas = max_replicas
         self.instruments = resolve_instruments(instruments)
         self.planner_name = planner_name
@@ -285,8 +271,8 @@ class ShuffleEngine:
             and plan.n_replicas > 0
         ):
             # Theorem 1 regime: every replica attacked, nothing saved,
-            # estimation degenerate.  Grow the pool before the next round.
-            grown = int(self.n_replicas * self.growth_multiplier)
+            # estimation degenerate.  Double the pool for the next round.
+            grown = 2 * self.n_replicas
             if self.max_replicas is not None:
                 grown = min(grown, self.max_replicas)
             self.n_replicas = max(self.n_replicas, grown)
@@ -328,31 +314,22 @@ class ShuffleEngine:
         max_rounds: int = 10_000,
         arrivals: Callable[[int, np.random.Generator], tuple[int, int]]
         | None = None,
-        target_basis: str = "initial",
     ) -> ShuffleState:
         """Shuffle until ``target_fraction`` of benign clients are saved.
 
         Args:
             benign: initial benign client population.
             bots: initial persistent-bot population.
-            target_fraction: stop once this fraction of benign clients has
-                been saved.
+            target_fraction: stop once this fraction of the initial benign
+                population has been saved (:attr:`ShuffleState.
+                saved_fraction`).
             max_rounds: hard cap to bound degenerate runs.
             arrivals: optional callable ``(round_index, rng) ->
                 (new_benign, new_bots)`` applied *before* each round — the
                 paper's Poisson arrival processes plug in here.
-            target_basis: ``"initial"`` (paper semantics: fraction of the
-                benign population present at attack start) or
-                ``"total_seen"`` (fraction of all benign ever admitted,
-                a strictly harder target under ongoing arrivals).
         """
         if not 0 <= target_fraction <= 1:
             raise ValueError("target_fraction must be within [0, 1]")
-        if target_basis not in ("initial", "total_seen"):
-            raise ValueError(
-                f"target_basis={target_basis!r} must be 'initial' or "
-                "'total_seen'"
-            )
         state = ShuffleState(
             benign_active=benign,
             bots_active=bots,
@@ -366,12 +343,7 @@ class ShuffleEngine:
                 state.benign_active += new_benign
                 state.benign_total_seen += new_benign
                 state.bots_active += new_bots
-            fraction = (
-                state.saved_fraction
-                if target_basis == "initial"
-                else state.saved_fraction_total
-            )
-            if fraction >= target_fraction:
+            if state.saved_fraction >= target_fraction:
                 break
             if state.n_active == 0:
                 break
@@ -380,19 +352,15 @@ class ShuffleEngine:
 
 
 def shuffle_trajectory(
-    state: ShuffleState, basis: str = "initial"
+    state: ShuffleState,
 ) -> Iterator[tuple[int, int, float]]:
     """Yield ``(round_index, benign_saved_cumulative, saved_fraction)``.
 
-    Convenience accessor for Figure 10-style cumulative curves.  ``basis``
-    selects the denominator: the initial benign population (paper
-    semantics) or every benign client ever seen.
+    Convenience accessor for Figure 10-style cumulative curves; the
+    fraction is of the initial benign population (paper semantics).
     """
-    denominator = (
-        state.benign_initial if basis == "initial" else state.benign_total_seen
-    )
     cumulative = 0
     for result in state.rounds:
         cumulative += result.benign_saved
-        fraction = cumulative / max(1, denominator)
+        fraction = cumulative / max(1, state.benign_initial)
         yield result.round_index, cumulative, fraction

@@ -64,7 +64,7 @@ class ServiceConfig:
             (:mod:`repro.trust`).  Off by default: the disabled path
             is byte-identical to the pre-trust service.
         trust_prior_strength: weight of the trust-derived log-prior
-            handed to the attack-scale estimators (0 disables the
+            of the live posterior over the bot count (0 disables the
             prior even with trust enabled).
         state_backend: persistence spec for bindings + profiles +
             belief — ``"memory"`` (default, process-local),

@@ -109,10 +109,7 @@ class ServiceCoordinator:
         self.state = make_backend(config.state_backend)
         self.trust: TrustManager | None = (
             TrustManager(
-                TrustConfig(
-                    seed=config.seed,
-                    prior_strength=config.trust_prior_strength,
-                ),
+                TrustConfig(seed=config.seed),
                 storage=self.state,
                 instruments=self.instruments,
             )

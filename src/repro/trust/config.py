@@ -17,7 +17,7 @@ __all__ = ["TrustConfig"]
 
 @dataclass(frozen=True)
 class TrustConfig:
-    """Parameters of profiles, the tier ladder, and the estimator prior.
+    """Parameters of profiles and the tier ladder.
 
     Attributes:
         rate_tau: time constant of the request-rate EMA (seconds).
@@ -55,8 +55,6 @@ class TrustConfig:
             many passes through to the replica's token bucket; the
             rest get the THROTTLED wire verdict without spending
             bucket tokens.
-        prior_strength: weight of the trust-derived log-prior handed
-            to the attack-scale estimators (0 disables the prior).
         seed: base seed for the per-client heal jitter.
     """
 
@@ -74,7 +72,6 @@ class TrustConfig:
     hysteresis: float = 0.08
     promotion_dwell: float = 2.0
     throttle_every: int = 2
-    prior_strength: float = 1.0
     seed: int = 2014
 
     def __post_init__(self) -> None:
@@ -109,5 +106,3 @@ class TrustConfig:
             raise ValueError("promotion_dwell must be >= 0")
         if self.throttle_every < 1:
             raise ValueError("throttle_every must be >= 1")
-        if self.prior_strength < 0:
-            raise ValueError("prior_strength must be >= 0")

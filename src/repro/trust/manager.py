@@ -115,8 +115,8 @@ class TrustManager:
     def low_trust_mass(self, client_ids: list[str]) -> float:
         """Expected bot count among ``client_ids`` under the trust
         model: each client contributes ``1 - trust`` (unknown clients
-        contribute ``1 - initial_trust``).  Feeds the estimator prior
-        (:func:`repro.trust.prior.bot_count_log_prior`)."""
+        contribute ``1 - initial_trust``).  Feeds the live posterior's
+        prior (:func:`repro.trust.prior.bot_count_log_prior`)."""
         initial = self.config.initial_trust
         mass = 0.0
         for client_id in client_ids:

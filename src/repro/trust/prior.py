@@ -5,16 +5,17 @@ per-client suspicion feeds the planner.  Here the bridge is the
 attack-scale estimate: the trust table's *low-trust mass* over the
 clients of the attacked replicas — ``sum(1 - trust)`` — is an expected
 bot count under the trust model, and this module shapes it into a
-log-prior the occupancy estimators of :mod:`repro.core.estimator`
-add to their log-likelihoods.
+log-prior that the live posterior (:class:`repro.core.policy.
+PosteriorPolicy`) adds to the occupancy log-likelihood whenever it
+starts afresh.
 
 The prior is Laplace-shaped around the expected count and constructed
 directly in the log domain (no ``log(exp(...))`` round trip), with a
 scale proportional to the expectation itself so its pull is relative:
 being off by 5 bots matters at ``expected=5``, not at
 ``expected=500``.  ``strength=0`` yields the zero array — a no-op
-prior, and the estimator call sites pass ``None`` instead so the
-disabled path stays bit-identical to the historical one.
+prior; the posterior never asks for one, and at strength 0 falls back
+to its trust-free prior ``-log(m + 1)``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def bot_count_log_prior(
 
     Returns:
         ``-strength * |m - expected| / max(1, expected)`` — already in
-        log space, so estimator call sites simply add it to their
-        log-likelihoods (normalisation cancels in the argmax).
+        log space, so the posterior simply adds it to its
+        log-likelihood (and normalises the sum).
     """
     if upper < 0:
         raise ValueError(f"upper={upper} must be >= 0")

@@ -19,10 +19,6 @@ def make_engine(**kwargs):
 
 
 class TestConfiguration:
-    def test_growth_multiplier_validated(self):
-        with pytest.raises(ValueError):
-            make_engine(adaptive_growth=True, growth_multiplier=1.0)
-
     def test_max_replicas_validated(self):
         with pytest.raises(ValueError):
             make_engine(n_replicas=10, max_replicas=5)

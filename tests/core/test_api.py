@@ -1,10 +1,16 @@
 """Contract tests for the unified ``repro.core.api`` seam.
 
-Covers the request dataclasses, method dispatch (including ``"auto"``),
-observability hooks, and the planner-factory adapter.
+Covers the request dataclasses, method dispatch (each method routes to
+its kernel bit for bit; the estimator's ``"auto"``), observability hooks,
+the planner-factory adapter, and the field and method tables of
+``docs/core-api.md``.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +23,18 @@ from repro import (
     plan,
 )
 from repro.core import api
-from repro.core.plan_cache import PlanCache
+from repro.core.dp import _dp_plan
+from repro.core.dp_fast import _dp_fast_plan
+from repro.core.estimator import (
+    _estimate_mle,
+    _estimate_moment,
+    _estimate_weighted,
+)
+from repro.core.even import _even_plan
+from repro.core.greedy import _greedy_plan
 from repro.obs import Instruments
 
-
-def _small_cache() -> PlanCache:
-    return PlanCache(
-        n_replicas=3, client_grid=(10, 20), bot_grid=(2, 4)
-    )
+DOC = Path(__file__).resolve().parents[2] / "docs" / "core-api.md"
 
 
 class TestEstimateRequest:
@@ -37,19 +47,21 @@ class TestEstimateRequest:
         assert request.sizes == (3, 4, 5)
         assert isinstance(request.sizes, tuple)
 
+    def test_sizes_coerced_without_truncation(self):
+        # Was estimated over (2, 3, 4), upper bound 9.
+        with pytest.raises(TypeError):
+            EstimateRequest(1, sizes=(2.5, 3.7, 4.0), method="weighted")
+        with pytest.raises(TypeError):
+            EstimateRequest(1, sizes=[2.5, 3.7, 4.0], method="weighted")
+        request = EstimateRequest(1, sizes=np.array([2, 3, 4]))
+        assert request.sizes == (2, 3, 4)
+        assert all(type(size) is int for size in request.sizes)
+
     def test_requests_are_hashable_cache_keys(self):
         a = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
         b = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_log_prior_excluded_from_equality(self):
-        prior = np.zeros(51)
-        a = EstimateRequest(
-            n_attacked=3, n_replicas=10, upper_bound=50, log_prior=prior
-        )
-        b = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
-        assert a == b
 
     def test_auto_resolves_from_evidence_shape(self):
         uniform = EstimateRequest(
@@ -76,18 +88,6 @@ class TestEstimateRequest:
                 )
             )
 
-    def test_moment_rejects_prior(self):
-        with pytest.raises(ValueError, match="cannot apply a log_prior"):
-            estimate(
-                EstimateRequest(
-                    n_attacked=3,
-                    n_replicas=10,
-                    upper_bound=20,
-                    method="moment",
-                    log_prior=np.zeros(21),
-                )
-            )
-
     def test_replicas_inferred_from_sizes(self):
         got = estimate(
             EstimateRequest(
@@ -105,27 +105,10 @@ class TestPlanRequest:
         with pytest.raises(ValueError, match="unknown plan method"):
             PlanRequest(n_clients=10, n_bots=2, n_replicas=3, method="x")
 
-    def test_cached_requires_cache(self):
-        with pytest.raises(ValueError, match="requires a cache"):
-            PlanRequest(
-                n_clients=10, n_bots=2, n_replicas=3, method="cached"
-            )
-
-    def test_auto_prefers_cache_when_present(self):
-        bare = PlanRequest(n_clients=10, n_bots=2, n_replicas=3)
-        cached = PlanRequest(
-            n_clients=10, n_bots=2, n_replicas=3,
-            cache=_small_cache(),
+    def test_defaults_to_greedy(self):
+        assert PlanRequest(n_clients=10, n_bots=2, n_replicas=3).method == (
+            "greedy"
         )
-        assert bare.resolved_method() == "greedy"
-        assert cached.resolved_method() == "cached"
-
-    def test_cache_excluded_from_equality(self):
-        a = PlanRequest(
-            n_clients=10, n_bots=2, n_replicas=3, cache=_small_cache()
-        )
-        b = PlanRequest(n_clients=10, n_bots=2, n_replicas=3)
-        assert a == b
 
 
 class TestDispatch:
@@ -140,18 +123,35 @@ class TestDispatch:
                                          "dp", "dp_fast")
             assert sum(shuffle.group_sizes) == 30
 
-    def test_cached_method_serves_from_cache(self):
-        cache = PlanCache(
-            n_replicas=5, client_grid=(20, 40, 60), bot_grid=(4, 8, 16)
-        )
-        cache.precompute()
-        request = PlanRequest(
-            n_clients=40, n_bots=8, n_replicas=5, method="cached",
-            cache=cache,
-        )
-        first = plan(request)
-        second = plan(request)
-        assert first.group_sizes == second.group_sizes
+    @pytest.mark.parametrize(
+        "method, kernel",
+        [
+            ("greedy", _greedy_plan),
+            ("even", _even_plan),
+            ("dp", _dp_plan),
+            ("dp_fast", _dp_fast_plan),
+        ],
+    )
+    def test_plan_is_its_kernel_bit_for_bit(self, method, kernel):
+        assert set(api._PLANNER_IMPLS) == set(api.PLAN_METHODS)
+        for n_clients, n_bots, n_replicas in [(30, 6, 4), (57, 13, 5)]:
+            got = plan(PlanRequest(n_clients, n_bots, n_replicas, method))
+            want = kernel(n_clients, n_bots, n_replicas)
+            assert got == want
+            assert got.expected_saved == want.expected_saved
+
+    def test_estimate_is_its_kernel_bit_for_bit(self):
+        sizes = (22, 20, 19, 21, 20, 18, 20, 20, 20, 20)
+        assert estimate(
+            EstimateRequest(3, sizes=sizes)
+        ) == _estimate_weighted(3, np.asarray(sizes), 200)
+        for x, p, upper in [(4, 10, 120), (9, 10, 40), (10, 10, 40)]:
+            assert estimate(
+                EstimateRequest(x, p, upper, method="mle")
+            ) == _estimate_mle(x, p, upper)
+            assert estimate(
+                EstimateRequest(x, p, upper, method="moment")
+            ) == _estimate_moment(x, p, upper)
 
     def test_estimator_methods_route(self):
         mle = estimate(
@@ -212,3 +212,33 @@ class TestDispatch:
             "core_plan_total", "", ("method",)
         )
         assert counter.value(method="greedy") == 1.0
+
+
+def _doc_section(heading: str) -> str:
+    """The ``### `heading``` section of ``docs/core-api.md``."""
+    text = DOC.read_text(encoding="utf-8")
+    start = text.index(f"### `{heading}`")
+    end = text.find("\n#", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+class TestDocTables:
+    """``docs/core-api.md`` lists what the request types accept."""
+
+    @pytest.mark.parametrize(
+        "request_type, methods",
+        [
+            (EstimateRequest, api.ESTIMATE_METHODS),
+            (PlanRequest, api.PLAN_METHODS),
+        ],
+    )
+    def test_fields_and_methods_match_the_code(self, request_type, methods):
+        section = _doc_section(request_type.__name__)
+        rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+        assert rows == [f.name for f in dataclasses.fields(request_type)]
+        (method_row,) = re.findall(
+            r"^\| `method` \|(.*)$", section, re.MULTILINE
+        )
+        assert tuple(re.findall(r'`"(\w+)"`', method_row)) == methods
+        bullets = re.findall(r"^- \*\*`(\w+)`\*\*", section, re.MULTILINE)
+        assert sorted(bullets) == sorted(methods)

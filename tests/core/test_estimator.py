@@ -169,3 +169,51 @@ class TestMomentEstimator:
     def test_validation(self):
         with pytest.raises(ValueError):
             estimate_moment(11, 10, 100)
+
+    @pytest.mark.parametrize("n_attacked, n_replicas", [(5, 10), (10, 10)])
+    def test_rejects_a_bound_below_the_observation(
+        self, n_attacked, n_replicas
+    ):
+        # Was m_hat = 5 > upper_bound at (5, 10, 3), and m_hat = 3 < X at
+        # (10, 10, 3), which no placement can produce; mle raised on both.
+        with pytest.raises(ValueError, match="upper_bound must be at least"):
+            estimate_moment(n_attacked, n_replicas, 3)
+
+
+@pytest.mark.parametrize("method", ["mle", "moment"])
+@pytest.mark.parametrize("n_replicas", [0, -2])
+def test_uniform_methods_reject_an_empty_pool_in_occupancy_pmfs_words(
+    method, n_replicas
+):
+    # mle returned m_hat = 0 with log-likelihood 0.0 at P = 0.
+    with pytest.raises(ValueError) as pmf_error:
+        occupancy_pmf(3, n_replicas)
+    with pytest.raises(ValueError) as error:
+        estimate(EstimateRequest(0, n_replicas, 5, method=method))
+    assert str(error.value) == str(pmf_error.value)
+
+
+def _accepted(method, n_attacked: int, n_replicas: int, upper_bound: int):
+    try:
+        return method(n_attacked, n_replicas, upper_bound)
+    except ValueError:
+        return None
+
+
+@given(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 60))
+@settings(max_examples=300, deadline=None)
+def test_mle_and_moment_accept_the_same_inputs_and_respect_them(
+    n_attacked, n_replicas, upper_bound
+):
+    """Both raise, or both return ``X <= m_hat <= upper_bound``, and a
+    degenerate estimate is exactly ``upper_bound``."""
+    mle = _accepted(estimate_mle, n_attacked, n_replicas, upper_bound)
+    moment = _accepted(estimate_moment, n_attacked, n_replicas, upper_bound)
+    assert (mle is None) == (moment is None)
+    if mle is None or moment is None:
+        return
+    assert mle.degenerate == moment.degenerate
+    for result in (mle, moment):
+        assert n_attacked <= result.m_hat <= upper_bound
+        if result.degenerate:
+            assert result.m_hat == upper_bound

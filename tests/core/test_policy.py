@@ -179,7 +179,7 @@ class TestDecision:
 class TestTrustPrior:
     def test_trust_prior_disabled_paths_return_none(self):
         seen = Observation(n_attacked=1, n_replicas=3, n_clients=10)
-        assert ShufflePolicy._trust_prior(seen, upper=10) is None
+        assert PosteriorPolicy._trust_prior(seen, upper=10) is None
 
         zero = Observation(
             n_attacked=1,
@@ -188,7 +188,7 @@ class TestTrustPrior:
             expected_bots=2.0,
             prior_strength=0.0,
         )
-        assert ShufflePolicy._trust_prior(zero, upper=10) is None
+        assert PosteriorPolicy._trust_prior(zero, upper=10) is None
 
     def test_trust_prior_peaks_at_low_trust_mass(self):
         trust = TrustManager(TrustConfig(seed=7))
@@ -206,7 +206,7 @@ class TestTrustPrior:
             n_clients=10,
             expected_bots=trust.low_trust_mass(["bot"]),
         )
-        prior = ShufflePolicy._trust_prior(seen, upper=10)
+        prior = PosteriorPolicy._trust_prior(seen, upper=10)
         assert prior is not None
         assert prior.shape == (11,)
         assert prior[1] == 0.0  # expected bot count = 1 - trust = 1

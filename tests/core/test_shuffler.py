@@ -112,8 +112,6 @@ class TestRun:
         engine = make_engine()
         with pytest.raises(ValueError):
             engine.run(benign=10, bots=1, target_fraction=1.5)
-        with pytest.raises(ValueError):
-            engine.run(benign=10, bots=1, target_basis="bogus")
 
     def test_arrivals_hook(self):
         engine = make_engine(p=20, seed=4)
@@ -130,20 +128,6 @@ class TestRun:
         assert calls[:3] == [0, 1, 2]
         assert state.benign_total_seen == 115
 
-    def test_total_seen_basis_is_harder(self):
-        results = []
-        for basis in ("initial", "total_seen"):
-            engine = make_engine(p=20, seed=5)
-
-            def arrivals(round_index, rng):
-                return (3, 0)
-
-            state = engine.run(
-                benign=200, bots=40, target_fraction=0.8,
-                arrivals=arrivals, target_basis=basis, max_rounds=500,
-            )
-            results.append(len(state.rounds))
-        assert results[0] <= results[1]
 
 
 class TestEstimators:
@@ -187,12 +171,6 @@ class TestTrajectory:
         assert cumulative == sorted(cumulative)
         assert cumulative[-1] == state.benign_saved
         assert points[-1][2] == pytest.approx(state.saved_fraction)
-
-    def test_total_basis(self):
-        engine = make_engine(p=20, seed=22)
-        state = engine.run(benign=100, bots=10, target_fraction=0.8)
-        pts = list(shuffle_trajectory(state, basis="total_seen"))
-        assert pts[-1][2] == pytest.approx(state.saved_fraction_total)
 
 
 class TestPlannersRegistry:

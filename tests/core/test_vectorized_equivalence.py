@@ -262,17 +262,14 @@ class TestBoundedSweep:
         "n_attacked, n_replicas", [(4, 10), (30, 100), (90, 100)]
     )
     def test_flat_prior_full_sweep_agrees(self, n_attacked, n_replicas):
-        # The MAP path still sweeps all of [0, upper_bound]; under a flat
-        # prior it must land where the bounded pure-MLE sweep does.
+        # A full sweep of [0, upper_bound] must land where the bounded
+        # shared sweep does: same m_hat, same likelihood bits.
         upper_bound = 40 * n_replicas
         pure = _estimate_mle(n_attacked, n_replicas, upper_bound)
-        flat = _estimate_mle(
-            n_attacked,
-            n_replicas,
-            upper_bound,
-            log_prior=np.zeros(upper_bound + 1),
-        )
-        assert flat == pure
+        full = occupancy_likelihoods(n_attacked, n_replicas, upper_bound)
+        m_hat = n_attacked + int(np.argmax(full[n_attacked:]))
+        assert pure.m_hat == m_hat
+        assert pure.log_likelihood == math.log(full[m_hat])
 
 
 def _assert_same_plan(n_clients: int, n_bots: int, n_replicas: int) -> None:

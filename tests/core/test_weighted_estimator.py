@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import EstimateRequest, estimate
-from repro.core.estimator import attacked_count_pmf
+from repro.core.estimator import _estimate_weighted, attacked_count_pmf
 from repro.core.greedy import greedy_sizes
 
 
@@ -16,11 +16,9 @@ def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
     )
 
 
-def estimate_weighted(n_attacked: int, sizes, n_clients: int):
+def estimate_weighted(n_attacked: int, sizes):
     return estimate(
-        EstimateRequest(
-            n_attacked, sizes=sizes, n_clients=n_clients, method="weighted"
-        )
+        EstimateRequest(n_attacked, sizes=sizes, method="weighted")
     )
 
 
@@ -84,21 +82,21 @@ class TestAttackedCountPmf:
 
 class TestWeightedEstimator:
     def test_zero_attacked(self):
-        estimate = estimate_weighted(0, [5, 5, 5], 15)
+        estimate = estimate_weighted(0, [5, 5, 5])
         assert estimate.m_hat == 0
 
     def test_all_nonempty_attacked_is_degenerate(self):
-        estimate = estimate_weighted(2, [5, 10, 0], 15)
+        estimate = estimate_weighted(2, [5, 10, 0])
         assert estimate.degenerate
         assert estimate.m_hat == 15
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sum"):
-            estimate_weighted(1, [5, 5], 11)
+            _estimate_weighted(1, np.array([5, 5]), 11)
         with pytest.raises(ValueError, match="within"):
-            estimate_weighted(3, [5, 5], 10)
+            estimate_weighted(3, [5, 5])
         with pytest.raises(ValueError, match="non-empty"):
-            estimate_weighted(2, [10, 0], 10)
+            estimate_weighted(2, [10, 0])
 
     def test_matches_uniform_mle_on_uniform_sizes(self, rng):
         n_replicas, n_clients = 25, 500
@@ -111,7 +109,7 @@ class TestWeightedEstimator:
             if attacked in (0, n_replicas):
                 continue
             uniform = estimate_mle(attacked, n_replicas, n_clients)
-            weighted = estimate_weighted(attacked, sizes, n_clients)
+            weighted = estimate_weighted(attacked, sizes)
             assert weighted.m_hat == pytest.approx(
                 uniform.m_hat, rel=0.25, abs=4
             )
@@ -130,7 +128,7 @@ class TestWeightedEstimator:
             nonempty = sum(1 for size in sizes if size > 0)
             if attacked in (0, nonempty):
                 continue
-            estimate = estimate_weighted(attacked, sizes, n_clients)
+            estimate = estimate_weighted(attacked, sizes)
             errors.append(estimate.m_hat - true_bots)
         assert errors, "expected informative observations"
         assert abs(float(np.mean(errors))) < 0.35 * true_bots
@@ -150,7 +148,7 @@ class TestWeightedEstimator:
             if attacked in (0, nonempty):
                 continue
             uniform = estimate_mle(attacked, len(sizes), n_clients)
-            weighted = estimate_weighted(attacked, sizes, n_clients)
+            weighted = estimate_weighted(attacked, sizes)
             uniform_errors.append(abs(uniform.m_hat - true_bots))
             weighted_errors.append(abs(weighted.m_hat - true_bots))
         assert np.mean(weighted_errors) <= np.mean(uniform_errors)

@@ -1,20 +1,15 @@
-"""Trust-derived log-prior and its estimator integration."""
+"""Trust-derived log-prior over the bot count.
+
+Its one consumer, the live posterior, is tested in
+``tests/core/test_policy.py``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.api import EstimateRequest, estimate
 from repro.trust import TrustConfig, TrustManager, bot_count_log_prior
-
-
-def estimate_mle(**fields):
-    return estimate(EstimateRequest(method="mle", **fields))
-
-
-def estimate_weighted(**fields):
-    return estimate(EstimateRequest(method="weighted", **fields))
 
 
 class TestShape:
@@ -47,65 +42,6 @@ class TestShape:
             bot_count_log_prior(upper=-1, expected=0.0)
         with pytest.raises(ValueError):
             bot_count_log_prior(upper=5, expected=1.0, strength=-0.1)
-
-
-class TestEstimatorIntegration:
-    def test_none_prior_is_bit_identical_to_baseline(self):
-        """log_prior=None must leave the historical pure-MLE path
-        untouched — the trust-disabled service depends on it."""
-        for n_attacked in (1, 3, 6):
-            base = estimate_mle(
-                n_attacked=n_attacked, n_replicas=10, upper_bound=120
-            )
-            with_none = estimate_mle(
-                n_attacked=n_attacked, n_replicas=10, upper_bound=120,
-                log_prior=None,
-            )
-            assert with_none == base
-
-    def test_flat_prior_does_not_move_the_mle(self):
-        flat = np.zeros(121)
-        base = estimate_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120
-        )
-        shaped = estimate_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=flat
-        )
-        assert shaped.m_hat == base.m_hat
-
-    def test_strong_prior_pulls_map_toward_expectation(self):
-        base = estimate_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120
-        )
-        expected = float(base.m_hat + 30)
-        prior = bot_count_log_prior(
-            upper=120, expected=expected, strength=40.0
-        )
-        pulled = estimate_mle(
-            n_attacked=4, n_replicas=10, upper_bound=120, log_prior=prior
-        )
-        assert base.m_hat < pulled.m_hat <= expected + 1
-
-    def test_weighted_estimator_accepts_prior(self):
-        sizes = [22, 20, 19, 21, 20, 18, 20, 20, 20, 20]
-        base = estimate_weighted(
-            n_attacked=3, sizes=sizes, n_clients=200
-        )
-        prior = bot_count_log_prior(
-            upper=200, expected=float(base.m_hat + 40), strength=30.0
-        )
-        pulled = estimate_weighted(
-            n_attacked=3, sizes=sizes, n_clients=200, log_prior=prior
-        )
-        assert pulled.m_hat >= base.m_hat
-
-    def test_degenerate_all_attacked_ignores_prior(self):
-        prior = bot_count_log_prior(upper=40, expected=2.0, strength=50.0)
-        estimate = estimate_mle(
-            n_attacked=8, n_replicas=8, upper_bound=40, log_prior=prior
-        )
-        assert estimate.degenerate
-        assert estimate.m_hat == 40  # Theorem 1 collapse, prior unused
 
 
 def test_low_trust_mass_feeds_a_sane_expectation():
