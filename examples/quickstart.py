@@ -73,7 +73,7 @@ def run_defense() -> None:
     engine = ShuffleEngine(
         n_replicas=100,
         planner="greedy",
-        estimator="moment",  # plan from the observable signal, no oracle
+        estimator="posterior",  # plan from the observable signal, no oracle
         rng=np.random.default_rng(42),
     )
     state = engine.run(benign=5_000, bots=1_000, target_fraction=0.8)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..core.policy import Observation, ShufflePolicy
+from ..core.policy import Observation, PosteriorPolicy
 from .network import Endpoint
 from .replica import ReplicaServer
 
@@ -49,9 +49,9 @@ class Coordinator:
     def __init__(self, ctx: "CloudContext") -> None:
         self.ctx = ctx
         self.shuffles: list[ShuffleRecord] = []
-        # The moment estimator keeps the control loop cheap; see
-        # repro.core.estimator for the exact MLE.
-        self.policy = ShufflePolicy(planner="greedy", estimator="moment")
+        # The live coordinator's posterior over the bot count, carried
+        # across shuffles (repro.core.policy).
+        self.policy = PosteriorPolicy(planner="greedy")
         self._shuffle_in_progress = False
         self._monitoring = False
         self._replica_counter = 0
@@ -249,13 +249,22 @@ class Coordinator:
         n_clients = len(clients)
 
         # Attack-scale estimation from the observable signal: how many of
-        # the currently active replicas are attacked, given the current
-        # client spread (Section V).
+        # the currently active replicas are attacked (Section V).  When
+        # every one of them came out of the last shuffle, every bot rode
+        # it, and its plan's sizes are the likelihood of this count.
+        last = self.shuffles[-1] if self.shuffles else None
+        addresses = {r.endpoint.address for r in attacked}
         self.policy.believe(
             Observation(
                 n_attacked=len(attacked),
                 n_replicas=max(len(self.ctx.active_replicas()), 1),
                 n_clients=n_clients,
+                plan_sizes=(
+                    last.group_sizes
+                    if last is not None
+                    and addresses <= set(last.new_replicas)
+                    else None
+                ),
             )
         )
         believed_bots = self.policy.believed(n_clients)
@@ -278,6 +287,8 @@ class Coordinator:
             self._finish_shuffle(attacked, [], record)
             return
 
+        # Quarantine is the live coordinator's alone: the DES carries out
+        # the plan whatever the action.
         n_new = min(cfg.shuffle_replicas, n_clients)
         sizes = self.policy.decide(n_clients, n_new).plan.group_sizes
         record.group_sizes = sizes

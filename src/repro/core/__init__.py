@@ -12,12 +12,14 @@ This package implements the paper's primary contribution (Sections IV & V):
   paper's N = 1000 and beyond.
 - :mod:`~repro.core.greedy` — the fast near-optimal planner used at runtime.
 - :mod:`~repro.core.even` — the naive even-split baseline of Figure 4.
-- :mod:`~repro.core.estimator` — MLE / moment attack-scale estimation
+- :mod:`~repro.core.estimator` — attack-scale likelihoods and the MLE
   (Section V).
+- :mod:`~repro.core.policy` — the decision every driver runs: one
+  posterior over the bot count, planned at its mode.
 - :mod:`~repro.core.shuffler` — the multi-round shuffling control loop.
 - :mod:`~repro.core.api` — the unified batch-first ``estimate()`` /
-  ``plan()`` dispatchers every consumer goes through; ``method=``
-  selects the kernel (see ``docs/core-api.md``).
+  ``plan()`` dispatchers every consumer goes through; a plan request's
+  ``method=`` selects the planner (see ``docs/core-api.md``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .combinatorics import (
 )
 from .dp import dp_value, optimal_assign
 from .dp_fast import dp_fast_sizes, dp_fast_value
-from .estimator import BotEstimate, attacked_count_pmf, occupancy_pmf
+from .estimator import BotEstimate, occupancy_pmf
 from .even import even_sizes
 from .expansion import (
     ExpansionPlan,
@@ -63,7 +65,6 @@ __all__ = [
     "EstimateRequest",
     "PlanRequest",
     "api",
-    "attacked_count_pmf",
     "PLANNERS",
     "PlanCache",
     "PlanError",

@@ -6,13 +6,13 @@ dispatchers over frozen request dataclasses:
     estimate(EstimateRequest(...)) -> BotEstimate
     plan(PlanRequest(...))         -> ShufflePlan
 
-with uniform keywords across methods (``method=``, ``instruments=``).
+with uniform keywords (``instruments=``; a plan request also takes
+``method=``).
 
-Dispatch is deliberately thin: each method maps onto exactly one
+Dispatch is deliberately thin: each request maps onto exactly one
 vectorized kernel (``repro.core.estimator`` / the planner modules), so
-behaviour is bit-identical to calling the kernel directly.  The estimator
-``method="auto"`` picks from the evidence shape (group sizes known →
-weighted, otherwise uniform MLE); a plan request defaults to greedy.
+behaviour is bit-identical to calling the kernel directly.  ``estimate``
+is the paper's uniform occupancy MLE; a plan request defaults to greedy.
 
 See ``docs/core-api.md``.
 """
@@ -20,26 +20,17 @@ See ``docs/core-api.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 from typing import Protocol
-
-import numpy as np
 
 from ..obs.instruments import Instruments, resolve_instruments
 from .dp import _dp_plan
 from .dp_fast import _dp_fast_plan
-from .estimator import (
-    BotEstimate,
-    _estimate_mle,
-    _estimate_moment,
-    _estimate_weighted,
-)
+from .estimator import BotEstimate, _estimate_mle
 from .even import _even_plan
 from .greedy import _greedy_plan
 from .plan import ShufflePlan
 
 __all__ = [
-    "ESTIMATE_METHODS",
     "PLAN_METHODS",
     "EstimateRequest",
     "PlanRequest",
@@ -48,9 +39,6 @@ __all__ = [
     "plan",
     "planner",
 ]
-
-#: Estimator dispatch keys accepted by :class:`EstimateRequest`.
-ESTIMATE_METHODS = ("auto", "mle", "moment", "weighted")
 
 #: Planner dispatch keys accepted by :class:`PlanRequest`.
 PLAN_METHODS = ("greedy", "even", "dp", "dp_fast")
@@ -66,42 +54,18 @@ class PlanSource(Protocol):
 
 @dataclass(frozen=True)
 class EstimateRequest:
-    """One attack-scale estimation query.
+    """One attack-scale estimation query (the uniform occupancy MLE).
 
     Attributes:
         n_attacked: observed attacked-replica count ``X``.
-        n_replicas: replica count ``P`` (uniform methods ``mle`` /
-            ``moment``; inferred as ``len(sizes)`` when sizes are given).
-        upper_bound: largest admissible bot count (uniform methods;
-            ``weighted`` always bounds by ``N = sum(sizes)``).
-        sizes: planned group sizes of the observed shuffle — supplying
-            them selects the non-uniform ``weighted`` likelihood under
-            ``method="auto"``.
-        method: ``"auto"`` | ``"mle"`` | ``"moment"`` | ``"weighted"``.
+        n_replicas: replica count ``P``.
+        upper_bound: largest admissible bot count (the clients on the
+            attacked replicas).
     """
 
     n_attacked: int
-    n_replicas: int | None = None
-    upper_bound: int | None = None
-    sizes: tuple[int, ...] | None = None
-    method: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.method not in ESTIMATE_METHODS:
-            raise ValueError(
-                f"unknown estimate method {self.method!r}; choose from "
-                f"{ESTIMATE_METHODS}"
-            )
-        if self.sizes is not None:
-            # operator.index: numpy integers pass, a non-integral size
-            # raises TypeError instead of being truncated.
-            object.__setattr__(self, "sizes", tuple(map(index, self.sizes)))
-
-    def resolved_method(self) -> str:
-        """The concrete method ``"auto"`` dispatches to."""
-        if self.method != "auto":
-            return self.method
-        return "weighted" if self.sizes is not None else "mle"
+    n_replicas: int
+    upper_bound: int
 
 
 @dataclass(frozen=True)
@@ -128,65 +92,30 @@ class PlanRequest:
             )
 
 
-def _request_sizes(request: EstimateRequest) -> np.ndarray:
-    if request.sizes is None:
-        raise ValueError(
-            "method='weighted' requires the observed group sizes"
-        )
-    return np.asarray(request.sizes, dtype=np.int64)
-
-
-def _uniform_args(request: EstimateRequest) -> tuple[int, int]:
-    n_replicas = request.n_replicas
-    if n_replicas is None and request.sizes is not None:
-        n_replicas = len(request.sizes)
-    if n_replicas is None:
-        raise ValueError(
-            f"method={request.resolved_method()!r} requires n_replicas"
-        )
-    upper_bound = request.upper_bound
-    if upper_bound is None:
-        raise ValueError(
-            f"method={request.resolved_method()!r} requires upper_bound"
-        )
-    return n_replicas, upper_bound
-
-
-def _estimate_dispatch(request: EstimateRequest) -> BotEstimate:
-    method = request.resolved_method()
-    if method == "weighted":
-        xs = _request_sizes(request)
-        return _estimate_weighted(request.n_attacked, xs, int(xs.sum()))
-    n_replicas, upper_bound = _uniform_args(request)
-    if method == "moment":
-        return _estimate_moment(request.n_attacked, n_replicas, upper_bound)
-    return _estimate_mle(request.n_attacked, n_replicas, upper_bound)
-
-
 def estimate(
     request: EstimateRequest, *, instruments: Instruments | None = None
 ) -> BotEstimate:
-    """Dispatch one estimation request to its vectorized kernel.
+    """Answer one estimation request with the occupancy MLE kernel.
 
     Args:
-        request: the query; ``request.method`` selects the kernel.
+        request: the query.
         instruments: optional :class:`repro.obs.Instruments` handle (the
             repo-wide ``instruments=`` convention); when enabled the call
             records a ``core_estimate`` span and bumps
-            ``core_estimate_total{method=...}``.
+            ``core_estimate_total{method="mle"}``.
     """
     obs = resolve_instruments(instruments)
-    method = request.resolved_method()
+    args = (request.n_attacked, request.n_replicas, request.upper_bound)
     if obs is None:
-        return _estimate_dispatch(request)
-    with obs.spans.span("core_estimate", method=method) as span:
-        result = _estimate_dispatch(request)
+        return _estimate_mle(*args)
+    with obs.spans.span("core_estimate", method="mle") as span:
+        result = _estimate_mle(*args)
         span.set(m_hat=result.m_hat, degenerate=result.degenerate)
     obs.registry.counter(
         "core_estimate_total",
         "Estimation requests dispatched through repro.core.api.",
         ("method",),
-    ).inc(method=method)
+    ).inc(method="mle")
     return result
 
 

@@ -43,11 +43,11 @@ peak (it walks on), past it (nothing to do), or past ``upper`` itself.
 Only then can the tracked peak lie beyond the cap; that one case
 (``first[x] > upper``) re-sweeps column ``x`` alone over ``[0, upper]``,
 fewer rows than the shared sweep has already paid for.  The sweep
-object is single-threaded by contract: the engine and the DES
-coordinator each call ``estimate`` from one thread, and grid workers are
-processes with a sweep each.  (The live coordinator does not estimate:
-its posterior reads :func:`occupancy_likelihoods` and
-:func:`attacked_count_log_pmf` directly.)
+object is single-threaded by contract: the engine's ``mle`` calls
+``estimate`` from one thread, and grid workers are processes with a
+sweep each.  (The posterior every driver runs does not estimate: it
+reads :func:`occupancy_likelihoods` and
+:func:`attacked_count_log_likelihood` directly.)
 
 Degenerate regime (paper Figure 7, right edge): when **all** replicas are
 attacked (``X = P``) the likelihood increases monotonically in ``m`` and
@@ -55,12 +55,12 @@ MLE returns its upper bound — a gross overestimate.  Theorem 1 quantifies
 when that happens and therefore how many replicas must be provisioned for
 the estimate to be informative; see :mod:`repro.analysis.theory`.
 
-A closed-form moment-matching estimator is also provided for the
-large-scale multi-round simulations: solving ``E[X] = P (1 − (1 − 1/P)^m)``
-for ``m`` gives ``m̂ = ln(1 − X/P) / ln(1 − 1/P)``.
+Plans are not uniform: a greedy plan is ``ω``-sized groups plus one
+bucket.  :func:`attacked_count_log_likelihood` is the likelihood of ``X``
+over a plan's actual sizes, computed once per run of equal sizes.
 
-Callers reach the three estimators through
-:func:`repro.core.api.estimate`; see ``docs/core-api.md``.
+Callers reach the MLE through :func:`repro.core.api.estimate`; see
+``docs/core-api.md``.
 """
 
 from __future__ import annotations
@@ -74,28 +74,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .combinatorics import (
+    _log_factorials,
     log1mexp_many,
-    logsumexp,
     survival_log_probabilities,
-    survival_probabilities,
 )
 
 __all__ = [
     "BotEstimate",
     "occupancy_pmf",
     "occupancy_likelihoods",
-    "attacked_count_pmf",
-    "attacked_count_log_pmf",
+    "attacked_count_log_likelihood",
 ]
-
-#: Bracket width below which the weighted estimator's refinement does the
-#: historical exhaustive scan; wider brackets (only reachable at
-#: ``N >> 10^5``) are narrowed geometrically first.
-_REFINE_SCAN_LIMIT = 4096
-
-#: Points of the weighted estimator's geometric coarse grid (and of each
-#: narrowing grid inside a wide bracket).
-_GRID_CANDIDATES = 64
 
 
 @dataclass(frozen=True)
@@ -112,7 +101,7 @@ class BotEstimate:
             collapsed to ``upper_bound`` and more replicas are needed
             (Theorem 1) before the estimate can be trusted.
         log_likelihood: log-likelihood of the chosen ``m_hat`` (``nan`` for
-            the moment estimator and for degenerate estimates).
+            degenerate estimates).
     """
 
     m_hat: int
@@ -271,8 +260,19 @@ def _occupancy_sweep(n_bins: int) -> _OccupancySweep:
     return _OccupancySweep(n_bins)
 
 
-def _check_uniform(n_attacked: int, n_replicas: int, upper_bound: int) -> None:
-    """The arguments both uniform estimators accept, and no others."""
+def _estimate_mle(
+    n_attacked: int, n_replicas: int, upper_bound: int
+) -> BotEstimate:
+    """Exact occupancy MLE of the persistent-bot count (Section V).
+
+    Implementation behind :func:`repro.core.api.estimate`.
+
+    Args:
+        n_attacked: observed attacked-replica count ``X``.
+        n_replicas: shuffling replica count ``P``.
+        upper_bound: the largest admissible ``m`` — the paper uses the total
+            number of clients assigned to attacked replicas.
+    """
     _check_bins(n_replicas)
     if not 0 <= n_attacked <= n_replicas:
         raise ValueError(
@@ -283,23 +283,6 @@ def _check_uniform(n_attacked: int, n_replicas: int, upper_bound: int) -> None:
             "upper_bound must be at least the attacked replica count "
             f"(got {upper_bound} < {n_attacked})"
         )
-
-
-def _estimate_mle(
-    n_attacked: int, n_replicas: int, upper_bound: int
-) -> BotEstimate:
-    """Exact occupancy MLE of the persistent-bot count (Section V).
-
-    Implementation behind ``method="mle"`` of :func:`repro.core.api.
-    estimate`.
-
-    Args:
-        n_attacked: observed attacked-replica count ``X``.
-        n_replicas: shuffling replica count ``P``.
-        upper_bound: the largest admissible ``m`` — the paper uses the total
-            number of clients assigned to attacked replicas.
-    """
-    _check_uniform(n_attacked, n_replicas, upper_bound)
     if n_attacked == 0:
         return BotEstimate(
             m_hat=0,
@@ -343,228 +326,100 @@ def _estimate_mle(
     )
 
 
-def _estimate_moment(
-    n_attacked: int, n_replicas: int, upper_bound: int
-) -> BotEstimate:
-    """Closed-form moment-matching estimator (``method="moment"``).
-
-    Accepts exactly the arguments :func:`_estimate_mle` accepts.
-    """
-    _check_uniform(n_attacked, n_replicas, upper_bound)
-    if n_attacked == 0:
-        return BotEstimate(
-            m_hat=0,
-            n_attacked=0,
-            n_replicas=n_replicas,
-            upper_bound=upper_bound,
-        )
-    if n_attacked == n_replicas:
-        return BotEstimate(
-            m_hat=upper_bound,
-            n_attacked=n_attacked,
-            n_replicas=n_replicas,
-            upper_bound=upper_bound,
-            degenerate=True,
-        )
-    raw = math.log1p(-(n_attacked / n_replicas)) / math.log1p(
-        -1.0 / n_replicas
-    )
-    m_hat = max(n_attacked, min(upper_bound, round(raw)))
-    return BotEstimate(
-        m_hat=int(m_hat),
-        n_attacked=n_attacked,
-        n_replicas=n_replicas,
-        upper_bound=upper_bound,
-    )
-
-
-def attacked_count_pmf(
-    sizes: Sequence[int] | np.ndarray, n_clients: int, n_bots: int
-) -> np.ndarray:
-    """Approximate pmf of the attacked-replica count for arbitrary sizes.
-
-    The occupancy model behind the uniform MLE assumes (near-)uniform
-    group sizes.  Real greedy plans are far from uniform (many
-    ``omega``-sized clean groups plus one quarantine bucket), so this
-    helper generalizes: each replica's *marginal* attack probability is
-    exact, ``q_i = 1 - C(N - x_i, M) / C(N, M)``, and the attacked count
-    is approximated as Poisson-binomial over those marginals (ignoring the
-    weak negative correlation the fixed bot total induces).  Empty
-    replicas can never be attacked.
-
-    The convolution advances one replica per step as a whole-array
-    multiply-add over the filled window (identical arithmetic to the
-    historical windowed form — after ``k`` replicas at most ``k + 1``
-    counts have mass, so the window grows by one per step instead of
-    touching the full length-``P + 1`` array each time).  Returns an
-    array ``pmf`` of length ``len(sizes) + 1``; the log-space variant
-    for paper-scale instances is :func:`attacked_count_log_pmf`.
-    """
-    xs = np.asarray(sizes, dtype=np.int64)
-    q = 1.0 - survival_probabilities(n_clients, n_bots, xs)
-    # ``q`` comes from exp(log-space): impossible configurations
-    # (x_i = 0, or m = 0) produce exp(-inf), which is *exactly* 0.0,
-    # so exact equality is the correct test for "replica can never
-    # be attacked" — an epsilon would wrongly drop tiny-but-real
-    # attack probabilities from the convolution.
-    # exact-sentinel: exp(-inf) underflows to exact 0.0
-    active = q[q != 0.0]
-    window = np.ones(1, dtype=np.float64)
-    for qi in active:
-        window = _poisson_binomial_step(window, float(qi))
-    pmf = np.zeros(xs.size + 1, dtype=np.float64)
-    pmf[: window.size] = window
-    return pmf
-
-
-def _poisson_binomial_step(window: np.ndarray, qi: float) -> np.ndarray:
-    """One replica of the Poisson-binomial convolution (whole-array).
-
-    Grows the filled window by one count: ``out[k] = window[k] · (1 − q)
-    + window[k − 1] · q``.  The multiply-then-accumulate spells the seed
-    expression ``pmf · (1 − q) + shifted · q`` with the same rounding
-    steps, so outputs stay bit-identical.
-    """
-    out = np.empty(window.size + 1, dtype=np.float64)
-    np.multiply(window, 1.0 - qi, out=out[:-1])
-    out[-1] = 0.0
-    out[1:] += window * qi
-    return out
-
-
-def attacked_count_log_pmf(
+def attacked_count_log_likelihood(
     sizes: Sequence[int] | np.ndarray,
     n_clients: int,
     n_bots: int | Sequence[int] | np.ndarray,
-) -> np.ndarray:
-    """Log-space Poisson-binomial pmf of the attacked-replica count.
-
-    Same model as :func:`attacked_count_pmf` but the convolution runs
-    entirely in log space (``logaddexp`` steps over ``log p_i`` /
-    ``log q_i``), so tail probabilities that underflow linear floats at
-    paper scale stay resolved.  The result is normalized in log space by
-    subtracting the ``logsumexp`` of the convolution — never by
-    linear-domain division.
-
-    ``n_bots`` may be a 1-D array of bot counts: one row per count, each
-    the bits of the scalar call (the one-row case).
-    """
-    xs = np.asarray(sizes, dtype=np.int64)
-    bots = np.asarray(n_bots, dtype=np.int64)
-    # log p_i exact from the lgamma difference (no exp), one row per m.
-    log_p = survival_log_probabilities(n_clients, bots.reshape(-1), xs)
-    # log q_i = log(1 - p_i) via the stable complement.
-    log_q = log1mexp_many(log_p)
-    # A replica that can never be attacked (p_i == 1 exactly: empty, or
-    # m == 0) steps by logaddexp(x + 0.0, -inf) == x: skipped, bit for
-    # bit, in whichever rows that holds.
-    log_pmf = np.full((bots.size, xs.size + 1), -np.inf, dtype=np.float64)
-    log_pmf[:, 0] = 0.0
-    edge = np.full((bots.size, 1), -np.inf)
-    for i in range(xs.size):
-        shifted = np.concatenate((edge, log_pmf[:, :-1]), axis=1)
-        log_pmf = np.logaddexp(
-            log_pmf + log_p[:, i : i + 1], shifted + log_q[:, i : i + 1]
-        )
-    # Normalize with logsumexp, not linear division: the
-    # logaddexp chain drifts a few ulp off sum == 1 and the subtraction
-    # re-anchors it without leaving log space.
-    log_pmf -= np.array([logsumexp(row) for row in log_pmf]).reshape(-1, 1)
-    return log_pmf.reshape(bots.shape + (xs.size + 1,))
-
-
-def _estimate_weighted(
     n_attacked: int,
-    sizes: Sequence[int] | np.ndarray,
-    n_clients: int,
-) -> BotEstimate:
-    """MLE of the bot count for *non-uniform* group sizes.
+) -> np.ndarray:
+    """``log P[X = n_attacked | m bots]`` over a plan's group sizes.
 
-    Implementation behind ``method="weighted"`` of :func:`repro.core.api.
-    estimate`: maximizes the Poisson-binomial likelihood of
-    :func:`attacked_count_pmf` over ``m`` via a geometric candidate grid
-    with local refinement.
+    The occupancy model behind the uniform MLE assumes (near-)uniform
+    sizes; a greedy plan is far from that (``ω``-sized groups plus one
+    bucket).  Here each replica's *marginal* attack probability is exact,
+    ``q_i = 1 − C(N − x_i, M) / C(N, M)``, and the replicas are taken as
+    independent (the weak negative correlation of the fixed bot total is
+    ignored), so ``X`` is Poisson-binomial.  Replicas of one size share
+    ``q``: a run of ``c`` equal sizes is one ``Binomial(c, q)``, and ``X``
+    is the convolution of one binomial per run (``np.unique``).  Every
+    run but the one with the most replicas is convolved in log space,
+    and that run's binomial is read at ``X − k`` only.  A greedy or even
+    plan has at most three runs; a plan whose sizes are all distinct
+    convolves one replica at a time.  Empty replicas are never attacked.
 
-    Args:
-        n_attacked: observed attacked-replica count ``X``.
-        sizes: planned group sizes ``x_1..x_P`` of the observed shuffle.
-        n_clients: total clients ``N`` in the shuffle; must equal
-            ``sum(sizes)``.
+    ``n_bots`` may be a 1-D array of bot counts: one value per count,
+    each the bits of the scalar call.  The values are not renormalized:
+    summed over every ``X`` they give 1 to rounding.  ``n_attacked``
+    outside ``[0, len(sizes)]`` raises.
     """
-    xs = np.asarray(sizes, dtype=np.int64)
-    n_replicas = int(xs.size)
-    nonempty = int((xs > 0).sum())
-    if not 0 <= n_attacked <= n_replicas:
-        raise ValueError(
-            f"n_attacked={n_attacked} must be within [0, {n_replicas}]"
-        )
-    if int(xs.sum()) != n_clients:
-        raise ValueError("sizes must sum to n_clients")
-    if n_attacked > nonempty:
-        raise ValueError(
-            f"n_attacked={n_attacked} exceeds non-empty replicas "
-            f"({nonempty})"
-        )
-    if n_attacked == 0:
-        return BotEstimate(
-            m_hat=0, n_attacked=0, n_replicas=n_replicas,
-            upper_bound=n_clients, log_likelihood=0.0,
-        )
-    if n_attacked == nonempty:
-        # Saturated: likelihood is monotone in m, degenerate estimate.
-        return BotEstimate(
-            m_hat=n_clients, n_attacked=n_attacked, n_replicas=n_replicas,
-            upper_bound=n_clients, degenerate=True,
-        )
-
-    def log_likelihood(m: int) -> float:
-        pmf = attacked_count_pmf(xs, n_clients, m)
-        value = float(pmf[n_attacked])
-        if value > 0.0:
-            return math.log(value)
-        # Linear underflow: re-resolve the tail in log space.
-        return float(attacked_count_log_pmf(xs, n_clients, m)[n_attacked])
-
-    lo, hi = n_attacked, n_clients
-    grid = np.unique(
-        np.geomspace(max(lo, 1), hi, num=min(_GRID_CANDIDATES, hi - lo + 1))
-        .round()
-        .astype(np.int64)
+    values, counts = np.unique(
+        np.asarray(sizes, dtype=np.int64), return_counts=True
     )
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size == 0:
-        grid = np.array([lo], dtype=np.int64)
-    coarse_best = max(grid, key=log_likelihood)
-    # Local refinement between the neighbouring grid points.
-    position = int(np.searchsorted(grid, coarse_best))
-    left = int(grid[position - 1]) if position > 0 else lo
-    right = int(grid[position + 1]) if position + 1 < grid.size else hi
-    while right - left + 1 > _REFINE_SCAN_LIMIT:
-        # Bracket too wide to scan (only reachable at N >> 10^5): narrow
-        # it with another geometric grid before the exhaustive pass.
-        inner = np.unique(
-            np.geomspace(max(left, 1), right, num=_GRID_CANDIDATES)
-            .round()
-            .astype(np.int64)
+    if not 0 <= n_attacked <= int(counts.sum()):
+        raise ValueError(
+            f"n_attacked={n_attacked} must be within [0, {int(counts.sum())}]"
         )
-        inner = inner[(inner >= left) & (inner <= right)]
-        inner_best = max(inner, key=log_likelihood)
-        inner_pos = int(np.searchsorted(inner, inner_best))
-        new_left = int(inner[inner_pos - 1]) if inner_pos > 0 else left
-        new_right = (
-            int(inner[inner_pos + 1])
-            if inner_pos + 1 < inner.size
-            else right
+    bots = np.asarray(n_bots, dtype=np.int64)
+    if values.size == 0:  # no replica: X = 0 for certain
+        return np.zeros(bots.shape)
+    # log p (a replica of that size holds no bot) and log q = log(1 − p),
+    # one row per bot count, one column per run.
+    log_p = survival_log_probabilities(n_clients, bots.reshape(-1), values)
+    log_q = log1mexp_many(log_p)
+    widest = int(np.argmax(counts))
+    rest = np.zeros((bots.size, 1))  # log pmf of the other runs' count
+    for run in np.flatnonzero(np.arange(values.size) != widest).tolist():
+        count = int(counts[run])
+        rest = _log_convolve(
+            rest,
+            _binomial_log_pmf(
+                count, log_p[:, run], log_q[:, run], np.arange(count + 1)
+            ),
         )
-        if (new_left, new_right) == (left, right):
-            break
-        left, right = new_left, new_right
-    window = range(max(lo, left), min(hi, right) + 1)
-    m_hat = max(window, key=log_likelihood)
-    return BotEstimate(
-        m_hat=int(m_hat),
-        n_attacked=n_attacked,
-        n_replicas=n_replicas,
-        upper_bound=n_clients,
-        log_likelihood=log_likelihood(int(m_hat)),
+    count = int(counts[widest])
+    ks = np.arange(
+        max(0, n_attacked - count), min(rest.shape[1] - 1, n_attacked) + 1
     )
+    terms = rest[:, ks] + _binomial_log_pmf(
+        count, log_p[:, widest], log_q[:, widest], n_attacked - ks
+    )
+    return np.logaddexp.reduce(terms, axis=1).reshape(bots.shape)
+
+
+def _binomial_log_pmf(
+    count: int,
+    log_p: np.ndarray,
+    log_q: np.ndarray,
+    hits: np.ndarray,
+) -> np.ndarray:
+    """``log Binomial(count, q)`` at ``hits``, one row per ``(p, q)``.
+
+    ``0 · log 0`` counts as 0, so a replica that is never (``q = 0``) or
+    always (``p = 0``) attacked gives a point mass, not ``nan``.
+    """
+    log_factorial = _log_factorials(count)
+    misses = count - hits
+    log_choose = (
+        log_factorial[count] - log_factorial[hits] - log_factorial[misses]
+    )
+    shape = (log_p.size, hits.size)
+    attacked = np.zeros(shape)
+    np.multiply(hits, log_q[:, None], out=attacked, where=hits > 0)
+    spared = np.zeros(shape)
+    np.multiply(misses, log_p[:, None], out=spared, where=misses > 0)
+    return log_choose + attacked + spared
+
+
+def _log_convolve(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Row-wise convolution of two log-pmfs over counts ``0, 1, …``.
+
+    One ``logaddexp`` per column of the narrower operand.
+    """
+    if left.shape[1] < right.shape[1]:
+        left, right = right, left
+    width = left.shape[1]
+    out = np.full((left.shape[0], width + right.shape[1] - 1), -np.inf)
+    for shift in range(right.shape[1]):
+        window = out[:, shift : shift + width]
+        np.logaddexp(window, left + right[:, shift : shift + 1], out=window)
+    return out

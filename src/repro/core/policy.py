@@ -1,14 +1,15 @@
 """The coordination server's decision (paper Sections III-D, IV and V).
 
-One loop, whatever runs it: count the attacked replicas, estimate the
-bot count ``M``, plan group sizes for the clients still under attack,
-shuffle them or stop.  This module is that decision and nothing else —
-no clock, no I/O, no randomness; the counts engine, the DES coordinator
-and the live coordinator only build the :class:`Observation`, open their
-spans and carry out the :class:`Decision` (see ``docs/live-vs-sim.md``).
-The counts engine and the DES coordinator drive the paper's memoryless
-:class:`ShufflePolicy`; the live coordinator drives
-:class:`PosteriorPolicy`, which carries its evidence across rounds.
+One loop, whatever runs it: count the attacked replicas, update the
+belief about the bot count ``M``, plan group sizes for the clients still
+under attack, shuffle them or stop.  This module is that decision and
+nothing else — no clock, no I/O, no randomness; the counts engine, the
+DES coordinator and the live coordinator only build the
+:class:`Observation`, open their spans and carry out the
+:class:`Decision` (see ``docs/live-vs-sim.md``).  All three drive
+:class:`PosteriorPolicy`, which carries its evidence across rounds; the
+engine's ``"mle"`` runs the paper's memoryless :class:`ShufflePolicy`
+instead, as a baseline.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import api
 from .combinatorics import logsumexp, survival_log_probabilities
 from .estimator import (
     BotEstimate,
-    attacked_count_log_pmf,
+    attacked_count_log_likelihood,
     occupancy_likelihoods,
 )
 from .plan import ShufflePlan
@@ -63,7 +64,9 @@ class Observation:
 @dataclass(frozen=True)
 class Decision:
     """``action`` is ``"shuffle"`` (carry out ``plan``) or
-    ``"quarantine"`` (write the attacked replicas off)."""
+    ``"quarantine"`` (write the attacked replicas off).  Only the live
+    coordinator writes replicas off: the engine and the DES carry out
+    ``plan`` whatever the action."""
 
     action: str
     believed_bots: int
@@ -71,44 +74,35 @@ class Decision:
 
 
 class ShufflePolicy:
-    """The paper's memoryless rule: one estimate per observation,
-    clamped to the population, planned.  ``planner`` is an
-    ``api.PLAN_METHODS`` name or any ``PlanSource``; ``estimator`` is
-    ``"oracle"`` (the driver sets :attr:`belief` to the truth) or an
-    ``api.ESTIMATE_METHODS`` name."""
+    """The paper's memoryless rule: one uniform occupancy MLE per
+    observation, clamped to the population, planned.  ``planner`` is an
+    ``api.PLAN_METHODS`` name or any ``PlanSource``."""
+
+    #: the estimator behind the latest belief update
+    method = "mle"
 
     def __init__(
         self,
         planner: api.PlanSource | str = "greedy",
-        estimator: str = "mle",
         instruments: Instruments | None = None,
     ) -> None:
         if isinstance(planner, str):
             planner = api.planner(planner, instruments=instruments)
         self.planner = planner
-        self.estimator = estimator
         self.instruments = instruments
         #: the carried bot count; ``None`` before any evidence
         self.belief: int | None = None
-        #: the estimator behind the latest belief update
-        self.method = estimator
+
+    def forget(self) -> None:
+        """Drop every belief: the next round starts with no evidence."""
+        self.belief = None
 
     def believe(self, seen: Observation) -> BotEstimate | None:
         """Step 1: update the carried belief from one observation."""
-        if self.estimator == "oracle":
-            return None
-        self.method = self.estimator
-        # weighted: the likelihood over the plan's *actual* group sizes
-        weighted = self.method == "weighted"
-        upper = max(seen.n_clients, seen.n_attacked)
-        if weighted:
-            upper = sum(seen.plan_sizes or ())
         request = api.EstimateRequest(
             seen.n_attacked,
             seen.n_replicas,
-            upper,
-            sizes=seen.plan_sizes if weighted else None,
-            method=self.method,
+            max(seen.n_clients, seen.n_attacked),
         )
         result = api.estimate(request, instruments=self.instruments)
         self.belief = result.m_hat
@@ -128,21 +122,24 @@ class ShufflePolicy:
 
 
 class PosteriorPolicy(ShufflePolicy):
-    """The live chain: one posterior over the bot count ``m`` among the
-    attacked clients, carried across rounds (the sequential evidence of
-    Fleck et al., 1712.01102).  Its rules, stated once:
+    """One posterior over the bot count ``m`` among the attacked
+    clients, carried across rounds (the sequential evidence of Fleck et
+    al., 1712.01102).  Its rules, stated once:
 
     * support: ``m`` in ``[max(X, suspects), N]``, the floor capped at N;
-    * fresh start (no posterior yet, or the cut empties it): the
-      occupancy likelihood over ``seen.n_replicas`` times the trust
-      log-prior, else ``-log(m + 1)``, whose ``X = P`` mode sits near the
-      Theorem 1 bound where a flat prior's would sit at N;
-    * attack inside the last plan (``plan_sizes`` given): times the
-      Poisson-binomial likelihood over the plan's sizes;
+    * prior: the trust log-prior, else ``-log(m + 1)``, whose ``X = P``
+      mode sits near the Theorem 1 bound where a flat prior's would sit
+      at N;
+    * attack inside the last plan (``plan_sizes`` given): the posterior
+      (the prior, if there is none yet) times the likelihood of ``X``
+      over the plan's sizes;
     * attack outside it: carried and cut (it shows only ``M >= X``);
-    * belief: the mode; plan: greedy at the mode over N replicas when
-      ``N <= DISPERSE_MAX_FACTOR * P`` (all singletons once most are
-      believed bots), over P otherwise;
+    * fresh start (no posterior and no plan, or the cut empties it): the
+      prior times the occupancy likelihood over ``seen.n_replicas``;
+    * a belief set with no posterior (round one, or the engine's oracle)
+      is a point mass;
+    * belief: the mode; plan: greedy at the mode over the width the
+      driver gives;
     * quarantine: when the posterior-expected Equation 1 saves of that
       plan fall below :attr:`QUARANTINE_EXPECTED_SAVED`.
 
@@ -151,17 +148,13 @@ class PosteriorPolicy(ShufflePolicy):
     """
 
     QUARANTINE_EXPECTED_SAVED = 0.5
-    #: bounds the replica fan-out of a one-replica-per-client round
-    DISPERSE_MAX_FACTOR = 4
+    method = "occupancy"
+    #: log-pmf over ``m = 0..N`` after the latest observation
+    log_posterior: np.ndarray | None = None
 
-    def __init__(
-        self,
-        planner: api.PlanSource | str = "greedy",
-        instruments: Instruments | None = None,
-    ) -> None:
-        super().__init__(planner, "occupancy", instruments)
-        #: log-pmf over ``m = 0..N`` after the latest observation
-        self.log_posterior: np.ndarray | None = None
+    def forget(self) -> None:
+        super().forget()
+        self.log_posterior = None
 
     def believe(self, seen: Observation) -> BotEstimate | None:
         obs = resolve_instruments(self.instruments)
@@ -179,12 +172,16 @@ class PosteriorPolicy(ShufflePolicy):
         n = seen.n_clients
         floor = min(max(seen.n_attacked, seen.demonstrated_bots), n)
         log_post, self.method = self.log_posterior, "carried"
-        if log_post is not None and seen.plan_sizes is not None:
+        if seen.plan_sizes is not None:
             sizes, self.method = seen.plan_sizes, "weighted"
-            ms = np.flatnonzero(np.isfinite(log_post[: sum(sizes) + 1]))
-            rows = attacked_count_log_pmf(sizes, sum(sizes), ms)
+            total = sum(sizes)
+            if log_post is None:
+                log_post = self._log_prior(seen, total)
+            ms = np.flatnonzero(np.isfinite(log_post[: total + 1]))
             likelihood = np.full(log_post.size, -np.inf)
-            likelihood[ms] = rows[:, seen.n_attacked]
+            likelihood[ms] = attacked_count_log_likelihood(
+                sizes, total, ms, seen.n_attacked
+            )
             log_post = log_post + likelihood
         cut = np.full(n + 1, -np.inf)
         if log_post is not None:
@@ -196,14 +193,20 @@ class PosteriorPolicy(ShufflePolicy):
                 fresh = np.log(
                     occupancy_likelihoods(seen.n_attacked, seen.n_replicas, n)
                 )
-            prior = self._trust_prior(seen, n)
-            if prior is None:
-                prior = -np.log1p(np.arange(n + 1, dtype=np.float64))
-            cut[floor:] = (fresh + prior)[floor:]
+            cut[floor:] = (fresh + self._log_prior(seen, n))[floor:]
         if np.isneginf(cut).all():  # N < X, N = 0 included: the floor
             cut[floor] = 0.0
         self.log_posterior = cut - logsumexp(cut)
         self.belief = int(np.argmax(cut))
+
+    @classmethod
+    def _log_prior(cls, seen: Observation, upper: int) -> np.ndarray:
+        """Log-prior over ``m = 0..upper``: the trust model's, else
+        ``-log(m + 1)``."""
+        prior = cls._trust_prior(seen, upper)
+        if prior is None:
+            prior = -np.log1p(np.arange(upper + 1, dtype=np.float64))
+        return prior
 
     @staticmethod
     def _trust_prior(seen: Observation, upper: int) -> np.ndarray | None:
@@ -217,17 +220,20 @@ class PosteriorPolicy(ShufflePolicy):
 
     def decide(self, n_clients: int, n_replicas: int) -> Decision:
         believed = self.believed(n_clients)
-        width = n_replicas
-        if n_clients <= self.DISPERSE_MAX_FACTOR * n_replicas:
-            width = n_clients
-        plan = self.planner(n_clients, believed, width)
+        plan = self.planner(n_clients, believed, n_replicas)
         if self.expected_saved(plan) < self.QUARANTINE_EXPECTED_SAVED:
             return Decision("quarantine", believed, plan)
         return Decision("shuffle", believed, plan)
 
     def expected_saved(self, plan: ShufflePlan) -> float:
         """Equation 1 of ``plan`` averaged over the posterior."""
-        ms = np.flatnonzero(np.isfinite(self.log_posterior))
-        sizes = plan.sizes_array
+        if self.log_posterior is None:  # a planted belief: a point mass
+            ms = np.array([self.believed(plan.n_clients)])
+            weights = np.ones(1)
+        else:
+            ms = np.flatnonzero(np.isfinite(self.log_posterior))
+            weights = np.exp(self.log_posterior[ms])
+        # One survival term per distinct size, weighted by its clients.
+        sizes, counts = np.unique(plan.sizes_array, return_counts=True)
         log_p = survival_log_probabilities(plan.n_clients, ms, sizes)
-        return float(np.exp(self.log_posterior[ms]) @ (np.exp(log_p) @ sizes))
+        return float(weights @ (np.exp(log_p) @ (sizes * counts)))

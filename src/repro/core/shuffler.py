@@ -25,7 +25,7 @@ from .api import PlanSource
 from .api import planner as _api_planner
 from .estimator import BotEstimate
 from .plan import ShufflePlan
-from .policy import Observation, ShufflePolicy
+from .policy import Observation, PosteriorPolicy, ShufflePolicy
 
 __all__ = [
     "DEFAULT_SEED",
@@ -49,7 +49,7 @@ PLANNERS: dict[str, PlanSource] = {
     "dp_fast": _api_planner("dp_fast"),
 }
 
-ESTIMATORS = ("oracle", "mle", "moment", "weighted")
+ESTIMATORS = ("oracle", "posterior", "mle")
 
 
 @dataclass(frozen=True)
@@ -113,12 +113,14 @@ class ShuffleEngine:
         planner: plan factory; one of :data:`PLANNERS` or any callable with
             the same signature.
         estimator: how the engine obtains the bot count fed to the planner:
-            ``"oracle"`` uses the true count (the paper's simulation
-            setting), ``"mle"`` the exact occupancy MLE, ``"moment"`` the
-            closed-form moment estimator, ``"weighted"`` the likelihood
-            over the plan's actual (non-uniform) group sizes.  The three
-            estimators observe only the previous round's attacked
-            replicas, exactly like the real coordination server.
+            ``"oracle"`` plans on a point mass at the true count (the
+            paper's simulation setting), ``"posterior"`` carries
+            :class:`~repro.core.policy.PosteriorPolicy`'s posterior over
+            the plans' actual group sizes (the rule the DES and the live
+            coordinator run), ``"mle"`` is the paper's memoryless uniform
+            occupancy MLE.  The last two observe only the previous
+            round's attacked replicas, exactly like the real
+            coordination server, and plan round one at the truth.
         rng: numpy random generator (seeded by caller for independent
             streams; defaults to ``default_rng(DEFAULT_SEED)`` so even
             bare engines are reproducible).
@@ -134,8 +136,9 @@ class ShuffleEngine:
             repo-wide ``instruments=`` convention — see CONTRIBUTING).
             ``None`` (the default) resolves to the process-wide default,
             normally disabled; when enabled, every :meth:`run_round`
-            records a span tree (estimate → plan → shuffle) and updates
-            the ``shuffle_*`` metric families.
+            records a span tree (plan → shuffle → estimate; the oracle
+            does not estimate) and updates the ``shuffle_*`` metric
+            families.
     """
 
     def __init__(
@@ -176,9 +179,13 @@ class ShuffleEngine:
         self.max_replicas = max_replicas
         self.instruments = resolve_instruments(instruments)
         self.planner_name = planner_name
-        #: the decision itself (estimate -> believe -> plan); it reports
-        #: to the process-default instruments, as :data:`PLANNERS` does
-        self.policy = ShufflePolicy(planner=planner, estimator=estimator)
+        #: the decision itself (believe -> plan); it reports to the
+        #: process-default instruments, as :data:`PLANNERS` does
+        self.policy = (
+            ShufflePolicy(planner=planner)
+            if estimator == "mle"
+            else PosteriorPolicy(planner=planner)
+        )
 
     def run_round(self, state: ShuffleState) -> RoundResult:
         """Execute one shuffle round, mutating ``state``."""
@@ -222,7 +229,8 @@ class ShuffleEngine:
         if self.estimator == "oracle" or policy.belief is None:
             # First round has no observation yet; the engine starts from
             # the truth (equivalently: operators seed the system with their
-            # attack-detection estimate).
+            # attack-detection estimate).  With no posterior carried, the
+            # policy plans on a point mass at it.
             policy.belief = true_bots
         if obs is None:
             decision = policy.decide(n_clients, self.n_replicas)
@@ -230,6 +238,8 @@ class ShuffleEngine:
             with obs.spans.span("plan") as span:
                 decision = policy.decide(n_clients, self.n_replicas)
                 span.set(believed_bots=decision.believed_bots)
+        # Counts have nowhere to quarantine to: the plan is carried out
+        # whatever the action.
         plan = decision.plan
 
         sizes = plan.sizes_array
@@ -258,7 +268,9 @@ class ShuffleEngine:
             n_clients=on_attacked,
             plan_sizes=plan.group_sizes,
         )
-        if obs is None:
+        if self.estimator == "oracle":
+            estimate = None
+        elif obs is None:
             estimate = policy.believe(seen)
         else:
             with obs.spans.span("estimate") as span:
@@ -336,7 +348,7 @@ class ShuffleEngine:
             benign_initial=benign,
             benign_total_seen=benign,
         )
-        self.policy.belief = None
+        self.policy.forget()
         for round_index in range(max_rounds):
             if arrivals is not None:
                 new_benign, new_bots = arrivals(round_index, self.rng)

@@ -6,7 +6,8 @@ reproduction:
 1. **Planner** — how much does plan quality compound over a multi-round
    defense (greedy vs. the even baseline)?
 2. **Estimator** — what is the shuffle premium for *not* knowing the bot
-   count (oracle vs. MLE vs. moment)?
+   count (oracle vs. the paper's memoryless MLE vs. the posterior every
+   driver runs)?
 3. **Theorem 1 growth** — what does adaptive replica-pool growth buy in
    the saturated regime?
 4. **Expansion** — how do shuffling's resources compare against the pure
@@ -67,7 +68,7 @@ def _estimator_ablation(
         benign=2_000, bots=500, n_replicas=100, target_fraction=0.8,
         preload_bots=True, max_rounds=2_000,
     )
-    estimators = ("oracle", "mle", "moment")
+    estimators = ("oracle", "mle", "posterior")
     results = run_scenario_grid(
         [ShuffleScenario(estimator=estimator, **scenario)
          for estimator in estimators],

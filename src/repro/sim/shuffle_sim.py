@@ -43,8 +43,9 @@ class ShuffleScenario:
         target_fraction: stop once this share of all benign clients seen
             has been saved (0.8 / 0.95 in the paper).
         planner: planner name from :data:`repro.core.shuffler.PLANNERS`.
-        estimator: ``"oracle"`` (paper's simulation assumption), ``"mle"``,
-            ``"moment"`` or ``"weighted"``.
+        estimator: ``"oracle"`` (paper's simulation assumption),
+            ``"posterior"`` (the rule the DES and the live coordinator
+            run) or ``"mle"`` (the paper's memoryless estimator).
         benign_rate / bot_rate: Poisson arrival means per shuffle.
         preload_bots: start the run with all ``bots`` active (no build-up).
         max_rounds: safety cap on shuffle count.

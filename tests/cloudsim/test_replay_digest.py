@@ -75,10 +75,12 @@ class TestTrustReconDigest:
     ``test_replica.TestTrustGate`` pins that exit.
     """
 
-    #: sha256 captured at commit 188936b, before a heap entry became a
-    #: tuple and ``handle_request`` returned its outcome.
+    #: sha256 re-pinned when the DES coordinator moved from the moment
+    #: estimator to the posterior: the same events, shuffles and plans,
+    #: with believed bots 1, 4, 5, 6, 6 where they were 1, 5, 6, 7, 4
+    #: (first captured at commit 188936b).
     GOLDEN = (
-        "ad4cf86a6a79585419465243a9f455481ff938427928f56925b485692bcac54f"
+        "8d5af8e15c4e450440f008fff15d958a688a3fb5ec49c4879299f8a4fdea3f98"
     )
     EVENTS = 36_103
     SHUFFLES = 5

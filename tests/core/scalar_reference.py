@@ -7,9 +7,11 @@ pre-window bodies of ``objective.single_replica_optimum`` (the scan of
 every ``x ∈ [1, N]``) and ``greedy.greedy_sizes`` (the P-step loop), and
 the pre-runs planners: the survival kernel that always masked and
 clipped, Equation 1 as one kernel element per replica, and
-``_greedy_plan`` / ``_even_plan`` built from a P-element size list.
+``_greedy_plan`` / ``_even_plan`` built from a P-element size list, and
+the attacked-count likelihood as one ``logaddexp`` step per replica.
 ``tests/core/test_vectorized_equivalence.py`` pins the vectorized
-kernels bit-identical (or, for the dp tables, allclose) against them.
+kernels bit-identical (or, for the dp tables and the attacked-count
+likelihood computed per run of equal sizes, allclose) against them.
 
 Do not "improve" these: their value is that they never change.  They are
 deliberately outside ``src/repro`` so the P14 scalar-loop pass does not
@@ -39,7 +41,6 @@ __all__ = [
     "scalar_mle_m_hat",
     "scalar_attacked_count_pmf",
     "scalar_attacked_count_log_pmf",
-    "scalar_weighted_m_hat",
     "scalar_combine",
     "scalar_optimal_assign",
     "scalar_single_replica_optimum",
@@ -138,40 +139,6 @@ def scalar_attacked_count_log_pmf(
         shifted = np.concatenate((np.full(1, -np.inf), log_pmf[:-1]))
         log_pmf = np.logaddexp(log_pmf + log_pi, shifted + log_qi)
     return log_pmf - logsumexp(log_pmf)
-
-
-def scalar_weighted_m_hat(
-    n_attacked: int,
-    sizes: Sequence[int] | np.ndarray,
-    n_clients: int,
-    candidates: int = 64,
-) -> int:
-    """Seed weighted-MLE search: geometric grid + exhaustive local window.
-
-    Non-degenerate regime only (``0 < n_attacked < nonempty``), no prior.
-    """
-    xs = np.asarray(sizes, dtype=np.int64)
-
-    def objective(m: int) -> float:
-        pmf = scalar_attacked_count_pmf(xs, n_clients, m)
-        value = float(pmf[n_attacked])
-        return math.log(value) if value > 0 else float("-inf")
-
-    lo, hi = n_attacked, n_clients
-    grid = np.unique(
-        np.geomspace(max(lo, 1), hi, num=min(candidates, hi - lo + 1))
-        .round()
-        .astype(np.int64)
-    )
-    grid = grid[(grid >= lo) & (grid <= hi)]
-    if grid.size == 0:
-        grid = np.array([lo], dtype=np.int64)
-    coarse_best = max(grid, key=objective)
-    position = int(np.searchsorted(grid, coarse_best))
-    left = int(grid[position - 1]) if position > 0 else lo
-    right = int(grid[position + 1]) if position + 1 < grid.size else hi
-    window = range(max(lo, left), min(hi, right) + 1)
-    return int(max(window, key=objective))
 
 
 def scalar_combine(

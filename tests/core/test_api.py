@@ -1,7 +1,7 @@
 """Contract tests for the unified ``repro.core.api`` seam.
 
-Covers the request dataclasses, method dispatch (each method routes to
-its kernel bit for bit; the estimator's ``"auto"``), observability hooks,
+Covers the request dataclasses, dispatch (each request routes to its
+kernel bit for bit), observability hooks,
 the planner-factory adapter, and the field and method tables of
 ``docs/core-api.md``.
 """
@@ -12,7 +12,6 @@ import dataclasses
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 # Top-level facade: the public spelling every consumer should use.
@@ -25,11 +24,7 @@ from repro import (
 from repro.core import api
 from repro.core.dp import _dp_plan
 from repro.core.dp_fast import _dp_fast_plan
-from repro.core.estimator import (
-    _estimate_mle,
-    _estimate_moment,
-    _estimate_weighted,
-)
+from repro.core.estimator import _estimate_mle
 from repro.core.even import _even_plan
 from repro.core.greedy import _greedy_plan
 from repro.obs import Instruments
@@ -38,66 +33,11 @@ DOC = Path(__file__).resolve().parents[2] / "docs" / "core-api.md"
 
 
 class TestEstimateRequest:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown estimate method"):
-            EstimateRequest(n_attacked=3, method="bogus")
-
-    def test_sizes_normalized_to_tuple(self):
-        request = EstimateRequest(n_attacked=1, sizes=[3, 4, 5])
-        assert request.sizes == (3, 4, 5)
-        assert isinstance(request.sizes, tuple)
-
-    def test_sizes_coerced_without_truncation(self):
-        # Was estimated over (2, 3, 4), upper bound 9.
-        with pytest.raises(TypeError):
-            EstimateRequest(1, sizes=(2.5, 3.7, 4.0), method="weighted")
-        with pytest.raises(TypeError):
-            EstimateRequest(1, sizes=[2.5, 3.7, 4.0], method="weighted")
-        request = EstimateRequest(1, sizes=np.array([2, 3, 4]))
-        assert request.sizes == (2, 3, 4)
-        assert all(type(size) is int for size in request.sizes)
-
     def test_requests_are_hashable_cache_keys(self):
         a = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
         b = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_auto_resolves_from_evidence_shape(self):
-        uniform = EstimateRequest(
-            n_attacked=3, n_replicas=10, upper_bound=50
-        )
-        weighted = EstimateRequest(n_attacked=3, sizes=(5, 5, 5))
-        assert uniform.resolved_method() == "mle"
-        assert weighted.resolved_method() == "weighted"
-
-    def test_uniform_requires_replicas_and_upper(self):
-        with pytest.raises(ValueError, match="requires n_replicas"):
-            estimate(EstimateRequest(n_attacked=3, upper_bound=10))
-        with pytest.raises(ValueError, match="requires upper_bound"):
-            estimate(EstimateRequest(n_attacked=3, n_replicas=10))
-
-    def test_weighted_requires_sizes(self):
-        with pytest.raises(ValueError, match="requires the observed"):
-            estimate(
-                EstimateRequest(
-                    n_attacked=3,
-                    n_replicas=10,
-                    upper_bound=20,
-                    method="weighted",
-                )
-            )
-
-    def test_replicas_inferred_from_sizes(self):
-        got = estimate(
-            EstimateRequest(
-                n_attacked=2,
-                sizes=(4, 4, 4, 4, 4),
-                upper_bound=20,
-                method="mle",
-            )
-        )
-        assert got.n_replicas == 5
 
 
 class TestPlanRequest:
@@ -141,36 +81,10 @@ class TestDispatch:
             assert got.expected_saved == want.expected_saved
 
     def test_estimate_is_its_kernel_bit_for_bit(self):
-        sizes = (22, 20, 19, 21, 20, 18, 20, 20, 20, 20)
-        assert estimate(
-            EstimateRequest(3, sizes=sizes)
-        ) == _estimate_weighted(3, np.asarray(sizes), 200)
         for x, p, upper in [(4, 10, 120), (9, 10, 40), (10, 10, 40)]:
-            assert estimate(
-                EstimateRequest(x, p, upper, method="mle")
-            ) == _estimate_mle(x, p, upper)
-            assert estimate(
-                EstimateRequest(x, p, upper, method="moment")
-            ) == _estimate_moment(x, p, upper)
-
-    def test_estimator_methods_route(self):
-        mle = estimate(
-            EstimateRequest(
-                n_attacked=4, n_replicas=10, upper_bound=60, method="mle"
+            assert estimate(EstimateRequest(x, p, upper)) == _estimate_mle(
+                x, p, upper
             )
-        )
-        moment = estimate(
-            EstimateRequest(
-                n_attacked=4, n_replicas=10, upper_bound=60,
-                method="moment",
-            )
-        )
-        weighted = estimate(
-            EstimateRequest(n_attacked=2, sizes=(6, 6, 6, 6, 6))
-        )
-        assert mle.m_hat >= 4
-        assert moment.m_hat >= 4
-        assert 2 <= weighted.m_hat <= 30
 
     def test_planner_factory_adapts_positional_protocol(self):
         source = api.planner("greedy")
@@ -228,7 +142,7 @@ class TestDocTables:
     @pytest.mark.parametrize(
         "request_type, methods",
         [
-            (EstimateRequest, api.ESTIMATE_METHODS),
+            (EstimateRequest, ()),
             (PlanRequest, api.PLAN_METHODS),
         ],
     )
@@ -236,9 +150,13 @@ class TestDocTables:
         section = _doc_section(request_type.__name__)
         rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
         assert rows == [f.name for f in dataclasses.fields(request_type)]
-        (method_row,) = re.findall(
+        # One method row where the request takes a method, none otherwise.
+        method_rows = re.findall(
             r"^\| `method` \|(.*)$", section, re.MULTILINE
         )
-        assert tuple(re.findall(r'`"(\w+)"`', method_row)) == methods
+        assert len(method_rows) == int(bool(methods))
+        assert tuple(
+            re.findall(r'`"(\w+)"`', "".join(method_rows))
+        ) == methods
         bullets = re.findall(r"^- \*\*`(\w+)`\*\*", section, re.MULTILINE)
         assert sorted(bullets) == sorted(methods)

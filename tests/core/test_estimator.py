@@ -1,4 +1,4 @@
-"""Tests for attack-scale estimation (occupancy MLE and moment matching)."""
+"""Tests for attack-scale estimation (the occupancy pmf and its MLE)."""
 
 from __future__ import annotations
 
@@ -14,15 +14,7 @@ from repro.core.estimator import occupancy_likelihoods, occupancy_pmf
 
 
 def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
-    return estimate(
-        EstimateRequest(n_attacked, n_replicas, upper_bound, method="mle")
-    )
-
-
-def estimate_moment(n_attacked: int, n_replicas: int, upper_bound: int):
-    return estimate(
-        EstimateRequest(n_attacked, n_replicas, upper_bound, method="moment")
-    )
+    return estimate(EstimateRequest(n_attacked, n_replicas, upper_bound))
 
 
 def brute_force_occupancy(n_balls: int, n_bins: int) -> np.ndarray:
@@ -142,78 +134,28 @@ class TestMle:
         )
 
 
-class TestMomentEstimator:
-    def test_matches_mle_closely(self, rng):
-        n_bins = 100
-        for real_bots in (20, 60, 120, 200):
-            bins = rng.integers(0, n_bins, size=real_bots)
-            attacked = len(set(bins.tolist()))
-            if attacked == n_bins:
-                continue
-            mle = estimate_mle(attacked, n_bins, 100_000)
-            moment = estimate_moment(attacked, n_bins, 100_000)
-            assert moment.m_hat == pytest.approx(mle.m_hat, rel=0.1, abs=3)
-
-    def test_degenerate_when_all_attacked(self):
-        estimate = estimate_moment(20, 20, 777)
-        assert estimate.degenerate
-        assert estimate.m_hat == 777
-
-    def test_zero(self):
-        assert estimate_moment(0, 10, 100).m_hat == 0
-
-    def test_clamped_to_bounds(self):
-        estimate = estimate_moment(5, 1000, 5)
-        assert estimate.m_hat == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_moment(11, 10, 100)
-
-    @pytest.mark.parametrize("n_attacked, n_replicas", [(5, 10), (10, 10)])
-    def test_rejects_a_bound_below_the_observation(
-        self, n_attacked, n_replicas
-    ):
-        # Was m_hat = 5 > upper_bound at (5, 10, 3), and m_hat = 3 < X at
-        # (10, 10, 3), which no placement can produce; mle raised on both.
-        with pytest.raises(ValueError, match="upper_bound must be at least"):
-            estimate_moment(n_attacked, n_replicas, 3)
-
-
-@pytest.mark.parametrize("method", ["mle", "moment"])
 @pytest.mark.parametrize("n_replicas", [0, -2])
-def test_uniform_methods_reject_an_empty_pool_in_occupancy_pmfs_words(
-    method, n_replicas
-):
+def test_mle_rejects_an_empty_pool_in_occupancy_pmfs_words(n_replicas):
     # mle returned m_hat = 0 with log-likelihood 0.0 at P = 0.
     with pytest.raises(ValueError) as pmf_error:
         occupancy_pmf(3, n_replicas)
     with pytest.raises(ValueError) as error:
-        estimate(EstimateRequest(0, n_replicas, 5, method=method))
+        estimate_mle(0, n_replicas, 5)
     assert str(error.value) == str(pmf_error.value)
-
-
-def _accepted(method, n_attacked: int, n_replicas: int, upper_bound: int):
-    try:
-        return method(n_attacked, n_replicas, upper_bound)
-    except ValueError:
-        return None
 
 
 @given(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 60))
 @settings(max_examples=300, deadline=None)
-def test_mle_and_moment_accept_the_same_inputs_and_respect_them(
-    n_attacked, n_replicas, upper_bound
-):
-    """Both raise, or both return ``X <= m_hat <= upper_bound``, and a
-    degenerate estimate is exactly ``upper_bound``."""
-    mle = _accepted(estimate_mle, n_attacked, n_replicas, upper_bound)
-    moment = _accepted(estimate_moment, n_attacked, n_replicas, upper_bound)
-    assert (mle is None) == (moment is None)
-    if mle is None or moment is None:
+def test_mle_respects_its_inputs(n_attacked, n_replicas, upper_bound):
+    """It raises outside ``1 <= P``, ``0 <= X <= min(P, upper_bound)``,
+    and inside returns ``X <= m_hat <= upper_bound``; a degenerate
+    estimate is exactly ``upper_bound``."""
+    if not (n_replicas >= 1 and 0 <= n_attacked <= n_replicas
+            and n_attacked <= upper_bound):
+        with pytest.raises(ValueError):
+            estimate_mle(n_attacked, n_replicas, upper_bound)
         return
-    assert mle.degenerate == moment.degenerate
-    for result in (mle, moment):
-        assert n_attacked <= result.m_hat <= upper_bound
-        if result.degenerate:
-            assert result.m_hat == upper_bound
+    result = estimate_mle(n_attacked, n_replicas, upper_bound)
+    assert n_attacked <= result.m_hat <= upper_bound
+    if result.degenerate:
+        assert result.m_hat == upper_bound

@@ -12,13 +12,16 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloudsim import CloudConfig, CloudDefenseSystem
+from repro.core import api
 from repro.core.even import even_sizes
 from repro.core.policy import Observation, PosteriorPolicy, ShufflePolicy
 from repro.core.shuffler import ShuffleEngine
 from repro.obs import Instruments
-from repro.service import shuffle_budget
+from repro.service import ServiceCoordinator, shuffle_budget
 from repro.trust import TrustConfig, TrustManager, TrustTier
 
 
@@ -93,7 +96,7 @@ class TestEstimation:
         assert 3 <= policy.belief <= 30
 
     def test_memoryless_base_forgets(self):
-        policy = ShufflePolicy(estimator="moment")
+        policy = ShufflePolicy()
         policy.belief = 50
         policy.believe(Observation(n_attacked=1, n_replicas=3, n_clients=30))
         assert policy.belief == 1  # the paper's rule: this estimate only
@@ -128,6 +131,31 @@ class TestEstimation:
         policy.believe(Observation(n_attacked=1, n_replicas=3, n_clients=0))
         assert policy.belief == 0
 
+    def test_attack_count_beyond_the_plan_is_rejected(self):
+        # Was IndexError: index 5 is out of bounds, from the likelihood
+        # column of a two-replica plan.
+        policy = PosteriorPolicy()
+        policy.believe(Observation(n_attacked=1, n_replicas=3, n_clients=6))
+        bound = r"n_attacked=5 must be within \[0, 2\]"
+        with pytest.raises(ValueError, match=bound):
+            policy.believe(
+                Observation(
+                    n_attacked=5, n_replicas=10, n_clients=6, plan_sizes=(3, 3)
+                )
+            )
+
+    def test_fresh_start_inside_a_plan_reads_the_plan(self):
+        # No posterior yet, but the plan the attack came out of is
+        # known (the engine's round two): prior times its likelihood.
+        policy = PosteriorPolicy()
+        policy.believe(
+            Observation(
+                n_attacked=2, n_replicas=3, n_clients=12, plan_sizes=(2, 2, 8)
+            )
+        )
+        assert policy.method == "weighted"
+        assert 2 <= policy.believed(12) <= 12
+
     def test_core_estimate_span_labels_the_update(self):
         instruments = Instruments.create(source="core")
         policy = PosteriorPolicy(instruments=instruments)
@@ -140,12 +168,14 @@ class TestEstimation:
 
 
 class TestDecision:
-    """Plan width and the quarantine rule, on a planted posterior."""
+    """The quarantine rule on a planted posterior, and the plan width the
+    live coordinator hands the policy."""
 
     def test_small_subset_believed_half_bots_goes_singleton(self):
         policy = PosteriorPolicy()
         plant(policy, [0.0, 0.0, 1.0, 0.0, 0.0])
-        decision = policy.decide(4, 3)
+        assert ServiceCoordinator.plan_width(4, 3) == 4
+        decision = policy.decide(4, ServiceCoordinator.plan_width(4, 3))
         assert decision.action == "shuffle"
         assert decision.plan.group_sizes == (1, 1, 1, 1)
 
@@ -161,19 +191,45 @@ class TestDecision:
         # says 2: singletons then save 2 clients, 1 on average.
         policy = PosteriorPolicy()
         plant(policy, [0.0, 0.0, 0.25, 0.75, 0.0])
-        decision = policy.decide(4, 3)
+        decision = policy.decide(4, 4)
         assert decision.believed_bots == 3
         assert policy.expected_saved(decision.plan) == pytest.approx(
             0.25 * 2 + 0.75 * 1
         )
 
     def test_wide_subset_plans_across_the_pool(self):
+        width = ServiceCoordinator.plan_width
+        assert (width(41, 10), width(40, 10)) == (10, 40)
         policy = PosteriorPolicy()
         policy.believe(Observation(n_attacked=3, n_replicas=10, n_clients=41))
-        assert policy.decide(41, 10).plan.n_replicas == 10
+        assert policy.decide(41, width(41, 10)).plan.n_replicas == 10
         policy = PosteriorPolicy()
         policy.believe(Observation(n_attacked=3, n_replicas=10, n_clients=40))
-        assert policy.decide(40, 10).plan.n_replicas == 40
+        assert policy.decide(40, width(40, 10)).plan.n_replicas == 40
+
+    def test_no_client_plans_empty_groups(self):
+        # Was "n_replicas=0 must be >= 1": the policy chose the width.
+        policy = PosteriorPolicy()
+        policy.believe(Observation(n_attacked=2, n_replicas=3, n_clients=0))
+        assert policy.decide(0, 10).plan.group_sizes == (0,) * 10
+        memoryless = ShufflePolicy()
+        memoryless.belief = 0
+        assert memoryless.decide(0, 10).plan.group_sizes == (0,) * 10
+
+    @given(st.integers(0, 300), st.integers(0, 300), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_point_mass_plans_the_planner(self, n_clients, n_bots, n_replicas):
+        # A posterior that is sure of M plans exactly planner(N, M, P),
+        # planted as a log-pmf or as a bare belief (the engine's oracle).
+        n_bots = min(n_bots, n_clients)
+        want = api.plan(api.PlanRequest(n_clients, n_bots, n_replicas))
+        policy = PosteriorPolicy()
+        plant(policy, [0.0] * n_bots + [1.0])
+        assert policy.decide(n_clients, n_replicas).plan == want
+        policy = PosteriorPolicy()
+        policy.belief = n_bots
+        decision = policy.decide(n_clients, n_replicas)
+        assert (decision.believed_bots, decision.plan) == (n_bots, want)
 
 
 class TestTrustPrior:
@@ -272,7 +328,9 @@ def closed_loop(seed: int, miss: float = 0.0) -> tuple[int, int, int, int]:
                 plan_sizes=None if (attacked & ~planned).any() else plan_sizes,
             )
         )
-        decision = policy.decide(n_clients, REPLICAS)
+        decision = policy.decide(
+            n_clients, ServiceCoordinator.plan_width(n_clients, REPLICAS)
+        )
         if decision.action == "quarantine":
             fenced |= attacked
             continue
@@ -358,7 +416,7 @@ def test_cloudsim_decisions_replay_from_their_observations():
     system.add_persistent_bots(30)
     report = system.run(40.0)
     assert len(calls) == 2 * report.shuffles == 4
-    assert_replays(calls, ShufflePolicy(planner="greedy", estimator="moment"))
+    assert_replays(calls, PosteriorPolicy(planner="greedy"))
 
 
 def test_sim_decisions_replay_from_their_observations():
@@ -368,4 +426,14 @@ def test_sim_decisions_replay_from_their_observations():
     calls = record_calls(engine.policy)
     state = engine.run(benign=1_500, bots=500, target_fraction=0.8)
     assert len(calls) == 2 * len(state.rounds) > 10
-    assert_replays(calls, ShufflePolicy(planner="greedy", estimator="mle"))
+    assert_replays(calls, ShufflePolicy(planner="greedy"))
+
+
+def test_sim_posterior_decisions_replay_from_their_observations():
+    engine = ShuffleEngine(
+        n_replicas=100, estimator="posterior", rng=np.random.default_rng(3)
+    )
+    calls = record_calls(engine.policy)
+    state = engine.run(benign=1_500, bots=500, target_fraction=0.8)
+    assert len(calls) == 2 * len(state.rounds) > 10
+    assert_replays(calls, PosteriorPolicy(planner="greedy"))

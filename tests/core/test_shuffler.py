@@ -131,7 +131,7 @@ class TestRun:
 
 
 class TestEstimators:
-    @pytest.mark.parametrize("estimator", ["oracle", "mle", "moment"])
+    @pytest.mark.parametrize("estimator", ["oracle", "mle", "posterior"])
     def test_all_estimators_converge(self, estimator):
         engine = make_engine(p=30, estimator=estimator, seed=11)
         state = engine.run(benign=300, bots=30, target_fraction=0.8,
@@ -139,7 +139,7 @@ class TestEstimators:
         assert state.saved_fraction >= 0.8
 
     def test_estimates_recorded(self):
-        engine = make_engine(p=20, estimator="moment", seed=12)
+        engine = make_engine(p=20, estimator="mle", seed=12)
         state = engine.run(benign=200, bots=20, target_fraction=0.5)
         estimates = [r.estimate for r in state.rounds]
         assert all(e is not None for e in estimates)
@@ -149,8 +149,8 @@ class TestEstimators:
         state = engine.run(benign=200, bots=20, target_fraction=0.5)
         assert all(r.estimate is None for r in state.rounds)
 
-    def test_moment_belief_tracks_truth(self):
-        engine = make_engine(p=50, estimator="moment", seed=14)
+    def test_posterior_belief_tracks_truth(self):
+        engine = make_engine(p=50, estimator="posterior", seed=14)
         state = engine.run(benign=500, bots=40, target_fraction=0.9,
                            max_rounds=200)
         # After the first round, beliefs should be in the right ballpark.
@@ -158,6 +158,16 @@ class TestEstimators:
         assert late, "expected multiple rounds"
         ratios = [r.believed_bots / r.true_bots for r in late]
         assert 0.2 < float(np.median(ratios)) < 5.0
+
+    def test_posterior_records_its_beliefs_not_estimates(self):
+        engine = make_engine(p=20, estimator="posterior", seed=12)
+        state = engine.run(benign=200, bots=20, target_fraction=0.5)
+        assert all(r.estimate is None for r in state.rounds)
+        assert engine.policy.method == "weighted"
+        # Round one plans at the truth; a fresh run forgets the posterior.
+        assert state.rounds[0].believed_bots == 20
+        engine.run(benign=10, bots=0, target_fraction=0.0)
+        assert engine.policy.log_posterior is None
 
 
 class TestTrajectory:

@@ -38,7 +38,6 @@ from scalar_reference import (
     scalar_single_replica_optimum,
     scalar_survival_log_probabilities,
     scalar_survival_probabilities,
-    scalar_weighted_m_hat,
 )
 from repro.core import objective
 from repro.core.combinatorics import (
@@ -47,18 +46,16 @@ from repro.core.combinatorics import (
     survival_probabilities,
 )
 from repro.core.dp import optimal_assign
-from repro.core.dp_fast import _Node, _combine
+from repro.core.dp_fast import _Node, _combine, dp_fast_sizes
 from repro.core.estimator import (
     _OccupancySweep,
     _estimate_mle,
-    _estimate_weighted,
     _occupancy_sweep,
-    attacked_count_log_pmf,
-    attacked_count_pmf,
+    attacked_count_log_likelihood,
     occupancy_likelihoods,
     occupancy_pmf,
 )
-from repro.core.even import _even_plan, _even_runs
+from repro.core.even import _even_plan, _even_runs, even_sizes
 from repro.core.greedy import _greedy_plan, _greedy_runs, greedy_sizes
 from repro.core.objective import (
     _expected_saved_runs,
@@ -633,29 +630,87 @@ class TestEquationOneOverRuns:
         ) == scalar_expected_saved_sizes(sizes, n_clients, n_bots)
 
 
+def _log_likelihoods(sizes, n_clients: int, n_bots) -> np.ndarray:
+    """The run form at every ``X``: one column per attacked count."""
+    return np.stack(
+        [
+            attacked_count_log_likelihood(sizes, n_clients, n_bots, x)
+            for x in range(len(sizes) + 1)
+        ],
+        axis=-1,
+    )
+
+
+def _assert_matches_the_chain(got: np.ndarray, want: np.ndarray) -> None:
+    """Within 1e-9 relative of the frozen chain, with ``-inf`` in the same
+    places.  Where ``P[X = x]`` rounds to 1 its log is ``±1e-16`` against
+    the chain's renormalized 0.0, hence the 1e-12 absolute floor."""
+    assert (np.isneginf(got) == np.isneginf(want)).all()
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(
+        got[finite], want[finite], rtol=1e-9, atol=1e-12
+    )
+
+
+@st.composite
+def _plan_sizes(draw):
+    """``(sizes, N)``: a greedy, even or ``dp_fast`` plan, or a
+    ``from_sizes`` plan whose sizes are all distinct."""
+    kind = draw(st.sampled_from(["greedy", "even", "dp_fast", "distinct"]))
+    if kind == "distinct":
+        sizes = draw(
+            st.lists(st.integers(0, 60), min_size=1, max_size=20, unique=True)
+        )
+        plan = ShufflePlan.from_sizes(sizes, 0)
+        return list(plan.group_sizes), plan.n_clients
+    n_clients = draw(st.integers(0, 400))
+    n_bots = draw(st.integers(0, n_clients))
+    n_replicas = draw(st.integers(1, 30))
+    if kind == "greedy":
+        sizes = greedy_sizes(n_clients, n_bots, n_replicas)
+    elif kind == "even":
+        sizes = even_sizes(n_clients, n_replicas)
+    else:
+        sizes = dp_fast_sizes(n_clients, n_bots, min(n_replicas, 8))
+    return list(sizes), n_clients
+
+
 class TestAttackedCountBitIdentity:
+    """The likelihood per run of equal sizes against the frozen
+    replica-by-replica ``logaddexp`` chain it replaced."""
+
     sizes_strategy = st.lists(st.integers(0, 40), min_size=1, max_size=25)
 
-    @given(sizes_strategy, st.integers(0, 60))
-    @settings(max_examples=60)
-    def test_attacked_count_pmf_bit_identical(self, sizes, n_bots):
-        n_clients = sum(sizes) + 5
-        n_bots = min(n_bots, n_clients)
-        got = attacked_count_pmf(sizes, n_clients, n_bots)
-        want = scalar_attacked_count_pmf(sizes, n_clients, n_bots)
-        assert got.tolist() == want.tolist()
+    @given(_plan_sizes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_runs_match_the_chain(self, plan, data):
+        sizes, n_clients = plan
+        counts = np.unique(
+            data.draw(
+                st.lists(st.integers(0, n_clients), min_size=1, max_size=6)
+            )
+        )
+        got = _log_likelihoods(sizes, n_clients, counts)
+        want = np.array(
+            [
+                scalar_attacked_count_log_pmf(sizes, n_clients, m)
+                for m in counts.tolist()
+            ]
+        )
+        _assert_matches_the_chain(got, want)
 
     @given(sizes_strategy, st.integers(1, 60))
     @settings(max_examples=40)
     def test_log_pmf_agrees_with_linear(self, sizes, n_bots):
         n_clients = sum(sizes) + 5
         n_bots = min(n_bots, n_clients)
-        linear = attacked_count_pmf(sizes, n_clients, n_bots)
-        logged = attacked_count_log_pmf(sizes, n_clients, n_bots)
+        linear = scalar_attacked_count_pmf(sizes, n_clients, n_bots)
+        logged = _log_likelihoods(sizes, n_clients, n_bots)
         # Compare in linear space.  The two routes order
-        # the arithmetic differently (logaddexp vs linear multiply-add)
-        # and tiny linear cells lose relative precision to cancellation,
-        # so the pin is rtol on the meaningful mass + small atol.
+        # the arithmetic differently (binomials per run vs a linear
+        # multiply-add per replica) and tiny linear cells lose relative
+        # precision to cancellation, so the pin is rtol on the
+        # meaningful mass + small atol.
         assert np.allclose(np.exp(logged), linear, rtol=1e-6, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -665,39 +720,23 @@ class TestAttackedCountBitIdentity:
         self, n_clients, n_bots, width
     ):
         # Every bot count at once, as the live posterior asks for them
-        # (a zero-size replica included): each row is the frozen
-        # one-count kernel's bits, and so is the scalar call.
+        # (a zero-size replica included): each row is the scalar call's
+        # bits, and within 1e-9 of the frozen one-count chain.
         sizes = greedy_sizes(n_clients, n_bots, width) + [0]
         counts = np.arange(n_clients + 1)
-        rows = attacked_count_log_pmf(sizes, n_clients, counts)
+        rows = _log_likelihoods(sizes, n_clients, counts)
         assert rows.shape == (counts.size, len(sizes) + 1)
         for m in counts.tolist():
+            got = _log_likelihoods(sizes, n_clients, m)
+            assert rows[m].tobytes() == got.tobytes()
             want = scalar_attacked_count_log_pmf(sizes, n_clients, m)
-            assert rows[m].tobytes() == want.tobytes()
-            got = attacked_count_log_pmf(sizes, n_clients, m)
-            assert got.tobytes() == want.tobytes()
+            _assert_matches_the_chain(got, want)
 
     def test_log_pmf_is_normalized(self):
         sizes = [7] * 100 + [0] * 10 + [3] * 40
-        logged = attacked_count_log_pmf(sizes, 850, 300)
+        logged = _log_likelihoods(sizes, 850, 300)
         total = float(np.logaddexp.reduce(logged[np.isfinite(logged)]))
         assert total == pytest.approx(0.0, abs=1e-9)
-
-    @given(st.integers(1, 15), st.integers(1, 120))
-    @settings(max_examples=30)
-    def test_weighted_matches_scalar_search(self, n_groups, n_bots):
-        sizes = [3 + (i % 5) for i in range(n_groups)]
-        n_clients = sum(sizes)
-        n_bots = min(n_bots, n_clients)
-        pmf = scalar_attacked_count_pmf(sizes, n_clients, n_bots)
-        # Pick an observable, non-degenerate X from the model's support.
-        n_attacked = int(np.argmax(pmf))
-        nonempty = sum(1 for s in sizes if s > 0)
-        if n_attacked == 0 or n_attacked >= nonempty:
-            return
-        got = _estimate_weighted(n_attacked, np.array(sizes), n_clients)
-        want = scalar_weighted_m_hat(n_attacked, sizes, n_clients)
-        assert got.m_hat == want
 
 
 class TestMaxPlusCombine:

@@ -1,25 +1,24 @@
-"""Tests for the weighted (non-uniform sizes) bot-count estimator."""
+"""The attacked-count likelihood over a plan's actual group sizes.
+
+``attacked_count_log_likelihood`` is what the posterior multiplies in
+whenever an attack comes out of the last plan (``method == "weighted"``);
+summed over every ``X`` it is the whole Poisson-binomial pmf.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.api import EstimateRequest, estimate
-from repro.core.estimator import _estimate_weighted, attacked_count_pmf
-from repro.core.greedy import greedy_sizes
+from repro.core.estimator import attacked_count_log_likelihood
 
 
-def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
-    return estimate(
-        EstimateRequest(n_attacked, n_replicas, upper_bound, method="mle")
-    )
-
-
-def estimate_weighted(n_attacked: int, sizes):
-    return estimate(
-        EstimateRequest(n_attacked, sizes=sizes, method="weighted")
-    )
+def attacked_count_pmf(sizes, n_clients: int, n_bots: int) -> np.ndarray:
+    """``P[X = x]`` for every ``x`` in ``0..len(sizes)``."""
+    return np.exp([
+        attacked_count_log_likelihood(sizes, n_clients, n_bots, x)
+        for x in range(len(sizes) + 1)
+    ])
 
 
 class TestAttackedCountPmf:
@@ -78,77 +77,3 @@ class TestAttackedCountPmf:
         measured = counts / trials
         predicted = attacked_count_pmf(sizes, n, m)
         assert np.abs(measured - predicted).max() < 0.08
-
-
-class TestWeightedEstimator:
-    def test_zero_attacked(self):
-        estimate = estimate_weighted(0, [5, 5, 5])
-        assert estimate.m_hat == 0
-
-    def test_all_nonempty_attacked_is_degenerate(self):
-        estimate = estimate_weighted(2, [5, 10, 0])
-        assert estimate.degenerate
-        assert estimate.m_hat == 15
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sum"):
-            _estimate_weighted(1, np.array([5, 5]), 11)
-        with pytest.raises(ValueError, match="within"):
-            estimate_weighted(3, [5, 5])
-        with pytest.raises(ValueError, match="non-empty"):
-            estimate_weighted(2, [10, 0])
-
-    def test_matches_uniform_mle_on_uniform_sizes(self, rng):
-        n_replicas, n_clients = 25, 500
-        sizes = [n_clients // n_replicas] * n_replicas
-        for true_bots in (10, 30):
-            bots = rng.multivariate_hypergeometric(
-                np.asarray(sizes), true_bots
-            )
-            attacked = int((bots > 0).sum())
-            if attacked in (0, n_replicas):
-                continue
-            uniform = estimate_mle(attacked, n_replicas, n_clients)
-            weighted = estimate_weighted(attacked, sizes)
-            assert weighted.m_hat == pytest.approx(
-                uniform.m_hat, rel=0.25, abs=4
-            )
-
-    def test_recovers_truth_on_greedy_sizes(self, rng):
-        """The case the uniform MLE cannot handle: a greedy plan with a
-        quarantine bucket."""
-        n_clients, true_bots, n_replicas = 1_000, 60, 80
-        sizes = greedy_sizes(n_clients, true_bots, n_replicas)
-        errors = []
-        for _ in range(20):
-            bots = rng.multivariate_hypergeometric(
-                np.asarray(sizes), true_bots
-            )
-            attacked = int((bots > 0).sum())
-            nonempty = sum(1 for size in sizes if size > 0)
-            if attacked in (0, nonempty):
-                continue
-            estimate = estimate_weighted(attacked, sizes)
-            errors.append(estimate.m_hat - true_bots)
-        assert errors, "expected informative observations"
-        assert abs(float(np.mean(errors))) < 0.35 * true_bots
-
-    def test_weighted_beats_uniform_on_skewed_sizes(self, rng):
-        """With a huge quarantine bucket, the uniform occupancy MLE is
-        systematically biased; the weighted estimator is not."""
-        n_clients, true_bots = 1_000, 60
-        sizes = greedy_sizes(n_clients, true_bots, 80)
-        nonempty = sum(1 for size in sizes if size > 0)
-        uniform_errors, weighted_errors = [], []
-        for _ in range(25):
-            bots = rng.multivariate_hypergeometric(
-                np.asarray(sizes), true_bots
-            )
-            attacked = int((bots > 0).sum())
-            if attacked in (0, nonempty):
-                continue
-            uniform = estimate_mle(attacked, len(sizes), n_clients)
-            weighted = estimate_weighted(attacked, sizes)
-            uniform_errors.append(abs(uniform.m_hat - true_bots))
-            weighted_errors.append(abs(weighted.m_hat - true_bots))
-        assert np.mean(weighted_errors) <= np.mean(uniform_errors)

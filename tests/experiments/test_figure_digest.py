@@ -29,7 +29,7 @@ GOLDEN_SHA256 = {
         "3b5b47ba39df8c188b042e666480b133e7088feaefad797c22258585332daa92"
     ),
     "ablations": (
-        "86701ddc8c984fae12015941bf74a3d608ab7ba13b2092fd346f701104fcc6c2"
+        "2e956b0b7003c0d81b53ccfc32b91812a31c1166d7b8b1039dff28936c074ffa"
     ),
 }
 

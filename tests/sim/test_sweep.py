@@ -68,10 +68,12 @@ class TestRunScenarioGrid:
 
 class TestWeightedEstimatorInEngine:
     def test_weighted_estimator_converges(self):
+        # The posterior's updates inside each plan are its "weighted"
+        # ones: the likelihood over the plan's actual group sizes.
         scenario = ShuffleScenario(
             benign=400, bots=80, n_replicas=40,
             target_fraction=0.8, preload_bots=True,
-            estimator="weighted", max_rounds=500,
+            estimator="posterior", max_rounds=500,
         )
         (result,) = run_scenario_grid([scenario], repetitions=2, seed=5)
         assert all(run.reached_target for run in result.runs)

@@ -68,7 +68,7 @@ def test_quickstart_snippet_from_readme():
     assert optimal.expected_saved > 0
 
     engine = ShuffleEngine(
-        n_replicas=100, planner="greedy", estimator="moment"
+        n_replicas=100, planner="greedy", estimator="posterior"
     )
     state = engine.run(benign=1_000, bots=2_000, target_fraction=0.5)
     assert state.benign_saved > 0
