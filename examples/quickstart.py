@@ -18,14 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import (
-    EstimateRequest,
-    PlanRequest,
-    ShuffleEngine,
-    estimate,
-    plan,
-    shuffle_trajectory,
-)
+from repro import ShuffleEngine, estimate, plan, shuffle_trajectory
 from repro.analysis.theory import max_estimable_bots, min_replicas_for_bots
 
 
@@ -35,9 +28,7 @@ def plan_one_shuffle() -> None:
     print(f"== one shuffle: N={n_clients} clients, M={n_bots} bots, "
           f"P={n_replicas} replicas ==")
     for method in ("greedy", "dp_fast", "even"):
-        shuffle = plan(
-            PlanRequest(n_clients, n_bots, n_replicas, method=method)
-        )
+        shuffle = plan(n_clients, n_bots, n_replicas, method)
         benign = n_clients - n_bots
         print(f"  {shuffle.algorithm:8s} expects to save "
               f"{shuffle.expected_saved:6.1f} of {benign} benign clients "
@@ -53,9 +44,7 @@ def estimate_attack_scale() -> None:
     # Simulate one uniform shuffle: which replicas got a bot?
     hit = rng.integers(0, n_replicas, size=true_bots)
     attacked = len(set(hit.tolist()))
-    bots = estimate(
-        EstimateRequest(attacked, n_replicas, upper_bound=10_000)
-    )
+    bots = estimate(attacked, n_replicas, upper_bound=10_000)
     print(f"  {attacked}/{n_replicas} replicas attacked "
           f"-> MLE estimate {bots.m_hat} bots (truth: {true_bots})")
     threshold = max_estimable_bots(n_replicas)

@@ -35,9 +35,9 @@ defense end to end:
 
 Quickstart::
 
-    from repro import PlanRequest, ShuffleEngine, plan
+    from repro import ShuffleEngine, plan
 
-    shuffle = plan(PlanRequest(n_clients=1000, n_bots=100, n_replicas=50))
+    shuffle = plan(1000, 100, 50)  # N clients, M bots, P replicas
     print(shuffle.describe())
 
     engine = ShuffleEngine(n_replicas=1000, planner="greedy")
@@ -50,10 +50,7 @@ from __future__ import annotations
 from . import detect, obs, trust
 from .core import (
     BotEstimate,
-    EstimateRequest,
-    PLANNERS,
     PlanError,
-    PlanRequest,
     RoundResult,
     ShuffleEngine,
     ShufflePlan,
@@ -71,10 +68,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BotEstimate",
-    "EstimateRequest",
-    "PLANNERS",
     "PlanError",
-    "PlanRequest",
     "RoundResult",
     "ShuffleEngine",
     "ShufflePlan",

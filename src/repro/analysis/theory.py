@@ -94,16 +94,9 @@ def expected_saved_fraction_even(
     ``P · x · C(N−x, M)/C(N, M)`` and the benign population is ``N − M``.
     Computed with the same log-space machinery as the planners.
     """
-    from ..core.api import PlanRequest, plan as plan_shuffle
+    from ..core.api import plan
 
     if n_clients <= n_bots:
         return 0.0
-    plan = plan_shuffle(
-        PlanRequest(
-            n_clients=n_clients,
-            n_bots=n_bots,
-            n_replicas=n_replicas,
-            method="even",
-        )
-    )
-    return plan.expected_saved / (n_clients - n_bots)
+    shuffle = plan(n_clients, n_bots, n_replicas, "even")
+    return shuffle.expected_saved / (n_clients - n_bots)

@@ -17,18 +17,17 @@ This package implements the paper's primary contribution (Sections IV & V):
 - :mod:`~repro.core.policy` — the decision every driver runs: one
   posterior over the bot count, planned at its mode.
 - :mod:`~repro.core.shuffler` — the multi-round shuffling control loop.
-- :mod:`~repro.core.api` — the unified batch-first ``estimate()`` /
-  ``plan()`` dispatchers every consumer goes through; a plan request's
-  ``method=`` selects the planner (see ``docs/core-api.md``).
+- :mod:`~repro.core.api` — ``estimate(X, P, upper)`` and
+  ``plan(N, M, P, method=)``, the two decision calls every consumer
+  goes through (see ``docs/core-api.md``).
 """
 
 from __future__ import annotations
 
-# The dispatcher *functions* stay namespaced under repro.core.api (and
+# The decision *functions* stay namespaced under repro.core.api (and
 # re-exported at top level as repro.estimate / repro.plan): binding
 # ``plan`` here would shadow the :mod:`repro.core.plan` submodule.
 from . import api
-from .api import EstimateRequest, PlanRequest
 from .combinatorics import (
     expected_saved_single,
     hypergeometric_pmf,
@@ -53,7 +52,6 @@ from .objective import (
 from .plan_cache import PlanCache
 from .plan import PlanError, ShufflePlan
 from .shuffler import (
-    PLANNERS,
     RoundResult,
     ShuffleEngine,
     ShuffleState,
@@ -62,10 +60,7 @@ from .shuffler import (
 
 __all__ = [
     "BotEstimate",
-    "EstimateRequest",
-    "PlanRequest",
     "api",
-    "PLANNERS",
     "PlanCache",
     "PlanError",
     "RoundResult",

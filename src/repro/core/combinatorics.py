@@ -249,8 +249,12 @@ def _log_survival(n: int, m: int | np.ndarray, xs: np.ndarray) -> np.ndarray:
     if most == 0:
         # log 1 for every replica.
         return np.zeros(np.shape(m)[:1] + xs.shape, dtype=np.float64)
+    # One expression for both branches, so a column row is the scalar
+    # call's bits: ``_MATH_LGAMMA`` is ``math.lgamma`` elementwise.  The
+    # scalar branch calls ``math.lgamma`` inline (np.vectorize costs
+    # ~10 µs a call, and a greedy plan takes this branch).
     log_den = (
-        np.array([[log_binomial(n, k)] for k in m[:, 0].tolist()])
+        math.lgamma(n + 1) - _MATH_LGAMMA(m + 1) - _MATH_LGAMMA(n - m + 1)
         if column
         else math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     )
@@ -281,6 +285,10 @@ def _lgamma(values: np.ndarray | float) -> np.ndarray:
     return _VECTOR_LGAMMA(values)
 
 
+#: ``math.lgamma`` over numpy arrays, the very bits of the scalar call.
+_MATH_LGAMMA = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def _make_vector_lgamma():
     try:
         # Optional accuracy upgrade only: the except arm keeps core
@@ -290,7 +298,7 @@ def _make_vector_lgamma():
 
         return gammaln
     except ImportError:  # pragma: no cover - scipy is an install requirement
-        return np.vectorize(math.lgamma, otypes=[np.float64])
+        return _MATH_LGAMMA
 
 
 _VECTOR_LGAMMA = _make_vector_lgamma()

@@ -30,7 +30,7 @@ import numpy as np
 
 from .combinatorics import _log_factorials, hypergeometric_pmf_vector
 from .objective import expected_saved_sizes
-from .plan import ShufflePlan
+from .plan import ShufflePlan, _check_plan_args
 
 __all__ = ["DPTables", "optimal_assign", "dp_value"]
 
@@ -131,10 +131,7 @@ def optimal_assign(n_clients: int, n_bots: int, n_replicas: int) -> DPTables:
     enumeration vectorized by :func:`_dp_row`; use
     ``method="dp_fast"`` beyond ``N`` of a few hundred.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
-    if not 0 <= n_bots <= n_clients:
-        raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
+    _check_plan_args(n_clients, n_bots, n_replicas)
 
     # Base case k = 1 (Equation 2): a bot-free replica saves all its
     # clients, an attacked one saves none.

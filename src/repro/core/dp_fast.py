@@ -33,7 +33,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import expected_saved_single_many
 from .objective import expected_saved_sizes
-from .plan import ShufflePlan
+from .plan import ShufflePlan, _check_plan_args
 
 __all__ = ["dp_fast_value", "dp_fast_sizes"]
 
@@ -150,7 +150,7 @@ def _extract_sizes(node: _Node, n_clients: int, out: list[int]) -> None:
 
 def dp_fast_value(n_clients: int, n_bots: int, n_replicas: int) -> float:
     """Optimal ``E(S)`` over all static plans for ``(N, M, P)``."""
-    _validate(n_clients, n_bots, n_replicas)
+    _check_plan_args(n_clients, n_bots, n_replicas)
     if n_clients == 0:
         return 0.0
     return float(_build_tree(n_clients, n_bots, n_replicas).values[n_clients])
@@ -158,7 +158,7 @@ def dp_fast_value(n_clients: int, n_bots: int, n_replicas: int) -> float:
 
 def dp_fast_sizes(n_clients: int, n_bots: int, n_replicas: int) -> list[int]:
     """Optimal static group sizes (may contain zeros)."""
-    _validate(n_clients, n_bots, n_replicas)
+    _check_plan_args(n_clients, n_bots, n_replicas)
     if n_clients == 0:
         return [0] * n_replicas
     tree = _build_tree(n_clients, n_bots, n_replicas)
@@ -180,12 +180,3 @@ def _dp_fast_plan(
     return ShufflePlan.from_sizes(
         sizes, n_bots, expected_saved=value, algorithm="dp_fast"
     )
-
-
-def _validate(n_clients: int, n_bots: int, n_replicas: int) -> None:
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
-    if n_clients < 0:
-        raise ValueError(f"n_clients={n_clients} must be >= 0")
-    if not 0 <= n_bots <= max(n_clients, 0):
-        raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")

@@ -12,7 +12,13 @@ from __future__ import annotations
 from operator import index
 
 from .objective import _expected_saved_runs
-from .plan import Runs, ShufflePlan, _expand_runs, _plan_from_runs
+from .plan import (
+    Runs,
+    ShufflePlan,
+    _check_plan_args,
+    _expand_runs,
+    _plan_from_runs,
+)
 
 __all__ = ["even_sizes"]
 
@@ -28,15 +34,13 @@ def even_sizes(n_clients: int, n_replicas: int) -> list[int]:
         >>> even_sizes(10, 3)
         [4, 3, 3]
     """
+    _check_plan_args(n_clients, 0, n_replicas)
     return list(_expand_runs(_even_runs(n_clients, n_replicas)))
 
 
 def _even_runs(n_clients: int, n_replicas: int) -> Runs:
-    """:func:`even_sizes` as its two runs: ``base + 1``, then ``base``."""
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
-    if n_clients < 0:
-        raise ValueError(f"n_clients={n_clients} must be >= 0")
+    """:func:`even_sizes` as its two runs: ``base + 1``, then ``base``,
+    for checked arguments."""
     base, extra = divmod(n_clients, n_replicas)
     return ((base + 1, extra), (base, n_replicas - extra))
 
@@ -47,6 +51,7 @@ def _even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
     Implementation behind ``method="even"`` of :func:`repro.core.api.plan`.
     """
     n_clients, n_replicas = index(n_clients), index(n_replicas)
+    _check_plan_args(n_clients, n_bots, n_replicas)
     runs = _even_runs(n_clients, n_replicas)
     (value,) = _expected_saved_runs(n_clients, n_bots, runs)
     return _plan_from_runs(runs, n_clients, n_bots, value, "even")

@@ -50,7 +50,13 @@ from operator import index
 
 from .even import _even_runs
 from .objective import _expected_saved_runs, single_replica_optimum
-from .plan import Runs, ShufflePlan, _expand_runs, _plan_from_runs
+from .plan import (
+    Runs,
+    ShufflePlan,
+    _check_plan_args,
+    _expand_runs,
+    _plan_from_runs,
+)
 
 __all__ = ["greedy_sizes"]
 
@@ -77,13 +83,7 @@ def _greedy_runs(n_clients: int, n_bots: int, n_replicas: int) -> Runs:
     A run may be empty (``full = 0``, or no ``base + 1`` groups in the
     tail); it is kept here and dropped by the scorer.
     """
-    if n_replicas < 1:
-        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
-    if not 0 <= n_bots <= n_clients:
-        raise ValueError(
-            f"n_bots={n_bots} must be within [0, {n_clients}]"
-        )
-
+    _check_plan_args(n_clients, n_bots, n_replicas)
     # Step 1: the single-replica optimum ω on the full problem (N, M).
     omega, _ = single_replica_optimum(n_clients, n_bots)
     omega = max(omega, 1)

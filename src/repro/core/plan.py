@@ -161,6 +161,17 @@ def _plan_from_runs(
     return plan
 
 
+def _check_plan_args(n_clients: int, n_bots: int, n_replicas: int) -> None:
+    """The one argument check of every planner: ``P``, then ``N``, then
+    ``M``."""
+    if n_replicas < 1:
+        raise ValueError(f"n_replicas={n_replicas} must be >= 1")
+    if n_clients < 0:
+        raise ValueError(f"n_clients={n_clients} must be >= 0")
+    if not 0 <= n_bots <= n_clients:
+        raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
+
+
 def validate_partition(sizes: Sequence[int], n_clients: int) -> None:
     """Raise :class:`PlanError` unless ``sizes`` is a partition of clients."""
     if min(sizes, default=0) < 0:

@@ -99,12 +99,12 @@ class ShufflePolicy:
 
     def believe(self, seen: Observation) -> BotEstimate | None:
         """Step 1: update the carried belief from one observation."""
-        request = api.EstimateRequest(
+        result = api.estimate(
             seen.n_attacked,
             seen.n_replicas,
             max(seen.n_clients, seen.n_attacked),
+            instruments=self.instruments,
         )
-        result = api.estimate(request, instruments=self.instruments)
         self.belief = result.m_hat
         return result
 

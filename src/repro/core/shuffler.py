@@ -22,14 +22,12 @@ import numpy as np
 
 from ..obs.instruments import Instruments, resolve_instruments
 from .api import PlanSource
-from .api import planner as _api_planner
 from .estimator import BotEstimate
 from .plan import ShufflePlan
 from .policy import Observation, PosteriorPolicy, ShufflePolicy
 
 __all__ = [
     "DEFAULT_SEED",
-    "PLANNERS",
     "RoundResult",
     "ShuffleState",
     "ShuffleEngine",
@@ -42,12 +40,6 @@ __all__ = [
 #: in library code).
 DEFAULT_SEED = 20140623  # DSN 2014 — the paper's venue, June 23 2014
 
-
-PLANNERS: dict[str, PlanSource] = {
-    "greedy": _api_planner("greedy"),
-    "even": _api_planner("even"),
-    "dp_fast": _api_planner("dp_fast"),
-}
 
 ESTIMATORS = ("oracle", "posterior", "mle")
 
@@ -110,8 +102,8 @@ class ShuffleEngine:
         n_replicas: constant number of shuffling replicas ``P`` (the paper
             keeps ``P`` fixed by activating fresh replicas as others leave
             the shuffle set).
-        planner: plan factory; one of :data:`PLANNERS` or any callable with
-            the same signature.
+        planner: a :data:`~repro.core.api.PLAN_METHODS` name or any
+            :class:`~repro.core.api.PlanSource`.
         estimator: how the engine obtains the bot count fed to the planner:
             ``"oracle"`` plans on a point mass at the true count (the
             paper's simulation setting), ``"posterior"`` carries
@@ -153,17 +145,6 @@ class ShuffleEngine:
     ) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas={n_replicas} must be >= 1")
-        planner_name = planner if isinstance(planner, str) else getattr(
-            planner, "__name__", "custom"
-        )
-        if isinstance(planner, str):
-            try:
-                planner = PLANNERS[planner]
-            except KeyError:
-                raise ValueError(
-                    f"unknown planner {planner!r}; choose from "
-                    f"{sorted(PLANNERS)}"
-                ) from None
         if estimator not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator {estimator!r}; choose from {ESTIMATORS}"
@@ -178,13 +159,15 @@ class ShuffleEngine:
         self.adaptive_growth = adaptive_growth
         self.max_replicas = max_replicas
         self.instruments = resolve_instruments(instruments)
-        self.planner_name = planner_name
-        #: the decision itself (believe -> plan); it reports to the
-        #: process-default instruments, as :data:`PLANNERS` does
+        #: the decision itself (believe -> plan); a planner it builds
+        #: from a name reports to the process-default instruments
         self.policy = (
             ShufflePolicy(planner=planner)
             if estimator == "mle"
             else PosteriorPolicy(planner=planner)
+        )
+        self.planner_name = getattr(
+            self.policy.planner, "__name__", "custom"
         )
 
     def run_round(self, state: ShuffleState) -> RoundResult:

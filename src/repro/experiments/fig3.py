@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.api import PlanRequest, plan
+from ..core.api import plan
 from ..core.dp_fast import dp_fast_value
 from .tables import render_table
 
@@ -64,14 +64,7 @@ def run_fig3(
     rows = []
     for n_replicas in replica_counts:
         for n_bots in bot_counts:
-            greedy = plan(
-                PlanRequest(
-                    n_clients=n_clients,
-                    n_bots=n_bots,
-                    n_replicas=n_replicas,
-                    method="greedy",
-                )
-            )
+            greedy = plan(n_clients, n_bots, n_replicas, "greedy")
             optimal = dp_fast_value(n_clients, n_bots, n_replicas)
             rows.append(
                 Fig3Row(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.api import PlanRequest, plan
+from ..core.api import plan
 from .tables import render_table
 
 __all__ = ["Fig4Row", "run_fig4", "render_fig4"]
@@ -51,22 +51,8 @@ def run_fig4(
     rows = []
     for n_replicas in replica_counts:
         for n_bots in bot_counts:
-            greedy = plan(
-                PlanRequest(
-                    n_clients=n_clients,
-                    n_bots=n_bots,
-                    n_replicas=n_replicas,
-                    method="greedy",
-                )
-            )
-            even = plan(
-                PlanRequest(
-                    n_clients=n_clients,
-                    n_bots=n_bots,
-                    n_replicas=n_replicas,
-                    method="even",
-                )
-            )
+            greedy = plan(n_clients, n_bots, n_replicas, "greedy")
+            even = plan(n_clients, n_bots, n_replicas, "even")
             rows.append(
                 Fig4Row(
                     n_replicas=n_replicas,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.api import EstimateRequest, estimate
+from ..core.api import estimate
 from ..core.even import even_sizes
 from ..sim.stats import SampleSummary, summarize
 from .tables import render_table
@@ -82,11 +82,7 @@ def run_fig7(
                 n_clients, real_bots, n_replicas, rng
             )
             result = estimate(
-                EstimateRequest(
-                    n_attacked=n_attacked,
-                    n_replicas=n_replicas,
-                    upper_bound=max(attacked_clients, n_attacked),
-                )
+                n_attacked, n_replicas, max(attacked_clients, n_attacked)
             )
             estimates.append(result.m_hat)
             fractions.append(n_attacked / n_replicas)

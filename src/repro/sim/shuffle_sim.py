@@ -42,7 +42,7 @@ class ShuffleScenario:
         n_replicas: constant shuffling replica count ``P``.
         target_fraction: stop once this share of all benign clients seen
             has been saved (0.8 / 0.95 in the paper).
-        planner: planner name from :data:`repro.core.shuffler.PLANNERS`.
+        planner: planner name from :data:`repro.core.api.PLAN_METHODS`.
         estimator: ``"oracle"`` (paper's simulation assumption),
             ``"posterior"`` (the rule the DES and the live coordinator
             run) or ``"mle"`` (the paper's memoryless estimator).

@@ -1,67 +1,45 @@
-"""Contract tests for the unified ``repro.core.api`` seam.
+"""Contract tests for the ``repro.core.api`` seam.
 
-Covers the request dataclasses, dispatch (each request routes to its
-kernel bit for bit), observability hooks,
-the planner-factory adapter, and the field and method tables of
-``docs/core-api.md``.
+Covers dispatch (each call routes to its kernel bit for bit), the one
+"unknown plan method" check and the planners' one argument check,
+observability hooks, the planner-factory adapter, and the parameter
+and method tables of ``docs/core-api.md``.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 # Top-level facade: the public spelling every consumer should use.
-from repro import (
-    EstimateRequest,
-    PlanRequest,
-    estimate,
-    plan,
-)
+from repro import ShuffleEngine, estimate, plan
 from repro.core import api
 from repro.core.dp import _dp_plan
 from repro.core.dp_fast import _dp_fast_plan
 from repro.core.estimator import _estimate_mle
 from repro.core.even import _even_plan
 from repro.core.greedy import _greedy_plan
+from repro.core.policy import PosteriorPolicy, ShufflePolicy
 from repro.obs import Instruments
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "core-api.md"
 
 
-class TestEstimateRequest:
-    def test_requests_are_hashable_cache_keys(self):
-        a = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
-        b = EstimateRequest(n_attacked=3, n_replicas=10, upper_bound=50)
-        assert a == b
-        assert hash(a) == hash(b)
-
-
-class TestPlanRequest:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown plan method"):
-            PlanRequest(n_clients=10, n_bots=2, n_replicas=3, method="x")
-
-    def test_defaults_to_greedy(self):
-        assert PlanRequest(n_clients=10, n_bots=2, n_replicas=3).method == (
-            "greedy"
-        )
-
-
 class TestDispatch:
     def test_each_planner_method_routes(self):
         for method in ("greedy", "even", "dp", "dp_fast"):
-            shuffle = plan(
-                PlanRequest(
-                    n_clients=30, n_bots=6, n_replicas=4, method=method
-                )
-            )
+            shuffle = plan(30, 6, 4, method=method)
             assert shuffle.algorithm in (method, "greedy", "even",
                                          "dp", "dp_fast")
             assert sum(shuffle.group_sizes) == 30
+
+    def test_plan_defaults_to_greedy(self):
+        default = inspect.signature(plan).parameters["method"].default
+        assert default == "greedy"
+        assert plan(30, 6, 4).algorithm == "greedy"
 
     @pytest.mark.parametrize(
         "method, kernel",
@@ -73,40 +51,71 @@ class TestDispatch:
         ],
     )
     def test_plan_is_its_kernel_bit_for_bit(self, method, kernel):
-        assert set(api._PLANNER_IMPLS) == set(api.PLAN_METHODS)
         for n_clients, n_bots, n_replicas in [(30, 6, 4), (57, 13, 5)]:
-            got = plan(PlanRequest(n_clients, n_bots, n_replicas, method))
+            got = plan(n_clients, n_bots, n_replicas, method)
             want = kernel(n_clients, n_bots, n_replicas)
+            assert got == want
+            assert got.expected_saved == want.expected_saved
+
+    @pytest.mark.parametrize("method", api.PLAN_METHODS)
+    def test_plan_is_its_planner_bit_for_bit(self, method):
+        source = api.planner(method)
+        for n_clients, n_bots, n_replicas in [(30, 6, 4), (57, 13, 5)]:
+            got = plan(n_clients, n_bots, n_replicas, method=method)
+            want = source(n_clients, n_bots, n_replicas)
             assert got == want
             assert got.expected_saved == want.expected_saved
 
     def test_estimate_is_its_kernel_bit_for_bit(self):
         for x, p, upper in [(4, 10, 120), (9, 10, 40), (10, 10, 40)]:
-            assert estimate(EstimateRequest(x, p, upper)) == _estimate_mle(
-                x, p, upper
-            )
+            assert estimate(x, p, upper) == _estimate_mle(x, p, upper)
 
     def test_planner_factory_adapts_positional_protocol(self):
         source = api.planner("greedy")
-        direct = plan(
-            PlanRequest(n_clients=30, n_bots=6, n_replicas=4,
-                        method="greedy")
-        )
+        direct = plan(30, 6, 4, method="greedy")
         assert source(30, 6, 4).group_sizes == direct.group_sizes
         assert source.__name__ == "greedy"
 
     def test_planner_factory_rejects_cached(self):
-        with pytest.raises(ValueError, match="unknown planner"):
+        with pytest.raises(ValueError, match="unknown plan method"):
             api.planner("cached")
+
+    def test_one_unknown_plan_method_wording(self):
+        # Every way to name a planner reaches the one check in core.api.
+        want = (
+            "unknown plan method 'x'; choose from "
+            "('greedy', 'even', 'dp', 'dp_fast')"
+        )
+        for ask in (
+            lambda: plan(10, 2, 3, method="x"),
+            lambda: api.planner("x"),
+            lambda: ShuffleEngine(n_replicas=3, planner="x"),
+            lambda: ShuffleEngine(n_replicas=3, planner="x",
+                                  estimator="mle"),
+            lambda: PosteriorPolicy(planner="x"),
+            lambda: ShufflePolicy(planner="x"),
+        ):
+            with pytest.raises(ValueError) as caught:
+                ask()
+            assert str(caught.value) == want
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, 0, 3), "n_clients=-1 must be >= 0"),
+            ((10, 11, 3), "n_bots=11 must be within [0, 10]"),
+            ((10, 2, 0), "n_replicas=0 must be >= 1"),
+        ],
+    )
+    def test_planners_share_one_argument_check(self, args, message):
+        for method in api.PLAN_METHODS:
+            with pytest.raises(ValueError) as caught:
+                plan(*args, method=method)
+            assert str(caught.value) == message, method
 
     def test_estimate_records_span_and_counter(self):
         instruments = Instruments.create()
-        estimate(
-            EstimateRequest(
-                n_attacked=3, n_replicas=10, upper_bound=30
-            ),
-            instruments=instruments,
-        )
+        estimate(3, 10, 30, instruments=instruments)
         names = [span.name for span in instruments.spans.spans]
         assert "core_estimate" in names
         counter = instruments.registry.counter(
@@ -116,10 +125,7 @@ class TestDispatch:
 
     def test_plan_records_span_and_counter(self):
         instruments = Instruments.create()
-        plan(
-            PlanRequest(n_clients=20, n_bots=4, n_replicas=3),
-            instruments=instruments,
-        )
+        plan(20, 4, 3, instruments=instruments)
         names = [span.name for span in instruments.spans.spans]
         assert "core_plan" in names
         counter = instruments.registry.counter(
@@ -137,20 +143,20 @@ def _doc_section(heading: str) -> str:
 
 
 class TestDocTables:
-    """``docs/core-api.md`` lists what the request types accept."""
+    """``docs/core-api.md`` lists what the two calls accept."""
 
     @pytest.mark.parametrize(
-        "request_type, methods",
+        "call, methods",
         [
-            (EstimateRequest, ()),
-            (PlanRequest, api.PLAN_METHODS),
+            (estimate, ()),
+            (plan, api.PLAN_METHODS),
         ],
     )
-    def test_fields_and_methods_match_the_code(self, request_type, methods):
-        section = _doc_section(request_type.__name__)
+    def test_fields_and_methods_match_the_code(self, call, methods):
+        section = _doc_section(call.__name__)
         rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
-        assert rows == [f.name for f in dataclasses.fields(request_type)]
-        # One method row where the request takes a method, none otherwise.
+        assert rows == list(inspect.signature(call).parameters)
+        # One method row where the call takes a method, none otherwise.
         method_rows = re.findall(
             r"^\| `method` \|(.*)$", section, re.MULTILINE
         )

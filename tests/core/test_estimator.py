@@ -9,12 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import EstimateRequest, estimate
+from repro.core.api import estimate as estimate_mle
 from repro.core.estimator import occupancy_likelihoods, occupancy_pmf
-
-
-def estimate_mle(n_attacked: int, n_replicas: int, upper_bound: int):
-    return estimate(EstimateRequest(n_attacked, n_replicas, upper_bound))
 
 
 def brute_force_occupancy(n_balls: int, n_bins: int) -> np.ndarray:

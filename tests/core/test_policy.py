@@ -222,7 +222,7 @@ class TestDecision:
         # A posterior that is sure of M plans exactly planner(N, M, P),
         # planted as a log-pmf or as a bare belief (the engine's oracle).
         n_bots = min(n_bots, n_clients)
-        want = api.plan(api.PlanRequest(n_clients, n_bots, n_replicas))
+        want = api.plan(n_clients, n_bots, n_replicas)
         policy = PosteriorPolicy()
         plant(policy, [0.0] * n_bots + [1.0])
         assert policy.decide(n_clients, n_replicas).plan == want

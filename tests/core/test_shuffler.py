@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import api
 from repro.core.shuffler import (
-    PLANNERS,
     ShuffleEngine,
     ShuffleState,
     shuffle_trajectory,
 )
+from repro.obs import Instruments
 
 
 def make_engine(p=20, planner="greedy", estimator="oracle", seed=7):
@@ -26,7 +27,7 @@ def make_engine(p=20, planner="greedy", estimator="oracle", seed=7):
 
 class TestConstruction:
     def test_unknown_planner(self):
-        with pytest.raises(ValueError, match="unknown planner"):
+        with pytest.raises(ValueError, match="unknown plan method 'nope'"):
             ShuffleEngine(n_replicas=5, planner="nope")
 
     def test_unknown_estimator(self):
@@ -184,12 +185,32 @@ class TestTrajectory:
 
 
 class TestPlannersRegistry:
-    def test_registry_contents(self):
-        assert set(PLANNERS) == {"greedy", "even", "dp_fast"}
+    """The engine's planner names are ``api.PLAN_METHODS``."""
 
-    @pytest.mark.parametrize("name", ["greedy", "even", "dp_fast"])
+    def test_registry_contents(self):
+        assert api.PLAN_METHODS == ("greedy", "even", "dp", "dp_fast")
+
+    @pytest.mark.parametrize("name", api.PLAN_METHODS)
     def test_each_planner_runs(self, name):
-        engine = make_engine(p=5, planner=name, seed=31)
-        state = engine.run(benign=40, bots=4, target_fraction=0.5,
-                           max_rounds=60)
-        assert state.benign_saved >= 0
+        # planner=<name> is planner=api.planner(<name>): the same rounds
+        # bit for bit, counted under the same planner= label (N <= 60
+        # keeps the paper-literal dp fast).
+        runs = []
+        for source in (name, api.planner(name)):
+            instruments = Instruments.create()
+            engine = ShuffleEngine(
+                n_replicas=5,
+                planner=source,
+                estimator="posterior",
+                rng=np.random.default_rng(31),
+                instruments=instruments,
+            )
+            state = engine.run(benign=40, bots=4, target_fraction=0.5,
+                               max_rounds=60)
+            counter = instruments.registry.counter(
+                "shuffle_rounds_total", "", ("planner", "estimator")
+            )
+            rounds = counter.value(planner=name, estimator="posterior")
+            runs.append((state.rounds, rounds))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == len(runs[0][0]) > 0

@@ -60,11 +60,11 @@ def test_version_present():
 
 def test_quickstart_snippet_from_readme():
     """The README's quickstart code must actually run."""
-    from repro import PlanRequest, ShuffleEngine, plan
+    from repro import ShuffleEngine, plan
 
-    shuffle = plan(PlanRequest(n_clients=1000, n_bots=200, n_replicas=100))
+    shuffle = plan(1000, 200, 100)
     assert "greedy" in shuffle.describe()
-    optimal = plan(PlanRequest(1000, 200, 100, method="dp_fast"))
+    optimal = plan(1000, 200, 100, method="dp_fast")
     assert optimal.expected_saved > 0
 
     engine = ShuffleEngine(
