@@ -6,6 +6,17 @@ themselves overflow any fixed-width float, so all public helpers work in
 log-space via ``math.lgamma`` and only exponentiate ratios, which are always
 in ``[0, 1]``.
 
+Equation 1's per-replica term ``x · p(x)`` has two routes with the same
+bits.  :func:`expected_saved_single_many` is the array kernel, for the
+many-point callers (``dp_fast``'s table of ``f`` at every size).
+:func:`expected_saved_single_few` computes a few terms in Python floats,
+for the few-point callers of every greedy plan: ω's window
+(:func:`repro.core.objective.single_replica_optimum`) and the runs a
+greedy or even plan is scored over (``objective._expected_saved_runs``).
+Which route a caller takes is fixed by the call site, not by a size
+threshold.  The posterior's columns over the bot count go through
+:func:`survival_log_probabilities`.
+
 Vocabulary (paper Table I):
 
 ``N``
@@ -25,6 +36,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import index
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +49,7 @@ __all__ = [
     "survival_log_probabilities",
     "expected_saved_single",
     "expected_saved_single_many",
+    "expected_saved_single_few",
     "hypergeometric_pmf",
     "hypergeometric_pmf_vector",
     "logsumexp",
@@ -291,9 +305,14 @@ _MATH_LGAMMA = np.vectorize(math.lgamma, otypes=[np.float64])
 
 def _make_vector_lgamma():
     try:
-        # Optional accuracy upgrade only: the except arm keeps core
-        # working on stdlib+numpy alone, so the layering contract's
-        # intent (no hard third-party deps in core) is preserved.
+        # The except arm lets core import and run on stdlib + numpy
+        # alone (the layering contract's intent: no hard third-party
+        # deps in core), but it does not decide the same: the log t!
+        # table then holds math.lgamma's bits, not gammaln's, which
+        # moves near-ties — _greedy_runs(5, 2, 20) becomes ((2, 0),
+        # (1, 5), (0, 15)) and four CLOSED_LOOP_GOLDEN seeds of
+        # tests/core/test_policy.py change.  Every pinned digest assumes
+        # scipy, an install requirement.
         from scipy.special import gammaln  # reprolint: disable=P1
 
         return gammaln
@@ -320,6 +339,11 @@ class _DirectLogFactorial:
 
     def __getitem__(self, t: np.ndarray | int) -> np.ndarray:
         return _lgamma(np.asarray(t, dtype=np.float64) + 1.0)
+
+    def item(self, t: int) -> float:
+        """``self[t]`` for one int ``t``, as a Python float (the table's
+        ``item``)."""
+        return float(self[t])
 
 
 def _log_factorials(top: int) -> np.ndarray | _DirectLogFactorial:
@@ -368,6 +392,49 @@ def expected_saved_single_many(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.int64)
     out = survival_probabilities(n, m, xs)
     return np.multiply(out, xs, out=out)  # x · p, each x cast exactly
+
+
+def expected_saved_single_few(
+    n: int, m: int, xs: Sequence[int]
+) -> list[float]:
+    """:func:`expected_saved_single_many` at a few Python-int sizes, as
+    Python floats carrying the array kernel's bits.
+
+    Its callers — ω's window in :func:`repro.core.objective.
+    single_replica_optimum` and the at most five runs of the greedy and
+    even plans a greedy plan is scored over — ask for two to eight
+    terms, where the array kernel's fifteen-odd numpy calls on tiny
+    arrays are most of the cost.  Each ``log t!`` is read from the same
+    table as a Python float (the table grown exactly as the kernel grows
+    it), the subtractions and both clamps are Python float operations in
+    the kernel's order, and all the logs are exponentiated in one
+    ``np.exp``: numpy's exp, not ``math.exp``, whose last bits differ
+    from it on a few percent of inputs.
+    """
+    n, m = index(n), index(m)
+    if not xs:
+        return []
+    if min(xs) < 0 or max(xs) > n:
+        raise ValueError("group sizes must be within [0, n]")
+    if not 0 <= m <= n:
+        raise ValueError(f"m={m} must be within [0, {n}]")
+    if m == 0:
+        # exp(log 1) = 1.0 exactly, so each term is x itself.
+        return [float(x) for x in xs]
+    log_den = (
+        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+    )
+    read = _log_factorials(n).item
+    log_m = read(m)
+    logs = []
+    for x in xs:
+        rest = n - x
+        logs.append(
+            min(read(rest) - log_m - read(rest - m) - log_den, 0.0)
+            if rest >= m
+            else -math.inf  # C(n − x, m) = 0
+        )
+    return [min(p, 1.0) * x for p, x in zip(np.exp(logs).tolist(), xs)]
 
 
 def hypergeometric_pmf(total: int, marked: int, draws: int, hits: int) -> float:

@@ -131,7 +131,9 @@ def optimal_assign(n_clients: int, n_bots: int, n_replicas: int) -> DPTables:
     enumeration vectorized by :func:`_dp_row`; use
     ``method="dp_fast"`` beyond ``N`` of a few hundred.
     """
-    _check_plan_args(n_clients, n_bots, n_replicas)
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
 
     # Base case k = 1 (Equation 2): a bot-free replica saves all its
     # clients, an attacked one saves none.
@@ -175,6 +177,9 @@ def _dp_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
     tree to one branch.  The plan's ``expected_saved`` is re-scored exactly
     with Equation 1 so no adaptivity optimism leaks into reported numbers.
     """
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
     tables = optimal_assign(n_clients, n_bots, n_replicas)
     sizes: list[int] = []
     i, j = n_clients, n_bots

@@ -150,7 +150,9 @@ def _extract_sizes(node: _Node, n_clients: int, out: list[int]) -> None:
 
 def dp_fast_value(n_clients: int, n_bots: int, n_replicas: int) -> float:
     """Optimal ``E(S)`` over all static plans for ``(N, M, P)``."""
-    _check_plan_args(n_clients, n_bots, n_replicas)
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
     if n_clients == 0:
         return 0.0
     return float(_build_tree(n_clients, n_bots, n_replicas).values[n_clients])
@@ -158,7 +160,9 @@ def dp_fast_value(n_clients: int, n_bots: int, n_replicas: int) -> float:
 
 def dp_fast_sizes(n_clients: int, n_bots: int, n_replicas: int) -> list[int]:
     """Optimal static group sizes (may contain zeros)."""
-    _check_plan_args(n_clients, n_bots, n_replicas)
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
     if n_clients == 0:
         return [0] * n_replicas
     tree = _build_tree(n_clients, n_bots, n_replicas)

@@ -69,6 +69,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -272,7 +273,14 @@ def _estimate_mle(
         n_replicas: shuffling replica count ``P``.
         upper_bound: the largest admissible ``m`` — the paper uses the total
             number of clients assigned to attacked replicas.
+
+    The three counts are coerced with :func:`operator.index`, as the
+    planners' are: numpy integers pass, a non-integral count raises
+    :class:`TypeError`.
     """
+    n_attacked, n_replicas, upper_bound = (
+        index(n_attacked), index(n_replicas), index(upper_bound)
+    )
     _check_bins(n_replicas)
     if not 0 <= n_attacked <= n_replicas:
         raise ValueError(

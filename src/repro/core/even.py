@@ -9,8 +9,6 @@ no benign clients are saved.
 
 from __future__ import annotations
 
-from operator import index
-
 from .objective import _expected_saved_runs
 from .plan import (
     Runs,
@@ -34,7 +32,7 @@ def even_sizes(n_clients: int, n_replicas: int) -> list[int]:
         >>> even_sizes(10, 3)
         [4, 3, 3]
     """
-    _check_plan_args(n_clients, 0, n_replicas)
+    n_clients, _, n_replicas = _check_plan_args(n_clients, 0, n_replicas)
     return list(_expand_runs(_even_runs(n_clients, n_replicas)))
 
 
@@ -50,8 +48,9 @@ def _even_plan(n_clients: int, n_bots: int, n_replicas: int) -> ShufflePlan:
 
     Implementation behind ``method="even"`` of :func:`repro.core.api.plan`.
     """
-    n_clients, n_replicas = index(n_clients), index(n_replicas)
-    _check_plan_args(n_clients, n_bots, n_replicas)
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
     runs = _even_runs(n_clients, n_replicas)
     (value,) = _expected_saved_runs(n_clients, n_bots, runs)
     return _plan_from_runs(runs, n_clients, n_bots, value, "even")

@@ -28,25 +28,29 @@ Neither step walks its whole range.  ``f(x+1)/f(x) = (1 + 1/x) ·
 ``⌈(N − M)/(M + 1)⌉`` and :func:`repro.core.objective.
 single_replica_optimum` certifies ``ω`` from the three points around it,
 widened only while an end reads within float error of the peak — one
-kernel call on every plan of the paper-scale run, instead of the paper's
-scan of every ``x`` (its docstring has the stop rule and the proof that
-makes the result the full scan's, bit for bit).  The ω-groups are a
-prefix whose length has a closed form, and the capped tail is the even
-split, so a plan is three runs ``((ω, full), (base + 1, extra), (base,
-rest))``: Equation 1 is evaluated once per distinct size, and only the
-plan's ``group_sizes`` tuple is ``O(P)``; the plan keeps its runs, so
-neither its partition check nor :attr:`~repro.core.plan.ShufflePlan.
-sizes_array` walks that tuple.  Measured over the 323 plans of the
-seed-1 ``sim_mle_scale`` trajectory (``N ≤ 150,000``, ``P = 1000``, a
-shared 2-vCPU Xeon VM): 0.06–0.08 ms per plan untraced, a quarter of it
-finding ``ω``, against 0.15–0.18 ms with the factor-two window; two
-kernel calls per plan, pinned as a count in
-``tests/sim/test_paper_scale_digest.py``.
+evaluation of three points on every plan of the paper-scale run, instead
+of the paper's scan of every ``x`` (its docstring has the stop rule and
+the proof that makes the result the full scan's, bit for bit).  The
+ω-groups are a prefix whose length has a closed form, and the capped
+tail is the even split, so a plan is three runs ``((ω, full), (base +
+1, extra), (base, rest))``: Equation 1 is evaluated once per distinct
+size, and only the plan's ``group_sizes`` tuple is ``O(P)``; the plan
+keeps its runs, so neither its partition check nor :attr:`~repro.core.
+plan.ShufflePlan.sizes_array` walks that tuple.  Both evaluations ask
+for at most eight terms, so they take the few-point route
+(:func:`repro.core.combinatorics.expected_saved_single_few`: Python
+floats and one ``np.exp``, the array kernel's bits) — two calls per
+plan, pinned as a count in ``tests/sim/test_paper_scale_digest.py``.
+Measured over the 323 plans of the seed-1 ``sim_mle_scale`` trajectory
+(``N ≤ 150,000``, ``P = 1000``, a shared 2-vCPU Xeon VM), each plan
+replayed in one process against the array-kernel route, interleaved:
+0.05 ms per plan untraced, a fifth of it finding ``ω``, against 0.08
+ms through the array kernel (medians of 15 laps; 0.06–0.08 ms was that
+route's figure on a quieter day of the same VM, and 0.15–0.18 ms with
+the factor-two window).
 """
 
 from __future__ import annotations
-
-from operator import index
 
 from .even import _even_runs
 from .objective import _expected_saved_runs, single_replica_optimum
@@ -74,16 +78,17 @@ def greedy_sizes(n_clients: int, n_bots: int, n_replicas: int) -> list[int]:
         >>> greedy_sizes(10, 2, 3)
         [3, 3, 4]
     """
-    return list(_expand_runs(_greedy_runs(n_clients, n_bots, n_replicas)))
+    checked = _check_plan_args(n_clients, n_bots, n_replicas)
+    return list(_expand_runs(_greedy_runs(*checked)))
 
 
 def _greedy_runs(n_clients: int, n_bots: int, n_replicas: int) -> Runs:
-    """:func:`greedy_sizes` as runs: the ω-prefix, then the even tail.
+    """:func:`greedy_sizes` as runs: the ω-prefix, then the even tail,
+    for checked arguments.
 
     A run may be empty (``full = 0``, or no ``base + 1`` groups in the
     tail); it is kept here and dropped by the scorer.
     """
-    _check_plan_args(n_clients, n_bots, n_replicas)
     # Step 1: the single-replica optimum ω on the full problem (N, M).
     omega, _ = single_replica_optimum(n_clients, n_bots)
     omega = max(omega, 1)
@@ -115,10 +120,12 @@ def _greedy_plan(
     the regime boundary (ω close to ``N/P``), so both candidates are scored
     with Equation 1 and the better one is returned — which keeps the
     planner dominating the Figure 4 baseline everywhere, as the paper's
-    curves show, at negligible extra cost: both are scored in one kernel
-    call over their at most five runs.
+    curves show, at negligible extra cost: both are scored in one
+    few-point call over their at most five runs.
     """
-    n_clients, n_replicas = index(n_clients), index(n_replicas)
+    n_clients, n_bots, n_replicas = _check_plan_args(
+        n_clients, n_bots, n_replicas
+    )
     runs = _greedy_runs(n_clients, n_bots, n_replicas)
     even = _even_runs(n_clients, n_replicas)
     value, even_value = _expected_saved_runs(n_clients, n_bots, runs, even)

@@ -12,12 +12,13 @@ own size and the global ``(N, M)``.
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .combinatorics import (
-    expected_saved_single_many,
+    expected_saved_single_few,
     survival_probabilities,
 )
 from .plan import ShufflePlan
@@ -67,23 +68,30 @@ def _expected_saved_runs(
     """``E(S)`` of each plan given as runs ``((size, count), …)``.
 
     The greedy and even plans have a handful of distinct sizes — at most
-    three and two — so the kernel runs once per run of every plan in one
-    call, empty runs dropped.  Each plan's terms are then repeated
-    back out to its ``P`` replicas before the sum: the array summed is
-    the one a size-by-size evaluation builds, and so is the sum, bit for
-    bit (``Σ count·term`` would round differently).
+    three and two — so Equation 1's terms are evaluated once per run of
+    every plan, empty runs dropped, in one call of the few-point route
+    :func:`~repro.core.combinatorics.expected_saved_single_few`.  Each
+    plan's terms are then repeated back out to its ``P`` replicas before
+    the sum: the array summed is the one a size-by-size evaluation
+    builds, and so is the sum, bit for bit (``Σ count·term`` would round
+    differently).
     """
-    kept = [[(size, count) for size, count in runs if count] for runs in plans]
-    sizes = np.array(
-        [size for runs in kept for size, _ in runs], dtype=np.int64
-    )
-    terms = expected_saved_single_many(n_clients, n_bots, sizes)
+    sizes: list[int] = []
+    counts: list[int] = []
+    ends: list[int] = []
+    for runs in plans:
+        for size, count in runs:
+            if count:
+                sizes.append(size)
+                counts.append(count)
+        ends.append(len(sizes))
+    terms = np.array(expected_saved_single_few(n_clients, n_bots, sizes))
     values: list[float] = []
     start = 0
-    for runs in kept:
-        stop = start + len(runs)
-        counts = [count for _, count in runs]
-        values.append(float(terms[start:stop].repeat(counts).sum()))
+    for stop in ends:
+        values.append(
+            float(terms[start:stop].repeat(counts[start:stop]).sum())
+        )
         start = stop
     return values
 
@@ -133,12 +141,13 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     zeros, while the window's maximum is positive: the window always
     holds ``⌈r⌉``, where ``f >= f(1) = (N − M)/N``.  So no point outside
     the window reaches the window's maximum, not even as a tie; the
-    kernel is elementwise and ``argmax`` keeps the first maximum, so
-    ``(omega, f(omega))`` are the full scan's.  Neighbours of ``ω`` read
-    ``≈ 1 − 1/(2ω²)`` of the peak, so one pass settles every ``ω`` below
-    ``(2μ)^(−1/2)`` (~5,800 at ``N = 150,000``) and a few passes the
-    rest, ``M = 1`` included.
+    terms are elementwise (each the bits the array kernel gives it) and
+    the window's first maximum is kept, so ``(omega, f(omega))`` are
+    the full scan's.  Neighbours of ``ω`` read ``≈ 1 − 1/(2ω²)`` of the
+    peak, so one pass settles every ``ω`` below ``(2μ)^(−1/2)`` (~5,800
+    at ``N = 150,000``) and a few passes the rest, ``M = 1`` included.
     """
+    n_clients, n_bots = index(n_clients), index(n_bots)
     if not 0 <= n_bots <= n_clients:
         raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
     if n_clients <= 0:
@@ -153,14 +162,15 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     keep = 1.0 - 64.0 * math.ulp(max(math.lgamma(n_clients + 1), 1.0))
     step = 1
     while True:
-        xs = np.arange(low, high + 1, dtype=np.int64)
-        values = expected_saved_single_many(n_clients, n_bots, xs)
-        best = int(values.argmax())
-        floor = keep * values[best]
+        values = expected_saved_single_few(
+            n_clients, n_bots, range(low, high + 1)
+        )
+        peak = max(values)
+        floor = keep * peak
         widen_low = low > 1 and values[0] >= floor
         widen_high = high < support and values[-1] >= floor
         if not (widen_low or widen_high):
-            return int(xs[best]), float(values[best])
+            return low + values.index(peak), peak
         step *= 2
         if widen_low:
             low = max(low - step, 1)

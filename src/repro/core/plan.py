@@ -161,15 +161,48 @@ def _plan_from_runs(
     return plan
 
 
-def _check_plan_args(n_clients: int, n_bots: int, n_replicas: int) -> None:
+def _distinct_sizes(plan: ShufflePlan) -> tuple[np.ndarray, np.ndarray]:
+    """``plan``'s distinct group sizes, ascending, and the clients each
+    holds in all (size × replicas of that size), as int64 arrays.
+
+    The sizes are ``np.unique(plan.sizes_array)``; for a plan built from
+    runs they are read off the runs instead, merged by size with the
+    empty runs dropped, which is the same pair of arrays without
+    expanding the runs to ``P`` sizes and sorting them.
+    """
+    runs = plan._runs
+    if runs is None:
+        sizes, counts = np.unique(plan.sizes_array, return_counts=True)
+        return sizes, sizes * counts
+    merged: dict[int, int] = {}
+    for size, count in runs.tolist():
+        if count:
+            merged[size] = merged.get(size, 0) + count
+    ordered = sorted(merged)
+    return (
+        np.array(ordered, dtype=np.int64),
+        np.array([size * merged[size] for size in ordered], dtype=np.int64),
+    )
+
+
+def _check_plan_args(
+    n_clients: int, n_bots: int, n_replicas: int
+) -> tuple[int, int, int]:
     """The one argument check of every planner: ``P``, then ``N``, then
-    ``M``."""
+    ``M``, each coerced with :func:`operator.index` first (numpy
+    integers pass as Python ints, a bool as 0 or 1, and a non-integral
+    count raises :class:`TypeError`).  Returns ``(N, M, P)`` so
+    coerced."""
+    n_clients, n_bots, n_replicas = (
+        index(n_clients), index(n_bots), index(n_replicas)
+    )
     if n_replicas < 1:
         raise ValueError(f"n_replicas={n_replicas} must be >= 1")
     if n_clients < 0:
         raise ValueError(f"n_clients={n_clients} must be >= 0")
     if not 0 <= n_bots <= n_clients:
         raise ValueError(f"n_bots={n_bots} must be within [0, {n_clients}]")
+    return n_clients, n_bots, n_replicas
 
 
 def validate_partition(sizes: Sequence[int], n_clients: int) -> None:

@@ -28,7 +28,7 @@ from .estimator import (
     attacked_count_log_likelihood,
     occupancy_likelihoods,
 )
-from .plan import ShufflePlan
+from .plan import ShufflePlan, _distinct_sizes
 
 __all__ = [
     "Decision",
@@ -234,6 +234,6 @@ class PosteriorPolicy(ShufflePolicy):
             ms = np.flatnonzero(np.isfinite(self.log_posterior))
             weights = np.exp(self.log_posterior[ms])
         # One survival term per distinct size, weighted by its clients.
-        sizes, counts = np.unique(plan.sizes_array, return_counts=True)
+        sizes, clients = _distinct_sizes(plan)
         log_p = survival_log_probabilities(plan.n_clients, ms, sizes)
-        return float(weights @ (np.exp(log_p) @ (sizes * counts)))
+        return float(weights @ (np.exp(log_p) @ clients))

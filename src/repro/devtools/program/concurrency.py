@@ -31,7 +31,7 @@ __all__ = ["blocking_summaries"]
 _ASYNC_LAYERS = frozenset({"service"})
 
 #: known CPU-heavy ``repro.core`` entry points: the ``core.api``
-#: estimate/plan dispatchers, whole-grid precomputation, and the
+#: ``estimate`` and ``plan`` calls, whole-grid precomputation, and the
 #: multi-round trajectory.  Calling one on the event loop is legitimate
 #: only with a written ``# event-loop-safe:`` justification (e.g.
 #: bounded inputs).

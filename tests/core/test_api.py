@@ -12,6 +12,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Top-level facade: the public spelling every consumer should use.
@@ -132,6 +133,42 @@ class TestDispatch:
             "core_plan_total", "", ("method",)
         )
         assert counter.value(method="greedy") == 1.0
+
+
+class TestOneIntegerRule:
+    """Both core calls take their counts through ``operator.index``, as
+    ``ShufflePlan.from_sizes`` takes sizes."""
+
+    WANT = "'float' object cannot be interpreted as an integer"
+
+    @pytest.mark.parametrize("method", api.PLAN_METHODS)
+    def test_a_fractional_bot_count_is_one_type_error(self, method):
+        # Greedy once raised numpy's IndexError here, dp a TypeError of
+        # its own, and the others planned on.
+        with pytest.raises(TypeError) as caught:
+            plan(10, 2.5, 3, method=method)
+        assert str(caught.value) == self.WANT
+
+    @pytest.mark.parametrize("method", api.PLAN_METHODS)
+    def test_a_bool_bot_count_is_the_int(self, method):
+        # True once boolean-indexed the log t! table ("operands could
+        # not be broadcast together").
+        got = plan(10, True, 3, method=method)
+        want = plan(10, 1, 3, method=method)
+        assert got == want
+        assert got.expected_saved == want.expected_saved
+        assert type(got.n_bots) is int
+
+    def test_a_fractional_upper_bound_is_a_type_error(self):
+        # It was once carried into BotEstimate(upper_bound=50.5).
+        with pytest.raises(TypeError) as caught:
+            estimate(3, 10, 50.5)
+        assert str(caught.value) == self.WANT
+
+    def test_numpy_integers_come_back_as_python_ints(self):
+        got = estimate(np.int64(3), np.int64(10), np.int64(50))
+        assert got == estimate(3, 10, 50)
+        assert type(got.upper_bound) is int and type(got.n_replicas) is int
 
 
 def _doc_section(heading: str) -> str:

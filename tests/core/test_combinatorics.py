@@ -14,6 +14,7 @@ from repro.core import combinatorics, dp
 from repro.core.combinatorics import (
     binomial_ratio,
     expected_saved_single,
+    expected_saved_single_few,
     expected_saved_single_many,
     hypergeometric_pmf,
     hypergeometric_pmf_vector,
@@ -228,6 +229,11 @@ class _NonNegativeIndexTable(np.ndarray):
             raise IndexError(f"negative index into log t!: {index!r}")
         return np.asarray(self)[index]
 
+    def item(self, index):
+        if index < 0:
+            raise IndexError(f"negative index into log t!: {index!r}")
+        return np.asarray(self).item(index)
+
 
 class TestLogFactorialTable:
     """One table of ``gammaln(t + 1.0)``, bit for bit."""
@@ -295,6 +301,7 @@ class TestLogFactorialTable:
         survival_log_probabilities(50, 30, xs)
         survival_log_probabilities(50, np.array([1, 30, 50]), xs)
         expected_saved_single_many(50, 49, xs)
+        expected_saved_single_few(50, 49, xs.tolist())
         for marked in range(0, 11):
             for draws in range(0, 11):
                 hypergeometric_pmf_vector(10, marked, draws)

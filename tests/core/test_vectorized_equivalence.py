@@ -39,8 +39,9 @@ from scalar_reference import (
     scalar_survival_log_probabilities,
     scalar_survival_probabilities,
 )
-from repro.core import objective
+from repro.core import api, combinatorics, objective
 from repro.core.combinatorics import (
+    expected_saved_single_few,
     expected_saved_single_many,
     survival_log_probabilities,
     survival_probabilities,
@@ -62,7 +63,8 @@ from repro.core.objective import (
     expected_saved_sizes,
     single_replica_optimum,
 )
-from repro.core.plan import ShufflePlan, _expand_runs
+from repro.core.plan import ShufflePlan, _distinct_sizes, _expand_runs
+from repro.core.policy import Observation, PosteriorPolicy
 
 
 class TestOccupancyBitIdentity:
@@ -372,9 +374,9 @@ class TestCertifiedWindow:
 
         def spy(n, m, xs):
             windows.append((int(xs[0]), int(xs[-1])))
-            return expected_saved_single_many(n, m, xs)
+            return expected_saved_single_few(n, m, xs)
 
-        with mock.patch.object(objective, "expected_saved_single_many", spy):
+        with mock.patch.object(objective, "expected_saved_single_few", spy):
             omega, peak = single_replica_optimum(n_clients, n_bots)
         # The first window is the three points around ⌈r⌉, r = (N −
         # M)/(M + 1), clipped to the support; every later one holds it.
@@ -673,6 +675,97 @@ def _plan_sizes(draw):
     else:
         sizes = dp_fast_sizes(n_clients, n_bots, min(n_replicas, 8))
     return list(sizes), n_clients
+
+
+class TestFewPointRoute:
+    """The few-point route of Equation 1's terms carries the array
+    kernel's bits, and the posterior's distinct sizes read off a plan's
+    runs are ``np.unique``'s."""
+
+    @given(
+        _population(),
+        st.lists(st.integers(0, 10**6), max_size=8),
+        st.booleans(),
+    )
+    @example((0, 0), [], False)
+    @example((7, 0), [3], True)
+    @example((7, 7), [0, 1, 7], False)
+    @settings(max_examples=300, deadline=None)
+    def test_terms_are_the_array_kernels_bits(self, population, raw, numpy):
+        # The support edge x = N − M, the first size past it, and x = 0
+        # ride along with the drawn sizes; M = 0 and M = N are drawn often.
+        n_clients, n_bots = population
+        edge = n_clients - n_bots
+        xs = [x % (n_clients + 1) for x in raw]
+        xs += [edge, min(edge + 1, n_clients), 0]
+        want = expected_saved_single_many(n_clients, n_bots, np.array(xs))
+        if numpy:
+            n_clients, n_bots = np.int64(n_clients), np.int64(n_bots)
+            xs = [np.int64(x) for x in xs]
+        got = expected_saved_single_few(n_clients, n_bots, xs)
+        assert np.array(got, dtype=np.float64).tobytes() == want.tobytes()
+        if not numpy:
+            assert all(type(term) is float for term in got)
+
+    @pytest.mark.parametrize("n_bots", [1, 40, 500_000, 1_048_600])
+    def test_past_the_table_cap(self, n_bots):
+        # log t! past the cap is gammaln evaluated on each read.
+        n_clients = combinatorics._LOG_FACTORIAL_CAP + 700
+        assert isinstance(
+            combinatorics._log_factorials(n_clients),
+            combinatorics._DirectLogFactorial,
+        )
+        edge = n_clients - n_bots
+        xs = [0, 1, 2, edge // 3, edge - 1, edge, edge + 1, n_clients]
+        want = expected_saved_single_many(n_clients, n_bots, np.array(xs))
+        got = expected_saved_single_few(n_clients, n_bots, xs)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "xs, bots", [([-1, 3], 2), ([3, 11], 2), ([3], 11), ([3], -1)]
+    )
+    def test_out_of_range_raises(self, xs, bots):
+        with pytest.raises(ValueError):
+            expected_saved_single_few(10, bots, xs)
+
+    @given(
+        st.sampled_from(["greedy", "even", "dp_fast", "from_sizes"]),
+        st.integers(0, 400),
+        st.integers(0, 10**6),
+        st.integers(1, 30),
+        st.lists(st.integers(0, 60), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_sizes_are_np_uniques(
+        self, kind, n_clients, pick, n_replicas, raw
+    ):
+        # Greedy and even plans keep their runs (a size may sit in two
+        # of them, and a run may be empty); dp_fast and from_sizes plans
+        # do not, and take np.unique itself.
+        if kind == "from_sizes":
+            plan = ShufflePlan.from_sizes(raw, pick % (sum(raw) + 1))
+        else:
+            if kind == "dp_fast":
+                n_replicas = min(n_replicas, 8)
+            plan = api.plan(
+                n_clients, pick % (n_clients + 1), n_replicas, kind
+            )
+        values, counts = np.unique(plan.sizes_array, return_counts=True)
+        sizes, clients = _distinct_sizes(plan)
+        assert sizes.dtype == clients.dtype == np.int64
+        assert sizes.tobytes() == values.tobytes()
+        assert clients.tobytes() == (values * counts).tobytes()
+        # So the posterior-averaged Equation 1 is the np.unique path's.
+        twin = ShufflePlan.from_sizes(plan.group_sizes, plan.n_bots)
+        policy = PosteriorPolicy()
+        policy.believe(
+            Observation(
+                n_attacked=min(1, plan.n_replicas),
+                n_replicas=max(plan.n_replicas, 1),
+                n_clients=plan.n_clients,
+            )
+        )
+        assert policy.expected_saved(plan) == policy.expected_saved(twin)
 
 
 class TestAttackedCountBitIdentity:

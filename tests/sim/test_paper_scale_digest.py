@@ -85,7 +85,7 @@ class TestPaperScaleTrajectory:
         kernel_calls = 0
         lgamma_outside_growth = 0
         growing = False
-        kernel = objective.expected_saved_single_many
+        kernel = objective.expected_saved_single_few
         vector_lgamma = combinatorics._VECTOR_LGAMMA
         log_factorials = combinatorics._log_factorials
 
@@ -108,7 +108,7 @@ class TestPaperScaleTrajectory:
                 growing = False
 
         monkeypatch.setattr(
-            objective, "expected_saved_single_many", counted_kernel
+            objective, "expected_saved_single_few", counted_kernel
         )
         monkeypatch.setattr(combinatorics, "_VECTOR_LGAMMA", counted_lgamma)
         monkeypatch.setattr(combinatorics, "_log_factorials", growth)
