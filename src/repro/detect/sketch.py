@@ -17,7 +17,9 @@ over its row counters.  Properties the tests pin:
   coefficients come from a :class:`numpy.random.SeedSequence`, and keys
   are digested with ``blake2b``; nothing consults Python's randomized
   ``hash()``, so sketch contents are byte-identical across processes
-  and ``PYTHONHASHSEED`` values.
+  and ``PYTHONHASHSEED`` values.  The coefficients are a pure function
+  of ``(width, depth, seed)``, derived once per family per process
+  (:func:`row_hashes`) and shared by every sketch of that family.
 
 Ingestion is request-at-a-time (:meth:`~CountMinSketch.add`, the shape
 the live service and the DES produce) and splits in two: hashing a key
@@ -35,10 +37,12 @@ from __future__ import annotations
 import hashlib
 import math
 from array import array
+from functools import lru_cache
+from operator import index
 
 import numpy as np
 
-__all__ = ["CountMinSketch", "key_digest"]
+__all__ = ["CountMinSketch", "key_digest", "row_hashes"]
 
 #: wrap-around mask: all hashing is arithmetic mod 2**64.
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -57,6 +61,41 @@ def key_digest(key: str | bytes) -> int:
     )
 
 
+def row_hashes(
+    width: int, depth: int, seed: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Per-row ``(a, b, offset)`` of the ``(width, depth, seed)`` hash
+    family, as python ints (``a`` odd, ``offset = row * width``).
+
+    The arguments are coerced with :func:`operator.index` before the
+    memo sees them: ``True`` is seed ``1`` and a numpy int its python
+    value, while a float raises ``TypeError`` — left to the memo,
+    ``0.0 == 0`` would hand seed ``0.0`` the rows of seed ``0``.
+    """
+    return _derive_rows(index(width), index(depth), index(seed))
+
+
+# A family is one deployment's sketch configuration, and a process
+# holds a handful, so the memo is unbounded.
+@lru_cache(maxsize=None)
+def _derive_rows(
+    width: int, depth: int, seed: int
+) -> tuple[tuple[int, int, int], ...]:
+    # SeedSequence spreads the seed into well-mixed 64-bit words
+    # regardless of its entropy, so seed=0 and seed=1 give unrelated
+    # hash families; every window cell, replica, substitute and merge
+    # of a family shares this one derivation.
+    state = np.random.SeedSequence(seed).generate_state(
+        2 * depth, dtype=np.uint64
+    )
+    return tuple(
+        (a | 1, b, row * width)
+        for row, (a, b) in enumerate(
+            zip(state[:depth].tolist(), state[depth:].tolist())
+        )
+    )
+
+
 class CountMinSketch:
     """Fixed-memory frequency sketch over a key stream.
 
@@ -65,6 +104,10 @@ class CountMinSketch:
         depth: hash rows (``ceil(ln 1/δ)`` for failure probability δ).
         seed: row-hash seed; two sketches merge only when their
             ``(width, depth, seed)`` match.
+
+    All three are coerced with :func:`operator.index` (``True`` is seed
+    ``1``, numpy ints become python ints, a float raises ``TypeError``),
+    so equal families compare and serialise alike.
 
     Updates are conservative (Estan-Varghese): a key's row counters
     rise only as far as its new estimate requires — never more
@@ -75,6 +118,7 @@ class CountMinSketch:
                  "_flat")
 
     def __init__(self, width: int, depth: int, seed: int = 0) -> None:
+        width, depth, seed = index(width), index(depth), index(seed)
         if width < 1 or depth < 1:
             raise ValueError("width and depth must be >= 1")
         self.width = width
@@ -88,19 +132,7 @@ class CountMinSketch:
             depth, width
         )
         self.total = 0
-        # Deterministic row-hash coefficients: SeedSequence spreads the
-        # user seed into well-mixed 64-bit words regardless of its
-        # entropy, so seed=0 and seed=1 give unrelated hash families.
-        state = np.random.SeedSequence(seed).generate_state(
-            2 * depth, dtype=np.uint64
-        )
-        # Per-row ``(a, b, offset)`` as python ints (odd multipliers).
-        self._rows = tuple(
-            (a | 1, b, row * width)
-            for row, (a, b) in enumerate(
-                zip(state[:depth].tolist(), state[depth:].tolist())
-            )
-        )
+        self._rows = row_hashes(width, depth, seed)
 
     # ------------------------------------------------------------------
     # hashing

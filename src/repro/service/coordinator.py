@@ -392,10 +392,16 @@ class ServiceCoordinator:
                 client_id
             )
         base = self.pool.active()
+        old_ids = sorted(groups)
+        # Every quarantined group gets a fresh replica, booted in one
+        # batch (ids in ``old_ids`` order).
+        fresh = iter(await self.pool.spawn(
+            sum(old_id in old_quarantine for old_id in old_ids)
+        ))
         cursor = 0
-        for old_id in sorted(groups):
+        for old_id in old_ids:
             if old_id in old_quarantine:
-                backend = await self.pool.spawn()
+                backend = next(fresh)
                 # Startup-only write (see suspected_bots above).
                 # reprolint: disable=P9
                 self.quarantine_replicas.add(backend.replica_id)
@@ -705,7 +711,7 @@ class ServiceCoordinator:
             # saved clients) — the paper's scale-out-under-attack
             # behaviour.
             sizes = plan.nonempty_sizes()
-            replacements = [await self.pool.spawn() for _ in sizes]
+            replacements = await self.pool.spawn(len(sizes))
             order = [
                 clients[i] for i in self._rng.permutation(n_clients)
             ]

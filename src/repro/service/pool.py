@@ -28,8 +28,10 @@ class ReplicaPool:
 
     Replica IDs are monotonic (``r-1``, ``r-2``, ...) and never reused,
     so shuffle records can always tell a substitute from the instance it
-    replaced.  Iteration order over active replicas is spawn order —
-    deterministic regardless of dict mutation history.
+    replaced.  Iteration order over active replicas is id order: a
+    batch registers in id order, after every earlier batch —
+    deterministic regardless of dict mutation history or of which
+    listener in a batch came up first.
     """
 
     def __init__(
@@ -55,33 +57,56 @@ class ReplicaPool:
         self._active: dict[str, ReplicaBackend] = {}
 
     # ------------------------------------------------------------------
-    async def spawn(self) -> ReplicaBackend:
-        """Boot one fresh backend at a never-advertised port."""
-        self._counter += 1
-        replica_id = f"r-{self._counter}"
-        backend = ReplicaBackend(
-            self.config,
-            replica_id,
-            clock=self._clock,
-            instruments=self.instruments,
-            trust=self.trust,
-        )
-        await backend.start(port=0)
+    async def spawn(self, count: int = 1) -> list[ReplicaBackend]:
+        """Boot ``count`` fresh backends at never-advertised ports.
+
+        The one boot entry point, all-or-nothing: the batch takes
+        consecutive ids, its listeners start concurrently (one round
+        of loop yields for the whole batch, not one per replica), and
+        it joins the active set in id order under one lock
+        acquisition.  If any listener fails, every listener the batch
+        opened is closed, none of it is registered, its ids stay
+        spent, and the error propagates.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        first = self._counter + 1
+        self._counter += count
+        batch = [
+            ReplicaBackend(
+                self.config,
+                f"r-{first + offset}",
+                clock=self._clock,
+                instruments=self.instruments,
+                trust=self.trust,
+            )
+            for offset in range(count)
+        ]
+        try:
+            for result in await asyncio.gather(
+                *(backend.start(port=0) for backend in batch),
+                return_exceptions=True,
+            ):
+                if isinstance(result, BaseException):
+                    raise result
+        except BaseException:
+            for backend in batch:
+                await backend.stop()
+            raise
         async with self._lock:
-            self.backends[replica_id] = backend
-            self._active[replica_id] = backend
+            for backend in batch:
+                self.backends[backend.replica_id] = backend
+                self._active[backend.replica_id] = backend
         if self.instruments is not None:
             self.instruments.registry.counter(
                 "service_replicas_spawned_total",
                 "Backends booted over the pool's lifetime.",
-            ).inc()
-        return backend
+            ).inc(count)
+        return batch
 
     async def start(self) -> list[ReplicaBackend]:
         """Boot the initial fleet of ``n_replicas`` backends."""
-        return [
-            await self.spawn() for _ in range(self.config.n_replicas)
-        ]
+        return await self.spawn(self.config.n_replicas)
 
     async def retire(self, replica_id: str) -> None:
         """Quiesce and close one backend; its port goes dark."""
@@ -105,7 +130,7 @@ class ReplicaPool:
         Replacements are booted *before* the old instances close, so the
         pool never serves below capacity mid-shuffle.
         """
-        replacements = [await self.spawn() for _ in replica_ids]
+        replacements = await self.spawn(len(replica_ids))
         for replica_id in replica_ids:
             await self.retire(replica_id)
         return replacements
@@ -117,7 +142,7 @@ class ReplicaPool:
 
     # ------------------------------------------------------------------
     def active(self) -> list[ReplicaBackend]:
-        """Live backends in spawn order (O(1) index, O(P) copy)."""
+        """Live backends in id order (O(1) index, O(P) copy)."""
         return list(self._active.values())
 
     def attacked(self) -> list[ReplicaBackend]:

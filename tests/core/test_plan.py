@@ -163,3 +163,23 @@ class TestPlanFromRuns:
         with pytest.raises(PlanError) as from_runs:
             _plan_from_runs(runs, n_clients, 0, 0.0, "greedy")
         assert str(from_runs.value) == str(from_sizes.value)
+
+
+class TestExpandRuns:
+    """``_expand_runs`` is the plan's sizes, replica by replica, for any
+    runs the planners build (empty runs included)."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 300)),
+            max_size=5,
+        )
+    )
+    def test_matches_the_naive_expansion(self, runs):
+        expected = tuple(
+            size for size, count in runs for _ in range(count)
+        )
+        sizes = _expand_runs(tuple(runs))
+        assert sizes == expected
+        assert type(sizes) is tuple
+        assert all(type(size) is int for size in sizes)

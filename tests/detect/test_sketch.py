@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import math
 import random
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.detect import CountMinSketch, key_digest
+from repro.detect import sketch as sketch_module
 
 # A stream is a list of (key-index, count) pairs; small key spaces force
 # collisions, large counts exercise the weighted paths.
@@ -219,3 +221,105 @@ class TestStateAndValidation:
         sketch = CountMinSketch(width=8, depth=2)
         with pytest.raises(ValueError):
             sketch.add("k", -1)
+
+
+def _reference_rows(width, depth, seed):
+    """The per-sketch derivation the memo replaced, frozen: every
+    family's rows must stay these bits."""
+    state = np.random.SeedSequence(seed).generate_state(
+        2 * depth, dtype=np.uint64
+    )
+    return tuple(
+        (a | 1, b, row * width)
+        for row, (a, b) in enumerate(
+            zip(state[:depth].tolist(), state[depth:].tolist())
+        )
+    )
+
+
+class TestRowHashFamily:
+    @given(
+        st.integers(1, 1 << 20),
+        st.integers(1, 12),
+        st.integers(0, (1 << 128) - 1),
+    )
+    def test_rows_are_the_frozen_derivation(self, width, depth, seed):
+        expected = _reference_rows(width, depth, seed)
+        assert sketch_module.row_hashes(width, depth, seed) == expected
+        assert CountMinSketch(width, depth, seed)._rows == expected
+        assert all(
+            type(value) is int for row in expected for value in row
+        )
+
+    def test_bool_seed_is_its_int(self):
+        flagged = CountMinSketch(136, 5, True)
+        plain = CountMinSketch(136, 5, 1)
+        for sketch in (flagged, plain):
+            sketch.add("k-1", 3)
+        assert type(flagged.seed) is int
+        assert flagged.to_bytes() == plain.to_bytes()
+        assert flagged.to_bytes().startswith(b"cms:136:5:1:")
+
+    def test_numpy_ints_become_python_ints(self):
+        sketch = CountMinSketch(np.int64(136), np.uint8(5), np.int64(3))
+        assert (type(sketch.width), type(sketch.depth), type(sketch.seed)) == (
+            int, int, int,
+        )
+        assert sketch.to_bytes() == CountMinSketch(136, 5, 3).to_bytes()
+
+    @pytest.mark.parametrize("args", [(136, 5, 0.0), (136.0, 5, 0), (136, 5.0, 0)])
+    def test_float_arguments_raise(self, args):
+        CountMinSketch(136, 5, 0)  # seed 0's rows are memoised first
+        with pytest.raises(TypeError):
+            CountMinSketch(*args)
+        with pytest.raises(TypeError):
+            sketch_module.row_hashes(*args)
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count row-hash lookups per ``(width, depth, seed)`` family, made
+    through the real memo after emptying it, as on a process's first
+    boot; the memo's misses are the derivations."""
+    memo = sketch_module._derive_rows
+    memo.cache_clear()
+    lookups: Counter = Counter()
+
+    def lookup(width, depth, seed):
+        lookups[width, depth, seed] += 1
+        return memo(width, depth, seed)
+
+    monkeypatch.setattr(sketch_module, "_derive_rows", lookup)
+    return lookups, memo
+
+
+class TestOneDerivationPerFamily:
+    def test_sketch_mode_service_start(self, derivations):
+        from repro.service import ServiceConfig, ServiceCoordinator
+
+        config = ServiceConfig(
+            n_replicas=10, detector="sketch", telemetry_port=None
+        )
+
+        async def boot():
+            coordinator = ServiceCoordinator(config)
+            await coordinator.start()
+            try:
+                return coordinator.pool.n_active
+            finally:
+                await coordinator.stop()
+
+        assert asyncio.run(boot()) == 10
+        lookups, memo = derivations
+        assert sum(lookups.values()) >= 40  # ten windows of four cells
+        assert len(lookups) == memo.cache_info().misses == 1
+
+    def test_cloudsim_attack_system(self, derivations):
+        from repro.cloudsim import CloudConfig, CloudDefenseSystem
+
+        system = CloudDefenseSystem(CloudConfig(), seed=0)
+        system.add_benign_clients(5_000)
+        system.add_persistent_bots(200)
+        lookups, memo = derivations
+        assert sum(lookups.values()) >= 16  # four replicas' windows
+        assert len(lookups) == memo.cache_info().misses == 1

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.service import ServiceConfig, ServiceCoordinator
+from repro.service import ReplicaPool, ServiceConfig, ServiceCoordinator
 from repro.trust import make_backend
 
 
@@ -74,7 +74,7 @@ class TestAssignment:
                 for i in range(6):
                     coordinator.assign(f"u-{i}")
                 # One pinned bot: the least-loaded active replica.
-                pen = await coordinator.pool.spawn()
+                (pen,) = await coordinator.pool.spawn()
                 pen.admit("bot-0")
                 coordinator.assignments["bot-0"] = pen.replica_id
                 coordinator.quarantine_replicas.add(pen.replica_id)
@@ -428,3 +428,49 @@ class TestQuarantineConvergence:
         exhausted, shuffles = asyncio.run(scenario())
         assert exhausted
         assert shuffles == 0
+
+
+class TestRestore:
+    def test_quarantined_groups_boot_in_one_batch(self, config, monkeypatch):
+        """Restart with bindings on a quarantine: each quarantined old
+        replica's group gets a fresh replica, ids in old-id order, all
+        booted by one spawn call; the rest map round-robin onto the
+        base pool."""
+        batches = []
+        spawn = ReplicaPool.spawn
+
+        async def counted(self, count=1):
+            batches.append(count)
+            return await spawn(self, count)
+
+        monkeypatch.setattr(ReplicaPool, "spawn", counted)
+
+        async def scenario():
+            coordinator = ServiceCoordinator(config)
+            coordinator.state.put(
+                "state", "belief",
+                {"quarantine_replicas": ["r-9", "r-2"]},
+            )
+            coordinator.state.put_many("bindings", [
+                ("c-1", {"replica": "r-9"}),
+                ("c-2", {"replica": "r-2"}),
+                ("c-3", {"replica": "r-5"}),
+                ("c-4", {"replica": "r-7"}),
+            ])
+            await coordinator.start()
+            try:
+                return (
+                    dict(coordinator.assignments),
+                    sorted(coordinator.quarantine_replicas),
+                    [b.replica_id for b in coordinator.pool.active()],
+                )
+            finally:
+                await coordinator.stop()
+
+        assignments, quarantine, active = asyncio.run(scenario())
+        assert batches == [3, 2]  # the fleet, then the quarantine
+        assert assignments == {
+            "c-1": "r-5", "c-2": "r-4", "c-3": "r-1", "c-4": "r-2",
+        }
+        assert quarantine == ["r-4", "r-5"]
+        assert active == ["r-1", "r-2", "r-3", "r-4", "r-5"]
