@@ -60,7 +60,6 @@ from .core import (
     expected_saved,
     shuffle_trajectory,
     single_replica_optimum,
-    survival_probability,
 )
 from .core.api import estimate, plan
 
@@ -83,6 +82,5 @@ __all__ = [
     "plan",
     "shuffle_trajectory",
     "single_replica_optimum",
-    "survival_probability",
     "trust",
 ]

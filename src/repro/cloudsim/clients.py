@@ -22,6 +22,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ClientStats", "BenignClient", "PersistentBot", "OnOffBot"]
 
+#: Work units one ordinary request costs a replica's compute.
+REQUEST_WORK = 1.0
+#: Computational-attack request cost.
+ATTACK_WORK = 25.0
+#: Mean think time (s) of computational bots: they hammer much faster.
+ATTACK_THINK_TIME = 0.2
+
 
 @dataclass
 class ClientStats:
@@ -66,7 +73,7 @@ class BenignClient:
         self.replica_endpoint: Endpoint | None = None
         self.stats = ClientStats()
         self.active = True
-        self._request_work = ctx.config.request_work
+        self._request_work = REQUEST_WORK
         self._think_time = ctx.config.think_time
 
     # ------------------------------------------------------------------
@@ -194,7 +201,7 @@ class PersistentBot(BenignClient):
     Blends in with benign traffic, then (a) reveals every replica location
     it learns to the botnet so naive bots can flood it, and (b) optionally
     mounts a computational attack itself by issuing expensive requests
-    (``attack_work`` units instead of 1) at an elevated rate.
+    (``ATTACK_WORK`` units instead of 1) at an elevated rate.
     """
 
     kind = "persistent"
@@ -211,8 +218,8 @@ class PersistentBot(BenignClient):
         self.computational = computational
         if computational:
             # Insider attack: expensive requests at an aggressive rate.
-            self._request_work = ctx.config.attack_work
-            self._think_time = ctx.config.attack_think_time
+            self._request_work = ATTACK_WORK
+            self._think_time = ATTACK_THINK_TIME
 
     def on_assigned(self, endpoint: Endpoint) -> None:
         delay = self.ctx.rng.exponential(self.ctx.config.reveal_delay)

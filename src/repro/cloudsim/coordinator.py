@@ -29,6 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ShuffleRecord", "Coordinator"]
 
+#: Every replica's capacities: ingress in packets/s, compute in work
+#: units/s.
+REPLICA_NET_CAPACITY = 5_000.0
+REPLICA_CPU_CAPACITY = 200.0
+
 
 @dataclass
 class ShuffleRecord:
@@ -70,22 +75,25 @@ class Coordinator:
             replica = self._spare_replica(domain)
             self._spares.append(replica)
 
-    def _spare_replica(self, domain: str) -> ReplicaServer:
-        cfg = self.ctx.config
+    def _fresh_replica(self, domain: str) -> ReplicaServer:
+        """A replica at the next unadvertised address, not yet booted."""
         self._replica_counter += 1
         endpoint = Endpoint(
             domain=domain, address=f"replica-{self._replica_counter}"
         )
-        replica = ReplicaServer(
+        return ReplicaServer(
             self.ctx,
             endpoint,
-            net_capacity=cfg.replica_net_capacity,
-            cpu_capacity=cfg.replica_cpu_capacity,
+            net_capacity=REPLICA_NET_CAPACITY,
+            cpu_capacity=REPLICA_CPU_CAPACITY,
         )
+
+    def _spare_replica(self, domain: str) -> ReplicaServer:
+        replica = self._fresh_replica(domain)
         # Spares boot in the background but stay *hidden*: they are only
         # registered with a load balancer when a shuffle claims them, so
         # their addresses remain unadvertised.
-        self.ctx.sim.schedule(cfg.boot_delay, replica.activate)
+        self.ctx.sim.schedule(self.ctx.config.boot_delay, replica.activate)
         self.ctx.register_hidden_replica(replica)
         return replica
 
@@ -112,22 +120,15 @@ class Coordinator:
     def new_replica(self, domain: str, boot_delay: float | None = None,
                     activate_now: bool = False) -> ReplicaServer:
         """Instantiate a replica at a fresh, unadvertised address."""
-        cfg = self.ctx.config
-        self._replica_counter += 1
-        endpoint = Endpoint(
-            domain=domain, address=f"replica-{self._replica_counter}"
-        )
-        replica = ReplicaServer(
-            self.ctx,
-            endpoint,
-            net_capacity=cfg.replica_net_capacity,
-            cpu_capacity=cfg.replica_cpu_capacity,
-        )
+        replica = self._fresh_replica(domain)
         self.ctx.register_replica(replica)
         if activate_now:
             replica.activate()
         else:
-            delay = boot_delay if boot_delay is not None else cfg.boot_delay
+            delay = (
+                boot_delay if boot_delay is not None
+                else self.ctx.config.boot_delay
+            )
             self.ctx.sim.schedule(delay, replica.activate)
         return replica
 

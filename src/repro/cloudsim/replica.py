@@ -57,6 +57,16 @@ class ReplicaState(enum.Enum):
 #: more than the rest of the state test.
 _ACTIVE = ReplicaState.ACTIVE
 
+#: Half-life (sim-seconds) of both load meters' decaying rate.
+LOAD_HALF_LIFE = 2.0
+#: Utilization (a multiple of capacity) at which a replica is overloaded.
+OVERLOAD_THRESHOLD = 1.0
+#: Per-client WS push service time, drawn uniformly in [min, max).
+REDIRECT_SERVICE_MIN = 0.02
+REDIRECT_SERVICE_MAX = 0.06
+#: Sliding window (sim-seconds) of each replica's sketched traffic.
+DETECT_WINDOW = 4.0
+
 
 def _drop_probability(factor: float, threshold: float) -> float:
     """:meth:`ReplicaServer.drop_probability` at overload ``factor``."""
@@ -104,12 +114,11 @@ class ReplicaServer:
         # every request.
         self.whitelist: dict[str, array] = {}
         self.assigned_clients: dict[str, object] = {}
-        self.net_meter = LoadMeter(half_life=ctx.config.load_half_life)
-        self.cpu_meter = LoadMeter(half_life=ctx.config.load_half_life)
-        cfg = ctx.config
+        self.net_meter = LoadMeter(half_life=LOAD_HALF_LIFE)
+        self.cpu_meter = LoadMeter(half_life=LOAD_HALF_LIFE)
         self.traffic = SketchWindow(
-            cfg.detect_window,
-            params=SketchParams(epsilon=cfg.detect_epsilon),
+            DETECT_WINDOW,
+            params=SketchParams(epsilon=ctx.config.detect_epsilon),
         )
         self.stats = ReplicaStats()
         self.shuffling = False  # currently part of a shuffle operation
@@ -193,10 +202,9 @@ class ReplicaServer:
         return self.cpu_meter.rate(self.ctx.now) / self.cpu_capacity
 
     def overloaded(self) -> bool:
-        threshold = self.ctx.config.overload_threshold
         return (
-            self.net_utilization() >= threshold
-            or self.cpu_utilization() >= threshold
+            self.net_utilization() >= OVERLOAD_THRESHOLD
+            or self.cpu_utilization() >= OVERLOAD_THRESHOLD
         )
 
     def drop_probability(self) -> float:
@@ -209,7 +217,7 @@ class ReplicaServer:
         """
         return _drop_probability(
             max(self.net_utilization(), self.cpu_utilization()),
-            self.ctx.config.overload_threshold,
+            OVERLOAD_THRESHOLD,
         )
 
     # ------------------------------------------------------------------
@@ -274,7 +282,7 @@ class ReplicaServer:
                 self.net_meter.rate(now) / self.net_capacity,
                 self.cpu_meter.rate(now) / self.cpu_capacity,
             ),
-            self.ctx.config.overload_threshold,
+            OVERLOAD_THRESHOLD,
         )
         if self.ctx.rng.random() < drop:
             self.stats.requests_dropped += 1
@@ -337,9 +345,8 @@ class ReplicaServer:
         slots before its push even leaves the replica.  Redirection is
         prioritized traffic but still slows down under overload.
         """
-        cfg = self.ctx.config
         per_push = self.ctx.rng.uniform(
-            cfg.redirect_service_min, cfg.redirect_service_max
+            REDIRECT_SERVICE_MIN, REDIRECT_SERVICE_MAX
         )
         overload_penalty = 1.0 + min(
             2.0, max(0.0, self.net_utilization() - 1.0)

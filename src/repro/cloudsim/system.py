@@ -35,8 +35,11 @@ __all__ = ["CloudConfig", "CloudContext", "CloudDefenseSystem", "RunReport"]
 
 @dataclass
 class CloudConfig:
-    """All tunables of the cloud simulation in one place.
+    """The settable values of the cloud simulation.
 
+    A value no caller sets is a constant of the module that reads it
+    (replica capacities in :mod:`.coordinator`, load and detection
+    constants in :mod:`.replica`, request costs in :mod:`.clients`).
     Defaults model a medium web service protected across two cloud domains;
     every value is per the paper's qualitative description (no proprietary
     constants exist to copy).
@@ -46,25 +49,17 @@ class CloudConfig:
     n_domains: int = 2
     balancers_per_domain: int = 1
     initial_replicas_per_domain: int = 2
-    # replica capacity
-    replica_net_capacity: float = 5_000.0  # packets/s ingress
-    replica_cpu_capacity: float = 200.0  # work units/s
-    load_half_life: float = 2.0
-    overload_threshold: float = 1.0
     # defense reaction
     shuffle_replicas: int = 8  # P: replacement replicas per shuffle
     hot_spares: int = 0  # pre-booted spare replicas (Section III-C)
     boot_delay: float = 3.0  # cloud instance spin-up
     detection_interval: float = 1.0
     migration_grace: float = 5.0  # old replicas linger for stragglers
-    redirect_service_min: float = 0.02  # per-client WS push service time
-    redirect_service_max: float = 0.06
     assignment_memory: float = 300.0  # sticky re-entry window (Sec. VII)
     join_retry_delay: float = 1.0
     # sketch-based traffic accounting (repro.detect): every replica
     # tracks who is filling its window in fixed memory, independent of
     # population size — the piece that keeps million-client runs flat.
-    detect_window: float = 4.0  # sliding window (sim-seconds)
     detect_epsilon: float = 0.02  # count-min additive error budget
     # per-client trust profiles (repro.trust): graduated admission
     # ladder mirrored from the live service; off by default so the
@@ -72,13 +67,8 @@ class CloudConfig:
     trust_enabled: bool = False
     # workload
     think_time: float = 2.0  # mean seconds between benign requests
-    request_work: float = 1.0
-    attack_work: float = 25.0  # computational-attack request cost
-    attack_think_time: float = 0.2  # computational bots hammer much faster
     reveal_delay: float = 1.0  # persistent bot: assignment -> reveal
     naive_pps: float = 30_000.0  # aggregate naive-bot flood
-    botnet_propagation_delay: float = 2.0
-    metrics_interval: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_domains < 1:
@@ -87,8 +77,16 @@ class CloudConfig:
             raise ValueError("need at least one balancer per domain")
         if self.shuffle_replicas < 1:
             raise ValueError("need at least one shuffle replica")
-        if self.detect_window <= 0:
-            raise ValueError("detect_window must be > 0")
+        # A zero period re-arms its timer at the same sim time forever,
+        # and a negative delay schedules into the past.
+        if self.detection_interval <= 0:
+            raise ValueError("detection_interval must be > 0")
+        if self.think_time <= 0:
+            raise ValueError("think_time must be > 0")
+        if self.boot_delay < 0:
+            raise ValueError("boot_delay must be >= 0")
+        if self.migration_grace < 0:
+            raise ValueError("migration_grace must be >= 0")
 
 
 class CloudContext:
@@ -119,14 +117,8 @@ class CloudContext:
             else None
         )
         self.coordinator = Coordinator(self)
-        self.metrics = MetricsCollector(self, config.metrics_interval)
-        self.tracer = None
+        self.metrics = MetricsCollector(self)
         self.instruments: Instruments | None = None
-
-    def attach_tracer(self, tracer) -> None:
-        """Enable structured event tracing into a :class:`repro.obs.
-        EventLog`."""
-        self.tracer = tracer
 
     def attach_instruments(
         self, instruments: Instruments | None = None
@@ -151,10 +143,8 @@ class CloudContext:
         return instruments
 
     def trace(self, kind: str, **data) -> None:
-        """Emit a trace event; a no-op unless a tracer (or the
-        instruments bundle) is attached."""
-        if self.tracer is not None:
-            self.tracer.emit(self.now, kind, **data)
+        """Emit a trace event; a no-op unless the instruments bundle is
+        attached."""
         if self.instruments is not None:
             self.instruments.events.emit(self.now, kind, **data)
             self.instruments.registry.counter(
@@ -262,11 +252,7 @@ class CloudDefenseSystem:
     def __init__(self, config: CloudConfig | None = None, seed: int = 0) -> None:
         self.config = config or CloudConfig()
         self.ctx = CloudContext(self.config, seed=seed)
-        self.botnet = Botnet(
-            self.ctx,
-            naive_pps=self.config.naive_pps,
-            propagation_delay=self.config.botnet_propagation_delay,
-        )
+        self.botnet = Botnet(self.ctx, naive_pps=self.config.naive_pps)
         self.benign: list[BenignClient] = []
         self.bots: list[PersistentBot] = []
         self._built = False

@@ -28,12 +28,7 @@ from __future__ import annotations
 # re-exported at top level as repro.estimate / repro.plan): binding
 # ``plan`` here would shadow the :mod:`repro.core.plan` submodule.
 from . import api
-from .combinatorics import (
-    expected_saved_single,
-    hypergeometric_pmf,
-    log_binomial,
-    survival_probability,
-)
+from .combinatorics import log_binomial
 from .dp import dp_value, optimal_assign
 from .dp_fast import dp_fast_sizes, dp_fast_value
 from .estimator import BotEstimate, occupancy_pmf
@@ -76,13 +71,10 @@ __all__ = [
     "expansion_saved_fraction",
     "expected_saved",
     "expected_saved_sizes",
-    "expected_saved_single",
     "greedy_sizes",
-    "hypergeometric_pmf",
     "log_binomial",
     "occupancy_pmf",
     "optimal_assign",
     "shuffle_trajectory",
     "single_replica_optimum",
-    "survival_probability",
 ]

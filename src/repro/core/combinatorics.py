@@ -43,14 +43,10 @@ import numpy as np
 
 __all__ = [
     "log_binomial",
-    "binomial_ratio",
-    "survival_probability",
     "survival_probabilities",
     "survival_log_probabilities",
-    "expected_saved_single",
     "expected_saved_single_many",
     "expected_saved_single_few",
-    "hypergeometric_pmf",
     "hypergeometric_pmf_vector",
     "logsumexp",
     "log1mexp",
@@ -161,49 +157,19 @@ def log_binomial(n: int, k: int) -> float:
     )
 
 
-def binomial_ratio(n1: int, k1: int, n2: int, k2: int) -> float:
-    """Return ``C(n1, k1) / C(n2, k2)`` computed stably in log-space.
+def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
+    """Probability that each replica, holding ``x`` of ``n`` clients, is
+    bot-free — the paper's ``p_i = C(N - x_i, M) / C(N, M)`` over an
+    array of group sizes.
 
-    Raises :class:`ZeroDivisionError` when the denominator is zero.
-    """
-    log_den = log_binomial(n2, k2)
-    if math.isinf(log_den):
-        raise ZeroDivisionError(f"C({n2}, {k2}) is zero")
-    log_num = log_binomial(n1, k1)
-    if math.isinf(log_num):
-        return 0.0
-    # A *generic* coefficient ratio may legitimately exceed 1 (callers
-    # like survival_probability clamp at their own boundary where the
-    # [0, 1] contract actually holds).
-    return math.exp(log_num - log_den)
-
-
-def survival_probability(n: int, m: int, x: int) -> float:
-    """Probability that a replica holding ``x`` of ``n`` clients is bot-free.
-
-    This is the paper's ``p_i = C(N - x_i, M) / C(N, M)``: the chance that
-    all ``m`` bots land on the other ``n - x`` client slots when the ``m``
-    bot identities are a uniform random subset of the ``n`` clients.
+    That is the chance that all ``m`` bots land on the other ``n - x``
+    client slots when the ``m`` bot identities are a uniform random
+    subset of the ``n`` clients.
 
     Example::
 
-        >>> round(survival_probability(4, 1, 1), 6)  # 1 bot in 4 clients
-        0.75
-    """
-    if not 0 <= x <= n:
-        raise ValueError(f"x={x} must be within [0, {n}]")
-    if not 0 <= m <= n:
-        raise ValueError(f"m={m} must be within [0, {n}]")
-    if m == 0:
-        return 1.0
-    # C(n-x, m) <= C(n, m), but the two lgamma sums cancel differently,
-    # so exp() can land a few ulp above 1 (the survival_probabilities
-    # clip bug class); clamp at the probability boundary.
-    return min(1.0, binomial_ratio(n - x, m, n, m))
-
-
-def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`survival_probability` over an array of group sizes.
+        >>> survival_probabilities(4, 1, [0, 1, 4]).round(6).tolist()
+        [1.0, 0.75, 0.0]
 
     The numerator's ``log t!`` terms are gathered from one module-level
     table of ``gammaln(t + 1.0)`` (see :func:`_log_factorials`), so a
@@ -377,16 +343,6 @@ def _log_factorials(top: int) -> np.ndarray | _DirectLogFactorial:
     return grown
 
 
-def expected_saved_single(n: int, m: int, x: int) -> float:
-    """Expected benign clients saved by one replica of size ``x``.
-
-    The paper's per-replica objective term ``f(x) = x * p(x)``: all ``x``
-    clients are saved iff the replica is bot-free (then every one of them is
-    benign), otherwise none are.
-    """
-    return x * survival_probability(n, m, x)
-
-
 def expected_saved_single_many(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized ``f(x) = x * p(x)`` over group sizes ``xs``."""
     xs = np.asarray(xs, dtype=np.int64)
@@ -435,26 +391,6 @@ def expected_saved_single_few(
             else -math.inf  # C(n − x, m) = 0
         )
     return [min(p, 1.0) * x for p, x in zip(np.exp(logs).tolist(), xs)]
-
-
-def hypergeometric_pmf(total: int, marked: int, draws: int, hits: int) -> float:
-    """``P[b = hits]`` when drawing ``draws`` of ``total`` items, ``marked``
-    of which are special — the paper's ``Pr(b)`` in Equation 3.
-
-    ``Pr(b) = C(M, b) C(N − M, a − b) / C(N, a)`` with ``total = N``,
-    ``marked = M``, ``draws = a``, ``hits = b``.
-    """
-    if not 0 <= marked <= total:
-        raise ValueError("marked must be within [0, total]")
-    if not 0 <= draws <= total:
-        raise ValueError("draws must be within [0, total]")
-    log_den = log_binomial(total, draws)
-    log_num = log_binomial(marked, hits) + log_binomial(
-        total - marked, draws - hits
-    )
-    if math.isinf(log_num):
-        return 0.0
-    return min(1.0, math.exp(log_num - log_den))
 
 
 def hypergeometric_pmf_vector(total: int, marked: int, draws: int) -> np.ndarray:

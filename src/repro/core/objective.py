@@ -17,16 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .combinatorics import (
-    expected_saved_single_few,
-    survival_probabilities,
-)
+from .combinatorics import expected_saved_single_few
 from .plan import ShufflePlan
 
 __all__ = [
     "expected_saved",
     "expected_saved_sizes",
-    "per_replica_terms",
     "single_replica_optimum",
 ]
 
@@ -94,16 +90,6 @@ def _expected_saved_runs(
         )
         start = stop
     return values
-
-
-def per_replica_terms(
-    sizes: Sequence[int] | np.ndarray, n_clients: int, n_bots: int
-) -> np.ndarray:
-    """Per-replica terms ``x_i · p_i`` of Equation 1, as an array."""
-    xs = np.asarray(sizes, dtype=np.int64)
-    return xs.astype(np.float64) * survival_probabilities(
-        n_clients, n_bots, xs
-    )
 
 
 def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:

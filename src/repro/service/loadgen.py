@@ -26,6 +26,18 @@ from ..sim.qos import QoSWindow
 
 __all__ = ["LoadConfig", "LoadGenerator"]
 
+#: Per-bot nominal flood rate (requests/second) of the ``"burst"``
+#: profile — sized so one bot pushes its replica past the token-bucket
+#: capacity.
+BOT_RPS = 200.0
+#: Requests each bot pipelines before reading replies.  A strictly
+#: request-reply bot self-limits to one request per round trip and can
+#: fail to saturate a replica it has to itself; pipelining makes the
+#: flood open-loop, like a real flooder that does not wait for answers.
+BOT_BURST = 10
+#: Client-side response deadline (seconds).
+REQUEST_TIMEOUT = 2.0
+
 
 @dataclass(frozen=True)
 class LoadConfig:
@@ -35,22 +47,14 @@ class LoadConfig:
         n_benign: benign client count.
         n_bots: persistent insider-bot count.
         benign_rps: per-benign-client request rate (requests/second).
-        bot_rps: per-bot nominal flood rate — sized so one bot pushes
-            its replica past the token-bucket capacity.
-        bot_burst: requests each bot pipelines before reading replies.
-            A strictly request-reply bot self-limits to one request per
-            round trip and can fail to saturate a replica it has to
-            itself; pipelining makes the flood open-loop, like a real
-            flooder that does not wait for answers.
         bot_profile: flood shape — ``"burst"`` paces pipelined bursts
-            at ``bot_rps`` (the original, rate-targeted bot);
-            ``"flood"`` never paces: requests stream as fast as the
-            socket accepts them while a companion reader drains
-            replies, the profile that actually saturates the hot path
-            the sketch detectors are built for.
+            of :data:`BOT_BURST` at :data:`BOT_RPS` (the original,
+            rate-targeted bot); ``"flood"`` never paces: requests
+            stream as fast as the socket accepts them while a companion
+            reader drains replies, the profile that actually saturates
+            the hot path the sketch detectors are built for.
         bot_start_delay: seconds of benign-only warmup before the flood
             (the paper's timeline: provision, then attack).
-        request_timeout: client-side response deadline (seconds).
         window: QoS sampling window length (seconds).
         seed: base seed; every client derives its own spawned stream.
     """
@@ -58,21 +62,16 @@ class LoadConfig:
     n_benign: int = 200
     n_bots: int = 20
     benign_rps: float = 2.0
-    bot_rps: float = 200.0
-    bot_burst: int = 10
     bot_profile: str = "burst"
     bot_start_delay: float = 1.0
-    request_timeout: float = 2.0
     window: float = 0.5
     seed: int = 11
 
     def __post_init__(self) -> None:
         if self.n_benign < 0 or self.n_bots < 0:
             raise ValueError("client counts must be >= 0")
-        if self.benign_rps <= 0 or self.bot_rps <= 0:
-            raise ValueError("request rates must be > 0")
-        if self.bot_burst < 1:
-            raise ValueError("bot_burst must be >= 1")
+        if self.benign_rps <= 0:
+            raise ValueError("benign_rps must be > 0")
         if self.bot_profile not in ("burst", "flood"):
             raise ValueError("bot_profile must be 'burst' or 'flood'")
         if self.window <= 0:
@@ -142,7 +141,7 @@ class LoadGenerator:
             writer.write(f"WHERE {client_id}\n".encode("utf-8"))
             await writer.drain()
             line = await asyncio.wait_for(
-                reader.readline(), self.config.request_timeout
+                reader.readline(), REQUEST_TIMEOUT
             )
         finally:
             writer.close()
@@ -183,7 +182,7 @@ class LoadGenerator:
                     )
                     await writer.drain()
                     line = await asyncio.wait_for(
-                        reader.readline(), self.config.request_timeout
+                        reader.readline(), REQUEST_TIMEOUT
                     )
                     latency = time.monotonic() - started
                     verb = line.split()[0] if line.strip() else b""
@@ -208,9 +207,8 @@ class LoadGenerator:
 
     async def _bot(self, index: int) -> None:
         client_id = self.bot_ids[index]
-        burst = self.config.bot_burst
-        pace = burst / self.config.bot_rps
-        request = f"REQ {client_id} 0\n".encode("utf-8") * burst
+        pace = BOT_BURST / BOT_RPS
+        request = f"REQ {client_id} 0\n".encode("utf-8") * BOT_BURST
         await asyncio.sleep(self.config.bot_start_delay)
         while not self._stop.is_set():
             try:
@@ -226,9 +224,9 @@ class LoadGenerator:
                     writer.write(request)
                     await writer.drain()
                     moved = False
-                    for _ in range(burst):
+                    for _ in range(BOT_BURST):
                         line = await asyncio.wait_for(
-                            reader.readline(), self.config.request_timeout
+                            reader.readline(), REQUEST_TIMEOUT
                         )
                         verb = line.split()[0] if line.strip() else b""
                         if verb == b"OK":
@@ -257,16 +255,14 @@ class LoadGenerator:
         replica.
         """
         client_id = self.bot_ids[index]
-        block = (
-            f"REQ {client_id} 0\n".encode("utf-8") * self.config.bot_burst
-        )
+        block = f"REQ {client_id} 0\n".encode("utf-8") * BOT_BURST
         await asyncio.sleep(self.config.bot_start_delay)
         while not self._stop.is_set():
             try:
                 host, port = await self._locate(client_id)
                 reader, writer = await asyncio.open_connection(host, port)
             except (asyncio.TimeoutError, OSError, ConnectionError):
-                await asyncio.sleep(self.config.request_timeout / 4)
+                await asyncio.sleep(REQUEST_TIMEOUT / 4)
                 continue
             relocate = asyncio.Event()
 

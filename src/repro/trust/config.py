@@ -12,17 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["TrustConfig"]
+__all__ = [
+    "INITIAL_TRUST",
+    "RATE_FLOOR",
+    "RATE_TAU",
+    "THROTTLED_FLOOR",
+    "TrustConfig",
+]
+
+#: Time constant of the request-rate EMA (seconds).
+RATE_TAU = 5.0
+#: Smallest inter-observation gap used when computing an instantaneous
+#: rate (guards the division on bursts).
+RATE_FLOOR = 1e-3
+#: Score assigned to a never-seen client.
+INITIAL_TRUST = 0.6
+#: Minimum score for the THROTTLED tier (below it: DENIED).
+THROTTLED_FLOOR = 0.12
 
 
 @dataclass(frozen=True)
 class TrustConfig:
     """Parameters of profiles and the tier ladder.
 
+    The fixed parameters (:data:`RATE_TAU`, :data:`RATE_FLOOR`,
+    :data:`INITIAL_TRUST`, :data:`THROTTLED_FLOOR`) are module constants.
+
     Attributes:
-        rate_tau: time constant of the request-rate EMA (seconds).
-        rate_floor: smallest inter-observation gap used when computing
-            an instantaneous rate (guards the division on bursts).
         heal_tau: time constant of trust recovery toward 1.0 — a quiet
             client's score heals as ``1 - (1-s)·exp(-dt/heal_tau)``.
         heal_jitter: ± fractional jitter applied to each client's
@@ -40,11 +56,8 @@ class TrustConfig:
         penalty_cooldown: at most one counted violation per client per
             this many seconds, so the penalty tracks sustained
             misbehaviour rather than raw request volume.
-        initial_trust: score assigned to a never-seen client.
         trusted_floor: minimum score for the TRUSTED tier.
         watch_floor: minimum score for the WATCH tier.
-        throttled_floor: minimum score for the THROTTLED tier (below
-            it: DENIED).
         hysteresis: extra score above a tier's floor required to be
             *promoted* into it (demotion uses the bare floor), so a
             score hovering at a boundary cannot flap.
@@ -58,27 +71,21 @@ class TrustConfig:
         seed: base seed for the per-client heal jitter.
     """
 
-    rate_tau: float = 5.0
-    rate_floor: float = 1e-3
     heal_tau: float = 30.0
     heal_jitter: float = 0.1
     violation_penalty: float = 0.25
     violation_rate: float = 20.0
     penalty_cooldown: float = 0.5
-    initial_trust: float = 0.6
     trusted_floor: float = 0.75
     watch_floor: float = 0.45
-    throttled_floor: float = 0.12
     hysteresis: float = 0.08
     promotion_dwell: float = 2.0
     throttle_every: int = 2
     seed: int = 2014
 
     def __post_init__(self) -> None:
-        if self.rate_tau <= 0 or self.heal_tau <= 0:
-            raise ValueError("rate_tau and heal_tau must be > 0")
-        if self.rate_floor <= 0:
-            raise ValueError("rate_floor must be > 0")
+        if self.heal_tau <= 0:
+            raise ValueError("heal_tau must be > 0")
         if not 0.0 <= self.heal_jitter < 1.0:
             raise ValueError("heal_jitter must be within [0, 1)")
         if not 0.0 < self.violation_penalty < 1.0:
@@ -87,11 +94,9 @@ class TrustConfig:
             raise ValueError("violation_rate must be >= 0")
         if self.penalty_cooldown < 0:
             raise ValueError("penalty_cooldown must be >= 0")
-        if not 0.0 <= self.initial_trust <= 1.0:
-            raise ValueError("initial_trust must be within [0, 1]")
         if not (
             0.0
-            < self.throttled_floor
+            < THROTTLED_FLOOR
             < self.watch_floor
             < self.trusted_floor
             < 1.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..obs.instruments import Instruments
 from ..obs.metrics import Counter
-from .config import TrustConfig
+from .config import INITIAL_TRUST, TrustConfig
 from .profile import ClientProfile, ProfileTable
 from .storage import StorageBackend
 from .tiers import (
@@ -115,13 +115,12 @@ class TrustManager:
     def low_trust_mass(self, client_ids: list[str]) -> float:
         """Expected bot count among ``client_ids`` under the trust
         model: each client contributes ``1 - trust`` (unknown clients
-        contribute ``1 - initial_trust``).  Feeds the live posterior's
+        contribute ``1 - INITIAL_TRUST``).  Feeds the live posterior's
         prior (:func:`repro.trust.prior.bot_count_log_prior`)."""
-        initial = self.config.initial_trust
         mass = 0.0
         for client_id in client_ids:
             trust = self.table.trust_of(client_id)
-            mass += 1.0 - (initial if trust is None else trust)
+            mass += 1.0 - (INITIAL_TRUST if trust is None else trust)
         return mass
 
     def tier_counts(
@@ -131,9 +130,7 @@ class TrustManager:
         replica's whitelist).  Unknown clients count as WATCH-alike
         under their initial score's tier."""
         counts = dict.fromkeys(TIER_NAMES, 0)
-        initial_tier = tier_for_score(
-            self.config.initial_trust, self.config
-        )
+        initial_tier = tier_for_score(INITIAL_TRUST, self.config)
         ids = (
             self.table.client_ids if client_ids is None else client_ids
         )
@@ -148,11 +145,10 @@ class TrustManager:
         )
         if not ids:
             return 1.0
-        initial = self.config.initial_trust
         total = 0.0
         for client_id in ids:
             trust = self.table.trust_of(client_id)
-            total += initial if trust is None else trust
+            total += INITIAL_TRUST if trust is None else trust
         return total / len(ids)
 
     def snapshot(self) -> dict[str, object]:

@@ -10,9 +10,9 @@ on ~1.7 % of inputs.
 Update math, applied per observation at injected time ``now``
 (``dt`` = time since the client's previous observation):
 
-- **rate**: instantaneous rate ``1 / max(dt, rate_floor)`` folded into
+- **rate**: instantaneous rate ``1 / max(dt, RATE_FLOOR)`` folded into
   an exponentially-weighted mean/variance with time-decay weight
-  ``alpha = 1 - exp(-dt / rate_tau)`` — irregular observation spacing
+  ``alpha = 1 - exp(-dt / RATE_TAU)`` — irregular observation spacing
   handled exactly, no fixed tick required.
 - **healing**: trust relaxes toward 1 with the same exponential form,
   ``s += (1 - exp(-dt / heal_tau_i)) * (1 - s)``, where
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrustConfig
+from .config import INITIAL_TRUST, RATE_FLOOR, RATE_TAU, TrustConfig
 from .tiers import TIERS_BY_VALUE, TrustTier, tier_for_score
 
 __all__ = ["ClientProfile", "ProfileTable"]
@@ -139,7 +139,7 @@ class ProfileTable:
             client_id, cfg.seed
         )
         row = self._rows[client_id] = _Row()
-        row.trust = cfg.initial_trust
+        row.trust = INITIAL_TRUST
         row.rate_ema = 0.0
         row.rate_var = 0.0
         row.last_seen = now
@@ -148,7 +148,7 @@ class ProfileTable:
         row.heal_tau = cfg.heal_tau * jitter
         row.violations = 0
         row.requests = 0
-        row.tier = int(tier_for_score(cfg.initial_trust, cfg))
+        row.tier = int(tier_for_score(INITIAL_TRUST, cfg))
         return row
 
     # ------------------------------------------------------------------
@@ -176,8 +176,8 @@ class ProfileTable:
         dt = max(now - row.last_seen, 0.0)
 
         # Rate EMA/variance with time-decay weighting.
-        inst = 1.0 / max(dt, cfg.rate_floor)
-        alpha = -float(np.expm1(-dt / cfg.rate_tau))
+        inst = 1.0 / max(dt, RATE_FLOOR)
+        alpha = -float(np.expm1(-dt / RATE_TAU))
         delta = inst - row.rate_ema
         rate_ema = row.rate_ema + alpha * delta
         row.rate_ema = rate_ema

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .config import TrustConfig
+from .config import THROTTLED_FLOOR, TrustConfig
 
 __all__ = [
     "TrustTier",
@@ -59,6 +59,6 @@ def tier_for_score(score: float, config: TrustConfig) -> TrustTier:
         return TrustTier.TRUSTED
     if score >= config.watch_floor:
         return TrustTier.WATCH
-    if score >= config.throttled_floor:
+    if score >= THROTTLED_FLOOR:
         return TrustTier.THROTTLED
     return TrustTier.DENIED

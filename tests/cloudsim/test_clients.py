@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cloudsim.botnet import Botnet
-from repro.cloudsim.clients import BenignClient, OnOffBot, PersistentBot
+from repro.cloudsim.clients import (
+    ATTACK_WORK,
+    BenignClient,
+    OnOffBot,
+    PersistentBot,
+)
 from repro.cloudsim.loadbalancer import LoadBalancer
 from repro.cloudsim.network import Endpoint
 from repro.cloudsim.system import CloudConfig, CloudContext
@@ -128,7 +133,7 @@ class TestPersistentBot:
     def test_computational_bot_uses_attack_work(self, ctx):
         botnet = Botnet(ctx, naive_pps=0.0)
         bot = PersistentBot(ctx, "b1", botnet, computational=True)
-        assert bot._request_work == ctx.config.attack_work
+        assert bot._request_work == ATTACK_WORK
 
 
 class TestOnOffBot:

@@ -20,6 +20,7 @@ from repro.cloudsim import (
     ReconnaissanceScanner,
 )
 from repro.obs.events import EventLog
+from repro.obs.instruments import Instruments
 
 #: A scaled-down ``cloudsim_attack``, restated here so the pin does not
 #: depend on the benchmark's files.
@@ -42,7 +43,7 @@ class TestReplayDigest:
     def test_run_matches_the_golden_digest(self):
         system = CloudDefenseSystem(CloudConfig(), seed=SEED)
         tracer = EventLog(source="cloudsim")
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
         system.add_benign_clients(BENIGN)
         system.add_persistent_bots(BOTS)
         report = system.run(HORIZON)
@@ -88,7 +89,7 @@ class TestTrustReconDigest:
     def test_run_matches_the_golden_digest(self):
         system = CloudDefenseSystem(CloudConfig(trust_enabled=True), seed=11)
         tracer = EventLog(source="cloudsim")
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
         system.add_benign_clients(400)
         system.add_persistent_bots(20, computational=True)
         scanner = ReconnaissanceScanner(system.ctx, pool_size=2_000)

@@ -17,6 +17,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             CloudConfig(shuffle_replicas=0)
 
+    # A zero period re-arms its timer at one sim time until the event cap;
+    # a negative delay fails only when its first event is scheduled.
+    def test_rejects_zero_detection_interval(self):
+        with pytest.raises(ValueError, match="detection_interval"):
+            CloudConfig(detection_interval=0.0)
+
+    def test_rejects_zero_think_time(self):
+        with pytest.raises(ValueError, match="think_time"):
+            CloudConfig(think_time=0.0)
+
+    def test_rejects_negative_boot_delay(self):
+        with pytest.raises(ValueError, match="boot_delay"):
+            CloudConfig(boot_delay=-1.0)
+        CloudConfig(boot_delay=0.0)
+
+    def test_rejects_negative_migration_grace(self):
+        with pytest.raises(ValueError, match="migration_grace"):
+            CloudConfig(migration_grace=-1.0)
+        CloudConfig(migration_grace=0.0)
+
 
 class TestBuild:
     def test_topology(self):

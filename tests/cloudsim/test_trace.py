@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cloudsim.system import CloudConfig, CloudDefenseSystem
-from repro.obs import EventLog
+from repro.obs import EventLog, Instruments
 
 
 class TestTracer:
@@ -35,7 +35,7 @@ class TestSystemIntegration:
     def test_attack_produces_trace_timeline(self):
         system = CloudDefenseSystem(CloudConfig(), seed=3)
         tracer = EventLog()
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
         system.add_benign_clients(60)
         system.add_persistent_bots(6)
         system.run(duration=120.0)
@@ -63,7 +63,7 @@ class TestSystemIntegration:
     def test_trace_filtering_in_system(self):
         system = CloudDefenseSystem(seed=4)
         tracer = EventLog(kinds=frozenset({"shuffle_completed"}))
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
         system.add_benign_clients(40)
         system.add_persistent_bots(5)
         system.run(duration=90.0)
@@ -73,7 +73,7 @@ class TestSystemIntegration:
     def test_jsonl_of_real_run_parses(self):
         system = CloudDefenseSystem(seed=5)
         tracer = EventLog()
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
         system.add_benign_clients(30)
         system.add_persistent_bots(4)
         system.run(duration=60.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cloudsim.system import CloudConfig, CloudDefenseSystem
-from repro.obs import EventLog
+from repro.obs import EventLog, Instruments
 from repro.trust import TIER_NAMES
 
 
@@ -22,7 +22,7 @@ def run_system(
         CloudConfig(trust_enabled=trust_enabled), seed=seed
     )
     if tracer is not None:
-        system.ctx.attach_tracer(tracer)
+        system.ctx.attach_instruments(Instruments(events=tracer))
     system.add_benign_clients(30)
     system.add_persistent_bots(5)
     return system, system.run(duration=60.0)

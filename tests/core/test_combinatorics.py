@@ -12,16 +12,12 @@ from scipy.special import gammaln
 
 from repro.core import combinatorics, dp
 from repro.core.combinatorics import (
-    binomial_ratio,
-    expected_saved_single,
     expected_saved_single_few,
     expected_saved_single_many,
-    hypergeometric_pmf,
     hypergeometric_pmf_vector,
     log_binomial,
     survival_log_probabilities,
     survival_probabilities,
-    survival_probability,
 )
 
 
@@ -65,58 +61,73 @@ class TestLogBinomial:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
-class TestBinomialRatio:
-    def test_simple_ratio(self):
-        assert binomial_ratio(4, 2, 6, 2) == pytest.approx(6 / 15)
+def _exact_survival(n: int, m: int, x: int) -> float:
+    """``p = C(n − x, m) / C(n, m)`` as a ratio of exact integers, rounded
+    once (``math.comb`` is 0 past the support)."""
+    return math.comb(n - x, m) / math.comb(n, m)
 
-    def test_zero_numerator(self):
-        assert binomial_ratio(3, 5, 6, 2) == 0.0
 
-    def test_zero_denominator_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            binomial_ratio(4, 2, 3, 5)
+def _exact_hypergeometric(
+    total: int, marked: int, draws: int, hits: int
+) -> float:
+    """``Pr(b = hits)`` of Equation 3 from exact ``math.comb`` integers."""
+    if draws - hits < 0:
+        return 0.0
+    return (
+        math.comb(marked, hits)
+        * math.comb(total - marked, draws - hits)
+        / math.comb(total, draws)
+    )
 
 
 class TestSurvivalProbability:
     def test_no_bots_is_certain(self):
-        assert survival_probability(100, 0, 30) == 1.0
+        assert survival_probabilities(100, 0, np.array([30]))[0] == 1.0
 
     def test_all_clients_on_replica_with_bots(self):
-        assert survival_probability(50, 3, 50) == 0.0
+        assert survival_probabilities(50, 3, np.array([50]))[0] == 0.0
 
     def test_empty_replica_survives(self):
-        assert survival_probability(50, 3, 0) == 1.0
+        # Exactly 1 in exact arithmetic; the kernel's numerator (the
+        # gammaln table) and denominator (math.lgamma) differ by a few
+        # ulp of lgamma(51), so only the clamp at 1 is exact.
+        p = survival_probabilities(50, 3, np.array([0]))[0]
+        assert p == pytest.approx(1.0, rel=1e-12)
+        assert p <= 1.0
 
     def test_manual_value(self):
         # 1 bot among 4 clients, replica holds 1: survives w.p. 3/4.
-        assert survival_probability(4, 1, 1) == pytest.approx(0.75)
+        assert survival_probabilities(4, 1, np.array([1]))[0] == (
+            pytest.approx(0.75)
+        )
+        # 2 bots among 6, replica holds 2: C(4, 2) / C(6, 2) = 6/15.
+        assert survival_probabilities(6, 2, np.array([2]))[0] == (
+            pytest.approx(6 / 15)
+        )
 
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError):
-            survival_probability(10, 2, 11)
+            survival_probabilities(10, 2, np.array([11]))
         with pytest.raises(ValueError):
-            survival_probability(10, 11, 2)
+            survival_probabilities(10, 11, np.array([2]))
         with pytest.raises(ValueError):
-            survival_probability(10, 2, -1)
+            survival_probabilities(10, 2, np.array([-1]))
+        with pytest.raises(ValueError):
+            survival_probabilities(10, -1, np.array([2]))
 
-    @given(
-        st.integers(2, 80),
-        st.integers(1, 80),
-        st.integers(0, 80),
-    )
-    def test_monotone_decreasing_in_size(self, n, m, x):
+    @given(st.integers(2, 80), st.integers(1, 80))
+    def test_monotone_decreasing_in_size(self, n, m):
         m = min(m, n)
-        x = min(x, n - 1)
-        p_small = survival_probability(n, m, x)
-        p_big = survival_probability(n, m, x + 1)
-        assert p_big <= p_small + 1e-12
+        probs = survival_probabilities(n, m, np.arange(n + 1))
+        assert (np.diff(probs) <= 1e-12).all()
 
     @given(st.integers(2, 60), st.integers(0, 60), st.integers(0, 60))
     def test_vector_matches_scalar(self, n, m, x):
+        """The scalar side is the exact ``math.comb`` ratio."""
         m = min(m, n)
         x = min(x, n)
         vec = survival_probabilities(n, m, np.array([x]))
-        assert vec[0] == pytest.approx(survival_probability(n, m, x))
+        assert vec[0] == pytest.approx(_exact_survival(n, m, x))
 
     def test_vector_empty(self):
         assert survival_probabilities(10, 2, np.array([], dtype=int)).size == 0
@@ -135,19 +146,26 @@ class TestSurvivalProbability:
             bots = rng.choice(n, size=m, replace=False)
             if (bots >= x).all():  # replica owns slots [0, x)
                 hits += 1
-        expected = survival_probability(n, m, x)
+        expected = survival_probabilities(n, m, np.array([x]))[0]
         assert hits / trials == pytest.approx(expected, abs=0.02)
 
 
 class TestExpectedSavedSingle:
     def test_zero_size_saves_nothing(self):
-        assert expected_saved_single(10, 3, 0) == 0.0
+        assert expected_saved_single_many(10, 3, np.array([0]))[0] == 0.0
+        assert expected_saved_single_few(10, 3, [0]) == [0.0]
 
     def test_values_match_vector(self):
+        """``f(x) = x · p(x)`` from exact ``math.comb`` integers against
+        both routes of the kernel."""
         xs = np.arange(0, 21)
         vec = expected_saved_single_many(20, 4, xs)
         for x in xs:
-            assert vec[x] == pytest.approx(expected_saved_single(20, 4, int(x)))
+            assert vec[x] == pytest.approx(
+                int(x) * _exact_survival(20, 4, int(x))
+            )
+        few = expected_saved_single_few(20, 4, xs.tolist())
+        assert np.array(few).tobytes() == vec.tobytes()
 
     def test_peak_is_interior_for_many_bots(self):
         xs = np.arange(0, 101)
@@ -163,11 +181,12 @@ class TestHypergeometricPmf:
         assert pmf.sum() == pytest.approx(1.0)
 
     def test_matches_scalar(self):
+        """The scalar side is the exact ``math.comb`` ratio."""
         total, marked, draws = 25, 6, 9
         pmf = hypergeometric_pmf_vector(total, marked, draws)
         for hits in range(pmf.size):
             assert pmf[hits] == pytest.approx(
-                hypergeometric_pmf(total, marked, draws, hits)
+                _exact_hypergeometric(total, marked, draws, hits)
             )
 
     def test_matches_scipy(self):
@@ -182,13 +201,15 @@ class TestHypergeometricPmf:
 
     def test_impossible_hit_counts_are_zero(self):
         # 3 marked of 10; drawing 9 must hit at least 2 marked.
-        assert hypergeometric_pmf(10, 3, 9, 1) == 0.0
+        pmf = hypergeometric_pmf_vector(10, 3, 9)
+        assert pmf[0] == 0.0
+        assert pmf[1] == 0.0
 
     def test_invalid_args_raise(self):
         with pytest.raises(ValueError):
-            hypergeometric_pmf(10, 11, 2, 1)
+            hypergeometric_pmf_vector(10, 11, 2)
         with pytest.raises(ValueError):
-            hypergeometric_pmf(10, 2, 11, 1)
+            hypergeometric_pmf_vector(10, 2, 11)
 
     @given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 40))
     def test_vector_always_normalized(self, total, marked, draws):
@@ -200,7 +221,8 @@ class TestHypergeometricPmf:
 
 
 class TestHypergeometricPmfVectorValidation:
-    """The vector pmf rejects what the scalar one rejects."""
+    """The vector pmf rejects impossible inputs with the messages the
+    scalar ``Pr(b)`` raised: ``marked`` is checked before ``draws``."""
 
     @pytest.mark.parametrize(
         "total, marked, draws",
@@ -214,11 +236,10 @@ class TestHypergeometricPmfVectorValidation:
     def test_impossible_inputs_raise_like_the_scalar(
         self, total, marked, draws
     ):
-        with pytest.raises(ValueError) as scalar:
-            hypergeometric_pmf(total, marked, draws, 0)
+        field = "marked" if not 0 <= marked <= total else "draws"
         with pytest.raises(ValueError) as vector:
             hypergeometric_pmf_vector(total, marked, draws)
-        assert str(vector.value) == str(scalar.value)
+        assert str(vector.value) == f"{field} must be within [0, total]"
 
 
 class _NonNegativeIndexTable(np.ndarray):

@@ -15,14 +15,11 @@ import numpy as np
 import pytest
 
 from repro.core.combinatorics import (
-    binomial_ratio,
-    expected_saved_single,
+    expected_saved_single_few,
     expected_saved_single_many,
-    hypergeometric_pmf,
     hypergeometric_pmf_vector,
     log_binomial,
     survival_probabilities,
-    survival_probability,
 )
 
 PAPER_N = 150_000
@@ -32,8 +29,8 @@ class TestNoBots:
     """``M = 0``: every replica is trivially bot-free."""
 
     def test_survival_is_one_for_every_group_size(self):
-        for x in (0, 1, 17, 99, 100):
-            assert survival_probability(100, 0, x) == 1.0
+        xs = np.array([0, 1, 17, 99, 100])
+        assert (survival_probabilities(100, 0, xs) == 1.0).all()
 
     def test_vectorized_matches(self):
         xs = np.array([0, 1, 50, 100])
@@ -42,24 +39,28 @@ class TestNoBots:
         )
 
     def test_expected_saved_equals_group_size(self):
-        assert expected_saved_single(100, 0, 37) == 37.0
+        assert expected_saved_single_many(100, 0, np.array([37]))[0] == 37.0
+        assert expected_saved_single_few(100, 0, [37]) == [37.0]
 
 
 class TestAllBots:
     """``M = N``: every nonempty replica is attacked with certainty."""
 
     def test_nonempty_groups_never_survive(self):
-        for x in (1, 50, 100):
-            assert survival_probability(100, 100, x) == 0.0
+        xs = np.array([1, 50, 100])
+        assert (survival_probabilities(100, 100, xs) == 0.0).all()
 
     def test_empty_group_survives(self):
         # C(N - 0, N) / C(N, N) = 1: no clients, nothing to attack.
-        assert survival_probability(100, 100, 0) == 1.0
+        assert survival_probabilities(100, 100, np.array([0]))[0] == 1.0
 
     def test_vectorized_matches_scalar(self):
+        """The scalar side is the exact ``math.comb`` ratio."""
         xs = np.array([0, 1, 99, 100])
-        expected = [survival_probability(100, 100, int(x)) for x in xs]
-        np.testing.assert_allclose(
+        expected = [
+            math.comb(100 - int(x), 100) / math.comb(100, 100) for x in xs
+        ]
+        np.testing.assert_array_equal(
             survival_probabilities(100, 100, xs), expected
         )
 
@@ -69,24 +70,20 @@ class TestGroupSizeBoundaries:
 
     def test_empty_group_always_survives(self):
         for m in (0, 1, 50, 100):
-            assert survival_probability(100, m, 0) == 1.0
+            assert survival_probabilities(100, m, np.array([0]))[0] == 1.0
 
     def test_full_group_survives_iff_no_bots(self):
-        assert survival_probability(100, 0, 100) == 1.0
+        assert survival_probabilities(100, 0, np.array([100]))[0] == 1.0
         for m in (1, 2, 100):
-            assert survival_probability(100, m, 100) == 0.0
+            assert survival_probabilities(100, m, np.array([100]))[0] == 0.0
 
     def test_out_of_range_arguments_raise(self):
         with pytest.raises(ValueError):
-            survival_probability(100, 5, 101)
+            survival_probabilities(100, 5, np.array([101]))
         with pytest.raises(ValueError):
-            survival_probability(100, 5, -1)
+            survival_probabilities(100, 5, np.array([-1]))
         with pytest.raises(ValueError):
-            survival_probability(100, 101, 5)
-
-    def test_binomial_ratio_zero_denominator_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            binomial_ratio(5, 2, 3, 4)  # C(3, 4) == 0
+            survival_probabilities(100, 101, np.array([5]))
 
 
 class TestPaperScaleStability:
@@ -109,12 +106,13 @@ class TestPaperScaleStability:
         assert (np.diff(probs) <= 0).all()
 
     def test_scalar_and_vector_paths_agree_at_paper_scale(self):
+        """The scalar side is the exact ``math.comb`` ratio, rounded once."""
         m = 5_000
         for x in (1, 150, 30_000):
             np.testing.assert_allclose(
                 survival_probabilities(PAPER_N, m, np.array([x]))[0],
-                survival_probability(PAPER_N, m, x),
-                rtol=1e-8,  # gammaln (vector) vs lgamma (scalar) ulps
+                math.comb(PAPER_N - x, m) / math.comb(PAPER_N, m),
+                rtol=1e-8,  # gammaln vs lgamma ulps of log C(N, m)
             )
 
     def test_expected_saved_finite_at_paper_scale(self):
@@ -133,8 +131,8 @@ class TestPaperScaleStability:
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_hypergeometric_pmf_boundary_hits(self):
-        assert hypergeometric_pmf(PAPER_N, 0, 1_000, 0) == 1.0
-        assert hypergeometric_pmf(PAPER_N, PAPER_N, 1_000, 1_000) == 1.0
-        assert hypergeometric_pmf(PAPER_N, 1, 0, 0) == 1.0
-        # Impossible: more hits than draws.
-        assert hypergeometric_pmf(PAPER_N, 10, 5, 6) == 0.0
+        assert hypergeometric_pmf_vector(PAPER_N, 0, 1_000).tolist() == [1.0]
+        assert hypergeometric_pmf_vector(PAPER_N, PAPER_N, 1_000)[1_000] == 1.0
+        assert hypergeometric_pmf_vector(PAPER_N, 1, 0).tolist() == [1.0]
+        # Impossible: more hits than draws — past the pmf's support.
+        assert hypergeometric_pmf_vector(PAPER_N, 10, 5).size == 6

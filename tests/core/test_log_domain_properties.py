@@ -19,13 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.combinatorics import (
-    hypergeometric_pmf,
     hypergeometric_pmf_vector,
     log1mexp,
     log_binomial,
     logsumexp,
     survival_probabilities,
-    survival_probability,
 )
 
 #: instance scales from toy to paper-sized (10^6 clients)
@@ -158,19 +156,20 @@ class TestSurvivalAtScale:
     def test_monotone_decreasing_in_assignment_size(self, n, m):
         m = min(m, n - 1)
         # A larger group is at least as likely to catch a bot.
-        small = survival_probability(n, m, 1)
-        large = survival_probability(n, m, min(n - m, 10_000))
+        small, large = survival_probabilities(
+            n, m, np.array([1, min(n - m, 10_000)])
+        )
         assert small + 1e-12 >= large
 
     @given(st.integers(2, 200), st.integers(1, 50))
     @settings(max_examples=60)
     def test_matches_exact_ratio_when_small(self, n, m):
         m = min(m, n - 1)
-        for x in (0, 1, (n - m) // 2, n - m):
+        xs = (0, 1, (n - m) // 2, n - m)
+        probs = survival_probabilities(n, m, np.array(xs))
+        for x, p in zip(xs, probs):
             exact = math.comb(n - x, m) / math.comb(n, m)
-            assert survival_probability(n, m, x) == pytest.approx(
-                exact, rel=1e-9
-            )
+            assert p == pytest.approx(exact, rel=1e-9)
 
 
 class TestHypergeometricAtScale:
@@ -200,9 +199,13 @@ class TestHypergeometricAtScale:
         draws = min(draws, total)
         pmf = hypergeometric_pmf_vector(total, marked, draws)
         hits = int(np.argmax(pmf))
-        # The scalar path uses math.lgamma, the vector path scipy's
-        # gammaln where available — at 10^6-sized arguments the two
-        # differ in the last ulps, amplified by exp() to ~1e-9 relative.
-        assert hypergeometric_pmf(
-            total, marked, draws, hits
-        ) == pytest.approx(float(pmf[hits]), rel=1e-6)
+        # The scalar path is Equation 3 from log_binomial (math.lgamma),
+        # the vector path reads the gammaln table — at 10^6-sized
+        # arguments the two differ in the last ulps, amplified by exp()
+        # to ~1e-9 relative.
+        scalar = math.exp(
+            log_binomial(marked, hits)
+            + log_binomial(total - marked, draws - hits)
+            - log_binomial(total, draws)
+        )
+        assert scalar == pytest.approx(float(pmf[hits]), rel=1e-6)

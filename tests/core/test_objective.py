@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.combinatorics import expected_saved_single_many
 from repro.core.objective import (
     expected_saved,
     expected_saved_sizes,
-    per_replica_terms,
     single_replica_optimum,
 )
 from repro.core.plan import ShufflePlan
@@ -52,7 +52,7 @@ class TestExpectedSaved:
         cuts = np.sort(rng.integers(0, n + 1, size=p - 1))
         sizes = np.diff(np.concatenate([[0], cuts, [n]]))
         total = expected_saved_sizes(sizes, n, m)
-        terms = per_replica_terms(sizes, n, m)
+        terms = expected_saved_single_many(n, m, sizes)
         assert total == pytest.approx(terms.sum())
         assert total <= n - m + 1e-9  # cannot save more than the benign
 
@@ -98,13 +98,12 @@ class TestSingleReplicaOptimum:
         assert 5 <= omega <= 20
 
     def test_value_is_actual_maximum(self):
-        from repro.core.combinatorics import expected_saved_single
-
         n, m = 60, 7
         omega, value = single_replica_optimum(n, m)
-        best = max(expected_saved_single(n, m, x) for x in range(1, n + 1))
+        f = expected_saved_single_many(n, m, np.arange(n + 1))
+        best = f[1:].max()
         assert value == pytest.approx(best)
-        assert expected_saved_single(n, m, omega) == pytest.approx(best)
+        assert f[omega] == pytest.approx(best)
 
     @given(st.integers(1, 120), st.integers(0, 30))
     def test_omega_in_range(self, n, m):

@@ -38,13 +38,12 @@ class TestAttackedCountPmf:
         assert pmf[2:].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_marginals_exact_for_single_replica(self):
-        from repro.core.combinatorics import survival_probability
+        from repro.core.combinatorics import survival_probabilities
 
         pmf = attacked_count_pmf([3, 17], 20, 4)
         # P[X = 0] is exactly both replicas clean only when M=0; here the
         # approximation's X=0 mass must equal prod of survival marginals.
-        p_small = survival_probability(20, 4, 3)
-        p_big = survival_probability(20, 4, 17)
+        p_small, p_big = survival_probabilities(20, 4, np.array([3, 17]))
         assert pmf[0] == pytest.approx(p_small * p_big)
 
     def test_expectation_is_exact(self, rng):

@@ -30,11 +30,11 @@ import hashlib
 import json
 
 from repro.cloudsim import CloudDefenseSystem
-from repro.obs import EventLog
+from repro.obs import EventLog, Instruments
 
 system = CloudDefenseSystem(seed=7)
 tracer = EventLog()
-system.ctx.attach_tracer(tracer)
+system.ctx.attach_instruments(Instruments(events=tracer))
 system.add_benign_clients(30)
 system.add_persistent_bots(4)
 report = system.run(duration=60.0)

@@ -25,9 +25,9 @@ class TestLoadConfig:
             {"n_benign": -1},
             {"n_bots": -1},
             {"benign_rps": 0.0},
-            {"bot_rps": 0.0},
-            {"bot_burst": 0},
+            {"bot_profile": "trickle"},
             {"window": 0.0},
+            {"window": -0.5},
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):

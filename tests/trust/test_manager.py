@@ -14,6 +14,7 @@ from repro.trust import (
     TrustManager,
     TrustTier,
 )
+from repro.trust.config import INITIAL_TRUST
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestAggregates:
         _pin(manager, "good", TrustTier.TRUSTED, 0.9)
         _pin(manager, "bad", TrustTier.DENIED, 0.1)
         mass = manager.low_trust_mass(["good", "bad", "stranger"])
-        expected = (1 - 0.9) + (1 - 0.1) + (1 - config.initial_trust)
+        expected = (1 - 0.9) + (1 - 0.1) + (1 - INITIAL_TRUST)
         assert mass == pytest.approx(expected)
 
     def test_tier_counts_whole_table_and_subset(self, config):
@@ -95,7 +96,7 @@ class TestAggregates:
         _pin(manager, "b", TrustTier.DENIED, 0.2)
         assert manager.mean_trust() == pytest.approx(0.5)
         assert manager.mean_trust(["a", "stranger"]) == pytest.approx(
-            (0.8 + config.initial_trust) / 2
+            (0.8 + INITIAL_TRUST) / 2
         )
 
     def test_snapshot_shape(self, config):

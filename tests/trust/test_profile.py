@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro.trust import ClientProfile, ProfileTable, TrustConfig, TrustTier
+from repro.trust.config import INITIAL_TRUST, RATE_FLOOR
 
 
 #: one profile row as ``json.dumps(to_row(...), sort_keys=True)`` wrote
@@ -60,7 +61,7 @@ class TestSeededScheduleGolden:
         """25k observations over 40 clients must leave every stored
         value, tier decision and persisted row exactly as the parent
         implementation did — over a schedule that visits every branch:
-        dt of zero, under ``rate_floor`` and of many seconds;
+        dt of zero, under ``RATE_FLOOR`` and of many seconds;
         violations in and out of ``penalty_cooldown``; demotion to
         DENIED and the dwell-gated climb back; a persistence round trip
         mid-stream."""
@@ -95,7 +96,7 @@ class TestSeededScheduleGolden:
             if gap < 0.15:
                 seen["dt_zero"] += 1
             elif gap < 0.30:
-                now += rng.uniform(1e-6, 0.9 * config.rate_floor)
+                now += rng.uniform(1e-6, 0.9 * RATE_FLOOR)
                 seen["dt_tiny"] += 1
             elif gap < 0.996:
                 now += rng.uniform(0.001, 0.05)
@@ -299,13 +300,15 @@ def test_table_grows_past_initial_capacity(config):
     assert table.client_ids[-1] == "c199"
     assert "c150" in table
     assert table.trust_of("c150") == pytest.approx(
-        TrustConfig.initial_trust
+        INITIAL_TRUST
     )
 
 
 def test_config_validation_rejects_bad_floors():
     with pytest.raises(ValueError):
         TrustConfig(watch_floor=0.8, trusted_floor=0.7)
+    with pytest.raises(ValueError):  # at or below THROTTLED_FLOOR
+        TrustConfig(watch_floor=0.1)
     with pytest.raises(ValueError):
         TrustConfig(violation_penalty=1.5)
     with pytest.raises(ValueError):
