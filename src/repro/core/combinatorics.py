@@ -10,7 +10,7 @@ Equation 1's per-replica term ``x · p(x)`` has two routes with the same
 bits.  :func:`expected_saved_single_many` is the array kernel, for the
 many-point callers (``dp_fast``'s table of ``f`` at every size).
 :func:`expected_saved_single_few` computes a few terms in Python floats,
-for the few-point callers of every greedy plan: ω's window
+for the few-point callers of every greedy plan: ω's one or two points
 (:func:`repro.core.objective.single_replica_optimum`) and the runs a
 greedy or even plan is scored over (``objective._expected_saved_runs``).
 Which route a caller takes is fixed by the call site, not by a size
@@ -183,11 +183,14 @@ def survival_probabilities(n: int, m: int, xs: np.ndarray) -> np.ndarray:
     out = np.exp(_log_survival(n, m, xs))
     # The numerator reads the log-factorial table (scipy's gammaln) while
     # the denominator uses math.lgamma; their last-ulp disagreement can
-    # push exp() a few 1e-16 above 1.0 (e.g. at x = 0, where the true
-    # ratio is exactly 1).  Clamp to the probability range rather than
-    # leak >1 values downstream; exp() is never negative, so the upper
-    # bound is the only half of np.clip that can act.
-    return np.minimum(out, 1.0, out=out)
+    # push exp() a few 1e-16 off the exact ratio.  Clamp to the
+    # probability range rather than leak >1 values downstream (exp() is
+    # never negative, so the upper bound is the only half of np.clip that
+    # can act), and give an empty replica, whose ratio is exactly 1, its
+    # exact 1.0.
+    np.minimum(out, 1.0, out=out)
+    out[xs == 0] = 1.0
+    return out
 
 
 def survival_log_probabilities(
@@ -356,9 +359,9 @@ def expected_saved_single_few(
     """:func:`expected_saved_single_many` at a few Python-int sizes, as
     Python floats carrying the array kernel's bits.
 
-    Its callers — ω's window in :func:`repro.core.objective.
+    Its callers — ω in :func:`repro.core.objective.
     single_replica_optimum` and the at most five runs of the greedy and
-    even plans a greedy plan is scored over — ask for two to eight
+    even plans a greedy plan is scored over — ask for one to five
     terms, where the array kernel's fifteen-odd numpy calls on tiny
     arrays are most of the cost.  Each ``log t!`` is read from the same
     table as a Python float (the table grown exactly as the kernel grows

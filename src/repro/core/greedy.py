@@ -24,30 +24,20 @@ the paper's whole Figure 3 grid, which is evidently what the authors'
 implementation did.
 
 Neither step walks its whole range.  ``f(x+1)/f(x) = (1 + 1/x) ·
-(1 − M/(N − x))`` strictly decreases, so ``f`` is unimodal with its peak at
-``⌈(N − M)/(M + 1)⌉`` and :func:`repro.core.objective.
-single_replica_optimum` certifies ``ω`` from the three points around it,
-widened only while an end reads within float error of the peak — one
-evaluation of three points on every plan of the paper-scale run, instead
-of the paper's scan of every ``x`` (its docstring has the stop rule and
-the proof that makes the result the full scan's, bit for bit).  The
-ω-groups are a prefix whose length has a closed form, and the capped
-tail is the even split, so a plan is three runs ``((ω, full), (base +
-1, extra), (base, rest))``: Equation 1 is evaluated once per distinct
-size, and only the plan's ``group_sizes`` tuple is ``O(P)``; the plan
-keeps its runs, so neither its partition check nor :attr:`~repro.core.
-plan.ShufflePlan.sizes_array` walks that tuple.  Both evaluations ask
-for at most eight terms, so they take the few-point route
-(:func:`repro.core.combinatorics.expected_saved_single_few`: Python
-floats and one ``np.exp``, the array kernel's bits) — two calls per
-plan, pinned as a count in ``tests/sim/test_paper_scale_digest.py``.
-Measured over the 323 plans of the seed-1 ``sim_mle_scale`` trajectory
-(``N ≤ 150,000``, ``P = 1000``, a shared 2-vCPU Xeon VM), each plan
-replayed in one process against the array-kernel route, interleaved:
-0.05 ms per plan untraced, a fifth of it finding ``ω``, against 0.08
-ms through the array kernel (medians of 15 laps; 0.06–0.08 ms was that
-route's figure on a quieter day of the same VM, and 0.15–0.18 ms with
-the factor-two window).
+(1 − M/(N − x))`` strictly decreases and crosses 1 at ``r = (N − M)/(M +
+1)``, so :func:`repro.core.objective.single_replica_optimum` finds ``ω =
+⌈r⌉`` by integer division instead of the paper's scan of every ``x``
+(at an exact tie it weighs ``r`` against ``r + 1``).  The ω-groups are a
+prefix whose length has a closed form, and the capped tail is the even
+split, so a plan is three runs ``((ω, full), (base + 1, extra), (base,
+rest))``: Equation 1 is evaluated once per distinct size, and only the
+plan's ``group_sizes`` tuple is ``O(P)``; the plan keeps its runs, so
+neither its partition check nor :attr:`~repro.core.plan.ShufflePlan.
+sizes_array` walks that tuple.  Both evaluations ask for at most five
+terms, so they take the few-point route (:func:`repro.core.combinatorics.
+expected_saved_single_few`: Python floats and one ``np.exp``, the array
+kernel's bits) — two calls per plan, pinned as a count in
+``tests/sim/test_paper_scale_digest.py``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ own size and the global ``(N, M)``.
 
 from __future__ import annotations
 
-import math
 from operator import index
 from typing import Iterable, Sequence
 
@@ -96,42 +95,17 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
     """Solve Equation 1 with ``P = 1`` free slot: ``argmax_x f(x)``.
 
     This is the greedy algorithm's ``ω`` (Section IV-C).  Returns
-    ``(omega, f(omega))``: the first maximum over ``x ∈ [1, N]`` and its
-    value, bit for bit what evaluating ``f`` at every ``x`` would return.
-    At ``M = 0`` every client can be saved so ``omega = N``; at ``M = N``
-    ``f`` is ``0.0`` everywhere and its first maximum is ``x = 1``.
-
-    Only a window is evaluated.  ``f(x+1)/f(x) = (1 + 1/x) · (1 − M/(N −
-    x))`` is a product of two strictly decreasing factors, so ``f`` is
-    unimodal on its support ``[1, N − M]`` and exactly ``0.0`` beyond it;
-    the ratio is 1 at ``r = (N − M)/(M + 1)``, so the exact-arithmetic
-    argmax is ``⌈r⌉`` (at least 1; an integer ``r`` ties with ``r +
-    1``).  The window starts at the three points ``⌈r⌉ − 1 .. ⌈r⌉ + 1``
-    clipped to the support, and is accepted once each end sits on the
-    support's boundary or reads below the window's maximum by the
-    relative margin ``μ = 64 · ulp(max(lgamma(N + 1), 1))``; otherwise
-    that end moves out by a step that doubles every pass.
-
-    That stop is a proof.  Every kernel value is within a relative ``δ``
-    of the exact ``f``: a few ulp of ``lgamma(N + 1)``, the magnitude of
-    the log terms that cancel (at most 2.6 ulp on a sample of ``(N, M,
-    x)`` up to ``N = 3·10⁶``, against 40-digit arithmetic), plus the
-    rounding of ``exp`` and of the product, which the floor at
-    ``ulp(1)`` covers; so ``μ > 2δ`` with room to spare.  Say the high
-    end reads ``f̂(high) < (1 − μ) · f̂(best)``.  Then exactly ``f(high)
-    < f(best)``, so ``high`` lies past the peak (were it at or before
-    the peak, unimodality would make it the window's exact maximum),
-    and ``f`` does not rise again after it: every ``x > high`` reads
-    ``f̂(x) ≤ (1 + δ)/(1 − δ) · f̂(high) < f̂(best)``.  The low end is
-    the mirror image.  Past an end on the boundary there are only exact
-    zeros, while the window's maximum is positive: the window always
-    holds ``⌈r⌉``, where ``f >= f(1) = (N − M)/N``.  So no point outside
-    the window reaches the window's maximum, not even as a tie; the
-    terms are elementwise (each the bits the array kernel gives it) and
-    the window's first maximum is kept, so ``(omega, f(omega))`` are
-    the full scan's.  Neighbours of ``ω`` read ``≈ 1 − 1/(2ω²)`` of the
-    peak, so one pass settles every ``ω`` below ``(2μ)^(−1/2)`` (~5,800
-    at ``N = 150,000``) and a few passes the rest, ``M = 1`` included.
+    ``(omega, f(omega))``, the value the array kernel gives ``omega``.
+    ``f(x+1)/f(x) = (1 + 1/x) · (1 − M/(N − x))`` strictly decreases and
+    crosses 1 at ``r = (N − M)/(M + 1)``, so the exact argmax is ``⌈r⌉``:
+    with ``r, rest = divmod(N − M, M + 1)``, a nonzero ``rest`` gives
+    ``ω = r + 1``, the one point evaluated.  An integer ``r`` is an exact
+    tie ``f(r) = f(r + 1)``; both are evaluated and the first float
+    maximum kept, the pick the pinned ``SIM_ROUNDS`` of the perf
+    benchmark were recorded with, so the tie stays a float decision until
+    those are re-pinned.  At ``M = 0`` every client can be saved so
+    ``omega = N``; at ``M = N`` ``f`` is ``0.0`` everywhere and its first
+    maximum is ``x = 1``.
     """
     n_clients, n_bots = index(n_clients), index(n_bots)
     if not 0 <= n_bots <= n_clients:
@@ -140,25 +114,10 @@ def single_replica_optimum(n_clients: int, n_bots: int) -> tuple[int, float]:
         return 0, 0.0
     if n_bots == 0:
         return n_clients, float(n_clients)
-    support = n_clients - n_bots
-    if support == 0:
+    if n_bots == n_clients:
         return 1, 0.0
-    ceil_r = -(-support // (n_bots + 1))
-    low, high = max(ceil_r - 1, 1), min(ceil_r + 1, support)
-    keep = 1.0 - 64.0 * math.ulp(max(math.lgamma(n_clients + 1), 1.0))
-    step = 1
-    while True:
-        values = expected_saved_single_few(
-            n_clients, n_bots, range(low, high + 1)
-        )
-        peak = max(values)
-        floor = keep * peak
-        widen_low = low > 1 and values[0] >= floor
-        widen_high = high < support and values[-1] >= floor
-        if not (widen_low or widen_high):
-            return low + values.index(peak), peak
-        step *= 2
-        if widen_low:
-            low = max(low - step, 1)
-        if widen_high:
-            high = min(high + step, support)
+    r, rest = divmod(n_clients - n_bots, n_bots + 1)
+    points = [r + 1] if rest else [r, r + 1]
+    values = expected_saved_single_few(n_clients, n_bots, points)
+    peak = max(values)
+    return points[values.index(peak)], peak

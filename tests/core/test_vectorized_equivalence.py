@@ -5,7 +5,7 @@ Toeplitz (max,+) convolution, broadcast DP rows) must reproduce the
 historical scalar loops *exactly* where the arithmetic is
 order-preserving, and within float tolerance where only the summation
 order changed (the Algorithm 1 row broadcast).  The greedy planner's
-windowed ``ω`` search and closed-form group sizes are pinned the same way
+integer ``ω`` and closed-form group sizes are pinned the same way
 against the full scan and the replica-by-replica loop they replaced, and
 the greedy and even plans built and scored as runs ``((size, count), …)``
 against the P-element lists they replaced.  The references live in
@@ -16,7 +16,6 @@ docstring.
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from scalar_reference import (
     scalar_survival_log_probabilities,
     scalar_survival_probabilities,
 )
-from repro.core import api, combinatorics, objective
+from repro.core import api, combinatorics
 from repro.core.combinatorics import (
     expected_saved_single_few,
     expected_saved_single_many,
@@ -282,7 +281,7 @@ def _assert_same_plan(n_clients: int, n_bots: int, n_replicas: int) -> None:
 
 
 class TestGreedyPlanBitIdentity:
-    """Windowed ω and closed-form sizes vs the full scan and the loop."""
+    """Integer ω and closed-form sizes vs the full scan and the loop."""
 
     @given(st.integers(0, 400), st.integers(0, 400), st.integers(1, 60))
     @settings(max_examples=300)
@@ -359,50 +358,59 @@ class TestGreedyPlanBitIdentity:
             scalar_single_replica_optimum(10, n_bots)
 
 
-class TestCertifiedWindow:
-    """The margin stop is a proof: nothing outside the window reaches
-    the peak, not even as a tie."""
+def _rises(n_clients: int, n_bots: int, x: int) -> int:
+    """Sign of ``f(x + 1) − f(x)`` in integers, for ``1 <= x <= N − M``.
 
-    @given(st.integers(2, 3_000), st.integers(0, 10_000))
-    @settings(max_examples=100)
-    def test_nothing_outside_the_window_reaches_the_peak(
-        self, n_clients, pick
-    ):
-        n_bots = 1 + pick % (n_clients - 1)
-        support = n_clients - n_bots
-        windows = []
+    ``f(x+1)/f(x) = (x + 1)(N − x − M) / (x (N − x))``, so the sign is
+    that of the cross-multiplied difference; no float is involved.
+    """
+    up = (x + 1) * (n_clients - x - n_bots)
+    down = x * (n_clients - x)
+    return (up > down) - (up < down)
 
-        def spy(n, m, xs):
-            windows.append((int(xs[0]), int(xs[-1])))
-            return expected_saved_single_few(n, m, xs)
 
-        with mock.patch.object(objective, "expected_saved_single_few", spy):
-            omega, peak = single_replica_optimum(n_clients, n_bots)
-        # The first window is the three points around ⌈r⌉, r = (N −
-        # M)/(M + 1), clipped to the support; every later one holds it.
-        ceil_r = -(-support // (n_bots + 1))
-        assert windows[0] == (max(ceil_r - 1, 1), min(ceil_r + 1, support))
-        low, high = windows[-1]
-        assert 1 <= low <= omega <= high <= support
-        xs = np.arange(1, n_clients + 1, dtype=np.int64)
-        full = expected_saved_single_many(n_clients, n_bots, xs)
-        assert full[omega - 1] == peak
-        # The stop: each end on the support's boundary, or below the
-        # peak by the relative margin μ = 64 ulp of lgamma(N + 1).
-        keep = 1.0 - 64.0 * math.ulp(max(math.lgamma(n_clients + 1), 1.0))
-        assert low == 1 or full[low - 1] < keep * peak
-        assert high == support or full[high - 1] < keep * peak
-        # What it certifies: every value outside the window is strictly
-        # below the peak, so the first maximum is the window's.
-        outside = np.concatenate([full[: low - 1], full[high:]])
-        assert (outside < peak).all()
-        # What licensed the stop: the curve rises to ω and falls after
-        # it (unimodal up to float noise), and is exactly zero past the
-        # support N − M.
-        noise = 1e-9 * peak
-        assert (np.diff(full[:omega]) >= -noise).all()
-        assert (np.diff(full[omega - 1 :]) <= noise).all()
-        assert not full[support:].any()
+def _assert_exact_omega(n_clients: int, n_bots: int) -> None:
+    """ω is the exact argmax, its value the array kernel's bytes at ω."""
+    omega, peak = single_replica_optimum(n_clients, n_bots)
+    want = expected_saved_single_many(n_clients, n_bots, np.array([omega]))
+    assert np.float64(peak).tobytes() == want.tobytes()
+    if n_bots in (0, n_clients):
+        # f(x) = x, or f ≡ 0 with first maximum x = 1.
+        assert omega == (n_clients if n_bots == 0 else 1)
+        return
+    r, rest = divmod(n_clients - n_bots, n_bots + 1)
+    if rest:
+        # f rises into ω = ⌈r⌉ and falls after it; the ratio strictly
+        # decreases, so that is the one maximum.
+        assert omega == r + 1
+        assert omega == 1 or _rises(n_clients, n_bots, omega - 1) > 0
+        assert _rises(n_clients, n_bots, omega) < 0
+    else:
+        # f(r) = f(r + 1) exactly: the kernel's first maximum of the two.
+        assert _rises(n_clients, n_bots, r) == 0
+        pair = expected_saved_single_many(
+            n_clients, n_bots, np.array([r, r + 1])
+        )
+        assert omega == r + int(np.argmax(pair))
+
+
+class TestExactOmega:
+    """ω is decided in integers; only an exact tie is left to the
+    kernel's floats."""
+
+    @given(
+        st.one_of(st.integers(2, 3_000), st.integers(100_000, 200_000)),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    # Ties (M + 1 divides N + 1): M = 2, 10 and 1; then the flat peak
+    # at N = 150,000, M = 3.
+    @example(5, 1)
+    @example(1_110, 9)
+    @example(199_381, 0)
+    @example(150_000, 2)
+    def test_omega_is_the_exact_argmax(self, n_clients, pick):
+        _assert_exact_omega(n_clients, 1 + pick % (n_clients - 1))
 
     @pytest.mark.parametrize(
         "n_bots",
@@ -411,16 +419,20 @@ class TestCertifiedWindow:
             | set(np.geomspace(1, 150_000, 40).astype(int).tolist())
         ),
     )
-    def test_paper_scale_grid_is_the_full_scan(self, n_bots):
-        assert single_replica_optimum(
-            150_000, n_bots
-        ) == scalar_single_replica_optimum(150_000, n_bots)
+    def test_paper_scale_grid_is_the_exact_argmax(self, n_bots):
+        # N + 1 = 150,001 is prime, so no cell is a tie.
+        _assert_exact_omega(150_000, n_bots)
+
+    def test_a_flat_peak_takes_the_exact_argmax(self):
+        # f(37,500)/f(37,499) = 4,218,675,000 / 4,218,674,999: the float
+        # full scan reads the two the other way round and picks 37,499.
+        assert single_replica_optimum(150_000, 3)[0] == 37_500
 
     def test_integer_r_ties_break_as_the_full_scan_does(self):
         # N + 1 = 150,001 is prime, so at N = 150,000 no 0 < M < N puts
         # r on an integer.  N = 149,999 has 58 such M, and float
         # rounding hands the tie f(r) = f(r + 1) to r on some of them
-        # and to r + 1 on others: both ends of the window must hold.
+        # and to r + 1 on others: both points must be weighed.
         n_clients = 149_999
         sides = set()
         for n_bots in range(1, n_clients):
@@ -546,7 +558,12 @@ class TestSurvivalKernelBitIdentity:
         )
         got = survival_probabilities(n_clients, n_bots, xs)
         want = scalar_survival_probabilities(n_clients, n_bots, xs)
-        assert got.tobytes() == want.tobytes()
+        # An empty replica survives with probability exactly 1, where the
+        # reference can read a few ulp below it; every other size keeps
+        # the reference's bits.
+        empty = xs == 0
+        assert (got[empty] == 1.0).all()
+        assert got[~empty].tobytes() == want[~empty].tobytes()
         got_log = survival_log_probabilities(n_clients, n_bots, xs)
         want_log = scalar_survival_log_probabilities(n_clients, n_bots, xs)
         assert got_log.tobytes() == want_log.tobytes()

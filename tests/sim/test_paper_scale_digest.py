@@ -79,9 +79,9 @@ class TestPaperScaleTrajectory:
         self, monkeypatch
     ):
         # A program count, not a timing: each plan evaluates Equation 1
-        # once to certify ω (its three-point window suffices on every
-        # round of this run) and once to score the greedy and even runs,
-        # and no gammaln is evaluated except to grow the log t! table.
+        # once at ω (one point, or two at an exact tie) and once to score
+        # the greedy and even runs, and no gammaln is evaluated except to
+        # grow the log t! table.
         kernel_calls = 0
         lgamma_outside_growth = 0
         growing = False
