@@ -11,11 +11,11 @@ we compute exactly with the standard recurrence
 
     f(m, x) = f(m−1, x) · x/P  +  f(m−1, x−1) · (P − x + 1)/P ,
 
-executed as whole-array steps (no per-element stores — reprolint P14 keeps
-this module loop-free at the element level).  Column ``x`` of a step reads
-columns ``x`` and ``x − 1`` only, so a sweep cut to columns ``0..x``
-holds the same bits as a full-width one, and one bottom-up pass yields
-the likelihood of ``x`` for every candidate ``m`` it visits.
+executed as whole-array steps, with no per-element stores.  Column
+``x`` of a step reads columns ``x`` and ``x − 1`` only, so a sweep cut
+to columns ``0..x`` holds the same bits as a full-width one, and one
+bottom-up pass yields the likelihood of ``x`` for every candidate ``m``
+it visits.
 
 The MLE does not visit them all, and does not visit any of them twice.
 The table ``f(m, k)`` depends on ``P`` alone, so the process keeps one

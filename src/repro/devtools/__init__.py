@@ -6,22 +6,19 @@ invariants the paper's math demands but Python itself cannot enforce:
 
 - every stochastic path threads an explicitly seeded
   ``numpy.random.Generator`` (rule R1) so Figures 3-12 stay reproducible;
-- probability code never does unguarded float equality (rule R3);
-- every module keeps annotations lazy (rule R5), and ``core``'s public
-  surface carries the annotations ``mypy --strict`` needs (rule R6).
+- probability code never does unguarded float equality (rule R3).
 
 The per-file R-series is complemented by whole-program project rules
 (the P-series) living in :mod:`.program`: import layering contracts,
 interprocedural RNG provenance, determinism dataflow into the DES
 event queue, dead-export detection, the concurrency passes (event-loop
 blocking, shared-state races, hot-path discipline), and the numeric
-passes (stability anti-patterns, and vectorization readiness over the
-:mod:`.program.numflow` value-domain index).  One run applies both
-series: a package directory is parsed and indexed once and gets all
-13 rules; loose files outside any package get the file rules.  An
-import-graph export (``--graph``) and a SARIF 2.1.0 reporter
-(``--format sarif``) serve code scanning.  A finding is excused
-only inline, by a justified suppression comment at its site.
+stability pass.  One run applies both series: a package directory is
+parsed and indexed once and gets every registered rule
+(``repro-lint --list-rules``); loose files outside any package get the
+file rules.  An import-graph export (``--graph``) and a SARIF 2.1.0
+reporter (``--format sarif``) serve code scanning.  A finding is
+excused only inline, by a justified suppression comment at its site.
 
 See ``docs/static-analysis.md`` for the full rule catalogue and
 suppression syntax, and ``docs/import-graph.md`` for the layering

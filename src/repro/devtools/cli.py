@@ -2,7 +2,7 @@
 
 Usage::
 
-    repro-lint src/repro                  # all 13 rules, text report
+    repro-lint src/repro                  # every registered rule, text report
     repro-lint path/to/loose_file.py      # no package: file rules only
     repro-lint --graph docs/import-graph.dot src/repro  # export graph
     repro-lint --format json src/repro    # machine-readable output
@@ -14,8 +14,9 @@ A package directory (or a directory holding exactly one package) gets
 the file rules and the whole-program P-series rules; files outside any
 package get the file rules.  ``--graph`` only exports the import graph.
 
-Exit codes: 0 clean, 1 violations found, 2 usage error (or a graph
-that could not be written).
+Exit codes: 0 clean, 1 violations found, 2 usage error (also a
+selection that leaves no rule to run, or a graph that could not be
+written).
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from typing import Sequence
 
 from .registry import all_rules
 from .reporters import render_json, render_sarif, render_text
-from .runner import default_consumer_roots, find_package_root, lint
+from .runner import (
+    NoRulesToRun,
+    default_consumer_roots,
+    find_package_root,
+    lint,
+)
 
 
 def _split_ids(raw: str) -> list[str]:
@@ -146,12 +152,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.graph:
         return _export_graph(options.graph, paths)
 
-    select = _split_ids(options.select) if options.select else None
+    select = None if options.select is None else _split_ids(options.select)
     ignore = _split_ids(options.ignore) if options.ignore else None
     try:
         report = lint(paths, select=select, ignore=ignore)
     except KeyError as exc:
         parser.error(str(exc.args[0]) if exc.args else str(exc))
+    except NoRulesToRun as exc:
+        print(f"repro-lint: {exc}", file=sys.stderr)
+        return 2
 
     if options.format == "json":
         print(render_json(report))

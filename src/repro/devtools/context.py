@@ -7,7 +7,7 @@ file walker and the dotted-name reader.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -58,17 +58,13 @@ class FileContext:
     """Everything a rule needs to know about one source file.
 
     The file is read and parsed exactly once; every rule then walks the
-    shared AST.  ``package_parts`` locates the file inside the ``repro``
-    package (e.g. ``("core", "estimator.py")``) so rules can scope
-    themselves to subpackages without caring where the repo is checked
-    out.
+    shared AST.
     """
 
     path: Path
     source: str
     tree: ast.Module
     suppressions: Suppressions
-    package_parts: tuple[str, ...] = field(default_factory=tuple)
 
     @classmethod
     def from_path(cls, path: Path) -> "FileContext":
@@ -79,39 +75,9 @@ class FileContext:
             source=source,
             tree=tree,
             suppressions=parse_suppressions(source),
-            package_parts=_package_parts(path),
         )
-
-    def in_package(self, name: str) -> bool:
-        """True when the file sits under ``repro/<name>/`` (any depth)."""
-        return name in self.package_parts[:-1]
 
     @property
     def is_test_file(self) -> bool:
         name = self.path.name
         return name.startswith("test_") or name == "conftest.py"
-
-    @property
-    def module_is_trivial(self) -> bool:
-        """True when the module holds at most a docstring."""
-        body = self.tree.body
-        if not body:
-            return True
-        return len(body) == 1 and (
-            isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)
-        )
-
-
-def _package_parts(path: Path) -> tuple[str, ...]:
-    """Path components after the innermost ``repro`` directory.
-
-    Files outside any ``repro`` directory get an empty tuple, which
-    makes every package-scoped rule a no-op for them.
-    """
-    parts = path.parts
-    for index in range(len(parts) - 2, -1, -1):
-        if parts[index] == "repro":
-            return parts[index + 1 :]
-    return ()

@@ -1,6 +1,6 @@
 """repro.devtools.program — whole-program analysis for reprolint.
 
-Per-file rules (R1, R3, R5, R6) police invariants visible inside one
+Per-file rules (R1, R3) police invariants visible inside one
 module, but the reproducibility contract the paper's math depends on is
 *cross-module*: the seeded ``numpy.random.Generator`` must flow from the
 scenario configuration into every stochastic component, event order in
@@ -9,15 +9,15 @@ layering must keep the algorithmic ``core`` free of simulator
 dependencies.  This subpackage builds one :class:`ProgramContext` over
 the whole tree — module index, import graph, approximate call graph
 (built once per run, :func:`.callgraph.get_call_graph`) — and runs the
-nine project rules on it (the gaps in the numbering are retired rules,
+project rules below on it (the gaps in the numbering are retired rules,
 whose numbers are not reused).  The same lint run hands the file rules
 the :class:`~repro.devtools.context.FileContext` each module was parsed
 into here, so no file is parsed twice:
 
-- **P1** ``import-layering`` — declared package layering contract over
-  the import graph (``core`` -> stdlib/numpy only; ``sim``/``analysis``
-  -> ``core``; ``cloudsim`` -> ``core``+``sim``; ``experiments`` ->
-  anything; ``devtools`` isolated), with dot/JSON graph export.
+- **P1** ``import-layering`` — the declared package layering contract
+  (:data:`.graph.LAYER_CONTRACT`: ``core`` -> ``obs``/``trust`` plus
+  stdlib/numpy; ``experiments`` -> anything; ``devtools`` isolated)
+  over the import graph, with dot/JSON graph export.
 - **P2** ``rng-provenance`` — interprocedural tracking of Generator
   construction: flags call paths through which ``sim``/``cloudsim`` can
   reach an entropy-seeded ``default_rng()`` (directly, via a
@@ -45,17 +45,12 @@ writes):
   use pre-bound metric handles and O(1) lookups (no get-or-create
   registry calls, no O(N) container scans per request).
 
-The numeric passes guard the log-space core:
+The numeric pass guards the log-space core:
 
 - **P13** ``numeric-stability`` — shapes with strictly better stable
   forms: ``log(1-x)`` -> ``log1p``, ``log(sum(exp))`` -> ``logsumexp``,
   lgamma differences outside the combinatorics module, unguarded
   division by possibly-zero counts.
-- **P14** ``vectorization-readiness`` — scalar accumulation loops over
-  float/probability arrays in ``core/`` (none remain; a new one is a
-  finding), found through the :mod:`numflow` value-domain index
-  (log / linear / count / float, inferred from provenance with
-  interprocedural return summaries).
 
 See ``docs/static-analysis.md`` for the full catalogue and
 ``docs/import-graph.md`` for the rendered layering graph.
@@ -75,7 +70,6 @@ from . import hotpath as _hotpath  # noqa: F401
 from . import numeric as _numeric  # noqa: F401
 from . import races as _races  # noqa: F401
 from . import rng as _rng  # noqa: F401
-from . import vectorize as _vectorize  # noqa: F401
 
 __all__ = [
     "ImportEdge",

@@ -18,7 +18,6 @@ from typing import Iterator
 from ..registry import project_rule
 from .callgraph import FunctionInfo, call_name, get_call_graph, short_name
 from .context import ProgramContext
-from .numflow import is_trusted_log
 
 __all__ = []
 
@@ -29,6 +28,28 @@ _LGAMMA_HOME_MARKER = "combinatorics"
 _EXP_NAMES = frozenset({"exp", "expm1"})
 _LGAMMA_NAMES = frozenset({"lgamma", "gammaln"})
 _SUM_NAMES = frozenset({"sum"})
+
+#: receivers under which ``log`` is the natural logarithm (a
+#: ``logger.log`` call is not).
+_NUMERIC_RECEIVERS = frozenset({"math", "np", "numpy"})
+
+
+def _receiver_name(func: ast.AST) -> str | None:
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id
+    return None
+
+
+def _is_trusted_log(node: ast.AST) -> bool:
+    """A ``log(...)`` call, bare or under a math/numpy receiver."""
+    return (
+        isinstance(node, ast.Call)
+        and call_name(node) == "log"
+        and (
+            isinstance(node.func, ast.Name)
+            or _receiver_name(node.func) in _NUMERIC_RECEIVERS
+        )
+    )
 
 
 def _is_exp_call(node: ast.AST) -> bool:
@@ -121,7 +142,7 @@ def check_numeric_stability(
 
 def _stability_call_hit(node: ast.Call, fn: FunctionInfo) -> str | None:
     name = call_name(node)
-    if is_trusted_log(node) and len(node.args) == 1:
+    if _is_trusted_log(node) and len(node.args) == 1:
         arg = node.args[0]
         if (
             isinstance(arg, ast.BinOp)

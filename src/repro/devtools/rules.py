@@ -1,4 +1,4 @@
-"""The built-in reprolint file rules (R1, R3, R5, R6).
+"""The built-in reprolint file rules (R1, R3).
 
 Each rule enforces an invariant the paper's math or the project's
 reproducibility contract depends on; the rationale strings below (and
@@ -207,83 +207,3 @@ def _is_sentinel_literal(node: ast.AST) -> bool:
         and isinstance(node.value, float)
         and node.value in (0.0, 1.0)
     )
-
-
-@rule(
-    "R5",
-    "future-annotations",
-    "`from __future__ import annotations` keeps annotations lazy (no "
-    "import-time evaluation cost on hot paths) and lets every module use "
-    "PEP 604/585 syntax uniformly on Python 3.10.",
-)
-def check_future_annotations(ctx: FileContext) -> Hits:
-    if ctx.module_is_trivial:
-        return
-    for node in ctx.tree.body:
-        if (
-            isinstance(node, ast.ImportFrom)
-            and node.module == "__future__"
-            and any(alias.name == "annotations" for alias in node.names)
-        ):
-            return
-    yield (
-        1,
-        0,
-        "module is missing `from __future__ import annotations`",
-    )
-
-
-@rule(
-    "R6",
-    "core-api-annotations",
-    "core/ is the algorithmic contract of the reproduction; full "
-    "annotations on its public surface are what `mypy --strict` checks, "
-    "so refactors cannot silently change argument meanings.",
-)
-def check_core_api_annotations(ctx: FileContext) -> Hits:
-    if not ctx.in_package("core"):
-        return
-    for fn, is_method in _public_functions(ctx.tree):
-        missing: list[str] = []
-        args = list(fn.args.posonlyargs) + list(fn.args.args)
-        if is_method and args:
-            args = args[1:]  # self / cls
-        args += list(fn.args.kwonlyargs)
-        if fn.args.vararg is not None:
-            args.append(fn.args.vararg)
-        if fn.args.kwarg is not None:
-            args.append(fn.args.kwarg)
-        missing.extend(a.arg for a in args if a.annotation is None)
-        if fn.returns is None:
-            missing.append("return")
-        if missing:
-            yield (
-                fn.lineno,
-                fn.col_offset,
-                f"public core function `{fn.name}` is missing type "
-                f"annotations for: {', '.join(missing)}",
-            )
-
-
-def _public_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, bool]]:
-    """Public module-level functions and methods of public classes.
-
-    Nested functions are implementation detail and skipped; methods are
-    yielded with ``is_method=True`` so the receiver arg is exempt.
-    """
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if not node.name.startswith("_"):
-                yield node, False
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(
-                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and not item.name.startswith("_"):
-                    is_static = any(
-                        isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in item.decorator_list
-                    )
-                    yield item, not is_static

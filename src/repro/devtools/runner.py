@@ -29,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _CONSUMER_DIR_NAMES = ("tests", "examples", "benchmarks")
 
 
+class NoRulesToRun(ValueError):
+    """The selection leaves no rule to run on the given paths."""
+
+
 @dataclass
 class LintReport:
     """Outcome of one lint run."""
@@ -38,7 +42,7 @@ class LintReport:
     #: the rules that ran: file rules, then project rules, by ID
     rules: tuple[Rule, ...] = ()
     #: wall-clock seconds per stage (``program_index``, ``file_rules``,
-    #: ``call_graph``, ``numeric_index``, ``pass_<ID>``)
+    #: ``call_graph``, ``pass_<ID>``)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -109,14 +113,26 @@ def lint(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with the active rules."""
+    """Lint every Python file under ``paths`` with the active rules.
+
+    Raises ``KeyError`` for an unknown rule ID and :class:`NoRulesToRun`
+    when no rule is left to run, so a run that checks nothing never
+    reports clean.
+    """
     from .program.context import ProgramContext
 
     path_list = [Path(p) for p in paths]
     rules = resolve_rules(select=select, ignore=ignore)
     package_root = find_package_root(path_list)
+    if package_root is None:
+        rules = tuple(r for r in rules if r.scope == "file")
+    if not rules:
+        raise NoRulesToRun(
+            "no rule left to run: the selection is empty, or names only "
+            "project rules and no package directory was given"
+        )
     program: ProgramContext | None = None
-    report = LintReport()
+    report = LintReport(rules=rules)
     if package_root is not None and any(
         r.scope == "project" for r in rules
     ):
@@ -126,9 +142,6 @@ def lint(
             consumer_roots=default_consumer_roots(package_root),
         )
         report.timings["program_index"] = time.perf_counter() - started
-    else:
-        rules = tuple(r for r in rules if r.scope == "file")
-    report.rules = rules
 
     file_rules = [r for r in rules if r.scope == "file"]
     started = time.perf_counter()
@@ -170,18 +183,11 @@ def _run_project_rules(
 ) -> None:
     from .program.callgraph import get_call_graph
 
-    # Pre-warm the shared indices so each pass's timing measures the
+    # Pre-warm the shared call graph so each pass's timing measures the
     # pass itself, not the build.
     started = time.perf_counter()
     get_call_graph(program)
     report.timings["call_graph"] = time.perf_counter() - started
-    if any(r.rule_id == "P14" for r in rules):
-        # only P14 reads the value-domain index (program/numflow.py)
-        from .program.numflow import get_numeric_index
-
-        started = time.perf_counter()
-        get_numeric_index(program)
-        report.timings["numeric_index"] = time.perf_counter() - started
 
     for rule_obj in rules:
         started = time.perf_counter()

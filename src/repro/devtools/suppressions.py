@@ -3,13 +3,13 @@
 Four comment forms are recognised (all parsed from real COMMENT tokens,
 so occurrences inside string literals are ignored):
 
-``# reprolint: disable=R3`` (or ``disable=R3,R5``)
+``# reprolint: disable=R3`` (or ``disable=R1,R3``)
     Suppresses the listed rules on the comment's own line.  When the
     comment is the only thing on its line, it suppresses the *next*
     line instead — useful when the 79-column budget leaves no room for
     a trailing comment.
 
-``# reprolint: disable-file=R5``
+``# reprolint: disable-file=R1``
     Suppresses the listed rules for the whole file.
 
 ``# exact-sentinel: <reason>``

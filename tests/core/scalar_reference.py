@@ -13,9 +13,8 @@ the attacked-count likelihood as one ``logaddexp`` step per replica.
 kernels bit-identical (or, for the dp tables and the attacked-count
 likelihood computed per run of equal sizes, allclose) against them.
 
-Do not "improve" these: their value is that they never change.  They are
-deliberately outside ``src/repro`` so the P14 scalar-loop pass does not
-see them.
+Do not "improve" these: their value is that they never change.  They live
+outside ``src/repro`` because no library code may call them.
 """
 
 from __future__ import annotations

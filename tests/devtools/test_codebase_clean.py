@@ -29,16 +29,7 @@ CANARIES = {
     "rng = np.random.default_rng()\n",
     "R3": "from __future__ import annotations\n"
     "def f(p: float) -> bool:\n    return p == 0.25\n",
-    "R5": "x = 1\n",
-    "R6": "from __future__ import annotations\n"
-    "def plan(sizes):\n    return sizes\n",
 }
-
-
-def test_src_repro_is_reprolint_clean():
-    report = lint([SRC], select=["R1", "R3", "R5", "R6"])
-    assert report.files_checked > 50
-    assert report.ok, "\n" + render_text(report)
 
 
 def test_src_repro_is_project_clean():
@@ -47,17 +38,9 @@ def test_src_repro_is_project_clean():
     report = lint([SRC])
     assert report.files_checked > 50
     assert {r.rule_id for r in report.rules} == {
-        "R1", "R3", "R5", "R6",
-        "P1", "P2", "P3", "P5", "P6", "P9", "P10", "P13", "P14",
+        "R1", "R3",
+        "P1", "P2", "P3", "P5", "P6", "P9", "P10", "P13",
     }
-    assert report.ok, "\n" + render_text(report)
-
-
-def test_numeric_passes_clean_without_baseline():
-    """P13 and P14 hold over the whole tree: every stability finding was
-    fixed or carries a reasoned ``disable=`` at the site, and every hot
-    numeric loop in src/repro is vectorized."""
-    report = lint([SRC], select=["P13", "P14"])
     assert report.ok, "\n" + render_text(report)
 
 

@@ -1290,127 +1290,3 @@ class TestP13NumericStability:
             """,
         )
         assert hits(tree, ["P13"]) == []
-
-
-class TestP14VectorizationReadiness:
-    SCALAR_LOOP = """\
-    import numpy as np
-
-    def f(n: int) -> np.ndarray:
-        out = np.zeros(n + 1)
-        for i in range(n):
-            out[i] = i / 2.0
-        return out
-    """
-
-    def _tree(self, tmp_path, body: str, layer: str = "core"):
-        return build_tree(
-            tmp_path, PKG | {f"repro/{layer}/alg.py": body}
-        )
-
-    def test_scalar_loop_over_float_array_fires(self, tmp_path):
-        tree = self._tree(tmp_path, self.SCALAR_LOOP)
-        assert hits(tree, ["P14"]) == ["P14 alg.py:5"]
-
-    def test_only_outermost_loop_of_a_nest_is_reported(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(n: int) -> np.ndarray:
-                out = np.zeros((n, n))
-                for i in range(n):
-                    for j in range(n):
-                        out[i, j] = i / (j + 1.0)
-                return out
-            """,
-        )
-        assert hits(tree, ["P14"]) == ["P14 alg.py:5"]
-
-    def test_message_carries_iter_text_and_nest_depth(self, tmp_path):
-        tree = self._tree(tmp_path, self.SCALAR_LOOP)
-        report = lint([tree], select=["P14"])
-        assert len(report.violations) == 1
-        message = report.violations[0].message
-        assert "`range(n)`" in message
-        assert "nest depth 1" in message
-        assert "alg.f" in message
-
-    def test_while_loop_is_not_inventoried(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(n: int) -> np.ndarray:
-                out = np.zeros(n)
-                i = 0
-                while i < n:
-                    out[i] = i / 2.0
-                    i += 1
-                return out
-            """,
-        )
-        assert hits(tree, ["P14"]) == []
-
-    def test_attribute_subscript_store_is_not_inventoried(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            class Cache:
-                def fill(self, n: int) -> None:
-                    for i in range(n):
-                        self.buf[i] = i / 2.0
-            """,
-        )
-        assert hits(tree, ["P14"]) == []
-
-    def test_sim_layer_loop_is_not_inventoried(self, tmp_path):
-        tree = self._tree(tmp_path, self.SCALAR_LOOP, layer="sim")
-        assert hits(tree, ["P14"]) == []
-
-    def test_array_without_numeric_evidence_is_not_inventoried(
-        self, tmp_path
-    ):
-        tree = self._tree(
-            tmp_path,
-            """\
-            def f(xs, n: int) -> None:
-                for i in range(n):
-                    xs[i] = helper(i)
-
-            def helper(i: int):
-                return object()
-            """,
-        )
-        assert hits(tree, ["P14"]) == []
-
-    def test_append_only_loop_is_clean(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            def f(n: int) -> list:
-                out = []
-                for i in range(n):
-                    out.append(i / 2.0)
-                return out
-            """,
-        )
-        assert hits(tree, ["P14"]) == []
-
-    def test_disable_comment_suppresses(self, tmp_path):
-        tree = self._tree(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(n: int) -> np.ndarray:
-                out = np.zeros(n + 1)
-                # reprolint: disable=P14
-                for i in range(n):
-                    out[i] = i / 2.0
-                return out
-            """,
-        )
-        assert hits(tree, ["P14"]) == []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import lint, render_json, render_sarif
+from repro.devtools import all_rules, lint, render_json, render_sarif
 from repro.devtools.cli import main
 
 CLEAN_COMP = """\
@@ -49,13 +49,13 @@ def test_package_dir_runs_p_rules(tree, capsys):
     assert "comp.py:7" in out
 
 
-def test_package_dir_runs_all_thirteen_rules(tree, capsys):
+def test_package_dir_runs_every_registered_rule(tree, capsys):
     assert main(["--format", "json", str(tree)]) == 1
     payload = json.loads(capsys.readouterr().out)
     scopes = {r["id"]: r["scope"] for r in payload["rules"]}
-    assert len(scopes) == 13
+    assert set(scopes) == {r.rule_id for r in all_rules()}
     assert sorted(i for i, s in scopes.items() if s == "file") == [
-        "R1", "R3", "R5", "R6",
+        "R1", "R3",
     ]
     assert "P3" in {v["rule"] for v in payload["violations"]}
 
@@ -68,7 +68,7 @@ def test_loose_files_get_only_the_file_rules(tmp_path, capsys):
     )
     assert main(["--format", "json", str(stray)]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert [r["id"] for r in payload["rules"]] == ["R1", "R3", "R5", "R6"]
+    assert [r["id"] for r in payload["rules"]] == ["R1", "R3"]
     assert payload["files_checked"] == 1
 
 
@@ -180,16 +180,16 @@ def test_each_file_is_parsed_once(tree, monkeypatch):
 
 def test_unparsable_package_file_is_a_parse_violation(tree, capsys):
     (tree / "core" / "broken.py").write_text("def f(:\n", encoding="utf-8")
-    assert main(["--select", "R5", str(tree)]) == 1
+    assert main(["--select", "R1", str(tree)]) == 1
     assert "broken.py:1:0: PARSE could not parse" in capsys.readouterr().out
     report = lint([tree], select=["P3"])
     assert [v.rule_id for v in report.violations] == ["P3", "PARSE"]
 
 
 def test_project_report_carries_stage_timings(tree):
-    report = lint([tree], select=["P3", "P14"])
+    report = lint([tree], select=["P3", "P13"])
     for key in ("file_rules", "program_index", "call_graph",
-                "numeric_index", "pass_P3", "pass_P14"):
+                "pass_P3", "pass_P13"):
         assert key in report.timings
         assert report.timings[key] >= 0.0
     assert json.loads(render_json(report))["timings"] == report.timings
@@ -209,10 +209,23 @@ def test_call_graph_is_built_once_per_run(tree, monkeypatch):
     assert len(built) == 1
 
 
-def test_numeric_index_timing_only_for_numeric_passes(tree):
-    report = lint([tree], select=["P3"])
-    assert "numeric_index" not in report.timings
-    assert "pass_P3" in report.timings
+@pytest.mark.parametrize(
+    ("argv", "target"),
+    [
+        (["--select", "P1", "--ignore", "P1"], "repro"),
+        (["--select", ""], "repro"),
+        # a loose file gets no project rule
+        (["--select", "P2"], "loose.py"),
+    ],
+    ids=["select-minus-ignore", "empty-select", "project-rule-on-loose-file"],
+)
+def test_empty_rule_set_is_usage_error(tree, capsys, argv, target):
+    (tree.parent / "loose.py").write_text("import random\n", encoding="utf-8")
+    assert main([*argv, str(tree.parent / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-lint: no rule left to run")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_json_rules_carry_suppression_help(tree, capsys):

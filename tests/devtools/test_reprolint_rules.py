@@ -1,9 +1,8 @@
-"""Unit tests for every built-in reprolint file rule (R1, R3, R5, R6).
+"""Unit tests for every built-in reprolint file rule (R1, R3).
 
 Each test materialises a minimal module in a ``repro/...`` directory
-under ``tmp_path`` (the rules scope themselves by package location) and
-asserts the rule fires on violating code and stays quiet on the
-idiomatic alternative.
+under ``tmp_path`` and asserts the rule fires on violating code and
+stays quiet on the idiomatic alternative.
 """
 
 from __future__ import annotations
@@ -180,66 +179,6 @@ class TestR3FloatEquality:
         assert hits == []
 
 
-class TestR5FutureAnnotations:
-    def test_flags_missing_future_import(self, tmp_path):
-        hits = lint_snippet(tmp_path, "x = 1\n", select=["R5"])
-        assert hits == ["R5 1"]
-
-    def test_docstring_only_module_is_exempt(self, tmp_path):
-        hits = lint_snippet(tmp_path, '"""Just docs."""\n', select=["R5"])
-        assert hits == []
-
-    def test_present_import_is_clean(self, tmp_path):
-        hits = lint_snippet(tmp_path, HEADER + "x = 1\n", select=["R5"])
-        assert hits == []
-
-
-class TestR6CoreAnnotations:
-    def test_flags_missing_param_and_return(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "def plan(sizes, n_bots: int):\n    return sizes\n",
-            select=["R6"],
-        )
-        assert hits == ["R6 2"]
-
-    def test_private_and_nested_functions_exempt(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            def _helper(x):
-                def inner(y):
-                    return y
-                return inner(x)
-            """,
-            select=["R6"],
-        )
-        assert hits == []
-
-    def test_method_self_is_exempt(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER
-            + """\
-            class Planner:
-                def solve(self, n_clients: int) -> int:
-                    return n_clients
-            """,
-            select=["R6"],
-        )
-        assert hits == []
-
-    def test_outside_core_is_exempt(self, tmp_path):
-        hits = lint_snippet(
-            tmp_path,
-            HEADER + "def f(x):\n    return x\n",
-            rel="repro/sim/mod.py",
-            select=["R6"],
-        )
-        assert hits == []
-
-
 class TestSuppressions:
     def test_line_disable_comment(self, tmp_path):
         hits = lint_snippet(
@@ -267,25 +206,25 @@ class TestSuppressions:
     def test_file_level_disable(self, tmp_path):
         hits = lint_snippet(
             tmp_path,
-            "# reprolint: disable-file=R5\nx = 1\n",
-            select=["R5"],
+            "# reprolint: disable-file=R1\nimport random\n",
+            select=["R1"],
         )
         assert hits == []
 
     def test_disable_only_silences_listed_rules(self, tmp_path):
         hits = lint_snippet(
             tmp_path,
-            "import random  # reprolint: disable=R5\n",
-            select=["R1", "R5"],
+            "import random  # reprolint: disable=R3\n",
+            select=["R1", "R3"],
         )
         assert hits == ["R1 1"]
 
 
 class TestFramework:
-    def test_four_builtin_rules_registered(self):
+    def test_builtin_file_rules_registered(self):
         ids = [r.rule_id for r in all_rules() if r.scope == "file"]
-        assert ids == ["R1", "R3", "R5", "R6"]
-        assert len(all_rules()) == 13
+        assert ids == ["R1", "R3"]
+        assert len(all_rules()) == 10
 
     def test_resolve_rules_rejects_unknown_ids(self):
         import pytest
