@@ -402,21 +402,20 @@ class Coordinator:
             n_clients=record.n_clients,
         )
         obs = self.ctx.instruments
-        if obs is not None:
-            obs.registry.counter(
-                "cloudsim_shuffles_total",
-                "Completed shuffle operations.",
-            ).inc()
-            obs.registry.histogram(
-                "cloudsim_shuffle_duration_seconds",
-                "Sim-time duration of a shuffle from start to last "
-                "retirement.",
-                buckets=(1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0),
-            ).observe(record.completed_at - record.started_at)
-            obs.registry.gauge(
-                "cloudsim_active_replicas",
-                "Replicas serving clients after the shuffle.",
-            ).set(float(len(self.ctx.active_replicas())))
+        obs.registry.counter(
+            "cloudsim_shuffles_total",
+            "Completed shuffle operations.",
+        ).inc()
+        obs.registry.histogram(
+            "cloudsim_shuffle_duration_seconds",
+            "Sim-time duration of a shuffle from start to last "
+            "retirement.",
+            buckets=(1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0),
+        ).observe(record.completed_at - record.started_at)
+        obs.registry.gauge(
+            "cloudsim_active_replicas",
+            "Replicas serving clients after the shuffle.",
+        ).set(float(len(self.ctx.active_replicas())))
         self._shuffle_in_progress = False
         # Replenish the hot-spare shelf for the next round.
         deficit = self.ctx.config.hot_spares - self.spare_count

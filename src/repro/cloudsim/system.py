@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..detect import SpaceSaving
-from ..obs.events import EventLog
-from ..obs.instruments import Instruments
-from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
+from ..obs.instruments import DISABLED, Instruments
 from ..trust import TrustConfig, TrustManager
 from .botnet import Botnet
 from .clients import BenignClient, OnOffBot, PersistentBot
@@ -118,7 +115,8 @@ class CloudContext:
         )
         self.coordinator = Coordinator(self)
         self.metrics = MetricsCollector(self)
-        self.instruments: Instruments | None = None
+        #: :data:`repro.obs.DISABLED` until :meth:`attach_instruments`
+        self.instruments: Instruments = DISABLED
 
     def attach_instruments(
         self, instruments: Instruments | None = None
@@ -134,10 +132,8 @@ class CloudContext:
         shuffle metrics.
         """
         if instruments is None:
-            instruments = Instruments(
-                registry=MetricsRegistry(),
-                spans=SpanRecorder(clock=lambda: self.sim.now),
-                events=EventLog(source="cloudsim"),
+            instruments = Instruments.create(
+                clock=lambda: self.sim.now, source="cloudsim"
             )
         self.instruments = instruments
         return instruments
@@ -145,13 +141,12 @@ class CloudContext:
     def trace(self, kind: str, **data) -> None:
         """Emit a trace event; a no-op unless the instruments bundle is
         attached."""
-        if self.instruments is not None:
-            self.instruments.events.emit(self.now, kind, **data)
-            self.instruments.registry.counter(
-                "cloudsim_events_total",
-                "Structured simulation events by kind.",
-                ("kind",),
-            ).inc(kind=kind)
+        self.instruments.events.emit(self.now, kind, **data)
+        self.instruments.registry.counter(
+            "cloudsim_events_total",
+            "Structured simulation events by kind.",
+            ("kind",),
+        ).inc(kind=kind)
 
     # ------------------------------------------------------------------
     @property

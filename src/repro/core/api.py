@@ -76,13 +76,11 @@ def estimate(
         upper_bound: largest admissible bot count (the clients on the
             attacked replicas).
         instruments: optional :class:`repro.obs.Instruments` handle (the
-            repo-wide ``instruments=`` convention); when enabled the call
-            records a ``core_estimate`` span and bumps
+            repo-wide ``instruments=`` convention, resolved per call);
+            the call records a ``core_estimate`` span and bumps
             ``core_estimate_total{method="mle"}``.
     """
     obs = resolve_instruments(instruments)
-    if obs is None:
-        return _estimate_mle(n_attacked, n_replicas, upper_bound)
     with obs.spans.span("core_estimate", method="mle") as span:
         result = _estimate_mle(n_attacked, n_replicas, upper_bound)
         span.set(m_hat=result.m_hat, degenerate=result.degenerate)
@@ -106,14 +104,12 @@ def plan(
     ``n_replicas`` replicas with one of :data:`PLAN_METHODS`.
 
     Args:
-        instruments: optional :class:`repro.obs.Instruments` handle; when
-            enabled the call records a ``core_plan`` span and bumps
+        instruments: optional :class:`repro.obs.Instruments` handle,
+            resolved per call; the call records a ``core_plan`` span and bumps
             ``core_plan_total{method=...}``.
     """
     kernel = _kernel(method)
     obs = resolve_instruments(instruments)
-    if obs is None:
-        return kernel(n_clients, n_bots, n_replicas)
     with obs.spans.span("core_plan", method=method) as span:
         result = kernel(n_clients, n_bots, n_replicas)
         span.set(

@@ -14,7 +14,6 @@ instead, as a baseline.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +157,9 @@ class PosteriorPolicy(ShufflePolicy):
 
     def believe(self, seen: Observation) -> BotEstimate | None:
         obs = resolve_instruments(self.instruments)
-        with (
-            obs.spans.span("core_estimate")
-            if obs is not None
-            else nullcontext()
-        ) as span:
+        with obs.spans.span("core_estimate") as span:
             self._update(seen)
-            if span is not None:
-                span.set(method=self.method, m_hat=self.belief)
+            span.set(method=self.method, m_hat=self.belief)
         return None
 
     def _update(self, seen: Observation) -> None:

@@ -127,10 +127,11 @@ class ShuffleEngine:
         instruments: optional :class:`repro.obs.Instruments` handle (the
             repo-wide ``instruments=`` convention — see CONTRIBUTING).
             ``None`` (the default) resolves to the process-wide default,
-            normally disabled; when enabled, every :meth:`run_round`
+            else to :data:`repro.obs.DISABLED`; every :meth:`run_round`
             records a span tree (plan → shuffle → estimate; the oracle
-            does not estimate) and updates the ``shuffle_*`` metric
-            families.
+            does not estimate, and the policy's ``core_plan`` /
+            ``core_estimate`` nest under them) and updates the
+            ``shuffle_*`` metric families.
     """
 
     def __init__(
@@ -159,12 +160,13 @@ class ShuffleEngine:
         self.adaptive_growth = adaptive_growth
         self.max_replicas = max_replicas
         self.instruments = resolve_instruments(instruments)
-        #: the decision itself (believe -> plan); a planner it builds
-        #: from a name reports to the process-default instruments
+        #: the decision itself (believe -> plan); it and a planner it
+        #: builds from a name report to the handle the engine was given
+        #: (``None`` resolves per call, as everywhere)
         self.policy = (
-            ShufflePolicy(planner=planner)
+            ShufflePolicy(planner=planner, instruments=instruments)
             if estimator == "mle"
-            else PosteriorPolicy(planner=planner)
+            else PosteriorPolicy(planner=planner, instruments=instruments)
         )
         self.planner_name = getattr(
             self.policy.planner, "__name__", "custom"
@@ -173,16 +175,83 @@ class ShuffleEngine:
     def run_round(self, state: ShuffleState) -> RoundResult:
         """Execute one shuffle round, mutating ``state``."""
         obs = self.instruments
-        if obs is None:
-            return self._run_round_impl(state)
         with obs.spans.span(
             "shuffle_round", round=len(state.rounds)
-        ) as span:
-            result = self._run_round_impl(state)
-            span.set(
-                n_clients=result.n_clients,
-                n_attacked=result.n_attacked,
-                benign_saved=result.benign_saved,
+        ) as round_span:
+            n_clients = state.n_active
+            true_bots = state.bots_active
+            policy = self.policy
+            if self.estimator == "oracle" or policy.belief is None:
+                # First round has no observation yet; the engine starts
+                # from the truth (equivalently: operators seed the system
+                # with their attack-detection estimate).  With no
+                # posterior carried, the policy plans on a point mass at
+                # it.
+                policy.belief = true_bots
+            with obs.spans.span("plan") as span:
+                decision = policy.decide(n_clients, self.n_replicas)
+                span.set(believed_bots=decision.believed_bots)
+            # Counts have nowhere to quarantine to: the plan is carried
+            # out whatever the action.
+            plan = decision.plan
+
+            sizes = plan.sizes_array
+            with obs.spans.span("shuffle"):
+                bots_per_replica = self._draw_bots(
+                    sizes, true_bots, n_clients
+                )
+
+            attacked = bots_per_replica > 0
+            n_attacked = int(np.count_nonzero(attacked))
+            # Bot-free replicas hold only benign clients — all of them
+            # are saved.  The plan's sizes sum to its n_clients.
+            on_attacked = int(sizes @ attacked)
+            benign_saved = plan.n_clients - on_attacked
+            state.benign_active -= benign_saved
+            state.benign_saved += benign_saved
+
+            seen = Observation(
+                n_attacked=n_attacked,
+                n_replicas=plan.n_replicas,
+                n_clients=on_attacked,
+                plan_sizes=plan.group_sizes,
+            )
+            estimate = None
+            if self.estimator != "oracle":
+                with obs.spans.span("estimate") as span:
+                    estimate = policy.believe(seen)
+                    if estimate is not None:
+                        span.set(m_hat=estimate.m_hat)
+            if (
+                self.adaptive_growth
+                and n_attacked == plan.n_replicas
+                and plan.n_replicas > 0
+            ):
+                # Theorem 1 regime: every replica attacked, nothing
+                # saved, estimation degenerate.  Double the pool for the
+                # next round.
+                grown = 2 * self.n_replicas
+                if self.max_replicas is not None:
+                    grown = min(grown, self.max_replicas)
+                self.n_replicas = max(self.n_replicas, grown)
+            result = RoundResult(
+                round_index=len(state.rounds),
+                n_clients=n_clients,
+                true_bots=true_bots,
+                believed_bots=decision.believed_bots,
+                plan=plan,
+                bots_per_replica=tuple(bots_per_replica.tolist()),
+                n_attacked=n_attacked,
+                benign_saved=benign_saved,
+                benign_remaining=state.benign_active,
+                bots_remaining=state.bots_active,
+                estimate=estimate,
+            )
+            state.rounds.append(result)
+            round_span.set(
+                n_clients=n_clients,
+                n_attacked=n_attacked,
+                benign_saved=benign_saved,
             )
         obs.registry.counter(
             "shuffle_rounds_total",
@@ -192,99 +261,16 @@ class ShuffleEngine:
         obs.registry.counter(
             "shuffle_benign_saved_total",
             "Benign clients saved (landed on bot-free replicas).",
-        ).inc(result.benign_saved)
+        ).inc(benign_saved)
         obs.registry.gauge(
             "shuffle_believed_bots",
             "Bot count handed to the planner this round.",
-        ).set(result.believed_bots)
+        ).set(decision.believed_bots)
         obs.registry.histogram(
             "shuffle_attacked_fraction",
             "Share of shuffling replicas attacked per round.",
             buckets=(0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0),
         ).observe(result.attacked_fraction)
-        return result
-
-    def _run_round_impl(self, state: ShuffleState) -> RoundResult:
-        obs = self.instruments
-        n_clients = state.n_active
-        true_bots = state.bots_active
-        policy = self.policy
-        if self.estimator == "oracle" or policy.belief is None:
-            # First round has no observation yet; the engine starts from
-            # the truth (equivalently: operators seed the system with their
-            # attack-detection estimate).  With no posterior carried, the
-            # policy plans on a point mass at it.
-            policy.belief = true_bots
-        if obs is None:
-            decision = policy.decide(n_clients, self.n_replicas)
-        else:
-            with obs.spans.span("plan") as span:
-                decision = policy.decide(n_clients, self.n_replicas)
-                span.set(believed_bots=decision.believed_bots)
-        # Counts have nowhere to quarantine to: the plan is carried out
-        # whatever the action.
-        plan = decision.plan
-
-        sizes = plan.sizes_array
-        if obs is None:
-            bots_per_replica = self._draw_bots(
-                sizes, true_bots, n_clients
-            )
-        else:
-            with obs.spans.span("shuffle"):
-                bots_per_replica = self._draw_bots(
-                    sizes, true_bots, n_clients
-                )
-
-        attacked = bots_per_replica > 0
-        n_attacked = int(np.count_nonzero(attacked))
-        # Bot-free replicas hold only benign clients — all of them are
-        # saved.  The plan's sizes sum to its n_clients.
-        on_attacked = int(sizes @ attacked)
-        benign_saved = plan.n_clients - on_attacked
-        state.benign_active -= benign_saved
-        state.benign_saved += benign_saved
-
-        seen = Observation(
-            n_attacked=n_attacked,
-            n_replicas=plan.n_replicas,
-            n_clients=on_attacked,
-            plan_sizes=plan.group_sizes,
-        )
-        if self.estimator == "oracle":
-            estimate = None
-        elif obs is None:
-            estimate = policy.believe(seen)
-        else:
-            with obs.spans.span("estimate") as span:
-                estimate = policy.believe(seen)
-                if estimate is not None:
-                    span.set(m_hat=estimate.m_hat)
-        if (
-            self.adaptive_growth
-            and n_attacked == plan.n_replicas
-            and plan.n_replicas > 0
-        ):
-            # Theorem 1 regime: every replica attacked, nothing saved,
-            # estimation degenerate.  Double the pool for the next round.
-            grown = 2 * self.n_replicas
-            if self.max_replicas is not None:
-                grown = min(grown, self.max_replicas)
-            self.n_replicas = max(self.n_replicas, grown)
-        result = RoundResult(
-            round_index=len(state.rounds),
-            n_clients=n_clients,
-            true_bots=true_bots,
-            believed_bots=decision.believed_bots,
-            plan=plan,
-            bots_per_replica=tuple(bots_per_replica.tolist()),
-            n_attacked=n_attacked,
-            benign_saved=benign_saved,
-            benign_remaining=state.benign_active,
-            bots_remaining=state.bots_active,
-            estimate=estimate,
-        )
-        state.rounds.append(result)
         return result
 
     def _draw_bots(

@@ -11,7 +11,8 @@ the service:
   the :class:`EventLog` collector.
 - :mod:`~repro.obs.export` — JSONL / JSON / Prometheus-text exporters.
 - :mod:`~repro.obs.instruments` — the uniform ``instruments=`` handle
-  components accept (``None`` = disabled, one attribute check).
+  components accept (``None`` resolves to the installed default, else
+  to :data:`DISABLED`, a bundle that records nothing).
 - :mod:`~repro.obs.cli` — the ``repro-obs`` trace inspector
   (``summarize`` / ``diff`` / ``tail``).
 
@@ -45,6 +46,7 @@ from .export import (
     render_prometheus,
 )
 from .instruments import (
+    DISABLED,
     Instruments,
     get_default_instruments,
     resolve_instruments,
@@ -62,6 +64,7 @@ from .spans import Span, SpanRecorder
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
+    "DISABLED",
     "Event",
     "EventLog",
     "Gauge",

@@ -9,13 +9,15 @@ instrumentable components across the tree take a uniform keyword::
 with ``instruments=None`` (the default) meaning *disabled*.  The
 contract instrumented code must follow (documented in CONTRIBUTING):
 
-- the disabled path costs one attribute check — ``if instruments is
-  not None:`` guards every emit site; no metric objects exist, no
-  strings are built, nothing allocates;
+- "disabled" is one bundle, :data:`DISABLED`, whose channels record
+  nothing; every emit site calls its handle unconditionally, so there
+  is no ``is None`` branch and no second code path to keep in step
+  with the traced one;
 - components resolve the keyword through :func:`resolve_instruments`
   so a process-wide default installed via :func:`set_default_instruments`
   (used by benchmarks and opt-in production setups) is picked up
-  without threading the handle through every constructor;
+  without threading the handle through every constructor; a component
+  that ignores the default maps ``None`` straight to :data:`DISABLED`;
 - all three channels hang off the same handle: ``registry`` (metric
   families), ``spans`` (timed nesting), ``events`` (the audit log).
 
@@ -31,10 +33,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .events import EventLog
-from .metrics import MetricsRegistry
-from .spans import SpanRecorder
+from .metrics import Counter, Gauge, Histogram, Metric, MetricsRegistry
+from .spans import Span, SpanRecorder, _SpanHandle
 
 __all__ = [
+    "DISABLED",
     "Instruments",
     "get_default_instruments",
     "resolve_instruments",
@@ -91,6 +94,66 @@ class Instruments:
         }
 
 
+class _IgnoredCounter(Counter):
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        pass
+
+
+class _IgnoredGauge(Gauge):
+    def set(self, value: float, **labels: object) -> None:
+        pass
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        pass
+
+
+class _IgnoredHistogram(Histogram):
+    def observe(self, value: float, **labels: object) -> None:
+        pass
+
+
+class _DisabledRegistry(MetricsRegistry):
+    """Hands out one metric of each kind, which ignores updates;
+    registers no family."""
+
+    _ignored: dict[type, Metric] = {
+        Counter: _IgnoredCounter("disabled"),
+        Gauge: _IgnoredGauge("disabled"),
+        Histogram: _IgnoredHistogram("disabled"),
+    }
+
+    def _get_or_create(
+        self, cls: type, name: str, *args: object, **kwargs: object
+    ) -> Metric:
+        return self._ignored[cls]
+
+
+class _IgnoredSpan(Span):
+    def set(self, **attrs: Any) -> None:
+        pass
+
+
+class _DisabledSpanRecorder(SpanRecorder):
+    """Hands out one shared span handle; records nothing."""
+
+    def span(self, name: str, **attrs: Any) -> _SpanHandle:
+        return _IGNORED_SPAN
+
+    def _finish(self, span: Span) -> None:
+        pass
+
+
+#: What ``instruments=None`` resolves to when no process-wide default
+#: is installed.  Shared by every component, it holds no span, no metric
+#: family and no event, whatever is emitted (its event log admits no
+#: kind).
+DISABLED = Instruments(
+    registry=_DisabledRegistry(),
+    spans=_DisabledSpanRecorder(),
+    events=EventLog(kinds=frozenset()),
+)
+_IGNORED_SPAN = _SpanHandle(DISABLED.spans, _IgnoredSpan(0, "disabled", 0.0))
+
 #: Process-wide default, installed explicitly — never implicitly.
 _default: Instruments | None = None
 
@@ -115,19 +178,17 @@ def set_default_instruments(
 
 
 def get_default_instruments() -> Instruments | None:
-    """The installed process-wide default, or ``None`` (disabled)."""
+    """The installed process-wide default, or ``None`` if none is."""
     return _default
 
 
-def resolve_instruments(
-    instruments: Instruments | None,
-) -> Instruments | None:
+def resolve_instruments(instruments: Instruments | None) -> Instruments:
     """Resolve a component's ``instruments=`` keyword.
 
     An explicit handle wins; ``None`` falls back to the process-wide
-    default, which is itself ``None`` unless something installed one —
-    so the out-of-the-box state stays a no-op.
+    default, and without one to :data:`DISABLED` — so the out-of-the-box
+    state stays a no-op.
     """
     if instruments is not None:
         return instruments
-    return _default
+    return _default if _default is not None else DISABLED

@@ -4,11 +4,11 @@ The registry is the service-independent half of the observability layer:
 components register named metric families once and update them on hot
 paths.  Design constraints, in priority order:
 
-- **No-op cheapness** — instrumented code guards every update behind a
-  single ``instruments is not None`` attribute check (see
-  :mod:`repro.obs.instruments`); the metric objects themselves do one
-  dict lookup per labelled update and no allocation on the label-free
-  fast path.
+- **Cheapness** — the metric objects do one dict lookup per labelled
+  update and no allocation on the label-free fast path; a disabled
+  bundle (:data:`repro.obs.instruments.DISABLED`) hands out subclasses
+  whose updates return at once, so instrumented code calls its metrics
+  unconditionally.
 - **Determinism** — rendering sorts families by name and series by
   label values, so exported text is independent of update order and of
   ``PYTHONHASHSEED`` (the repo-wide contract reprolint's P3 pass and the

@@ -41,8 +41,7 @@ from array import array
 from typing import Callable
 
 from ..detect import HeavyHitterReport, SketchParams
-from ..obs.instruments import Instruments
-from ..obs.metrics import Counter
+from ..obs.instruments import DISABLED, Instruments
 from ..trust import TrustManager
 from .config import ServiceConfig
 from .tokens import SaturationMonitor, SketchSaturationMonitor, TokenBucket
@@ -84,10 +83,11 @@ class ReplicaBackend:
         replica_id: stable identifier (``r-<n>``), echoed in responses
             so clients and tests can observe routing.
         clock: monotonic time source, injectable for tests.
-        instruments: optional :class:`repro.obs.Instruments`; per-request
-            outcomes land in ``service_token_bucket_requests_total``
-            (the counter is bound once here so the request hot path pays
-            a single ``is not None`` check).
+        instruments: optional :class:`repro.obs.Instruments` (``None``
+            is :data:`repro.obs.DISABLED`; the process default is not
+            read); per-request outcomes land in
+            ``service_token_bucket_requests_total``, whose counter is
+            bound once here so the request hot path pays no lookup.
         trust: optional shared :class:`repro.trust.TrustManager`; when
             given, whitelisted requests pass the graduated tier gate
             *between* the whitelist check and the token bucket —
@@ -110,16 +110,12 @@ class ReplicaBackend:
     ) -> None:
         self.config = config
         self.replica_id = replica_id
-        self.instruments = instruments
+        self.instruments = instruments or DISABLED
         self.trust = trust
-        self._requests_total: Counter | None = (
-            None
-            if instruments is None
-            else instruments.registry.counter(
-                "service_token_bucket_requests_total",
-                "Requests by replica and token-bucket outcome.",
-                ("replica", "outcome"),
-            )
+        self._requests_total = self.instruments.registry.counter(
+            "service_token_bucket_requests_total",
+            "Requests by replica and token-bucket outcome.",
+            ("replica", "outcome"),
         )
         self.bucket = TokenBucket(
             rate=config.bucket_rate, burst=config.bucket_burst, clock=clock
@@ -361,19 +357,15 @@ class ReplicaBackend:
                 replies.append(f"THROTTLED {seq}")
 
     def _count(self, outcome: str, n: int = 1) -> None:
-        if self._requests_total is not None:
-            self._requests_total.inc(
-                n, replica=self.replica_id, outcome=outcome
-            )
+        self._requests_total.inc(n, replica=self.replica_id, outcome=outcome)
 
     def snapshot(self) -> dict[str, object]:
         """Telemetry row for this backend."""
-        if self.instruments is not None:
-            self.instruments.registry.gauge(
-                "service_token_bucket_tokens",
-                "Tokens currently in a replica's bucket.",
-                ("replica",),
-            ).set(self.bucket.tokens, replica=self.replica_id)
+        self.instruments.registry.gauge(
+            "service_token_bucket_tokens",
+            "Tokens currently in a replica's bucket.",
+            ("replica",),
+        ).set(self.bucket.tokens, replica=self.replica_id)
         total, throttled = self.monitor.counts()
         snap: dict[str, object] = {
             "replica_id": self.replica_id,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -137,7 +136,7 @@ class ServiceCoordinator:
             trust=self.trust,
         )
         # The policy never reads the plan cache; the perf harness times
-        # its precompute, so it stays until ROADMAP items 5(b)/6(d).
+        # its precompute, so it stays until ROADMAP items 2(c)/7(c).
         self.plan_cache = PlanCache(
             n_replicas=config.n_replicas,
             client_grid=config.plan_client_grid,
@@ -157,7 +156,7 @@ class ServiceCoordinator:
         #: clients named by per-replica heavy-hitter reports as holding
         #: a dominant share of a saturated window (sketch detector
         #: only).  Those among a round's clients floor the bot count
-        #: the policy considers (see :meth:`_shuffle_impl`).
+        #: the policy considers (see :meth:`_shuffle`).
         self.suspected_bots: set[str] = set()
         self.quarantine_replicas: set[str] = set()
         self.budget_exhausted = False
@@ -215,11 +214,10 @@ class ServiceCoordinator:
             return
         self.detect_error = exc
         self._running = False
-        if self.instruments is not None:
-            self.instruments.registry.counter(
-                "service_detect_loop_failures_total",
-                "Detection loops that died with an exception.",
-            ).inc()
+        self.instruments.registry.counter(
+            "service_detect_loop_failures_total",
+            "Detection loops that died with an exception.",
+        ).inc()
 
     async def stop(self) -> None:
         self._running = False
@@ -463,11 +461,10 @@ class ServiceCoordinator:
         obs = self.instruments
         while self._running:
             await asyncio.sleep(self.config.detection_interval)
-            if obs is not None:
-                obs.registry.counter(
-                    "service_detection_sweeps_total",
-                    "Detection sweeps of the control loop.",
-                ).inc()
+            obs.registry.counter(
+                "service_detection_sweeps_total",
+                "Detection sweeps of the control loop.",
+            ).inc()
             if self._shuffle_in_progress:
                 continue
             # event-loop-safe: bounded batch write, at most once a sweep
@@ -532,7 +529,7 @@ class ServiceCoordinator:
             backend = self.pool.get(replica_id)
             if backend is None or not backend.is_active:
                 continue
-            if obs is not None and self.trust is not None:
+            if self.trust is not None:
                 cohort = sorted(backend.whitelist)
                 obs.events.append(Event(
                     time=self._clock(),
@@ -548,12 +545,11 @@ class ServiceCoordinator:
             report = backend.heavy_hitter_report()
             if report is None:  # exact detector: no attribution
                 continue
-            if obs is not None:
-                obs.events.append(report.to_event(source="service"))
+            obs.events.append(report.to_event(source="service"))
             self.suspected_bots.update(
                 report.suspects(self.SUSPECT_MIN_SHARE)
             )
-        if obs is not None and self.trust is not None:
+        if self.trust is not None:
             gauge = obs.registry.gauge(
                 "service_trust_tier_clients",
                 "Whitelisted clients per trust tier (all replicas).",
@@ -563,7 +559,7 @@ class ServiceCoordinator:
                 sorted(self.assignments)
             ).items():
                 gauge.set(float(count), tier=tier)
-        if obs is not None and self.suspected_bots:
+        if self.suspected_bots:
             obs.registry.gauge(
                 "service_suspected_bots",
                 "Distinct clients named by heavy-hitter reports.",
@@ -575,16 +571,135 @@ class ServiceCoordinator:
     async def _shuffle(self, attacked: list[ReplicaBackend]) -> None:
         self._shuffle_in_progress = True
         obs = self.instruments
+        spans = obs.spans
+        before = self.shuffles_completed
         try:
-            if obs is None:
-                await self._shuffle_impl(attacked, None)
-                return
-            before = self.shuffles_completed
-            with obs.spans.span(
+            with spans.span(
                 "shuffle_round", n_attacked=len(attacked)
-            ) as span:
-                await self._shuffle_impl(attacked, obs)
-                span.set(completed=self.shuffles_completed > before)
+            ) as round_span:
+                started = self._clock()
+                attacked_ids = tuple(b.replica_id for b in attacked)
+                # Canonical client order before the permutation below:
+                # the shuffle must not depend on whitelist-set iteration
+                # history.
+                clients = sorted(
+                    cid for b in attacked for cid in b.whitelist
+                )
+                n_clients = len(clients)
+                policy = self.policy
+                last = self._last_shuffle
+                with spans.span("estimate") as span:
+                    # X is counted over the replicas outside the
+                    # quarantine set (_detect_loop), so P is too.
+                    seen = Observation(
+                        n_attacked=len(attacked_ids),
+                        n_replicas=max(len(self._unquarantined()), 1),
+                        n_clients=n_clients,
+                        plan_sizes=(
+                            last.group_sizes
+                            if last is not None
+                            and set(attacked_ids) <= set(last.new_replicas)
+                            else None
+                        ),
+                        expected_bots=(
+                            None
+                            if self.trust is None
+                            else self.trust.low_trust_mass(clients)
+                        ),
+                        prior_strength=self.config.trust_prior_strength,
+                        demonstrated_bots=len(
+                            self.suspected_bots & set(clients)
+                        ),
+                    )
+                    # Measured on a 2-vCPU Xeon host.
+                    # event-loop-safe: posterior update, ~0.4 ms at N=220, P=10
+                    policy.believe(seen)
+                    believed = policy.believed(n_clients)
+                    estimator = policy.method
+                    span.set(believed=believed, estimator=estimator)
+
+                plan = None
+                if n_clients == 0:
+                    # Flooded but empty replicas: substitute, nothing to
+                    # plan.
+                    with spans.span("substitute"):
+                        replacements = await self.pool.substitute(
+                            list(attacked_ids)
+                        )
+                    self.shuffles.append(LiveShuffleRecord(
+                        started_at=started, completed_at=self._clock(),
+                        attacked_replicas=attacked_ids, n_clients=0,
+                        n_attacked=len(attacked_ids),
+                        estimated_bots=believed, estimator=estimator,
+                        group_sizes=(),
+                        new_replicas=tuple(
+                            b.replica_id for b in replacements
+                        ),
+                    ))
+                    self._belief_dirty = True
+                else:
+                    width = self.plan_width(n_clients, self.config.n_replicas)
+                    with spans.span("plan") as span:
+                        # event-loop-safe: greedy + saves, ~0.3 ms at N=220
+                        decision = policy.decide(n_clients, width)
+                        span.set(
+                            algorithm=decision.plan.algorithm,
+                            expected_saved=decision.plan.expected_saved,
+                        )
+                    self._belief_dirty = True
+                    if decision.action == "quarantine":
+                        # Leave the bots flooding these replicas and keep
+                        # watching the rest.
+                        self.quarantine_replicas.update(attacked_ids)
+                    else:
+                        plan = decision.plan
+
+                if plan is not None:
+                    with spans.span("shuffle"):
+                        # Replicas whose planned group is empty are never
+                        # booted, and only the attacked instances retire,
+                        # so the pool grows elastically during an attack
+                        # (clean replicas accumulate saved clients) — the
+                        # paper's scale-out-under-attack behaviour.
+                        sizes = plan.nonempty_sizes()
+                        replacements = await self.pool.spawn(len(sizes))
+                        order = [
+                            clients[i]
+                            for i in self._rng.permutation(n_clients)
+                        ]
+                        cursor = 0
+                        for backend, size in zip(replacements, sizes):
+                            replica_id = backend.replica_id
+                            for _ in range(size):
+                                client_id = order[cursor]
+                                cursor += 1
+                                backend.admit(client_id)
+                                self.assignments[client_id] = replica_id
+                                self._dirty_bindings.add(client_id)
+                        assert cursor == n_clients, (
+                            "plan sizes must cover every client"
+                        )
+                    # Old instances close only after every client is
+                    # rebound, so a MOVED straggler always finds its new
+                    # home via WHERE.
+                    with spans.span("substitute"):
+                        for attacked_id in attacked_ids:
+                            await self.pool.retire(attacked_id)
+
+                    record = LiveShuffleRecord(
+                        started_at=started, completed_at=self._clock(),
+                        attacked_replicas=attacked_ids,
+                        n_clients=n_clients, n_attacked=len(attacked_ids),
+                        estimated_bots=believed, estimator=estimator,
+                        group_sizes=plan.group_sizes,
+                        new_replicas=tuple(
+                            b.replica_id for b in replacements
+                        ),
+                        algorithm=plan.algorithm,
+                    )
+                    self.shuffles.append(record)
+                    self._last_shuffle = record
+                round_span.set(completed=self.shuffles_completed > before)
             if self.shuffles_completed > before:
                 record = self.shuffles[-1]
                 obs.registry.counter(
@@ -592,16 +707,12 @@ class ServiceCoordinator:
                     "Completed live shuffle rounds by estimator.",
                     ("estimator",),
                 ).inc(estimator=record.estimator)
-                completed_at = (
-                    record.completed_at
-                    if record.completed_at is not None
-                    else record.started_at
-                )
+                assert record.completed_at is not None  # set above
                 obs.registry.histogram(
                     "service_shuffle_duration_seconds",
                     "Wall-clock duration of one live shuffle round.",
                     buckets=(0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0),
-                ).observe(completed_at - record.started_at)
+                ).observe(record.completed_at - record.started_at)
             if self.believed_bots is not None:
                 obs.registry.gauge(
                     "service_believed_bots",
@@ -613,137 +724,6 @@ class ServiceCoordinator:
             ).set(float(len(self.quarantine_replicas)))
         finally:
             self._shuffle_in_progress = False
-
-    async def _shuffle_impl(
-        self,
-        attacked: list[ReplicaBackend],
-        obs: Instruments | None,
-    ) -> None:
-        spans = obs.spans if obs is not None else None
-        started = self._clock()
-        attacked_ids = tuple(b.replica_id for b in attacked)
-        # Canonical client order before the permutation below: the
-        # shuffle must not depend on whitelist-set iteration history.
-        clients = sorted(
-            cid for b in attacked for cid in b.whitelist
-        )
-        n_clients = len(clients)
-        policy = self.policy
-        last = self._last_shuffle
-        with (
-            spans.span("estimate") if spans is not None else nullcontext()
-        ) as span:
-            # X is counted over the replicas outside the quarantine set
-            # (_detect_loop), so P is too.
-            seen = Observation(
-                n_attacked=len(attacked_ids),
-                n_replicas=max(len(self._unquarantined()), 1),
-                n_clients=n_clients,
-                plan_sizes=(
-                    last.group_sizes
-                    if last is not None
-                    and set(attacked_ids) <= set(last.new_replicas)
-                    else None
-                ),
-                expected_bots=(
-                    None
-                    if self.trust is None
-                    else self.trust.low_trust_mass(clients)
-                ),
-                prior_strength=self.config.trust_prior_strength,
-                demonstrated_bots=len(self.suspected_bots & set(clients)),
-            )
-            # Measured on a 2-vCPU Xeon host.
-            # event-loop-safe: posterior update, ~0.4 ms at N=220, P=10
-            policy.believe(seen)
-            believed, estimator = policy.believed(n_clients), policy.method
-            if span is not None:
-                span.set(believed=believed, estimator=estimator)
-
-        if n_clients == 0:
-            # Flooded but empty replicas: substitute, nothing to plan.
-            with (
-                spans.span("substitute")
-                if spans is not None
-                else nullcontext()
-            ):
-                replacements = await self.pool.substitute(
-                    list(attacked_ids)
-                )
-            self.shuffles.append(LiveShuffleRecord(
-                started_at=started, completed_at=self._clock(),
-                attacked_replicas=attacked_ids, n_clients=0,
-                n_attacked=len(attacked_ids), estimated_bots=believed,
-                estimator=estimator, group_sizes=(),
-                new_replicas=tuple(
-                    b.replica_id for b in replacements
-                ),
-            ))
-            self._belief_dirty = True
-            return
-
-        with (
-            spans.span("plan") if spans is not None else nullcontext()
-        ) as span:
-            # event-loop-safe: greedy + expected saves, ~0.3 ms at N=220
-            decision = policy.decide(
-                n_clients, self.plan_width(n_clients, self.config.n_replicas)
-            )
-            plan = decision.plan
-            if span is not None:
-                span.set(
-                    algorithm=plan.algorithm,
-                    expected_saved=plan.expected_saved,
-                )
-        self._belief_dirty = True
-        if decision.action == "quarantine":
-            # Leave the bots flooding these replicas and keep watching
-            # the rest.
-            self.quarantine_replicas.update(attacked_ids)
-            return
-
-        with (
-            spans.span("shuffle") if spans is not None else nullcontext()
-        ):
-            # Replicas whose planned group is empty are never booted,
-            # and only the attacked instances retire, so the pool grows
-            # elastically during an attack (clean replicas accumulate
-            # saved clients) — the paper's scale-out-under-attack
-            # behaviour.
-            sizes = plan.nonempty_sizes()
-            replacements = await self.pool.spawn(len(sizes))
-            order = [
-                clients[i] for i in self._rng.permutation(n_clients)
-            ]
-            cursor = 0
-            for backend, size in zip(replacements, sizes):
-                for _ in range(size):
-                    client_id = order[cursor]
-                    cursor += 1
-                    backend.admit(client_id)
-                    self.assignments[client_id] = backend.replica_id
-                    self._dirty_bindings.add(client_id)
-            assert cursor == n_clients, "plan sizes must cover every client"
-        # Old instances close only after every client is rebound, so
-        # a MOVED straggler always finds its new home via WHERE.
-        with (
-            spans.span("substitute")
-            if spans is not None
-            else nullcontext()
-        ):
-            for replica_id in attacked_ids:
-                await self.pool.retire(replica_id)
-
-        record = LiveShuffleRecord(
-            started_at=started, completed_at=self._clock(),
-            attacked_replicas=attacked_ids, n_clients=n_clients,
-            n_attacked=len(attacked_ids), estimated_bots=believed,
-            estimator=estimator, group_sizes=plan.group_sizes,
-            new_replicas=tuple(b.replica_id for b in replacements),
-            algorithm=plan.algorithm,
-        )
-        self.shuffles.append(record)
-        self._last_shuffle = record
 
     # ------------------------------------------------------------------
     # telemetry

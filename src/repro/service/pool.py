@@ -15,7 +15,7 @@ import asyncio
 import time
 from typing import Callable
 
-from ..obs.instruments import Instruments
+from ..obs.instruments import DISABLED, Instruments
 from ..trust import TrustManager
 from .backend import ReplicaBackend
 from .config import ServiceConfig
@@ -43,7 +43,7 @@ class ReplicaPool:
     ) -> None:
         self.config = config
         self._clock = clock
-        self.instruments = instruments
+        self.instruments = instruments or DISABLED
         self.trust = trust
         self._counter = 0
         self.backends: dict[str, ReplicaBackend] = {}
@@ -97,11 +97,10 @@ class ReplicaPool:
             for backend in batch:
                 self.backends[backend.replica_id] = backend
                 self._active[backend.replica_id] = backend
-        if self.instruments is not None:
-            self.instruments.registry.counter(
-                "service_replicas_spawned_total",
-                "Backends booted over the pool's lifetime.",
-            ).inc(count)
+        self.instruments.registry.counter(
+            "service_replicas_spawned_total",
+            "Backends booted over the pool's lifetime.",
+        ).inc(count)
         return batch
 
     async def start(self) -> list[ReplicaBackend]:
@@ -118,11 +117,10 @@ class ReplicaPool:
             self.retired[replica_id] = backend
         backend.quiesce()
         await backend.stop()
-        if self.instruments is not None:
-            self.instruments.registry.counter(
-                "service_replicas_retired_total",
-                "Backends retired (their ports went dark).",
-            ).inc()
+        self.instruments.registry.counter(
+            "service_replicas_retired_total",
+            "Backends retired (their ports went dark).",
+        ).inc()
 
     async def substitute(self, replica_ids: list[str]) -> list[ReplicaBackend]:
         """Replace each named replica with a fresh-port substitute.

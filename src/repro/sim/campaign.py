@@ -147,16 +147,15 @@ def run_campaign(
             len(state.rounds) * config.shuffle_seconds / 3600.0
         )
         mitigation_hours_total += mitigation_hours
-        if obs is not None:
-            obs.registry.counter(
-                "sim_campaign_waves_total",
-                "Attack waves simulated across campaigns.",
-            ).inc()
-            obs.registry.histogram(
-                "sim_campaign_wave_shuffles",
-                "Shuffle rounds needed to absorb one attack wave.",
-                buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-            ).observe(float(len(state.rounds)))
+        obs.registry.counter(
+            "sim_campaign_waves_total",
+            "Attack waves simulated across campaigns.",
+        ).inc()
+        obs.registry.histogram(
+            "sim_campaign_wave_shuffles",
+            "Shuffle rounds needed to absorb one attack wave.",
+            buckets=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
+        ).observe(float(len(state.rounds)))
         outcomes.append(
             WaveOutcome(
                 wave=wave,

@@ -15,8 +15,7 @@ the metric registry.
 
 from __future__ import annotations
 
-from ..obs.instruments import Instruments
-from ..obs.metrics import Counter
+from ..obs.instruments import DISABLED, Instruments
 from .config import INITIAL_TRUST, TrustConfig
 from .profile import ClientProfile, ProfileTable
 from .storage import StorageBackend
@@ -41,8 +40,9 @@ class TrustManager:
         storage: optional :class:`StorageBackend`; when given,
             :meth:`persist` writes rows touched since the last call
             and :meth:`restore` reloads them on restart.
-        instruments: optional :class:`repro.obs.Instruments`; tier
-            transitions land in ``trust_tier_transitions_total``.
+        instruments: optional :class:`repro.obs.Instruments` (``None``
+            is :data:`repro.obs.DISABLED`); tier transitions land in
+            ``trust_tier_transitions_total``.
     """
 
     def __init__(
@@ -53,17 +53,13 @@ class TrustManager:
     ) -> None:
         self.config = config or TrustConfig()
         self.storage = storage
-        self.instruments = instruments
+        self.instruments = instruments or DISABLED
         self.table = ProfileTable(self.config)
         self._dirty: set[str] = set()
-        self._transitions: Counter | None = (
-            None
-            if instruments is None
-            else instruments.registry.counter(
-                "trust_tier_transitions_total",
-                "Tier-ladder transitions by destination tier.",
-                ("tier",),
-            )
+        self._transitions = self.instruments.registry.counter(
+            "trust_tier_transitions_total",
+            "Tier-ladder transitions by destination tier.",
+            ("tier",),
         )
 
     # ------------------------------------------------------------------
@@ -96,7 +92,7 @@ class TrustManager:
         value, moved = self.table.observe_raw(client_id, now, violation)
         self._dirty.add(client_id)
         tier = TIERS_BY_VALUE[value]
-        if moved and self._transitions is not None:
+        if moved:
             self._transitions.inc(tier=tier.name)
         return tier
 

@@ -20,7 +20,7 @@ from repro.core import api
 from repro.core.even import even_sizes
 from repro.core.policy import Observation, PosteriorPolicy, ShufflePolicy
 from repro.core.shuffler import ShuffleEngine
-from repro.obs import Instruments
+from repro.obs import Instruments, set_default_instruments
 from repro.service import ServiceCoordinator, shuffle_budget
 from repro.trust import TrustConfig, TrustManager, TrustTier
 
@@ -357,6 +357,21 @@ def test_live_chain_quarantines_every_bot_within_budget(seed):
     assert rounds < BUDGET == 42
     assert cornered == BOTS  # every bot is inside the quarantined subset
     assert (rounds, written_off, belief) == CLOSED_LOOP_GOLDEN[seed]
+
+
+def test_closed_loop_is_the_same_under_an_installed_bundle():
+    bundle = Instruments.create(source="core")
+    previous = set_default_instruments(bundle)
+    try:
+        runs = {
+            seed: closed_loop.__wrapped__(seed)[:3]
+            for seed in sorted(CLOSED_LOOP_GOLDEN)
+        }
+    finally:
+        set_default_instruments(previous)
+    assert runs == CLOSED_LOOP_GOLDEN
+    assert bundle.spans.named("core_estimate")
+    assert bundle.spans.named("core_plan")
 
 
 def test_closed_loop_round_counts():

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cloudsim import CloudConfig, CloudDefenseSystem
 from repro.core import ShuffleEngine
 from repro.obs import (
+    DISABLED,
     Instruments,
     get_default_instruments,
     resolve_instruments,
@@ -24,7 +26,7 @@ def clean_default():
 
 class TestResolution:
     def test_disabled_by_default(self):
-        assert resolve_instruments(None) is None
+        assert resolve_instruments(None) is DISABLED
         assert get_default_instruments() is None
 
     def test_explicit_handle_wins_over_default(self):
@@ -42,12 +44,65 @@ class TestResolution:
         assert set_default_instruments(None) is second
 
 
+def des_run(traced: bool) -> tuple[int, list[tuple]]:
+    """Seed 3, 300 benign + 30 bots over 60 sim-s: the events processed
+    and each shuffle's (group sizes, estimated bots)."""
+    system = CloudDefenseSystem(CloudConfig(), seed=3)
+    if traced:
+        system.ctx.attach_instruments()
+    system.add_benign_clients(300)
+    system.add_persistent_bots(30)
+    system.run(60.0)
+    return system.ctx.sim.events_processed, [
+        (record.group_sizes, record.estimated_bots)
+        for record in system.ctx.coordinator.shuffles
+    ]
+
+
+def assert_holds_nothing(bundle: Instruments) -> None:
+    assert len(bundle.spans) == 0
+    assert len(bundle.registry) == 0
+    assert len(bundle.events) == 0
+    assert bundle.export_state() == {"metrics": {}, "spans": [], "events": []}
+
+
 class TestDisabledNoOp:
     """``instruments=None`` must leave zero observable footprint."""
 
     def test_engine_defaults_to_disabled(self):
         engine = ShuffleEngine(n_replicas=10)
-        assert engine.instruments is None
+        assert engine.instruments is DISABLED
+
+    def test_disabled_channels_ignore_every_update(self):
+        with DISABLED.spans.span("op", a=1) as span:
+            span.set(b=2)
+            with DISABLED.spans.span("inner"):
+                pass
+        assert span.attrs == {}
+        DISABLED.registry.counter("c_total", "C.", ("k",)).inc(k=1)
+        gauge = DISABLED.registry.gauge("g")
+        gauge.set(3.0)
+        gauge.dec()
+        DISABLED.registry.histogram("h").observe(0.2)
+        DISABLED.emit(1.0, "tick", n=1)
+        assert gauge.value() == 0.0
+        assert DISABLED.registry.get("c_total") is None
+        assert_holds_nothing(DISABLED)
+
+    def test_disabled_engine_and_des_runs_leave_disabled_empty(self):
+        for estimator in ("oracle", "posterior", "mle"):
+            ShuffleEngine(
+                n_replicas=20,
+                estimator=estimator,
+                rng=np.random.default_rng(7),
+            ).run(benign=200, bots=50, max_rounds=10)
+        assert des_run(traced=False)[1], "the DES run must shuffle"
+        assert_holds_nothing(DISABLED)
+
+    def test_des_runs_with_and_without_instruments_are_identical(self):
+        plain = des_run(traced=False)
+        assert plain[0] == 31_232 and len(plain[1]) == 2
+        assert des_run(traced=True) == plain
 
     def test_disabled_run_records_nothing_anywhere(self):
         engine = ShuffleEngine(
@@ -103,6 +158,28 @@ class TestEnabledChannels:
         assert child_names <= {"estimate", "plan", "shuffle"}
         assert "plan" in child_names
         assert "shuffle" in child_names
+
+    @pytest.mark.parametrize("estimator", ["posterior", "mle"])
+    def test_explicit_handle_reaches_the_policy(self, estimator):
+        bundle = Instruments.create()
+        engine = ShuffleEngine(
+            n_replicas=10,
+            estimator=estimator,
+            rng=np.random.default_rng(3),
+            instruments=bundle,
+        )
+        state = engine.run(benign=100, bots=30, max_rounds=5)
+        by_id = {span.span_id: span for span in bundle.spans.spans}
+        parents = {
+            name: {by_id[s.parent_id].name for s in bundle.spans.named(name)}
+            for name in ("core_plan", "core_estimate")
+        }
+        assert parents == {
+            "core_plan": {"plan"},
+            "core_estimate": {"estimate"},
+        }
+        assert len(bundle.spans.named("core_plan")) == len(state.rounds)
+        assert len(bundle.spans.named("core_estimate")) == len(state.rounds)
 
     def test_export_state_is_json_ready(self):
         import json
