@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sibling directories scanned as *evidence of use* by the project
 #: rules (P5); they are never linted themselves.
 _CONSUMER_DIR_NAMES = ("tests", "examples", "benchmarks")
+#: the rules that read those consumer modules: a run without one of
+#: them does not parse the consumer directories at all
+_CONSUMER_RULES = frozenset({"P5"})
 
 
 class NoRulesToRun(ValueError):
@@ -139,7 +142,11 @@ def lint(
         started = time.perf_counter()
         program = ProgramContext.build(
             package_root,
-            consumer_roots=default_consumer_roots(package_root),
+            consumer_roots=(
+                default_consumer_roots(package_root)
+                if any(r.rule_id in _CONSUMER_RULES for r in rules)
+                else ()
+            ),
         )
         report.timings["program_index"] = time.perf_counter() - started
 

@@ -90,9 +90,14 @@ class EventLog:
     events: list[Event] = field(default_factory=list)
     dropped: int = 0
 
+    def admits(self, kind: str) -> bool:
+        """Whether an event of ``kind`` would be kept: an emit site can
+        skip building the payload of one that would be dropped."""
+        return self.kinds is None or kind in self.kinds
+
     def emit(self, time: float, kind: str, **data: Any) -> None:
         """Record one event (subject to the kind filter and capacity)."""
-        if self.kinds is not None and kind not in self.kinds:
+        if not self.admits(kind):
             return
         self.append(
             Event(time=time, kind=kind, data=data, source=self.source)
@@ -100,7 +105,7 @@ class EventLog:
 
     def append(self, event: Event) -> None:
         """Record a ready-made event (e.g. from a span recorder)."""
-        if self.kinds is not None and event.kind not in self.kinds:
+        if not self.admits(event.kind):
             return
         self.events.append(event)
         if self.capacity is not None and len(self.events) > self.capacity:

@@ -95,11 +95,15 @@ class Instruments:
 
 
 class _IgnoredCounter(Counter):
+    records = False
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         pass
 
 
 class _IgnoredGauge(Gauge):
+    records = False
+
     def set(self, value: float, **labels: object) -> None:
         pass
 
@@ -108,6 +112,8 @@ class _IgnoredGauge(Gauge):
 
 
 class _IgnoredHistogram(Histogram):
+    records = False
+
     def observe(self, value: float, **labels: object) -> None:
         pass
 

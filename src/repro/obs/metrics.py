@@ -60,6 +60,9 @@ class Metric:
     """Common shape of one metric family (name, help text, labels)."""
 
     kind = "untyped"
+    #: ``False`` on the disabled bundle's metrics, which ignore every
+    #: update: an emit site can skip computing values nobody keeps
+    records = True
 
     def __init__(
         self,

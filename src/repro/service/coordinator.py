@@ -525,11 +525,16 @@ class ServiceCoordinator:
         the bots among them: the floor of the policy's support.
         """
         obs = self.instruments
+        # The trust views walk every client they cover: build them only
+        # for a bundle that keeps them.
+        trust = (
+            self.trust if obs.events.admits("trust_snapshot") else None
+        )
         for replica_id in sorted(attacked_ids):
             backend = self.pool.get(replica_id)
             if backend is None or not backend.is_active:
                 continue
-            if self.trust is not None:
+            if trust is not None:
                 cohort = sorted(backend.whitelist)
                 obs.events.append(Event(
                     time=self._clock(),
@@ -537,8 +542,8 @@ class ServiceCoordinator:
                     data={
                         "replica": replica_id,
                         "clients": len(cohort),
-                        "tiers": self.trust.tier_counts(cohort),
-                        "mean_trust": self.trust.mean_trust(cohort),
+                        "tiers": trust.tier_counts(cohort),
+                        "mean_trust": trust.mean_trust(cohort),
                     },
                     source="service",
                 ))
@@ -555,10 +560,11 @@ class ServiceCoordinator:
                 "Whitelisted clients per trust tier (all replicas).",
                 ("tier",),
             )
-            for tier, count in self.trust.tier_counts(
-                sorted(self.assignments)
-            ).items():
-                gauge.set(float(count), tier=tier)
+            if gauge.records:
+                for tier, count in self.trust.tier_counts(
+                    sorted(self.assignments)
+                ).items():
+                    gauge.set(float(count), tier=tier)
         if self.suspected_bots:
             obs.registry.gauge(
                 "service_suspected_bots",

@@ -11,6 +11,11 @@ isolated).
 Benign outcomes aggregate into the shared :class:`repro.sim.qos.
 QoSWindow` schema, so a live run's QoS timeline is directly comparable
 with a cloudsim timeline of the same scenario.
+
+A bot's replica connection is one :class:`asyncio.Protocol` object that
+counts the replies of each received chunk at once, so a flood costs the
+shared event loop one callback per chunk rather than one coroutine step
+per reply line; benign clients keep a request-reply stream each.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ class LoadConfig:
         bot_profile: flood shape — ``"burst"`` paces pipelined bursts
             of :data:`BOT_BURST` at :data:`BOT_RPS` (the original,
             rate-targeted bot); ``"flood"`` never paces: requests
-            stream as fast as the socket accepts them while a companion
-            reader drains replies, the profile that actually saturates
+            stream as fast as the socket accepts them while replies are
+            counted as they arrive, the profile that actually saturates
             the hot path the sketch detectors are built for.
         bot_start_delay: seconds of benign-only warmup before the flood
             (the paper's timeline: provision, then attack).
@@ -205,6 +210,14 @@ class LoadGenerator:
             if writer is not None:
                 writer.close()
 
+    async def _bot_connection(self, client_id: str) -> _BotConnection:
+        """Locate ``client_id``'s replica and connect a bot to it."""
+        host, port = await self._locate(client_id)
+        _, connection = await asyncio.get_running_loop().create_connection(
+            lambda: _BotConnection(self), host, port
+        )
+        return connection
+
     async def _bot(self, index: int) -> None:
         client_id = self.bot_ids[index]
         pace = BOT_BURST / BOT_RPS
@@ -212,46 +225,41 @@ class LoadGenerator:
         await asyncio.sleep(self.config.bot_start_delay)
         while not self._stop.is_set():
             try:
-                host, port = await self._locate(client_id)
-                reader, writer = await asyncio.open_connection(host, port)
+                connection = await self._bot_connection(client_id)
             except (asyncio.TimeoutError, OSError, ConnectionError):
                 await asyncio.sleep(pace)
                 continue
             try:
-                while not self._stop.is_set():
+                while not self._stop.is_set() and not connection.relocate:
                     # Open-loop burst: all requests on the wire before
                     # any reply is read.
-                    writer.write(request)
-                    await writer.drain()
-                    moved = False
-                    for _ in range(BOT_BURST):
-                        line = await asyncio.wait_for(
-                            reader.readline(), REQUEST_TIMEOUT
+                    connection.transport.write(request)
+                    await connection.writable.wait()
+                    # Every reply of the burst, or a relocation; give up
+                    # once REQUEST_TIMEOUT passes with no new reply.
+                    due = connection.replies + BOT_BURST
+                    while connection.replies < due and not connection.relocate:
+                        connection.replied.clear()
+                        await asyncio.wait_for(
+                            connection.replied.wait(), REQUEST_TIMEOUT
                         )
-                        verb = line.split()[0] if line.strip() else b""
-                        if verb == b"OK":
-                            self.bot_served += 1
-                        elif verb == b"THROTTLED":
-                            self.bot_throttled += 1
-                        else:
-                            moved = True
-                            break
-                    if moved:
+                    if connection.relocate:
                         break  # replica moved out from under the bot
                     await asyncio.sleep(pace)
-            except (asyncio.TimeoutError, OSError):
-                pass  # target port went dark mid-flood: re-locate
+            except asyncio.TimeoutError:
+                pass  # the replica went silent mid-burst: re-locate
             finally:
-                writer.close()
+                connection.transport.close()
 
     async def _bot_flood(self, index: int) -> None:
         """Unpaced flood bot: saturate the socket, never wait.
 
         Writes pipelined request blocks back-to-back with no pacing
-        sleep — the only throttle is TCP backpressure via ``drain()``.
-        A companion task consumes replies concurrently so the reply
-        stream never stalls the flood (nor fills our receive buffer),
-        and flags MOVED/DENY/EOF so the bot re-locates a shuffled-away
+        sleep — the only throttle is TCP backpressure: the bot waits
+        while its transport has paused writing.  The connection's
+        protocol counts replies as they arrive, so the reply stream
+        never stalls the flood (nor fills our receive buffer), and
+        flags MOVED/DENY/EOF so the bot re-locates a shuffled-away
         replica.
         """
         client_id = self.bot_ids[index]
@@ -259,49 +267,20 @@ class LoadGenerator:
         await asyncio.sleep(self.config.bot_start_delay)
         while not self._stop.is_set():
             try:
-                host, port = await self._locate(client_id)
-                reader, writer = await asyncio.open_connection(host, port)
+                connection = await self._bot_connection(client_id)
             except (asyncio.TimeoutError, OSError, ConnectionError):
                 await asyncio.sleep(REQUEST_TIMEOUT / 4)
                 continue
-            relocate = asyncio.Event()
-
-            async def drain_replies(
-                reader: asyncio.StreamReader = reader,
-                relocate: asyncio.Event = relocate,
-            ) -> None:
-                try:
-                    while True:
-                        line = await reader.readline()
-                        if not line:
-                            break  # EOF: replica closed / moved
-                        verb = line.split()[0] if line.strip() else b""
-                        if verb == b"OK":
-                            self.bot_served += 1
-                        elif verb == b"THROTTLED":
-                            self.bot_throttled += 1
-                        else:  # MOVED / DENY
-                            break
-                except (OSError, asyncio.IncompleteReadError):
-                    pass
-                finally:
-                    relocate.set()
-
-            drain = asyncio.create_task(drain_replies())
             try:
-                while not self._stop.is_set() and not relocate.is_set():
-                    writer.write(block)
-                    await writer.drain()
-                    # drain() only yields above the high-water mark;
+                while not self._stop.is_set() and not connection.relocate:
+                    connection.transport.write(block)
+                    await connection.writable.wait()
+                    # The wait returns at once unless writing is paused;
                     # yield explicitly so the server (same loop in the
                     # in-process harness) gets scheduled.
                     await asyncio.sleep(0)
-            except (OSError, ConnectionError):
-                pass  # target went dark mid-flood: re-locate
             finally:
-                drain.cancel()
-                await asyncio.gather(drain, return_exceptions=True)
-                writer.close()
+                connection.transport.close()
 
     # ------------------------------------------------------------------
     # sampling
@@ -376,3 +355,71 @@ class LoadGenerator:
             task.cancel()
         await asyncio.gather(*tasks, sampler, return_exceptions=True)
         return self.windows
+
+
+class _BotConnection(asyncio.Protocol):
+    """A bot's replica connection: each received chunk counted at once.
+
+    Every complete ``OK …`` reply line counts into ``bot_served`` and
+    every ``THROTTLED …`` line into ``bot_throttled`` of the load
+    generator.  Any other line (``MOVED``, ``DENY``, a blank line) or a
+    lost connection sets :attr:`relocate`, after which nothing more is
+    counted.
+    """
+
+    __slots__ = (
+        "_load", "_tail", "transport", "replies", "relocate",
+        "replied", "writable",
+    )
+
+    def __init__(self, load: LoadGenerator) -> None:
+        self._load = load
+        self._tail = b""
+        #: ``OK`` plus ``THROTTLED`` replies counted so far
+        self.replies = 0
+        #: the replica moved, refused or closed: the bot must re-locate
+        self.relocate = False
+        #: set by each chunk that counted a reply or relocated
+        self.replied = asyncio.Event()
+        #: clear while the transport has paused writing (backpressure)
+        self.writable = asyncio.Event()
+        self.writable.set()
+
+    def connection_made(  # type: ignore[override]
+        self, transport: asyncio.Transport
+    ) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._relocate()
+
+    def data_received(self, data: bytes) -> None:
+        if self.relocate:
+            return
+        lines = (self._tail + data).split(b"\n")
+        self._tail = lines.pop()
+        served = throttled = 0
+        for line in lines:
+            if line.startswith(b"OK "):
+                served += 1
+            elif line.startswith(b"THROTTLED "):
+                throttled += 1
+            else:  # MOVED, DENY, a blank line
+                self._relocate()
+                break
+        if served or throttled:
+            self._load.bot_served += served
+            self._load.bot_throttled += throttled
+            self.replies += served + throttled
+            self.replied.set()
+
+    def _relocate(self) -> None:
+        self.relocate = True
+        self.replied.set()
+        self.writable.set()  # a paused writer must see the relocation
+
+    def pause_writing(self) -> None:
+        self.writable.clear()
+
+    def resume_writing(self) -> None:
+        self.writable.set()

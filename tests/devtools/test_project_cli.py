@@ -178,6 +178,32 @@ def test_each_file_is_parsed_once(tree, monkeypatch):
     assert len(parsed) == len(set(parsed))
 
 
+@pytest.mark.parametrize(
+    "select, consumers_parsed",
+    [(["P3"], False), (["R1", "P13"], False), (["P5"], True), (None, True)],
+)
+def test_consumer_dirs_are_parsed_only_for_p5(
+    tree, monkeypatch, select, consumers_parsed
+):
+    from repro.devtools.context import FileContext
+
+    consumer = tree.parent / "tests" / "test_comp.py"
+    consumer.parent.mkdir()
+    consumer.write_text("from repro.cloudsim import comp\n")
+    parsed: list[Path] = []
+    from_path = FileContext.from_path.__func__
+    monkeypatch.setattr(
+        FileContext,
+        "from_path",
+        classmethod(
+            lambda cls, path: parsed.append(path.resolve())
+            or from_path(cls, path)
+        ),
+    )
+    lint([tree], select=select)
+    assert (consumer.resolve() in parsed) == consumers_parsed
+
+
 def test_unparsable_package_file_is_a_parse_violation(tree, capsys):
     (tree / "core" / "broken.py").write_text("def f(:\n", encoding="utf-8")
     assert main(["--select", "R1", str(tree)]) == 1

@@ -9,6 +9,7 @@ from repro.cloudsim import CloudConfig, CloudDefenseSystem
 from repro.core import ShuffleEngine
 from repro.obs import (
     DISABLED,
+    EventLog,
     Instruments,
     get_default_instruments,
     resolve_instruments,
@@ -88,6 +89,27 @@ class TestDisabledNoOp:
         assert gauge.value() == 0.0
         assert DISABLED.registry.get("c_total") is None
         assert_holds_nothing(DISABLED)
+
+    def test_emit_sites_can_ask_whether_anything_is_kept(self):
+        assert not DISABLED.events.admits("trust_snapshot")
+        assert not any(
+            metric.records for metric in (
+                DISABLED.registry.counter("c_total"),
+                DISABLED.registry.gauge("g"),
+                DISABLED.registry.histogram("h"),
+            )
+        )
+        live = Instruments.create()
+        assert live.events.admits("trust_snapshot")
+        assert all(
+            metric.records for metric in (
+                live.registry.counter("c_total"),
+                live.registry.gauge("g"),
+                live.registry.histogram("h"),
+            )
+        )
+        picky = EventLog(kinds=frozenset({"shuffle"}))
+        assert picky.admits("shuffle") and not picky.admits("tick")
 
     def test_disabled_engine_and_des_runs_leave_disabled_empty(self):
         for estimator in ("oracle", "posterior", "mle"):

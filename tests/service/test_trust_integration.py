@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs import DISABLED, Instruments
 from repro.service.backend import ReplicaBackend
 from repro.service.coordinator import ServiceCoordinator
 from repro.trust import TrustConfig, TrustManager, TrustTier
@@ -152,3 +153,86 @@ class TestCoordinatorWiring:
                 await coordinator.stop()
 
         asyncio.run(scenario())
+
+
+class TestCollectReports:
+    """A confirmed round's trust views (each attacked cohort's
+    ``trust_snapshot`` event, the tier gauge over every assigned
+    client) are built only for a bundle that keeps them."""
+
+    @staticmethod
+    def _collect(config, instruments, monkeypatch):
+        calls: list[str] = []
+
+        async def scenario():
+            coordinator = ServiceCoordinator(
+                dataclasses.replace(config, trust_enabled=True),
+                clock=lambda: 4.0,
+                instruments=instruments,
+            )
+            await coordinator.start()
+            try:
+                trust = coordinator.trust
+                for index in range(9):
+                    coordinator.assign(f"c-{index}")
+                _pin_tier(trust, "c-0", TrustTier.DENIED, 0.05, 3)
+                _pin_tier(trust, "c-4", TrustTier.WATCH, 0.5, 2)
+                _pin_tier(trust, "c-5", TrustTier.TRUSTED, 0.95, 7)
+                for name in ("tier_counts", "mean_trust"):
+                    def spy(*args, real=getattr(trust, name), name=name):
+                        calls.append(name)
+                        return real(*args)
+
+                    monkeypatch.setattr(trust, name, spy)
+                attacked = sorted(coordinator.pool.backends)[:2]
+                coordinator._collect_reports(set(attacked))
+                return attacked, dict(coordinator.assignments)
+            finally:
+                await coordinator.stop()
+
+        attacked, assignments = asyncio.run(scenario())
+        return calls, attacked, assignments
+
+    def test_disabled_bundle_builds_no_trust_view(self, config, monkeypatch):
+        calls, _, _ = self._collect(config, None, monkeypatch)
+        assert calls == []
+        assert len(DISABLED.events) == 0
+
+    def test_recording_bundle_gets_the_same_views(self, config, monkeypatch):
+        instruments = Instruments.create(clock=lambda: 0.0)
+        calls, attacked, assignments = self._collect(
+            config, instruments, monkeypatch
+        )
+        assert calls == ["tier_counts", "mean_trust"] * 2 + ["tier_counts"]
+        # Three replicas take nine clients least-loaded first: c-0, c-3,
+        # c-6 on the first, c-1, c-4, c-7 on the second; an unpinned
+        # client holds the initial trust, 0.6, in the WATCH tier.
+        assert [
+            sorted(c for c, r in assignments.items() if r == replica)
+            for replica in attacked
+        ] == [["c-0", "c-3", "c-6"], ["c-1", "c-4", "c-7"]]
+        snapshots = [
+            (event.time, event.source, event.data)
+            for event in instruments.events.of_kind("trust_snapshot")
+        ]
+        assert snapshots == [
+            (4.0, "service", {
+                "replica": attacked[0], "clients": 3,
+                "tiers": {"TRUSTED": 0, "WATCH": 2, "THROTTLED": 0,
+                          "DENIED": 1},
+                "mean_trust": pytest.approx((0.05 + 0.6 + 0.6) / 3),
+            }),
+            (4.0, "service", {
+                "replica": attacked[1], "clients": 3,
+                "tiers": {"TRUSTED": 0, "WATCH": 3, "THROTTLED": 0,
+                          "DENIED": 0},
+                "mean_trust": pytest.approx((0.6 + 0.5 + 0.6) / 3),
+            }),
+        ]
+        gauge = instruments.registry.gauge(
+            "service_trust_tier_clients", "", ("tier",)
+        )
+        assert {
+            tier: gauge.value(tier=tier)
+            for tier in ("TRUSTED", "WATCH", "THROTTLED", "DENIED")
+        } == {"TRUSTED": 1.0, "WATCH": 7.0, "THROTTLED": 0.0, "DENIED": 1.0}
