@@ -30,7 +30,10 @@ each run of consecutive requests from one client is settled together —
 one bucket grant of ``min(k, ⌊tokens⌋)`` and one monitor record per
 outcome — with the verdicts, bucket level and detector bytes that
 answering the ``k`` requests one at a time at that instant would give.
-With trust on, the tier gate and the profile update stay per request.
+A run of identical lines (a flood bot pipelines one request line over
+and over) is parsed once, and the replies to its equal seqs are one
+formatted string, repeated.  With trust on, the tier gate and the
+profile update stay per request.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from array import array
+from itertools import groupby
 from typing import Callable
 
 from ..detect import HeavyHitterReport, SketchParams
@@ -258,55 +262,68 @@ class ReplicaBackend:
 
         The chunk is one arrival: the clock is read once, and each run
         of consecutive requests from one client is settled together
-        (:meth:`_settle`).  A malformed line ends the run before it.
+        (:meth:`_settle`).  A run of identical lines, such as a flood
+        bot's pipelined ``REQ <id> 0``, is split and checked once and
+        joins the client's run as one ``(seq, repeat)`` segment.  A
+        malformed line ends the run before it.
         """
         now = self._clock()
         replies: list[str] = []
         client_id = ""
-        seqs: list[str] = []
-        for line in lines:
+        segments: list[tuple[str, int]] = []
+        n = 0  # requests in ``segments``
+        for line, same in groupby(lines):
+            repeat = len(list(same))
             parts = line.split()
             if len(parts) != 3 or parts[0] != "REQ":
-                if seqs:
-                    self._settle(client_id, seqs, now, replies)
-                    seqs = []
-                replies.append("ERR malformed")
-            elif parts[1] == client_id:
-                seqs.append(parts[2])
-            else:
-                if seqs:
-                    self._settle(client_id, seqs, now, replies)
+                if n:
+                    self._settle(client_id, segments, n, now, replies)
+                    segments, n = [], 0
+                replies += ["ERR malformed"] * repeat
+                continue
+            if parts[1] != client_id:
+                if n:
+                    self._settle(client_id, segments, n, now, replies)
                 client_id = parts[1]
-                seqs = [parts[2]]
-        if seqs:
-            self._settle(client_id, seqs, now, replies)
+                segments, n = [], 0
+            segments.append((parts[2], repeat))
+            n += repeat
+        if n:
+            self._settle(client_id, segments, n, now, replies)
         return replies
 
     def _settle(
-        self, client_id: str, seqs: list[str], now: float, replies: list[str]
+        self,
+        client_id: str,
+        segments: list[tuple[str, int]],
+        n: int,
+        now: float,
+        replies: list[str],
     ) -> None:
-        """Answer a run of requests from ``client_id`` arriving at
-        ``now`` (``seqs`` in order), exactly as one at a time."""
-        n = len(seqs)
+        """Answer a run of ``n`` requests from ``client_id`` arriving at
+        ``now`` (``segments`` of ``(seq, repeat)`` in order), exactly as
+        one at a time; the replies to a segment's equal seqs are one
+        formatted string, repeated."""
         stats = self.stats
         if self.quiescing:
             stats.moved += n
             self._count("moved", n)
-            for seq in seqs:
-                replies.append(f"MOVED {seq}")
+            for seq, repeat in segments:
+                replies += [f"MOVED {seq}"] * repeat
             return
         positions = self.whitelist.get(client_id, _NOT_ADMITTED)
         if positions is _NOT_ADMITTED:
             stats.denied += n
             self._count("denied", n)
-            for seq in seqs:
-                replies.append(f"DENY {seq}")
+            for seq, repeat in segments:
+                replies += [f"DENY {seq}"] * repeat
             return
         monitor = self.monitor
         trust = self.trust
         if trust is not None:
             # The tier gate and the profile move per request: each
             # verdict feeds the next request's gate.
+            seqs = [seq for seq, repeat in segments for _ in range(repeat)]
             for seq in seqs:
                 decision = trust.admit_decision(client_id)
                 if decision == "ok" and self.bucket.try_acquire(1, now):
@@ -346,15 +363,18 @@ class ReplicaBackend:
             monitor.record(True, client_id, positions, served, now)
             stats.served += served
             self._count("served", served)
-            replica_id = self.replica_id
-            for seq in seqs if served == n else seqs[:served]:
-                replies.append(f"OK {seq} {replica_id}")
         if served < n:
             monitor.record(False, client_id, positions, n - served, now)
             stats.throttled += n - served
             self._count("throttled", n - served)
-            for seq in seqs[served:]:
-                replies.append(f"THROTTLED {seq}")
+        replica_id = self.replica_id
+        for seq, repeat in segments:
+            ok = served if served < repeat else repeat
+            served -= ok
+            if ok:
+                replies += [f"OK {seq} {replica_id}"] * ok
+            if ok < repeat:
+                replies += [f"THROTTLED {seq}"] * (repeat - ok)
 
     def _count(self, outcome: str, n: int = 1) -> None:
         self._requests_total.inc(n, replica=self.replica_id, outcome=outcome)

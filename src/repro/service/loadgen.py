@@ -15,12 +15,14 @@ with a cloudsim timeline of the same scenario.
 A bot's replica connection is one :class:`asyncio.Protocol` object that
 counts the replies of each received chunk at once, so a flood costs the
 shared event loop one callback per chunk rather than one coroutine step
-per reply line; benign clients keep a request-reply stream each.
+per reply line, and the count itself is two C-level byte counts rather
+than a loop over lines; benign clients keep a request-reply stream each.
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -42,6 +44,10 @@ BOT_RPS = 200.0
 BOT_BURST = 10
 #: Client-side response deadline (seconds).
 REQUEST_TIMEOUT = 2.0
+#: The leading run of reply lines a bot counts: ``OK …`` and
+#: ``THROTTLED …``; the first other line sends it back to the
+#: coordinator.
+_COUNTED = re.compile(rb"(?:(?:OK|THROTTLED) [^\n]*\n)*")
 
 
 @dataclass(frozen=True)
@@ -364,7 +370,10 @@ class _BotConnection(asyncio.Protocol):
     every ``THROTTLED …`` line into ``bot_throttled`` of the load
     generator.  Any other line (``MOVED``, ``DENY``, a blank line) or a
     lost connection sets :attr:`relocate`, after which nothing more is
-    counted.
+    counted.  A chunk is counted by two counts, with no loop over its
+    lines: one regex match finds the leading run of ``OK``/``THROTTLED``
+    lines, then its newlines and its ``"\\nTHROTTLED "`` line starts
+    are counted.
     """
 
     __slots__ = (
@@ -396,21 +405,20 @@ class _BotConnection(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         if self.relocate:
             return
-        lines = (self._tail + data).split(b"\n")
-        self._tail = lines.pop()
-        served = throttled = 0
-        for line in lines:
-            if line.startswith(b"OK "):
-                served += 1
-            elif line.startswith(b"THROTTLED "):
-                throttled += 1
-            else:  # MOVED, DENY, a blank line
-                self._relocate()
-                break
-        if served or throttled:
-            self._load.bot_served += served
+        # The leading newline is a sentinel: every counted line starts
+        # after a "\n", so "\nTHROTTLED " matches line starts only.
+        buffer = b"\n" + self._tail + data
+        cut = buffer.rfind(b"\n") + 1
+        self._tail = buffer[cut:]
+        counted = _COUNTED.match(buffer, 1, cut).end()
+        if counted < cut:  # MOVED, DENY, a blank line
+            self._relocate()
+        replies = buffer.count(b"\n", 1, counted)
+        if replies:
+            throttled = buffer.count(b"\nTHROTTLED ", 0, counted)
+            self._load.bot_served += replies - throttled
             self._load.bot_throttled += throttled
-            self.replies += served + throttled
+            self.replies += replies
             self.replied.set()
 
     def _relocate(self) -> None:

@@ -354,12 +354,31 @@ _SETUPS = [
 _BUCKETS = [(50.0, 5.0), (7.3, 2.5)]
 
 
+#: run kinds whose ``k`` lines are one line repeated, as in a flood
+#: bot's pipelined block: a flooder's fixed seq (also CRLF-ended), a
+#: benign client's, a stranger's, each trust tier's, and malformed lines.
+_REPEATED = {
+    "bot*": b"REQ bot 0\n",
+    "bot*crlf": b"REQ bot 0\r\n",
+    "good*": b"REQ good 7\n",
+    "stranger*": b"REQ stranger 0\n",
+    "shady*": b"REQ shady 3\n",
+    "denied*": b"REQ denied 3\n",
+    "blank*": b"\n",
+    "garbage*": b"GARBAGE\r\n",
+    "short*": b"REQ bot\n",
+}
+
+
 def _stream(runs: list[tuple[str, int]]) -> bytes:
-    """Runs of ``k`` pipelined requests from one client (or of junk)."""
+    """Runs of ``k`` pipelined requests from one client (or of junk),
+    each with its own seq, or ``k`` copies of one line (``_REPEATED``)."""
     lines = []
     for client, k in runs:
         for _ in range(k):
-            if client == "junk":
+            if client in _REPEATED:
+                lines.append(_REPEATED[client])
+            elif client == "junk":
                 lines.append(_JUNK[len(lines) % len(_JUNK)])
             else:
                 lines.append(b"REQ %s %d\n" % (client.encode(), len(lines)))
@@ -471,7 +490,8 @@ class TestSameVerdicts:
         bucket=st.sampled_from(_BUCKETS),
         runs=st.lists(
             st.tuples(
-                st.sampled_from([*_CLIENTS, "junk"]), st.integers(1, 30)
+                st.sampled_from([*_CLIENTS, "junk", *_REPEATED]),
+                st.integers(1, 30),
             ),
             min_size=1, max_size=12,
         ),
@@ -519,6 +539,39 @@ class TestSameVerdicts:
         sent, expected, backend, reference = _replay(
             config, setup, bucket, stream, edges, [0.0, 0.03, 0.0, 0.11],
             quiesce_at=edges[-5],
+        )
+        verdicts = {line.split()[0] for line in bytes(expected).splitlines()}
+        assert {b"OK", b"THROTTLED", b"DENY", b"MOVED", b"ERR"} <= verdicts
+        assert bytes(sent) == bytes(expected)
+        assert _observable_state(backend) == _observable_state(reference)
+
+
+    @pytest.mark.parametrize("bucket", _BUCKETS, ids=["whole", "fractional"])
+    @pytest.mark.parametrize(
+        "setup", _SETUPS, ids=[
+            f"{detector}-{'trust' if trusted else 'plain'}-k{top_k}"
+            for detector, trusted, top_k in _SETUPS
+        ],
+    )
+    def test_repeated_line_flood_matches_line_by_line(
+        self, config, setup, bucket
+    ):
+        # Flood bots' blocks of one repeated line, so that each chunk
+        # holds runs of identical lines: a flooder's CRLF and LF copies
+        # of one request side by side, its repeated line next to its own
+        # distinct seqs, repeated malformed and blank lines, a stranger's
+        # flood, and both trust tiers' floods.  Cut every 4096 bytes,
+        # as a socket read of a busy connection is.
+        runs = [("good", 1), ("bot*", 400), ("bot*crlf", 50), ("bot", 3),
+                ("bot*", 120), ("garbage*", 30), ("blank*", 4),
+                ("short*", 6), ("good*", 9), ("bot*", 300),
+                ("stranger*", 100), ("shady*", 40), ("denied*", 25),
+                ("good", 2), ("bot*", 900)]
+        stream = _stream(runs)
+        edges = sorted({0, len(stream), *range(0, len(stream), 4096)})
+        sent, expected, backend, reference = _replay(
+            config, setup, bucket, stream, edges, [0.0, 0.02, 0.09, 0.0],
+            quiesce_at=edges[-2],
         )
         verdicts = {line.split()[0] for line in bytes(expected).splitlines()}
         assert {b"OK", b"THROTTLED", b"DENY", b"MOVED", b"ERR"} <= verdicts

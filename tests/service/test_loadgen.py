@@ -156,6 +156,33 @@ _COUNTED = st.one_of(
 _RELOCATING = st.sampled_from([b"MOVED 4\n", b"DENY 4\n", b"\n"])
 
 
+#: a reply token: any printable non-space ASCII, or one that holds a
+#: counted verb without starting a line with it.
+_TOKEN = st.one_of(
+    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+            min_size=1, max_size=6).map(str.encode),
+    st.sampled_from([b"OK", b"THROTTLED", b"xTHROTTLED", b"OKAY"]),
+)
+_END = st.sampled_from([b"\n", b"\r\n"])
+
+
+def _reply_lines(verbs):
+    """A verb, one or two tokens and an LF or CRLF ending."""
+    return st.builds(
+        lambda verb, tokens, end: b" ".join([verb, *tokens]) + end,
+        verbs, st.lists(_TOKEN, min_size=1, max_size=2), _END,
+    )
+
+
+_ANY_COUNTED = _reply_lines(st.sampled_from([b"OK", b"THROTTLED"]))
+#: ``MOVED``/``DENY``/any token as the verb, or a blank line (a token
+#: that happens to be ``OK`` makes a counted line: the reference says).
+_ANY_OTHER = st.one_of(
+    _reply_lines(st.one_of(st.sampled_from([b"MOVED", b"DENY"]), _TOKEN)),
+    _END,
+)
+
+
 class TestBotConnection:
     @given(
         head=st.lists(_COUNTED, max_size=40),
@@ -187,6 +214,44 @@ class TestBotConnection:
             (served, throttled) if relocated
             else (served + 1, throttled + 1)
         )
+
+    @given(
+        head=st.lists(_ANY_COUNTED, max_size=30),
+        stop=st.one_of(st.none(), _ANY_OTHER),
+        rest=st.lists(_ANY_COUNTED, max_size=5),
+        data=st.data(),
+    )
+    def test_counts_key_on_the_line_start_only(self, head, stop, rest, data):
+        # Arbitrary seq and replica tokens ("OK", "xTHROTTLED", ...) and
+        # CRLF endings: a line counts by the verb it starts with, never
+        # by a verb inside it.
+        stream = b"".join(head) + (
+            b"" if stop is None else stop + b"".join(rest)
+        )
+        cuts = sorted(data.draw(
+            st.lists(st.integers(0, len(stream)), max_size=12)
+        ))
+        load = _load()
+        connection = _BotConnection(load)
+        FakeTransport(connection)
+        for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+            connection.data_received(stream[start:end])
+        served, throttled, relocated = reference_counts(stream)
+        assert (load.bot_served, load.bot_throttled) == (served, throttled)
+        assert connection.replies == served + throttled
+        assert connection.relocate == relocated
+
+    def test_relocating_line_mid_chunk_stops_the_count(self):
+        load = _load()
+        connection = _BotConnection(load)
+        FakeTransport(connection)
+        connection.data_received(
+            b"OK THROTTLED r-1\nTHROTTLED 2\r\nDENY THROTTLED\n"
+            b"OK 4 r-1\nTHROTTLED 5\nTHROTTLED 6\nOK 7 r"
+        )
+        assert (load.bot_served, load.bot_throttled) == (1, 1)
+        assert connection.replies == 2
+        assert connection.relocate
 
     def test_unfinished_tail_waits_for_its_newline(self):
         load = _load()
